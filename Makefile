@@ -15,6 +15,8 @@
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
 #   make cover     — coverage profile across ./... and the total percentage
+#   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
+#                    item 3 ("one of everything") drives down; CI prints it
 #   make check     — everything: vet, lint, build, tests, race
 
 GO ?= go
@@ -25,7 +27,7 @@ GO ?= go
 HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkPredictBatch)$$
 BENCH_COUNT ?= 10
 
-.PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover check
+.PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover loc check
 
 all: vet build test
 
@@ -72,5 +74,8 @@ benchcmp: bench-hot
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l
 
 check: vet lint build test race

@@ -50,7 +50,7 @@ func main() {
 	scheduler := flag.String("scheduler", "harl", "scheduler preset: "+strings.Join(harl.Schedulers(), ", "))
 	trials := flag.Int("trials", 320, "measurement-trial budget (negative = no new measurements, replay the -resume cache only)")
 	seed := flag.Uint64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "tuning worker pool size: 0 = the legacy serial tuner (default), N >= 1 = the concurrent scheduler with N workers (identical results for every N), -1 = all CPU cores")
+	workers := flag.Int("workers", 0, "tuning worker pool size (0 = 1, -1 = all CPU cores); results are identical for every worker count")
 	logPath := flag.String("log", "", "append one JSONL tuning record per measured trial to this file")
 	resume := flag.String("resume", "", "warm-start from the best cached schedules of this record log (may equal -log)")
 	pretrainLog := flag.String("pretrain", "", "pretrain the cost model by replaying this record log before search (model-only; may equal -log or -resume)")

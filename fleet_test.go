@@ -176,3 +176,17 @@ func TestFleetNetworkTune(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedHooksReleaseJournal: a run that opens its record log and then
+// fails to dial the fleet must release the log's exclusive lock — the next
+// run on the same RecordLog would otherwise fail fast on it.
+func TestFailedHooksReleaseJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tune.jsonl")
+	w := GEMM(64, 64, 64, 1)
+	if _, err := TuneOperator(w, CPU(), Options{Scheduler: "random", Trials: 16, RecordLog: path, Fleet: []string{" "}}); err == nil {
+		t.Fatal("a blank fleet endpoint must fail the run")
+	}
+	if _, err := TuneOperator(w, CPU(), Options{Scheduler: "random", Trials: 16, RecordLog: path}); err != nil {
+		t.Fatalf("record log still held after the failed run: %v", err)
+	}
+}

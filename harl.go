@@ -188,14 +188,11 @@ type Options struct {
 	MeasureK int
 	// Seed makes the run reproducible (default 1).
 	Seed uint64
-	// Workers sizes the tuning worker pool; < 0 selects runtime.NumCPU().
-	//
-	// For TuneOperator, any worker count (including the 0/1 serial default)
-	// produces byte-identical results — workers only cut wall-clock time.
-	// For TuneNetwork, Workers >= 1 selects the concurrent multi-task
-	// scheduler, whose results are likewise identical for every worker
-	// count; Workers == 0 (the default) keeps the legacy round-sequential
-	// network tuner with its SW-UCB subgraph bandit.
+	// Workers sizes the tuning worker pool: 0 (the default) means 1, < 0
+	// selects runtime.NumCPU(). It is a pool width and nothing else — every
+	// value produces byte-identical results, journals and progress streams,
+	// for TuneOperator and TuneNetwork alike; workers only cut wall-clock
+	// time.
 	Workers int
 	// RecordLog, when non-empty, appends one JSONL tuning record per
 	// measured trial to this file (created if missing). Records arrive in
@@ -246,11 +243,9 @@ type Options struct {
 	Registry *Registry
 	// OnProgress, when non-nil, receives one ProgressEvent per committed
 	// round/wave, synchronously on the tuning goroutine, in an order that is
-	// byte-identical for every worker-pool width (see ProgressEvent; as with
-	// results, Workers == 0 on a network run selects the legacy serial
-	// scheduler, whose deterministic stream is its own). The harl-serve
-	// daemon fans this stream out over SSE; harl-tune -progress renders it
-	// locally.
+	// byte-identical for every worker-pool width (see ProgressEvent). The
+	// harl-serve daemon fans this stream out over SSE; harl-tune -progress
+	// renders it locally.
 	OnProgress func(ProgressEvent)
 	// Plateau, when its Window is > 0, stops the session early once the
 	// convergence trajectory flatlines (see Plateau): the session takes the
@@ -321,7 +316,23 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
+	if o.Workers == 0 {
+		o.Workers = 1
+	}
 	return o
+}
+
+// validate rejects a bad preset name or option combination before any file
+// is opened, so a bad request cannot leak an opened (and possibly newly
+// created) record log.
+func (o Options) validate() error {
+	if _, _, err := core.EngineFactory(o.Scheduler); err != nil {
+		return err
+	}
+	if o.Transfer && o.Registry == nil {
+		return fmt.Errorf("harl: Options.Transfer needs Options.Registry (the donor scan reads it)")
+	}
+	return nil
 }
 
 // Schedulers lists the available scheduler presets.
@@ -390,9 +401,10 @@ type Result struct {
 }
 
 // hooks resolves the Options journal fields into core tuning hooks plus a
-// close function for the opened journal (a no-op when none was opened). The
-// resume log is read before the record log is opened for append, so the two
-// may name the same file.
+// close function for what it opened — the record log and a privately dialed
+// fleet (a no-op when neither was). The close function is valid on error
+// returns too and may be called twice. The resume log is read before the
+// record log is opened for append, so the two may name the same file.
 func (o Options) hooks() (core.TuneHooks, func() error, error) {
 	var h core.TuneHooks
 	closeFn := func() error { return nil }
@@ -789,6 +801,90 @@ func publishTasks(reg *Registry, tasks []*search.Task, target, scheduler string,
 	return nil
 }
 
+// sessionSpec is what an entry point's resolve step hands the session
+// pipeline.
+type sessionSpec struct {
+	plat *hardware.Platform
+	// graphs are the run's workloads, in task order.
+	graphs []*texpr.Subgraph
+	// broken holds the fingerprints whose registry record resolved but does
+	// not reconstruct; the publish force-replaces those keys.
+	broken map[string]bool
+	// run executes the search under the resolved hooks and session context,
+	// returning the tuned tasks in graphs order and whether the context cut
+	// the run short.
+	run func(ctx context.Context, hooks core.TuneHooks) (tasks []*search.Task, cancelled bool)
+	// model builds the checkpoint artifact Options.ModelOut saves.
+	model func(tasks []*search.Task) costmodel.CostModel
+}
+
+// session is the one pipeline behind every tuning entry point: resolve the
+// hooks, check the pretraining log matches, wire transfer and
+// progress/plateau, run the search, close the journal, verify a zero-budget
+// replay was complete, save the model checkpoint and publish the bests. It
+// reports whether the caller's context cancelled the run and whether the
+// plateau policy stopped it.
+func (o Options) session(ctx context.Context, s sessionSpec) (cancelled, plateauStopped bool, err error) {
+	hooks, closeHooks, err := o.hooks()
+	// Error returns release whatever hooks opened; the success path checks
+	// the journal's Close error below.
+	defer closeHooks()
+	if err != nil {
+		return false, false, err
+	}
+	plat := s.plat
+	if err := checkPretrainMatches(hooks.Pretrain, o.PretrainFrom, s.graphs, plat); err != nil {
+		return false, false, err
+	}
+	if o.Transfer {
+		hooks.Transfer = &transferProvider{reg: o.Registry, target: plat.Name, scheduler: o.Scheduler}
+	}
+	names := make([]string, len(s.graphs))
+	for i, sg := range s.graphs {
+		names[i] = sg.Name
+	}
+	sessCtx, progressHook, plateaued, stopPlateau := o.progressSession(ctx, names)
+	defer stopPlateau()
+	hooks.Progress = progressHook
+
+	tasks, stopped := s.run(sessCtx, hooks)
+	if err := closeHooks(); err != nil {
+		return false, false, err
+	}
+	if o.Trials == 0 {
+		// Pure cache replay: nothing was measured, so every best present was
+		// seeded — from ResumeFrom or the registry. Fail loudly instead of
+		// returning an all-zero or +Inf result.
+		seeded := 0
+		for _, t := range tasks {
+			if t.Best != nil {
+				seeded++
+			}
+		}
+		if seeded < len(tasks) {
+			return false, false, fmt.Errorf("harl: cache replay incomplete: %d of %d workloads have cached records on %s (ResumeFrom %q) and there is no trial budget to measure the rest", seeded, len(tasks), plat.Name, o.ResumeFrom)
+		}
+	}
+	if o.ModelOut != "" {
+		// Written for every session that ran, including one cancelled before
+		// its first round (an empty model round-trips fine) — only an
+		// operator registry hit, which runs no session, skips it.
+		if err := saveModel(o.ModelOut, s.model(tasks)); err != nil {
+			return false, false, err
+		}
+	}
+	// Publish whatever the session found, even a cancelled or plateau-stopped
+	// partial best: publishing keeps better incumbents, so a partial can only
+	// improve the key, and the next identical request is served from it.
+	if o.Registry != nil {
+		if err := publishTasks(o.Registry, tasks, plat.Name, o.Scheduler, o.Seed, s.broken); err != nil {
+			return false, false, err
+		}
+	}
+	plateauStopped = plateaued(stopped)
+	return stopped && !plateauStopped, plateauStopped, nil
+}
+
 // TuneOperator tunes one workload on a target.
 func TuneOperator(w Workload, t Target, o Options) (Result, error) {
 	return TuneOperatorContext(context.Background(), w, t, o)
@@ -803,14 +899,10 @@ func TuneOperator(w Workload, t Target, o Options) (Result, error) {
 // to TuneOperator.
 func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (Result, error) {
 	o = o.withDefaults()
-	sched, err := core.NewScheduler(o.Scheduler)
-	if err != nil {
+	if err := o.validate(); err != nil {
 		return Result{}, err
 	}
-	if o.Transfer && o.Registry == nil {
-		return Result{}, fmt.Errorf("harl: Options.Transfer needs Options.Registry (the donor scan reads it)")
-	}
-	brokenRecord := false
+	var broken map[string]bool
 	if o.Registry != nil {
 		hit, ok, err := o.Registry.Lookup(w, t, o.Scheduler)
 		if err == nil && ok {
@@ -832,60 +924,24 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 		if err != nil && !errors.Is(err, ErrRecordBroken) {
 			return Result{}, err
 		}
-		brokenRecord = err != nil
+		if err != nil {
+			broken = map[string]bool{w.sg.Fingerprint(): true}
+		}
 	}
-	workers := o.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	hooks, closeJournal, err := o.hooks()
+	var res *core.OperatorResult
+	cancelled, plateau, err := o.session(ctx, sessionSpec{
+		plat:   t.plat,
+		graphs: []*texpr.Subgraph{w.sg},
+		broken: broken,
+		run: func(ctx context.Context, hooks core.TuneHooks) ([]*search.Task, bool) {
+			res = core.TuneOperatorSession(ctx, w.sg, t.plat, core.MustScheduler(o.Scheduler), o.Trials, o.MeasureK, o.Seed, o.Workers, hooks)
+			return []*search.Task{res.Task}, res.Cancelled
+		},
+		model: func(tasks []*search.Task) costmodel.CostModel { return tasks[0].Cost },
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	if err := checkPretrainMatches(hooks.Pretrain, o.PretrainFrom, []*texpr.Subgraph{w.sg}, t.plat); err != nil {
-		closeJournal()
-		return Result{}, err
-	}
-	if o.Transfer {
-		hooks.Transfer = &transferProvider{reg: o.Registry, target: t.plat.Name, scheduler: o.Scheduler}
-	}
-	sessCtx, progressHook, plateaued, stopPlateau := o.progressSession(ctx, []string{w.Name()})
-	defer stopPlateau()
-	hooks.Progress = progressHook
-	res := core.TuneOperatorSession(sessCtx, w.sg, t.plat, sched, o.Trials, o.MeasureK, o.Seed, workers, hooks)
-	if err := closeJournal(); err != nil {
-		return Result{}, err
-	}
-	if res.Task.Best == nil && !res.Cancelled {
-		// Only reachable on a zero-trial cache replay whose log held no
-		// record for this (workload, target); fail loudly instead of
-		// returning an all-zero result.
-		return Result{}, fmt.Errorf("harl: no cached record for %s on %s in %q and no trial budget to measure", w.Name(), t.Name(), o.ResumeFrom)
-	}
-	if o.ModelOut != "" {
-		// Written for every session that ran, including one cancelled before
-		// its first round (an empty model round-trips fine) — only the
-		// registry-hit fast path above, which runs no session, skips it.
-		if err := saveModel(o.ModelOut, res.Task.Cost); err != nil {
-			return Result{}, err
-		}
-	}
-	// Publish whatever the session found, even a cancelled or plateau-stopped
-	// partial best: publishing keeps better incumbents, so a partial can only
-	// improve the key, and the next identical request is served from it.
-	if o.Registry != nil && res.Task.Best != nil {
-		rec := tunelog.NewRecord(w.sg, t.plat.Name, o.Scheduler, res.Task.Best, res.Task.BestExec, res.Task.Trials, o.Seed)
-		var err error
-		if brokenRecord {
-			err = o.Registry.reg.Replace(rec)
-		} else {
-			_, err = o.Registry.reg.Publish(rec)
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("harl: publish to registry: %w", err)
-		}
-	}
-	plateau := plateaued(res.Cancelled)
 	out := Result{
 		Scheduler:        o.Scheduler,
 		ExecSeconds:      res.BestExec,
@@ -900,7 +956,7 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 		CostModelSamples: res.CostSamples,
 		CostModelRefits:  res.CostRefits,
 		Pretrained:       res.Pretrained,
-		Cancelled:        res.Cancelled && !plateau,
+		Cancelled:        cancelled,
 		PlateauStopped:   plateau,
 	}
 	if res.Task.Best != nil {
@@ -1017,39 +1073,21 @@ func TuneNetwork(name string, batch int, t Target, o Options) (NetworkResult, er
 }
 
 // TuneNetworkContext is TuneNetwork as a cancellable session: the context is
-// checked at round/wave boundaries, so cancellation leaves a flushed record
-// log, a saved model checkpoint (Options.ModelOut) and the partial
-// per-subgraph bests with NetworkResult.Cancelled set — resumable exactly
-// like an operator session. An uncancelled run is byte-identical to
-// TuneNetwork.
+// checked at wave boundaries, so cancellation leaves a flushed record log, a
+// saved model checkpoint (Options.ModelOut) and the partial per-subgraph
+// bests with NetworkResult.Cancelled set — resumable exactly like an operator
+// session. An uncancelled run is byte-identical to TuneNetwork.
 func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o Options) (NetworkResult, error) {
 	o = o.withDefaults()
 	net, err := networkByName(name, batch)
 	if err != nil {
 		return NetworkResult{}, err
 	}
-	// Validate the scheduler preset before opening any journal file, so a bad
-	// name cannot leak an opened (and possibly newly created) record log.
-	if _, _, err := core.EngineFactory(o.Scheduler); err != nil {
+	if err := o.validate(); err != nil {
 		return NetworkResult{}, err
 	}
-	if o.Transfer && o.Registry == nil {
-		return NetworkResult{}, fmt.Errorf("harl: Options.Transfer needs Options.Registry (the donor scan reads it)")
-	}
-	hooks, closeJournal, err := o.hooks()
+	regDB, cacheHits, broken, err := registryWarmDB(o.Registry, net.Subgraphs, t.plat, o.Scheduler)
 	if err != nil {
-		return NetworkResult{}, err
-	}
-	if o.Transfer {
-		hooks.Transfer = &transferProvider{reg: o.Registry, target: t.plat.Name, scheduler: o.Scheduler}
-	}
-	if err := checkPretrainMatches(hooks.Pretrain, o.PretrainFrom, net.Subgraphs, t.plat); err != nil {
-		closeJournal()
-		return NetworkResult{}, err
-	}
-	regDB, cacheHits, brokenKeys, err := registryWarmDB(o.Registry, net.Subgraphs, t.plat, o.Scheduler)
-	if err != nil {
-		closeJournal()
 		return NetworkResult{}, err
 	}
 	budget := o.Trials
@@ -1058,136 +1096,62 @@ func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o
 		// collapses to a lookup — zero measured trials.
 		budget = 0
 	}
-	names := make([]string, len(net.Subgraphs))
-	for i, sg := range net.Subgraphs {
-		names[i] = sg.Name
-	}
-	sessCtx, progressHook, plateaued, stopPlateau := o.progressSession(ctx, names)
-	defer stopPlateau()
-	if o.Workers != 0 {
-		pnt, err := core.NewParallelNetworkTuner(net, t.plat, o.Scheduler, o.MeasureK, o.Seed, o.Workers)
-		if err != nil {
-			closeJournal()
-			return NetworkResult{}, err
-		}
-		pretrained := pnt.SeedCostModels(hooks)
-		warmed := 0
-		if hooks.Warm != nil {
-			warmed = pnt.WarmStart(hooks.Warm)
-		}
-		if regDB != nil {
-			pnt.WarmStart(regDB)
-		}
-		if hooks.Journal != nil {
-			pnt.AttachJournal(hooks.Journal, o.Seed)
-		}
-		pnt.SetProgress(progressHook)
-		cancelled := pnt.RunCtx(sessCtx, budget)
-		if err := closeJournal(); err != nil {
-			return NetworkResult{}, err
-		}
-		if o.Trials == 0 && warmed < len(net.Subgraphs) {
-			return NetworkResult{}, fmt.Errorf("harl: cache replay incomplete: %d of %d subgraphs have cached records in %q and there is no trial budget to measure the rest", warmed, len(net.Subgraphs), o.ResumeFrom)
-		}
-		if o.ModelOut != "" {
-			if err := saveModel(o.ModelOut, core.MergedCostModel(pnt.MT.Tasks)); err != nil {
-				return NetworkResult{}, err
-			}
-		}
-		// Partial bests publish too (keep-better; see Options.Registry).
-		if o.Registry != nil {
-			if err := publishTasks(o.Registry, pnt.MT.Tasks, t.plat.Name, o.Scheduler, o.Seed, brokenKeys); err != nil {
-				return NetworkResult{}, err
-			}
-		}
-		plateau := plateaued(cancelled)
-		out := NetworkResult{
-			Network:          net.Name,
-			EstimatedSeconds: pnt.EstimatedExec(),
-			MeasuredSeconds:  pnt.MeasuredExec(),
-			Trials:           pnt.Trials(),
-			Measured:         pnt.Measured(),
-			MeasureSaved:     pnt.MeasureSaved(),
-			SearchSeconds:    pnt.CostSec(),
-			WarmStarted:      warmed,
-			WarmTransfers:    warmTransferCount(pnt.MT.Tasks),
-			Pretrained:       pretrained,
-			CacheHits:        cacheHits,
-			Cancelled:        cancelled && !plateau,
-			PlateauStopped:   plateau,
-		}
-		out.CostModelSamples, out.CostModelRefits = costModelTotals(pnt.MT.Tasks)
-		for i, b := range pnt.Breakdown() {
-			out.Breakdown = append(out.Breakdown, SubgraphReport{
-				Name:         b.Name,
-				Weight:       b.Weight,
-				ExecSeconds:  b.BestExec,
-				Contribution: b.Contribution,
-				Trials:       pnt.MT.Tasks[i].Trials,
-			})
-		}
-		return out, nil
-	}
-	sched, err := core.NewScheduler(o.Scheduler)
+	pnt, err := core.NewParallelNetworkTuner(net, t.plat, o.Scheduler, o.MeasureK, o.Seed, o.Workers)
 	if err != nil {
-		closeJournal()
 		return NetworkResult{}, err
 	}
-	nt := core.NewNetworkTuner(net, t.plat, sched, o.MeasureK, o.Seed)
-	pretrained := nt.SeedCostModels(hooks)
-	warmed := 0
-	if hooks.Warm != nil {
-		warmed = nt.WarmStart(hooks.Warm)
-	}
-	if regDB != nil {
-		nt.WarmStart(regDB)
-	}
-	if hooks.Journal != nil {
-		nt.AttachJournal(hooks.Journal, o.Seed)
-	}
-	nt.OnProgress = progressHook
-	cancelled := nt.RunCtx(sessCtx, budget)
-	if err := closeJournal(); err != nil {
+	tasks := pnt.MT.Tasks
+	pretrained, warmed := 0, 0
+	cancelled, plateau, err := o.session(ctx, sessionSpec{
+		plat:   t.plat,
+		graphs: net.Subgraphs,
+		broken: broken,
+		run: func(ctx context.Context, hooks core.TuneHooks) ([]*search.Task, bool) {
+			pretrained = pnt.SeedCostModels(hooks)
+			if hooks.Warm != nil {
+				warmed = pnt.WarmStart(hooks.Warm)
+			}
+			if regDB != nil {
+				pnt.WarmStart(regDB)
+			}
+			if hooks.Journal != nil {
+				pnt.AttachJournal(hooks.Journal, o.Seed)
+			}
+			pnt.SetProgress(hooks.Progress)
+			return tasks, pnt.RunCtx(ctx, budget)
+		},
+		model: func(tasks []*search.Task) costmodel.CostModel { return core.MergedCostModel(tasks) },
+	})
+	if err != nil {
 		return NetworkResult{}, err
 	}
-	if o.Trials == 0 && warmed < len(net.Subgraphs) {
-		return NetworkResult{}, fmt.Errorf("harl: cache replay incomplete: %d of %d subgraphs have cached records in %q and there is no trial budget to measure the rest", warmed, len(net.Subgraphs), o.ResumeFrom)
-	}
-	if o.ModelOut != "" {
-		if err := saveModel(o.ModelOut, core.MergedCostModel(nt.Tasks)); err != nil {
-			return NetworkResult{}, err
-		}
-	}
-	// Partial bests publish too (keep-better; see Options.Registry).
-	if o.Registry != nil {
-		if err := publishTasks(o.Registry, nt.Tasks, t.plat.Name, o.Scheduler, o.Seed, brokenKeys); err != nil {
-			return NetworkResult{}, err
-		}
-	}
-	plateau := plateaued(cancelled)
 	out := NetworkResult{
 		Network:          net.Name,
-		EstimatedSeconds: nt.EstimatedExec(),
-		MeasuredSeconds:  nt.MeasuredExec(),
-		Trials:           nt.Trials(),
-		Measured:         nt.Measured(),
-		MeasureSaved:     nt.MeasureSaved(),
-		SearchSeconds:    nt.Meas.CostSec(),
+		EstimatedSeconds: pnt.EstimatedExec(),
+		MeasuredSeconds:  pnt.MeasuredExec(),
+		Trials:           pnt.Trials(),
+		Measured:         pnt.Measured(),
+		MeasureSaved:     pnt.MeasureSaved(),
+		SearchSeconds:    pnt.CostSec(),
 		WarmStarted:      warmed,
-		WarmTransfers:    warmTransferCount(nt.Tasks),
 		Pretrained:       pretrained,
 		CacheHits:        cacheHits,
-		Cancelled:        cancelled && !plateau,
+		Cancelled:        cancelled,
 		PlateauStopped:   plateau,
 	}
-	out.CostModelSamples, out.CostModelRefits = costModelTotals(nt.Tasks)
-	for i, b := range nt.Breakdown() {
+	for i, b := range pnt.Breakdown() {
+		task := tasks[i]
+		out.CostModelSamples += task.Cost.Len()
+		out.CostModelRefits += task.CostRefits
+		if task.TransferDonor != "" {
+			out.WarmTransfers++
+		}
 		out.Breakdown = append(out.Breakdown, SubgraphReport{
 			Name:         b.Name,
 			Weight:       b.Weight,
 			ExecSeconds:  b.BestExec,
 			Contribution: b.Contribution,
-			Trials:       nt.Tasks[i].Trials,
+			Trials:       task.Trials,
 		})
 	}
 	return out, nil
@@ -1363,26 +1327,6 @@ func BestRecord(path string, w Workload, t Target) (Record, bool, error) {
 // Fingerprint returns the workload's stable record-log identity (the
 // Workload field of its Records).
 func (w Workload) Fingerprint() string { return w.sg.Fingerprint() }
-
-// costModelTotals sums the per-task cost-model statistics of a network run.
-func costModelTotals(tasks []*search.Task) (samples, refits int) {
-	for _, t := range tasks {
-		samples += t.Cost.Len()
-		refits += t.CostRefits
-	}
-	return samples, refits
-}
-
-// warmTransferCount counts the tasks a transfer donor warm-started.
-func warmTransferCount(tasks []*search.Task) int {
-	n := 0
-	for _, t := range tasks {
-		if t.TransferDonor != "" {
-			n++
-		}
-	}
-	return n
-}
 
 // ParseShape parses a CLI-style comma-separated shape ("1024,1024,1024")
 // into the dims OperatorWorkload expects — the parsing shared by harl-tune

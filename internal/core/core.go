@@ -250,18 +250,6 @@ func seedCostModel(t *search.Task, hooks TuneHooks) {
 	}
 }
 
-// seedCostModels seeds every task and counts the ones that start pretrained.
-func seedCostModels(tasks []*search.Task, hooks TuneHooks) int {
-	n := 0
-	for _, t := range tasks {
-		seedCostModel(t, hooks)
-		if t.Pretrained {
-			n++
-		}
-	}
-	return n
-}
-
 // MergedCostModel folds tasks' training samples — in task order — into one
 // fresh model and refits it: the checkpoint artifact of a network tuning
 // run, usable to pretrain any later run on structurally compatible
@@ -322,33 +310,23 @@ func warmStartTask(t *search.Task, db *tunelog.Database) bool {
 }
 
 // TuneOperator runs a scheduler preset on a single subgraph with the given
-// measurement budget, measuring measureK candidates per round.
-func TuneOperator(sg *texpr.Subgraph, plat *hardware.Platform, sched *Scheduler, budget, measureK int, seed uint64) *OperatorResult {
-	return TuneOperatorWorkers(sg, plat, sched, budget, measureK, seed, 1)
+// measurement budget, measuring measureK candidates per round: an
+// uncancellable TuneOperatorSession without hooks.
+func TuneOperator(sg *texpr.Subgraph, plat *hardware.Platform, sched *Scheduler, budget, measureK int, seed uint64, workers int) *OperatorResult {
+	return TuneOperatorSession(context.Background(), sg, plat, sched, budget, measureK, seed, workers, TuneHooks{})
 }
 
-// TuneOperatorWorkers is TuneOperator with intra-round parallelism: trial
+// TuneOperatorSession tunes one subgraph as a cancellable session. Trial
 // evaluation and cost-model scoring fan out across a pool of the given width
-// (<= 0 selects runtime.NumCPU()). Results are byte-identical for every
-// worker count; only wall-clock time changes.
-func TuneOperatorWorkers(sg *texpr.Subgraph, plat *hardware.Platform, sched *Scheduler, budget, measureK int, seed uint64, workers int) *OperatorResult {
-	return TuneOperatorJournaled(sg, plat, sched, budget, measureK, seed, workers, TuneHooks{})
-}
-
-// TuneOperatorJournaled is TuneOperatorWorkers with journal hooks: measured
-// trials are appended to hooks.Journal in commit order, and hooks.Warm seeds
-// the task from its best cached record before the engine runs. A budget of 0
-// with a warm hit performs no measurements and returns the cached best — the
-// pure cache-replay path.
-func TuneOperatorJournaled(sg *texpr.Subgraph, plat *hardware.Platform, sched *Scheduler, budget, measureK int, seed uint64, workers int, hooks TuneHooks) *OperatorResult {
-	return TuneOperatorSession(context.Background(), sg, plat, sched, budget, measureK, seed, workers, hooks)
-}
-
-// TuneOperatorSession is TuneOperatorJournaled as a cancellable session: the
-// context is checked at round boundaries, so cancellation stops the search
-// after the in-flight round commits — the journal hook has received every
-// measurement, the task's cost model and best are consistent, and the result
-// carries the partial best with Cancelled set.
+// (<= 0 selects runtime.NumCPU()); results are byte-identical for every
+// worker count, only wall-clock time changes. Measured trials are appended to
+// hooks.Journal in commit order, and hooks.Warm seeds the task from its best
+// cached record before the engine runs — a budget of 0 with a warm hit
+// performs no measurements and returns the cached best, the pure cache-replay
+// path. The context is checked at round boundaries, so cancellation stops the
+// search after the in-flight round commits — the journal hook has received
+// every measurement, the task's cost model and best are consistent, and the
+// result carries the partial best with Cancelled set.
 func TuneOperatorSession(ctx context.Context, sg *texpr.Subgraph, plat *hardware.Platform, sched *Scheduler, budget, measureK int, seed uint64, workers int, hooks TuneHooks) *OperatorResult {
 	rng := xrand.New(seed)
 	sim := hardware.NewSimulator(plat)

@@ -39,7 +39,7 @@ func TestSchedulerPolicies(t *testing.T) {
 
 func TestTuneOperatorBasics(t *testing.T) {
 	sg := workload.GEMM("g", 1, 256, 256, 256)
-	res := TuneOperator(sg, hardware.CPUXeon6226R(), MustScheduler("random"), 48, 16, 1)
+	res := TuneOperator(sg, hardware.CPUXeon6226R(), MustScheduler("random"), 48, 16, 1, 1)
 	if res.Trials < 48 {
 		t.Fatalf("trials %d", res.Trials)
 	}
@@ -54,27 +54,33 @@ func TestTuneOperatorBasics(t *testing.T) {
 func TestTuneOperatorReproducible(t *testing.T) {
 	sg := workload.GEMM("g", 1, 256, 256, 256)
 	plat := hardware.CPUXeon6226R()
-	a := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 42)
-	b := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 42)
+	a := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 42, 1)
+	b := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 42, 1)
 	if a.BestExec != b.BestExec || a.CostSec != b.CostSec {
 		t.Fatalf("same seed diverged: %.6g vs %.6g", a.BestExec, b.BestExec)
 	}
-	c := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 43)
+	c := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 43, 1)
 	if a.BestExec == c.BestExec && a.CostSec == c.CostSec {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
 
-func newBERTTuner(t *testing.T, sched string, budget int) *NetworkTuner {
+// newBERTTuner runs the one-subgraph-per-wave tuner, where the preset's
+// allocation policy decides every round.
+func newBERTTuner(t *testing.T, sched string, budget int) *ParallelNetworkTuner {
 	t.Helper()
-	nt := NewNetworkTuner(workload.BERT(1), hardware.CPUXeon6226R(), MustScheduler(sched), 16, 5)
+	nt, err := NewSequentialNetworkTuner(workload.BERT(1), hardware.CPUXeon6226R(), sched, 16, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nt.Run(budget)
 	return nt
 }
 
 func TestNetworkTunerRunsBudget(t *testing.T) {
 	nt := newBERTTuner(t, "ansor", 400)
-	if nt.Trials() < 400 {
+	// Per-task rounds are clamped at the barrier, so the budget lands exactly.
+	if nt.Trials() != 400 {
 		t.Fatalf("trials %d", nt.Trials())
 	}
 	est := nt.EstimatedExec()
@@ -84,14 +90,14 @@ func TestNetworkTunerRunsBudget(t *testing.T) {
 	if nt.MeasuredExec() <= est {
 		t.Fatal("measured must add communication overhead")
 	}
-	if len(nt.History) == 0 {
+	if len(nt.MT.History) == 0 {
 		t.Fatal("no snapshots recorded")
 	}
 }
 
 func TestNetworkTunerVisitsEveryTask(t *testing.T) {
 	nt := newBERTTuner(t, "harl", 400)
-	for i, task := range nt.Tasks {
+	for i, task := range nt.MT.Tasks {
 		if task.Trials == 0 {
 			t.Fatalf("task %d (%s) never tuned", i, task.Graph.Name)
 		}
@@ -116,7 +122,7 @@ func TestSnapshotsMonotone(t *testing.T) {
 	nt := newBERTTuner(t, "ansor", 400)
 	prevTrials, prevCost := 0, 0.0
 	bestEst := math.Inf(1)
-	for _, s := range nt.History {
+	for _, s := range nt.MT.History {
 		if s.Trials < prevTrials || s.CostSec < prevCost {
 			t.Fatal("snapshots must be monotone in trials and cost")
 		}
@@ -127,7 +133,7 @@ func TestSnapshotsMonotone(t *testing.T) {
 	}
 	// The final estimate equals the best seen (best-so-far semantics via
 	// per-task bests).
-	if got := nt.History[len(nt.History)-1].EstExec; got > bestEst+1e-12 {
+	if got := nt.MT.History[len(nt.MT.History)-1].EstExec; got > bestEst+1e-12 {
 		t.Fatalf("final estimate %g worse than best %g", got, bestEst)
 	}
 }
@@ -149,7 +155,7 @@ func TestSnapshotAtExec(t *testing.T) {
 
 func TestGreedyConcentratesOnHeavyTasks(t *testing.T) {
 	nt := newBERTTuner(t, "ansor", 600)
-	trials := nt.TaskTrials()
+	trials := nt.MT.TaskTrials()
 	// The four big GEMMs dominate BERT's time; greedy must allocate more to
 	// them than to the cheap elementwise subgraphs.
 	heavy := trials[nt.TaskIndexByName("GEMM-I")] + trials[nt.TaskIndexByName("GEMM-III")] +
@@ -162,7 +168,7 @@ func TestGreedyConcentratesOnHeavyTasks(t *testing.T) {
 }
 
 func TestTaskIndexByName(t *testing.T) {
-	nt := NewNetworkTuner(workload.BERT(1), hardware.CPUXeon6226R(), MustScheduler("random"), 16, 1)
+	nt := newBERTTuner(t, "random", 0)
 	if nt.TaskIndexByName("Softmax") < 0 {
 		t.Fatal("Softmax not found")
 	}

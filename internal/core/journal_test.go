@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"harl/internal/hardware"
@@ -15,7 +16,7 @@ func tuneWithJournal(t *testing.T, workers, budget int, warm *tunelog.Database) 
 	sg := workload.GEMM("g", 1, 128, 128, 128)
 	var buf bytes.Buffer
 	hooks := TuneHooks{Journal: tunelog.NewJournal(&buf), Warm: warm}
-	res := TuneOperatorJournaled(sg, hardware.CPUXeon6226R(), MustScheduler("harl"), budget, 16, 5, workers, hooks)
+	res := TuneOperatorSession(context.Background(), sg, hardware.CPUXeon6226R(), MustScheduler("harl"), budget, 16, 5, workers, hooks)
 	if err := hooks.Journal.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +130,11 @@ func TestWarmStartIgnoresForeignRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := workload.GEMM("other", 1, 64, 64, 64)
-	res := TuneOperatorJournaled(other, hardware.CPUXeon6226R(), MustScheduler("random"), 16, 16, 1, 1, TuneHooks{Warm: db})
+	res := TuneOperatorSession(context.Background(), other, hardware.CPUXeon6226R(), MustScheduler("random"), 16, 16, 1, 1, TuneHooks{Warm: db})
 	if res.WarmStarted {
 		t.Fatal("foreign record must not warm-start a different workload")
 	}
-	gpu := TuneOperatorJournaled(workload.GEMM("g", 1, 128, 128, 128), hardware.GPURTX3090(), MustScheduler("random"), 16, 16, 1, 1, TuneHooks{Warm: db})
+	gpu := TuneOperatorSession(context.Background(), workload.GEMM("g", 1, 128, 128, 128), hardware.GPURTX3090(), MustScheduler("random"), 16, 16, 1, 1, TuneHooks{Warm: db})
 	if gpu.WarmStarted {
 		t.Fatal("cpu record must not warm-start a gpu run")
 	}
@@ -169,7 +170,10 @@ func TestParallelNetworkJournalWorkerInvariance(t *testing.T) {
 func TestNetworkTunerJournalAndWarmStart(t *testing.T) {
 	net := workload.BERT(1)
 	plat := hardware.CPUXeon6226R()
-	nt := NewNetworkTuner(net, plat, MustScheduler("harl"), 16, 3)
+	nt, err := NewSequentialNetworkTuner(net, plat, "harl", 16, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	jr := tunelog.NewJournal(&buf)
 	nt.AttachJournal(jr, 3)
@@ -186,14 +190,17 @@ func TestNetworkTunerJournalAndWarmStart(t *testing.T) {
 		t.Fatalf("journal has %d records for %d trials", db.Size(), nt.Trials())
 	}
 
-	// A fresh serial tuner warm-starts every subgraph the log covered, and
-	// each seeded task reproduces the logged best schedule exactly.
-	nt2 := NewNetworkTuner(net, plat, MustScheduler("harl"), 16, 9)
+	// A fresh tuner warm-starts every subgraph the log covered, and each
+	// seeded task reproduces the logged best schedule exactly.
+	nt2, err := NewParallelNetworkTuner(net, plat, "harl", 16, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	warmed := nt2.WarmStart(db)
 	if warmed == 0 {
 		t.Fatal("no tasks warm-started")
 	}
-	for _, task := range nt2.Tasks {
+	for _, task := range nt2.MT.Tasks {
 		rec, ok := db.Best(task.Graph.Fingerprint(), plat.Name)
 		if !ok {
 			continue

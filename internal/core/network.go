@@ -4,12 +4,10 @@ import (
 	"context"
 	"math"
 
-	"harl/internal/bandit"
 	"harl/internal/hardware"
 	"harl/internal/search"
 	"harl/internal/tunelog"
 	"harl/internal/workload"
-	"harl/internal/xrand"
 )
 
 // Gradient-estimate constants of Eq. 3 (paper Table 5).
@@ -25,115 +23,96 @@ const (
 	CommOverheadSec = 3e-6
 )
 
-// NetSnapshot records the tuner state after one round, for allocation and
-// time-to-target analyses (Figures 1a, 9, 10).
-type NetSnapshot struct {
-	Round      int
-	TaskIdx    int   // task tuned this round
-	Trials     int   // cumulative measurement trials
-	TaskTrials []int // per-task cumulative trials
-	CostSec    float64
-	// EstExec is Σ w_n·g_n after this round (+Inf until every task measured).
-	EstExec float64
+// ParallelNetworkTuner is the network tuner: it drives search.MultiTuner over
+// a network's subgraph tasks, each wave picking a set of subgraphs with the
+// preset's allocation policy and running one engine round on each selected
+// task in parallel across a worker pool. Every task owns its measurer and RNG
+// stream, so results depend only on the seed and configuration, never on the
+// worker count.
+//
+// It comes in two wave shapes. NewParallelNetworkTuner is the production
+// shape: every wave advances every subgraph, so the allocator only decides
+// the final, budget-narrowed wave, and the SW-UCB presets allocate by the
+// gradient estimate of Eq. 3 (round-robin for the presets that use it).
+// NewSequentialNetworkTuner advances one subgraph per wave, which is where
+// allocation decides everything: there the paper's subgraph MAB (§6.3) runs
+// as MultiTuner's SW-UCB policy, and Table 4 / Fig. 10 measure it against
+// the greedy allocator.
+type ParallelNetworkTuner struct {
+	Net *workload.Network
+	MT  *search.MultiTuner
+	// SchedName is the scheduler preset name stamped into journal records.
+	SchedName string
 }
 
-// NetworkTuner runs end-to-end tuning of a network: each round it selects a
-// subgraph with the scheduler's task policy and runs one engine round on it.
-type NetworkTuner struct {
-	Net   *workload.Network
-	Plat  *hardware.Platform
-	Sched *Scheduler
-	Meas  *hardware.Measurer
-	Tasks []*search.Task
-
-	// RoundTrials is the number of measurements per round (top-K size).
-	RoundTrials int
-
-	mab         *bandit.SWUCB
-	rng         *xrand.RNG
-	allocations []int       // rounds allocated per task
-	gHist       [][]float64 // per task: weighted best exec after each of its rounds
-	rrNext      int
-	History     []NetSnapshot
-
-	// OnProgress, when set, receives one search.Progress event per committed
-	// round of RunCtx, built from committed state after the round (and its
-	// dedup-fallback top-up, if any) lands. Set it before Run/RunCtx.
-	OnProgress func(search.Progress)
+// NewParallelNetworkTuner builds the full-width tuner for a scheduler preset
+// name. roundTrials is the measured-candidate count per task round; workers
+// sizes the pool (<= 0 selects runtime.NumCPU()).
+func NewParallelNetworkTuner(net *workload.Network, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers int) (*ParallelNetworkTuner, error) {
+	return newNetworkTuner(net, plat, schedName, roundTrials, seed, workers, 0)
 }
 
-// NewNetworkTuner builds a tuner with a shared measurer across all subgraph
-// tasks (search time accumulates globally, as on a real tuning box).
-func NewNetworkTuner(net *workload.Network, plat *hardware.Platform, sched *Scheduler, roundTrials int, seed uint64) *NetworkTuner {
-	rng := xrand.New(seed)
-	sim := hardware.NewSimulator(plat)
-	meas := hardware.NewMeasurer(sim, rng.Split())
-	nt := &NetworkTuner{
-		Net:         net,
-		Plat:        plat,
-		Sched:       sched,
-		Meas:        meas,
-		RoundTrials: roundTrials,
-		rng:         rng,
-	}
-	for _, sg := range net.Subgraphs {
-		nt.Tasks = append(nt.Tasks, search.NewTask(sg, plat, meas, rng.Split()))
-	}
-	nt.allocations = make([]int, len(nt.Tasks))
-	nt.gHist = make([][]float64, len(nt.Tasks))
-	if sched.Policy == PolicySWUCB {
-		nt.mab = bandit.NewSWUCB(len(nt.Tasks), 0.25, 256, rng.Split())
-	}
-	return nt
+// NewSequentialNetworkTuner builds the one-subgraph-per-wave tuner of the
+// paper's allocation studies (Figs. 1a/9/10, Table 4): each allocation
+// decision sees the previous round's outcome, and the preset's own subgraph
+// policy — SW-UCB, greedy gradient or round-robin — makes it. The pool fans
+// out inside the selected task's round instead of across tasks.
+func NewSequentialNetworkTuner(net *workload.Network, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers int) (*ParallelNetworkTuner, error) {
+	return newNetworkTuner(net, plat, schedName, roundTrials, seed, workers, 1)
 }
 
-// Trials returns the cumulative charged-trial count across all tasks — the
-// budget spent. Without adaptive sampling it equals the shared measurer's
-// committed measurement count; with it, backfilled candidates charge trials
-// without reaching the measurer, and Measured carries the real count. (The
-// budget loop runs on charged trials so sampled and unsampled runs explore
-// the same number of candidates per budget.)
-func (nt *NetworkTuner) Trials() int {
-	total := 0
-	for _, t := range nt.Tasks {
-		total += t.Trials
+func newNetworkTuner(net *workload.Network, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers, waveWidth int) (*ParallelNetworkTuner, error) {
+	mk, policy, err := EngineFactory(schedName)
+	if err != nil {
+		return nil, err
 	}
-	return total
+	cfg := search.DefaultMultiTunerConfig()
+	cfg.RoundTrials = roundTrials
+	cfg.Workers = workers
+	cfg.WaveWidth = waveWidth
+	cfg.GradAlpha, cfg.GradBeta = GradAlpha, GradBeta
+	switch {
+	case policy == PolicyRoundRobin:
+		cfg.Policy = search.AllocRoundRobin
+	case policy == PolicySWUCB && waveWidth == 1:
+		cfg.Policy = search.AllocSWUCB
+	}
+	tasks := search.NewTaskSet(net.Subgraphs, plat, seed)
+	return &ParallelNetworkTuner{
+		Net:       net,
+		MT:        search.NewMultiTuner(tasks, mk, cfg),
+		SchedName: schedName,
+	}, nil
 }
 
-// Measured returns the cumulative count of schedules actually measured.
-func (nt *NetworkTuner) Measured() int {
-	total := 0
-	for _, t := range nt.Tasks {
-		total += t.Measured
+// AttachJournal routes every committed measurement to the journal through the
+// MultiTuner's wave-barrier fan-in: per-task records buffer during the wave
+// and drain in selection order, so the journal is byte-identical for every
+// worker count.
+func (p *ParallelNetworkTuner) AttachJournal(jr *tunelog.Journal, seed uint64) {
+	fps := make([]string, len(p.MT.Tasks))
+	for i, t := range p.MT.Tasks {
+		fps[i] = t.Graph.Fingerprint()
 	}
-	return total
+	p.MT.SetRecorder(func(r search.TrialRecord) {
+		t := p.MT.Tasks[r.Task]
+		jr.Append(tunelog.NewRecordFP(fps[r.Task], t.Plat.Name, p.SchedName, r.Sched, r.Exec, r.Trial, seed))
+	})
 }
 
-// MeasureSaved returns the cumulative count of charged trials whose
-// measurement the adaptive sampler skipped.
-func (nt *NetworkTuner) MeasureSaved() int {
-	total := 0
-	for _, t := range nt.Tasks {
-		total += t.MeasureSaved
-	}
-	return total
-}
-
-// AttachJournal wires every task's measurement callback to the journal.
-// Rounds are sequential across tasks in the serial tuner, so the record
-// sequence is simply the global commit order.
-func (nt *NetworkTuner) AttachJournal(jr *tunelog.Journal, seed uint64) {
-	for _, t := range nt.Tasks {
-		attachJournal(t, jr, nt.Sched.Name, seed)
-	}
+// SetProgress routes per-task progress events out of the MultiTuner's wave
+// barriers — emitted in wave-selection order from committed state, so the
+// event stream is byte-identical for every worker count (the journal's
+// contract). Call before Run/RunCtx.
+func (p *ParallelNetworkTuner) SetProgress(fn func(search.Progress)) {
+	p.MT.OnProgress = fn
 }
 
 // WarmStart seeds every task from its best cached record and returns the
 // number of tasks seeded.
-func (nt *NetworkTuner) WarmStart(db *tunelog.Database) int {
+func (p *ParallelNetworkTuner) WarmStart(db *tunelog.Database) int {
 	n := 0
-	for _, t := range nt.Tasks {
+	for _, t := range p.MT.Tasks {
 		if warmStartTask(t, db) {
 			n++
 		}
@@ -143,181 +122,74 @@ func (nt *NetworkTuner) WarmStart(db *tunelog.Database) int {
 
 // SeedCostModels applies the hooks' checkpointed model and/or pretraining
 // journal to every task before Run, returning the number of tasks whose cost
-// model starts with offline knowledge.
-func (nt *NetworkTuner) SeedCostModels(hooks TuneHooks) int {
-	return seedCostModels(nt.Tasks, hooks)
-}
-
-// SetWorkers gives every task a shared worker pool for intra-round
-// parallelism (trial evaluation and cost-model scoring). Rounds stay
-// sequential across tasks, and results are byte-identical for every worker
-// count.
-func (nt *NetworkTuner) SetWorkers(n int) {
-	pool := search.NewParallelPool(n)
-	for _, t := range nt.Tasks {
-		t.Pool = pool
-	}
-}
-
-// EstimatedExec returns Σ w_n·g_n, the estimated end-to-end execution time
-// (+Inf until every subgraph has at least one measured schedule).
-func (nt *NetworkTuner) EstimatedExec() float64 {
-	total := 0.0
-	for _, t := range nt.Tasks {
-		g := t.WeightedBestExec()
-		if math.IsInf(g, 1) {
-			return math.Inf(1)
-		}
-		total += g
-	}
-	return total
-}
-
-// MeasuredExec returns the modeled measured end-to-end time: the estimate
-// plus per-subgraph-execution communication overhead.
-func (nt *NetworkTuner) MeasuredExec() float64 {
-	est := nt.EstimatedExec()
-	if math.IsInf(est, 1) {
-		return est
-	}
-	return est + float64(nt.Net.TotalWeight())*CommOverheadSec
-}
-
-// TaskTrials returns a copy of the per-task cumulative trial counts.
-func (nt *NetworkTuner) TaskTrials() []int {
-	out := make([]int, len(nt.Tasks))
-	for i, t := range nt.Tasks {
-		out[i] = t.Trials
-	}
-	return out
-}
-
-// gradientEstimate computes the Eq. 3 benefit score of optimizing task a
-// next (larger = more expected end-to-end gain); the computation is shared
-// with the concurrent tuner (search.GradientEstimate).
-func (nt *NetworkTuner) gradientEstimate(a int) float64 {
-	return search.GradientEstimate(nt.Tasks, a, nt.gHist[a], nt.allocations[a], GradAlpha, GradBeta)
-}
-
-// selectTask applies the scheduler's task policy.
-func (nt *NetworkTuner) selectTask() int {
-	// Every task must be visited once before estimates make sense.
-	for a, n := range nt.allocations {
-		if n == 0 {
-			return a
+// model starts with offline knowledge. Seeding happens before the first wave
+// on committed state, so the determinism contract (worker-count invariance)
+// is untouched.
+func (p *ParallelNetworkTuner) SeedCostModels(hooks TuneHooks) int {
+	n := 0
+	for _, t := range p.MT.Tasks {
+		seedCostModel(t, hooks)
+		if t.Pretrained {
+			n++
 		}
 	}
-	switch nt.Sched.Policy {
-	case PolicyRoundRobin:
-		a := nt.rrNext
-		nt.rrNext = (nt.rrNext + 1) % len(nt.Tasks)
-		return a
-	case PolicyGreedyGradient:
-		best, bestV := 0, math.Inf(-1)
-		for a := range nt.Tasks {
-			if v := nt.gradientEstimate(a); v > bestV {
-				best, bestV = a, v
-			}
-		}
-		return best
-	case PolicySWUCB:
-		return nt.mab.Select()
-	}
-	return 0
-}
-
-// Round runs one tuning round and returns the index of the tuned task.
-func (nt *NetworkTuner) Round() int {
-	a := nt.selectTask()
-	t := nt.Tasks[a]
-	// Transfer warm-start candidates are measured ahead of the task's first
-	// engine round; a no-op afterwards.
-	t.FlushSeedCandidates()
-	nt.Sched.Engine.RunRound(t, nt.RoundTrials)
-	nt.allocations[a]++
-	nt.gHist[a] = append(nt.gHist[a], t.WeightedBestExec())
-
-	if nt.mab != nil {
-		// Arm reward: the realized gradient estimate, normalized by the
-		// current total so rewards stay scale-free (Eq. 4's R_t).
-		r := nt.gradientEstimate(a)
-		if est := nt.EstimatedExec(); !math.IsInf(est, 1) && est > 0 && !math.IsInf(r, 1) {
-			nt.mab.Update(a, r/est)
-		} else {
-			nt.mab.Update(a, 0)
-		}
-	}
-	nt.History = append(nt.History, NetSnapshot{
-		Round:      len(nt.History),
-		TaskIdx:    a,
-		Trials:     nt.Trials(),
-		TaskTrials: nt.TaskTrials(),
-		CostSec:    nt.Meas.CostSec(),
-		EstExec:    nt.EstimatedExec(),
-	})
-	return a
+	return n
 }
 
 // Run tunes until the measurement budget is exhausted.
-func (nt *NetworkTuner) Run(budgetTrials int) {
-	nt.RunCtx(context.Background(), budgetTrials)
+func (p *ParallelNetworkTuner) Run(budgetTrials int) { p.MT.Run(budgetTrials) }
+
+// RunCtx is Run with cooperative cancellation at wave barriers (see
+// search.MultiTuner.RunCtx); it returns true if the context cut the run
+// short.
+func (p *ParallelNetworkTuner) RunCtx(ctx context.Context, budgetTrials int) bool {
+	return p.MT.RunCtx(ctx, budgetTrials)
 }
 
-// RunCtx is Run with cooperative cancellation, checked at round boundaries:
-// a cancelled session finishes the in-flight round (its measurements commit
-// and reach any attached journal) and stops instead of selecting another
-// task. It returns true if the context cut the run short; an uncancelled run
-// takes exactly the same path as Run.
-func (nt *NetworkTuner) RunCtx(ctx context.Context, budgetTrials int) bool {
-	round := 0
-	for nt.Trials() < budgetTrials {
-		if ctx.Err() != nil {
-			return true
-		}
-		before := nt.Trials()
-		a := nt.Round()
-		if nt.Trials() == before {
-			// The selected task's round was fully deduplicated; force random
-			// exploration on it so the budget always completes.
-			search.Tune(search.NewRandom(), nt.Tasks[a], nt.Tasks[a].Trials+nt.RoundTrials, nt.RoundTrials)
-		}
-		if nt.OnProgress != nil {
-			t := nt.Tasks[a]
-			nt.OnProgress(search.Progress{
-				Task:          a,
-				Wave:          round,
-				Allocation:    nt.allocations[a],
-				TaskTrials:    t.Trials,
-				TotalTrials:   nt.Trials(),
-				TaskMeasured:  t.Measured,
-				TotalMeasured: nt.Measured(),
-				BestExec:      t.BestExec,
-				RunBest:       nt.EstimatedExec(),
-				CostSec:       nt.Meas.CostSec(),
-			})
-		}
-		round++
+// Trials returns the cumulative charged-trial count across all tasks.
+func (p *ParallelNetworkTuner) Trials() int { return p.MT.Trials() }
+
+// Measured returns the cumulative count of schedules actually measured.
+func (p *ParallelNetworkTuner) Measured() int { return p.MT.Measured() }
+
+// MeasureSaved returns the cumulative count of charged trials whose
+// measurement the adaptive sampler skipped.
+func (p *ParallelNetworkTuner) MeasureSaved() int { return p.MT.MeasureSaved() }
+
+// CostSec returns the total simulated search time across all tasks.
+func (p *ParallelNetworkTuner) CostSec() float64 { return p.MT.CostSec() }
+
+// EstimatedExec returns Σ w_n·g_n (+Inf until every subgraph measured).
+func (p *ParallelNetworkTuner) EstimatedExec() float64 { return p.MT.EstimatedExec() }
+
+// MeasuredExec returns the modeled measured end-to-end time: the estimate
+// plus per-subgraph-execution communication overhead.
+func (p *ParallelNetworkTuner) MeasuredExec() float64 {
+	est := p.EstimatedExec()
+	if math.IsInf(est, 1) {
+		return est
 	}
-	return false
+	return est + float64(p.Net.TotalWeight())*CommOverheadSec
 }
 
-// SnapshotAtExec returns the earliest snapshot whose estimated execution time
-// reached the target, or the last snapshot if never reached.
-func (nt *NetworkTuner) SnapshotAtExec(target float64) (NetSnapshot, bool) {
-	for _, s := range nt.History {
+// SnapshotAtExec returns the earliest wave snapshot whose estimated execution
+// time reached the target, or the last snapshot if never reached.
+func (p *ParallelNetworkTuner) SnapshotAtExec(target float64) (search.WaveSnapshot, bool) {
+	hist := p.MT.History
+	for _, s := range hist {
 		if s.EstExec <= target {
 			return s, true
 		}
 	}
-	if len(nt.History) == 0 {
-		return NetSnapshot{}, false
+	if len(hist) == 0 {
+		return search.WaveSnapshot{}, false
 	}
-	return nt.History[len(nt.History)-1], false
+	return hist[len(hist)-1], false
 }
 
 // TaskIndexByName finds a task by its subgraph name, or -1.
-func (nt *NetworkTuner) TaskIndexByName(name string) int {
-	for i, t := range nt.Tasks {
+func (p *ParallelNetworkTuner) TaskIndexByName(name string) int {
+	for i, t := range p.MT.Tasks {
 		if t.Graph.Name == name {
 			return i
 		}
@@ -336,13 +208,13 @@ type SubgraphBreakdown struct {
 
 // Breakdown returns the per-subgraph execution-time decomposition of the
 // tuned network, sorted as stored (network inventory order).
-func (nt *NetworkTuner) Breakdown() []SubgraphBreakdown {
-	total := nt.EstimatedExec()
-	out := make([]SubgraphBreakdown, len(nt.Tasks))
-	for i, t := range nt.Tasks {
+func (p *ParallelNetworkTuner) Breakdown() []SubgraphBreakdown {
+	total := p.EstimatedExec()
+	out := make([]SubgraphBreakdown, len(p.MT.Tasks))
+	for i, t := range p.MT.Tasks {
 		b := SubgraphBreakdown{Name: t.Graph.Name, Weight: t.Graph.Weight}
 		if t.Best != nil {
-			b.BestExec = nt.Meas.Sim.Exec(t.Best)
+			b.BestExec = t.Meas.Sim.Exec(t.Best)
 			b.WeightedExec = float64(t.Graph.Weight) * b.BestExec
 			if !math.IsInf(total, 1) && total > 0 {
 				b.Contribution = b.WeightedExec / total

@@ -118,8 +118,8 @@ type PairResult struct {
 func RunPair(sg *texpr.Subgraph, plat *hardware.Platform, budget, measureK int, seed uint64, workers int) PairResult {
 	// Fresh subgraph instances per engine would share state anyway; tasks are
 	// engine-private so a single instance is safe.
-	ansor := core.TuneOperatorWorkers(sg, plat, core.MustScheduler("ansor"), budget, measureK, seed, workers)
-	harl := core.TuneOperatorWorkers(sg, plat, core.MustScheduler("harl"), budget, measureK, seed+1, workers)
+	ansor := core.TuneOperator(sg, plat, core.MustScheduler("ansor"), budget, measureK, seed, workers)
+	harl := core.TuneOperator(sg, plat, core.MustScheduler("harl"), budget, measureK, seed+1, workers)
 	observeTask(ansor.Task)
 	observeTask(harl.Task)
 
@@ -252,7 +252,7 @@ func AblationTrajectory(cfg Config, w io.Writer) TrajectoryResult {
 	curves := map[string][]float64{}
 	finals := map[string]float64{}
 	for _, name := range []string{"ansor", "hierarchical-rl", "harl"} {
-		res := core.TuneOperatorWorkers(sg, plat, core.MustScheduler(name), budget, cfg.MeasureK, cfg.Seed, cfg.workers())
+		res := core.TuneOperator(sg, plat, core.MustScheduler(name), budget, cfg.MeasureK, cfg.Seed, cfg.workers())
 		observeTask(res.Task)
 		curves[name] = res.Task.BestLog
 		finals[name] = res.BestGFLOPS
@@ -317,8 +317,8 @@ type CriticalStepsResult struct {
 func CriticalSteps(cfg Config, w io.Writer) CriticalStepsResult {
 	sg := workload.GEMM("GEMM-L-1024", 1, 1024, 1024, 1024)
 	plat := hardware.CPUXeon6226R()
-	fixed := core.TuneOperatorWorkers(sg, plat, core.MustScheduler("hierarchical-rl"), cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
-	adaptive := core.TuneOperatorWorkers(sg, plat, core.MustScheduler("harl"), cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
+	fixed := core.TuneOperator(sg, plat, core.MustScheduler("hierarchical-rl"), cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
+	adaptive := core.TuneOperator(sg, plat, core.MustScheduler("harl"), cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
 	observeTask(fixed.Task)
 	observeTask(adaptive.Task)
 
@@ -405,7 +405,7 @@ func sensitivity(cfg Config, w io.Writer, param string, values []float64) []Sens
 			hcfg.Rho = v
 		}
 		sched := &core.Scheduler{Name: "harl", Engine: search.NewHARL(hcfg), Policy: core.PolicySWUCB}
-		res := core.TuneOperatorWorkers(sg, plat, sched, cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
+		res := core.TuneOperator(sg, plat, sched, cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
 		observeTask(res.Task)
 		rounds := math.Max(1, float64(res.Trials)/float64(cfg.MeasureK))
 		rows = append(rows, SensitivityRow{

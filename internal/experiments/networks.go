@@ -22,8 +22,9 @@ func netBudget(cfg Config, net *workload.Network) int {
 	return b
 }
 
-// runNetwork tunes a network with a named scheduler preset.
-func runNetwork(cfg Config, netName string, batch int, platName, schedName string, seed uint64) *core.NetworkTuner {
+// runNetwork tunes a network with a named scheduler preset, one subgraph
+// round at a time so the preset's allocation policy decides every round.
+func runNetwork(cfg Config, netName string, batch int, platName, schedName string, seed uint64) *core.ParallelNetworkTuner {
 	var net *workload.Network
 	switch netName {
 	case "BERT":
@@ -36,12 +37,12 @@ func runNetwork(cfg Config, netName string, batch int, platName, schedName strin
 		panic("experiments: unknown network " + netName)
 	}
 	plat := hardware.ByName(platName)
-	nt := core.NewNetworkTuner(net, plat, core.MustScheduler(schedName), cfg.MeasureK, seed)
-	if w := cfg.workers(); w != 1 {
-		nt.SetWorkers(w)
+	nt, err := core.NewSequentialNetworkTuner(net, plat, schedName, cfg.MeasureK, seed, cfg.workers())
+	if err != nil {
+		panic(err)
 	}
 	nt.Run(netBudget(cfg, net))
-	for _, t := range nt.Tasks {
+	for _, t := range nt.MT.Tasks {
 		observeTask(t)
 	}
 	return nt
@@ -187,13 +188,13 @@ func AllocationAblation(cfg Config, w io.Writer) []AllocationRow {
 		hi, ni := harl.TaskIndexByName(name), noMAB.TaskIndexByName(name)
 		row := AllocationRow{Subgraph: name}
 		if hi >= 0 {
-			row.HARLTotal = harl.Tasks[hi].Trials
+			row.HARLTotal = harl.MT.Tasks[hi].Trials
 			if hi < len(hSnap.TaskTrials) {
 				row.HARLAtAnsor = hSnap.TaskTrials[hi]
 			}
 		}
 		if ni >= 0 {
-			row.NoMABTotal = noMAB.Tasks[ni].Trials
+			row.NoMABTotal = noMAB.MT.Tasks[ni].Trials
 			if ni < len(nSnap.TaskTrials) {
 				row.NoMABAtAnsor = nSnap.TaskTrials[ni]
 			}

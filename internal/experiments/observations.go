@@ -69,7 +69,7 @@ func GreedyAllocation(cfg Config, w io.Writer) GreedyWasteResult {
 
 	res := GreedyWasteResult{}
 	totalAll, totalWaste := 0, 0
-	finalTrials := ansor.TaskTrials()
+	finalTrials := ansor.MT.TaskTrials()
 	for _, t := range finalTrials {
 		totalAll += t
 	}
@@ -180,7 +180,7 @@ func FixedLengthWaste(cfg Config, w io.Writer) FixedLengthWasteResult {
 	var all []float64
 	for i, geom := range []string{"GEMM-S", "GEMM-M", "GEMM-L"} {
 		sg := workload.SuiteFor(geom, 1)[0]
-		res := core.TuneOperatorWorkers(sg, plat, core.MustScheduler("flextensor"),
+		res := core.TuneOperator(sg, plat, core.MustScheduler("flextensor"),
 			cfg.OperatorBudget/2, cfg.MeasureK, cfg.Seed+uint64(i), cfg.workers())
 		observeTask(res.Task)
 		all = append(all, res.Task.TrackPositions...)

@@ -2,6 +2,7 @@ package pretrain_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"harl/internal/core"
@@ -21,7 +22,7 @@ func journalFor(t *testing.T, sg *texpr.Subgraph, plat *hardware.Platform, trial
 	t.Helper()
 	var buf bytes.Buffer
 	jr := tunelog.NewJournal(&buf)
-	res := core.TuneOperatorJournaled(sg, plat, core.MustScheduler("ansor"), trials, 16, seed, 1, core.TuneHooks{Journal: jr})
+	res := core.TuneOperatorSession(context.Background(), sg, plat, core.MustScheduler("ansor"), trials, 16, seed, 1, core.TuneHooks{Journal: jr})
 	if res.Trials < trials {
 		t.Fatalf("journal run measured %d of %d trials", res.Trials, trials)
 	}

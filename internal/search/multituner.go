@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"harl/internal/bandit"
 	"harl/internal/hardware"
 	"harl/internal/schedule"
 	"harl/internal/texpr"
@@ -20,6 +21,18 @@ const (
 	AllocGradient AllocPolicy = iota
 	// AllocRoundRobin cycles through tasks in index order.
 	AllocRoundRobin
+	// AllocSWUCB is the paper's subgraph bandit (§6.3, Eq. 1/3/4): a
+	// sliding-window UCB over the tasks whose arm reward is the realized
+	// gradient estimate, normalized by the current end-to-end estimate. A
+	// bandit pulls one arm and observes its reward before the next pull, so
+	// this policy always advances one task per wave (WaveWidth 1).
+	AllocSWUCB
+)
+
+// The subgraph bandit's exploration constant and window (paper Table 5).
+const (
+	subgraphC      = 0.25
+	subgraphWindow = 256
 )
 
 // MultiTunerConfig parameterizes the concurrent multi-task scheduler.
@@ -52,12 +65,16 @@ func DefaultMultiTunerConfig() MultiTunerConfig {
 	}
 }
 
-// WaveSnapshot records one completed wave for allocation diagnostics.
+// WaveSnapshot records the tuner state after one completed wave, for
+// allocation and time-to-target analyses (Figures 1a, 9, 10).
 type WaveSnapshot struct {
-	Wave    int
-	Tasks   []int // task indices advanced this wave
-	Trials  int   // cumulative trials after the wave
-	CostSec float64
+	Wave       int
+	Tasks      []int // task indices advanced this wave
+	Trials     int   // cumulative trials after the wave
+	TaskTrials []int // per-task cumulative trials after the wave
+	CostSec    float64
+	// EstExec is Σ w_n·g_n after the wave (+Inf until every task measured).
+	EstExec float64
 }
 
 // MultiTuner tunes many tasks (the subgraphs of a network) concurrently: each
@@ -76,6 +93,7 @@ type MultiTuner struct {
 	Cfg     MultiTunerConfig
 
 	pool        *ParallelPool
+	mab         *bandit.SWUCB // AllocSWUCB only
 	allocations []int
 	gHist       [][]float64 // per task: weighted best exec after each round
 	rrNext      int
@@ -138,6 +156,20 @@ func NewMultiTuner(tasks []*Task, mkEngine func() Engine, cfg MultiTunerConfig) 
 	}
 	for range tasks {
 		mt.Engines = append(mt.Engines, mkEngine())
+	}
+	if cfg.Policy == AllocSWUCB {
+		mt.Cfg.WaveWidth = 1
+		// Ties break on a stream split from the first task's RNG, so the
+		// allocation stays a pure function of the task set's seed.
+		mt.mab = bandit.NewSWUCB(len(tasks), subgraphC, subgraphWindow, tasks[0].RNG.Split())
+	}
+	if mt.Cfg.WaveWidth == 1 {
+		// One task per wave leaves the pool idle across tasks; lend it to the
+		// tasks for intra-round parallelism instead (results are identical
+		// either way, see Task.Pool).
+		for _, t := range tasks {
+			t.Pool = mt.pool
+		}
 	}
 	return mt
 }
@@ -248,8 +280,8 @@ func (mt *MultiTuner) EstimatedExec() float64 {
 // the second is Ansor's optimistic potential: the task can either keep its
 // historical halving pace (g/t) or approach β× the best throughput achieved
 // by similar subgraphs (same main-stage kind). It reads committed task state
-// only and is shared by the serial NetworkTuner and the concurrent
-// MultiTuner.
+// only: the gradient allocator ranks tasks by it and the SW-UCB allocator
+// uses it as the arm reward.
 func GradientEstimate(tasks []*Task, a int, hist []float64, rounds int, alpha, beta float64) float64 {
 	t := tasks[a]
 	g := t.WeightedBestExec()
@@ -294,8 +326,17 @@ func (mt *MultiTuner) gradientEstimate(a int) float64 {
 
 // selectWave picks the tasks to advance this wave: at most width tasks, by
 // round-robin order or by descending gradient estimate with index
-// tie-breaking (both fully deterministic).
+// tie-breaking, or the bandit's one arm (all fully deterministic).
 func (mt *MultiTuner) selectWave(width int) []int {
+	if mt.Cfg.Policy == AllocSWUCB {
+		// Every task must be visited once before the rewards make sense.
+		for a, rounds := range mt.allocations {
+			if rounds == 0 {
+				return []int{a}
+			}
+		}
+		return []int{mt.mab.Select()}
+	}
 	n := len(mt.Tasks)
 	if width <= 0 || width > n {
 		width = n
@@ -372,15 +413,25 @@ func (mt *MultiTuner) wave(width, remaining int) []int {
 		mt.allocations[a]++
 		mt.gHist[a] = append(mt.gHist[a], mt.Tasks[a].WeightedBestExec())
 	}
-	mt.History = append(mt.History, WaveSnapshot{
-		Wave:    len(mt.History),
-		Tasks:   sel,
-		Trials:  mt.Trials(),
-		CostSec: mt.CostSec(),
-	})
+	snap := WaveSnapshot{
+		Wave:       len(mt.History),
+		Tasks:      sel,
+		Trials:     mt.Trials(),
+		TaskTrials: mt.TaskTrials(),
+		CostSec:    mt.CostSec(),
+		EstExec:    mt.EstimatedExec(),
+	}
+	mt.History = append(mt.History, snap)
+	if mt.mab != nil {
+		// Arm reward: the realized gradient estimate, normalized by the
+		// current total so rewards stay scale-free (Eq. 4's R_t).
+		a, reward := sel[0], 0.0
+		if r := mt.gradientEstimate(a); !math.IsInf(snap.EstExec, 1) && snap.EstExec > 0 && !math.IsInf(r, 1) {
+			reward = r / snap.EstExec
+		}
+		mt.mab.Update(a, reward)
+	}
 	if mt.OnProgress != nil {
-		snap := mt.History[len(mt.History)-1]
-		est := mt.EstimatedExec()
 		measured := mt.Measured()
 		for _, a := range sel {
 			t := mt.Tasks[a]
@@ -393,7 +444,7 @@ func (mt *MultiTuner) wave(width, remaining int) []int {
 				TaskMeasured:  t.Measured,
 				TotalMeasured: measured,
 				BestExec:      t.BestExec,
-				RunBest:       est,
+				RunBest:       snap.EstExec,
 				CostSec:       snap.CostSec,
 			})
 		}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"harl/internal/hardware"
@@ -48,8 +49,8 @@ func TestMultiTunerHonorsBudget(t *testing.T) {
 }
 
 // The core determinism contract of the parallel engine: the same seed yields
-// byte-identical results for workers=1 and workers=8, for both allocation
-// policies and for the heavy RL engine as well as the random baseline.
+// byte-identical results for workers=1 and workers=8, for every allocation
+// policy and for the heavy RL engine as well as the random baseline.
 func TestMultiTunerWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker determinism sweep is slow")
@@ -60,7 +61,7 @@ func TestMultiTunerWorkerCountInvariance(t *testing.T) {
 		"ansor":  func() Engine { return NewAnsor(DefaultAnsorConfig()) },
 	}
 	for name, mk := range engines {
-		for _, policy := range []AllocPolicy{AllocGradient, AllocRoundRobin} {
+		for _, policy := range []AllocPolicy{AllocGradient, AllocRoundRobin, AllocSWUCB} {
 			cfg := DefaultMultiTunerConfig()
 			cfg.RoundTrials = 8
 			cfg.Policy = policy
@@ -149,6 +150,43 @@ func TestMultiTunerGradientPrefersHeavyTask(t *testing.T) {
 	trials := mt.TaskTrials()
 	if trials[1] <= trials[0] {
 		t.Fatalf("heavy task got %d trials vs light %d", trials[1], trials[0])
+	}
+}
+
+// The subgraph bandit advances one task per wave, pulls every arm once (in
+// index order) before any reward steers it, and is a pure function of the
+// seed: same seed, same allocation; and it is not the greedy allocator.
+func TestMultiTunerSWUCBVisitsEveryArmFirst(t *testing.T) {
+	graphs := bertGraphs(t)
+	run := func(policy AllocPolicy, seed uint64) [][]int {
+		cfg := DefaultMultiTunerConfig()
+		cfg.RoundTrials = 4
+		cfg.WaveWidth = 1
+		cfg.Policy = policy
+		mt := runMulti(t, graphs, func() Engine { return NewRandom() }, cfg, seed, 4*4*len(graphs))
+		var sel [][]int
+		for _, s := range mt.History {
+			sel = append(sel, s.Tasks)
+		}
+		return sel
+	}
+	a := run(AllocSWUCB, 13)
+	if len(a) != 4*len(graphs) {
+		t.Fatalf("%d waves for a %d-round budget", len(a), 4*len(graphs))
+	}
+	for w, sel := range a {
+		if len(sel) != 1 {
+			t.Fatalf("wave %d advanced %v, want one task", w, sel)
+		}
+		if w < len(graphs) && sel[0] != w {
+			t.Fatalf("wave %d pulled arm %d before every arm was visited", w, sel[0])
+		}
+	}
+	if !reflect.DeepEqual(a, run(AllocSWUCB, 13)) {
+		t.Fatal("SW-UCB allocation is not reproducible from the seed")
+	}
+	if reflect.DeepEqual(a, run(AllocGradient, 13)) {
+		t.Fatal("SW-UCB allocated exactly like the greedy gradient policy")
 	}
 }
 

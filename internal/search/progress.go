@@ -3,18 +3,17 @@ package search
 import "context"
 
 // Progress is one committed progress point of a tuning run, emitted at the
-// barriers where state is worker-invariant: after each round of the serial
-// operator loop (TuneSession), after each round of the serial network tuner,
-// and at each wave barrier of the concurrent MultiTuner (one event per task
-// advanced that wave, in wave-selection order). Every field is read from
+// barriers where state is worker-invariant: after each round of the operator
+// loop (TuneSession) and at each wave barrier of the MultiTuner (one event
+// per task advanced that wave, in wave-selection order). Every field is read from
 // committed state only, so for a fixed seed and configuration the event
 // sequence is byte-identical for every worker count — the same contract the
 // tuning journal keeps.
 type Progress struct {
 	// Task is the index of the task the event describes (0 for operator runs).
 	Task int
-	// Wave is the 0-based wave (concurrent tuner) or round (serial loops)
-	// index at whose barrier the event was committed.
+	// Wave is the 0-based wave (MultiTuner) or round (TuneSession) index at
+	// whose barrier the event was committed.
 	Wave int
 	// Allocation is how many engine rounds the task has received so far.
 	Allocation int

@@ -266,4 +266,12 @@ func TestHarlTunerKeyUnifiesSpelling(t *testing.T) {
 	if !strings.Contains(nk, "network:bert@b1") {
 		t.Fatalf("network key = %s", nk)
 	}
+	// Pool width never changes a result, so it never splits a job.
+	nk4, err := ht.Key(Request{Network: "bert", Target: "cpu", Workers: 4}.normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nk != nk4 {
+		t.Fatalf("requests differing only in workers keyed differently:\n%s\n%s", nk, nk4)
+	}
 }

@@ -63,9 +63,8 @@ type Request struct {
 // normalize fills the defaulted fields so that requests equal in effect are
 // equal as values — the precondition for the coalescing key. Trials mirrors
 // harl.Options.withDefaults (0 selects 320), so "trials omitted" and
-// "trials":320 coalesce into one search. Workers stays as given: 0 and N are
-// genuinely different searches for networks (legacy serial tuner vs the
-// concurrent scheduler).
+// "trials":320 coalesce into one search. Workers stays as given and out of
+// the key: it sizes the session's pool and never changes the result.
 func (r Request) normalize() Request {
 	// Only an omitted batch defaults; a negative batch is preserved so
 	// validation can reject it (clamping would silently answer for batch 1).

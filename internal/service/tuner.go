@@ -107,7 +107,9 @@ func resolveRequest(req Request) (w harl.Workload, tgt harl.Target, isNet bool, 
 
 // Key implements Tuner: the coalescing identity is the workload fingerprint
 // (structural, so differently-spelled but identical shapes unify) plus
-// target, scheduler and the run parameters that change the result.
+// target, scheduler and the run parameters that change the result — not
+// Workers: requests differing only in pool width compute the same result and
+// share one job.
 func (h *HarlTuner) Key(req Request) (string, error) {
 	w, tgt, isNet, err := resolveRequest(req)
 	if err != nil {
@@ -120,8 +122,8 @@ func (h *HarlTuner) Key(req Request) (string, error) {
 		workload = w.Fingerprint()
 	}
 	p := h.plateau(req)
-	return fmt.Sprintf("%s|%s|%s|t%d|s%d|w%d|pw%d|pi%g", workload, tgt.Name(), req.Scheduler,
-		req.Trials, req.Seed, req.Workers, p.Window, p.MinImprovement), nil
+	return fmt.Sprintf("%s|%s|%s|t%d|s%d|pw%d|pi%g", workload, tgt.Name(), req.Scheduler,
+		req.Trials, req.Seed, p.Window, p.MinImprovement), nil
 }
 
 // Tune implements Tuner by running the cancellable harl session, forwarding

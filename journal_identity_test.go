@@ -1,6 +1,8 @@
 package harl
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,4 +41,38 @@ func TestCommittedJournalByteIdentity(t *testing.T) {
 		t.Fatalf("regenerated journal differs from %s (%d vs %d bytes): the search hot path is no longer bit-identical to the committed baseline",
 			committedPretrainJournal, len(got), len(want))
 	}
+}
+
+// TestBenchmarkConfigJournalHashes pins the journals of the benchmark's two
+// tuning configurations to the bytes they had before the serial network tuner
+// was retired and the entry points were folded onto one session pipeline
+// (hashes taken at commit 152fbf7), so that refactor's byte-identity — and
+// any later one's — is an executable assertion.
+func TestBenchmarkConfigJournalHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-tunes the benchmark's BERT and GEMM configurations")
+	}
+	dir := t.TempDir()
+	check := func(name, want string, tune func(path string) error) {
+		t.Helper()
+		path := filepath.Join(dir, name+".jsonl")
+		if err := tune(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Fatalf("%s journal sha256 %s (%d bytes), want %s", name, got, len(data), want)
+		}
+	}
+	check("net-bert-harl", "473f4d55ea1b80bdd5aa2c22bb6bb2f0c833eb0fffa2cdcead232bbd3174af2b", func(path string) error {
+		_, err := TuneNetwork("bert", 1, CPU(), Options{Scheduler: "harl", Trials: 800, Seed: 1, Workers: 2, RecordLog: path})
+		return err
+	})
+	check("op-gemm-harl", "1f080a7846e21bc3b4837cd5dd242ba93ac7e065888dd2bc5436e3aa6da1689b", func(path string) error {
+		_, err := TuneOperator(GEMM(1024, 1024, 1024, 1), CPU(), Options{Scheduler: "harl", Trials: 320, Seed: 1, Workers: 1, RecordLog: path})
+		return err
+	})
 }

@@ -9,16 +9,13 @@ import (
 
 // ProgressEvent is one committed progress point of a tuning session,
 // delivered through Options.OnProgress. Events are emitted at the barriers
-// where state is worker-invariant — after each round of an operator session,
-// after each round of the serial network tuner, and at each wave barrier of
-// the concurrent scheduler (one event per subgraph advanced that wave, in
-// wave-selection order) — so for a fixed seed and configuration the event
-// sequence is byte-identical for every worker-pool width, exactly like the
-// tuning journal: all Options.Workers values for operator runs, all
-// Workers >= 1 for network runs (Workers == 0 selects the legacy serial
-// network scheduler, a genuinely different search whose per-round stream is
-// deterministic but its own). The JSON field names are the wire format of
-// the harl-serve SSE stream (GET /v1/jobs/{id}/events).
+// where state is worker-invariant — after each round of an operator session
+// and at each wave barrier of a network session (one event per subgraph
+// advanced that wave, in wave-selection order) — so for a fixed seed and
+// configuration the event sequence is byte-identical for every
+// Options.Workers value, exactly like the tuning journal. The JSON field
+// names are the wire format of the harl-serve SSE stream
+// (GET /v1/jobs/{id}/events).
 type ProgressEvent struct {
 	// Workload is the workload (operator run) or subgraph (network run) name.
 	Workload string `json:"workload"`
@@ -62,7 +59,7 @@ type ProgressEvent struct {
 // worker count.
 type Plateau struct {
 	// Window is the number of recent waves/rounds the improvement is
-	// measured over; 0 disables plateau detection. A concurrent network wave
+	// measured over; 0 disables plateau detection. A network wave
 	// emits one progress event per advanced subgraph, but the trajectory is
 	// sampled once per wave — the window counts allocation decisions, not
 	// events.

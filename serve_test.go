@@ -121,6 +121,16 @@ func TestNetworkRegistryFullHitSkipsSearch(t *testing.T) {
 	if hot.MeasuredSeconds <= 0 {
 		t.Fatalf("full-hit run lost the execution estimate: %+v", hot)
 	}
+	// A zero-budget replay served entirely by the registry is complete: the
+	// replay check counts registry seeds, not only ResumeFrom ones.
+	opts.Trials = -1
+	replay, err := TuneNetwork("bert", 1, CPU(), opts)
+	if err != nil {
+		t.Fatalf("registry-only replay: %v", err)
+	}
+	if replay.CacheHits != len(replay.Breakdown) || replay.Trials != 0 || replay.EstimatedSeconds != hot.EstimatedSeconds {
+		t.Fatalf("registry-only replay: %+v", replay)
+	}
 }
 
 // TestCancelOperatorLeavesResumableArtifacts is the checkpoint-on-cancel
