@@ -9,8 +9,9 @@
 #                    for anything touching the concurrent tuning engine)
 #   make bench     — one pass over every experiment benchmark
 #   make bench-hot — the search hot-path microbenchmarks (features, batch
-#                    scoring, refit, batch prediction), repeated BENCH_COUNT
-#                    times with allocation stats into bench-hot.txt
+#                    scoring, refit, batch prediction, PPO step and update),
+#                    repeated BENCH_COUNT times with allocation stats into
+#                    bench-hot.txt
 #   make benchcmp  — bench-hot, then benchstat against the committed
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
@@ -22,9 +23,10 @@
 GO ?= go
 
 # The search hot path: schedule featurization, batch candidate scoring, cost
-# model refit and batch prediction. CI's perf-smoke job runs exactly this set
-# on the base and head commits and fails on significant regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkPredictBatch)$$
+# model refit and batch prediction, and the PPO policy step and update that
+# are ~80% of a HARL session. CI's perf-smoke job runs exactly this set on the
+# base and head commits and fails on significant regressions.
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain)$$
 BENCH_COUNT ?= 10
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover loc check

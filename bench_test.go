@@ -422,6 +422,29 @@ func BenchmarkPPOStep(b *testing.B) {
 	}
 }
 
+// BenchmarkPPOTrain measures one PPO update (Epochs minibatches of batched
+// forward/backward passes plus Adam) at the benchmark's GEMM-1024³ dims over
+// a warm 1024-transition replay buffer — the layer that is ~80% of a HARL
+// session.
+func BenchmarkPPOTrain(b *testing.B) {
+	rng := xrand.New(1)
+	agent := rl.NewAgent(23, []int{101, 3, 3, 3}, rl.DefaultConfig(), rng)
+	for i := 0; i < 1024; i++ {
+		state := make([]float64, 23)
+		for j := range state {
+			state[j] = rng.Float64()
+		}
+		d := agent.Act(state)
+		agent.Observe(rl.Transition{State: state, Acts: d.Acts, OldLogP: d.LogProb,
+			Reward: rng.Float64() - 0.5, Value: d.Value, NextValue: agent.Value(state)})
+	}
+	agent.Train() // warm the scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Train()
+	}
+}
+
 // BenchmarkSketchGeneration measures sketch enumeration for a fused subgraph.
 func BenchmarkSketchGeneration(b *testing.B) {
 	sg := workload.Conv2DReLU("c", 1, 1, 56, 56, 64, 64, 3, 1, 1)

@@ -1,10 +1,19 @@
 // Package nn is the minimal neural-network substrate backing HARL's
 // actor-critic models: dense layers with manual backpropagation, tanh
-// activations, softmax/categorical utilities and the Adam optimizer. The
-// original system uses PyTorch via the PPO-PyTorch reference implementation;
-// the networks involved are small MLPs, which this package reproduces with
-// per-sample forward/backward passes (minibatches are loops — the state
-// dimensionality of schedule features makes this more than fast enough).
+// activations, softmax/categorical utilities and the Adam optimizer (the
+// original system uses PyTorch via the PPO-PyTorch reference implementation).
+// PPO spends nearly all of a tuning session in these small MLPs, so every
+// dense pass — forward, weight gradient, input gradient — is one call into a
+// single register-blocked matrix–matrix micro-kernel, gemmNT, over a row-major
+// block of samples.
+//
+// Accumulation-order contract: each output element of gemmNT has one
+// accumulator, seeded from the destination and fed its products in ascending
+// reduction index — inputs for the forward pass, samples in block order for
+// the weight gradient, outputs for the input gradient. A loop over single
+// samples adds in the same order, so results do not depend on how samples are
+// grouped into blocks and are bit-identical to the retired per-sample kernels
+// (kept in oracle_test.go for the equivalence tests).
 package nn
 
 import (
@@ -14,15 +23,15 @@ import (
 	"harl/internal/xrand"
 )
 
-// Linear is a dense layer y = Wx + b with accumulated gradients and Adam
-// moment state.
+// Linear is a dense layer y = Wx + b with accumulated gradients (GW, GB) and
+// Adam moment state, all shaped like the parameter they belong to.
 type Linear struct {
 	In, Out int
 	W, B    []float64 // W is row-major [Out][In]
 
-	gW, gB []float64
-	mW, vW []float64
-	mB, vB []float64
+	GW, GB []float64
+	MW, VW []float64
+	MB, VB []float64
 }
 
 // NewLinear creates a layer with Xavier-uniform initialized weights.
@@ -30,9 +39,9 @@ func NewLinear(in, out int, rng *xrand.RNG) *Linear {
 	l := &Linear{
 		In: in, Out: out,
 		W: make([]float64, in*out), B: make([]float64, out),
-		gW: make([]float64, in*out), gB: make([]float64, out),
-		mW: make([]float64, in*out), vW: make([]float64, in*out),
-		mB: make([]float64, out), vB: make([]float64, out),
+		GW: make([]float64, in*out), GB: make([]float64, out),
+		MW: make([]float64, in*out), VW: make([]float64, in*out),
+		MB: make([]float64, out), VB: make([]float64, out),
 	}
 	scale := math.Sqrt(6.0 / float64(in+out))
 	for i := range l.W {
@@ -41,93 +50,130 @@ func NewLinear(in, out int, rng *xrand.RNG) *Linear {
 	return l
 }
 
-// grow returns dst resized to n, reusing its backing array when it is large
-// enough. Contents are unspecified: every caller fully overwrites or zeroes.
-func grow(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	return dst[:n]
-}
-
-// Forward computes y = Wx + b.
-func (l *Linear) Forward(x []float64) []float64 {
-	return l.ForwardInto(nil, x)
-}
-
-// ForwardInto is Forward writing into dst (grown as needed and returned) —
-// the same arithmetic in the same order, minus the per-call allocation. The
-// PPO training loop calls these kernels per sample per epoch, so the
-// allocation, not the arithmetic, is what buffer reuse saves.
-func (l *Linear) ForwardInto(dst, x []float64) []float64 {
-	if len(x) != l.In {
-		panic(fmt.Sprintf("nn: Linear forward dim %d != %d", len(x), l.In))
-	}
-	y := grow(dst, l.Out)
-	for o := 0; o < l.Out; o++ {
-		s := l.B[o]
-		// Re-slicing to len(x) lets the compiler drop the per-element bounds
-		// check; the accumulation order is untouched (bit-identical results).
-		row := l.W[o*l.In : (o+1)*l.In][:len(x)]
-		for i, xi := range x {
-			s += row[i] * xi
+// gemmNT is the one dense kernel: c[i][j] += Σ_p a[i][p]·b[j][p] for row-major
+// c (m×n), a (m×k) and b (n×k), bit-identical to the naive triple loop. The
+// register block is two rows by three columns: six accumulators in flight, so
+// the adds overlap instead of forming one latency-bound chain, on five loads
+// per six multiply-adds. A last odd row is paired with itself (both lanes
+// compute and store the same values).
+func gemmNT(c, a, b []float64, m, n, k int) {
+	for i := 0; i < m; i += 2 {
+		// Re-slicing rows to len(a0) drops the reduction loops' bounds checks.
+		i1 := min(i+1, m-1)
+		a0, a1 := a[i*k:(i+1)*k], a[i1*k : (i1+1)*k][:k]
+		c0, c1 := c[i*n:(i+1)*n], c[i1*n:(i1+1)*n]
+		j := 0
+		for ; j+3 <= n; j += 3 {
+			b0 := b[j*k : (j+1)*k][:len(a0)]
+			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
+			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
+			s00, s01, s02 := c0[j], c0[j+1], c0[j+2]
+			s10, s11, s12 := c1[j], c1[j+1], c1[j+2]
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				y0, y1, y2 := b0[p], b1[p], b2[p]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+			}
+			c0[j], c0[j+1], c0[j+2] = s00, s01, s02
+			c1[j], c1[j+1], c1[j+2] = s10, s11, s12
 		}
-		y[o] = s
-	}
-	return y
-}
-
-// Backward accumulates parameter gradients given the layer input x and the
-// output gradient dy, and returns the input gradient dx.
-func (l *Linear) Backward(x, dy []float64) []float64 {
-	return l.BackwardInto(nil, x, dy)
-}
-
-// BackwardInto is Backward writing the input gradient into dst (grown as
-// needed, zeroed here, returned). Bit-identical to Backward.
-func (l *Linear) BackwardInto(dst, x, dy []float64) []float64 {
-	dx := grow(dst, l.In)
-	for i := range dx {
-		dx[i] = 0
-	}
-	for o := 0; o < l.Out; o++ {
-		g := dy[o]
-		l.gB[o] += g
-		// Bounds-check elimination as in Forward; per-element arithmetic and
-		// accumulation order are untouched (bit-identical results).
-		row := l.W[o*l.In : (o+1)*l.In][:len(x)]
-		gw := l.gW[o*l.In : (o+1)*l.In][:len(x)]
-		dxs := dx[:len(x)]
-		for i, xi := range x {
-			gw[i] += g * xi
-			dxs[i] += row[i] * g
+		for ; j < n; j++ {
+			bj := b[j*k : (j+1)*k][:len(a0)]
+			s0, s1 := c0[j], c1[j]
+			for p, x0 := range a0 {
+				s0 += x0 * bj[p]
+				s1 += a1[p] * bj[p]
+			}
+			c0[j], c1[j] = s0, s1
 		}
 	}
-	return dx
 }
 
-// Step applies one Adam update with the accumulated gradients (scaled by
-// 1/batch) and clears them. t is the 1-based Adam timestep.
-func (l *Linear) Step(lr float64, batch int, t int) {
-	adam(l.W, l.gW, l.mW, l.vW, lr, batch, t)
-	adam(l.B, l.gB, l.mB, l.vB, lr, batch, t)
-}
-
-// ZeroGrad clears accumulated gradients without updating.
-func (l *Linear) ZeroGrad() {
-	for i := range l.gW {
-		l.gW[i] = 0
+// transpose writes the rows×cols matrix src, whose rows start ld apart, into
+// dst as row-major cols×rows — four source rows at a time, so each
+// destination row receives four adjacent values per bounds check.
+func transpose(dst, src []float64, rows, cols, ld int) {
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0 := src[r*ld : r*ld+cols]
+		s1 := src[(r+1)*ld : (r+1)*ld+cols][:len(s0)]
+		s2 := src[(r+2)*ld : (r+2)*ld+cols][:len(s0)]
+		s3 := src[(r+3)*ld : (r+3)*ld+cols][:len(s0)]
+		for c, v := range s0 {
+			d := dst[c*rows+r : c*rows+r+4]
+			d[0], d[1], d[2], d[3] = v, s1[c], s2[c], s3[c]
+		}
 	}
-	for i := range l.gB {
-		l.gB[i] = 0
+	for ; r < rows; r++ {
+		for c, v := range src[r*ld : r*ld+cols] {
+			dst[c*rows+r] = v
+		}
 	}
 }
 
-const (
-	adamBeta1 = 0.9
-	adamBeta2 = 0.999
-	adamEps   = 1e-8
-)
+// ForwardBatch computes Y = X·Wᵀ + b for n samples: x is the row-major n×In
+// input block, y the n×Out output block.
+func (l *Linear) ForwardBatch(y, x []float64, n int) {
+	if len(x) != n*l.In || len(y) != n*l.Out {
+		panic(fmt.Sprintf("nn: Linear forward dims %d→%d != %d×(%d→%d)", len(x), len(y), n, l.In, l.Out))
+	}
+	for s := 0; s < n; s++ {
+		copy(y[s*l.Out:], l.B)
+	}
+	gemmNT(y, x, l.W, n, l.Out, l.In)
+}
+
+// BackwardBatch accumulates the parameter gradients of n samples — GW += dYᵀ·X
+// and GB += Σ dY, both in sample order — given the layer input block x (n×In)
+// and the output-gradient block dy (n×Out). A non-nil dx also receives the
+// input-gradient block dX = dY·W; a first layer, whose dX nobody consumes,
+// passes nil. tmp is scratch of at least n·(In+Out) values for the transposed
+// operands the kernel wants.
+func (l *Linear) BackwardBatch(dx, x, dy []float64, n int, tmp []float64) {
+	if len(x) != n*l.In || len(dy) != n*l.Out {
+		panic(fmt.Sprintf("nn: Linear backward dims %d←%d != %d×(%d←%d)", len(x), len(dy), n, l.In, l.Out))
+	}
+	for s := 0; s < n; s++ {
+		for o, g := range dy[s*l.Out : (s+1)*l.Out] {
+			l.GB[o] += g
+		}
+	}
+	xT, dyT := tmp[:len(x)], tmp[len(x):len(x)+len(dy)]
+	transpose(xT, x, n, l.In, l.In)
+	transpose(dyT, dy, n, l.Out, l.Out)
+	gemmNT(l.GW, dyT, xT, l.Out, l.In, n)
+	if dx == nil {
+		return
+	}
+	// dX wants Wᵀ. Forming it n input columns at a time keeps that panel of
+	// Wᵀ and its slab of dX inside tmp: no transposed copy of W is kept.
+	for i0 := 0; i0 < l.In; i0 += n {
+		w := min(n, l.In-i0)
+		wT, part := tmp[:w*l.Out], tmp[w*l.Out:w*(l.Out+n)]
+		transpose(wT, l.W[i0:], l.Out, w, l.In)
+		clear(part)
+		gemmNT(part, dy, wT, n, w, l.Out)
+		for s := 0; s < n; s++ {
+			copy(dx[s*l.In+i0:], part[s*w:(s+1)*w])
+		}
+	}
+}
+
+// Step applies one Adam update to every layer with its accumulated gradients
+// (scaled by 1/batch) and clears them. t is the 1-based Adam timestep.
+func Step(lr float64, batch, t int, layers ...*Linear) {
+	for _, l := range layers {
+		adam(l.W, l.GW, l.MW, l.VW, lr, batch, t)
+		adam(l.B, l.GB, l.MB, l.VB, lr, batch, t)
+	}
+}
+
+const adamBeta1, adamBeta2, adamEps = 0.9, 0.999, 1e-8
 
 func adam(w, g, m, v []float64, lr float64, batch, t int) {
 	inv := 1.0 / float64(batch)
@@ -143,15 +189,12 @@ func adam(w, g, m, v []float64, lr float64, batch, t int) {
 }
 
 // MLP is a stack of Linear layers with tanh activations between them (none
-// after the last layer).
+// after the last layer). Its batched passes run through the blocks of Reserve:
+// an output block per layer and, for all but the first, an input-gradient one.
 type MLP struct {
 	Layers []*Linear
 
-	// Scratch for ForwardReuse/BackwardReuse: per-layer outputs, per-layer
-	// input gradients and one backprop cache, reused across calls.
-	outs  [][]float64
-	dxs   [][]float64
-	cache Cache
+	acts, grads [][]float64
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. (in, 64, 64, out).
@@ -166,100 +209,52 @@ func NewMLP(rng *xrand.RNG, sizes ...int) *MLP {
 	return m
 }
 
-// Cache stores per-layer pre-activation inputs for backprop.
-type Cache struct {
-	inputs [][]float64 // input to each layer (post-activation of previous)
-}
-
-// Forward runs the network and returns the output plus the backprop cache.
-func (m *MLP) Forward(x []float64) ([]float64, *Cache) {
-	c := &Cache{}
-	h := x
+// Reserve allocates the network's blocks for passes of up to rows samples.
+func (m *MLP) Reserve(rows int) {
+	m.acts, m.grads = make([][]float64, len(m.Layers)), make([][]float64, len(m.Layers))
 	for i, l := range m.Layers {
-		c.inputs = append(c.inputs, h)
-		h = l.Forward(h)
-		if i+1 < len(m.Layers) {
-			for j := range h {
-				h[j] = math.Tanh(h[j])
-			}
+		m.acts[i] = make([]float64, rows*l.Out)
+		if i > 0 {
+			m.grads[i] = make([]float64, rows*l.In)
 		}
 	}
-	return h, c
 }
 
-// Backward accumulates gradients for output gradient dy using the cache from
-// the matching Forward call, and returns the input gradient.
-func (m *MLP) Backward(c *Cache, dy []float64) []float64 {
+// ForwardBatch runs the n×In block x through the network and returns the
+// n×Out output block, valid until the next ForwardBatch.
+func (m *MLP) ForwardBatch(x []float64, n int) []float64 {
+	for i, l := range m.Layers {
+		y := m.acts[i][:n*l.Out]
+		l.ForwardBatch(y, x, n)
+		if i+1 < len(m.Layers) {
+			for j, v := range y {
+				y[j] = math.Tanh(v)
+			}
+		}
+		x = y
+	}
+	return x
+}
+
+// BackwardBatch accumulates the parameter gradients for the output-gradient
+// block dy (n×Out, mutated in place) of the preceding ForwardBatch call on
+// input block x. tmp is Linear.BackwardBatch scratch for the widest layer.
+func (m *MLP) BackwardBatch(x, dy []float64, n int, tmp []float64) {
 	g := dy
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		if i < len(m.Layers)-1 {
-			// The cached input of layer i+1 is tanh(z_i); d tanh = 1 - tanh².
-			act := c.inputs[i+1]
-			for j := range g {
-				g[j] *= 1 - act[j]*act[j]
-			}
-		}
-		g = m.Layers[i].Backward(c.inputs[i], g)
-	}
-	return g
-}
-
-// ForwardReuse is Forward through buffers owned by the MLP: the returned
-// output and cache (and the slices the cache references) are valid only
-// until the next ForwardReuse call on this MLP. Bit-identical to Forward.
-func (m *MLP) ForwardReuse(x []float64) ([]float64, *Cache) {
-	if m.outs == nil {
-		m.outs = make([][]float64, len(m.Layers))
-	}
-	c := &m.cache
-	c.inputs = c.inputs[:0]
-	h := x
-	for i, l := range m.Layers {
-		c.inputs = append(c.inputs, h)
-		m.outs[i] = l.ForwardInto(m.outs[i], h)
-		h = m.outs[i]
+		l := m.Layers[i]
 		if i+1 < len(m.Layers) {
-			for j := range h {
-				h[j] = math.Tanh(h[j])
+			// Layer i's stored output is tanh(z_i); d tanh = 1 - tanh².
+			for j, act := range m.acts[i][:len(g)] {
+				g[j] *= 1 - act*act
 			}
 		}
-	}
-	return h, c
-}
-
-// BackwardReuse is Backward through buffers owned by the MLP: the returned
-// input gradient is valid only until the next BackwardReuse call on this
-// MLP. Like Backward it mutates dy in place. Bit-identical to Backward.
-func (m *MLP) BackwardReuse(c *Cache, dy []float64) []float64 {
-	if m.dxs == nil {
-		m.dxs = make([][]float64, len(m.Layers))
-	}
-	g := dy
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		if i < len(m.Layers)-1 {
-			// The cached input of layer i+1 is tanh(z_i); d tanh = 1 - tanh².
-			act := c.inputs[i+1]
-			for j := range g {
-				g[j] *= 1 - act[j]*act[j]
-			}
+		in, dx := x, []float64(nil)
+		if i > 0 {
+			in, dx = m.acts[i-1][:n*l.In], m.grads[i][:n*l.In]
 		}
-		m.dxs[i] = m.Layers[i].BackwardInto(m.dxs[i], c.inputs[i], g)
-		g = m.dxs[i]
-	}
-	return g
-}
-
-// Step applies Adam to every layer.
-func (m *MLP) Step(lr float64, batch, t int) {
-	for _, l := range m.Layers {
-		l.Step(lr, batch, t)
-	}
-}
-
-// ZeroGrad clears all accumulated gradients.
-func (m *MLP) ZeroGrad() {
-	for _, l := range m.Layers {
-		l.ZeroGrad()
+		l.BackwardBatch(dx, in, g, n, tmp)
+		g = dx
 	}
 }
 
@@ -272,29 +267,20 @@ func (m *MLP) NumParams() int {
 	return n
 }
 
-// Softmax returns the softmax of the logits (numerically stabilized).
-func Softmax(logits []float64) []float64 {
-	return SoftmaxInto(nil, logits)
-}
-
-// SoftmaxInto is Softmax writing into dst (grown as needed, returned).
-func SoftmaxInto(dst, logits []float64) []float64 {
+// Softmax replaces the logits with their numerically stabilized softmax.
+func Softmax(x []float64) {
 	maxL := math.Inf(-1)
-	for _, v := range logits {
-		if v > maxL {
-			maxL = v
-		}
+	for _, v := range x {
+		maxL = max(maxL, v)
 	}
-	out := grow(dst, len(logits))
 	sum := 0.0
-	for i, v := range logits {
-		out[i] = math.Exp(v - maxL)
-		sum += out[i]
+	for i, v := range x {
+		x[i] = math.Exp(v - maxL)
+		sum += x[i]
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range x {
+		x[i] /= sum
 	}
-	return out
 }
 
 // SampleCategorical draws an index from the probability vector.
@@ -312,58 +298,35 @@ func SampleCategorical(probs []float64, rng *xrand.RNG) int {
 
 // LogProb returns log p[a] clamped away from -inf.
 func LogProb(probs []float64, a int) float64 {
-	p := probs[a]
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	return math.Log(p)
+	return math.Log(max(probs[a], 1e-12))
 }
 
-// Entropy returns the Shannon entropy of the distribution in nats.
-func Entropy(probs []float64) float64 {
+// LogProbGrad writes d log p[a] / d logits = onehot(a) - probs into dst
+// (len(probs); it may be probs itself).
+func LogProbGrad(dst, probs []float64, a int) {
+	for i, p := range probs {
+		dst[i] = -p
+	}
+	dst[a] += 1
+}
+
+// EntropyGrad writes d H / d logits = -p_i (log p_i + H) into dst (len(probs),
+// not aliasing it), H being the Shannon entropy in nats. Probabilities at or
+// below 1e-12 count as zero. Each log p_i is taken once, for H and gradient.
+func EntropyGrad(dst, probs []float64) {
 	h := 0.0
-	for _, p := range probs {
+	for i, p := range probs {
+		dst[i] = 0
 		if p > 1e-12 {
-			h -= p * math.Log(p)
+			dst[i] = math.Log(p)
+			h -= p * dst[i]
 		}
 	}
-	return h
-}
-
-// LogProbGrad returns d log p[a] / d logits = onehot(a) - probs.
-func LogProbGrad(probs []float64, a int) []float64 {
-	return LogProbGradInto(nil, probs, a)
-}
-
-// LogProbGradInto is LogProbGrad writing into dst (grown as needed,
-// returned).
-func LogProbGradInto(dst, probs []float64, a int) []float64 {
-	g := grow(dst, len(probs))
-	for i, p := range probs {
-		g[i] = -p
-	}
-	g[a] += 1
-	return g
-}
-
-// EntropyGrad returns d H / d logits = -p_i (log p_i + H).
-func EntropyGrad(probs []float64) []float64 {
-	return EntropyGradInto(nil, probs)
-}
-
-// EntropyGradInto is EntropyGrad writing into dst (grown as needed,
-// returned).
-func EntropyGradInto(dst, probs []float64) []float64 {
-	h := Entropy(probs)
-	g := grow(dst, len(probs))
 	for i, p := range probs {
 		if p > 1e-12 {
-			g[i] = -p * (math.Log(p) + h)
-		} else {
-			g[i] = 0
+			dst[i] = -p * (dst[i] + h)
 		}
 	}
-	return g
 }
 
 // ArgMax returns the index of the largest value.

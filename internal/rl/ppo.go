@@ -12,7 +12,9 @@
 package rl
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"harl/internal/nn"
 	"harl/internal/xrand"
@@ -72,6 +74,11 @@ func (t Transition) Advantage(gamma float64) float64 {
 	return t.Reward + gamma*t.NextValue - t.Value
 }
 
+// chunkRows is the block height of every batched pass: larger batches run as
+// consecutive blocks of at most this many rows, in sample order, which bounds
+// the scratch whatever MiniBatch is and leaves results unchanged (see nn).
+const chunkRows = 16
+
 // Agent is a PPO actor-critic over a multi-head categorical action space.
 type Agent struct {
 	Cfg Config
@@ -82,28 +89,23 @@ type Agent struct {
 
 	buf    []Transition
 	bufPos int
-	full   bool
 
 	steps   int
 	adamT   int
 	updates int
 	rng     *xrand.RNG
 
-	// Scratch reused across forwardActor/accumulate calls. Train runs
-	// Epochs×MiniBatch per-sample passes, so fresh slices here dominated the
-	// tuner's allocation profile; reuse is bit-identical (same arithmetic in
-	// the same order) and safe because an Agent is driven by one goroutine
-	// and every caller consumes the returned slices before the next call.
-	hBuf     []float64   // trunk-output tanh activation
-	probsBuf [][]float64 // per-head probability vectors
-	logitBuf [][]float64 // per-head logits
-	dhBuf    []float64   // gradient w.r.t. the trunk-output activation
-	dlogBuf  []float64   // per-head d log p / d logits
-	entBuf   []float64   // per-head d H / d logits
-	headDx   []float64   // per-head input gradient (heads share In=Hidden)
-	dvBuf    [1]float64  // critic output gradient
-	picks    []int       // minibatch sample indices
-	advs     []float64   // minibatch advantages
+	// Scratch for one block of at most chunkRows samples, allocated with the
+	// agent: O(chunkRows × (stateDim + Hidden + Σheads)) with the networks'
+	// own blocks. An Agent is driven by one goroutine and every pass consumes
+	// the previous one's blocks before overwriting them.
+	x      []float64   // a minibatch block's states, rows×stateDim
+	probs  [][]float64 // per head, rows×size: logits, probabilities, then loss gradient
+	dh     []float64   // gradient w.r.t. the trunk activation h, summed over heads
+	headDx []float64   // one head's input gradient
+	perRow []float64   // critic output gradient, then policy-gradient scale
+	tmp    []float64   // nn.BackwardBatch scratch; between calls, one row's d H / d logits
+	picks  []int       // minibatch sample indices
 }
 
 // NewAgent builds an agent for the given state dimensionality and per-head
@@ -115,78 +117,123 @@ func NewAgent(stateDim int, headSizes []int, cfg Config, rng *xrand.RNG) *Agent 
 		critic: nn.NewMLP(rng, stateDim, cfg.Hidden, cfg.Hidden, 1),
 		rng:    rng,
 		buf:    make([]Transition, 0, cfg.BufferCap),
+		probs:  make([][]float64, len(headSizes)),
 	}
 	for _, hs := range headSizes {
 		a.heads = append(a.heads, nn.NewLinear(cfg.Hidden, hs, rng))
 	}
+	widest := 0 // In+Out of the widest layer, which sizes the backward scratch
+	for _, l := range slices.Concat(a.trunk.Layers, a.critic.Layers, a.heads) {
+		widest = max(widest, l.In+l.Out)
+	}
+	for k, head := range a.heads {
+		a.probs[k] = make([]float64, chunkRows*head.Out)
+	}
+	a.trunk.Reserve(chunkRows)
+	a.critic.Reserve(chunkRows)
+	a.x = make([]float64, chunkRows*stateDim)
+	a.dh, a.headDx = make([]float64, chunkRows*cfg.Hidden), make([]float64, chunkRows*cfg.Hidden)
+	a.perRow = make([]float64, chunkRows)
+	a.tmp = make([]float64, chunkRows*widest)
 	return a
 }
 
 // Updates returns the number of PPO updates performed so far.
 func (a *Agent) Updates() int { return a.updates }
 
-// forwardActor runs the trunk and heads, returning the hidden activation,
-// the trunk cache and per-head probability vectors. Everything returned
-// lives in agent-owned scratch, valid until the next forwardActor call.
-func (a *Agent) forwardActor(state []float64) ([]float64, *nn.Cache, [][]float64) {
-	z, cache := a.trunk.ForwardReuse(state)
-	if cap(a.hBuf) < len(z) {
-		a.hBuf = make([]float64, len(z))
+// dim returns the state dimensionality, having checked that x is a block of
+// the given number of rows.
+func (a *Agent) dim(x []float64, rows int) int {
+	dim := a.trunk.Layers[0].In
+	if len(x) != rows*dim {
+		panic(fmt.Sprintf("rl: state block of %d values != %d×%d", len(x), rows, dim))
 	}
-	h := a.hBuf[:len(z)]
-	for i, v := range z {
+	return dim
+}
+
+// forwardActor runs trunk and heads over the n-row state block x and returns
+// the hidden activation block h; per-head probability blocks land in a.probs.
+func (a *Agent) forwardActor(x []float64, n int) []float64 {
+	h := a.trunk.ForwardBatch(x, n)
+	for i, v := range h {
 		h[i] = math.Tanh(v)
 	}
-	if a.probsBuf == nil {
-		a.probsBuf = make([][]float64, len(a.heads))
-		a.logitBuf = make([][]float64, len(a.heads))
-	}
-	probs := a.probsBuf
 	for k, head := range a.heads {
-		a.logitBuf[k] = head.ForwardInto(a.logitBuf[k], h)
-		probs[k] = nn.SoftmaxInto(probs[k], a.logitBuf[k])
+		a.heads[k].ForwardBatch(a.probs[k][:n*head.Out], h, n)
+		for r := 0; r < n; r++ {
+			nn.Softmax(a.headProbs(k, r))
+		}
 	}
-	return h, cache, probs
+	return h
+}
+
+// headProbs returns row r of head k's probability block.
+func (a *Agent) headProbs(k, r int) []float64 {
+	size := a.heads[k].Out
+	return a.probs[k][r*size : (r+1)*size]
+}
+
+// ActBatch samples one joint action per row of the row-major state block x
+// (len(decs)×stateDim) into decs, drawing from the agent's RNG in (state,
+// head) order: decisions and RNG state afterwards equal len(decs) Act calls.
+func (a *Agent) ActBatch(decs []Decision, x []float64) {
+	dim := a.dim(x, len(decs))
+	for lo := 0; lo < len(decs); lo += chunkRows {
+		n := min(chunkRows, len(decs)-lo)
+		xs := x[lo*dim : (lo+n)*dim]
+		a.forwardActor(xs, n)
+		v := a.critic.ForwardBatch(xs, n)
+		for r := 0; r < n; r++ {
+			d := Decision{Acts: make([]int, len(a.heads)), Value: v[r]}
+			for k := range a.heads {
+				p := a.headProbs(k, r)
+				d.Acts[k] = nn.SampleCategorical(p, a.rng)
+				d.LogProb += nn.LogProb(p, d.Acts[k])
+			}
+			decs[lo+r] = d
+		}
+	}
 }
 
 // Act samples one joint action from the current policy.
 func (a *Agent) Act(state []float64) Decision {
-	_, _, probs := a.forwardActor(state)
-	d := Decision{Acts: make([]int, len(probs))}
-	for k, p := range probs {
-		d.Acts[k] = nn.SampleCategorical(p, a.rng)
-		d.LogProb += nn.LogProb(p, d.Acts[k])
-	}
-	d.Value = a.Value(state)
-	return d
+	var d [1]Decision
+	a.ActBatch(d[:], state)
+	return d[0]
 }
 
-// GreedyAct returns the per-head argmax action (used for deterministic
-// evaluation, not during search).
+// GreedyAct returns the per-head argmax action (deterministic evaluation).
 func (a *Agent) GreedyAct(state []float64) []int {
-	_, _, probs := a.forwardActor(state)
-	acts := make([]int, len(probs))
-	for k, p := range probs {
-		acts[k] = nn.ArgMax(p)
+	a.forwardActor(state, 1)
+	acts := make([]int, len(a.heads))
+	for k := range acts {
+		acts[k] = nn.ArgMax(a.headProbs(k, 0))
 	}
 	return acts
 }
 
-// Value returns the critic's estimate V(s).
-func (a *Agent) Value(state []float64) float64 {
-	v, _ := a.critic.ForwardReuse(state)
-	return v[0]
+// ValueBatch writes the critic's estimate V(s) of each row of the state block
+// x (len(vals)×stateDim) into vals.
+func (a *Agent) ValueBatch(vals, x []float64) {
+	dim := a.dim(x, len(vals))
+	for lo := 0; lo < len(vals); lo += chunkRows {
+		n := min(chunkRows, len(vals)-lo)
+		copy(vals[lo:], a.critic.ForwardBatch(x[lo*dim:(lo+n)*dim], n))
+	}
 }
+
+// Value returns the critic's estimate V(s).
+func (a *Agent) Value(state []float64) float64 { return a.critic.ForwardBatch(state, 1)[0] }
 
 // Observe records a transition into the replay buffer.
 func (a *Agent) Observe(t Transition) {
+	a.dim(t.State, 1)
 	if len(a.buf) < a.Cfg.BufferCap {
 		a.buf = append(a.buf, t)
 		return
 	}
 	a.buf[a.bufPos] = t
 	a.bufPos = (a.bufPos + 1) % a.Cfg.BufferCap
-	a.full = true
 }
 
 // BufferLen returns the number of stored transitions.
@@ -205,109 +252,94 @@ func (a *Agent) Tick() bool {
 
 // Train performs one PPO update: Cfg.Epochs passes over minibatches sampled
 // from the replay buffer, with the clipped surrogate objective for the actor
-// (Eq. 5), MSE-to-TD-target for the critic and an entropy bonus.
+// (Eq. 5), MSE-to-TD-target for the critic and an entropy bonus. Gradients are
+// zero on entry: every nn.Step clears what it consumed.
 func (a *Agent) Train() {
 	n := len(a.buf)
 	if n == 0 {
 		return
 	}
-	batch := a.Cfg.MiniBatch
-	if batch > n {
-		batch = n
-	}
-	if cap(a.picks) < batch {
-		a.picks = make([]int, batch)
-		a.advs = make([]float64, batch)
-	}
-	picks, advs := a.picks[:batch], a.advs[:batch]
+	batch := min(a.Cfg.MiniBatch, n)
 	for ep := 0; ep < a.Cfg.Epochs; ep++ {
-		a.trunk.ZeroGrad()
-		a.critic.ZeroGrad()
-		for _, h := range a.heads {
-			h.ZeroGrad()
-		}
 		// Sample the minibatch and normalize its advantages (zero mean, unit
 		// std) — the standard PPO variance-reduction step.
-		mean, sq := 0.0, 0.0
-		for b := range picks {
-			picks[b] = a.rng.Intn(n)
-			advs[b] = a.buf[picks[b]].Advantage(a.Cfg.Gamma)
-			mean += advs[b]
-			sq += advs[b] * advs[b]
+		mean, sq, picks := 0.0, 0.0, a.picks[:0]
+		for len(picks) < batch {
+			i := a.rng.Intn(n)
+			picks = append(picks, i)
+			adv := a.buf[i].Advantage(a.Cfg.Gamma)
+			mean += adv
+			sq += adv * adv
 		}
+		a.picks = picks
 		mean /= float64(batch)
 		std := math.Sqrt(math.Max(sq/float64(batch)-mean*mean, 1e-12))
-		for b, i := range picks {
-			a.accumulate(a.buf[i], (advs[b]-mean)/std)
+		for lo := 0; lo < batch; lo += chunkRows {
+			a.accumulate(picks[lo:min(lo+chunkRows, batch)], mean, std)
 		}
 		a.adamT++
-		a.trunk.Step(a.Cfg.LrActor, batch, a.adamT)
-		for _, h := range a.heads {
-			h.Step(a.Cfg.LrActor, batch, a.adamT)
-		}
-		a.critic.Step(a.Cfg.LrCritic, batch, a.adamT)
+		nn.Step(a.Cfg.LrActor, batch, a.adamT, a.trunk.Layers...)
+		nn.Step(a.Cfg.LrActor, batch, a.adamT, a.heads...)
+		nn.Step(a.Cfg.LrCritic, batch, a.adamT, a.critic.Layers...)
 	}
 	a.updates++
 }
 
-// accumulate adds the gradient contribution of one transition using the
-// batch-normalized advantage adv for the policy term.
-func (a *Agent) accumulate(t Transition, adv float64) {
+// accumulate adds the gradient contribution of one block of the minibatch —
+// the buffered transitions picks, in order — normalizing their advantages
+// with the minibatch mean and std for the policy term.
+func (a *Agent) accumulate(picks []int, mean, std float64) {
+	n, dim := len(picks), a.trunk.Layers[0].In
+	x := a.x[:n*dim]
+	for r, i := range picks {
+		copy(x[r*dim:], a.buf[i].State)
+	}
+
 	// ----- critic: w_mse * (V(s) - (r + γ·V_old(s')))² ------------------------
-	target := t.Reward + a.Cfg.Gamma*t.NextValue
-	v, vc := a.critic.ForwardReuse(t.State)
-	a.dvBuf[0] = 2 * a.Cfg.WMSE * (v[0] - target)
-	a.critic.BackwardReuse(vc, a.dvBuf[:])
+	v, dv := a.critic.ForwardBatch(x, n), a.perRow[:n]
+	for r, i := range picks {
+		t := &a.buf[i]
+		dv[r] = 2 * a.Cfg.WMSE * (v[r] - (t.Reward + a.Cfg.Gamma*t.NextValue))
+	}
+	a.critic.BackwardBatch(x, dv, n, a.tmp)
 
 	// ----- actor: clipped surrogate + entropy bonus --------------------------
-	h, cache, probs := a.forwardActor(t.State)
-	newLogP := 0.0
-	for k, p := range probs {
-		newLogP += nn.LogProb(p, t.Acts[k])
+	h, gradMul := a.forwardActor(x, n), a.perRow
+	for r, i := range picks {
+		t := &a.buf[i]
+		newLogP := 0.0
+		for k := range a.heads {
+			newLogP += nn.LogProb(a.headProbs(k, r), t.Acts[k])
+		}
+		ratio := math.Exp(min(max(newLogP-t.OldLogP, -20), 20))
+		// d(-min(r·A, clip(r)·A))/dlogπ = -A·r when the unclipped branch is
+		// active, 0 when the clip saturates against improvement.
+		adv := (t.Advantage(a.Cfg.Gamma) - mean) / std
+		gradMul[r] = 0
+		if (adv >= 0 && ratio < 1+a.Cfg.ClipEps) || (adv < 0 && ratio > 1-a.Cfg.ClipEps) {
+			gradMul[r] = -adv * ratio
+		}
 	}
-	ratio := math.Exp(clampF(newLogP-t.OldLogP, -20, 20))
-
-	// d(-min(r·A, clip(r)·A))/dlogπ = -A·r when the unclipped branch is
-	// active, 0 when the clip saturates against improvement.
-	gradScale := 0.0
-	if adv >= 0 && ratio < 1+a.Cfg.ClipEps {
-		gradScale = -adv * ratio
-	} else if adv < 0 && ratio > 1-a.Cfg.ClipEps {
-		gradScale = -adv * ratio
-	}
-	if cap(a.dhBuf) < len(h) {
-		a.dhBuf = make([]float64, len(h))
-	}
-	dh := a.dhBuf[:len(h)]
-	for i := range dh {
-		dh[i] = 0
-	}
+	dh, headDx := a.dh[:len(h)], a.headDx[:len(h)]
+	clear(dh)
 	for k, head := range a.heads {
-		// The per-head scratch is shared across heads: heads are processed
-		// strictly sequentially and each iteration fully overwrites it.
-		a.dlogBuf = nn.LogProbGradInto(a.dlogBuf, probs[k], t.Acts[k])
-		a.entBuf = nn.EntropyGradInto(a.entBuf, probs[k])
-		dlogits, ent := a.dlogBuf, a.entBuf
-		for i := range dlogits {
-			dlogits[i] = gradScale*dlogits[i] - a.Cfg.WEntropy*ent[i]
+		// Each row of the head's probabilities becomes its loss gradient
+		// w.r.t. the logits, in place; ent is one row's entropy gradient.
+		for r, i := range picks {
+			row, ent := a.headProbs(k, r), a.tmp
+			nn.EntropyGrad(ent, row)
+			nn.LogProbGrad(row, row, a.buf[i].Acts[k])
+			for j := range row {
+				row[j] = gradMul[r]*row[j] - a.Cfg.WEntropy*ent[j]
+			}
 		}
-		a.headDx = head.BackwardInto(a.headDx, h, dlogits)
-		for i := range dh {
-			dh[i] += a.headDx[i]
+		head.BackwardBatch(headDx, h, a.probs[k][:n*head.Out], n, a.tmp)
+		for i, g := range headDx {
+			dh[i] += g
 		}
 	}
-	for i := range dh {
-		dh[i] *= 1 - h[i]*h[i] // through the trunk-output tanh
+	for i, hi := range h {
+		dh[i] *= 1 - hi*hi // through the trunk-output tanh
 	}
-	a.trunk.BackwardReuse(cache, dh)
-}
-
-func clampF(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
+	a.trunk.BackwardBatch(x, dh, n, a.tmp)
 }

@@ -198,6 +198,38 @@ func TestTrainAllocsNearZero(t *testing.T) {
 	}
 }
 
+// TestWindowStepAllocs pins one HARL window step — every live track acts in
+// one ActBatch, is valued in one ValueBatch and observed, then the agent ticks
+// (training on every other tick) — to the retired per-track loop's
+// allocations: one Decision.Acts per track, which the replay buffer keeps.
+func TestWindowStepAllocs(t *testing.T) {
+	const tracks = 32
+	a := NewAgent(23, []int{101, 3, 3, 3}, DefaultConfig(), xrand.New(12))
+	states := randStates(xrand.New(13), tracks, 23)
+	var x []float64
+	for _, s := range states {
+		x = append(x, s...)
+	}
+	decs, vals := make([]Decision, tracks), make([]float64, tracks)
+	step := func() {
+		a.ActBatch(decs, x)
+		a.ValueBatch(vals, x)
+		for i, d := range decs {
+			a.Observe(Transition{State: states[i], Acts: d.Acts, OldLogP: d.LogProb,
+				Reward: 0.01, Value: d.Value, NextValue: vals[i]})
+		}
+		a.Tick()
+	}
+	step()
+	step() // the second tick trains: scratch is warm
+	if got := testing.AllocsPerRun(10, step); got > tracks {
+		t.Fatalf("warm window step allocates %v times, want at most %d", got, tracks)
+	}
+	if got := testing.AllocsPerRun(10, func() { a.Act(states[0]); a.Value(states[0]) }); got > 1 {
+		t.Fatalf("Act+Value allocate %v times, want at most 1", got)
+	}
+}
+
 func TestTrainOnEmptyBufferIsSafe(t *testing.T) {
 	a := NewAgent(2, []int{2}, DefaultConfig(), xrand.New(8))
 	a.Train() // must not panic

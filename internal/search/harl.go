@@ -70,6 +70,11 @@ type harlState struct {
 	agent        *rl.Agent
 	mab          *bandit.SWUCB
 	bestPerfEver float64
+
+	// Scratch of one window step (stepTracks), one entry or row per live track.
+	x    []float64 // row-major block of the tracks' states, then of the successors'
+	decs []rl.Decision
+	vals []float64 // critic values of the successors
 }
 
 // NewHARL builds the engine.
@@ -111,10 +116,12 @@ func (h *HARL) state(t *Task) *harlState {
 type track struct {
 	sched     *schedule.Schedule
 	feats     []float64 // cached Features() of sched
+	prev      []float64 // feats before the step in flight (stepTracks)
 	score     float64   // cost-model score of the current schedule
 	bestScore float64
 	bestStep  int
 	steps     int
+	reward    float64 // of the step in flight
 	advSum    float64 // advantage accumulated in the current window
 	advN      int
 	alive     bool
@@ -167,13 +174,14 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 		if !h.Cfg.AdaptiveStopping {
 			windowSteps = h.Cfg.FixedLength
 		}
-		for w := 0; w < windowSteps; w++ {
-			for _, tr := range tracks {
-				if !tr.alive {
-					continue
-				}
-				h.stepTrack(t, st, tr, record)
+		live := tracks[:0:0]
+		for _, tr := range tracks {
+			if tr.alive {
+				live = append(live, tr)
 			}
+		}
+		for w := 0; w < windowSteps; w++ {
+			h.stepTracks(t, st, live, record)
 			step++
 			if st.agent.Tick() {
 				t.Meas.AddSearchCost(hardware.RLTrainSec)
@@ -185,12 +193,6 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 		// Sort live tracks by windowed advantage (Eq. 6) and eliminate the
 		// lowest ρ fraction, clamped so at least MinTracks survive. The
 		// survivors get at least one more window before the episode ends.
-		live := tracks[:0:0]
-		for _, tr := range tracks {
-			if tr.alive {
-				live = append(live, tr)
-			}
-		}
 		sort.Slice(live, func(i, j int) bool { return live[i].meanAdv() > live[j].meanAdv() })
 		drop := int(float64(alive) * h.Cfg.Rho)
 		if alive-drop < h.Cfg.MinTracks {
@@ -258,47 +260,50 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 	return n
 }
 
-// stepTrack advances one track by one joint action: actor selects the
-// modification set M, the environment applies it, the cost model provides the
-// ratio reward, the critic's TD error becomes the advantage recorded for both
-// PPO training and adaptive stopping (Algorithm 1, lines 7-13).
-func (h *HARL) stepTrack(t *Task, st *harlState, tr *track, record func(*schedule.Schedule, float64)) {
-	stateVec := tr.feats
-	dec := st.agent.Act(stateVec)
-	next := tr.sched.Apply(schedule.Action{
-		Tiling:    dec.Acts[0],
-		ComputeAt: dec.Acts[1],
-		Parallel:  dec.Acts[2],
-		Unroll:    dec.Acts[3],
-	})
-	nextFeats := next.Features()
-	nextScore := t.Score(next)
-	reward := 0.0
-	if tr.score > 0 {
-		reward = (nextScore - tr.score) / tr.score
+// stepTracks advances every live track by one joint action: the actor selects
+// a modification set M per track, the environment applies it, the cost model
+// provides the ratio reward, and the critic's TD error becomes the advantage
+// recorded for PPO training and adaptive stopping (Algorithm 1, lines 7-13).
+// Policy and critic are each queried once for all tracks — their weights only
+// change in Tick, after the step — and every ordered effect (RNG draws, pool
+// records, search cost, replay buffer) happens in track order.
+func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, record func(*schedule.Schedule, float64)) {
+	n, dim := len(live), t.FeatureDim()
+	if len(st.decs) < n {
+		st.x, st.decs, st.vals = make([]float64, n*dim), make([]rl.Decision, n), make([]float64, n)
 	}
-	nextVal := st.agent.Value(nextFeats)
-	st.agent.Observe(rl.Transition{
-		State:     stateVec,
-		Acts:      dec.Acts,
-		OldLogP:   dec.LogProb,
-		Reward:    reward,
-		Value:     dec.Value,
-		NextValue: nextVal,
-	})
-	adv := reward + h.Cfg.RL.Gamma*nextVal - dec.Value
-	tr.advSum += adv
-	tr.advN++
-	tr.sched = next
-	tr.feats = nextFeats
-	tr.score = nextScore
-	tr.steps++
-	if nextScore > tr.bestScore {
-		tr.bestScore = nextScore
-		tr.bestStep = tr.steps
+	x, decs, vals := st.x[:n*dim], st.decs[:n], st.vals[:n]
+	for i, tr := range live {
+		copy(x[i*dim:], tr.feats)
 	}
-	record(next, nextScore)
-	t.Meas.AddSearchCost(hardware.RLStepSec)
+	st.agent.ActBatch(decs, x)
+	for i, tr := range live {
+		acts := decs[i].Acts
+		next := tr.sched.Apply(schedule.Action{Tiling: acts[0], ComputeAt: acts[1], Parallel: acts[2], Unroll: acts[3]})
+		nextScore := t.Score(next)
+		tr.reward = 0
+		if tr.score > 0 {
+			tr.reward = (nextScore - tr.score) / tr.score
+		}
+		tr.sched, tr.score = next, nextScore
+		tr.prev, tr.feats = tr.feats, next.Features()
+		copy(x[i*dim:], tr.feats)
+		tr.steps++
+		if nextScore > tr.bestScore {
+			tr.bestScore = nextScore
+			tr.bestStep = tr.steps
+		}
+		record(next, nextScore)
+		t.Meas.AddSearchCost(hardware.RLStepSec)
+	}
+	st.agent.ValueBatch(vals, x)
+	for i, tr := range live {
+		dec := &decs[i]
+		st.agent.Observe(rl.Transition{State: tr.prev, Acts: dec.Acts, OldLogP: dec.LogProb,
+			Reward: tr.reward, Value: dec.Value, NextValue: vals[i]})
+		tr.advSum += tr.reward + h.Cfg.RL.Gamma*vals[i] - dec.Value
+		tr.advN++
+	}
 }
 
 func (tr *track) meanAdv() float64 {
