@@ -9,27 +9,32 @@
 #                    for anything touching the concurrent tuning engine)
 #   make bench     — one pass over every experiment benchmark
 #   make bench-hot — the search hot-path microbenchmarks (features, batch
-#                    scoring, refit, batch prediction, PPO step and update),
-#                    repeated BENCH_COUNT times with allocation stats into
-#                    bench-hot.txt
+#                    scoring, refit, single-row and batch prediction, PPO step
+#                    and update), repeated BENCH_COUNT times with allocation
+#                    stats into bench-hot.txt
 #   make benchcmp  — bench-hot, then benchstat against the committed
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
 #   make cover     — coverage profile across ./... and the total percentage
+#   make fuzz      — 20 s of FuzzUnmarshalCheckpoint (the cost-model
+#                    checkpoint decoder); crashers land in
+#                    internal/costmodel/testdata/fuzz/
 #   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
-#                    item 3 ("one of everything") drives down; CI prints it
+#                    item 3 ("one of everything") drives down; fails above the
+#                    count the round started from
 #   make check     — everything: vet, lint, build, tests, race
 
 GO ?= go
 
 # The search hot path: schedule featurization, batch candidate scoring, cost
-# model refit and batch prediction, and the PPO policy step and update that
-# are ~80% of a HARL session. CI's perf-smoke job runs exactly this set on the
-# base and head commits and fails on significant regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain)$$
+# model refit, single-row prediction (97% of HARL's predict calls) and batch
+# prediction, and the PPO policy step and update that are ~80% of a HARL
+# session. CI's perf-smoke job runs exactly this set on the base and head
+# commits and fails on significant regressions.
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain)$$
 BENCH_COUNT ?= 10
 
-.PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover loc check
+.PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check
 
 all: vet build test
 
@@ -77,7 +82,14 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
+# Minimization is capped so the 20 s go to new inputs, not to shrinking the
+# first interesting one (the default spends up to a minute on each).
+fuzz:
+	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=20s -fuzzminimizetime=1s
+
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l
+	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
+	echo $$n; \
+	if [ $$n -gt 18368 ]; then echo "make loc: $$n lines, above the 18368 the round started from" >&2; exit 1; fi
 
 check: vet lint build test race

@@ -287,21 +287,33 @@ func BenchmarkCostModelRefit(b *testing.B) {
 	}
 }
 
-// BenchmarkCostModelPredict measures one prediction.
+// BenchmarkCostModelPredict measures one single-row prediction — HARL's
+// per-track Task.Score, 97% of its predict calls — rotating over held-out
+// rows: every caller scores a schedule it has not scored before, and
+// re-predicting one vector would time a branch predictor that has memorized
+// that vector's path through every tree.
 func BenchmarkCostModelPredict(b *testing.B) {
 	rng := xrand.New(1)
 	m := costmodel.New(costmodel.DefaultParams())
-	x := make([]float64, 24)
-	for i := 0; i < 256; i++ {
+	row := func() []float64 {
+		x := make([]float64, 24)
 		for j := range x {
 			x[j] = rng.Float64()
 		}
+		return x
+	}
+	for i := 0; i < 256; i++ {
+		x := row()
 		m.Add(x, x[0]+2*x[1])
 	}
 	m.Refit()
+	held := make([][]float64, 256)
+	for i := range held {
+		held[i] = row()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Predict(x)
+		_ = m.Predict(held[i%len(held)])
 	}
 }
 

@@ -283,22 +283,15 @@ type Options struct {
 	// representatives are measured; the rest train the cost model from their
 	// representative's result and charge a trial without touching hardware.
 	// The measured fraction shrinks as the model's predicted-vs-measured
-	// error tightens, floored at MinBatch. Result.Trials keeps its budget
+	// error tightens, floored at 8 per round. Result.Trials keeps its budget
 	// meaning; Result.Measured / Result.MeasureSaved report the split.
 	AdaptiveSampling AdaptiveSampling
 }
 
-// AdaptiveSampling configures Options.AdaptiveSampling. Zero fields take
-// defaults (MinBatch 8, ErrWindow 32).
+// AdaptiveSampling configures Options.AdaptiveSampling.
 type AdaptiveSampling struct {
 	// Enabled turns adaptive measurement sampling on.
 	Enabled bool
-	// MinBatch is the exploration floor: a round never measures fewer than
-	// this many representatives.
-	MinBatch int
-	// ErrWindow is how many recent predicted-vs-measured errors set the
-	// shrink factor; until it fills, every candidate is measured.
-	ErrWindow int
 }
 
 func (o Options) withDefaults() Options {
@@ -442,13 +435,7 @@ func (o Options) hooks() (core.TuneHooks, func() error, error) {
 		h.Journal = jr
 		closeFn = jr.Close
 	}
-	if o.AdaptiveSampling.Enabled {
-		h.Sampling = search.SamplerConfig{
-			Enabled:   true,
-			MinBatch:  o.AdaptiveSampling.MinBatch,
-			ErrWindow: o.AdaptiveSampling.ErrWindow,
-		}
-	}
+	h.Sampling = o.AdaptiveSampling.Enabled
 	if o.FleetPool != nil {
 		h.Evaluators = o.FleetPool.pool
 	} else if len(o.Fleet) > 0 {
@@ -513,22 +500,14 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return OpenRegistryOptions(dir, RegistryOptions{})
 }
 
-// RegistryOptions select a registry's storage layout and tuning knobs. The
-// zero value auto-detects the layout (an existing sharded registry opens
-// sharded, anything else single-file) with default batching and caching.
+// RegistryOptions select a registry's storage layout. The zero value
+// auto-detects it (an existing sharded registry opens sharded, anything else
+// single-file).
 type RegistryOptions struct {
 	// Layout is "", "auto", "single" or "sharded". Opening an existing
 	// single-file registry with "sharded" migrates it in place (the v1
 	// journal is kept beside the shards as journal.v1.jsonl).
 	Layout string
-	// ShardCache bounds how many shard indexes stay resident in memory
-	// (sharded layout; 0 selects the default).
-	ShardCache int
-	// BatchSize and BatchWait shape the publish batcher: a flush happens at
-	// BatchSize pending records or BatchWait after the first, whichever is
-	// first (0 selects the defaults).
-	BatchSize int
-	BatchWait time.Duration
 }
 
 // ParseRegistryLayout maps a layout flag value to the internal layout,
@@ -545,18 +524,13 @@ func ParseRegistryLayout(s string) (registry.Layout, error) {
 	return registry.LayoutAuto, fmt.Errorf("harl: unknown registry layout %q (valid: auto, single, sharded)", s)
 }
 
-// OpenRegistryOptions is OpenRegistry with explicit layout and knobs.
+// OpenRegistryOptions is OpenRegistry with an explicit layout.
 func OpenRegistryOptions(dir string, o RegistryOptions) (*Registry, error) {
 	layout, err := ParseRegistryLayout(o.Layout)
 	if err != nil {
 		return nil, err
 	}
-	r, err := registry.OpenOptions(dir, registry.Options{
-		Layout:     layout,
-		ShardCache: o.ShardCache,
-		BatchSize:  o.BatchSize,
-		BatchWait:  o.BatchWait,
-	})
+	r, err := registry.OpenOptions(dir, registry.Options{Layout: layout})
 	if err != nil {
 		return nil, err
 	}
@@ -643,47 +617,15 @@ func (r *Registry) Records() []Record {
 	return out
 }
 
-// RegistryStats is a snapshot of the registry's storage counters.
-type RegistryStats struct {
-	// Layout is the storage layout in effect ("single" or "sharded").
-	Layout string
-	// Keys and Records count live best keys and journal records.
-	Keys    int
-	Records int
-	// Appends counts journal append operations; LockAcquisitions counts
-	// cross-process file locks taken (batching makes this smaller than the
-	// number of publishes); BatchesFlushed and BatchedRecords describe the
-	// publish batcher; Compactions counts shard journal rewrites.
-	Appends          int64
-	AppendedRecords  int64
-	LockAcquisitions int64
-	BatchesFlushed   int64
-	BatchedRecords   int64
-	Compactions      int64
-	// ResidentShards is how many shard indexes are cached in memory
-	// (sharded layout only).
-	ResidentShards int
-}
+// RegistryStats is a snapshot of the registry's storage counters — the
+// numbers behind the harl_registry_* storage series at harl-serve's /metrics.
+type RegistryStats = registry.Stats
 
 // Layout reports the registry's storage layout ("single" or "sharded").
 func (r *Registry) Layout() string { return string(r.reg.Layout()) }
 
 // Stats returns a snapshot of the registry's storage counters.
-func (r *Registry) Stats() RegistryStats {
-	s := r.reg.Stats()
-	return RegistryStats{
-		Layout:           string(s.Layout),
-		Keys:             s.Keys,
-		Records:          s.Records,
-		Appends:          s.Appends,
-		AppendedRecords:  s.AppendedRecords,
-		LockAcquisitions: s.LockAcquisitions,
-		BatchesFlushed:   s.BatchesFlushed,
-		BatchedRecords:   s.BatchedRecords,
-		Compactions:      s.Compactions,
-		ResidentShards:   s.ResidentShards,
-	}
-}
+func (r *Registry) Stats() RegistryStats { return r.reg.Stats() }
 
 // Close releases the registry: pending batched publishes flush durably
 // first. Publishes hold their file lock only for the duration of each
@@ -742,38 +684,10 @@ func (f *Fleet) Close() { f.pool.Close() }
 
 // FleetStats is a snapshot of a fleet's dispatch counters — the numbers
 // behind the harl_fleet_* series at harl-serve's /metrics.
-type FleetStats struct {
-	// Workers is the registered worker count; Healthy how many are in
-	// rotation right now.
-	Workers int
-	Healthy int
-	// BatchesDispatched counts measure batches completed remotely, and
-	// TrialsDispatched the individual trials inside them.
-	BatchesDispatched int64
-	TrialsDispatched  int64
-	// Retries counts batch re-dispatch attempts, Ejections workers dropped
-	// from rotation, Readmissions ejected workers probed back in, and
-	// Fallbacks batches recovered by in-process measurement.
-	Retries      int64
-	Ejections    int64
-	Readmissions int64
-	Fallbacks    int64
-}
+type FleetStats = fleet.Stats
 
 // Stats snapshots the fleet's counters.
-func (f *Fleet) Stats() FleetStats {
-	s := f.pool.Stats()
-	return FleetStats{
-		Workers:           s.Workers,
-		Healthy:           s.Healthy,
-		BatchesDispatched: s.BatchesDispatched,
-		TrialsDispatched:  s.TrialsDispatched,
-		Retries:           s.Retries,
-		Ejections:         s.Ejections,
-		Readmissions:      s.Readmissions,
-		Fallbacks:         s.Fallbacks,
-	}
-}
+func (f *Fleet) Stats() FleetStats { return f.pool.Stats() }
 
 // publishTasks publishes every tuned task's best into the registry. Warm- or
 // cache-seeded bests re-publish as no-ops (the registry keeps incumbents on

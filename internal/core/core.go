@@ -183,10 +183,10 @@ type TuneHooks struct {
 	// registry.SelectDonor), so transfer preserves the worker-invariance
 	// contract.
 	Transfer TransferProvider
-	// Sampling, when enabled, attaches an adaptive measurement sampler to
-	// every task: engine rounds cluster their candidates in feature space and
-	// measure only cluster representatives (see search.SamplerConfig).
-	Sampling search.SamplerConfig
+	// Sampling, when set, attaches an adaptive measurement sampler to every
+	// task: engine rounds cluster their candidates in feature space and
+	// measure only cluster representatives (see search.AdaptiveSampler).
+	Sampling bool
 }
 
 // TransferSeed is what a transfer donor contributes to a cold task: a model
@@ -224,8 +224,8 @@ func seedCostModel(t *search.Task, hooks TuneHooks) {
 	if hooks.Evaluators != nil {
 		t.Remote = hooks.Evaluators.EvaluatorFor(t)
 	}
-	if hooks.Sampling.Enabled {
-		t.Sampler = search.NewAdaptiveSampler(hooks.Sampling)
+	if hooks.Sampling {
+		t.Sampler = &search.AdaptiveSampler{}
 	}
 	if hooks.Model != nil {
 		if d := hooks.Model.Dim(); d == 0 || d == t.FeatureDim() {

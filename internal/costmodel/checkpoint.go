@@ -92,6 +92,9 @@ func UnmarshalCheckpoint(data []byte) (*Model, error) {
 	if len(ck.Lin) != len(ck.LinMu) {
 		return nil, fmt.Errorf("costmodel: checkpoint has %d ridge weights but %d feature means", len(ck.Lin), len(ck.LinMu))
 	}
+	if d := ck.Params.MaxDepth; d < 0 || d > maxPerfDepth {
+		return nil, fmt.Errorf("costmodel: checkpoint max depth %d outside [0, %d]", d, maxPerfDepth)
+	}
 	// Establish the feature dimension and require every dimensioned part to
 	// agree: ragged training rows would panic the fitters on the next Refit,
 	// and out-of-range tree/ridge feature indices would panic Predict — a
@@ -115,25 +118,45 @@ func UnmarshalCheckpoint(data []byte) (*Model, error) {
 		xs:    ck.XS,
 		ys:    ck.YS,
 	}
+	// The kernel's padding slots read x[0], so trees need a dimension even
+	// when none of them splits.
+	if len(ck.Trees) > 0 && dim == 0 {
+		return nil, fmt.Errorf("costmodel: checkpoint has trees but no feature dimension")
+	}
 	for _, ct := range ck.Trees {
+		if len(ct.Nodes) == 0 {
+			return nil, fmt.Errorf("costmodel: checkpoint contains an empty tree")
+		}
 		t := &tree{nodes: make([]node, len(ct.Nodes))}
-		for i, n := range ct.Nodes {
-			if !n.End {
-				// grow() always appends children after their parent, so
-				// child indices must be strictly increasing — which also
-				// guarantees traversal terminates on any artifact that
-				// passes the check.
-				if n.Left <= i || n.Left >= len(ct.Nodes) || n.Right <= i || n.Right >= len(ct.Nodes) {
+		depth := make([]int, len(ct.Nodes))    // of the subtree under each node
+		claimed := make([]bool, len(ct.Nodes)) // by a parent
+		// grow() always appends children after their parent, so child
+		// indices must be strictly increasing — which lets one reverse pass
+		// settle every subtree's depth before its parent needs it.
+		for i := len(ct.Nodes) - 1; i >= 0; i-- {
+			n := ct.Nodes[i]
+			t.nodes[i] = node{feat: n.Feat, thr: n.Thr, left: n.Left, right: n.Right, leaf: n.Leaf, isLeaf: n.End}
+			if n.End {
+				continue
+			}
+			if n.Feat < 0 || n.Feat >= dim {
+				return nil, fmt.Errorf("costmodel: checkpoint tree node %d splits on feature %d of %d", i, n.Feat, dim)
+			}
+			for _, c := range [2]int{n.Left, n.Right} {
+				if c <= i || c >= len(ct.Nodes) {
 					return nil, fmt.Errorf("costmodel: checkpoint tree node %d has invalid children", i)
 				}
-				if n.Feat < 0 || n.Feat >= dim {
-					return nil, fmt.Errorf("costmodel: checkpoint tree node %d splits on feature %d of %d", i, n.Feat, dim)
+				// A node reachable along two paths makes the walk from the
+				// root exponential in the node count.
+				if claimed[c] {
+					return nil, fmt.Errorf("costmodel: checkpoint tree node %d shares child %d with another parent", i, c)
 				}
+				claimed[c] = true
 			}
-			t.nodes[i] = node{feat: n.Feat, thr: n.Thr, left: n.Left, right: n.Right, leaf: n.Leaf, isLeaf: n.End}
+			depth[i] = 1 + max(depth[n.Left], depth[n.Right])
 		}
-		if len(t.nodes) == 0 {
-			return nil, fmt.Errorf("costmodel: checkpoint contains an empty tree")
+		if depth[0] > ck.Params.MaxDepth {
+			return nil, fmt.Errorf("costmodel: checkpoint tree of depth %d exceeds max depth %d", depth[0], ck.Params.MaxDepth)
 		}
 		m.trees = append(m.trees, t)
 	}

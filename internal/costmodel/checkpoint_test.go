@@ -2,8 +2,10 @@ package costmodel
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"harl/internal/xrand"
 )
@@ -147,8 +149,8 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	if _, err := UnmarshalCheckpoint([]byte(badFeat)); err == nil {
 		t.Fatal("out-of-range split feature must error")
 	}
-	// Splitting trees without any dimensioned part to bound their feature
-	// indices (a leaf-only tree would be harmless and loads fine).
+	// Trees without any dimensioned part to bound their feature indices —
+	// even a leaf-only one, whose padded walk would still read x[0].
 	noDim := `{"v":1,"trees":[{"nodes":[` +
 		`{"f":0,"t":0.5,"l":1,"r":2,"leaf":0,"end":false},` +
 		`{"f":0,"t":0,"l":0,"r":0,"leaf":1,"end":true},` +
@@ -156,12 +158,79 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	if _, err := UnmarshalCheckpoint([]byte(noDim)); err == nil {
 		t.Fatal("splitting trees without a feature dimension must error")
 	}
+	if _, err := UnmarshalCheckpoint([]byte(`{"v":1,"trees":[{"nodes":[{"leaf":1,"end":true}]}]}`)); err == nil {
+		t.Fatal("a leaf-only tree without a feature dimension must error")
+	}
+	// The padded kernel costs 2^(depth+1) slots a tree: the depth limit and
+	// every tree's fit under it are checked before anything is laid out.
+	if _, err := UnmarshalCheckpoint(chainCheckpoint(8, 8, false)); err != nil {
+		t.Fatalf("a depth-8 tree under max depth 8 must load: %v", err)
+	}
+	if _, err := UnmarshalCheckpoint(chainCheckpoint(9, 8, false)); err == nil {
+		t.Fatal("a depth-9 tree must error")
+	}
+	if _, err := UnmarshalCheckpoint(chainCheckpoint(7, 6, false)); err == nil {
+		t.Fatal("a tree deeper than the artifact's own max depth must error")
+	}
+	if _, err := UnmarshalCheckpoint(chainCheckpoint(3, 12, false)); err == nil {
+		t.Fatal("max depth 12 must error")
+	}
+	if _, err := UnmarshalCheckpoint(chainCheckpoint(3, -1, false)); err == nil {
+		t.Fatal("negative max depth must error")
+	}
 	// Ragged training rows would panic the fitters at the next Refit.
 	if _, err := UnmarshalCheckpoint([]byte(`{"v":1,"xs":[[1,2],[3]],"ys":[1,2]}`)); err == nil {
 		t.Fatal("ragged feature rows must error")
 	}
 	if _, err := UnmarshalCheckpoint([]byte(`{"v":1,"lin":[1,2],"lin_mu":[1]}`)); err == nil {
 		t.Fatal("lin/lin_mu length mismatch must error")
+	}
+}
+
+// chainCheckpoint renders an artifact holding one tree that is a chain of
+// depth splits on feature 0. A proper chain hangs a leaf to the left of every
+// split; a shared one points both children of each split at the next node —
+// indices still strictly increase, but the root reaches the bottom along
+// 2^depth paths.
+func chainCheckpoint(depth, maxDepth int, shared bool) []byte {
+	var ct ckptTree
+	for d := 0; d < depth; d++ {
+		i := len(ct.Nodes)
+		if shared {
+			ct.Nodes = append(ct.Nodes, ckptNode{Left: i + 1, Right: i + 1})
+		} else {
+			ct.Nodes = append(ct.Nodes, ckptNode{Left: i + 1, Right: i + 2}, ckptNode{End: true})
+		}
+	}
+	ct.Nodes = append(ct.Nodes, ckptNode{Leaf: 1, End: true})
+	p := DefaultParams()
+	p.MaxDepth = maxDepth
+	data, err := json.Marshal(checkpoint{V: CheckpointVersion, Params: p,
+		XS: [][]float64{{1}}, YS: []float64{2}, Trees: []ckptTree{ct}})
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// TestCheckpointSharedChildRejectedInLinearTime is the regression for a
+// 2 KB artifact that hung -model-in: every check passed on a 34-level chain
+// whose splits share their child, and laying the tree out then walked all
+// 2^34 root-to-leaf paths. Shape validation is one pass over the nodes.
+func TestCheckpointSharedChildRejectedInLinearTime(t *testing.T) {
+	data := chainCheckpoint(34, 6, true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := UnmarshalCheckpoint(data)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a tree whose nodes share a child must error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("loading a %d-byte checkpoint did not return in 5s", len(data))
 	}
 }
 

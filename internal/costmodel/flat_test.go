@@ -8,8 +8,23 @@ import (
 	"harl/internal/xrand"
 )
 
-// referencePredict recomputes a prediction with the pointer-tree kernel —
-// the pre-flattening implementation — for cross-checking the flat SoA path.
+// predict is the oracle traversal: it walks the node slice the way the tree
+// was grown, leaf test and child indices included. Production evaluates only
+// through perfForest; this is the ground truth that kernel is pinned against.
+func (t *tree) predict(x []float64) float64 {
+	i := 0
+	for !t.nodes[i].isLeaf {
+		if x[t.nodes[i].feat] <= t.nodes[i].thr {
+			i = t.nodes[i].left
+		} else {
+			i = t.nodes[i].right
+		}
+	}
+	return t.nodes[i].leaf
+}
+
+// referencePredict recomputes a prediction with the oracle walk, scaling each
+// leaf at predict time.
 func referencePredict(m *Model, x []float64) float64 {
 	if !m.conforms(x) {
 		return m.clamp(m.base)
@@ -24,10 +39,12 @@ func referencePredict(m *Model, x []float64) float64 {
 	return y
 }
 
-// TestFlatKernelEquivalence pins the bit-identity contract of the flattened
-// prediction kernel: Predict and PredictBatch over the SoA arrays must equal
-// the pointer-tree reference exactly — for freshly refit models, for models
-// reloaded from checkpoints, and for clones.
+// TestFlatKernelEquivalence pins the bit-identity contract of the one
+// evaluation kernel: Predict and PredictBatch over the padded layout (full
+// blocks, the remainder, and the row-at-a-time walk a mismatched row forces)
+// must equal the oracle walk exactly — for freshly refit models, for models
+// reloaded from checkpoints, and for clones — and so must the residuals Refit
+// carried through it.
 func TestFlatKernelEquivalence(t *testing.T) {
 	rng := xrand.New(21)
 	m := New(DefaultParams())
@@ -36,22 +53,35 @@ func TestFlatKernelEquivalence(t *testing.T) {
 		m.Add(xs[i], ys[i])
 	}
 	m.Refit()
-	if len(m.trees) != m.flat.numTrees() {
-		t.Fatalf("flat forest has %d trees, ensemble %d", m.flat.numTrees(), len(m.trees))
+	if len(m.trees) != m.perf.numTrees() {
+		t.Fatalf("kernel has %d trees, ensemble %d", m.perf.numTrees(), len(m.trees))
 	}
-	hx, _ := synth(rng, 300, 8)
+	for i, x := range m.xs {
+		r := m.ys[i] - m.base
+		r -= m.linearTerm(x)
+		for _, tr := range m.trees {
+			r -= m.P.LearningRate * tr.predict(x)
+		}
+		if r != m.resid[i] {
+			t.Fatalf("refit residual %d: kernel %v, reference %v", i, m.resid[i], r)
+		}
+	}
+	hx, _ := synth(rng, 303, 8)
+	mixed := append(append([][]float64(nil), hx[:9]...), make([]float64, 5))
 
 	check := func(name string, mm *Model) {
 		t.Helper()
 		for i, x := range hx {
 			if got, want := mm.Predict(x), referencePredict(mm, x); got != want {
-				t.Fatalf("%s: sample %d: flat %v, reference %v", name, i, got, want)
+				t.Fatalf("%s: sample %d: kernel %v, reference %v", name, i, got, want)
 			}
 		}
-		batch := mm.PredictBatch(hx)
-		for i, x := range hx {
-			if want := referencePredict(mm, x); batch[i] != want {
-				t.Fatalf("%s: batch sample %d: flat %v, reference %v", name, i, batch[i], want)
+		for _, rows := range [][][]float64{hx, mixed} {
+			batch := mm.PredictBatch(rows)
+			for i, x := range rows {
+				if want := referencePredict(mm, x); batch[i] != want {
+					t.Fatalf("%s: batch of %d, sample %d: kernel %v, reference %v", name, len(rows), i, batch[i], want)
+				}
 			}
 		}
 	}

@@ -1,0 +1,65 @@
+package costmodel
+
+import (
+	"bytes"
+	"testing"
+
+	"harl/internal/xrand"
+)
+
+// FuzzUnmarshalCheckpoint drives the one door outside bytes reach the cost
+// model through: whatever the loader accepts must be a model every entry
+// point can be called on — Predict, PredictBatch (block, remainder and
+// mismatched-row paths) and Refit — and one whose save → load → save is
+// byte-stable. `make fuzz` runs it for 20 s.
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	small := New(DefaultParams())
+	xs, ys := synth(xrand.New(31), 24, 3)
+	for i := range xs {
+		small.Add(xs[i], ys[i])
+	}
+	small.Refit()
+	for _, m := range []*Model{small, New(DefaultParams())} {
+		data, err := m.MarshalCheckpoint()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(chainCheckpoint(34, 6, true))
+	f.Add(chainCheckpoint(6, 6, false))
+	f.Add([]byte(`{"v":1,"xs":[[1,2],[3]],"ys":[1,2]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		first, err := m.MarshalCheckpoint()
+		if err != nil {
+			t.Fatalf("accepted model does not marshal: %v", err)
+		}
+		again, err := UnmarshalCheckpoint(first)
+		if err != nil {
+			t.Fatalf("own checkpoint does not load: %v", err)
+		}
+		second, err := again.MarshalCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatal("save → load → re-save is not byte-identical")
+		}
+		x := make([]float64, m.Dim())
+		m.Predict(x)
+		m.PredictBatch([][]float64{x, x, x, x, x})
+		m.PredictBatch([][]float64{x, make([]float64, m.Dim()+1), x})
+		// Refit costs NumTrees × samples × dim (and dim³ for the ridge term),
+		// all the artifact's to choose: bound the work per input, not the
+		// shapes the loader accepts.
+		if m.P.NumTrees <= 64 && m.Len() <= 256 && m.Dim() <= 32 {
+			m.Refit()
+			m.PredictBatch([][]float64{x, x, x, x, x})
+		}
+	})
+}

@@ -12,12 +12,13 @@
 //
 // Because the model sits on the search hot path (every candidate the engines
 // visit is scored, and the ensemble is rebuilt after every measurement
-// batch), prediction runs on a flattened struct-of-arrays mirror of the
-// trees (see flatForest) and Refit reuses its scan buffers and fans its
+// batch), every evaluation — Refit's residual update, Predict, PredictBatch —
+// runs on one kernel, a padded perfect-tree layout of the ensemble (see
+// perfForest), and Refit reuses its scan buffers and fans its
 // per-feature/per-sample scans across an optional Runner. Both are exact:
-// predictions and fitted ensembles are bit-identical to the straightforward
-// pointer-tree implementation, which is retained as the reference kernel and
-// pinned by equivalence tests.
+// predictions and fitted ensembles are bit-identical to a straightforward
+// walk of the node slices, which lives on in the tests as the oracle the
+// kernel is pinned against.
 package costmodel
 
 import (
@@ -28,11 +29,10 @@ import (
 // Params configures the boosted ensemble.
 type Params struct {
 	NumTrees     int     // boosting rounds
-	MaxDepth     int     // tree depth limit
+	MaxDepth     int     // tree depth limit, at most maxPerfDepth
 	LearningRate float64 // shrinkage
 	MinSamples   int     // minimum samples to split a node
 	MaxData      int     // training-set cap (most recent kept)
-	Thresholds   int     // candidate split thresholds per feature
 }
 
 // DefaultParams mirrors the scale of Ansor's XGBoost configuration while
@@ -44,7 +44,6 @@ func DefaultParams() Params {
 		LearningRate: 0.3,
 		MinSamples:   6,
 		MaxData:      4096,
-		Thresholds:   12,
 	}
 }
 
@@ -56,102 +55,27 @@ type node struct {
 	isLeaf      bool
 }
 
+// tree is the grow and checkpoint representation of one regression tree;
+// evaluation goes through perfForest.
 type tree struct{ nodes []node }
 
-// predict is the reference traversal kernel: it walks the pointer-style node
-// slice. The hot paths use flatForest instead; this stays as the ground
-// truth the flat kernel is cross-checked against (TestFlatKernelEquivalence).
-func (t *tree) predict(x []float64) float64 {
-	i := 0
-	for !t.nodes[i].isLeaf {
-		if x[t.nodes[i].feat] <= t.nodes[i].thr {
-			i = t.nodes[i].left
-		} else {
-			i = t.nodes[i].right
-		}
-	}
-	return t.nodes[i].leaf
-}
-
-// flatForest is the struct-of-arrays prediction kernel: every tree's nodes
-// flattened into four parallel arrays, rebuilt whenever the ensemble changes
-// (Refit, checkpoint load, Clone). Traversal touches a third of the memory
-// of the node-struct layout (int32 indices, no isLeaf byte: feat < 0 marks a
-// leaf) and leaves are pre-scaled by the learning rate, so accumulating a
-// sample is one add per tree. Both transformations are exact — lr·leaf is
-// the same IEEE product whether computed at flatten or at predict time — so
-// flat predictions are bit-identical to the reference kernel.
-type flatForest struct {
-	roots []int32 // start node of each tree
-	feat  []int32 // split feature, or -1 for a leaf
-	val   []float64
-	left  []int32
-	right []int32
-}
-
-func (f *flatForest) reset() {
-	f.roots = f.roots[:0]
-	f.feat = f.feat[:0]
-	f.val = f.val[:0]
-	f.left = f.left[:0]
-	f.right = f.right[:0]
-}
-
-func (f *flatForest) numTrees() int { return len(f.roots) }
-
-// addTree appends one built tree, pre-scaling its leaves by lr, and returns
-// the tree's index.
-func (f *flatForest) addTree(t *tree, lr float64) int {
-	base := int32(len(f.feat))
-	f.roots = append(f.roots, base)
-	for _, n := range t.nodes {
-		if n.isLeaf {
-			f.feat = append(f.feat, -1)
-			f.val = append(f.val, lr*n.leaf)
-			f.left = append(f.left, 0)
-			f.right = append(f.right, 0)
-			continue
-		}
-		f.feat = append(f.feat, int32(n.feat))
-		f.val = append(f.val, n.thr)
-		f.left = append(f.left, base+int32(n.left))
-		f.right = append(f.right, base+int32(n.right))
-	}
-	return len(f.roots) - 1
-}
-
-// score returns the pre-scaled leaf value (lr·leaf) of tree ti for x.
-func (f *flatForest) score(ti int, x []float64) float64 {
-	i := f.roots[ti]
-	feat, val := f.feat, f.val
-	for {
-		ft := feat[i]
-		if ft < 0 {
-			return val[i]
-		}
-		if x[ft] <= val[i] {
-			i = f.left[i]
-		} else {
-			i = f.right[i]
-		}
-	}
-}
-
-// maxPerfDepth bounds the perfect-tree batch kernel: a padded tree costs
-// 2^(depth+1) slots, so only shallow ensembles (the default MaxDepth is 6)
-// get the dense layout. Deeper trees fall back to the pointer-free walk.
+// maxPerfDepth bounds Params.MaxDepth: a padded tree costs 2^(depth+1) slots,
+// so the limit is what keeps the kernel's memory proportional to the tree
+// count (the default depth is 6). UnmarshalCheckpoint enforces it on
+// artifacts; reset panics on a model constructed beyond it.
 const maxPerfDepth = 8
 
-// perfForest is the batch prediction kernel: every tree padded to a perfect
-// tree of uniform depth, nodes laid out breadth-first with implicit children
-// (node k → 2k+1, 2k+2), leaves pre-scaled by the learning rate. A walk is
-// exactly `depth` iterations with no leaf test and no child-index loads —
-// descending below an original leaf crosses padding nodes whose every
-// descendant holds that leaf's value, so the walk lands on the same result
-// the real tree produces, bit for bit. The uniform, branch-light walk is
-// what lets scoreBlock4 interleave four samples profitably.
+// perfForest is the evaluation kernel: every tree padded to a perfect tree of
+// uniform depth, nodes laid out breadth-first with implicit children (node k
+// → 2k+1, 2k+2), leaves pre-scaled by the learning rate (lr·leaf is the same
+// IEEE product whether taken at build or at predict time). A walk is exactly
+// `depth` iterations with no leaf test and no child-index loads — descending
+// below an original leaf crosses padding nodes whose every descendant holds
+// that leaf's value, so the walk lands on the same result the real tree
+// produces, bit for bit. The uniform walk has no data-dependent exit for a
+// branch predictor to miss on a fresh row, and is what lets scoreBlock4
+// interleave four samples profitably.
 type perfForest struct {
-	ok      bool
 	depth   int
 	istride int // internal slots per tree: 2^depth - 1
 	lstride int // leaf slots per tree: 2^depth
@@ -160,41 +84,26 @@ type perfForest struct {
 	leaf    []float64
 }
 
-// build lays out the ensemble as perfect trees, or marks the kernel unusable
-// (ok=false) when a tree exceeds maxPerfDepth — possible only for non-default
-// params or hand-crafted checkpoints; callers then use flatForest instead.
-func (p *perfForest) build(trees []*tree, maxDepth int, lr float64) {
-	p.ok = false
-	if maxDepth > maxPerfDepth {
-		return
+// reset empties the forest and fixes the depth its trees are padded to.
+func (p *perfForest) reset(depth int) {
+	if depth < 0 || depth > maxPerfDepth {
+		panic("costmodel: Params.MaxDepth outside [0, maxPerfDepth]")
 	}
-	for _, t := range trees {
-		if treeDepth(t, 0, 0) > maxDepth {
-			return
-		}
-	}
-	p.depth = maxDepth
-	p.istride = 1<<maxDepth - 1
-	p.lstride = 1 << maxDepth
-	p.feat = resizeI32(p.feat, len(trees)*p.istride)
-	p.thr = resizeF(p.thr, len(trees)*p.istride)
-	p.leaf = resizeF(p.leaf, len(trees)*p.lstride)
-	for ti, t := range trees {
-		p.fill(t, 0, ti*p.istride, ti*p.lstride, 0, 0, lr)
-	}
-	p.ok = true
+	p.depth, p.istride, p.lstride = depth, 1<<depth-1, 1<<depth
+	p.feat, p.thr, p.leaf = p.feat[:0], p.thr[:0], p.leaf[:0]
 }
 
-func treeDepth(t *tree, ni, d int) int {
-	n := t.nodes[ni]
-	if n.isLeaf {
-		return d
-	}
-	ld := treeDepth(t, n.left, d+1)
-	if rd := treeDepth(t, n.right, d+1); rd > ld {
-		return rd
-	}
-	return ld
+func (p *perfForest) numTrees() int { return len(p.leaf) >> p.depth }
+
+// addTree appends one built tree (no deeper than the forest's depth) and
+// returns its index.
+func (p *perfForest) addTree(t *tree, lr float64) int {
+	ti := p.numTrees()
+	p.feat = grow(p.feat, p.istride)
+	p.thr = grow(p.thr, p.istride)
+	p.leaf = grow(p.leaf, p.lstride)
+	p.fill(t, 0, ti*p.istride, ti*p.lstride, 0, 0, lr)
+	return ti
 }
 
 // fill writes the subtree of node ni at heap slot k (depth d). An original
@@ -263,7 +172,7 @@ func (p *perfForest) scoreBlock4(ti int, x0, x1, x2, x3 []float64) (s0, s1, s2, 
 	return leaf[k0-p.istride], leaf[k1-p.istride], leaf[k2-p.istride], leaf[k3-p.istride]
 }
 
-// score walks one sample — the remainder loop of a batch.
+// score returns the pre-scaled leaf value (lr·leaf) of tree ti for x.
 func (p *perfForest) score(ti int, x []float64) float64 {
 	base := ti * p.istride
 	feat := p.feat[base : base+p.istride]
@@ -292,8 +201,7 @@ type Runner func(n int, fn func(i int))
 type Model struct {
 	P     Params
 	trees []*tree
-	flat  flatForest
-	perf  perfForest
+	perf  perfForest // evaluation layout of trees, kept in step by addTree
 	base  float64
 	lin   []float64 // ridge weights over features (nil until fitted)
 	linMu []float64 // feature means used by the linear term
@@ -436,8 +344,7 @@ func (m *Model) forFeatures(d int, fn func(f int)) {
 // fit (the accumulation order of every floating-point reduction is fixed).
 func (m *Model) Refit() {
 	m.trees = nil
-	m.flat.reset()
-	m.perf.ok = false
+	m.perf.reset(m.P.MaxDepth)
 	m.lin = nil
 	n := len(m.xs)
 	if n == 0 {
@@ -456,7 +363,9 @@ func (m *Model) Refit() {
 		}
 	}
 	m.base = sum / float64(n)
-	if n < m.P.MinSamples {
+	// Featureless samples fit nothing beyond the base (and the kernel's
+	// padding slots read x[0]).
+	if n < m.P.MinSamples || len(m.xs[0]) == 0 {
 		return
 	}
 	m.resid = resizeF(m.resid, n)
@@ -478,12 +387,11 @@ func (m *Model) Refit() {
 		}
 		tr := m.buildTree(resid)
 		m.trees = append(m.trees, tr)
-		ti := m.flat.addTree(tr, m.P.LearningRate)
+		ti := m.perf.addTree(tr, m.P.LearningRate)
 		m.forSamples(n, func(i int) {
-			resid[i] -= m.flat.score(ti, m.xs[i])
+			resid[i] -= m.perf.score(ti, m.xs[i])
 		})
 	}
-	m.perf.build(m.trees, m.P.MaxDepth, m.P.LearningRate)
 }
 
 // numBins is the histogram resolution of the split finder.
@@ -530,10 +438,8 @@ func (m *Model) buildBins() {
 // MaxDepth, one node per sample pair) — so growing never reallocates it.
 func (m *Model) buildTree(resid []float64) *tree {
 	maxNodes := 2*len(m.idx) - 1
-	if m.P.MaxDepth < 20 {
-		if full := 1<<(m.P.MaxDepth+1) - 1; full < maxNodes {
-			maxNodes = full
-		}
+	if full := 1<<(m.P.MaxDepth+1) - 1; full < maxNodes {
+		maxNodes = full
 	}
 	tr := &tree{nodes: make([]node, 0, maxNodes)}
 	m.grow(tr, 0, len(m.idx), resid, 0)
@@ -782,8 +688,8 @@ func (m *Model) Predict(x []float64) float64 {
 		return m.clamp(m.base)
 	}
 	y := m.base + m.linearTerm(x)
-	for t := 0; t < m.flat.numTrees(); t++ {
-		y += m.flat.score(t, x)
+	for t := 0; t < m.perf.numTrees(); t++ {
+		y += m.perf.score(t, x)
 	}
 	if m.Trained() {
 		y = m.clamp(y)
@@ -821,10 +727,11 @@ func (m *Model) PredictBatch(xs [][]float64) []float64 {
 
 // PredictBatchInto is PredictBatch writing into a caller-owned slice (len(xs)
 // long), so steady-state batch scorers allocate nothing per call. It iterates
-// trees-outer/samples-inner over the flat arrays — one hot tree in cache at a
-// time, instead of re-walking the full ensemble per sample as a Predict loop
-// would — with the exact accumulation order of Predict, so results are
-// bit-identical to the element-wise path. Implements BatchInto.
+// trees-outer/samples-inner — one hot tree in cache at a time, instead of
+// re-walking the full ensemble per sample as a Predict loop would, four
+// samples to a block unless a row's dimension is off — with the exact
+// accumulation order of Predict, so results are bit-identical to the
+// element-wise path. Implements BatchInto.
 func (m *Model) PredictBatchInto(xs [][]float64, out []float64) {
 	var bad []bool
 	for i, x := range xs {
@@ -838,30 +745,18 @@ func (m *Model) PredictBatchInto(xs [][]float64, out []float64) {
 		}
 		out[i] = m.base + m.linearTerm(x)
 	}
-	for t := 0; t < m.flat.numTrees(); t++ {
-		if bad == nil && m.perf.ok {
-			i := 0
-			for ; i+4 <= len(xs); i += 4 {
-				s0, s1, s2, s3 := m.perf.scoreBlock4(t, xs[i], xs[i+1], xs[i+2], xs[i+3])
-				out[i] += s0
-				out[i+1] += s1
-				out[i+2] += s2
-				out[i+3] += s3
-			}
-			for ; i < len(xs); i++ {
+	for t := 0; t < m.perf.numTrees(); t++ {
+		i := 0
+		for ; bad == nil && i+4 <= len(xs); i += 4 {
+			s0, s1, s2, s3 := m.perf.scoreBlock4(t, xs[i], xs[i+1], xs[i+2], xs[i+3])
+			out[i] += s0
+			out[i+1] += s1
+			out[i+2] += s2
+			out[i+3] += s3
+		}
+		for ; i < len(xs); i++ {
+			if bad == nil || !bad[i] {
 				out[i] += m.perf.score(t, xs[i])
-			}
-			continue
-		}
-		if bad == nil {
-			for i, x := range xs {
-				out[i] += m.flat.score(t, x)
-			}
-			continue
-		}
-		for i, x := range xs {
-			if !bad[i] {
-				out[i] += m.flat.score(t, x)
 			}
 		}
 	}
@@ -880,15 +775,13 @@ func (m *Model) Throughput(x []float64) float64 {
 	return ToThroughput(m.Predict(x))
 }
 
-// reflatten rebuilds the flat prediction kernels from the pointer trees —
-// the checkpoint-load and Clone paths, where trees appear without going
-// through Refit.
+// reflatten rebuilds the evaluation kernel from m.trees — the checkpoint-load
+// and Clone paths, where trees appear without going through Refit.
 func (m *Model) reflatten() {
-	m.flat.reset()
+	m.perf.reset(m.P.MaxDepth)
 	for _, t := range m.trees {
-		m.flat.addTree(t, m.P.LearningRate)
+		m.perf.addTree(t, m.P.LearningRate)
 	}
-	m.perf.build(m.trees, m.P.MaxDepth, m.P.LearningRate)
 }
 
 // Clone returns a deep copy of the model — fitted ensemble and training set —
@@ -938,11 +831,14 @@ func resizeI(buf []int, n int) []int {
 	return buf[:n]
 }
 
-func resizeI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+// grow extends buf by n slots of unspecified content (addTree overwrites
+// every slot it takes), allocating only once the capacity kept across refits
+// runs out.
+func grow[T any](buf []T, n int) []T {
+	if len(buf)+n > cap(buf) {
+		return append(buf, make([]T, n)...)
 	}
-	return buf[:n]
+	return buf[:len(buf)+n]
 }
 
 func resizeU8(buf []uint8, n int) []uint8 {

@@ -7,57 +7,37 @@ import (
 	"harl/internal/xrand"
 )
 
-// SamplerConfig configures adaptive measurement sampling (Ahn et al.: cluster
-// the candidates a round wants measured and send only cluster representatives
-// to hardware). The zero value disables sampling; an enabled config with zero
-// fields takes the defaults below.
-type SamplerConfig struct {
-	// Enabled turns sampling on.
-	Enabled bool
-	// MinBatch is the exploration floor: a round never measures fewer than
-	// this many representatives (default 8, half a default round), so
-	// model-error feedback keeps flowing even when the model looks accurate.
-	MinBatch int
-	// ErrWindow is how many recent predicted-vs-measured relative errors the
-	// sampler averages to decide how hard to shrink (default 32). Until the
-	// window fills, every fresh candidate is measured.
-	ErrWindow int
-}
-
-func (c SamplerConfig) withDefaults() SamplerConfig {
-	if c.MinBatch <= 0 {
-		c.MinBatch = 8
-	}
-	if c.ErrWindow <= 0 {
-		c.ErrWindow = 32
-	}
-	return c
-}
+const (
+	// minBatch is the exploration floor: a round never measures fewer than
+	// this many representatives (half a default round), so model-error
+	// feedback keeps flowing even when the model looks accurate.
+	minBatch = 8
+	// errWindow is how many recent predicted-vs-measured relative errors the
+	// sampler averages to decide how hard to shrink. Until the window fills,
+	// every fresh candidate is measured.
+	errWindow = 32
+)
 
 // errScale maps the window-mean relative model error to the measured
 // fraction of each batch (fraction = mean/errScale, capped at 1). Individual
 // errors are clamped to 1 before averaging, so with errScale above 1 even a
 // fully distrusted model shrinks a little once the window fills — the
-// MinBatch floor, not the scale, is what guards exploration. Calibrated on
+// minBatch floor, not the scale, is what guards exploration. Calibrated on
 // the committed GEMM workload: the model's window-mean error declines from
 // ~0.9 (barely trained) to ~0.4 (late rounds), which this scale turns into
 // measuring roughly three quarters down to a third of each round.
 const errScale = 1.2
 
-// AdaptiveSampler holds the per-task sampling state: a ring of recent
+// AdaptiveSampler is adaptive measurement sampling (Ahn et al.: cluster the
+// candidates a round wants measured and send only cluster representatives to
+// hardware). It holds the per-task sampling state: a ring of recent
 // predicted-vs-measured relative errors. All decisions are pure functions of
 // (committed errors, batch feature vectors, the task RNG stream), so sampling
 // preserves the byte-identical-journal contract across worker counts.
 type AdaptiveSampler struct {
-	cfg  SamplerConfig
 	errs []float64
 	next int
 	full bool
-}
-
-// NewAdaptiveSampler builds a sampler from cfg (zero fields defaulted).
-func NewAdaptiveSampler(cfg SamplerConfig) *AdaptiveSampler {
-	return &AdaptiveSampler{cfg: cfg.withDefaults()}
 }
 
 // observe records one relative throughput error |1 - predicted/measured|.
@@ -68,20 +48,20 @@ func (a *AdaptiveSampler) observe(relErr float64) {
 	if relErr > 1 {
 		relErr = 1
 	}
-	if len(a.errs) < a.cfg.ErrWindow {
+	if len(a.errs) < errWindow {
 		a.errs = append(a.errs, relErr)
-		a.full = len(a.errs) == a.cfg.ErrWindow
+		a.full = len(a.errs) == errWindow
 		return
 	}
 	a.errs[a.next] = relErr
-	a.next = (a.next + 1) % a.cfg.ErrWindow
+	a.next = (a.next + 1) % errWindow
 }
 
 // target returns how many of n fresh candidates to measure: all of them until
 // the error window fills, then a fraction proportional to the window-mean
-// error, floored at MinBatch.
+// error, floored at minBatch.
 func (a *AdaptiveSampler) target(n int) int {
-	if !a.full || n <= a.cfg.MinBatch {
+	if !a.full || n <= minBatch {
 		return n
 	}
 	sum := 0.0
@@ -93,8 +73,8 @@ func (a *AdaptiveSampler) target(n int) int {
 		frac = 1
 	}
 	k := int(math.Ceil(frac * float64(n)))
-	if k < a.cfg.MinBatch {
-		k = a.cfg.MinBatch
+	if k < minBatch {
+		k = minBatch
 	}
 	if k > n {
 		k = n

@@ -86,7 +86,7 @@ type Task struct {
 	// Sampler, when non-nil, thins measurement batches: fresh candidates are
 	// clustered in feature space and only cluster representatives reach the
 	// measurer; the rest train the cost model from their representative's
-	// result. See SamplerConfig.
+	// result.
 	Sampler *AdaptiveSampler
 
 	// TransferDonor, when non-empty, names the registry key (workload@target)
