@@ -8,10 +8,10 @@
 #   make race      — the full suite under the race detector (the merge gate
 #                    for anything touching the concurrent tuning engine)
 #   make bench     — one pass over every experiment benchmark
-#   make bench-hot — the search hot-path microbenchmarks (features, batch
-#                    scoring, refit, single-row and batch prediction, PPO step
-#                    and update), repeated BENCH_COUNT times with allocation
-#                    stats into bench-hot.txt
+#   make bench-hot — the search hot-path microbenchmarks (features, schedule
+#                    key, batch scoring, refit, single-row and batch
+#                    prediction, PPO step and update), repeated BENCH_COUNT
+#                    times with allocation stats into bench-hot.txt
 #   make benchcmp  — bench-hot, then benchstat against the committed
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
@@ -26,12 +26,13 @@
 
 GO ?= go
 
-# The search hot path: schedule featurization, batch candidate scoring, cost
-# model refit, single-row prediction (97% of HARL's predict calls) and batch
+# The search hot path: schedule featurization and identity hash, batch
+# candidate scoring, cost model refit (synthetic rows and real schedule
+# features), single-row prediction (97% of HARL's predict calls) and batch
 # prediction, and the PPO policy step and update that are ~80% of a HARL
 # session. CI's perf-smoke job runs exactly this set on the base and head
 # commits and fails on significant regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain)$$
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain)$$
 BENCH_COUNT ?= 10
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check

@@ -12,6 +12,7 @@ package harl
 import (
 	"fmt"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -319,20 +320,21 @@ func BenchmarkCostModelPredict(b *testing.B) {
 
 // BenchmarkRefit measures a full GBDT refit across training-set sizes — the
 // cost that offline pretraining pays once up front and every measurement
-// round pays again online.
+// round pays again online. The samples-N rows are 24 uniform features, which
+// fill all 32 bins of every feature; real-512 refits on what a session
+// actually stores — feature rows of random Conv3D schedules (41 features, ~5
+// occupied bins each) with simulated log-throughput targets — and is the one
+// that tracks the workload.
 func BenchmarkRefit(b *testing.B) {
-	for _, n := range []int{128, 512, 2048} {
-		b.Run(fmt.Sprintf("samples-%d", n), func(b *testing.B) {
-			rng := xrand.New(1)
+	refit := func(name string, n int, sample func() ([]float64, float64)) {
+		xs, ys := make([][]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = sample()
+		}
+		b.Run(name, func(b *testing.B) {
 			m := costmodel.New(costmodel.DefaultParams())
-			for i := 0; i < n; i++ {
-				x := make([]float64, 24)
-				y := 0.0
-				for j := range x {
-					x[j] = rng.Float64()
-					y += x[j] * float64(j%5)
-				}
-				m.Add(x, y)
+			for i := range xs {
+				m.Add(xs[i], ys[i])
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -340,7 +342,40 @@ func BenchmarkRefit(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{128, 512, 2048} {
+		rng := xrand.New(1)
+		refit(fmt.Sprintf("samples-%d", n), n, func() ([]float64, float64) {
+			x := make([]float64, 24)
+			y := 0.0
+			for j := range x {
+				x[j] = rng.Float64()
+				y += x[j] * float64(j%5)
+			}
+			return x, y
+		})
+	}
+	rng := xrand.New(1)
+	sks := sketch.Generate(workload.SuiteFor("C3D", 1)[0])
+	sim := hardware.NewSimulator(hardware.CPUXeon6226R())
+	refit("real-512", 512, func() ([]float64, float64) {
+		s := schedule.NewRandom(sks[rng.Intn(len(sks))], 4, rng)
+		return s.Features(), math.Log(1 / sim.Exec(s))
+	})
 }
+
+// BenchmarkScheduleKey measures the schedule identity hash behind every
+// pool/seen/measured map lookup of the engines; it must not allocate.
+func BenchmarkScheduleKey(b *testing.B) {
+	s := schedule.NewRandom(sketch.Generate(workload.SuiteFor("C3D", 1)[0])[0], 4, xrand.New(1))
+	b.ReportAllocs()
+	var k uint64
+	for i := 0; i < b.N; i++ {
+		k ^= s.Key()
+	}
+	benchKeySink = k
+}
+
+var benchKeySink uint64
 
 // BenchmarkPredictBatch measures the batched prediction path (one hot tree
 // at a time over the whole feature matrix) against the sequential

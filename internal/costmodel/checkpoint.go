@@ -95,6 +95,14 @@ func UnmarshalCheckpoint(data []byte) (*Model, error) {
 	if d := ck.Params.MaxDepth; d < 0 || d > maxPerfDepth {
 		return nil, fmt.Errorf("costmodel: checkpoint max depth %d outside [0, %d]", d, maxPerfDepth)
 	}
+	// Refit costs NumTrees × samples: an artifact may not ask for more trees
+	// than the limit, carry more than it asks for, or more rows than its cap.
+	if n := ck.Params.NumTrees; n < 0 || n > maxTrees || len(ck.Trees) > n {
+		return nil, fmt.Errorf("costmodel: checkpoint has %d trees for %d boosting rounds (limit %d)", len(ck.Trees), n, maxTrees)
+	}
+	if c := ck.Params.MaxData; c > 0 && len(ck.XS) > c {
+		return nil, fmt.Errorf("costmodel: checkpoint has %d samples, above its cap of %d", len(ck.XS), c)
+	}
 	// Establish the feature dimension and require every dimensioned part to
 	// agree: ragged training rows would panic the fitters on the next Refit,
 	// and out-of-range tree/ridge feature indices would panic Predict — a

@@ -185,6 +185,51 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	if _, err := UnmarshalCheckpoint([]byte(`{"v":1,"lin":[1,2],"lin_mu":[1]}`)); err == nil {
 		t.Fatal("lin/lin_mu length mismatch must error")
 	}
+	// The first Refit after a load costs NumTrees × rows, all the artifact's
+	// to choose: the tree count is bounded, and the artifact may not carry
+	// more trees or rows than its own parameters allow.
+	if _, err := UnmarshalCheckpoint(sizedCheckpoint(maxTrees, maxTrees, 8, 8)); err != nil {
+		t.Fatalf("an artifact at its own limits must load: %v", err)
+	}
+	if _, err := UnmarshalCheckpoint(sizedCheckpoint(0, 0, 8, 0)); err != nil {
+		t.Fatalf("no trees and no row cap must load: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"a billion boosting rounds":        sizedCheckpoint(1_000_000_000, 0, 8, 4096),
+		"negative boosting rounds":         sizedCheckpoint(-1, 0, 8, 4096),
+		"more trees than boosting rounds":  sizedCheckpoint(2, 3, 8, 4096),
+		"more rows than the training cap":  sizedCheckpoint(30, 0, 8, 7),
+		"trees without any boosting round": sizedCheckpoint(0, 1, 8, 4096),
+	} {
+		start := time.Now()
+		if _, err := UnmarshalCheckpoint(data); err == nil {
+			t.Fatalf("%s must error", name)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("%s: rejected only after %v", name, took)
+		}
+	}
+}
+
+// sizedCheckpoint renders an artifact asking for numTrees boosting rounds and
+// a cap of maxData rows while carrying `trees` leaf-only trees and `rows`
+// one-feature samples.
+func sizedCheckpoint(numTrees, trees, rows, maxData int) []byte {
+	p := DefaultParams()
+	p.NumTrees, p.MaxData = numTrees, maxData
+	ck := checkpoint{V: CheckpointVersion, Params: p}
+	for i := 0; i < rows; i++ {
+		ck.XS = append(ck.XS, []float64{float64(i % 5)})
+		ck.YS = append(ck.YS, float64(i%3))
+	}
+	for i := 0; i < trees; i++ {
+		ck.Trees = append(ck.Trees, ckptTree{Nodes: []ckptNode{{Leaf: 1, End: true}}})
+	}
+	data, err := json.Marshal(ck)
+	if err != nil {
+		panic(err)
+	}
+	return data
 }
 
 // chainCheckpoint renders an artifact holding one tree that is a chain of

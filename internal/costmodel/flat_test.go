@@ -208,9 +208,9 @@ func mallocsDuring(f func()) uint64 {
 
 // TestRefitBufferReuse pins that the steady-state refit loop stops churning
 // the allocator: with a warm model, a second refit over the same data reuses
-// the resid/idx/bins/edges scratch instead of reallocating it. The tree nodes
-// themselves still allocate (they become the ensemble), so the pin is
-// relative: a warm refit must allocate well under half of a cold one.
+// the resid/idx/bins/edges/histogram scratch instead of reallocating it. The
+// tree nodes themselves still allocate (they become the ensemble), so the pin
+// is relative: a warm refit must allocate well under half of a cold one.
 func TestRefitBufferReuse(t *testing.T) {
 	rng := xrand.New(25)
 	m := New(DefaultParams())
@@ -219,8 +219,19 @@ func TestRefitBufferReuse(t *testing.T) {
 		m.Add(xs[i], ys[i])
 	}
 	cold := mallocsDuring(m.Refit)
+	hist := &m.hist[0]
 	warm := mallocsDuring(m.Refit)
 	if warm > cold/2 {
 		t.Fatalf("warm refit allocates %d objects vs %d cold, want < half", warm, cold)
+	}
+	// The split finder's histogram block is sized by the feature dimension
+	// alone: a grown training set refits into the same block.
+	more, my := synth(rng, 700, 24)
+	for i := range more {
+		m.Add(more[i], my[i])
+	}
+	m.Refit()
+	if len(m.hist) != 24 || &m.hist[0] != hist {
+		t.Fatalf("histogram block reallocated across refits of equal dimension (now %d rows)", len(m.hist))
 	}
 }

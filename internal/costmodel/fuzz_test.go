@@ -3,6 +3,7 @@ package costmodel
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"harl/internal/xrand"
 )
@@ -10,8 +11,8 @@ import (
 // FuzzUnmarshalCheckpoint drives the one door outside bytes reach the cost
 // model through: whatever the loader accepts must be a model every entry
 // point can be called on — Predict, PredictBatch (block, remainder and
-// mismatched-row paths) and Refit — and one whose save → load → save is
-// byte-stable. `make fuzz` runs it for 20 s.
+// mismatched-row paths) and Refit, within a wall-clock bound — and one whose
+// save → load → save is byte-stable. `make fuzz` runs it for 20 s.
 func FuzzUnmarshalCheckpoint(f *testing.F) {
 	small := New(DefaultParams())
 	xs, ys := synth(xrand.New(31), 24, 3)
@@ -29,6 +30,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add(chainCheckpoint(34, 6, true))
 	f.Add(chainCheckpoint(6, 6, false))
 	f.Add([]byte(`{"v":1,"xs":[[1,2],[3]],"ys":[1,2]}`))
+	f.Add(sizedCheckpoint(maxTrees, 2, 8, 8))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalCheckpoint(data)
@@ -54,11 +56,16 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 		m.Predict(x)
 		m.PredictBatch([][]float64{x, x, x, x, x})
 		m.PredictBatch([][]float64{x, make([]float64, m.Dim()+1), x})
-		// Refit costs NumTrees × samples × dim (and dim³ for the ridge term),
-		// all the artifact's to choose: bound the work per input, not the
-		// shapes the loader accepts.
-		if m.P.NumTrees <= 64 && m.Len() <= 256 && m.Dim() <= 32 {
+		// Refit costs NumTrees × samples × dim (and dim³ for the ridge term).
+		// The loader bounds the trees; rows and dimension are as large as the
+		// artifact cares to spell out, so bound those here — and then the
+		// first refit of whatever loaded must come back promptly.
+		if m.Len() <= 256 && m.Dim() <= 32 {
+			start := time.Now()
 			m.Refit()
+			if took := time.Since(start); took > 10*time.Second {
+				t.Fatalf("first refit of a loaded model (%d trees × %d rows × %d features) took %v", m.P.NumTrees, m.Len(), m.Dim(), took)
+			}
 			m.PredictBatch([][]float64{x, x, x, x, x})
 		}
 	})

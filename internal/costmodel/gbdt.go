@@ -14,11 +14,13 @@
 // visit is scored, and the ensemble is rebuilt after every measurement
 // batch), every evaluation — Refit's residual update, Predict, PredictBatch —
 // runs on one kernel, a padded perfect-tree layout of the ensemble (see
-// perfForest), and Refit reuses its scan buffers and fans its
-// per-feature/per-sample scans across an optional Runner. Both are exact:
-// predictions and fitted ensembles are bit-identical to a straightforward
-// walk of the node slices, which lives on in the tests as the oracle the
-// kernel is pinned against.
+// perfForest), and Refit reuses its scan buffers, finds each tree node's
+// split in one sample-outer / feature-inner sweep over the node (see
+// scanFeatures for why that way round) and fans its independent scans across
+// an optional Runner. All of it is exact: predictions and fitted ensembles
+// are bit-identical to a straightforward walk of the node slices and a
+// feature-at-a-time histogram scan, which live on in the tests as the oracles
+// the production code is pinned against.
 package costmodel
 
 import (
@@ -62,8 +64,14 @@ type tree struct{ nodes []node }
 // maxPerfDepth bounds Params.MaxDepth: a padded tree costs 2^(depth+1) slots,
 // so the limit is what keeps the kernel's memory proportional to the tree
 // count (the default depth is 6). UnmarshalCheckpoint enforces it on
-// artifacts; reset panics on a model constructed beyond it.
-const maxPerfDepth = 8
+// artifacts; reset panics on a model constructed beyond it. maxTrees bounds
+// Params.NumTrees on artifacts the same way: with the depth limit and the
+// artifact's own row count it caps what the first Refit after a load can cost
+// (the default is 30 trees).
+const (
+	maxPerfDepth = 8
+	maxTrees     = 256
+)
 
 // perfForest is the evaluation kernel: every tree padded to a perfect tree of
 // uniform depth, nodes laid out breadth-first with implicit children (node k
@@ -231,18 +239,23 @@ type Model struct {
 	featVals   []float64 // per-feature sort scratch, dim×n
 	gainBuf    []float64
 	thrBuf     []float64
+	hist       [][numBins]binAcc // bestSplit's histogram block, one row per feature
 
 	// split carries one bestSplit call's inputs and splitScan is the
-	// persistent per-feature scan closure reading them: a closure literal
-	// inside bestSplit would escape (it may be handed to the runner) and so
-	// allocate once per tree node — the dominant refit allocation otherwise.
+	// persistent feature-chunk job reading them: a closure literal inside
+	// bestSplit would escape (it may be handed to the runner) and so allocate
+	// once per tree node — the dominant refit allocation otherwise.
 	split struct {
 		idx                     []int
 		resid                   []float64
 		n, total, totalSq, base float64
 	}
-	splitScan func(f int)
+	splitScan func(c int)
 }
+
+// binAcc accumulates one (feature, bin) cell of a node's histogram: sample
+// count, residual sum and sum of squares.
+type binAcc struct{ n, s, q float64 }
 
 // New creates an empty model.
 func New(p Params) *Model { return &Model{P: p} }
@@ -368,7 +381,7 @@ func (m *Model) Refit() {
 	if n < m.P.MinSamples || len(m.xs[0]) == 0 {
 		return
 	}
-	m.resid = resizeF(m.resid, n)
+	m.resid = resize(m.resid, n)
 	resid := m.resid
 	for i, y := range m.ys {
 		resid[i] = y - m.base
@@ -378,7 +391,7 @@ func (m *Model) Refit() {
 		resid[i] -= m.linearTerm(m.xs[i])
 	})
 	m.buildBins()
-	m.idx = resizeI(m.idx, n)
+	m.idx = resize(m.idx, n)
 	for t := 0; t < m.P.NumTrees; t++ {
 		// Each tree partitions m.idx in place as it grows; reset to identity
 		// so every tree's root scans samples in the same (input) order.
@@ -403,11 +416,8 @@ const numBins = 32
 func (m *Model) buildBins() {
 	n := len(m.xs)
 	d := len(m.xs[0])
-	if cap(m.edges) < d {
-		m.edges = make([][]float64, d)
-	}
-	m.edges = m.edges[:d]
-	m.featVals = resizeF(m.featVals, d*n)
+	m.edges = resize(m.edges, d)
+	m.featVals = resize(m.featVals, d*n)
 	m.forFeatures(d, func(f int) {
 		vals := m.featVals[f*n : (f+1)*n]
 		for i, x := range m.xs {
@@ -423,7 +433,7 @@ func (m *Model) buildBins() {
 		}
 		m.edges[f] = edges
 	})
-	m.bins = resizeU8(m.bins, n*d)
+	m.bins = resize(m.bins, n*d)
 	m.forSamples(n, func(i int) {
 		x := m.xs[i]
 		row := m.bins[i*d : (i+1)*d]
@@ -454,12 +464,19 @@ func (m *Model) buildTree(resid []float64) *tree {
 // so the tree is bit-identical.
 func (m *Model) grow(tr *tree, lo, hi int, resid []float64, depth int) int {
 	idx := m.idx[lo:hi]
+	// One walk serves the leaf value (the node's mean residual) and the
+	// totals every candidate split's right side is derived from.
+	total, totalSq := 0.0, 0.0
+	for _, i := range idx {
+		total += resid[i]
+		totalSq += resid[i] * resid[i]
+	}
 	me := len(tr.nodes)
-	tr.nodes = append(tr.nodes, node{isLeaf: true, leaf: meanAt(resid, idx)})
+	tr.nodes = append(tr.nodes, node{isLeaf: true, leaf: total / float64(len(idx))})
 	if depth >= m.P.MaxDepth || len(idx) < m.P.MinSamples {
 		return me
 	}
-	feat, thr, gain := m.bestSplit(idx, resid)
+	feat, thr, gain := m.bestSplit(idx, resid, total, totalSq)
 	if gain <= 1e-12 {
 		return me
 	}
@@ -492,83 +509,92 @@ func (m *Model) partition(lo, hi, feat int, thr float64) int {
 	return w
 }
 
-// bestSplit finds the split with the largest sum-of-squared-error reduction
-// using the histogram method: accumulate per-bin (count, sum, sum²) for every
-// feature in one pass over the node's samples, then scan the bin boundaries.
-// Features scan independently into per-feature slots, then merge serially in
-// feature order with the same strict-greater comparison the one-pass scan
-// used — the first (feature, bin) pair reaching the maximal gain wins either
-// way, so the chosen split is identical.
-func (m *Model) bestSplit(idx []int, resid []float64) (feat int, thr, gain float64) {
-	d := len(m.edges)
-	total, totalSq := 0.0, 0.0
-	for _, i := range idx {
-		total += resid[i]
-		totalSq += resid[i] * resid[i]
-	}
-	n := float64(len(idx))
-	baseSSE := totalSq - total*total/n
+// featChunk is how many feature columns one runner job of bestSplit sweeps:
+// wide enough that re-reading idx and resid per chunk stays a small share of
+// the sweep, narrow enough that schedule-sized rows (23–41 features) spread
+// over a pool.
+const featChunk = 8
 
-	m.gainBuf = resizeF(m.gainBuf, d)
-	m.thrBuf = resizeF(m.thrBuf, d)
+// bestSplit finds the split of a node (idx, with the residual total and sum
+// of squares grow already took) with the largest sum-of-squared-error
+// reduction using the histogram method: scanFeatures fills every feature's
+// per-bin (count, sum, sum²) and walks each feature's bin boundaries into its
+// own gainBuf/thrBuf slot, and the slots merge serially in feature order under
+// a strict-greater comparison — the first (feature, bin) pair reaching the
+// maximal gain wins however the features were chunked.
+func (m *Model) bestSplit(idx []int, resid []float64, total, totalSq float64) (feat int, thr, gain float64) {
+	d := len(m.edges)
+	n := float64(len(idx))
+	m.gainBuf = resize(m.gainBuf, d)
+	m.thrBuf = resize(m.thrBuf, d)
+	m.hist = resize(m.hist, d)
 	m.split.idx, m.split.resid = idx, resid
-	m.split.n, m.split.total, m.split.totalSq, m.split.base = n, total, totalSq, baseSSE
-	if m.splitScan == nil {
-		m.splitScan = m.scanFeature
-	}
+	m.split.n, m.split.total, m.split.totalSq, m.split.base = n, total, totalSq, totalSq-total*total/n
 	// Only large nodes repay the dispatch; the gate depends solely on the
-	// node size, so the parallel and serial paths pick identical splits.
+	// node size, and a chunk writes only its own features' rows and slots, so
+	// the parallel and serial paths pick identical splits.
 	if m.run != nil && len(idx) >= 2*parallelChunk {
-		m.run(d, m.splitScan)
-	} else {
-		for f := 0; f < d; f++ {
-			m.splitScan(f)
+		if m.splitScan == nil {
+			m.splitScan = func(c int) { m.scanFeatures(c*featChunk, min(len(m.edges), (c+1)*featChunk)) }
 		}
+		m.run((d+featChunk-1)/featChunk, m.splitScan)
+	} else {
+		m.scanFeatures(0, d)
 	}
 	m.split.idx, m.split.resid = nil, nil
-	feat, gain = -1, 0
 	for f := 0; f < d; f++ {
 		if m.gainBuf[f] > gain {
 			feat, thr, gain = f, m.thrBuf[f], m.gainBuf[f]
 		}
 	}
-	if feat < 0 {
-		return 0, 0, 0
-	}
 	return feat, thr, gain
 }
 
-// scanFeature is the per-feature histogram scan of bestSplit (inputs in
-// m.split, result in m.gainBuf[f]/m.thrBuf[f]): per-bin count/sum/sum² over
-// the node's samples, then a boundary scan tracking the feature's first best
-// gain under the same strict-greater comparison the one-pass serial scan
-// used.
-func (m *Model) scanFeature(f int) {
-	m.gainBuf[f], m.thrBuf[f] = 0, 0
-	edges := m.edges[f]
-	if len(edges) == 0 {
-		return
-	}
+// scanFeatures is bestSplit's work over the feature columns [lo, hi) (inputs
+// in m.split): one sample-outer / feature-inner sweep filling their histogram
+// rows, then each feature's boundary scan. The loop nest is this way round
+// because schedule features occupy 4–6 bins each: feature-outer, consecutive
+// samples land on the same few accumulators and every add waits on the
+// previous store, and each step gathers one strided byte; sample-outer reads
+// the bin row contiguously, takes r and r² once, and spreads consecutive adds
+// over hi-lo independent cells. Every (feature, bin) cell still receives
+// exactly the node's samples in idx order and is its own IEEE sum chain, so
+// the histogram — hence every gain and threshold — is bit-identical to the
+// feature-at-a-time scan the tests keep as the oracle.
+func (m *Model) scanFeatures(lo, hi int) {
 	d := len(m.edges)
-	idx, resid := m.split.idx, m.split.resid
-	n, total, totalSq, baseSSE := m.split.n, m.split.total, m.split.totalSq, m.split.base
-	var cnt, sum, sq [numBins]float64
-	for b := 0; b <= len(edges); b++ {
-		cnt[b], sum[b], sq[b] = 0, 0, 0
+	hist := m.hist[lo:hi]
+	for f := range hist {
+		clear(hist[f][:len(m.edges[lo+f])+1])
 	}
-	for _, i := range idx {
-		b := m.bins[i*d+f]
+	resid := m.split.resid
+	for _, i := range m.split.idx {
 		r := resid[i]
-		cnt[b]++
-		sum[b] += r
-		sq[b] += r * r
+		q := r * r
+		for f, b := range m.bins[i*d+lo : i*d+hi] {
+			a := &hist[f][b%numBins] // b < numBins already; the mask spares the bounds check
+			a.n++
+			a.s += r
+			a.q += q
+		}
 	}
+	for f := lo; f < hi; f++ {
+		m.scanFeature(f)
+	}
+}
+
+// scanFeature is the boundary scan over feature f's filled histogram row
+// (result in m.gainBuf[f]/m.thrBuf[f]): it tracks the feature's first best
+// gain under the same strict-greater comparison bestSplit merges with.
+func (m *Model) scanFeature(f int) {
+	edges, hist := m.edges[f], &m.hist[f]
+	n, total, totalSq, baseSSE := m.split.n, m.split.total, m.split.totalSq, m.split.base
 	bestG, bestT := 0.0, 0.0
 	lN, lSum, lSq := 0.0, 0.0, 0.0
 	for b := 0; b < len(edges); b++ {
-		lN += cnt[b]
-		lSum += sum[b]
-		lSq += sq[b]
+		lN += hist[b].n
+		lSum += hist[b].s
+		lSq += hist[b].q
 		if lN == 0 || lN == n {
 			continue
 		}
@@ -579,14 +605,6 @@ func (m *Model) scanFeature(f int) {
 		}
 	}
 	m.gainBuf[f], m.thrBuf[f] = bestG, bestT
-}
-
-func meanAt(resid []float64, idx []int) float64 {
-	s := 0.0
-	for _, i := range idx {
-		s += resid[i]
-	}
-	return s / float64(len(idx))
 }
 
 // fitLinear fits ridge regression of the residuals onto the features via
@@ -816,17 +834,10 @@ func (m *Model) Merge(o *Model) {
 	}
 }
 
-// resizeF returns buf with length n, reusing its capacity when possible.
-func resizeF(buf []float64, n int) []float64 {
+// resize returns buf with length n, reusing its capacity when possible.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func resizeI(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -839,11 +850,4 @@ func grow[T any](buf []T, n int) []T {
 		return append(buf, make([]T, n)...)
 	}
 	return buf[:len(buf)+n]
-}
-
-func resizeU8(buf []uint8, n int) []uint8 {
-	if cap(buf) < n {
-		return make([]uint8, n)
-	}
-	return buf[:n]
 }

@@ -344,21 +344,23 @@ func product(xs []int) int {
 
 // Key returns a stable 64-bit identity of the schedule's full configuration,
 // used for deduplication and for deriving the simulator's deterministic
-// measurement texture.
+// measurement texture: xrand.Hash64 of the graph-name hash, the sketch id,
+// every tile extent and the three annotation indices, mixed word by word —
+// the engines call it inside map lookups and sort comparators, so it must not
+// allocate.
 func (s *Schedule) Key() uint64 {
-	words := []uint64{hashString(s.Sk.Graph.Name), uint64(s.Sk.ID)}
+	h := xrand.HashMix(xrand.HashSeed, hashString(s.Sk.Graph.Name), uint64(s.Sk.ID))
 	for _, row := range s.SpatialTiles {
 		for _, e := range row {
-			words = append(words, uint64(e))
+			h = xrand.HashMix(h, uint64(e))
 		}
 	}
 	for _, row := range s.ReduceTiles {
 		for _, e := range row {
-			words = append(words, uint64(e))
+			h = xrand.HashMix(h, uint64(e))
 		}
 	}
-	words = append(words, uint64(s.ComputeAt), uint64(s.ParallelFuse), uint64(s.UnrollIdx))
-	return xrand.Hash64(words...)
+	return xrand.HashMix(h, uint64(s.ComputeAt), uint64(s.ParallelFuse), uint64(s.UnrollIdx))
 }
 
 func hashString(s string) uint64 {

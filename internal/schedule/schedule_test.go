@@ -287,3 +287,38 @@ func TestStringContainsSketch(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// TestKeyIsHash64OfParameterWords pins the streaming Key against the
+// definition it replaced — xrand.Hash64 over a materialized word slice — on
+// random schedules of every Table-6 operator category (every journal and
+// measurement texture hangs off these values), and pins that it allocates
+// nothing: the engines call it inside map lookups and sort comparators.
+func TestKeyIsHash64OfParameterWords(t *testing.T) {
+	rng := xrand.New(71)
+	var last *Schedule
+	for _, cat := range []string{"GEMM-S", "GEMM-M", "GEMM-L", "C1D", "C2D", "C3D", "T2D"} {
+		sks := sketch.Generate(workload.SuiteFor(cat, 1)[0])
+		for i := 0; i < 1000; i++ {
+			s := NewRandom(sks[rng.Intn(len(sks))], 4, rng)
+			words := []uint64{hashString(s.Sk.Graph.Name), uint64(s.Sk.ID)}
+			for _, row := range s.SpatialTiles {
+				for _, e := range row {
+					words = append(words, uint64(e))
+				}
+			}
+			for _, row := range s.ReduceTiles {
+				for _, e := range row {
+					words = append(words, uint64(e))
+				}
+			}
+			words = append(words, uint64(s.ComputeAt), uint64(s.ParallelFuse), uint64(s.UnrollIdx))
+			if got, want := s.Key(), xrand.Hash64(words...); got != want {
+				t.Fatalf("%s schedule %d: Key %#x, Hash64 of its words %#x", cat, i, got, want)
+			}
+			last = s
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { last.Key() }); n != 0 {
+		t.Fatalf("Key allocates %.1f objects per call, want 0", n)
+	}
+}

@@ -82,11 +82,7 @@ func (a *Ansor) RunRound(t *Task, measureK int) int {
 	}
 
 	// --- evolution: score, select ∝ score, mutate uniformly ------------------
-	type cand struct {
-		sched *schedule.Schedule
-		score float64
-	}
-	pool := make(map[uint64]cand)
+	pool := make(candPool)
 	// scorePool batch-scores the configurations of pop not yet in the pool,
 	// fanning model queries across the task's worker pool (duplicates within
 	// a generation are scored once, as the old per-schedule memoization did).
@@ -102,7 +98,7 @@ func (a *Ansor) RunRound(t *Task, measureK int) int {
 			fresh = append(fresh, s)
 		}
 		for i, sc := range t.ScoreBatch(fresh) {
-			pool[fresh[i].Key()] = cand{fresh[i], sc}
+			pool.record(fresh[i], sc)
 		}
 	}
 
@@ -137,18 +133,7 @@ func (a *Ansor) RunRound(t *Task, measureK int) int {
 	}
 
 	// --- ε-greedy top-K measurement ------------------------------------------
-	var cands []cand
-	for _, c := range pool {
-		if !t.Seen(c.sched) {
-			cands = append(cands, c)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].sched.Key() < cands[j].sched.Key()
-	})
+	cands := t.rankUnseen(pool)
 	// At least one random measurement per round — Ansor's ε-greedy diversity
 	// must survive small per-round budgets or evolution converges prematurely.
 	nRandom := int(math.Ceil(float64(measureK) * a.Cfg.EpsGreedy))

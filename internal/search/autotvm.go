@@ -2,7 +2,6 @@ package search
 
 import (
 	"math"
-	"sort"
 
 	"harl/internal/hardware"
 	"harl/internal/schedule"
@@ -40,25 +39,19 @@ func (a *AutoTVM) Name() string { return "autotvm" }
 
 // RunRound implements Engine.
 func (a *AutoTVM) RunRound(t *Task, measureK int) int {
-	type cand struct {
-		sched *schedule.Schedule
-		score float64
-	}
-	pool := make(map[uint64]cand)
+	pool := make(candPool)
 	decay := math.Pow(a.Cfg.TEnd/a.Cfg.TStart, 1/math.Max(1, float64(a.Cfg.Steps-1)))
 
 	for c := 0; c < a.Cfg.Chains; c++ {
 		sk := t.Sketches[t.RNG.Intn(len(t.Sketches))]
 		cur := t.RandomSchedule(sk)
 		curScore := t.Score(cur)
-		pool[cur.Key()] = cand{cur, curScore}
+		pool.record(cur, curScore)
 		temp := a.Cfg.TStart
 		for s := 0; s < a.Cfg.Steps; s++ {
 			next := cur.Mutate(t.RNG)
 			nextScore := t.Score(next)
-			if _, ok := pool[next.Key()]; !ok {
-				pool[next.Key()] = cand{next, nextScore}
-			}
+			pool.record(next, nextScore)
 			// Metropolis acceptance on relative score.
 			accept := nextScore >= curScore
 			if !accept && curScore > 0 {
@@ -73,18 +66,7 @@ func (a *AutoTVM) RunRound(t *Task, measureK int) int {
 		}
 	}
 
-	var cands []cand
-	for _, c := range pool {
-		if !t.Seen(c.sched) {
-			cands = append(cands, c)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].sched.Key() < cands[j].sched.Key()
-	})
+	cands := t.rankUnseen(pool)
 	var batch []*schedule.Schedule
 	for i := 0; i < len(cands) && len(batch) < measureK; i++ {
 		batch = append(batch, cands[i].sched)

@@ -142,17 +142,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 	sk := t.Sketches[skIdx]
 
 	// --- Phase 1: parameter modification --------------------------------------
-	type cand struct {
-		sched *schedule.Schedule
-		score float64
-	}
-	pool := make(map[uint64]cand)
-	record := func(s *schedule.Schedule, score float64) {
-		k := s.Key()
-		if _, ok := pool[k]; !ok {
-			pool[k] = cand{s, score}
-		}
-	}
+	pool := make(candPool)
 
 	inits := make([]*schedule.Schedule, h.Cfg.Tracks)
 	for i := range inits {
@@ -163,7 +153,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 	for i, s := range inits {
 		sc := initScores[i]
 		tracks[i] = &track{sched: s, feats: s.Features(), score: sc, bestScore: sc, alive: true}
-		record(s, sc)
+		pool.record(s, sc)
 	}
 
 	alive := len(tracks)
@@ -181,7 +171,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 			}
 		}
 		for w := 0; w < windowSteps; w++ {
-			h.stepTracks(t, st, live, record)
+			h.stepTracks(t, st, live, pool)
 			step++
 			if st.agent.Tick() {
 				t.Meas.AddSearchCost(hardware.RLTrainSec)
@@ -214,18 +204,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 	}
 
 	// --- Phase 2: top-K selection and measurement -----------------------------
-	var cands []cand
-	for _, c := range pool {
-		if !t.Seen(c.sched) {
-			cands = append(cands, c)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].sched.Key() < cands[j].sched.Key()
-	})
+	cands := t.rankUnseen(pool)
 	// Measure mostly the top-scored candidates, keeping a small diverse
 	// fraction so the cost model keeps seeing off-policy programs (the
 	// entropy-style exploration of the measurement phase).
@@ -267,7 +246,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 // Policy and critic are each queried once for all tracks — their weights only
 // change in Tick, after the step — and every ordered effect (RNG draws, pool
 // records, search cost, replay buffer) happens in track order.
-func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, record func(*schedule.Schedule, float64)) {
+func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, pool candPool) {
 	n, dim := len(live), t.FeatureDim()
 	if len(st.decs) < n {
 		st.x, st.decs, st.vals = make([]float64, n*dim), make([]rl.Decision, n), make([]float64, n)
@@ -293,7 +272,7 @@ func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, record func(*sc
 			tr.bestScore = nextScore
 			tr.bestStep = tr.steps
 		}
-		record(next, nextScore)
+		pool.record(next, nextScore)
 		t.Meas.AddSearchCost(hardware.RLStepSec)
 	}
 	st.agent.ValueBatch(vals, x)

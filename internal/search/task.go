@@ -17,6 +17,7 @@ package search
 import (
 	"context"
 	"math"
+	"sort"
 	"sync"
 
 	"harl/internal/costmodel"
@@ -164,6 +165,44 @@ func (t *Task) RandomSchedule(sk *sketch.Sketch) *schedule.Schedule {
 
 // Seen reports whether an identical configuration was already measured.
 func (t *Task) Seen(s *schedule.Schedule) bool { return t.measured[s.Key()] }
+
+// candidate is one configuration an engine visited in a round, with its
+// cost-model score and its Key — the key candPool files it under.
+type candidate struct {
+	sched *schedule.Schedule
+	score float64
+	key   uint64
+}
+
+// candPool collects a round's visited configurations by Key; of equal
+// configurations the first recorded stays.
+type candPool map[uint64]candidate
+
+func (p candPool) record(s *schedule.Schedule, score float64) {
+	k := s.Key()
+	if _, ok := p[k]; !ok {
+		p[k] = candidate{s, score, k}
+	}
+}
+
+// rankUnseen returns the pool's not yet measured candidates, best score
+// first. Ties break on the key, so the order is total and does not depend on
+// map iteration order.
+func (t *Task) rankUnseen(pool candPool) []candidate {
+	cands := make([]candidate, 0, len(pool))
+	for k, c := range pool {
+		if !t.measured[k] {
+			cands = append(cands, c)
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
+		}
+		return cands[i].key < cands[j].key
+	})
+	return cands
+}
 
 // MeasureBatch measures the given schedules (skipping already-measured
 // configurations), records them into the cost model training set, refits the

@@ -9,7 +9,10 @@
 // is both fast and statistically strong enough for simulation workloads.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator. It is NOT safe for
 // concurrent use; use Split to derive independent generators for goroutines.
@@ -68,28 +71,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul128(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a0 * b0
-	lo = t & mask
-	c := t >> 32
-	t = a1*b0 + c
-	c = t >> 32
-	m := t & mask
-	t = a0*b1 + m
-	lo |= (t & mask) << 32
-	hi = a1*b1 + c + (t >> 32)
-	return hi, lo
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -157,17 +143,24 @@ func (r *RNG) Choice(weights []float64) int {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// Hash64 deterministically mixes a sequence of 64-bit words into one value.
-// It is used to derive the simulator's reproducible "texture" noise from a
-// schedule's parameter vector without consuming generator state.
-func Hash64(words ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
+// HashSeed is the Hash64 of no words.
+const HashSeed uint64 = 0x9e3779b97f4a7c15
+
+// HashMix folds further words into a running hash; it is Hash64's streaming
+// form, for callers that would otherwise build a word slice only to hash it:
+// Hash64(a, b, c) == HashMix(HashMix(HashSeed, a), b, c).
+func HashMix(h uint64, words ...uint64) uint64 {
 	for _, w := range words {
 		h ^= w
 		h = splitmix64(&h)
 	}
 	return h
 }
+
+// Hash64 deterministically mixes a sequence of 64-bit words into one value.
+// It is used to derive the simulator's reproducible "texture" noise from a
+// schedule's parameter vector without consuming generator state.
+func Hash64(words ...uint64) uint64 { return HashMix(HashSeed, words...) }
 
 // HashUnit maps Hash64 output to a float in [0, 1).
 func HashUnit(words ...uint64) float64 {
