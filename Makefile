@@ -10,7 +10,8 @@
 #   make bench     — one pass over every experiment benchmark
 #   make bench-hot — the search hot-path microbenchmarks (features, schedule
 #                    key, batch scoring, refit, single-row and batch
-#                    prediction, PPO step and update), repeated BENCH_COUNT
+#                    prediction, PPO step and update, and under those nn's
+#                    matrix kernel, AVX and portable), repeated BENCH_COUNT
 #                    times with allocation stats into bench-hot.txt
 #   make benchcmp  — bench-hot, then benchstat against the committed
 #                    bench/baseline.txt (needs benchstat on PATH:
@@ -29,10 +30,11 @@ GO ?= go
 # The search hot path: schedule featurization and identity hash, batch
 # candidate scoring, cost model refit (synthetic rows and real schedule
 # features), single-row prediction (97% of HARL's predict calls) and batch
-# prediction, and the PPO policy step and update that are ~80% of a HARL
-# session. CI's perf-smoke job runs exactly this set on the base and head
-# commits and fails on significant regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain)$$
+# prediction, the PPO policy step and update that are most of a HARL session,
+# and the matrix kernel under them (internal/nn's BenchmarkGemm, both
+# implementations). CI's perf-smoke job runs exactly this set on the base and
+# head commits and fails on significant regressions.
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain|BenchmarkGemm)$$
 BENCH_COUNT ?= 10
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check
@@ -74,7 +76,7 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 bench-hot:
-	$(GO) test -run='^$$' -bench='$(HOT_BENCH)' -count=$(BENCH_COUNT) -benchmem . | tee bench-hot.txt
+	$(GO) test -run='^$$' -bench='$(HOT_BENCH)' -count=$(BENCH_COUNT) -benchmem . ./internal/nn | tee bench-hot.txt
 
 benchcmp: bench-hot
 	benchstat bench/baseline.txt bench-hot.txt

@@ -14,7 +14,6 @@ import (
 	"io"
 	"math"
 	"testing"
-	"time"
 
 	"harl/internal/costmodel"
 	"harl/internal/experiments"
@@ -498,36 +497,5 @@ func BenchmarkSketchGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = sketch.Generate(sg)
-	}
-}
-
-// BenchmarkTuneParallel measures the wall-clock win of the concurrent
-// multi-task scheduler: BERT's ten subgraphs tuned with the HARL engine at
-// 1, 4 and 8 workers. Results are byte-identical across the sub-benchmarks
-// (the determinism contract); only the wall-clock time changes. The reported
-// trials/s metric is the throughput headline tracked by BENCH_*.json.
-func BenchmarkTuneParallel(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			totalTrials := 0
-			var estMs float64
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				res, err := TuneNetwork("bert", 1, CPU(), Options{
-					Scheduler: "harl",
-					Trials:    480,
-					Seed:      42,
-					Workers:   workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalTrials += res.Trials
-				estMs = res.EstimatedSeconds * 1e3
-			}
-			elapsed := time.Since(start).Seconds()
-			b.ReportMetric(float64(totalTrials)/elapsed, "trials/s")
-			b.ReportMetric(estMs, "est-ms")
-		})
 	}
 }

@@ -116,6 +116,9 @@ func UnmarshalCheckpoint(data []byte) (*Model, error) {
 			return nil, fmt.Errorf("costmodel: checkpoint feature row %d has %d values, want %d", i, len(x), dim)
 		}
 	}
+	if dim > maxDim {
+		return nil, fmt.Errorf("costmodel: checkpoint has %d features (limit %d)", dim, maxDim)
+	}
 	m := &Model{
 		P:     ck.Params,
 		base:  ck.Base,

@@ -194,12 +194,19 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	if _, err := UnmarshalCheckpoint(sizedCheckpoint(0, 0, 8, 0)); err != nil {
 		t.Fatalf("no trees and no row cap must load: %v", err)
 	}
+	// The ridge term of that Refit is dim³: the dimension is bounded too,
+	// whether the rows or the ridge weights spell it out.
+	if _, err := UnmarshalCheckpoint(wideCheckpoint(maxDim, true)); err != nil {
+		t.Fatalf("%d features must load: %v", maxDim, err)
+	}
 	for name, data := range map[string][]byte{
-		"a billion boosting rounds":        sizedCheckpoint(1_000_000_000, 0, 8, 4096),
-		"negative boosting rounds":         sizedCheckpoint(-1, 0, 8, 4096),
-		"more trees than boosting rounds":  sizedCheckpoint(2, 3, 8, 4096),
-		"more rows than the training cap":  sizedCheckpoint(30, 0, 8, 7),
-		"trees without any boosting round": sizedCheckpoint(0, 1, 8, 4096),
+		"rows wider than the feature limit":  wideCheckpoint(maxDim+1, true),
+		"ridge wider than the feature limit": wideCheckpoint(maxDim+1, false),
+		"a billion boosting rounds":          sizedCheckpoint(1_000_000_000, 0, 8, 4096),
+		"negative boosting rounds":           sizedCheckpoint(-1, 0, 8, 4096),
+		"more trees than boosting rounds":    sizedCheckpoint(2, 3, 8, 4096),
+		"more rows than the training cap":    sizedCheckpoint(30, 0, 8, 7),
+		"trees without any boosting round":   sizedCheckpoint(0, 1, 8, 4096),
 	} {
 		start := time.Now()
 		if _, err := UnmarshalCheckpoint(data); err == nil {
@@ -209,6 +216,27 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 			t.Fatalf("%s: rejected only after %v", name, took)
 		}
 	}
+}
+
+// wideCheckpoint renders an artifact of the given feature dimension, carried
+// by two training rows or, without them, by the ridge weights alone.
+func wideCheckpoint(dim int, rows bool) []byte {
+	ck := checkpoint{V: CheckpointVersion, Params: DefaultParams()}
+	if rows {
+		ck.XS, ck.YS = [][]float64{make([]float64, dim), make([]float64, dim)}, []float64{1, 2}
+	} else {
+		ck.Lin, ck.LinMu = make([]float64, dim), make([]float64, dim)
+	}
+	return renderCheckpoint(ck)
+}
+
+// renderCheckpoint is the artifact's JSON, whatever the loader will make of it.
+func renderCheckpoint(ck checkpoint) []byte {
+	data, err := json.Marshal(ck)
+	if err != nil {
+		panic(err)
+	}
+	return data
 }
 
 // sizedCheckpoint renders an artifact asking for numTrees boosting rounds and
@@ -225,11 +253,7 @@ func sizedCheckpoint(numTrees, trees, rows, maxData int) []byte {
 	for i := 0; i < trees; i++ {
 		ck.Trees = append(ck.Trees, ckptTree{Nodes: []ckptNode{{Leaf: 1, End: true}}})
 	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		panic(err)
-	}
-	return data
+	return renderCheckpoint(ck)
 }
 
 // chainCheckpoint renders an artifact holding one tree that is a chain of
@@ -250,12 +274,8 @@ func chainCheckpoint(depth, maxDepth int, shared bool) []byte {
 	ct.Nodes = append(ct.Nodes, ckptNode{Leaf: 1, End: true})
 	p := DefaultParams()
 	p.MaxDepth = maxDepth
-	data, err := json.Marshal(checkpoint{V: CheckpointVersion, Params: p,
+	return renderCheckpoint(checkpoint{V: CheckpointVersion, Params: p,
 		XS: [][]float64{{1}}, YS: []float64{2}, Trees: []ckptTree{ct}})
-	if err != nil {
-		panic(err)
-	}
-	return data
 }
 
 // TestCheckpointSharedChildRejectedInLinearTime is the regression for a

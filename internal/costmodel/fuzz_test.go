@@ -31,6 +31,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add(chainCheckpoint(6, 6, false))
 	f.Add([]byte(`{"v":1,"xs":[[1,2],[3]],"ys":[1,2]}`))
 	f.Add(sizedCheckpoint(maxTrees, 2, 8, 8))
+	f.Add(wideCheckpoint(maxDim, true))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalCheckpoint(data)
@@ -57,10 +58,10 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 		m.PredictBatch([][]float64{x, x, x, x, x})
 		m.PredictBatch([][]float64{x, make([]float64, m.Dim()+1), x})
 		// Refit costs NumTrees × samples × dim (and dim³ for the ridge term).
-		// The loader bounds the trees; rows and dimension are as large as the
+		// The loader bounds trees and dimension; rows are as many as the
 		// artifact cares to spell out, so bound those here — and then the
 		// first refit of whatever loaded must come back promptly.
-		if m.Len() <= 256 && m.Dim() <= 32 {
+		if m.Len() <= 256 {
 			start := time.Now()
 			m.Refit()
 			if took := time.Since(start); took > 10*time.Second {

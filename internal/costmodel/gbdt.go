@@ -65,12 +65,14 @@ type tree struct{ nodes []node }
 // so the limit is what keeps the kernel's memory proportional to the tree
 // count (the default depth is 6). UnmarshalCheckpoint enforces it on
 // artifacts; reset panics on a model constructed beyond it. maxTrees bounds
-// Params.NumTrees on artifacts the same way: with the depth limit and the
-// artifact's own row count it caps what the first Refit after a load can cost
-// (the default is 30 trees).
+// Params.NumTrees on artifacts the same way, and maxDim their feature
+// dimension (schedule features are 23–41 wide; the ridge term is d³): with the
+// depth limit and the artifact's own row count they cap what the first Refit
+// after a load can cost (the default is 30 trees).
 const (
 	maxPerfDepth = 8
 	maxTrees     = 256
+	maxDim       = 128
 )
 
 // perfForest is the evaluation kernel: every tree padded to a perfect tree of

@@ -1,0 +1,131 @@
+// The AVX implementation of gemm's contract (see nn.go): 256-bit tiles whose
+// lanes are adjacent output columns, so every lane is one IEEE chain in the
+// portable loop's order. Nothing here checks a bound: gemm proves the block in
+// range before it takes an address.
+
+#include "textflag.h"
+
+// func cpuHasAVX() bool
+// CPUID.1:ECX says the CPU has AVX (bit 28) and the OS uses XSAVE (bit 27);
+// XCR0 bits 1 and 2 say the OS saves the XMM and YMM state.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVB $1, ret+0(FP)
+	RET
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func gemmAVX(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, m, n8, k int)
+// c[i*ldc+j] += sum over p of a[i*ars+p*acs] * b[p*ldb+j] for i < m, j < n8,
+// p < k: m, k >= 1, n8 a positive multiple of 8, ldc >= n8. Rows go four at a
+// time, one 4x8 tile after another: Y0-Y7 hold the tile, one lane per column
+// j; each step broadcasts a[i][p], multiplies it into the two b vectors of
+// row p and adds the rounded products to the tile (VMULPD then VADDPD, never a
+// fused VFMADD), p ascending. The argument slots c, a and m are the row loop's
+// variables.
+TEXT ·gemmAVX(SB), NOSPLIT, $0-80
+	MOVQ ldc+8(FP), R8
+	MOVQ ars+24(FP), R9
+	MOVQ acs+32(FP), R10
+	MOVQ ldb+48(FP), R11
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+group:
+	MOVQ  m+56(FP), CX
+	CMPQ  CX, $4
+	JGE   rows
+	TESTQ CX, CX
+	JZ    done
+	// A short last group goes row by row, each row as a group of four copies
+	// of itself (row strides 0): the copies compute, and store, the same tile.
+	XORQ R8, R8
+	XORQ R9, R9
+rows:
+	LEAQ (R8)(R8*2), BX
+	LEAQ (R9)(R9*2), AX
+	MOVQ c+0(FP), DI
+	MOVQ b+40(FP), DX
+	MOVQ n8+64(FP), R12
+tile:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (DI)(R8*2), Y4
+	VMOVUPD 32(DI)(R8*2), Y5
+	VMOVUPD (DI)(BX*1), Y6
+	VMOVUPD 32(DI)(BX*1), Y7
+	MOVQ a+16(FP), R13
+	MOVQ DX, R14
+	MOVQ k+72(FP), CX
+step:
+	VMOVUPD (R14), Y8
+	VMOVUPD 32(R14), Y9
+	VBROADCASTSD (R13), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y0, Y0
+	VMULPD Y9, Y10, Y11
+	VADDPD Y11, Y1, Y1
+	VBROADCASTSD (R13)(R9*1), Y12
+	VMULPD Y8, Y12, Y13
+	VADDPD Y13, Y2, Y2
+	VMULPD Y9, Y12, Y13
+	VADDPD Y13, Y3, Y3
+	VBROADCASTSD (R13)(R9*2), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y4, Y4
+	VMULPD Y9, Y10, Y11
+	VADDPD Y11, Y5, Y5
+	VBROADCASTSD (R13)(AX*1), Y12
+	VMULPD Y8, Y12, Y13
+	VADDPD Y13, Y6, Y6
+	VMULPD Y9, Y12, Y13
+	VADDPD Y13, Y7, Y7
+	ADDQ R10, R13
+	ADDQ R11, R14
+	DECQ CX
+	JNZ  step
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y5, 32(DI)(R8*2)
+	VMOVUPD Y6, (DI)(BX*1)
+	VMOVUPD Y7, 32(DI)(BX*1)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, R12
+	JNZ  tile
+	// On by the rows done: four, or (row strides 0) one.
+	MOVQ  $4, R12
+	TESTQ R8, R8
+	JNZ   next
+	MOVQ  $1, R12
+next:
+	SUBQ  R12, m+56(FP)
+	MOVQ  ldc+8(FP), CX
+	IMULQ R12, CX
+	SHLQ  $3, CX
+	ADDQ  CX, c+0(FP)
+	MOVQ  ars+24(FP), CX
+	IMULQ R12, CX
+	SHLQ  $3, CX
+	ADDQ  CX, a+16(FP)
+	JMP   group
+done:
+	VZEROUPPER
+	RET

@@ -3,17 +3,30 @@
 // activations, softmax/categorical utilities and the Adam optimizer (the
 // original system uses PyTorch via the PPO-PyTorch reference implementation).
 // PPO spends nearly all of a tuning session in these small MLPs, so every
-// dense pass — forward, weight gradient, input gradient — is one call into a
-// single register-blocked matrix–matrix micro-kernel, gemmNT, over a row-major
-// block of samples.
+// dense pass is one call into a single matrix kernel, gemm.
 //
-// Accumulation-order contract: each output element of gemmNT has one
-// accumulator, seeded from the destination and fed its products in ascending
-// reduction index — inputs for the forward pass, samples in block order for
-// the weight gradient, outputs for the input gradient. A loop over single
-// samples adds in the same order, so results do not depend on how samples are
-// grouped into blocks and are bit-identical to the retired per-sample kernels
-// (kept in oracle_test.go for the equivalence tests).
+// The kernel's contract: c[i][j] += Σ_p a[i][p]·b[p][j] with one accumulator
+// per element, seeded from c and fed its products in ascending p, each product
+// rounded before it is added. A loop over single samples adds in the same
+// order, so results do not depend on how samples are grouped into blocks and
+// are bit-identical to the retired per-sample kernels (oracle_test.go). a is
+// only ever read a scalar at a time, so it may be strided, and with W as stored
+// ([Out][In]) the three passes of a layer transpose no operand: GW += dYᵀ·X
+// reads dY down its columns (p runs over samples), dX = dY·W has W for b (p
+// over outputs), and the forward is feature-major, Yᵀ = W·Xᵀ seeded with the
+// bias (p over inputs, a column per sample) — activations change layout, once
+// each, between the two directions.
+//
+// Two implementations share the contract: a portable Go loop, which is its
+// specification, and — chosen once, at init, by CPUID and XGETBV — 256-bit AVX
+// tiles on amd64 whose lanes are adjacent columns j. A lane is then one whole
+// accumulator: VMULPD and VADDPD round it as MULSD and ADDSD round a scalar, in
+// the same order, hence the same bits; a fused multiply-add rounds once where
+// these round twice, so neither implementation has one (no VFMADD; explicit
+// float64 conversions in Go). The committed journal and checkpoint pins are
+// amd64 pins all the same: the rest of the arithmetic here (Adam, the entropy
+// gradient) is plain x*y + z, which the compiler may fuse on arm64, ppc64le,
+// s390x and riscv64.
 package nn
 
 import (
@@ -50,91 +63,111 @@ func NewLinear(in, out int, rng *xrand.RNG) *Linear {
 	return l
 }
 
-// gemmNT is the one dense kernel: c[i][j] += Σ_p a[i][p]·b[j][p] for row-major
-// c (m×n), a (m×k) and b (n×k), bit-identical to the naive triple loop. The
-// register block is two rows by three columns: six accumulators in flight, so
-// the adds overlap instead of forming one latency-bound chain, on five loads
-// per six multiply-adds. A last odd row is paired with itself (both lanes
-// compute and store the same values).
-func gemmNT(c, a, b []float64, m, n, k int) {
-	for i := 0; i < m; i += 2 {
-		// Re-slicing rows to len(a0) drops the reduction loops' bounds checks.
-		i1 := min(i+1, m-1)
-		a0, a1 := a[i*k:(i+1)*k], a[i1*k : (i1+1)*k][:k]
-		c0, c1 := c[i*n:(i+1)*n], c[i1*n:(i1+1)*n]
-		j := 0
-		for ; j+3 <= n; j += 3 {
-			b0 := b[j*k : (j+1)*k][:len(a0)]
-			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
-			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
-			s00, s01, s02 := c0[j], c0[j+1], c0[j+2]
-			s10, s11, s12 := c1[j], c1[j+1], c1[j+2]
-			for p, x0 := range a0 {
-				x1 := a1[p]
-				y0, y1, y2 := b0[p], b1[p], b2[p]
-				s00 += x0 * y0
-				s01 += x0 * y1
-				s02 += x0 * y2
-				s10 += x1 * y0
-				s11 += x1 * y1
-				s12 += x1 * y2
-			}
-			c0[j], c0[j+1], c0[j+2] = s00, s01, s02
-			c1[j], c1[j+1], c1[j+2] = s10, s11, s12
+// gemmTiles is gemm in assembly for blocks of n8 columns, a multiple of 8, and
+// m, k ≥ 1; nil where there is none (only gemm_amd64.go's init sets it).
+var gemmTiles func(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, m, n8, k int)
+
+// gemm is the package comment's kernel: c[i·ldc+j] += Σ_p a[i·ars+p·acs]·b[p·ldb+j]
+// for i < m, j < n, p < k. Rows of b and c are contiguous, ldb and ldc ≥ n
+// apart; no stride is negative; c overlaps neither operand. The leading n&^7
+// columns go to gemmTiles where there are any; the rest, and everything
+// elsewhere, to the portable loop below it.
+func gemm(c []float64, ldc int, a []float64, ars, acs int, b []float64, ldb, m, n, k int) {
+	// The tiles check nothing: only sound strides reach them, and with those
+	// every element lies before the far corners indexed first.
+	if n8 := n &^ 7; gemmTiles != nil && n8 > 0 && min(m, k) > 0 && min(ars, acs, ldc-n, ldb-n) >= 0 {
+		_, _, _ = c[(m-1)*ldc+n8-1], a[(m-1)*ars+(k-1)*acs], b[(k-1)*ldb+n8-1]
+		gemmTiles(&c[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n8, k)
+		if n -= n8; n == 0 {
+			return
 		}
-		for ; j < n; j++ {
-			bj := b[j*k : (j+1)*k][:len(a0)]
-			s0, s1 := c0[j], c1[j]
-			for p, x0 := range a0 {
-				s0 += x0 * bj[p]
-				s1 += a1[p] * bj[p]
+		c, b = c[n8:], b[n8:]
+	}
+	var col [128]float64
+	if acs == 1 && 0 < k && k <= len(col) {
+		// Dot products (forward, input gradient): a column of b, gathered
+		// into col, against four unit-stride rows of a — four chains in
+		// flight. A last group short of four rows repeats its final row.
+		x := col[:k]
+		for j := 0; j < n; j++ {
+			for p := range x {
+				x[p] = b[p*ldb+j]
 			}
-			c0[j], c1[j] = s0, s1
+			for i := 0; i < m; i += 4 {
+				i1, i2, i3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
+				s0, s1, s2, s3 := c[i*ldc+j], c[i1*ldc+j], c[i2*ldc+j], c[i3*ldc+j]
+				a0, a1 := a[i*ars:][:len(x)], a[i1*ars:][:len(x)]
+				a2, a3 := a[i2*ars:][:len(x)], a[i3*ars:][:len(x)]
+				for p, y := range x {
+					s0 += float64(a0[p] * y)
+					s1 += float64(a1[p] * y)
+					s2 += float64(a2[p] * y)
+					s3 += float64(a3[p] * y)
+				}
+				c[i*ldc+j], c[i1*ldc+j], c[i2*ldc+j], c[i3*ldc+j] = s0, s1, s2, s3
+			}
+		}
+		return
+	}
+	// Row updates (weight gradient, and any longer reduction): c[i] +=
+	// a[i][p]·b[p] over whole contiguous rows, four p to a sweep; a's strides
+	// stay out of the inner loop.
+	for i := 0; i < m; i++ {
+		ci, ai := c[i*ldc:i*ldc+n], a[i*ars:]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			x0, x1, x2, x3 := ai[p*acs], ai[(p+1)*acs], ai[(p+2)*acs], ai[(p+3)*acs]
+			b0 := b[p*ldb : p*ldb+n][:len(ci)]
+			b1 := b[(p+1)*ldb : (p+1)*ldb+n][:len(ci)]
+			b2 := b[(p+2)*ldb : (p+2)*ldb+n][:len(ci)]
+			b3 := b[(p+3)*ldb : (p+3)*ldb+n][:len(ci)]
+			for j, s := range ci {
+				ci[j] = s + float64(x0*b0[j]) + float64(x1*b1[j]) + float64(x2*b2[j]) + float64(x3*b3[j])
+			}
+		}
+		for ; p < k; p++ {
+			x0, b0 := ai[p*acs], b[p*ldb : p*ldb+n][:len(ci)]
+			for j, s := range ci {
+				ci[j] = s + float64(x0*b0[j])
+			}
 		}
 	}
 }
 
-// transpose writes the rows×cols matrix src, whose rows start ld apart, into
-// dst as row-major cols×rows — four source rows at a time, so each
-// destination row receives four adjacent values per bounds check.
-func transpose(dst, src []float64, rows, cols, ld int) {
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		s0 := src[r*ld : r*ld+cols]
-		s1 := src[(r+1)*ld : (r+1)*ld+cols][:len(s0)]
-		s2 := src[(r+2)*ld : (r+2)*ld+cols][:len(s0)]
-		s3 := src[(r+3)*ld : (r+3)*ld+cols][:len(s0)]
-		for c, v := range s0 {
-			d := dst[c*rows+r : c*rows+r+4]
-			d[0], d[1], d[2], d[3] = v, s1[c], s2[c], s3[c]
-		}
-	}
-	for ; r < rows; r++ {
-		for c, v := range src[r*ld : r*ld+cols] {
+// Transpose writes the row-major rows×cols matrix src into dst as row-major
+// cols×rows: a sample-major block (a row per sample) becomes feature-major (a
+// row per feature) and back.
+func Transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
 			dst[c*rows+r] = v
 		}
 	}
 }
 
-// ForwardBatch computes Y = X·Wᵀ + b for n samples: x is the row-major n×In
-// input block, y the n×Out output block.
-func (l *Linear) ForwardBatch(y, x []float64, n int) {
-	if len(x) != n*l.In || len(y) != n*l.Out {
-		panic(fmt.Sprintf("nn: Linear forward dims %d→%d != %d×(%d→%d)", len(x), len(y), n, l.In, l.Out))
+// ForwardBatch computes Yᵀ = W·Xᵀ + b for n samples, feature-major on both
+// sides: xT is the In×n input block, yT the Out×n output block. One sample's
+// block is the same vector either way round.
+func (l *Linear) ForwardBatch(yT, xT []float64, n int) {
+	if len(xT) != n*l.In || len(yT) != n*l.Out {
+		panic(fmt.Sprintf("nn: Linear forward dims %d→%d != %d×(%d→%d)", len(xT), len(yT), n, l.In, l.Out))
 	}
-	for s := 0; s < n; s++ {
-		copy(y[s*l.Out:], l.B)
+	for o, bias := range l.B {
+		row := yT[o*n : (o+1)*n]
+		for s := range row {
+			row[s] = bias
+		}
 	}
-	gemmNT(y, x, l.W, n, l.Out, l.In)
+	gemm(yT, n, l.W, l.In, 1, xT, n, l.Out, n, l.In)
 }
 
 // BackwardBatch accumulates the parameter gradients of n samples — GW += dYᵀ·X
 // and GB += Σ dY, both in sample order — given the layer input block x (n×In)
-// and the output-gradient block dy (n×Out). A non-nil dx also receives the
-// input-gradient block dX = dY·W; a first layer, whose dX nobody consumes,
-// passes nil. tmp is scratch of at least n·(In+Out) values for the transposed
-// operands the kernel wants.
-func (l *Linear) BackwardBatch(dx, x, dy []float64, n int, tmp []float64) {
+// and the output-gradient block dy (n×Out), both sample-major. A non-nil dx
+// also receives the input-gradient block dX = dY·W; a first layer, whose dX
+// nobody consumes, passes nil. dYᵀ is dy read down its columns and W is used
+// as stored: nothing is transposed.
+func (l *Linear) BackwardBatch(dx, x, dy []float64, n int) {
 	if len(x) != n*l.In || len(dy) != n*l.Out {
 		panic(fmt.Sprintf("nn: Linear backward dims %d←%d != %d×(%d←%d)", len(x), len(dy), n, l.In, l.Out))
 	}
@@ -143,24 +176,10 @@ func (l *Linear) BackwardBatch(dx, x, dy []float64, n int, tmp []float64) {
 			l.GB[o] += g
 		}
 	}
-	xT, dyT := tmp[:len(x)], tmp[len(x):len(x)+len(dy)]
-	transpose(xT, x, n, l.In, l.In)
-	transpose(dyT, dy, n, l.Out, l.Out)
-	gemmNT(l.GW, dyT, xT, l.Out, l.In, n)
-	if dx == nil {
-		return
-	}
-	// dX wants Wᵀ. Forming it n input columns at a time keeps that panel of
-	// Wᵀ and its slab of dX inside tmp: no transposed copy of W is kept.
-	for i0 := 0; i0 < l.In; i0 += n {
-		w := min(n, l.In-i0)
-		wT, part := tmp[:w*l.Out], tmp[w*l.Out:w*(l.Out+n)]
-		transpose(wT, l.W[i0:], l.Out, w, l.In)
-		clear(part)
-		gemmNT(part, dy, wT, n, w, l.Out)
-		for s := 0; s < n; s++ {
-			copy(dx[s*l.In+i0:], part[s*w:(s+1)*w])
-		}
+	gemm(l.GW, l.In, dy, 1, l.Out, x, l.In, l.Out, l.In, n)
+	if dx != nil {
+		clear(dx[:len(x)])
+		gemm(dx, l.In, dy, l.Out, 1, l.W, l.In, n, l.In, l.Out)
 	}
 }
 
@@ -189,57 +208,56 @@ func adam(w, g, m, v []float64, lr float64, batch, t int) {
 }
 
 // MLP is a stack of Linear layers with tanh activations between them (none
-// after the last layer). Its batched passes run through the blocks of Reserve:
-// an output block per layer and, for all but the first, an input-gradient one.
+// after the last layer). Its batched passes run through its own blocks: an
+// output block per layer and, for all but the first, an input-gradient one.
 type MLP struct {
 	Layers []*Linear
 
 	acts, grads [][]float64
 }
 
-// NewMLP builds an MLP with the given layer sizes, e.g. (in, 64, 64, out).
-func NewMLP(rng *xrand.RNG, sizes ...int) *MLP {
+// NewMLP builds an MLP with the given layer sizes, e.g. (in, 64, 64, out), and
+// its blocks for passes of up to rows samples.
+func NewMLP(rng *xrand.RNG, rows int, sizes ...int) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
-	m := &MLP{}
-	for i := 0; i+1 < len(sizes); i++ {
+	m := &MLP{acts: make([][]float64, len(sizes)-1), grads: make([][]float64, len(sizes)-1)}
+	for i := range m.acts {
 		m.Layers = append(m.Layers, NewLinear(sizes[i], sizes[i+1], rng))
+		m.acts[i] = make([]float64, rows*sizes[i+1])
+		if i > 0 {
+			m.grads[i] = make([]float64, rows*sizes[i])
+		}
 	}
 	return m
 }
 
-// Reserve allocates the network's blocks for passes of up to rows samples.
-func (m *MLP) Reserve(rows int) {
-	m.acts, m.grads = make([][]float64, len(m.Layers)), make([][]float64, len(m.Layers))
-	for i, l := range m.Layers {
-		m.acts[i] = make([]float64, rows*l.Out)
-		if i > 0 {
-			m.grads[i] = make([]float64, rows*l.In)
+// ForwardBatch runs the feature-major In×n block xT through the network and
+// returns the feature-major Out×n output block, valid until the next
+// ForwardBatch. A hidden layer's activation is computed feature-major in the
+// next layer's input-gradient block, idle until BackwardBatch, and left
+// sample-major in acts, the layout BackwardBatch reads it in.
+func (m *MLP) ForwardBatch(xT []float64, n int) []float64 {
+	last := len(m.Layers) - 1
+	for i, l := range m.Layers[:last] {
+		yT := m.grads[i+1][:n*l.Out]
+		l.ForwardBatch(yT, xT, n)
+		for j, v := range yT {
+			yT[j] = math.Tanh(v)
 		}
+		Transpose(m.acts[i][:n*l.Out], yT, l.Out, n)
+		xT = yT
 	}
+	yT := m.acts[last][:n*m.Layers[last].Out]
+	m.Layers[last].ForwardBatch(yT, xT, n)
+	return yT
 }
 
-// ForwardBatch runs the n×In block x through the network and returns the
-// n×Out output block, valid until the next ForwardBatch.
-func (m *MLP) ForwardBatch(x []float64, n int) []float64 {
-	for i, l := range m.Layers {
-		y := m.acts[i][:n*l.Out]
-		l.ForwardBatch(y, x, n)
-		if i+1 < len(m.Layers) {
-			for j, v := range y {
-				y[j] = math.Tanh(v)
-			}
-		}
-		x = y
-	}
-	return x
-}
-
-// BackwardBatch accumulates the parameter gradients for the output-gradient
-// block dy (n×Out, mutated in place) of the preceding ForwardBatch call on
-// input block x. tmp is Linear.BackwardBatch scratch for the widest layer.
-func (m *MLP) BackwardBatch(x, dy []float64, n int, tmp []float64) {
+// BackwardBatch accumulates the parameter gradients for the sample-major
+// output-gradient block dy (n×Out, mutated in place) of the preceding
+// ForwardBatch call, whose input was the transpose of the sample-major block x.
+func (m *MLP) BackwardBatch(x, dy []float64, n int) {
 	g := dy
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		l := m.Layers[i]
@@ -253,7 +271,7 @@ func (m *MLP) BackwardBatch(x, dy []float64, n int, tmp []float64) {
 		if i > 0 {
 			in, dx = m.acts[i-1][:n*l.In], m.grads[i][:n*l.In]
 		}
-		l.BackwardBatch(dx, in, g, n, tmp)
+		l.BackwardBatch(dx, in, g, n)
 		g = dx
 	}
 }

@@ -4,7 +4,9 @@ import "math"
 
 // The per-sample kernels the batched passes replaced, arithmetic and
 // accumulation order untouched, kept as the reference the equivalence tests
-// compare against bit for bit. Nothing outside the tests calls them.
+// compare against bit for bit. Nothing outside the tests calls them. Their
+// products carry gemm's explicit rounding (a no-op where the compiler does not
+// fuse, amd64 included), so the comparison holds on every architecture.
 
 // Forward computes y = Wx + b for one sample.
 func (l *Linear) Forward(x []float64) []float64 {
@@ -16,7 +18,7 @@ func (l *Linear) Forward(x []float64) []float64 {
 		s := l.B[o]
 		row := l.W[o*l.In : (o+1)*l.In]
 		for i, xi := range x {
-			s += row[i] * xi
+			s += float64(row[i] * xi)
 		}
 		y[o] = s
 	}
@@ -33,8 +35,8 @@ func (l *Linear) Backward(x, dy []float64) []float64 {
 		row := l.W[o*l.In : (o+1)*l.In]
 		gw := l.GW[o*l.In : (o+1)*l.In]
 		for i, xi := range x {
-			gw[i] += g * xi
-			dx[i] += row[i] * g
+			gw[i] += float64(g * xi)
+			dx[i] += float64(row[i] * g)
 		}
 	}
 	return dx

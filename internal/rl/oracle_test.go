@@ -22,7 +22,7 @@ func refForward(l *nn.Linear, x []float64) []float64 {
 		s := l.B[o]
 		row := l.W[o*l.In : (o+1)*l.In]
 		for i, xi := range x {
-			s += row[i] * xi
+			s += float64(row[i] * xi) // rounded, as nn's kernel rounds it
 		}
 		y[o] = s
 	}
@@ -37,8 +37,8 @@ func refBackward(l *nn.Linear, x, dy []float64) []float64 {
 		row := l.W[o*l.In : (o+1)*l.In]
 		gw := l.GW[o*l.In : (o+1)*l.In]
 		for i, xi := range x {
-			gw[i] += g * xi
-			dx[i] += row[i] * g
+			gw[i] += float64(g * xi)
+			dx[i] += float64(row[i] * g)
 		}
 	}
 	return dx

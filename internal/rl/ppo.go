@@ -14,7 +14,6 @@ package rl
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"harl/internal/nn"
 	"harl/internal/xrand"
@@ -98,13 +97,16 @@ type Agent struct {
 	// Scratch for one block of at most chunkRows samples, allocated with the
 	// agent: O(chunkRows × (stateDim + Hidden + Σheads)) with the networks'
 	// own blocks. An Agent is driven by one goroutine and every pass consumes
-	// the previous one's blocks before overwriting them.
-	x      []float64   // a minibatch block's states, rows×stateDim
+	// the previous one's blocks before overwriting them. Forward passes take
+	// and give feature-major blocks (nn.Linear.ForwardBatch); everything here
+	// is sample-major unless it says otherwise.
+	x      []float64   // a query block's states, stateDim×rows feature-major; a minibatch block's, rows×stateDim
+	h      []float64   // the trunk activation, rows×Hidden
 	probs  [][]float64 // per head, rows×size: logits, probabilities, then loss gradient
-	dh     []float64   // gradient w.r.t. the trunk activation h, summed over heads
+	dh     []float64   // gradient w.r.t. h, summed over heads
 	headDx []float64   // one head's input gradient
 	perRow []float64   // critic output gradient, then policy-gradient scale
-	tmp    []float64   // nn.BackwardBatch scratch; between calls, one row's d H / d logits
+	tmp    []float64   // feature-major staging: a minibatch block's states, then one head's logits; later one row's d H / d logits
 	picks  []int       // minibatch sample indices
 }
 
@@ -113,28 +115,22 @@ type Agent struct {
 func NewAgent(stateDim int, headSizes []int, cfg Config, rng *xrand.RNG) *Agent {
 	a := &Agent{
 		Cfg:    cfg,
-		trunk:  nn.NewMLP(rng, stateDim, cfg.Hidden, cfg.Hidden),
-		critic: nn.NewMLP(rng, stateDim, cfg.Hidden, cfg.Hidden, 1),
+		trunk:  nn.NewMLP(rng, chunkRows, stateDim, cfg.Hidden, cfg.Hidden),
+		critic: nn.NewMLP(rng, chunkRows, stateDim, cfg.Hidden, cfg.Hidden, 1),
 		rng:    rng,
 		buf:    make([]Transition, 0, cfg.BufferCap),
 		probs:  make([][]float64, len(headSizes)),
 	}
-	for _, hs := range headSizes {
+	staged := stateDim // the widest block tmp stages
+	for k, hs := range headSizes {
 		a.heads = append(a.heads, nn.NewLinear(cfg.Hidden, hs, rng))
+		a.probs[k] = make([]float64, chunkRows*hs)
+		staged = max(staged, hs)
 	}
-	widest := 0 // In+Out of the widest layer, which sizes the backward scratch
-	for _, l := range slices.Concat(a.trunk.Layers, a.critic.Layers, a.heads) {
-		widest = max(widest, l.In+l.Out)
-	}
-	for k, head := range a.heads {
-		a.probs[k] = make([]float64, chunkRows*head.Out)
-	}
-	a.trunk.Reserve(chunkRows)
-	a.critic.Reserve(chunkRows)
 	a.x = make([]float64, chunkRows*stateDim)
-	a.dh, a.headDx = make([]float64, chunkRows*cfg.Hidden), make([]float64, chunkRows*cfg.Hidden)
+	a.h, a.dh, a.headDx = make([]float64, chunkRows*cfg.Hidden), make([]float64, chunkRows*cfg.Hidden), make([]float64, chunkRows*cfg.Hidden)
 	a.perRow = make([]float64, chunkRows)
-	a.tmp = make([]float64, chunkRows*widest)
+	a.tmp = make([]float64, chunkRows*staged)
 	return a
 }
 
@@ -151,20 +147,24 @@ func (a *Agent) dim(x []float64, rows int) int {
 	return dim
 }
 
-// forwardActor runs trunk and heads over the n-row state block x and returns
-// the hidden activation block h; per-head probability blocks land in a.probs.
-func (a *Agent) forwardActor(x []float64, n int) []float64 {
-	h := a.trunk.ForwardBatch(x, n)
-	for i, v := range h {
-		h[i] = math.Tanh(v)
+// forwardActor runs trunk and heads over the feature-major state block xT of n
+// samples (which may be a.tmp: the heads overwrite it only after the trunk has
+// read it) and returns the hidden activation block, feature-major; per-head
+// probability blocks land in a.probs.
+func (a *Agent) forwardActor(xT []float64, n int) []float64 {
+	hT := a.trunk.ForwardBatch(xT, n)
+	for i, v := range hT {
+		hT[i] = math.Tanh(v)
 	}
 	for k, head := range a.heads {
-		a.heads[k].ForwardBatch(a.probs[k][:n*head.Out], h, n)
+		logitsT := a.tmp[:n*head.Out]
+		head.ForwardBatch(logitsT, hT, n)
+		nn.Transpose(a.probs[k][:n*head.Out], logitsT, head.Out, n)
 		for r := 0; r < n; r++ {
 			nn.Softmax(a.headProbs(k, r))
 		}
 	}
-	return h
+	return hT
 }
 
 // headProbs returns row r of head k's probability block.
@@ -180,9 +180,10 @@ func (a *Agent) ActBatch(decs []Decision, x []float64) {
 	dim := a.dim(x, len(decs))
 	for lo := 0; lo < len(decs); lo += chunkRows {
 		n := min(chunkRows, len(decs)-lo)
-		xs := x[lo*dim : (lo+n)*dim]
-		a.forwardActor(xs, n)
-		v := a.critic.ForwardBatch(xs, n)
+		xT := a.x[:n*dim]
+		nn.Transpose(xT, x[lo*dim:(lo+n)*dim], n, dim)
+		a.forwardActor(xT, n)
+		v := a.critic.ForwardBatch(xT, n) // one output: n×1 either way round
 		for r := 0; r < n; r++ {
 			d := Decision{Acts: make([]int, len(a.heads)), Value: v[r]}
 			for k := range a.heads {
@@ -218,7 +219,9 @@ func (a *Agent) ValueBatch(vals, x []float64) {
 	dim := a.dim(x, len(vals))
 	for lo := 0; lo < len(vals); lo += chunkRows {
 		n := min(chunkRows, len(vals)-lo)
-		copy(vals[lo:], a.critic.ForwardBatch(x[lo*dim:(lo+n)*dim], n))
+		xT := a.x[:n*dim]
+		nn.Transpose(xT, x[lo*dim:(lo+n)*dim], n, dim)
+		copy(vals[lo:], a.critic.ForwardBatch(xT, n))
 	}
 }
 
@@ -290,21 +293,24 @@ func (a *Agent) Train() {
 // with the minibatch mean and std for the policy term.
 func (a *Agent) accumulate(picks []int, mean, std float64) {
 	n, dim := len(picks), a.trunk.Layers[0].In
-	x := a.x[:n*dim]
+	x, xT := a.x[:n*dim], a.tmp[:n*dim]
 	for r, i := range picks {
 		copy(x[r*dim:], a.buf[i].State)
 	}
+	nn.Transpose(xT, x, n, dim)
 
 	// ----- critic: w_mse * (V(s) - (r + γ·V_old(s')))² ------------------------
-	v, dv := a.critic.ForwardBatch(x, n), a.perRow[:n]
+	v, dv := a.critic.ForwardBatch(xT, n), a.perRow[:n]
 	for r, i := range picks {
 		t := &a.buf[i]
 		dv[r] = 2 * a.Cfg.WMSE * (v[r] - (t.Reward + a.Cfg.Gamma*t.NextValue))
 	}
-	a.critic.BackwardBatch(x, dv, n, a.tmp)
+	a.critic.BackwardBatch(x, dv, n)
 
 	// ----- actor: clipped surrogate + entropy bonus --------------------------
-	h, gradMul := a.forwardActor(x, n), a.perRow
+	hT, gradMul := a.forwardActor(xT, n), a.perRow
+	h := a.h[:len(hT)] // sample-major, as the heads' weight gradients read it
+	nn.Transpose(h, hT, len(hT)/n, n)
 	for r, i := range picks {
 		t := &a.buf[i]
 		newLogP := 0.0
@@ -333,7 +339,7 @@ func (a *Agent) accumulate(picks []int, mean, std float64) {
 				row[j] = gradMul[r]*row[j] - a.Cfg.WEntropy*ent[j]
 			}
 		}
-		head.BackwardBatch(headDx, h, a.probs[k][:n*head.Out], n, a.tmp)
+		head.BackwardBatch(headDx, h, a.probs[k][:n*head.Out], n)
 		for i, g := range headDx {
 			dh[i] += g
 		}
@@ -341,5 +347,5 @@ func (a *Agent) accumulate(picks []int, mean, std float64) {
 	for i, hi := range h {
 		dh[i] *= 1 - hi*hi // through the trunk-output tanh
 	}
-	a.trunk.BackwardBatch(x, dh, n, a.tmp)
+	a.trunk.BackwardBatch(x, dh, n)
 }

@@ -181,8 +181,8 @@ func TestGreedyActDeterministic(t *testing.T) {
 
 // TestTrainAllocsNearZero pins the Train hot path to agent-owned scratch:
 // after one warm-up update, further updates must not allocate. PPO training
-// is ~80% of BenchmarkTuneParallel's CPU, so allocation churn here is tuner
-// wall-clock (and GC) time.
+// is most of a HARL session (the ledger's op-gemm-harl), so allocation churn
+// here is tuner wall-clock (and GC) time.
 func TestTrainAllocsNearZero(t *testing.T) {
 	rng := xrand.New(11)
 	a := NewAgent(6, []int{10, 3, 3, 3}, DefaultConfig(), rng)
