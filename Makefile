@@ -22,7 +22,8 @@
 #                    internal/costmodel/testdata/fuzz/
 #   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
 #                    item 3 ("one of everything") drives down; fails above the
-#                    count the round started from
+#                    count of the last PR that lowered it (the ratchet only
+#                    turns one way: lower the literal with the count)
 #   make check     — everything: vet, lint, build, tests, race
 
 GO ?= go
@@ -93,6 +94,6 @@ fuzz:
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 18368 ]; then echo "make loc: $$n lines, above the 18368 the round started from" >&2; exit 1; fi
+	if [ $$n -gt 17904 ]; then echo "make loc: $$n lines, above the 17904 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

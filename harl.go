@@ -369,7 +369,8 @@ type Result struct {
 	// happened (own-key hit, no compatible donor, or Transfer off).
 	WarmTransfer string
 	// CostModelSamples is the cost model's final training-set size and
-	// CostModelRefits its refit count — what the model knew by the end.
+	// CostModelRefits the training-set versions committed — each is fitted if
+	// and when something reads the model.
 	CostModelSamples int
 	CostModelRefits  int
 	// Pretrained reports whether the cost model carried offline knowledge
@@ -851,7 +852,7 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 			res = core.TuneOperatorSession(ctx, w.sg, t.plat, core.MustScheduler(o.Scheduler), o.Trials, o.MeasureK, o.Seed, o.Workers, hooks)
 			return []*search.Task{res.Task}, res.Cancelled
 		},
-		model: func(tasks []*search.Task) costmodel.CostModel { return tasks[0].Cost },
+		model: func(tasks []*search.Task) costmodel.CostModel { return tasks[0].FittedCost() },
 	})
 	if err != nil {
 		return Result{}, err
@@ -912,7 +913,8 @@ type NetworkResult struct {
 	// Pretrained is the number of subgraph tasks whose cost model carried
 	// offline knowledge (Options.PretrainFrom or Options.ModelIn) before the
 	// first round; CostModelSamples and CostModelRefits sum the per-task
-	// training-set sizes and refit counts.
+	// training-set sizes and training-set versions committed — each is fitted
+	// if and when something reads the model.
 	Pretrained       int
 	CostModelSamples int
 	CostModelRefits  int

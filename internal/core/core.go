@@ -134,9 +134,10 @@ type OperatorResult struct {
 	// WarmTransfer names the donor registry key (workload@target) whose
 	// knowledge warm-started the run via cross-key transfer, if any.
 	WarmTransfer string
-	// CostSamples and CostRefits are the cost model's final training-set size
-	// and refit count; Pretrained reports whether the model carried offline
-	// knowledge (checkpoint or journal replay) before the first round.
+	// CostSamples is the cost model's final training-set size and CostRefits
+	// the training-set versions committed — each is fitted if and when
+	// something reads the model; Pretrained reports whether the model carried
+	// offline knowledge (checkpoint or journal replay) before the first round.
 	CostSamples int
 	CostRefits  int
 	Pretrained  bool

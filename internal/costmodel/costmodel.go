@@ -37,7 +37,7 @@ type CostModel interface {
 // scans across a worker pool. The contract is strict: the fitted model must be
 // bit-identical for every worker count (the runner only changes wall-clock
 // time), so installing a task's pool cannot perturb the workers=1 ≡ workers=N
-// journal contract. search.Task installs its pool before each refit.
+// journal contract. search.Task installs its pool before each fit (FittedCost).
 type ParallelRefitter interface {
 	SetRunner(Runner)
 }

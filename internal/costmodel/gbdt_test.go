@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -246,5 +247,53 @@ func TestDimensionCompatibilityGuards(t *testing.T) {
 	}
 	if m.Throughput(short) != ToThroughput(want) {
 		t.Fatal("throughput fallback mismatch")
+	}
+}
+
+// TestRefitIsPureInSamples pins what lets search.Task fit a training-set
+// version at its first read instead of at its commit: Refit is a pure
+// function of (Params, stored samples). A model that refits after every batch
+// of Adds and one that receives the same Adds and refits once at the end are
+// the same model, byte for byte — below MinSamples, at it, past a MaxData
+// eviction, on real schedule rows of two feature dimensions.
+func TestRefitIsPureInSamples(t *testing.T) {
+	const batch = 16
+	for _, cat := range []string{"GEMM-S", "C3D"} {
+		xs, ys := realRows(cat, 500, 47)
+		for _, tc := range []struct{ n, maxData int }{
+			{5, 0}, {6, 0}, {64, 0}, {500, 0}, {64, 40}, {500, 200},
+		} {
+			p := DefaultParams()
+			if tc.maxData > 0 {
+				p.MaxData = tc.maxData
+			}
+			eager, lazy := New(p), New(p)
+			for i := 0; i < tc.n; i++ {
+				eager.Add(xs[i], ys[i])
+				lazy.Add(xs[i], ys[i])
+				if (i+1)%batch == 0 {
+					eager.Refit()
+				}
+			}
+			eager.Refit()
+			lazy.Refit()
+			if tc.maxData > 0 && lazy.Len() != tc.maxData {
+				t.Fatalf("%s n=%d: %d rows stored, want the MaxData %d", cat, tc.n, lazy.Len(), tc.maxData)
+			}
+			if lazy.Trained() != (tc.n >= p.MinSamples) {
+				t.Fatalf("%s n=%d: trained=%v", cat, tc.n, lazy.Trained())
+			}
+			eb, err := eager.MarshalCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb, err := lazy.MarshalCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(eb, lb) {
+				t.Fatalf("%s n=%d MaxData=%d: refit-per-batch and refit-once checkpoints differ", cat, tc.n, tc.maxData)
+			}
+		}
 	}
 }

@@ -59,8 +59,8 @@ func TestSeedTaskReplaysJournal(t *testing.T) {
 	if !task.Pretrained || task.CostRefits != 1 {
 		t.Fatalf("pretrained=%v refits=%d", task.Pretrained, task.CostRefits)
 	}
-	if task.Cost.Len() != n || !task.Cost.Trained() {
-		t.Fatalf("model holds %d samples, trained=%v", task.Cost.Len(), task.Cost.Trained())
+	if task.Cost.Len() != n || !task.FittedCost().Trained() {
+		t.Fatalf("model holds %d samples, trained=%v", task.Cost.Len(), task.FittedCost().Trained())
 	}
 	// Model-only: nothing seeded into the task's search state.
 	if task.Best != nil || task.Trials != 0 {
@@ -127,7 +127,7 @@ func TestFitModelMatchesOnlineTraining(t *testing.T) {
 	rng := xrand.New(77)
 	for i := 0; i < 50; i++ {
 		s := task.RandomSchedule(task.Sketches[rng.Intn(len(task.Sketches))])
-		if offline.Predict(s.Features()) != task.Cost.Predict(s.Features()) {
+		if offline.Predict(s.Features()) != task.FittedCost().Predict(s.Features()) {
 			t.Fatal("offline fit and task replay disagree")
 		}
 	}

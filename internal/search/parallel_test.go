@@ -121,7 +121,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	}
 	got := task.ScoreBatch(probes)
 	for i, s := range probes {
-		if want := task.Cost.Throughput(s.Features()); got[i] != want {
+		if want := task.FittedCost().Throughput(s.Features()); got[i] != want {
 			t.Fatalf("score %d: got %v want %v", i, got[i], want)
 		}
 	}

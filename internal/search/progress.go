@@ -40,11 +40,15 @@ type Progress struct {
 	CostSec float64
 }
 
-// TuneSession is TuneCtx with a progress callback: after every committed
-// round, onProgress (when non-nil) receives one Progress event built from the
-// task's committed state. The callback runs synchronously on the tuning
-// goroutine, so anything it observes is consistent and anything it does (such
-// as cancelling ctx) takes effect at the next round boundary.
+// TuneSession is Tune with cooperative cancellation and a progress callback.
+// The context is checked at round boundaries: a cancelled session stops after
+// its in-flight round commits — every measurement accounted (best logs,
+// training set, OnMeasure journal callbacks), the task resumable — and
+// TuneSession returns true. After every committed round, onProgress (when
+// non-nil) receives one Progress event built from the task's committed state.
+// The callback runs synchronously on the tuning goroutine, so anything it
+// observes is consistent and anything it does (such as cancelling ctx) takes
+// effect at the next round boundary.
 func TuneSession(ctx context.Context, e Engine, t *Task, budgetTrials, measureK int, onProgress func(Progress)) bool {
 	if t.Trials < budgetTrials {
 		// Measure any transfer warm-start candidates before the first engine

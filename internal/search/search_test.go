@@ -56,8 +56,8 @@ func TestTaskBestTracking(t *testing.T) {
 	if task.BestLog[len(task.BestLog)-1] != task.BestExec {
 		t.Fatal("best log tail mismatch")
 	}
-	if task.BestPerf() <= 0 {
-		t.Fatal("best perf must be positive")
+	if !(task.BestExec > 0) || math.IsInf(task.BestExec, 1) {
+		t.Fatal("best exec must be positive and finite")
 	}
 	_ = sim
 }

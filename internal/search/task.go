@@ -39,6 +39,8 @@ type Task struct {
 	// only on the costmodel.CostModel interface; the concrete GBDT appears
 	// solely in constructor wiring (NewTask, SetCostModel callers), so
 	// checkpointed or pretrained models drop in without touching engines.
+	// Assign the field to wrap the model; read the model (Trained, Predict*,
+	// Throughput, a checkpoint) through FittedCost. Add and Len need no fit.
 	Cost costmodel.CostModel
 	RNG  *xrand.RNG
 
@@ -105,13 +107,15 @@ type Task struct {
 	// position: Fig. 1(c) and Fig. 7(b)).
 	TrackPositions []float64
 
-	// CostRefits counts the cost-model refits performed for this task, and
-	// Pretrained reports whether the model carried offline knowledge (a
-	// checkpoint or a journal replay) before the first engine round — the
-	// provenance surfaced by harl-tune's summary.
+	// CostRefits counts the training-set versions committed for this task's
+	// cost model — each is fitted if and when something reads the model (see
+	// FittedCost) — and Pretrained reports whether the model carried offline
+	// knowledge (a checkpoint or a journal replay) before the first engine
+	// round — the provenance surfaced by harl-tune's summary.
 	CostRefits int
 	Pretrained bool
 
+	costStale bool // a committed version FittedCost has not fitted yet
 	measured  map[uint64]bool
 	seedCands []*schedule.Schedule
 }
@@ -205,10 +209,10 @@ func (t *Task) rankUnseen(pool candPool) []candidate {
 }
 
 // MeasureBatch measures the given schedules (skipping already-measured
-// configurations), records them into the cost model training set, refits the
-// model, and updates the task's best. It returns the measured execution
-// times aligned with the input slice (NaN for skipped duplicates and for
-// candidates the adaptive sampler backfilled instead of measuring).
+// configurations), commits them to the cost model's training set as a new
+// version (refitCost) and updates the task's best. It returns the measured
+// execution times aligned with the input slice (NaN for skipped duplicates
+// and for candidates the adaptive sampler backfilled instead of measuring).
 //
 // Trial evaluation (simulator + noise) fans out across the task's Pool; the
 // order-sensitive bookkeeping — measurement-cost accounting, best-so-far
@@ -302,9 +306,9 @@ func (t *Task) sampleBatch(scheds []*schedule.Schedule, fresh []int) (reps []int
 		feats[j] = scheds[i].Features()
 	}
 	var scores []float64
-	if t.Cost.Trained() {
+	if cm := t.FittedCost(); cm.Trained() {
 		t.Meas.AddCostModelQueries(len(fresh))
-		scores = t.Cost.PredictBatch(feats)
+		scores = cm.PredictBatch(feats)
 	}
 	local, assign := clusterReps(feats, scores, k, t.RNG)
 	repByCluster := make(map[int]int, len(local))
@@ -326,7 +330,7 @@ func (t *Task) sampleBatch(scheds []*schedule.Schedule, fresh []int) (reps []int
 // commits, feeding the sampler's predicted-vs-measured error window. It is a
 // no-op without a sampler or before the model first trains.
 func (t *Task) predictJobs(scheds []*schedule.Schedule, jobs []measureJob) []float64 {
-	if t.Sampler == nil || !t.Cost.Trained() || len(jobs) == 0 {
+	if t.Sampler == nil || len(jobs) == 0 || !t.FittedCost().Trained() {
 		return nil
 	}
 	feats := make([][]float64, len(jobs))
@@ -334,7 +338,7 @@ func (t *Task) predictJobs(scheds []*schedule.Schedule, jobs []measureJob) []flo
 		feats[k] = scheds[jb.idx].Features()
 	}
 	t.Meas.AddCostModelQueries(len(jobs))
-	return t.Cost.PredictBatch(feats)
+	return t.FittedCost().PredictBatch(feats)
 }
 
 // observeErrors folds this batch's predicted-vs-measured relative errors
@@ -362,21 +366,14 @@ func (t *Task) SeedCandidate(s *schedule.Schedule) {
 // FlushSeedCandidates measures any queued warm-start candidates through the
 // normal MeasureBatch path (real measurements, charged trials) and clears
 // the queue. The tuning loops call it at a deterministic point before each
-// task's first engine round; it is a cheap no-op afterwards. It returns the
-// number of measurements performed.
-func (t *Task) FlushSeedCandidates() int {
+// task's first engine round; it is a cheap no-op afterwards.
+func (t *Task) FlushSeedCandidates() {
 	if len(t.seedCands) == 0 {
-		return 0
+		return
 	}
 	batch := t.seedCands
 	t.seedCands = nil
-	n := 0
-	for _, e := range t.MeasureBatch(batch) {
-		if !math.IsNaN(e) {
-			n++
-		}
-	}
-	return n
+	t.MeasureBatch(batch)
 }
 
 // evalRemote dispatches the batch's fresh trials to the remote evaluator,
@@ -403,25 +400,41 @@ func (t *Task) evalRemote(scheds []*schedule.Schedule, jobs []measureJob, out []
 	return true
 }
 
-// refitCost rebuilds the cost model and counts the refit. Models that can
-// fan their refit scans across workers get the task's pool first; the fitted
-// ensemble is bit-identical for every pool width (see
-// costmodel.ParallelRefitter), so this only changes refit wall-clock time.
-// The hook is re-installed per refit because the pool is attached to the task
-// after construction (core wires it per tuner).
+// refitCost commits the training set as a new version and counts it. Nothing
+// is fitted until something reads the model (FittedCost): Refit is a pure
+// function of the stored samples, so a version's first read finds the ensemble
+// a fit here would have built, and a version superseded or abandoned unread
+// costs nothing.
 func (t *Task) refitCost() {
-	if pr, ok := t.Cost.(costmodel.ParallelRefitter); ok {
-		pr.SetRunner(t.Pool.Run)
-	}
-	t.Cost.Refit()
+	t.costStale = true
 	t.CostRefits++
+}
+
+// FittedCost returns the task's cost model, fitting the newest committed
+// version first if it is still unread. Every model read goes through it, on
+// the task's own goroutine and before any pool fan-out, so pool jobs only see
+// a fitted, read-only model. A model that can fan its refit scans across
+// workers gets the task's pool first (attached after construction: core wires
+// it per tuner); the ensemble is bit-identical for every pool width (see
+// costmodel.ParallelRefitter), so that only changes the fit's wall-clock time.
+func (t *Task) FittedCost() costmodel.CostModel {
+	if t.costStale {
+		if pr, ok := t.Cost.(costmodel.ParallelRefitter); ok {
+			pr.SetRunner(t.Pool.Run)
+		}
+		t.Cost.Refit()
+		t.costStale = false
+	}
+	return t.Cost
 }
 
 // SetCostModel replaces the task's cost model before search starts — the
 // checkpoint-load path. A model that already carries training samples marks
-// the task pretrained.
+// the task pretrained. A version pending on the replaced model goes with it:
+// a loaded ensemble is used as loaded, never re-fit from its rows.
 func (t *Task) SetCostModel(m costmodel.CostModel) {
 	t.Cost = m
+	t.costStale = false
 	if m.Len() > 0 {
 		t.Pretrained = true
 	}
@@ -437,8 +450,8 @@ func (t *Task) PretrainSample(s *schedule.Schedule, execSec float64) {
 	t.Cost.Add(s.Features(), math.Log(1/execSec))
 }
 
-// FinishPretrain refits the model over the replayed samples and marks the
-// task pretrained.
+// FinishPretrain commits the replayed samples as one training-set version and
+// marks the task pretrained.
 func (t *Task) FinishPretrain() {
 	if t.Cost.Len() == 0 {
 		return
@@ -471,11 +484,12 @@ func (t *Task) WarmStart(s *schedule.Schedule, execSec float64) {
 // ratio-form reward; before the model is trained it returns 1 so rewards are
 // zero rather than arbitrary.
 func (t *Task) Score(s *schedule.Schedule) float64 {
-	if !t.Cost.Trained() {
+	cm := t.FittedCost()
+	if !cm.Trained() {
 		return 1
 	}
 	t.Meas.AddCostModelQueries(1)
-	return t.Cost.Throughput(s.Features())
+	return cm.Throughput(s.Features())
 }
 
 // scoreChunk is the per-worker unit of ScoreBatch: large enough that
@@ -511,14 +525,15 @@ var scoreBufPool = sync.Pool{New: func() any {
 // returns scores aligned with the input.
 func (t *Task) ScoreBatch(scheds []*schedule.Schedule) []float64 {
 	out := make([]float64, len(scheds))
-	if !t.Cost.Trained() {
+	cm := t.FittedCost()
+	if !cm.Trained() {
 		for i := range out {
 			out[i] = 1
 		}
 		return out
 	}
 	t.Meas.AddCostModelQueries(len(scheds))
-	into, _ := t.Cost.(costmodel.BatchInto)
+	into, _ := cm.(costmodel.BatchInto)
 	nChunks := (len(scheds) + scoreChunk - 1) / scoreChunk
 	t.Pool.Run(nChunks, func(c int) {
 		lo := c * scoreChunk
@@ -543,15 +558,6 @@ func (t *Task) ScoreBatch(scheds []*schedule.Schedule) []float64 {
 		scoreBufPool.Put(sb)
 	})
 	return out
-}
-
-// BestPerf returns the best measured performance (1/exec), or 0 if nothing
-// has been measured yet.
-func (t *Task) BestPerf() float64 {
-	if math.IsInf(t.BestExec, 1) {
-		return 0
-	}
-	return 1 / t.BestExec
 }
 
 // WeightedBestExec returns w_n · g_n, the task's contribution to the
@@ -599,16 +605,5 @@ func (t *Task) ExploreRandom(k int) {
 // Tune runs the engine on a single task until the measurement budget is
 // exhausted (the operator-level experiments of Section 6.2).
 func Tune(e Engine, t *Task, budgetTrials, measureK int) {
-	TuneCtx(context.Background(), e, t, budgetTrials, measureK)
-}
-
-// TuneCtx is Tune with cooperative cancellation: the context is checked at
-// round boundaries, so a cancelled session stops after its in-flight round
-// commits — every measurement that happened is fully accounted (best logs,
-// cost model, OnMeasure journal callbacks) and the task is left in a
-// consistent, resumable state. It returns true if the run was cut short by
-// the context. An uncancelled run takes exactly the same path as Tune, so
-// the determinism contract is untouched.
-func TuneCtx(ctx context.Context, e Engine, t *Task, budgetTrials, measureK int) bool {
-	return TuneSession(ctx, e, t, budgetTrials, measureK, nil)
+	TuneSession(context.Background(), e, t, budgetTrials, measureK, nil)
 }

@@ -219,22 +219,19 @@ func (q *Queue) finishLocked(j *Job) {
 	close(j.done)
 	j.progress.close()
 	q.terminal++
-	if q.terminal <= q.retain {
-		return
-	}
-	kept := q.order[:0]
-	excess := q.terminal - q.retain
-	for _, id := range q.order {
-		job := q.jobs[id]
-		if excess > 0 && (job.State == StateDone || job.State == StateFailed || job.State == StateCancelled) {
-			delete(q.jobs, id)
-			q.terminal--
-			excess--
+	// Evict the oldest finished jobs down to the bound and stop there: the
+	// walk ends at the entry that clears the excess (almost always the first)
+	// and the tail keeps its order; queued and running jobs are stepped over.
+	for i := 0; q.terminal > q.retain && i < len(q.order); {
+		id := q.order[i]
+		if s := q.jobs[id].State; s != StateDone && s != StateFailed && s != StateCancelled {
+			i++
 			continue
 		}
-		kept = append(kept, id)
+		delete(q.jobs, id)
+		q.terminal--
+		q.order = append(q.order[:i], q.order[i+1:]...)
 	}
-	q.order = kept
 }
 
 // NewQueue starts a queue with the given worker count (minimum 1).

@@ -278,3 +278,57 @@ func TestSubmitSnapshotSurvivesEviction(t *testing.T) {
 		t.Fatal("snapshot lost after eviction")
 	}
 }
+
+// TestRetentionEvictsOldestFinishedOnly pins the retention walk: lowering
+// the bound to 2 with five finished jobs and one running evicts the oldest
+// finished jobs in listing order and stops at the one that clears the excess,
+// the survivors keep their submission order, and a queued or running job is
+// stepped over however old it is.
+func TestRetentionEvictsOldestFinishedOnly(t *testing.T) {
+	ft := newFakeTuner()
+	q := NewQueue(ft, 1)
+	defer q.Shutdown()
+	submit := func(op string) string {
+		t.Helper()
+		j, coalesced, err := q.Submit(Request{Op: op, Shape: "64,64,64", Target: "cpu"})
+		if err != nil || coalesced {
+			t.Fatalf("submit %s: coalesced=%v err=%v", op, coalesced, err)
+		}
+		return j.ID
+	}
+	listing := func() string {
+		var ops []string
+		for _, j := range q.Jobs() {
+			ops = append(ops, j.Request.Op+":"+string(j.State))
+		}
+		return strings.Join(ops, " ")
+	}
+	submit("run")
+	<-ft.started // the one worker is now held by "run"
+	for _, op := range []string{"a", "b", "c", "d", "e"} {
+		if !q.Cancel(submit(op)) {
+			t.Fatalf("queued job %s not cancellable", op)
+		}
+	}
+	queued := submit("wait")
+	q.mu.Lock()
+	q.retain = 2
+	q.mu.Unlock()
+	// The sixth finish finds an excess of four: a, b, c and d go, the walk
+	// stops there, and e, the queued job and f keep their places behind the
+	// running job.
+	q.Cancel(submit("f"))
+	if got, want := listing(), "run:running e:cancelled wait:queued f:cancelled"; got != want {
+		t.Fatalf("after lowering retain to 2:\n got %s\nwant %s", got, want)
+	}
+	// One more finish, one eviction: the oldest finished job, not the oldest job.
+	q.Cancel(queued)
+	if got, want := listing(), "run:running wait:cancelled f:cancelled"; got != want {
+		t.Fatalf("after one more finish:\n got %s\nwant %s", got, want)
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.terminal != 2 || len(q.jobs) != 3 {
+		t.Fatalf("terminal=%d jobs=%d, want 2 and 3", q.terminal, len(q.jobs))
+	}
+}

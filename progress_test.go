@@ -1,8 +1,10 @@
 package harl
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -287,5 +289,51 @@ func TestCancelledRunPublishesPartialBest(t *testing.T) {
 	}
 	if hit.Schedule != res.BestSchedule {
 		t.Fatalf("registry serves %q, cancelled run found %q", hit.Schedule, res.BestSchedule)
+	}
+}
+
+// TestCancelledRunFitsPendingVersion: a session cancelled at a round boundary
+// stops with its last committed training-set version unread (here every
+// version: the random engine never reads the model). The result still counts
+// every sample and version, and the ModelOut artifact is fitted on all of
+// them — byte for byte the offline fit over the session's own journal.
+func TestCancelledRunFitsPendingVersion(t *testing.T) {
+	dir := t.TempDir()
+	logPath, modelPath, offlinePath := filepath.Join(dir, "j.jsonl"), filepath.Join(dir, "m.json"), filepath.Join(dir, "offline.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rounds := 0
+	w := GEMM(256, 256, 256, 1)
+	res, err := TuneOperatorContext(ctx, w, CPU(), Options{
+		Scheduler: "random", Trials: 1 << 30, Seed: 3, RecordLog: logPath, ModelOut: modelPath,
+		OnProgress: func(ProgressEvent) {
+			if rounds++; rounds == 3 {
+				cancel()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cancelled || res.Trials != 48 || res.CostModelSamples != 48 || res.CostModelRefits != 3 {
+		t.Fatalf("cancelled after 3 rounds of 16: %+v", res)
+	}
+	st, err := TrainModel(logPath, []Workload{w}, CPU(), offlinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Samples != 48 || !st.Trained {
+		t.Fatalf("offline fit over the journal: %+v", st)
+	}
+	got, err := os.ReadFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(offlinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the cancelled session's checkpoint is not the fit over every committed sample")
 	}
 }
