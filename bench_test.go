@@ -413,45 +413,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkRegistryResolve measures the amortization the best-schedule
-// registry buys: the same GEMM request answered by a cold search (the price
-// the first caller pays) versus a registry hit (what every later caller
-// pays). The hit path is a fingerprint lookup plus one schedule
-// reconstruction — no measurements, no model, no search.
-func BenchmarkRegistryResolve(b *testing.B) {
-	w := GEMM(256, 256, 256, 1)
-	b.Run("cold-search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := TuneOperator(w, CPU(), Options{Scheduler: "harl", Trials: 96, Seed: 7})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Trials), "trials")
-		}
-	})
-	b.Run("registry-hit", func(b *testing.B) {
-		reg, err := OpenRegistry(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer reg.Close()
-		if _, err := reg.ImportJournal("examples/pretrain/gemm-cpu.jsonl"); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := TuneOperator(w, CPU(), Options{Scheduler: "harl", Trials: 96, Seed: 7, Registry: reg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.CacheHit {
-				b.Fatal("expected a registry hit")
-			}
-			b.ReportMetric(float64(res.Trials), "trials")
-		}
-	})
-}
-
 // BenchmarkPPOStep measures one policy query plus one training tick.
 func BenchmarkPPOStep(b *testing.B) {
 	rng := xrand.New(1)

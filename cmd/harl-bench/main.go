@@ -1,7 +1,8 @@
 // Command harl-bench regenerates the paper's tables and figures. Every
-// experiment additionally leaves a machine-readable trace: a BENCH_<exp>.json
-// summary (resolved configuration, duration, rendered rows) written under
-// -out, so the repo's performance trajectory accumulates run over run.
+// experiment additionally leaves a machine-readable BENCH_<exp>.json summary
+// (resolved configuration, measurement accounting, rendered rows — all
+// seed-deterministic, no timing) written under -out; the elapsed time goes to
+// stdout only.
 //
 // Usage:
 //
@@ -80,7 +81,7 @@ func main() {
 		elapsed := time.Since(start)
 		fmt.Printf("(%s in %v)\n\n", id, elapsed.Round(time.Millisecond))
 		if *out != "" {
-			path, err := harl.WriteBenchSummary(*out, id, cfg, elapsed, buf.String())
+			path, err := harl.WriteBenchSummary(*out, id, cfg, buf.String())
 			if err != nil {
 				fatal(err)
 			}

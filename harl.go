@@ -1166,12 +1166,12 @@ func RunExperiment(id string, c ExperimentConfig, w io.Writer) error {
 	return nil
 }
 
-// WriteBenchSummary writes the machine-readable trace of one experiment run
+// WriteBenchSummary writes the machine-readable output of one experiment run
 // as BENCH_<id>.json under dir and returns the file path. The summary embeds
-// the resolved configuration, wall-clock duration and the experiment's
-// rendered output so benchmark trajectories accumulate across runs.
-func WriteBenchSummary(dir, id string, c ExperimentConfig, duration time.Duration, output string) (string, error) {
-	return experiments.NewSummary(id, c.resolve(), duration, output).WriteFile(dir)
+// the resolved configuration, the measurement accounting and the experiment's
+// rendered output — all seed-deterministic, no timing.
+func WriteBenchSummary(dir, id string, c ExperimentConfig, output string) (string, error) {
+	return experiments.NewSummary(id, c.resolve(), output).WriteFile(dir)
 }
 
 // Record is one measured tuning trial of a persistent record log (see the

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTuneOperatorHappyPath(t *testing.T) {
@@ -413,7 +412,7 @@ func TestTargetByNameErrorListsPlatforms(t *testing.T) {
 
 func TestWriteBenchSummary(t *testing.T) {
 	dir := t.TempDir()
-	path, err := WriteBenchSummary(dir, "tab1", ExperimentConfig{}, time.Second, "row\n")
+	path, err := WriteBenchSummary(dir, "tab1", ExperimentConfig{}, "row\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +430,8 @@ func TestWriteBenchSummary(t *testing.T) {
 	if got["experiment"] != "tab1" || got["output"] != "row\n" {
 		t.Fatalf("summary %v", got)
 	}
-	if got["duration_ms"].(float64) != 1000 {
-		t.Fatalf("duration %v", got["duration_ms"])
+	if _, ok := got["duration_ms"]; ok {
+		t.Fatal("summary carries a timing field; BENCH_*.json is an output pin, not a perf trace")
 	}
 }
 

@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"harl/internal/atomicfile"
 )
 
-// Summary is the machine-readable trace of one experiment run, written as
-// BENCH_<experiment>.json so benchmark trajectories accumulate across runs
-// (and across CI, which uploads these files as workflow artifacts).
+// Summary is the machine-readable output of one experiment run, written as
+// BENCH_<experiment>.json (CI uploads these files as workflow artifacts). It
+// carries no timing: every field is seed-deterministic, so a committed
+// summary is an output pin; timings live in the benchmark/ ledger.
 type Summary struct {
 	Experiment string `json:"experiment"`
 	// Config echoes the resolved experiment configuration so a summary is
@@ -24,8 +24,6 @@ type Summary struct {
 	Batches            []int   `json:"batches"`
 	NetworkBudgetScale float64 `json:"network_budget_scale"`
 	Workers            int     `json:"workers"`
-	// DurationMS is the wall-clock runtime of the experiment.
-	DurationMS float64 `json:"duration_ms"`
 	// Measured and MeasureSaved partition the charged trials of every tuning
 	// run the experiment performed: hardware measurements actually paid
 	// versus trials backfilled from cost-model predictions (adaptive
@@ -36,14 +34,13 @@ type Summary struct {
 	MeasureSaved int `json:"measure_saved"`
 	TrialsToBest int `json:"trials_to_best"`
 	// Output is the experiment's rendered table/figure text — the same rows
-	// a human sees, kept verbatim so traces are diffable run to run (the
-	// rows are seed-deterministic; only DurationMS varies).
+	// a human sees, kept verbatim so summaries are diffable run to run.
 	Output string `json:"output"`
 }
 
 // NewSummary builds the summary of one finished experiment, taking the
 // measurement accounting the run accumulated since ResetObservations.
-func NewSummary(id string, cfg Config, duration time.Duration, output string) Summary {
+func NewSummary(id string, cfg Config, output string) Summary {
 	obs := TakeObservations()
 	return Summary{
 		Experiment:         id,
@@ -54,7 +51,6 @@ func NewSummary(id string, cfg Config, duration time.Duration, output string) Su
 		Batches:            cfg.Batches,
 		NetworkBudgetScale: cfg.NetworkBudgetScale,
 		Workers:            cfg.EffectiveWorkers(),
-		DurationMS:         float64(duration.Microseconds()) / 1e3,
 		Measured:           obs.Measured,
 		MeasureSaved:       obs.MeasureSaved,
 		TrialsToBest:       obs.TrialsToBest,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"harl/internal/tunelog"
 )
@@ -28,56 +27,12 @@ const (
 	LayoutSharded Layout = "sharded"
 )
 
-// Options tune how a registry opens and publishes. The zero value auto-detects
-// the layout and uses the default batching, shard-cache and compaction knobs.
+// Options select how a registry opens. The zero value auto-detects the
+// layout.
 type Options struct {
 	// Layout selects the storage layout (see the Layout constants). Opening a
 	// single-file registry with LayoutSharded migrates it in place.
 	Layout Layout
-	// ShardCache bounds how many shard indexes the sharded backend keeps
-	// resident (LRU eviction beyond it; 0 selects DefaultShardCache).
-	ShardCache int
-	// BatchSize and BatchWait shape the publish batcher: a flush happens when
-	// BatchSize records are pending or BatchWait after the first enqueued
-	// record, whichever is first. Zero values select DefaultBatchSize /
-	// DefaultBatchWait.
-	BatchSize int
-	BatchWait time.Duration
-	// CompactMinRecords and CompactFactor gate shard compaction: a shard is
-	// rewritten (keeping only per-key bests, Force heals preserved) when it
-	// holds at least CompactMinRecords records and more than CompactFactor
-	// times as many records as live keys. Zero values select
-	// DefaultCompactMinRecords / DefaultCompactFactor.
-	CompactMinRecords int
-	CompactFactor     float64
-}
-
-// Defaults for the Options knobs.
-const (
-	DefaultShardCache        = 64
-	DefaultBatchSize         = 64
-	DefaultBatchWait         = 2 * time.Millisecond
-	DefaultCompactMinRecords = 256
-	DefaultCompactFactor     = 4.0
-)
-
-func (o Options) withDefaults() Options {
-	if o.ShardCache <= 0 {
-		o.ShardCache = DefaultShardCache
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.BatchWait <= 0 {
-		o.BatchWait = DefaultBatchWait
-	}
-	if o.CompactMinRecords <= 0 {
-		o.CompactMinRecords = DefaultCompactMinRecords
-	}
-	if o.CompactFactor <= 0 {
-		o.CompactFactor = DefaultCompactFactor
-	}
-	return o
 }
 
 // Stats is a snapshot of a registry's storage counters — the observability
@@ -104,7 +59,7 @@ type Stats struct {
 	// Compactions counts shard journal rewrites (sharded layout only).
 	Compactions int64
 	// ResidentShards is how many shard indexes are currently in memory
-	// (sharded layout only; bounded by Options.ShardCache).
+	// (sharded layout only; bounded by shardCacheCap).
 	ResidentShards int
 }
 
@@ -149,31 +104,31 @@ func DetectLayout(dir string) Layout {
 	return LayoutSingle
 }
 
-// openBackend resolves the layout (detecting and, when a single-file registry
-// is opened with LayoutSharded, migrating in place) and opens it.
+// openBackend resolves the layout and opens it. A root journal.jsonl under the
+// sharded layout is a v1 registry to migrate in place — or a migration a kill
+// interrupted after shards/ was created and before the journal was retired,
+// which DetectLayout alone would open as an empty sharded registry. The
+// replay skips records a shard already holds, so both cases run Migrate.
 func openBackend(dir string, o Options) (Backend, error) {
 	layout := o.Layout
-	detected := DetectLayout(dir)
 	switch layout {
 	case LayoutAuto:
-		layout = detected
+		layout = DetectLayout(dir)
 	case LayoutSingle:
-		if detected == LayoutSharded {
+		if DetectLayout(dir) == LayoutSharded {
 			return nil, fmt.Errorf("registry: %s holds a sharded registry; open it with the sharded (or auto) layout", dir)
 		}
 	case LayoutSharded:
-		if detected == LayoutSingle {
-			if _, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil {
-				if err := Migrate(dir, o); err != nil {
-					return nil, err
-				}
-			}
-		}
 	default:
 		return nil, fmt.Errorf("registry: unknown layout %q", layout)
 	}
-	if layout == LayoutSharded {
-		return openSharded(dir, o)
+	if layout == LayoutSingle {
+		return openFileBackend(dir)
 	}
-	return openFileBackend(dir)
+	if _, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil {
+		if err := Migrate(dir); err != nil {
+			return nil, err
+		}
+	}
+	return openSharded(dir)
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"harl/internal/tunelog"
 )
@@ -20,11 +19,10 @@ import (
 
 var conformanceLayouts = []Layout{LayoutSingle, LayoutSharded}
 
-// openLayout opens a registry with the given layout and a short batching
-// window so single-publish tests do not serialize on the default wait.
+// openLayout opens a registry with the given layout.
 func openLayout(t testing.TB, dir string, layout Layout) *Registry {
 	t.Helper()
-	r, err := OpenOptions(dir, Options{Layout: layout, BatchWait: time.Millisecond})
+	r, err := OpenOptions(dir, Options{Layout: layout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,39 +4,38 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"harl/internal/tunelog"
 )
 
-// The publish batcher. Every publisher — N concurrent daemon sessions, a CLI
-// run, a Replace heal — enqueues its record with a per-caller response
-// channel; a single flusher goroutine collects whatever arrives within the
-// batching window (up to batchSize records, or batchWait after the first)
-// and services the whole batch with ONE backend append: one lock
-// acquisition, one journal open, one index/header write, however many
-// sessions published. A lone publisher pays at most batchWait of latency —
-// noise against the seconds a tuning session spends earning the record —
-// and concurrent publishers stop serializing one file lock apiece.
+// The publish batcher is a group commit. Every publisher — N concurrent
+// daemon sessions, a CLI run, a Replace heal — queues its record with a
+// per-caller response channel; a single flusher goroutine takes the first
+// pending request plus whatever else is already queued and services them with
+// ONE backend append: one lock acquisition, one journal open, one index/header
+// write per touched journal, however many sessions published. The requests
+// that arrive while that append holds the file lock are the next batch. A lone
+// publisher waits for nothing but its own durable append; concurrent
+// publishers stop serializing one file lock apiece.
 
-// PublishResult is the per-record outcome of a batched publish.
-type PublishResult struct {
-	// Improved reports the record beat (or established) its key's best.
-	Improved bool
-	Err      error
-}
+// maxBatch caps the records one flush carries, so a deep backlog cannot hold
+// the file lock (and every caller in the batch) for an unbounded append.
+const maxBatch = 64
 
 type publishReq struct {
 	rec  tunelog.Record
-	resp chan PublishResult
+	resp chan publishResp
+}
+
+type publishResp struct {
+	improved bool
+	err      error
 }
 
 type batcher struct {
-	b    Backend
-	size int
-	wait time.Duration
+	b Backend
 
-	mu     sync.RWMutex // guards closed vs in-flight enqueues
+	mu     sync.RWMutex // guards closed vs in-flight sends on ch
 	closed bool
 	ch     chan publishReq
 	done   chan struct{} // closed when the flusher has drained and exited
@@ -45,60 +44,53 @@ type batcher struct {
 	records atomic.Int64
 }
 
-func newBatcher(b Backend, size int, wait time.Duration) *batcher {
+func newBatcher(b Backend) *batcher {
 	bt := &batcher{
-		b:    b,
-		size: size,
-		wait: wait,
-		ch:   make(chan publishReq, size*2),
+		b: b,
+		// Two batches deep: a full next batch can queue behind the one in
+		// flight before publishers block on the send instead of on their reply.
+		ch:   make(chan publishReq, 2*maxBatch),
 		done: make(chan struct{}),
 	}
 	go bt.run()
 	return bt
 }
 
-// publish enqueues one record and blocks until its batch is durable.
+// publish queues one record and blocks until its batch is durable. The read
+// lock is held across the send so close cannot close ch under a sender; the
+// flusher never takes mu, so a full ch always drains.
 func (bt *batcher) publish(rec tunelog.Record) (bool, error) {
-	res := <-bt.enqueue(rec)
-	return res.Improved, res.Err
-}
-
-// enqueue submits one record for the next batch; the returned channel
-// delivers exactly one result.
-func (bt *batcher) enqueue(rec tunelog.Record) <-chan PublishResult {
-	resp := make(chan PublishResult, 1)
+	req := publishReq{rec: rec, resp: make(chan publishResp, 1)}
 	bt.mu.RLock()
 	if bt.closed {
 		bt.mu.RUnlock()
-		resp <- PublishResult{Err: fmt.Errorf("registry: closed")}
-		return resp
+		return false, fmt.Errorf("registry: closed")
 	}
-	bt.ch <- publishReq{rec: rec, resp: resp}
+	bt.ch <- req
 	bt.mu.RUnlock()
-	return resp
+	res := <-req.resp
+	return res.improved, res.err
 }
 
-// run is the flusher loop: take the first pending request, keep collecting
-// until the batch is full or the batching window since that first request
-// elapses, then flush. Intake closing drains what remains into final batches.
+// run is the flusher loop: take the first pending request, add what is already
+// queued without waiting for more, flush. Intake closing drains what remains
+// into final batches.
 func (bt *batcher) run() {
 	defer close(bt.done)
 	for first := range bt.ch {
 		batch := []publishReq{first}
-		timer := time.NewTimer(bt.wait)
-	collect:
-		for len(batch) < bt.size {
+	drain:
+		for len(batch) < maxBatch {
 			select {
 			case req, ok := <-bt.ch:
 				if !ok {
-					break collect
+					break drain
 				}
 				batch = append(batch, req)
-			case <-timer.C:
-				break collect
+			default:
+				break drain
 			}
 		}
-		timer.Stop()
 		bt.flush(batch)
 	}
 }
@@ -117,9 +109,9 @@ func (bt *batcher) flush(batch []publishReq) {
 	bt.batches.Add(1)
 	bt.records.Add(int64(len(batch)))
 	for i, req := range batch {
-		res := PublishResult{Err: err}
+		res := publishResp{err: err}
 		if err == nil {
-			res.Improved = improved[i]
+			res.improved = improved[i]
 		}
 		req.resp <- res
 	}
@@ -133,13 +125,10 @@ func (bt *batcher) stats() (batches, records int64) {
 // stops the flusher. Idempotent.
 func (bt *batcher) close() {
 	bt.mu.Lock()
-	if bt.closed {
-		bt.mu.Unlock()
-		<-bt.done
-		return
+	if !bt.closed {
+		bt.closed = true
+		close(bt.ch)
 	}
-	bt.closed = true
-	close(bt.ch)
 	bt.mu.Unlock()
 	<-bt.done
 }

@@ -1,193 +1,226 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
+
+	"harl/internal/tunelog"
 )
 
-// TestBatcherAmortizesLockAcquisitions: N concurrent publishers arriving
-// within one batching window must be serviced by far fewer lock acquisitions
-// than one apiece — the point of the batcher. The window is set high so the
-// assertion is deterministic even on a single-core runner: the flusher always
-// waits the full window (or a full batch) before flushing.
+// The batcher contract, pinned without a clock: a gate in front of a real
+// backend holds each AppendBatch until the test releases it, and the test
+// waits on the batcher's request channel filling — events, never time.
+
+// gateBackend signals each AppendBatch's record count on entered and blocks
+// until the test sends the call's verdict on release: nil forwards the batch
+// to the wrapped backend, an error fails it.
+type gateBackend struct {
+	Backend
+	entered chan int
+	release chan error
+}
+
+func (g *gateBackend) AppendBatch(recs []tunelog.Record) ([]bool, error) {
+	g.entered <- len(recs)
+	if err := <-g.release; err != nil {
+		return nil, err
+	}
+	return g.Backend.AppendBatch(recs)
+}
+
+// pass waits for the next AppendBatch, lets it through and returns its size.
+func (g *gateBackend) pass() int {
+	n := <-g.entered
+	g.release <- nil
+	return n
+}
+
+// openGated opens a registry whose batcher flushes through a gate. The
+// cleanup opens the gate for good before closing, so a failed assertion
+// reports instead of hanging on a held flush.
+func openGated(t *testing.T, dir string, layout Layout) (*Registry, *gateBackend) {
+	t.Helper()
+	r := openLayout(t, dir, layout)
+	// entered is buffered past any test's AppendBatch count: the gate is the
+	// unbuffered release.
+	g := &gateBackend{Backend: r.b, entered: make(chan int, 8), release: make(chan error)}
+	r.b, r.bat.b = g, g
+	t.Cleanup(func() {
+		close(g.release)
+		r.Close()
+	})
+	return r, g
+}
+
+// publishers starts n concurrent Publish calls over `keys` workloads; wait
+// collects their errors.
+func publishers(r *Registry, tag string, n, keys int) (wait func() []error) {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = r.Publish(synthRecord(fmt.Sprintf("w@%s-%d", tag, i%keys), "harl", float64(i+1)*1e-5, i+1))
+		}(i)
+	}
+	return func() []error { wg.Wait(); return errs }
+}
+
+// backlog is publishers behind a flush the gate is holding: it returns once
+// all n sit in the batcher's queue.
+func backlog(r *Registry, tag string, n, keys int) (wait func() []error) {
+	wait = publishers(r, tag, n, keys)
+	for len(r.bat.ch) < n {
+		runtime.Gosched()
+	}
+	return wait
+}
+
+// holdFlush publishes one record and returns with its flush — a lone
+// publisher's batch of one — held at the gate.
+func holdFlush(t *testing.T, r *Registry, g *gateBackend) (wait func() []error) {
+	t.Helper()
+	wait = publishers(r, "first", 1, 1)
+	if n := <-g.entered; n != 1 {
+		t.Fatalf("lone publisher flushed as a batch of %d", n)
+	}
+	return wait
+}
+
+func mustAllSucceed(t *testing.T, errs []error) {
+	t.Helper()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("publisher %d: %v", i, err)
+		}
+	}
+}
+
+// TestBatcherAmortizesLockAcquisitions: N publishers queued behind an
+// in-flight flush are the next batch — exactly one AppendBatch of N records,
+// and far fewer file locks than one apiece on either layout.
 func TestBatcherAmortizesLockAcquisitions(t *testing.T) {
 	for _, layout := range conformanceLayouts {
 		t.Run(string(layout), func(t *testing.T) {
-			const publishers = 32
-			r, err := OpenOptions(t.TempDir(), Options{Layout: layout,
-				BatchSize: publishers, BatchWait: 500 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
+			r, g := openGated(t, t.TempDir(), layout)
+			first := holdFlush(t, r, g)
 			// Four keys across 32 publishers: the sharded backend locks once per
-			// TOUCHED SHARD per batch, so a batch spanning 32 distinct keys
-			// could legitimately take up to 32 locks — the amortization shows
-			// on keys that share shards, which concurrent sessions re-measuring
-			// the same workloads produce constantly.
-			const keys = 4
-			var wg sync.WaitGroup
-			for i := 0; i < publishers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					rec := synthRecord(fmt.Sprintf("w@amort-%d", i%keys), "harl", float64(i+1)*1e-5, i+1)
-					if _, err := r.Publish(rec); err != nil {
-						t.Error(err)
-					}
-				}(i)
+			// TOUCHED SHARD per batch, so the amortization shows on keys that
+			// share shards, which concurrent sessions re-measuring the same
+			// workloads produce constantly.
+			const queued, keys = 32, 4
+			rest := backlog(r, "amort", queued, keys)
+			g.release <- nil
+			if n := g.pass(); n != queued {
+				t.Fatalf("the %d publishers queued behind a flush landed in a batch of %d", queued, n)
 			}
-			wg.Wait()
+			mustAllSucceed(t, first())
+			mustAllSucceed(t, rest())
 			st := r.Stats()
-			if st.LockAcquisitions >= publishers {
-				t.Fatalf("%d lock acquisitions for %d publishes — batching amortized nothing", st.LockAcquisitions, publishers)
+			if st.BatchesFlushed != 2 || st.BatchedRecords != queued+1 {
+				t.Fatalf("%d batches carrying %d records, want 2 carrying %d", st.BatchesFlushed, st.BatchedRecords, queued+1)
 			}
-			if st.BatchesFlushed >= publishers {
-				t.Fatalf("%d batches for %d publishes", st.BatchesFlushed, publishers)
+			if st.LockAcquisitions > 1+keys {
+				t.Fatalf("%d lock acquisitions for %d publishes over %d keys — batching amortized nothing", st.LockAcquisitions, queued+1, keys)
 			}
-			if st.BatchedRecords != publishers {
-				t.Fatalf("batcher carried %d records, want %d", st.BatchedRecords, publishers)
-			}
-			if r.Len() != keys {
-				t.Fatalf("Len = %d, want %d distinct keys", r.Len(), keys)
+			if r.Len() != keys+1 {
+				t.Fatalf("Len = %d, want %d distinct keys", r.Len(), keys+1)
 			}
 		})
 	}
 }
 
-// TestPublishAsyncBulkIngest: the fire-then-drain path fills batches instead
-// of paying one batching window per record.
-func TestPublishAsyncBulkIngest(t *testing.T) {
-	r, err := OpenOptions(t.TempDir(), Options{Layout: LayoutSharded, BatchSize: 16, BatchWait: time.Millisecond})
-	if err != nil {
+func TestBatcherSplitsBacklogAtCap(t *testing.T) {
+	r, g := openGated(t, t.TempDir(), LayoutSharded)
+	first := holdFlush(t, r, g)
+	const extra = 16
+	rest := backlog(r, "cap", maxBatch+extra, 8)
+	g.release <- nil
+	if n := g.pass(); n != maxBatch {
+		t.Fatalf("backlog of %d flushed %d records at once, cap %d", maxBatch+extra, n, maxBatch)
+	}
+	if n := g.pass(); n != extra {
+		t.Fatalf("remainder batch carried %d records, want %d", n, extra)
+	}
+	mustAllSucceed(t, first())
+	mustAllSucceed(t, rest())
+}
+
+// TestBatchErrorReachesEveryCaller: a batch-level failure is every caller's
+// failure, and the batcher keeps serving afterwards.
+func TestBatchErrorReachesEveryCaller(t *testing.T) {
+	r, g := openGated(t, t.TempDir(), LayoutSharded)
+	first := holdFlush(t, r, g)
+	const queued = 5
+	failed := backlog(r, "fail", queued, queued)
+	g.release <- nil
+	boom := errors.New("injected batch failure")
+	if n := <-g.entered; n != queued {
+		t.Fatalf("batch of %d, want %d", n, queued)
+	}
+	g.release <- boom
+	mustAllSucceed(t, first())
+	for i, err := range failed() {
+		if !errors.Is(err, boom) {
+			t.Fatalf("publisher %d of the failed batch got %v", i, err)
+		}
+	}
+	next := publishers(r, "next", 1, 1)
+	g.pass()
+	mustAllSucceed(t, next())
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want the two records of the batches that succeeded", r.Len())
+	}
+}
+
+// TestCloseFlushesPendingPublishes: Close returns only after every publish
+// queued before it is durable.
+func TestCloseFlushesPendingPublishes(t *testing.T) {
+	dir := t.TempDir()
+	r, g := openGated(t, dir, LayoutAuto)
+	first := holdFlush(t, r, g)
+	const queued = 8
+	rest := backlog(r, "flush", queued, queued)
+	closed := make(chan error, 1)
+	go func() { closed <- r.Close() }()
+	// Wait until Close has stopped intake; the flusher is still held at the
+	// gate with the queue behind it, so Close must be blocked.
+	for stopped := false; !stopped; runtime.Gosched() {
+		r.bat.mu.RLock()
+		stopped = r.bat.closed
+		r.bat.mu.RUnlock()
+	}
+	select {
+	case <-r.bat.done:
+		t.Fatal("flusher exited with publishes still queued")
+	default:
+	}
+	g.release <- nil
+	if n := g.pass(); n != queued {
+		t.Fatalf("Close drained a batch of %d, want %d", n, queued)
+	}
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	const n = 100
-	pending := make([]<-chan PublishResult, 0, n)
-	for i := 0; i < n; i++ {
-		pending = append(pending, r.PublishAsync(synthRecord(fmt.Sprintf("w@bulk-%03d", i), "harl", 1e-4, i+1)))
-	}
-	improved := 0
-	for _, ch := range pending {
-		res := <-ch
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res.Improved {
-			improved++
-		}
-	}
-	if improved != n {
-		t.Fatalf("%d of %d distinct keys improved", improved, n)
-	}
-	if r.Len() != n {
-		t.Fatalf("Len = %d, want %d", r.Len(), n)
+	mustAllSucceed(t, first())
+	mustAllSucceed(t, rest())
+	fresh := openLayout(t, dir, LayoutAuto)
+	defer fresh.Close()
+	if fresh.Len() != queued+1 {
+		t.Fatalf("%d of %d pre-Close publishes durable", fresh.Len(), queued+1)
 	}
 }
 
 func TestPublishAfterCloseFails(t *testing.T) {
-	r, err := OpenOptions(t.TempDir(), Options{BatchWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLayout(t, t.TempDir(), LayoutAuto)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Publish(synthRecord("w@closed", "harl", 1e-4, 1)); err == nil {
 		t.Fatal("publish after Close must fail, not hang or drop silently")
-	}
-}
-
-// TestCloseFlushesPendingPublishes: records enqueued before Close must be
-// durable when Close returns.
-func TestCloseFlushesPendingPublishes(t *testing.T) {
-	dir := t.TempDir()
-	// A long window: without the flush-on-close contract these would still be
-	// sitting in the batcher when Close returns.
-	r, err := OpenOptions(dir, Options{BatchSize: 1024, BatchWait: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	pending := make([]<-chan PublishResult, 0, n)
-	for i := 0; i < n; i++ {
-		pending = append(pending, r.PublishAsync(synthRecord(fmt.Sprintf("w@flush-%d", i), "harl", 1e-4, i+1)))
-	}
-	done := make(chan error, 1)
-	go func() { done <- r.Close() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not flush pending publishes")
-	}
-	for _, ch := range pending {
-		if res := <-ch; res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	fresh := openLayout(t, dir, LayoutAuto)
-	defer fresh.Close()
-	if fresh.Len() != n {
-		t.Fatalf("%d of %d pre-Close publishes durable", fresh.Len(), n)
-	}
-}
-
-// BenchmarkRegistryPublish drives N concurrent publishers through the batcher
-// against both layouts. Beyond throughput, it asserts the amortization
-// contract on the lock counter — fewer flock acquisitions than publishes —
-// rather than on wall-clock, so the check holds on any machine.
-func BenchmarkRegistryPublish(b *testing.B) {
-	for _, layout := range []Layout{LayoutSingle, LayoutSharded} {
-		b.Run(string(layout), func(b *testing.B) {
-			r, err := OpenOptions(b.TempDir(), Options{Layout: layout,
-				BatchSize: 64, BatchWait: time.Millisecond})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// A pool of 8 hot keys: concurrent sessions re-measuring the same
-			// workloads. Per batch the sharded backend locks each touched shard
-			// once, so a bounded key pool is what makes lock amortization
-			// visible there (an all-distinct-keys batch legitimately locks one
-			// shard per key).
-			const publishers = 32
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for p := 0; p < publishers; p++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := next.Add(1)
-						if i > int64(b.N) {
-							return
-						}
-						rec := synthRecord(fmt.Sprintf("w@bench-%d", i%8), "harl", 1/float64(i), int(i))
-						if _, err := r.Publish(rec); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			st := r.Stats()
-			if b.N >= 64 && st.LockAcquisitions >= int64(b.N) {
-				b.Fatalf("%d lock acquisitions for %d publishes — batching amortized nothing", st.LockAcquisitions, b.N)
-			}
-			b.ReportMetric(float64(st.LockAcquisitions)/float64(b.N), "locks/op")
-			b.ReportMetric(float64(st.BatchesFlushed)/float64(b.N), "batches/op")
-			if err := r.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }

@@ -24,10 +24,10 @@
 // unchanged or migrates in place to the sharded layout (Migrate).
 //
 // Concurrency: a Registry value is safe for concurrent readers and
-// concurrent publishers in-process. Publishes funnel through a batcher —
-// concurrent sessions enqueue records with per-caller response channels and
-// one locked append services the whole batch, so N concurrent publishers
-// amortize lock acquisitions instead of paying one apiece. Across processes,
+// concurrent publishers in-process. Publishes funnel through a group-commit
+// batcher — one locked append services every record queued while the previous
+// append was in flight, so N concurrent publishers amortize lock acquisitions
+// instead of paying one apiece. Across processes,
 // writers serialize behind blocking advisory file locks held only for the
 // append. Open never writes, so read-only consumers can open a registry
 // another process is publishing into; and a Resolve miss re-checks durable
@@ -182,25 +182,23 @@ func writeIndexFile(path string, best map[string]tunelog.Record, records int) er
 }
 
 // Open opens (creating if needed) the registry directory with auto-detected
-// layout and default options, loading state from the authoritative
-// journal(s). Open never writes, so read-only consumers can open a registry
-// another process is actively publishing into.
+// layout, loading state from the authoritative journal(s). Open never writes,
+// so read-only consumers can open a registry another process is actively
+// publishing into.
 func Open(dir string) (*Registry, error) {
 	return OpenOptions(dir, Options{})
 }
 
-// OpenOptions is Open with explicit layout, batching, shard-cache and
-// compaction knobs.
+// OpenOptions is Open with an explicit layout.
 func OpenOptions(dir string, o Options) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: create dir: %w", err)
 	}
-	o = o.withDefaults()
 	b, err := openBackend(dir, o)
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{dir: dir, b: b, bat: newBatcher(b, o.BatchSize, o.BatchWait)}, nil
+	return &Registry{dir: dir, b: b, bat: newBatcher(b)}, nil
 }
 
 // Resolve returns the best known record for the key, if any — the cache-hit
@@ -218,20 +216,11 @@ func (r *Registry) Resolve(workload, target, scheduler string) (tunelog.Record, 
 // Publish records one measurement into the registry: it is appended to the
 // journal (unless the journal already holds it) and the best map updates only
 // when the record beats the current best for its key. The returned bool
-// reports that improvement. Concurrent publishes are batched: each caller
-// blocks until its record is durable, but one locked append services every
-// record that arrived within the batching window.
+// reports that improvement. Concurrent publishes are group-committed: each
+// caller blocks until its record is durable, and one locked append services
+// every record queued while the previous append was in flight.
 func (r *Registry) Publish(rec tunelog.Record) (bool, error) {
 	return r.bat.publish(rec)
-}
-
-// PublishAsync enqueues a publish without waiting: the returned channel
-// delivers the record's improvement flag and error once its batch is durable.
-// This is the bulk-ingest path — a loop of PublishAsync calls followed by a
-// drain fills batches completely instead of paying one batching window per
-// record.
-func (r *Registry) PublishAsync(rec tunelog.Record) <-chan PublishResult {
-	return r.bat.enqueue(rec)
 }
 
 // Replace force-installs a record as its key's best even if the incumbent
@@ -315,15 +304,16 @@ func (r *Registry) Close() error {
 // place: the journal replays into per-shard journals (order preserved, so
 // Force heals keep their effect), the old journal is kept as
 // journal.v1.jsonl for rollback, and the now-stale index.json is removed.
-// OpenOptions with LayoutSharded calls this automatically for a v1 directory.
-func Migrate(dir string, o Options) error {
-	o = o.withDefaults()
+// Opening a directory as sharded calls this whenever a root journal.jsonl is
+// present; the replay skips records a shard already holds, so a run killed at
+// any point before the rename is completed by the next one.
+func Migrate(dir string) error {
 	src := filepath.Join(dir, JournalFile)
 	db, err := tunelog.LoadFile(src)
 	if err != nil {
 		return fmt.Errorf("registry: migrate: %w", err)
 	}
-	sb, err := openSharded(dir, o)
+	sb, err := openSharded(dir)
 	if err != nil {
 		return err
 	}

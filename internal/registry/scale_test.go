@@ -18,10 +18,7 @@ func TestRegistryScaleSmoke(t *testing.T) {
 		t.Skip("set HARL_REGISTRY_SCALE=1 to run the registry scale smoke")
 	}
 	dir := t.TempDir()
-	r, err := OpenOptions(dir, Options{Layout: LayoutSharded, BatchWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLayout(t, dir, LayoutSharded)
 	const keys = 10000
 	const chunk = 500
 	recs := make([]tunelog.Record, 0, chunk)
@@ -37,8 +34,8 @@ func TestRegistryScaleSmoke(t *testing.T) {
 	if r.Len() != keys {
 		t.Fatalf("Len = %d, want %d", r.Len(), keys)
 	}
-	if st := r.Stats(); st.ResidentShards > DefaultShardCache {
-		t.Fatalf("%d resident shards, cap %d", st.ResidentShards, DefaultShardCache)
+	if st := r.Stats(); st.ResidentShards > shardCacheCap {
+		t.Fatalf("%d resident shards, cap %d", st.ResidentShards, shardCacheCap)
 	}
 
 	// Point lookups over warm and cold shards must stay sub-millisecond on
@@ -58,7 +55,7 @@ func TestRegistryScaleSmoke(t *testing.T) {
 	// Dominate one key with superseded records: its shard must compact and
 	// the journal shrink below the records appended to it.
 	hot := "w@scale-00000"
-	const supersedes = 2 * DefaultCompactMinRecords
+	const supersedes = 2 * compactMinRecords
 	for i := 0; i < supersedes; i += chunk {
 		batch := make([]tunelog.Record, 0, chunk)
 		for j := 0; j < chunk && i+j < supersedes; j++ {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"harl/internal/tunelog"
 )
@@ -90,6 +89,98 @@ func TestMigrateSingleToSharded(t *testing.T) {
 	}
 }
 
+// TestInterruptedMigrationResumes: Migrate creates shards/ first and retires
+// the root journal last, so a kill in between leaves a directory DetectLayout
+// calls sharded with the v1 journal orphaned beside it. Opening must finish
+// the migration — every v1 key back, Force heal included — at each kill
+// point, under both the auto and the explicit sharded layout.
+func TestInterruptedMigrationResumes(t *testing.T) {
+	killPoints := map[string]func(t *testing.T, dir string, recs []tunelog.Record){
+		"AfterMkdirAll": func(t *testing.T, dir string, _ []tunelog.Record) {
+			if err := os.MkdirAll(filepath.Join(dir, ShardsDir), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// Half the records landed, and the last append was torn mid-line.
+		"HalfReplayedBatch": func(t *testing.T, dir string, recs []tunelog.Record) {
+			replayInto(t, dir, recs[:len(recs)/2])
+			journals := shardJournals(t, dir)
+			st, err := os.Stat(journals[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(journals[0], st.Size()-5); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"ReplayedBeforeRename": func(t *testing.T, dir string, recs []tunelog.Record) {
+			replayInto(t, dir, recs)
+		},
+	}
+	for name, kill := range killPoints {
+		for layoutName, layout := range map[string]Layout{"auto": LayoutAuto, "sharded": LayoutSharded} {
+			t.Run(name+"/"+layoutName, func(t *testing.T) {
+				dir := t.TempDir()
+				v1 := openLayout(t, dir, LayoutSingle)
+				for i := 0; i < 12; i++ {
+					if _, err := v1.Publish(synthRecord(fmt.Sprintf("w@im-%02d", i), "harl", float64(i+2)*1e-5, i+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := v1.Replace(synthRecord("w@im-00", "harl", 5e-4, 13)); err != nil {
+					t.Fatal(err)
+				}
+				want := v1.Records()
+				if err := v1.Close(); err != nil {
+					t.Fatal(err)
+				}
+				db, err := tunelog.LoadFile(filepath.Join(dir, JournalFile))
+				if err != nil {
+					t.Fatal(err)
+				}
+				kill(t, dir, db.Records())
+
+				r := openLayout(t, dir, layout)
+				defer r.Close()
+				if r.Layout() != LayoutSharded {
+					t.Fatalf("layout = %q", r.Layout())
+				}
+				if r.Len() != len(want) {
+					t.Fatalf("reopen after interrupted migration sees %d keys, want %d", r.Len(), len(want))
+				}
+				got := r.Records()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("best %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
+					}
+				}
+				if _, err := os.Stat(filepath.Join(dir, JournalFile)); !os.IsNotExist(err) {
+					t.Fatalf("v1 journal still at the root: %v", err)
+				}
+				if _, err := os.Stat(filepath.Join(dir, "journal.v1.jsonl")); err != nil {
+					t.Fatalf("retired v1 journal missing: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// replayInto appends recs to dir's shards the way Migrate's replay does,
+// leaving the root journal in place.
+func replayInto(t *testing.T, dir string, recs []tunelog.Record) {
+	t.Helper()
+	sb, err := openSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sb.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestV1RegistryOpensUnmodified: a pre-existing single-file registry opened
 // with the default (auto) layout resolves as before and its files stay
 // byte-identical — storage v2 must not disturb v1 deployments.
@@ -146,12 +237,9 @@ func TestSingleLayoutRejectsShardedDir(t *testing.T) {
 // and a from-scratch rebuild.
 func TestCompactionPreservesBestsAndForce(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Layout: LayoutSharded, BatchWait: time.Millisecond,
-		CompactMinRecords: 8, CompactFactor: 2}
-	r, err := OpenOptions(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLayout(t, dir, LayoutSharded)
+	sb := r.b.(*shardedBackend)
+	sb.compactMin, sb.compactFactor = 8, 2
 	// One hot key accumulating improvements, then a Force heal, then no-op
 	// worse records so the heal stays the best through compaction.
 	for i := 0; i < 6; i++ {
@@ -172,7 +260,7 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 	st := r.Stats()
 	if st.Compactions == 0 {
 		t.Fatalf("no compaction after 15 records over 1 key (min %d, factor %g): %+v",
-			opts.CompactMinRecords, opts.CompactFactor, st)
+			sb.compactMin, sb.compactFactor, st)
 	}
 	want := r.Records()
 	if got, ok := resolve(t, r, "w@hot", heal.Target, "harl"); !ok || got != heal {
@@ -191,10 +279,7 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 	}
 	// A from-scratch rebuild replays only the compacted journal and must land
 	// on the identical best map.
-	fresh, err := OpenOptions(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := openLayout(t, dir, LayoutSharded)
 	defer fresh.Close()
 	got := fresh.Records()
 	if len(got) != len(want) {
@@ -217,10 +302,7 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 // without a generation bump goes unseen), then the cure.
 func TestGenerationDetectsSameStampRewrite(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenOptions(dir, Options{Layout: LayoutSharded, BatchWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLayout(t, dir, LayoutSharded)
 	defer r.Close()
 	sb := r.b.(*shardedBackend)
 	recA := synthRecord("w@gen-00000", "harl", 1e-4, 1)
@@ -301,14 +383,12 @@ func TestGenerationDetectsSameStampRewrite(t *testing.T) {
 	}
 }
 
-// TestShardCacheBoundsResidency: the LRU must keep at most ShardCache shard
+// TestShardCacheBoundsResidency: the LRU must keep at most cacheCap shard
 // indexes in memory while Len and Records still cover everything.
 func TestShardCacheBoundsResidency(t *testing.T) {
-	r, err := OpenOptions(t.TempDir(), Options{Layout: LayoutSharded, ShardCache: 2, BatchWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLayout(t, t.TempDir(), LayoutSharded)
 	defer r.Close()
+	r.b.(*shardedBackend).cacheCap = 2
 	const keys = 64
 	recs := make([]tunelog.Record, 0, keys)
 	for i := 0; i < keys; i++ {

@@ -40,6 +40,16 @@ const (
 // shardHeaderVersion is the header.json format version.
 const shardHeaderVersion = 1
 
+// shardCacheCap is how many shard indexes stay resident (LRU eviction beyond
+// it). A shard is rewritten down to its per-key bests (Force heals preserved)
+// when it holds at least compactMinRecords records and more than
+// compactFactor times as many records as live keys.
+const (
+	shardCacheCap     = 64
+	compactMinRecords = 256
+	compactFactor     = 4.0
+)
+
 type shardHeader struct {
 	V          int   `json:"v"`
 	Generation int64 `json:"generation"`
@@ -116,9 +126,11 @@ func (s *shard) lockPath() string    { return filepath.Join(s.dir, ShardLockFile
 // cross-process writers. Shards dominated by superseded records are
 // compacted in place (see compact.go).
 type shardedBackend struct {
-	dir      string
-	cacheCap int
-	// compactMin/compactFactor gate compaction; see Options.
+	dir string
+	// cacheCap bounds the resident shard indexes; compactMin/compactFactor
+	// gate compaction (see shouldCompactLocked). Fields, not constants, so
+	// tests can shrink them.
+	cacheCap      int
 	compactMin    int
 	compactFactor float64
 
@@ -133,7 +145,7 @@ type shardedBackend struct {
 	openJournal func(path string) (*tunelog.Journal, error)
 }
 
-func openSharded(dir string, o Options) (*shardedBackend, error) {
+func openSharded(dir string) (*shardedBackend, error) {
 	root := filepath.Join(dir, ShardsDir)
 	// Creating the shards/ marker makes the layout choice sticky for later
 	// auto-detecting opens; like the registry directory itself it is the one
@@ -143,9 +155,9 @@ func openSharded(dir string, o Options) (*shardedBackend, error) {
 	}
 	b := &shardedBackend{
 		dir:           dir,
-		cacheCap:      o.ShardCache,
-		compactMin:    o.CompactMinRecords,
-		compactFactor: o.CompactFactor,
+		cacheCap:      shardCacheCap,
+		compactMin:    compactMinRecords,
+		compactFactor: compactFactor,
 		openJournal:   tunelog.OpenJournalUnlocked,
 	}
 	b.stats.Layout = LayoutSharded
