@@ -11,15 +11,17 @@
 #   make bench-hot — the search hot-path microbenchmarks (features, schedule
 #                    key, batch scoring, refit, single-row and batch
 #                    prediction, PPO step and update, and under those nn's
-#                    matrix kernel, AVX and portable), repeated BENCH_COUNT
-#                    times with allocation stats into bench-hot.txt
+#                    matrix kernel and element-wise lanes, AVX and portable),
+#                    repeated BENCH_COUNT times with allocation stats into
+#                    bench-hot.txt
 #   make benchcmp  — bench-hot, then benchstat against the committed
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
 #   make cover     — coverage profile across ./... and the total percentage
-#   make fuzz      — 20 s of FuzzUnmarshalCheckpoint (the cost-model
-#                    checkpoint decoder); crashers land in
-#                    internal/costmodel/testdata/fuzz/
+#   make fuzz      — 20 s of fuzzing, split between FuzzUnmarshalCheckpoint (the
+#                    cost-model checkpoint decoder) and FuzzLanes (nn's
+#                    element-wise lanes against math's scalars); crashers land
+#                    in the package's testdata/fuzz/
 #   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
 #                    item 3 ("one of everything") drives down; fails above the
 #                    count of the last PR that lowered it (the ratchet only
@@ -32,10 +34,11 @@ GO ?= go
 # candidate scoring, cost model refit (synthetic rows and real schedule
 # features), single-row prediction (97% of HARL's predict calls) and batch
 # prediction, the PPO policy step and update that are most of a HARL session,
-# and the matrix kernel under them (internal/nn's BenchmarkGemm, both
-# implementations). CI's perf-smoke job runs exactly this set on the base and
-# head commits and fails on significant regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain|BenchmarkGemm)$$
+# and the matrix kernel and element-wise lanes under them (internal/nn's
+# BenchmarkGemm and BenchmarkLanes, both implementations). CI's perf-smoke job
+# runs exactly this set on the base and head commits and fails on significant
+# regressions.
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain|BenchmarkGemm|BenchmarkLanes)$$
 BENCH_COUNT ?= 10
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check
@@ -89,7 +92,8 @@ cover:
 # Minimization is capped so the 20 s go to new inputs, not to shrinking the
 # first interesting one (the default spends up to a minute on each).
 fuzz:
-	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=20s -fuzzminimizetime=1s
+	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzLanes -fuzztime=10s -fuzzminimizetime=1s
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \

@@ -39,20 +39,6 @@ func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	}
 }
 
-// RunSuite is Run with several analyzers and stale-allow reporting on — for
-// fixtures exercising the suppression machinery itself.
-func RunSuite(t *testing.T, analyzers []*lint.Analyzer, fixture string) {
-	t.Helper()
-	pkgs := load(t, fixture)
-	for _, pkg := range pkgs {
-		diags, err := lint.Run(pkg, analyzers, lint.Options{ReportStaleAllows: true})
-		if err != nil {
-			t.Fatalf("lint.Run(%s): %v", pkg.Path, err)
-		}
-		check(t, pkg, diags)
-	}
-}
-
 func load(t *testing.T, fixture string) []*lint.Package {
 	t.Helper()
 	root, err := lint.ModuleRoot(".")

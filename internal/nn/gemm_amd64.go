@@ -1,13 +1,21 @@
 package nn
 
+// The assembly of gemm_amd64.s and lanes_amd64.s, only ever called through
+// gemmTiles and lanes, where a go:noescape would count for nothing.
 func cpuHasAVX() bool
+func cpuHasAVX2FMA() bool
+func gemmAVX(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, m, n, k int)
+func adamAVX(w, gw, m, v *float64, n int, inv, bc1, bc2, lr float64)
+func expAVX(x *float64, groups int) int
+func logAVX(x *float64, groups int) int
+func tanhAVX(x *float64, groups int) int
 
-//go:noescape
-func gemmAVX(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, m, n8, k int)
-
-// gemm's path is chosen once, here, from CPUID and XGETBV.
+// Every path is chosen once, here, from CPUID and XGETBV.
 func init() {
 	if cpuHasAVX() {
 		gemmTiles = gemmAVX
+		if cpuHasAVX2FMA() {
+			lanes.adam, lanes.exp, lanes.log, lanes.tanh = adamAVX, expAVX, logAVX, tanhAVX
+		}
 	}
 }

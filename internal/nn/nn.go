@@ -23,39 +23,50 @@
 // accumulator: VMULPD and VADDPD round it as MULSD and ADDSD round a scalar, in
 // the same order, hence the same bits; a fused multiply-add rounds once where
 // these round twice, so neither implementation has one (no VFMADD; explicit
-// float64 conversions in Go). The committed journal and checkpoint pins are
-// amd64 pins all the same: the rest of the arithmetic here (Adam, the entropy
-// gradient) is plain x*y + z, which the compiler may fuse on arm64, ppc64le,
-// s390x and riscv64.
+// float64 conversions in Go).
+//
+// The element-wise loops — Adam, the exp under Softmax, the log under
+// EntropyGrad, tanh — have lanes on the same terms. Their specification is the
+// scalar Go loop and the math call in it, all that runs elsewhere; on amd64
+// with AVX2 and FMA, lanes_amd64.s does to four elements what that scalar does
+// to one: Adam's IEEE-exact operations in its order, math's own exp_amd64.s,
+// log_amd64.s and pure-Go tanh instruction for instruction. math.Exp is on its
+// FMA path exactly when the CPU has AVX and FMA, hence on every host that has
+// lanes, so one transcription matches it. A kernel stops at the first group
+// with an element outside its domain (exp: finite |x| ≤ 700; log: positive,
+// normal, finite; tanh: not NaN); the rest of the block, like a tail short of
+// four, goes through the math call.
+//
+// The committed journal and checkpoint pins are pins of amd64 at the default
+// GOAMD64 on an FMA-capable host all the same: math.Exp rounds differently
+// without FMA, and the rest of the arithmetic here (Adam, the entropy gradient,
+// math.tanh) is plain x*y + z, which the compiler may fuse under GOAMD64=v3
+// and on arm64, ppc64le, s390x and riscv64.
 package nn
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"harl/internal/xrand"
 )
 
-// Linear is a dense layer y = Wx + b with accumulated gradients (GW, GB) and
-// Adam moment state, all shaped like the parameter they belong to.
+// Linear is a dense layer y = Wx + b. Its parameters, their accumulated
+// gradients and each Adam moment are one block apiece, W's part then B's, so an
+// optimizer step is one pass over a layer.
 type Linear struct {
-	In, Out int
-	W, B    []float64 // W is row-major [Out][In]
-
-	GW, GB []float64
-	MW, VW []float64
-	MB, VB []float64
+	In, Out    int
+	W, B       []float64 // views of P; W is row-major [Out][In]
+	GW, GB     []float64 // views of G
+	P, G, M, V []float64
 }
 
 // NewLinear creates a layer with Xavier-uniform initialized weights.
 func NewLinear(in, out int, rng *xrand.RNG) *Linear {
-	l := &Linear{
-		In: in, Out: out,
-		W: make([]float64, in*out), B: make([]float64, out),
-		GW: make([]float64, in*out), GB: make([]float64, out),
-		MW: make([]float64, in*out), VW: make([]float64, in*out),
-		MB: make([]float64, out), VB: make([]float64, out),
-	}
+	nw, n := in*out, in*out+out
+	l := &Linear{In: in, Out: out, P: make([]float64, n), G: make([]float64, n), M: make([]float64, n), V: make([]float64, n)}
+	l.W, l.B, l.GW, l.GB = l.P[:nw:nw], l.P[nw:], l.G[:nw:nw], l.G[nw:]
 	scale := math.Sqrt(6.0 / float64(in+out))
 	for i := range l.W {
 		l.W[i] = (2*rng.Float64() - 1) * scale
@@ -63,25 +74,22 @@ func NewLinear(in, out int, rng *xrand.RNG) *Linear {
 	return l
 }
 
-// gemmTiles is gemm in assembly for blocks of n8 columns, a multiple of 8, and
-// m, k ≥ 1; nil where there is none (only gemm_amd64.go's init sets it).
-var gemmTiles func(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, m, n8, k int)
+// gemmTiles is gemm in assembly for m, n, k ≥ 1; nil where there is none (only
+// gemm_amd64.go's init sets it).
+var gemmTiles func(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, m, n, k int)
 
 // gemm is the package comment's kernel: c[i·ldc+j] += Σ_p a[i·ars+p·acs]·b[p·ldb+j]
 // for i < m, j < n, p < k. Rows of b and c are contiguous, ldb and ldc ≥ n
-// apart; no stride is negative; c overlaps neither operand. The leading n&^7
-// columns go to gemmTiles where there are any; the rest, and everything
-// elsewhere, to the portable loop below it.
+// apart; no stride is negative; c overlaps neither operand. A block goes to
+// gemmTiles where there are any, unless it is one or two columns wide: the dot
+// products of the portable loop below beat a mostly masked tile at those.
 func gemm(c []float64, ldc int, a []float64, ars, acs int, b []float64, ldb, m, n, k int) {
 	// The tiles check nothing: only sound strides reach them, and with those
 	// every element lies before the far corners indexed first.
-	if n8 := n &^ 7; gemmTiles != nil && n8 > 0 && min(m, k) > 0 && min(ars, acs, ldc-n, ldb-n) >= 0 {
-		_, _, _ = c[(m-1)*ldc+n8-1], a[(m-1)*ars+(k-1)*acs], b[(k-1)*ldb+n8-1]
-		gemmTiles(&c[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n8, k)
-		if n -= n8; n == 0 {
-			return
-		}
-		c, b = c[n8:], b[n8:]
+	if gemmTiles != nil && n > 2 && min(m, k) > 0 && min(ars, acs, ldc-n, ldb-n) >= 0 {
+		_, _, _ = c[(m-1)*ldc+n-1], a[(m-1)*ars+(k-1)*acs], b[(k-1)*ldb+n-1]
+		gemmTiles(&c[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n, k)
+		return
 	}
 	var col [128]float64
 	if acs == 1 && 0 < k && k <= len(col) {
@@ -187,18 +195,31 @@ func (l *Linear) BackwardBatch(dx, x, dy []float64, n int) {
 // (scaled by 1/batch) and clears them. t is the 1-based Adam timestep.
 func Step(lr float64, batch, t int, layers ...*Linear) {
 	for _, l := range layers {
-		adam(l.W, l.GW, l.MW, l.VW, lr, batch, t)
-		adam(l.B, l.GB, l.MB, l.VB, lr, batch, t)
+		adam(l.P, l.G, l.M, l.V, lr, batch, t)
 	}
 }
 
 const adamBeta1, adamBeta2, adamEps = 0.9, 0.999, 1e-8
 
+// lanes are the element-wise loops in assembly, four elements to a group; nil
+// where there is none (only gemm_amd64.go's init sets them). exp, log and tanh
+// put the math call's result over each x[i], stop before a group holding an
+// element outside their domain and return the number of groups done.
+var lanes struct {
+	adam           func(w, g, m, v *float64, n int, inv, bc1, bc2, lr float64)
+	exp, log, tanh func(x *float64, groups int) int
+}
+
 func adam(w, g, m, v []float64, lr float64, batch, t int) {
 	inv := 1.0 / float64(batch)
 	bc1 := 1 - math.Pow(adamBeta1, float64(t))
 	bc2 := 1 - math.Pow(adamBeta2, float64(t))
-	for i := range w {
+	g, m, v, i := g[:len(w)], m[:len(w)], v[:len(w)], 0
+	if lanes.adam != nil && len(w) >= 4 {
+		i = len(w) &^ 3
+		lanes.adam(&w[0], &g[0], &m[0], &v[0], i, inv, bc1, bc2, lr)
+	}
+	for ; i < len(w); i++ {
 		gi := g[i] * inv
 		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
 		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
@@ -206,6 +227,20 @@ func adam(w, g, m, v []float64, lr float64, batch, t int) {
 		g[i] = 0
 	}
 }
+
+// apply replaces every x[i] with f(x[i]): kernel, f's lanes or nil, takes groups
+// of four until one holds an element outside its domain, f the rest and the tail.
+func apply(x []float64, kernel func(*float64, int) int, f func(float64) float64) {
+	if kernel != nil && len(x) >= 4 {
+		x = x[4*kernel(&x[0], len(x)/4):]
+	}
+	for i, v := range x {
+		x[i] = f(v)
+	}
+}
+
+// Tanh replaces every element of x with its hyperbolic tangent.
+func Tanh(x []float64) { apply(x, lanes.tanh, math.Tanh) }
 
 // MLP is a stack of Linear layers with tanh activations between them (none
 // after the last layer). Its batched passes run through its own blocks: an
@@ -243,9 +278,7 @@ func (m *MLP) ForwardBatch(xT []float64, n int) []float64 {
 	for i, l := range m.Layers[:last] {
 		yT := m.grads[i+1][:n*l.Out]
 		l.ForwardBatch(yT, xT, n)
-		for j, v := range yT {
-			yT[j] = math.Tanh(v)
-		}
+		Tanh(yT)
 		Transpose(m.acts[i][:n*l.Out], yT, l.Out, n)
 		xT = yT
 	}
@@ -276,28 +309,24 @@ func (m *MLP) BackwardBatch(x, dy []float64, n int) {
 	}
 }
 
-// NumParams returns the total parameter count.
-func (m *MLP) NumParams() int {
-	n := 0
-	for _, l := range m.Layers {
-		n += len(l.W) + len(l.B)
+// Softmax replaces each row of size logits in the block x with its stabilized
+// softmax; the exponentials are taken block-wide, so narrow rows fill lanes.
+func Softmax(x []float64, size int) {
+	for r := 0; r < len(x); r += size {
+		maxL := slices.Max(x[r : r+size])
+		for i := r; i < r+size; i++ {
+			x[i] -= maxL
+		}
 	}
-	return n
-}
-
-// Softmax replaces the logits with their numerically stabilized softmax.
-func Softmax(x []float64) {
-	maxL := math.Inf(-1)
-	for _, v := range x {
-		maxL = max(maxL, v)
-	}
-	sum := 0.0
-	for i, v := range x {
-		x[i] = math.Exp(v - maxL)
-		sum += x[i]
-	}
-	for i := range x {
-		x[i] /= sum
+	apply(x, lanes.exp, math.Exp)
+	for r := 0; r < len(x); r += size {
+		sum := 0.0
+		for _, v := range x[r : r+size] {
+			sum += v
+		}
+		for i := r; i < r+size; i++ {
+			x[i] /= sum
+		}
 	}
 }
 
@@ -328,32 +357,26 @@ func LogProbGrad(dst, probs []float64, a int) {
 	dst[a] += 1
 }
 
-// EntropyGrad writes d H / d logits = -p_i (log p_i + H) into dst (len(probs),
-// not aliasing it), H being the Shannon entropy in nats. Probabilities at or
-// below 1e-12 count as zero. Each log p_i is taken once, for H and gradient.
-func EntropyGrad(dst, probs []float64) {
-	h := 0.0
-	for i, p := range probs {
-		dst[i] = 0
-		if p > 1e-12 {
-			dst[i] = math.Log(p)
-			h -= p * dst[i]
+// EntropyGrad writes, for each row of size probabilities in the block probs,
+// d H / d logits = -p_i (log p_i + H) into the same row of dst (len(probs), not
+// aliasing it), H being the row's Shannon entropy in nats. Probabilities at or
+// below 1e-12 count as zero. Each log p_i is taken once, with the block's.
+func EntropyGrad(dst, probs []float64, size int) {
+	copy(dst, probs)
+	apply(dst[:len(probs)], lanes.log, math.Log)
+	for r := 0; r < len(probs); r += size {
+		h := 0.0
+		for i := r; i < r+size; i++ {
+			if probs[i] > 1e-12 {
+				h -= probs[i] * dst[i]
+			}
+		}
+		for i := r; i < r+size; i++ {
+			if p := probs[i]; p > 1e-12 {
+				dst[i] = -p * (dst[i] + h)
+			} else {
+				dst[i] = 0
+			}
 		}
 	}
-	for i, p := range probs {
-		if p > 1e-12 {
-			dst[i] = -p * (dst[i] + h)
-		}
-	}
-}
-
-// ArgMax returns the index of the largest value.
-func ArgMax(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

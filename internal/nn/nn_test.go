@@ -37,28 +37,29 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// useKernel points gemm at the named implementation — "avx", its assembly
-// tiles, or "portable", its Go loop alone — and returns the undo. ok is false
-// when the host has no tiles to point it at.
+// useKernel points gemm and the element-wise loops at the named implementation
+// — "avx", the host's assembly tiles and lanes, or "portable", the Go loops
+// alone — and returns the undo. ok is false when the host has no tiles to point
+// gemm at (and so no lanes either).
 func useKernel(impl string) (undo func(), ok bool) {
-	host := gemmTiles
+	hostTiles, hostLanes := gemmTiles, lanes
 	if impl != "avx" {
-		gemmTiles = nil
+		gemmTiles, lanes.adam, lanes.exp, lanes.log, lanes.tanh = nil, nil, nil, nil, nil
 	}
-	return func() { gemmTiles = host }, gemmTiles != nil || impl != "avx"
+	return func() { gemmTiles, lanes = hostTiles, hostLanes }, gemmTiles != nil || impl != "avx"
 }
 
 var kernels = []string{"avx", "portable"}
 
-// eachKernel runs f once per gemm implementation: the portable loop always,
-// the assembly tiles when the host can execute them.
+// eachKernel runs f once per implementation: the portable loops always, the
+// assembly when the host can execute it.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	for _, impl := range kernels {
 		t.Run(impl, func(t *testing.T) {
 			undo, ok := useKernel(impl)
 			defer undo()
 			if !ok {
-				t.Skip("gemm has no assembly tiles on this host")
+				t.Skip("nn has no assembly on this host")
 			}
 			f(t)
 		})
@@ -373,7 +374,7 @@ func TestLogProbGradSumsToZero(t *testing.T) {
 func TestEntropyGradAtUniformIsZero(t *testing.T) {
 	p := []float64{0.25, 0.25, 0.25, 0.25}
 	g := make([]float64, len(p))
-	EntropyGrad(g, p)
+	EntropyGrad(g, p, len(p))
 	for _, v := range g {
 		if math.Abs(v) > 1e-12 {
 			t.Fatalf("entropy grad at uniform: %v", g)
@@ -387,20 +388,6 @@ func TestEntropyValues(t *testing.T) {
 	}
 	if h := Entropy([]float64{0.5, 0.5}); math.Abs(h-math.Log(2)) > 1e-12 {
 		t.Fatalf("uniform entropy %f", h)
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax([]float64{1, 3, 2}) != 1 {
-		t.Fatal("argmax wrong")
-	}
-}
-
-func TestNumParams(t *testing.T) {
-	m := NewMLP(xrand.New(1), 0, 3, 4, 2)
-	// 3*4+4 + 4*2+2 = 26
-	if m.NumParams() != 26 {
-		t.Fatalf("params %d want 26", m.NumParams())
 	}
 }
 
@@ -467,7 +454,7 @@ func TestBatchedPassesBitIdentical(t *testing.T) {
 		for i := range got {
 			got[i] = 99
 		}
-		EntropyGrad(got, probs)
+		EntropyGrad(got, probs, len(probs))
 		sameBits(t, "EntropyGrad", got, refEntropyGrad(probs))
 	}
 }
@@ -478,14 +465,15 @@ func TestBatchedPassesAllocFree(t *testing.T) {
 	const n = 5
 	m := NewMLP(xrand.New(9), n, 8, 16, 4)
 	x, xT := make([]float64, n*8), make([]float64, n*8)
-	g, dy := make([]float64, 4), make([]float64, n*4)
+	g, dy := make([]float64, n*4), make([]float64, n*4)
 	warm := func() {
 		Transpose(xT, x, n, 8)
 		Transpose(dy, m.ForwardBatch(xT, n), 4, n)
-		Softmax(dy[:4])
-		LogProbGrad(g, dy[:4], 0)
-		EntropyGrad(g, dy[:4])
+		Softmax(dy, 4)
+		LogProbGrad(g[:4], dy[:4], 0)
+		EntropyGrad(g, dy, 4)
 		m.BackwardBatch(x, dy, n)
+		Step(1e-3, n, 1, m.Layers...)
 	}
 	warm()
 	if got := testing.AllocsPerRun(20, warm); got != 0 {

@@ -109,6 +109,6 @@ func refEntropyGrad(probs []float64) []float64 {
 // softmax is Softmax on a copy.
 func softmax(logits []float64) []float64 {
 	p := append([]float64(nil), logits...)
-	Softmax(p)
+	Softmax(p, len(p))
 	return p
 }

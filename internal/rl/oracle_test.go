@@ -83,7 +83,7 @@ func (a *Agent) refProbs(state []float64) ([]float64, [][]float64, [][]float64) 
 	probs := make([][]float64, len(a.heads))
 	for k, head := range a.heads {
 		probs[k] = refForward(head, h)
-		nn.Softmax(probs[k])
+		nn.Softmax(probs[k], len(probs[k]))
 	}
 	return h, inputs, probs
 }
@@ -181,7 +181,7 @@ func (a *Agent) refTrain() {
 // tensors lists a layer's parameters, gradients and Adam moments: its whole
 // training state.
 func tensors(l *nn.Linear) [][]float64 {
-	return [][]float64{l.W, l.B, l.GW, l.GB, l.MW, l.VW, l.MB, l.VB}
+	return [][]float64{l.P, l.G, l.M, l.V}
 }
 
 // layers lists every dense layer of the agent, the actor's first.

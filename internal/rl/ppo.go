@@ -106,7 +106,7 @@ type Agent struct {
 	dh     []float64   // gradient w.r.t. h, summed over heads
 	headDx []float64   // one head's input gradient
 	perRow []float64   // critic output gradient, then policy-gradient scale
-	tmp    []float64   // feature-major staging: a minibatch block's states, then one head's logits; later one row's d H / d logits
+	tmp    []float64   // feature-major staging: a minibatch block's states, then one head's logits; later one head's d H / d logits, sample-major
 	picks  []int       // minibatch sample indices
 }
 
@@ -153,16 +153,12 @@ func (a *Agent) dim(x []float64, rows int) int {
 // probability blocks land in a.probs.
 func (a *Agent) forwardActor(xT []float64, n int) []float64 {
 	hT := a.trunk.ForwardBatch(xT, n)
-	for i, v := range hT {
-		hT[i] = math.Tanh(v)
-	}
+	nn.Tanh(hT)
 	for k, head := range a.heads {
 		logitsT := a.tmp[:n*head.Out]
 		head.ForwardBatch(logitsT, hT, n)
 		nn.Transpose(a.probs[k][:n*head.Out], logitsT, head.Out, n)
-		for r := 0; r < n; r++ {
-			nn.Softmax(a.headProbs(k, r))
-		}
+		nn.Softmax(a.probs[k][:n*head.Out], head.Out)
 	}
 	return hT
 }
@@ -176,8 +172,9 @@ func (a *Agent) headProbs(k, r int) []float64 {
 // ActBatch samples one joint action per row of the row-major state block x
 // (len(decs)×stateDim) into decs, drawing from the agent's RNG in (state,
 // head) order: decisions and RNG state afterwards equal len(decs) Act calls.
+// The call's Acts share one allocation, alive while any of them is kept.
 func (a *Agent) ActBatch(decs []Decision, x []float64) {
-	dim := a.dim(x, len(decs))
+	dim, acts := a.dim(x, len(decs)), make([]int, len(decs)*len(a.heads))
 	for lo := 0; lo < len(decs); lo += chunkRows {
 		n := min(chunkRows, len(decs)-lo)
 		xT := a.x[:n*dim]
@@ -185,7 +182,8 @@ func (a *Agent) ActBatch(decs []Decision, x []float64) {
 		a.forwardActor(xT, n)
 		v := a.critic.ForwardBatch(xT, n) // one output: n×1 either way round
 		for r := 0; r < n; r++ {
-			d := Decision{Acts: make([]int, len(a.heads)), Value: v[r]}
+			d := Decision{Acts: acts[:len(a.heads):len(a.heads)], Value: v[r]}
+			acts = acts[len(a.heads):]
 			for k := range a.heads {
 				p := a.headProbs(k, r)
 				d.Acts[k] = nn.SampleCategorical(p, a.rng)
@@ -201,16 +199,6 @@ func (a *Agent) Act(state []float64) Decision {
 	var d [1]Decision
 	a.ActBatch(d[:], state)
 	return d[0]
-}
-
-// GreedyAct returns the per-head argmax action (deterministic evaluation).
-func (a *Agent) GreedyAct(state []float64) []int {
-	a.forwardActor(state, 1)
-	acts := make([]int, len(a.heads))
-	for k := range acts {
-		acts[k] = nn.ArgMax(a.headProbs(k, 0))
-	}
-	return acts
 }
 
 // ValueBatch writes the critic's estimate V(s) of each row of the state block
@@ -330,13 +318,14 @@ func (a *Agent) accumulate(picks []int, mean, std float64) {
 	clear(dh)
 	for k, head := range a.heads {
 		// Each row of the head's probabilities becomes its loss gradient
-		// w.r.t. the logits, in place; ent is one row's entropy gradient.
+		// w.r.t. the logits, in place; ent is the block's entropy gradient.
+		ent := a.tmp[:n*head.Out]
+		nn.EntropyGrad(ent, a.probs[k][:n*head.Out], head.Out)
 		for r, i := range picks {
-			row, ent := a.headProbs(k, r), a.tmp
-			nn.EntropyGrad(ent, row)
+			row := a.headProbs(k, r)
 			nn.LogProbGrad(row, row, a.buf[i].Acts[k])
 			for j := range row {
-				row[j] = gradMul[r]*row[j] - a.Cfg.WEntropy*ent[j]
+				row[j] = gradMul[r]*row[j] - a.Cfg.WEntropy*ent[r*head.Out+j]
 			}
 		}
 		head.BackwardBatch(headDx, h, a.probs[k][:n*head.Out], n)

@@ -173,12 +173,6 @@ func MobileNetV2(batch int) *Network {
 	return &Network{Name: fmt.Sprintf("MobileNetV2-b%d", batch), Batch: batch, Subgraphs: sgs}
 }
 
-// Networks returns the three Section 6.3 benchmark networks at a batch size,
-// in the paper's presentation order (BERT, ResNet, MobileNet).
-func Networks(batch int) []*Network {
-	return []*Network{BERT(batch), ResNet50(batch), MobileNetV2(batch)}
-}
-
 // NetworkTrialBudget returns the measurement-trial budget the paper assigns
 // to each network (Section 6.3): 12,000 for BERT, 22,000 for ResNet-50 and
 // 16,000 for MobileNet-V2.
