@@ -23,7 +23,7 @@
 #                    element-wise lanes against math's scalars); crashers land
 #                    in the package's testdata/fuzz/
 #   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
-#                    item 3 ("one of everything") drives down; fails above the
+#                    item 5 ("one of everything") drives down; fails above the
 #                    count of the last PR that lowered it (the ratchet only
 #                    turns one way: lower the literal with the count)
 #   make check     — everything: vet, lint, build, tests, race
@@ -98,6 +98,6 @@ fuzz:
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 17847 ]; then echo "make loc: $$n lines, above the 17847 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 17649 ]; then echo "make loc: $$n lines, above the 17649 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

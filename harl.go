@@ -177,7 +177,7 @@ func CustomOp(name string, axes []CustomAxis, flopsPerPoint float64, reuse bool)
 // Options configures a tuning run.
 type Options struct {
 	// Scheduler is a preset name: "harl" (default), "hierarchical-rl",
-	// "harl-nomab", "ansor", "flextensor", "autotvm" or "random".
+	// "harl-nomab", "ansor", "flextensor" or "random".
 	Scheduler string
 	// Trials is the hardware-measurement budget (0 selects the default of
 	// 320; a negative value performs no new measurements at all — the pure
@@ -458,16 +458,16 @@ func (o Options) hooks() (core.TuneHooks, func() error, error) {
 // record for any of the run's workloads on the target would silently produce
 // a cold run, so — matching TrainModel's behavior — it is an error instead
 // (almost always a wrong shape, network or -target).
-func checkPretrainMatches(db *tunelog.Database, path string, graphs []*texpr.Subgraph, plat *hardware.Platform) error {
+func checkPretrainMatches(db *tunelog.Database, path string, tasks []*search.Task) error {
 	if db == nil {
 		return nil
 	}
-	for _, sg := range graphs {
-		if _, ok := db.Best(sg.Fingerprint(), plat.Name); ok {
+	for _, t := range tasks {
+		if _, ok := db.Best(t.Graph.Fingerprint(), t.Plat.Name); ok {
 			return nil
 		}
 	}
-	return fmt.Errorf("harl: no records in %q match the run's workloads on %s to pretrain from", path, plat.Name)
+	return fmt.Errorf("harl: no records in %q match the run's workloads on %s to pretrain from", path, tasks[0].Plat.Name)
 }
 
 // saveModel writes a cost model checkpoint for Options.ModelOut through the
@@ -716,55 +716,76 @@ func publishTasks(reg *Registry, tasks []*search.Task, target, scheduler string,
 	return nil
 }
 
-// sessionSpec is what an entry point's resolve step hands the session
+// sessionSpec is what an entry point's registry-resolve step hands the session
 // pipeline.
 type sessionSpec struct {
-	plat *hardware.Platform
-	// graphs are the run's workloads, in task order.
-	graphs []*texpr.Subgraph
+	// tuner drives the run's tasks: a network's subgraphs, or the one
+	// subgraph of an operator run.
+	tuner *core.ParallelNetworkTuner
+	// budget is the trial budget after the registry had its say.
+	budget int
+	// regDB holds the registry's reconstructing hits for the tasks, warm-started
+	// like a resume log; nil when nothing resolved.
+	regDB *tunelog.Database
 	// broken holds the fingerprints whose registry record resolved but does
 	// not reconstruct; the publish force-replaces those keys.
 	broken map[string]bool
-	// run executes the search under the resolved hooks and session context,
-	// returning the tuned tasks in graphs order and whether the context cut
-	// the run short.
-	run func(ctx context.Context, hooks core.TuneHooks) (tasks []*search.Task, cancelled bool)
-	// model builds the checkpoint artifact Options.ModelOut saves.
-	model func(tasks []*search.Task) costmodel.CostModel
+}
+
+// sessionResult is what the session pipeline reports beside the tuner's own
+// state.
+type sessionResult struct {
+	// cancelled: the caller's context cut the run short; plateauStopped: the
+	// plateau policy did.
+	cancelled, plateauStopped bool
+	// warmed counts the tasks seeded from Options.ResumeFrom, pretrained the
+	// tasks whose cost model started with offline knowledge.
+	warmed, pretrained int
 }
 
 // session is the one pipeline behind every tuning entry point: resolve the
-// hooks, check the pretraining log matches, wire transfer and
-// progress/plateau, run the search, close the journal, verify a zero-budget
-// replay was complete, save the model checkpoint and publish the bests. It
-// reports whether the caller's context cancelled the run and whether the
-// plateau policy stopped it.
-func (o Options) session(ctx context.Context, s sessionSpec) (cancelled, plateauStopped bool, err error) {
+// hooks, check the pretraining log matches, wire transfer, seed the cost
+// models, warm-start, attach the journal and progress/plateau, run the tuner,
+// close the journal, verify a zero-budget replay was complete, save the model
+// checkpoint and publish the bests.
+func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, error) {
+	var res sessionResult
 	hooks, closeHooks, err := o.hooks()
 	// Error returns release whatever hooks opened; the success path checks
 	// the journal's Close error below.
 	defer closeHooks()
 	if err != nil {
-		return false, false, err
+		return res, err
 	}
-	plat := s.plat
-	if err := checkPretrainMatches(hooks.Pretrain, o.PretrainFrom, s.graphs, plat); err != nil {
-		return false, false, err
+	tasks := s.tuner.MT.Tasks
+	plat := tasks[0].Plat
+	if err := checkPretrainMatches(hooks.Pretrain, o.PretrainFrom, tasks); err != nil {
+		return res, err
 	}
 	if o.Transfer {
 		hooks.Transfer = &transferProvider{reg: o.Registry, target: plat.Name, scheduler: o.Scheduler}
 	}
-	names := make([]string, len(s.graphs))
-	for i, sg := range s.graphs {
-		names[i] = sg.Name
+	names := make([]string, len(tasks))
+	for i, t := range tasks {
+		names[i] = t.Graph.Name
 	}
 	sessCtx, progressHook, plateaued, stopPlateau := o.progressSession(ctx, names)
 	defer stopPlateau()
-	hooks.Progress = progressHook
 
-	tasks, stopped := s.run(sessCtx, hooks)
+	res.pretrained = s.tuner.SeedCostModels(hooks)
+	if hooks.Warm != nil {
+		res.warmed = s.tuner.WarmStart(hooks.Warm)
+	}
+	if s.regDB != nil {
+		s.tuner.WarmStart(s.regDB)
+	}
+	if hooks.Journal != nil {
+		s.tuner.AttachJournal(hooks.Journal, o.Seed)
+	}
+	s.tuner.SetProgress(progressHook)
+	stopped := s.tuner.RunCtx(sessCtx, s.budget)
 	if err := closeHooks(); err != nil {
-		return false, false, err
+		return res, err
 	}
 	if o.Trials == 0 {
 		// Pure cache replay: nothing was measured, so every best present was
@@ -777,15 +798,15 @@ func (o Options) session(ctx context.Context, s sessionSpec) (cancelled, plateau
 			}
 		}
 		if seeded < len(tasks) {
-			return false, false, fmt.Errorf("harl: cache replay incomplete: %d of %d workloads have cached records on %s (ResumeFrom %q) and there is no trial budget to measure the rest", seeded, len(tasks), plat.Name, o.ResumeFrom)
+			return res, fmt.Errorf("harl: cache replay incomplete: %d of %d workloads have cached records on %s (ResumeFrom %q) and there is no trial budget to measure the rest", seeded, len(tasks), plat.Name, o.ResumeFrom)
 		}
 	}
 	if o.ModelOut != "" {
 		// Written for every session that ran, including one cancelled before
 		// its first round (an empty model round-trips fine) — only an
 		// operator registry hit, which runs no session, skips it.
-		if err := saveModel(o.ModelOut, s.model(tasks)); err != nil {
-			return false, false, err
+		if err := saveModel(o.ModelOut, s.tuner.CostModel()); err != nil {
+			return res, err
 		}
 	}
 	// Publish whatever the session found, even a cancelled or plateau-stopped
@@ -793,11 +814,12 @@ func (o Options) session(ctx context.Context, s sessionSpec) (cancelled, plateau
 	// improve the key, and the next identical request is served from it.
 	if o.Registry != nil {
 		if err := publishTasks(o.Registry, tasks, plat.Name, o.Scheduler, o.Seed, s.broken); err != nil {
-			return false, false, err
+			return res, err
 		}
 	}
-	plateauStopped = plateaued(stopped)
-	return stopped && !plateauStopped, plateauStopped, nil
+	res.plateauStopped = plateaued(stopped)
+	res.cancelled = stopped && !res.plateauStopped
+	return res, nil
 }
 
 // TuneOperator tunes one workload on a target.
@@ -811,7 +833,8 @@ func TuneOperator(w Workload, t Target, o Options) (Result, error) {
 // checkpoint (Options.ModelOut) is still written, and the partial best comes
 // back with Result.Cancelled set — a cancelled session is fully resumable
 // via Options.ResumeFrom/PretrainFrom. An uncancelled run is byte-identical
-// to TuneOperator.
+// to TuneOperator. A run whose schedule space is smaller than the budget ends
+// when the space is exhausted, with Result.Trials below Options.Trials.
 func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (Result, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
@@ -843,39 +866,34 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 			broken = map[string]bool{w.sg.Fingerprint(): true}
 		}
 	}
-	var res *core.OperatorResult
-	cancelled, plateau, err := o.session(ctx, sessionSpec{
-		plat:   t.plat,
-		graphs: []*texpr.Subgraph{w.sg},
-		broken: broken,
-		run: func(ctx context.Context, hooks core.TuneHooks) ([]*search.Task, bool) {
-			res = core.TuneOperatorSession(ctx, w.sg, t.plat, core.MustScheduler(o.Scheduler), o.Trials, o.MeasureK, o.Seed, o.Workers, hooks)
-			return []*search.Task{res.Task}, res.Cancelled
-		},
-		model: func(tasks []*search.Task) costmodel.CostModel { return tasks[0].FittedCost() },
-	})
+	tuner, err := core.NewOperatorTuner(w.sg, t.plat, o.Scheduler, o.MeasureK, o.Seed, o.Workers)
 	if err != nil {
 		return Result{}, err
 	}
+	res, err := o.session(ctx, sessionSpec{tuner: tuner, budget: o.Trials, broken: broken})
+	if err != nil {
+		return Result{}, err
+	}
+	task := tuner.MT.Tasks[0]
 	out := Result{
 		Scheduler:        o.Scheduler,
-		ExecSeconds:      res.BestExec,
-		GFLOPS:           res.BestGFLOPS,
-		Trials:           res.Trials,
-		Measured:         res.Measured,
-		MeasureSaved:     res.MeasureSaved,
-		SearchSeconds:    res.CostSec,
-		BestLog:          append([]float64(nil), res.Task.BestLog...),
-		WarmStarted:      res.WarmStarted,
-		WarmTransfer:     res.WarmTransfer,
-		CostModelSamples: res.CostSamples,
-		CostModelRefits:  res.CostRefits,
-		Pretrained:       res.Pretrained,
-		Cancelled:        cancelled,
-		PlateauStopped:   plateau,
+		Trials:           task.Trials,
+		Measured:         task.Measured,
+		MeasureSaved:     task.MeasureSaved,
+		SearchSeconds:    tuner.CostSec(),
+		BestLog:          append([]float64(nil), task.BestLog...),
+		WarmStarted:      res.warmed > 0,
+		WarmTransfer:     task.TransferDonor,
+		CostModelSamples: task.Cost.Len(),
+		CostModelRefits:  task.CostRefits,
+		Pretrained:       task.Pretrained,
+		Cancelled:        res.cancelled,
+		PlateauStopped:   res.plateauStopped,
 	}
-	if res.Task.Best != nil {
-		out.BestSchedule = res.Task.Best.String()
+	if task.Best != nil {
+		out.ExecSeconds = task.Meas.Sim.Exec(task.Best)
+		out.GFLOPS = w.sg.FLOPs() / out.ExecSeconds / 1e9
+		out.BestSchedule = task.Best.String()
 	}
 	return out, nil
 }
@@ -1016,28 +1034,7 @@ func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o
 	if err != nil {
 		return NetworkResult{}, err
 	}
-	tasks := pnt.MT.Tasks
-	pretrained, warmed := 0, 0
-	cancelled, plateau, err := o.session(ctx, sessionSpec{
-		plat:   t.plat,
-		graphs: net.Subgraphs,
-		broken: broken,
-		run: func(ctx context.Context, hooks core.TuneHooks) ([]*search.Task, bool) {
-			pretrained = pnt.SeedCostModels(hooks)
-			if hooks.Warm != nil {
-				warmed = pnt.WarmStart(hooks.Warm)
-			}
-			if regDB != nil {
-				pnt.WarmStart(regDB)
-			}
-			if hooks.Journal != nil {
-				pnt.AttachJournal(hooks.Journal, o.Seed)
-			}
-			pnt.SetProgress(hooks.Progress)
-			return tasks, pnt.RunCtx(ctx, budget)
-		},
-		model: func(tasks []*search.Task) costmodel.CostModel { return core.MergedCostModel(tasks) },
-	})
+	res, err := o.session(ctx, sessionSpec{tuner: pnt, budget: budget, regDB: regDB, broken: broken})
 	if err != nil {
 		return NetworkResult{}, err
 	}
@@ -1046,17 +1043,17 @@ func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o
 		EstimatedSeconds: pnt.EstimatedExec(),
 		MeasuredSeconds:  pnt.MeasuredExec(),
 		Trials:           pnt.Trials(),
-		Measured:         pnt.Measured(),
-		MeasureSaved:     pnt.MeasureSaved(),
+		Measured:         pnt.MT.Measured(),
+		MeasureSaved:     pnt.MT.MeasureSaved(),
 		SearchSeconds:    pnt.CostSec(),
-		WarmStarted:      warmed,
-		Pretrained:       pretrained,
+		WarmStarted:      res.warmed,
+		Pretrained:       res.pretrained,
 		CacheHits:        cacheHits,
-		Cancelled:        cancelled,
-		PlateauStopped:   plateau,
+		Cancelled:        res.cancelled,
+		PlateauStopped:   res.plateauStopped,
 	}
 	for i, b := range pnt.Breakdown() {
-		task := tasks[i]
+		task := pnt.MT.Tasks[i]
 		out.CostModelSamples += task.Cost.Len()
 		out.CostModelRefits += task.CostRefits
 		if task.TransferDonor != "" {

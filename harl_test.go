@@ -2,6 +2,7 @@ package harl
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTuneOperatorHappyPath(t *testing.T) {
@@ -38,8 +40,44 @@ func TestTuneOperatorDefaults(t *testing.T) {
 }
 
 func TestTuneOperatorUnknownScheduler(t *testing.T) {
-	if _, err := TuneOperator(GEMM(64, 64, 64, 1), CPU(), Options{Scheduler: "nope", Trials: 16}); err == nil {
-		t.Fatal("expected error")
+	// "autotvm" was a preset once; it is as unknown as any other name now.
+	for _, name := range []string{"nope", "autotvm"} {
+		if _, err := TuneOperator(GEMM(64, 64, 64, 1), CPU(), Options{Scheduler: name, Trials: 16}); err == nil {
+			t.Fatalf("scheduler %q: expected error", name)
+		}
+		// The wording harl-tune and /v1/tune answer with.
+		_, err := SchedulerByName(name)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown scheduler %q (want harl, ", name)) {
+			t.Fatalf("SchedulerByName(%q) = %v", name, err)
+		}
+	}
+}
+
+// TestExhaustedSpaceTerminates: a workload whose whole schedule space is
+// smaller than the trial budget ends when the space is measured out — under
+// every preset, for the public operator entry — instead of spinning on a
+// budget it can never spend: the stalled-wave exit of the one driver loop
+// covers the one-task set an operator run is.
+func TestExhaustedSpaceTerminates(t *testing.T) {
+	oneAxis, err := CustomOp("two", []CustomAxis{{Name: "i", Extent: 2}}, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []Workload{GEMM(1, 1, 1, 1), oneAxis} {
+		for _, name := range Schedulers() {
+			t.Run(w.Name()+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				res, err := TuneOperatorContext(ctx, w, CPU(), Options{Scheduler: name, Trials: 320})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cancelled || res.Trials >= 320 || res.Trials == 0 {
+					t.Fatalf("cancelled=%v after %d of 320 trials: the run did not end on its exhausted space", res.Cancelled, res.Trials)
+				}
+			})
+		}
 	}
 }
 

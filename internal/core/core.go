@@ -1,30 +1,26 @@
 // Package core orchestrates the HARL auto-scheduler: it wires workloads,
-// platforms, measurement, cost models and search engines into operator-level
-// tuning jobs (Section 6.2) and end-to-end network tuning jobs with
-// subgraph-level selection (Section 6.3). The package also defines the named
-// scheduler presets compared throughout the paper:
+// platforms, measurement, cost models and search engines into one tuner over
+// a subgraph list — a network's subgraphs with subgraph-level selection
+// (Section 6.3), or the list of one that is an operator-level job (Section
+// 6.2). The package also defines the named scheduler presets compared
+// throughout the paper:
 //
 //	harl             sketch/subgraph SW-UCB + PPO parameters + adaptive stopping
 //	hierarchical-rl  HARL without the adaptive-stopping module (Fig. 7a)
 //	harl-nomab       HARL with Ansor's greedy subgraph allocation (Table 4)
 //	ansor            greedy gradient task scheduler + evolutionary search
 //	flextensor       fixed-sketch fixed-length RL (Fig. 1c)
-//	autotvm          simulated annealing
 //	random           uniform random sampling
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"harl/internal/costmodel"
-	"harl/internal/hardware"
 	"harl/internal/pretrain"
 	"harl/internal/schedule"
 	"harl/internal/search"
-	"harl/internal/texpr"
 	"harl/internal/tunelog"
-	"harl/internal/xrand"
 )
 
 // TaskPolicy selects which subgraph (task) to optimize each round.
@@ -53,14 +49,6 @@ func (p TaskPolicy) String() string {
 	return fmt.Sprintf("TaskPolicy(%d)", int(p))
 }
 
-// Scheduler bundles a parameter-search engine with a subgraph-selection
-// policy — one named system of the paper's comparison.
-type Scheduler struct {
-	Name   string
-	Engine search.Engine
-	Policy TaskPolicy
-}
-
 // EngineFactory returns a constructor for the preset's search engine plus
 // its subgraph-selection policy. The factory builds a fresh engine per call:
 // engine state is keyed per task and must never be shared across goroutines,
@@ -81,74 +69,21 @@ func EngineFactory(name string) (func() search.Engine, TaskPolicy, error) {
 		return func() search.Engine { return search.NewAnsor(search.DefaultAnsorConfig()) }, PolicyGreedyGradient, nil
 	case "flextensor":
 		return func() search.Engine { return search.NewFlextensor(search.DefaultFlextensorConfig()) }, PolicyRoundRobin, nil
-	case "autotvm":
-		return func() search.Engine { return search.NewAutoTVM(search.DefaultAutoTVMConfig()) }, PolicyGreedyGradient, nil
 	case "random":
 		return func() search.Engine { return search.NewRandom() }, PolicyRoundRobin, nil
 	}
 	return nil, 0, fmt.Errorf("core: unknown scheduler %q", name)
 }
 
-// NewScheduler builds a fresh scheduler preset by name. Engines carry
-// per-task state, so every tuning run should use a new instance.
-func NewScheduler(name string) (*Scheduler, error) {
-	mk, policy, err := EngineFactory(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Scheduler{Name: name, Engine: mk(), Policy: policy}, nil
-}
-
-// MustScheduler is NewScheduler that panics on unknown names.
-func MustScheduler(name string) *Scheduler {
-	s, err := NewScheduler(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // SchedulerNames lists every available preset.
 func SchedulerNames() []string {
-	return []string{"harl", "hierarchical-rl", "harl-nomab", "ansor", "flextensor", "autotvm", "random"}
+	return []string{"harl", "hierarchical-rl", "harl-nomab", "ansor", "flextensor", "random"}
 }
 
-// OperatorResult summarizes one operator tuning run.
-type OperatorResult struct {
-	Scheduler string
-	// BestExec is the noise-free simulator time of the best found schedule.
-	BestExec float64
-	// BestGFLOPS is the corresponding throughput.
-	BestGFLOPS float64
-	Trials     int
-	// Measured is how many schedules were actually measured; MeasureSaved how
-	// many charged trials the adaptive sampler backfilled instead of
-	// measuring (Trials = Measured + MeasureSaved).
-	Measured     int
-	MeasureSaved int
-	// CostSec is the total simulated search time.
-	CostSec float64
-	Task    *search.Task
-	// WarmStarted reports whether a cached record seeded the run.
-	WarmStarted bool
-	// WarmTransfer names the donor registry key (workload@target) whose
-	// knowledge warm-started the run via cross-key transfer, if any.
-	WarmTransfer string
-	// CostSamples is the cost model's final training-set size and CostRefits
-	// the training-set versions committed — each is fitted if and when
-	// something reads the model; Pretrained reports whether the model carried
-	// offline knowledge (checkpoint or journal replay) before the first round.
-	CostSamples int
-	CostRefits  int
-	Pretrained  bool
-	// Cancelled reports that the run's context was cancelled before the
-	// budget was spent: the result carries the partial best found so far, and
-	// every committed measurement reached the journal hooks.
-	Cancelled bool
-}
-
-// TuneHooks wires a tuning run to the persistent tuning-record journal
-// (internal/tunelog). The zero value disables both directions.
+// TuneHooks is what a session resolves its options into before it drives a
+// tuner: the journal and warm-start database it hands to AttachJournal and
+// WarmStart, and the per-task stages SeedCostModels applies. The zero value
+// disables everything.
 type TuneHooks struct {
 	// Journal, when non-nil, receives one record per committed measurement,
 	// in commit order (deterministic for every worker count).
@@ -167,10 +102,6 @@ type TuneHooks struct {
 	// seeds no schedules and skips no measurements, it just makes the reward
 	// signal and the top-K ranking informed from round one.
 	Pretrain *tunelog.Database
-	// Progress, when non-nil, receives one event per committed round (wave)
-	// at round/wave barriers, in commit order — worker-invariant like the
-	// journal. It runs synchronously on the tuning goroutine.
-	Progress func(search.Progress)
 	// Evaluators, when non-nil, supplies each task's remote batch evaluator
 	// (the measurement-fleet client; see internal/fleet.Pool). A nil return
 	// for a given task means that task measures in-process. Remote
@@ -283,16 +214,6 @@ func MergedCostModel(tasks []*search.Task) *costmodel.Model {
 	return m
 }
 
-// attachJournal wires a task's measurement callback to the journal. The
-// scheduler preset name, target and run seed are stamped into every record;
-// the workload fingerprint is hashed once, not per trial.
-func attachJournal(t *search.Task, jr *tunelog.Journal, scheduler string, seed uint64) {
-	fp, target := t.Graph.Fingerprint(), t.Plat.Name
-	t.OnMeasure = func(s *schedule.Schedule, exec float64, trial int) {
-		jr.Append(tunelog.NewRecordFP(fp, target, scheduler, s, exec, trial, seed))
-	}
-}
-
 // warmStartTask seeds a task from the database's best record for its
 // (workload fingerprint, target) key, reporting whether a usable record was
 // found. Records whose steps no longer deserialize against the regenerated
@@ -308,61 +229,4 @@ func warmStartTask(t *search.Task, db *tunelog.Database) bool {
 	}
 	t.WarmStart(s, rec.ExecSec)
 	return true
-}
-
-// TuneOperator runs a scheduler preset on a single subgraph with the given
-// measurement budget, measuring measureK candidates per round: an
-// uncancellable TuneOperatorSession without hooks.
-func TuneOperator(sg *texpr.Subgraph, plat *hardware.Platform, sched *Scheduler, budget, measureK int, seed uint64, workers int) *OperatorResult {
-	return TuneOperatorSession(context.Background(), sg, plat, sched, budget, measureK, seed, workers, TuneHooks{})
-}
-
-// TuneOperatorSession tunes one subgraph as a cancellable session. Trial
-// evaluation and cost-model scoring fan out across a pool of the given width
-// (<= 0 selects runtime.NumCPU()); results are byte-identical for every
-// worker count, only wall-clock time changes. Measured trials are appended to
-// hooks.Journal in commit order, and hooks.Warm seeds the task from its best
-// cached record before the engine runs — a budget of 0 with a warm hit
-// performs no measurements and returns the cached best, the pure cache-replay
-// path. The context is checked at round boundaries, so cancellation stops the
-// search after the in-flight round commits — the journal hook has received
-// every measurement, the task's cost model and best are consistent, and the
-// result carries the partial best with Cancelled set.
-func TuneOperatorSession(ctx context.Context, sg *texpr.Subgraph, plat *hardware.Platform, sched *Scheduler, budget, measureK int, seed uint64, workers int, hooks TuneHooks) *OperatorResult {
-	rng := xrand.New(seed)
-	sim := hardware.NewSimulator(plat)
-	meas := hardware.NewMeasurer(sim, rng.Split())
-	task := search.NewTask(sg, plat, meas, rng.Split())
-	if workers != 1 {
-		task.Pool = search.NewParallelPool(workers)
-	}
-	seedCostModel(task, hooks)
-	warm := false
-	if hooks.Warm != nil {
-		warm = warmStartTask(task, hooks.Warm)
-	}
-	if hooks.Journal != nil {
-		attachJournal(task, hooks.Journal, sched.Name, seed)
-	}
-	cancelled := search.TuneSession(ctx, sched.Engine, task, budget, measureK, hooks.Progress)
-
-	res := &OperatorResult{
-		Scheduler:    sched.Name,
-		Trials:       task.Trials,
-		Measured:     task.Measured,
-		MeasureSaved: task.MeasureSaved,
-		CostSec:      meas.CostSec(),
-		Task:         task,
-		WarmStarted:  warm,
-		WarmTransfer: task.TransferDonor,
-		CostSamples:  task.Cost.Len(),
-		CostRefits:   task.CostRefits,
-		Pretrained:   task.Pretrained,
-		Cancelled:    cancelled,
-	}
-	if task.Best != nil {
-		res.BestExec = sim.Exec(task.Best)
-		res.BestGFLOPS = sg.FLOPs() / res.BestExec / 1e9
-	}
-	return res
 }

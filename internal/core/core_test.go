@@ -1,52 +1,59 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"harl/internal/hardware"
+	"harl/internal/search"
 	"harl/internal/workload"
 )
 
 func TestSchedulerPresets(t *testing.T) {
 	for _, name := range SchedulerNames() {
-		s, err := NewScheduler(name)
+		mk, _, err := EngineFactory(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s.Name != name || s.Engine == nil {
-			t.Fatalf("%s: malformed scheduler", name)
+		if mk() == nil {
+			t.Fatalf("%s: the factory built no engine", name)
 		}
 	}
-	if _, err := NewScheduler("nope"); err == nil {
-		t.Fatal("unknown scheduler must error")
+	for _, name := range []string{"nope", "autotvm"} {
+		if _, _, err := EngineFactory(name); err == nil {
+			t.Fatalf("unknown scheduler %q must error", name)
+		}
+		if _, err := NewOperatorTuner(workload.GEMM("g", 1, 64, 64, 64), hardware.CPUXeon6226R(), name, 16, 1, 1); err == nil {
+			t.Fatalf("a tuner for unknown scheduler %q must error", name)
+		}
 	}
 }
 
 func TestSchedulerPolicies(t *testing.T) {
 	// The paper's Table 1: Ansor allocates greedily, HARL uses the MAB;
 	// the no-MAB ablation is HARL's engine with the greedy policy.
-	if MustScheduler("ansor").Policy != PolicyGreedyGradient {
-		t.Fatal("ansor policy")
-	}
-	if MustScheduler("harl").Policy != PolicySWUCB {
-		t.Fatal("harl policy")
-	}
-	if MustScheduler("harl-nomab").Policy != PolicyGreedyGradient {
-		t.Fatal("harl-nomab policy")
+	for name, want := range map[string]TaskPolicy{"ansor": PolicyGreedyGradient, "harl": PolicySWUCB, "harl-nomab": PolicyGreedyGradient} {
+		if _, got, err := EngineFactory(name); err != nil || got != want {
+			t.Fatalf("%s policy %v (err %v), want %v", name, got, err, want)
+		}
 	}
 }
 
 func TestTuneOperatorBasics(t *testing.T) {
 	sg := workload.GEMM("g", 1, 256, 256, 256)
-	res := TuneOperator(sg, hardware.CPUXeon6226R(), MustScheduler("random"), 48, 16, 1, 1)
-	if res.Trials < 48 {
-		t.Fatalf("trials %d", res.Trials)
+	tn, err := NewOperatorTuner(sg, hardware.CPUXeon6226R(), "random", 16, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.BestExec <= 0 || res.BestGFLOPS <= 0 {
-		t.Fatalf("degenerate result %+v", res)
+	tn.RunCtx(context.Background(), 48)
+	if tn.Trials() != 48 || len(tn.MT.History) != 3 {
+		t.Fatalf("%d trials in %d waves, want 48 in 3", tn.Trials(), len(tn.MT.History))
 	}
-	if res.CostSec <= 0 {
+	if b := tn.Breakdown(); len(b) != 1 || b[0].BestExec <= 0 || b[0].BestExec != tn.EstimatedExec() {
+		t.Fatalf("degenerate result %+v (estimate %g)", b, tn.EstimatedExec())
+	}
+	if tn.CostSec() <= 0 {
 		t.Fatal("no search time accounted")
 	}
 }
@@ -54,13 +61,14 @@ func TestTuneOperatorBasics(t *testing.T) {
 func TestTuneOperatorReproducible(t *testing.T) {
 	sg := workload.GEMM("g", 1, 256, 256, 256)
 	plat := hardware.CPUXeon6226R()
-	a := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 42, 1)
-	b := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 42, 1)
-	if a.BestExec != b.BestExec || a.CostSec != b.CostSec {
+	run := func(seed uint64) *search.Task {
+		return tuneOperator(t, sg, plat, "ansor", 48, seed, 1, nil, nil).Task
+	}
+	a, b, c := run(42), run(42), run(43)
+	if a.BestExec != b.BestExec || a.Meas.CostSec() != b.Meas.CostSec() {
 		t.Fatalf("same seed diverged: %.6g vs %.6g", a.BestExec, b.BestExec)
 	}
-	c := TuneOperator(sg, plat, MustScheduler("ansor"), 48, 16, 43, 1)
-	if a.BestExec == c.BestExec && a.CostSec == c.CostSec {
+	if a.BestExec == c.BestExec && a.Meas.CostSec() == c.Meas.CostSec() {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
@@ -73,7 +81,7 @@ func newBERTTuner(t *testing.T, sched string, budget int) *ParallelNetworkTuner 
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt.Run(budget)
+	nt.RunCtx(context.Background(), budget)
 	return nt
 }
 

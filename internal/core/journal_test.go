@@ -6,18 +6,44 @@ import (
 	"testing"
 
 	"harl/internal/hardware"
+	"harl/internal/search"
+	"harl/internal/texpr"
 	"harl/internal/tunelog"
 	"harl/internal/workload"
 )
 
-// tuneWithJournal runs one journaled operator tuning job into a buffer.
-func tuneWithJournal(t *testing.T, workers, budget int, warm *tunelog.Database) (*OperatorResult, []byte) {
+// opRun is one finished operator run: its task and whether the warm database
+// seeded it.
+type opRun struct {
+	Task        *search.Task
+	WarmStarted bool
+}
+
+// tuneOperator runs one operator tuning job the way harl's session does:
+// warm-start, journal, run. A nil warm database or journal skips that step.
+func tuneOperator(t *testing.T, sg *texpr.Subgraph, plat *hardware.Platform, sched string, budget int, seed uint64, workers int, warm *tunelog.Database, jr *tunelog.Journal) opRun {
 	t.Helper()
-	sg := workload.GEMM("g", 1, 128, 128, 128)
+	tn, err := NewOperatorTuner(sg, plat, sched, 16, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed := warm != nil && tn.WarmStart(warm) > 0
+	if jr != nil {
+		tn.AttachJournal(jr, seed)
+	}
+	if tn.RunCtx(context.Background(), budget) {
+		t.Fatal("uncancelled run reported cancelled")
+	}
+	return opRun{Task: tn.MT.Tasks[0], WarmStarted: warmed}
+}
+
+// tuneWithJournal runs one journaled operator tuning job into a buffer.
+func tuneWithJournal(t *testing.T, workers, budget int, warm *tunelog.Database) (opRun, []byte) {
+	t.Helper()
 	var buf bytes.Buffer
-	hooks := TuneHooks{Journal: tunelog.NewJournal(&buf), Warm: warm}
-	res := TuneOperatorSession(context.Background(), sg, hardware.CPUXeon6226R(), MustScheduler("harl"), budget, 16, 5, workers, hooks)
-	if err := hooks.Journal.Err(); err != nil {
+	jr := tunelog.NewJournal(&buf)
+	res := tuneOperator(t, workload.GEMM("g", 1, 128, 128, 128), hardware.CPUXeon6226R(), "harl", budget, 5, workers, warm, jr)
+	if err := jr.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return res, buf.Bytes()
@@ -42,8 +68,8 @@ func TestOperatorJournalMatchesTrials(t *testing.T) {
 	if err := db.Load(bytes.NewReader(j)); err != nil {
 		t.Fatal(err)
 	}
-	if db.Size() != res.Trials {
-		t.Fatalf("journal has %d records for %d trials", db.Size(), res.Trials)
+	if db.Size() != res.Task.Trials {
+		t.Fatalf("journal has %d records for %d trials", db.Size(), res.Task.Trials)
 	}
 	recs := db.Records()
 	for i, r := range recs {
@@ -76,8 +102,8 @@ func TestWarmStartRecoversBestExactly(t *testing.T) {
 	if !res2.WarmStarted {
 		t.Fatal("warm start missed the cached record")
 	}
-	if res2.Trials != 0 {
-		t.Fatalf("replay run measured %d trials", res2.Trials)
+	if res2.Task.Trials != 0 {
+		t.Fatalf("replay run measured %d trials", res2.Task.Trials)
 	}
 	if len(j2) != 0 {
 		t.Fatalf("replay run journaled new records: %s", j2)
@@ -88,8 +114,8 @@ func TestWarmStartRecoversBestExactly(t *testing.T) {
 	if res2.Task.BestExec != res1.Task.BestExec {
 		t.Fatalf("recovered exec %v want %v", res2.Task.BestExec, res1.Task.BestExec)
 	}
-	if res2.BestExec != res1.BestExec {
-		t.Fatalf("noise-free exec %v want %v", res2.BestExec, res1.BestExec)
+	if a, b := res2.Task.WeightedBestExec(), res1.Task.WeightedBestExec(); a != b {
+		t.Fatalf("noise-free exec %v want %v", a, b)
 	}
 }
 
@@ -130,11 +156,11 @@ func TestWarmStartIgnoresForeignRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := workload.GEMM("other", 1, 64, 64, 64)
-	res := TuneOperatorSession(context.Background(), other, hardware.CPUXeon6226R(), MustScheduler("random"), 16, 16, 1, 1, TuneHooks{Warm: db})
+	res := tuneOperator(t, other, hardware.CPUXeon6226R(), "random", 16, 1, 1, db, nil)
 	if res.WarmStarted {
 		t.Fatal("foreign record must not warm-start a different workload")
 	}
-	gpu := TuneOperatorSession(context.Background(), workload.GEMM("g", 1, 128, 128, 128), hardware.GPURTX3090(), MustScheduler("random"), 16, 16, 1, 1, TuneHooks{Warm: db})
+	gpu := tuneOperator(t, workload.GEMM("g", 1, 128, 128, 128), hardware.GPURTX3090(), "random", 16, 1, 1, db, nil)
 	if gpu.WarmStarted {
 		t.Fatal("cpu record must not warm-start a gpu run")
 	}
@@ -152,7 +178,7 @@ func TestParallelNetworkJournalWorkerInvariance(t *testing.T) {
 		var buf bytes.Buffer
 		jr := tunelog.NewJournal(&buf)
 		pnt.AttachJournal(jr, 3)
-		pnt.Run(330)
+		pnt.RunCtx(context.Background(), 330)
 		if err := jr.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +203,7 @@ func TestNetworkTunerJournalAndWarmStart(t *testing.T) {
 	var buf bytes.Buffer
 	jr := tunelog.NewJournal(&buf)
 	nt.AttachJournal(jr, 3)
-	nt.Run(330)
+	nt.RunCtx(context.Background(), 330)
 	if err := jr.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,31 +4,25 @@ import (
 	"context"
 	"math"
 
+	"harl/internal/costmodel"
 	"harl/internal/hardware"
 	"harl/internal/search"
+	"harl/internal/texpr"
 	"harl/internal/tunelog"
 	"harl/internal/workload"
 )
 
-// Gradient-estimate constants of Eq. 3 (paper Table 5).
-const (
-	// GradAlpha weighs the measured improvement slope against the optimistic
-	// potential term.
-	GradAlpha = 0.2
-	// GradBeta scales the similar-subgraph throughput bound.
-	GradBeta = 2.0
-	// CommOverheadSec is the per-subgraph-execution framework/communication
-	// overhead separating the estimated from the measured end-to-end time
-	// (Table 4's "Estimated HARL (sum)" vs "Measured HARL" rows).
-	CommOverheadSec = 3e-6
-)
+// CommOverheadSec is the per-subgraph-execution framework/communication
+// overhead separating the estimated from the measured end-to-end time
+// (Table 4's "Estimated HARL (sum)" vs "Measured HARL" rows).
+const CommOverheadSec = 3e-6
 
-// ParallelNetworkTuner is the network tuner: it drives search.MultiTuner over
-// a network's subgraph tasks, each wave picking a set of subgraphs with the
-// preset's allocation policy and running one engine round on each selected
-// task in parallel across a worker pool. Every task owns its measurer and RNG
-// stream, so results depend only on the seed and configuration, never on the
-// worker count.
+// ParallelNetworkTuner is the tuner: it drives search.MultiTuner over a list
+// of subgraph tasks, each wave picking a set of subgraphs with the preset's
+// allocation policy and running one engine round on each selected task in
+// parallel across a worker pool. Every task owns its measurer and RNG stream,
+// so results depend only on the seed and configuration, never on the worker
+// count.
 //
 // It comes in two wave shapes. NewParallelNetworkTuner is the production
 // shape: every wave advances every subgraph, so the allocator only decides
@@ -38,18 +32,27 @@ const (
 // allocation decides everything: there the paper's subgraph MAB (§6.3) runs
 // as MultiTuner's SW-UCB policy, and Table 4 / Fig. 10 measure it against
 // the greedy allocator.
+//
+// An operator run is the degenerate top level of the hierarchy — a list of
+// one subgraph (NewOperatorTuner) in the production shape. Its waves are its
+// rounds, the pool fans out inside the round, and the subgraph bandit is never
+// built: with one arm there is nothing to allocate, and the bandit's
+// tie-breaking stream is split from the first task's RNG, so building it
+// would move every draw the engine makes after it.
 type ParallelNetworkTuner struct {
-	Net *workload.Network
-	MT  *search.MultiTuner
+	MT *search.MultiTuner
 	// SchedName is the scheduler preset name stamped into journal records.
 	SchedName string
+	// operator marks a NewOperatorTuner run, whose progress objective is the
+	// task's measured best (see search.OperatorProgress).
+	operator bool
 }
 
 // NewParallelNetworkTuner builds the full-width tuner for a scheduler preset
 // name. roundTrials is the measured-candidate count per task round; workers
 // sizes the pool (<= 0 selects runtime.NumCPU()).
 func NewParallelNetworkTuner(net *workload.Network, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers int) (*ParallelNetworkTuner, error) {
-	return newNetworkTuner(net, plat, schedName, roundTrials, seed, workers, 0)
+	return newPresetTuner(net.Subgraphs, plat, schedName, roundTrials, seed, workers, 0)
 }
 
 // NewSequentialNetworkTuner builds the one-subgraph-per-wave tuner of the
@@ -58,31 +61,45 @@ func NewParallelNetworkTuner(net *workload.Network, plat *hardware.Platform, sch
 // policy — SW-UCB, greedy gradient or round-robin — makes it. The pool fans
 // out inside the selected task's round instead of across tasks.
 func NewSequentialNetworkTuner(net *workload.Network, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers int) (*ParallelNetworkTuner, error) {
-	return newNetworkTuner(net, plat, schedName, roundTrials, seed, workers, 1)
+	return newPresetTuner(net.Subgraphs, plat, schedName, roundTrials, seed, workers, 1)
 }
 
-func newNetworkTuner(net *workload.Network, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers, waveWidth int) (*ParallelNetworkTuner, error) {
+// NewOperatorTuner builds the tuner for one subgraph under a scheduler preset
+// name: the task, measurer and RNG streams are the first (only) entry of the
+// task set a network of that one subgraph would get.
+func NewOperatorTuner(sg *texpr.Subgraph, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers int) (*ParallelNetworkTuner, error) {
+	p, err := newPresetTuner([]*texpr.Subgraph{sg}, plat, schedName, roundTrials, seed, workers, 0)
+	if err == nil {
+		p.operator = true
+	}
+	return p, err
+}
+
+func newPresetTuner(graphs []*texpr.Subgraph, plat *hardware.Platform, schedName string, roundTrials int, seed uint64, workers, waveWidth int) (*ParallelNetworkTuner, error) {
 	mk, policy, err := EngineFactory(schedName)
 	if err != nil {
 		return nil, err
 	}
+	return NewTuner(graphs, plat, schedName, mk, policy, roundTrials, seed, workers, waveWidth), nil
+}
+
+// NewTuner is the constructor under the preset ones, taking the engine factory
+// and subgraph policy directly — how the sensitivity studies (Tables 7/8) run
+// an engine configuration no preset names. waveWidth is 0 for the full-width
+// shape, 1 for the sequential one.
+func NewTuner(graphs []*texpr.Subgraph, plat *hardware.Platform, schedName string, mk func() search.Engine, policy TaskPolicy, roundTrials int, seed uint64, workers, waveWidth int) *ParallelNetworkTuner {
 	cfg := search.DefaultMultiTunerConfig()
 	cfg.RoundTrials = roundTrials
 	cfg.Workers = workers
 	cfg.WaveWidth = waveWidth
-	cfg.GradAlpha, cfg.GradBeta = GradAlpha, GradBeta
 	switch {
 	case policy == PolicyRoundRobin:
 		cfg.Policy = search.AllocRoundRobin
 	case policy == PolicySWUCB && waveWidth == 1:
 		cfg.Policy = search.AllocSWUCB
 	}
-	tasks := search.NewTaskSet(net.Subgraphs, plat, seed)
-	return &ParallelNetworkTuner{
-		Net:       net,
-		MT:        search.NewMultiTuner(tasks, mk, cfg),
-		SchedName: schedName,
-	}, nil
+	tasks := search.NewTaskSet(graphs, plat, seed)
+	return &ParallelNetworkTuner{MT: search.NewMultiTuner(tasks, mk, cfg), SchedName: schedName}
 }
 
 // AttachJournal routes every committed measurement to the journal through the
@@ -103,8 +120,11 @@ func (p *ParallelNetworkTuner) AttachJournal(jr *tunelog.Journal, seed uint64) {
 // SetProgress routes per-task progress events out of the MultiTuner's wave
 // barriers — emitted in wave-selection order from committed state, so the
 // event stream is byte-identical for every worker count (the journal's
-// contract). Call before Run/RunCtx.
+// contract). Call before RunCtx.
 func (p *ParallelNetworkTuner) SetProgress(fn func(search.Progress)) {
+	if p.operator {
+		fn = search.OperatorProgress(fn)
+	}
 	p.MT.OnProgress = fn
 }
 
@@ -121,7 +141,7 @@ func (p *ParallelNetworkTuner) WarmStart(db *tunelog.Database) int {
 }
 
 // SeedCostModels applies the hooks' checkpointed model and/or pretraining
-// journal to every task before Run, returning the number of tasks whose cost
+// journal to every task before RunCtx, returning the number of tasks whose cost
 // model starts with offline knowledge. Seeding happens before the first wave
 // on committed state, so the determinism contract (worker-count invariance)
 // is untouched.
@@ -136,10 +156,8 @@ func (p *ParallelNetworkTuner) SeedCostModels(hooks TuneHooks) int {
 	return n
 }
 
-// Run tunes until the measurement budget is exhausted.
-func (p *ParallelNetworkTuner) Run(budgetTrials int) { p.MT.Run(budgetTrials) }
-
-// RunCtx is Run with cooperative cancellation at wave barriers (see
+// RunCtx tunes until the measurement budget is exhausted or the schedule
+// spaces are, with cooperative cancellation at wave barriers (see
 // search.MultiTuner.RunCtx); it returns true if the context cut the run
 // short.
 func (p *ParallelNetworkTuner) RunCtx(ctx context.Context, budgetTrials int) bool {
@@ -148,13 +166,6 @@ func (p *ParallelNetworkTuner) RunCtx(ctx context.Context, budgetTrials int) boo
 
 // Trials returns the cumulative charged-trial count across all tasks.
 func (p *ParallelNetworkTuner) Trials() int { return p.MT.Trials() }
-
-// Measured returns the cumulative count of schedules actually measured.
-func (p *ParallelNetworkTuner) Measured() int { return p.MT.Measured() }
-
-// MeasureSaved returns the cumulative count of charged trials whose
-// measurement the adaptive sampler skipped.
-func (p *ParallelNetworkTuner) MeasureSaved() int { return p.MT.MeasureSaved() }
 
 // CostSec returns the total simulated search time across all tasks.
 func (p *ParallelNetworkTuner) CostSec() float64 { return p.MT.CostSec() }
@@ -169,7 +180,21 @@ func (p *ParallelNetworkTuner) MeasuredExec() float64 {
 	if math.IsInf(est, 1) {
 		return est
 	}
-	return est + float64(p.Net.TotalWeight())*CommOverheadSec
+	executions := 0
+	for _, t := range p.MT.Tasks {
+		executions += t.Graph.Weight
+	}
+	return est + float64(executions)*CommOverheadSec
+}
+
+// CostModel returns the run's checkpoint artifact. A one-subgraph run saves
+// its task's own model as fitted — its parameters and any loaded ensemble
+// intact; a network folds its tasks' samples into one model (MergedCostModel).
+func (p *ParallelNetworkTuner) CostModel() costmodel.CostModel {
+	if len(p.MT.Tasks) == 1 {
+		return p.MT.Tasks[0].FittedCost()
+	}
+	return MergedCostModel(p.MT.Tasks)
 }
 
 // SnapshotAtExec returns the earliest wave snapshot whose estimated execution

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -118,28 +119,49 @@ type PairResult struct {
 func RunPair(sg *texpr.Subgraph, plat *hardware.Platform, budget, measureK int, seed uint64, workers int) PairResult {
 	// Fresh subgraph instances per engine would share state anyway; tasks are
 	// engine-private so a single instance is safe.
-	ansor := core.TuneOperator(sg, plat, core.MustScheduler("ansor"), budget, measureK, seed, workers)
-	harl := core.TuneOperator(sg, plat, core.MustScheduler("harl"), budget, measureK, seed+1, workers)
-	observeTask(ansor.Task)
-	observeTask(harl.Task)
+	ansor := tuneOperator(sg, plat, "ansor", budget, measureK, seed, workers)
+	harl := tuneOperator(sg, plat, "harl", budget, measureK, seed+1, workers)
 
 	res := PairResult{
 		Name:      sg.Name,
-		AnsorExec: ansor.BestExec,
-		HARLExec:  harl.BestExec,
-		AnsorGF:   ansor.BestGFLOPS,
-		HARLGF:    harl.BestGFLOPS,
+		AnsorExec: bestExec(ansor),
+		HARLExec:  bestExec(harl),
+		AnsorGF:   bestGFLOPS(ansor),
+		HARLGF:    bestGFLOPS(harl),
 	}
 	// Ansor's search time: when it found its own final program.
-	res.AnsorTime, _ = timeToReach(ansor.Task, ansor.Task.BestExec)
+	res.AnsorTime, _ = timeToReach(ansor, ansor.BestExec)
 	// HARL's search time: when it matched Ansor's final program quality
 	// (measured best-log versus Ansor's noisy best, per the paper metric).
-	res.HARLTime, res.Reached = timeToReach(harl.Task, ansor.Task.BestExec)
+	res.HARLTime, res.Reached = timeToReach(harl, ansor.BestExec)
 	if res.HARLTime > 0 {
 		res.HARLFaster = res.AnsorTime / res.HARLTime
 	}
 	return res
 }
+
+// tuneOperator runs a scheduler preset on one subgraph — the one-task case of
+// the tuner runNetwork drives — and returns the tuned task, observed.
+func tuneOperator(sg *texpr.Subgraph, plat *hardware.Platform, schedName string, budget, measureK int, seed uint64, workers int) *search.Task {
+	tn, err := core.NewOperatorTuner(sg, plat, schedName, measureK, seed, workers)
+	if err != nil {
+		panic(err)
+	}
+	return runOperator(tn, budget)
+}
+
+func runOperator(tn *core.ParallelNetworkTuner, budget int) *search.Task {
+	tn.RunCtx(context.Background(), budget)
+	t := tn.MT.Tasks[0]
+	observeTask(t)
+	return t
+}
+
+// bestExec is the noise-free simulator time of the task's best schedule, and
+// bestGFLOPS the corresponding throughput.
+func bestExec(t *search.Task) float64 { return t.Meas.Sim.Exec(t.Best) }
+
+func bestGFLOPS(t *search.Task) float64 { return t.Graph.FLOPs() / bestExec(t) / 1e9 }
 
 func timeToReach(t *search.Task, target float64) (float64, bool) {
 	for i, e := range t.BestLog {
@@ -252,10 +274,9 @@ func AblationTrajectory(cfg Config, w io.Writer) TrajectoryResult {
 	curves := map[string][]float64{}
 	finals := map[string]float64{}
 	for _, name := range []string{"ansor", "hierarchical-rl", "harl"} {
-		res := core.TuneOperator(sg, plat, core.MustScheduler(name), budget, cfg.MeasureK, cfg.Seed, cfg.workers())
-		observeTask(res.Task)
-		curves[name] = res.Task.BestLog
-		finals[name] = res.BestGFLOPS
+		task := tuneOperator(sg, plat, name, budget, cfg.MeasureK, cfg.Seed, cfg.workers())
+		curves[name] = task.BestLog
+		finals[name] = bestGFLOPS(task)
 	}
 	// Normalize performance (1/exec) by the best final across systems.
 	bestPerf := 0.0
@@ -317,17 +338,15 @@ type CriticalStepsResult struct {
 func CriticalSteps(cfg Config, w io.Writer) CriticalStepsResult {
 	sg := workload.GEMM("GEMM-L-1024", 1, 1024, 1024, 1024)
 	plat := hardware.CPUXeon6226R()
-	fixed := core.TuneOperator(sg, plat, core.MustScheduler("hierarchical-rl"), cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
-	adaptive := core.TuneOperator(sg, plat, core.MustScheduler("harl"), cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
-	observeTask(fixed.Task)
-	observeTask(adaptive.Task)
+	fixed := tuneOperator(sg, plat, "hierarchical-rl", cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
+	adaptive := tuneOperator(sg, plat, "harl", cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
 
 	res := CriticalStepsResult{
-		FixedBins:    positionBins(fixed.Task.TrackPositions),
-		AdaptiveBins: positionBins(adaptive.Task.TrackPositions),
+		FixedBins:    positionBins(fixed.TrackPositions),
+		AdaptiveBins: positionBins(adaptive.TrackPositions),
 	}
-	res.FixedLastDecile = lastDecile(fixed.Task.TrackPositions)
-	res.AdaptiveLastDecile = lastDecile(adaptive.Task.TrackPositions)
+	res.FixedLastDecile = lastDecile(fixed.TrackPositions)
+	res.AdaptiveLastDecile = lastDecile(adaptive.TrackPositions)
 	if w != nil {
 		fmt.Fprintf(w, "position   fixed  adaptive  (critical-step histograms)\n")
 		for i := 0; i < 10; i++ {
@@ -404,14 +423,13 @@ func sensitivity(cfg Config, w io.Writer, param string, values []float64) []Sens
 		case "rho":
 			hcfg.Rho = v
 		}
-		sched := &core.Scheduler{Name: "harl", Engine: search.NewHARL(hcfg), Policy: core.PolicySWUCB}
-		res := core.TuneOperator(sg, plat, sched, cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
-		observeTask(res.Task)
-		rounds := math.Max(1, float64(res.Trials)/float64(cfg.MeasureK))
+		mk := func() search.Engine { return search.NewHARL(hcfg) }
+		task := runOperator(core.NewTuner([]*texpr.Subgraph{sg}, plat, "harl", mk, core.PolicySWUCB, cfg.MeasureK, cfg.Seed, cfg.workers(), 0), cfg.OperatorBudget)
+		rounds := math.Max(1, float64(task.Trials)/float64(cfg.MeasureK))
 		rows = append(rows, SensitivityRow{
 			Value:       v,
-			RawGF:       res.BestGFLOPS,
-			RawTimeIter: res.CostSec / rounds,
+			RawGF:       bestGFLOPS(task),
+			RawTimeIter: task.Meas.CostSec() / rounds,
 		})
 	}
 	maxGF, maxTI := 0.0, 0.0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -41,7 +42,7 @@ func runNetwork(cfg Config, netName string, batch int, platName, schedName strin
 	if err != nil {
 		panic(err)
 	}
-	nt.Run(netBudget(cfg, net))
+	nt.RunCtx(context.Background(), netBudget(cfg, net))
 	for _, t := range nt.MT.Tasks {
 		observeTask(t)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"harl/internal/core"
 	"harl/internal/hardware"
 	"harl/internal/schedule"
 	"harl/internal/search"
@@ -180,10 +179,8 @@ func FixedLengthWaste(cfg Config, w io.Writer) FixedLengthWasteResult {
 	var all []float64
 	for i, geom := range []string{"GEMM-S", "GEMM-M", "GEMM-L"} {
 		sg := workload.SuiteFor(geom, 1)[0]
-		res := core.TuneOperator(sg, plat, core.MustScheduler("flextensor"),
-			cfg.OperatorBudget/2, cfg.MeasureK, cfg.Seed+uint64(i), cfg.workers())
-		observeTask(res.Task)
-		all = append(all, res.Task.TrackPositions...)
+		task := tuneOperator(sg, plat, "flextensor", cfg.OperatorBudget/2, cfg.MeasureK, cfg.Seed+uint64(i), cfg.workers())
+		all = append(all, task.TrackPositions...)
 	}
 	res := FixedLengthWasteResult{Bins: positionBins(all)}
 	early := 0

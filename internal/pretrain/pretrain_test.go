@@ -22,9 +22,14 @@ func journalFor(t *testing.T, sg *texpr.Subgraph, plat *hardware.Platform, trial
 	t.Helper()
 	var buf bytes.Buffer
 	jr := tunelog.NewJournal(&buf)
-	res := core.TuneOperatorSession(context.Background(), sg, plat, core.MustScheduler("ansor"), trials, 16, seed, 1, core.TuneHooks{Journal: jr})
-	if res.Trials < trials {
-		t.Fatalf("journal run measured %d of %d trials", res.Trials, trials)
+	tn, err := core.NewOperatorTuner(sg, plat, "ansor", 16, seed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.AttachJournal(jr, seed)
+	tn.RunCtx(context.Background(), trials)
+	if tn.Trials() < trials {
+		t.Fatalf("journal run measured %d of %d trials", tn.Trials(), trials)
 	}
 	db := tunelog.NewDatabase()
 	if err := db.Load(&buf); err != nil {

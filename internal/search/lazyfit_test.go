@@ -88,8 +88,9 @@ func (e eagerEngine) RunRound(t *search.Task, k int) int {
 	return n
 }
 
-// session is one operator session assembled as core.TuneOperatorSession
-// assembles it, with the counting double in the task's model slot.
+// session is one operator session assembled from the search-level pieces
+// (the task set of one, the preset's engine, TuneSession), with the counting
+// double in the task's model slot.
 type session struct {
 	task    *search.Task
 	model   *countingModel
@@ -115,7 +116,11 @@ func runSession(t *testing.T, sg *texpr.Subgraph, scheduler string, workers int,
 			t.Fatal(err)
 		}
 	}
-	eng := core.MustScheduler(scheduler).Engine
+	mk, _, err := core.EngineFactory(scheduler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mk()
 	if eager {
 		eng = eagerEngine{eng}
 	}

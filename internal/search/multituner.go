@@ -43,9 +43,10 @@ type MultiTunerConfig struct {
 	// selects runtime.NumCPU(). Worker count never changes results, only
 	// wall-clock time (see the determinism note on MultiTuner).
 	Workers int
-	// WaveWidth is how many tasks advance concurrently per wave; 0 means
-	// every task. It is part of the schedule (unlike Workers): changing it
-	// changes which task states feed the next allocation decision.
+	// WaveWidth is how many tasks advance concurrently per wave; 0 (or more
+	// than there are tasks) means every task. It is part of the schedule
+	// (unlike Workers): changing it changes which task states feed the next
+	// allocation decision.
 	WaveWidth int
 	// Policy selects the budget allocator.
 	Policy AllocPolicy
@@ -77,9 +78,11 @@ type WaveSnapshot struct {
 	EstExec float64
 }
 
-// MultiTuner tunes many tasks (the subgraphs of a network) concurrently: each
-// wave it selects a set of tasks with the allocation policy and runs one
-// engine round on every selected task in parallel across a worker pool.
+// MultiTuner is the tuning driver — its wave is the only caller of
+// Engine.RunRound. It tunes a set of tasks (the subgraphs of a network, or the
+// one subgraph of an operator run) concurrently: each wave it selects a set of
+// tasks with the allocation policy and runs one engine round on every selected
+// task in parallel across a worker pool.
 //
 // Determinism contract: tasks are fully independent — each owns its engine
 // instance, RNG stream, cost model and measurer — and allocation decisions
@@ -106,7 +109,7 @@ type MultiTuner struct {
 	// each wave, emitted at the wave barrier in wave-selection order from
 	// committed state only — the same deterministic fan-in point the recorder
 	// uses, so the event sequence is byte-identical for every worker count.
-	// Set it before Run.
+	// Set it before RunCtx.
 	OnProgress func(Progress)
 }
 
@@ -157,6 +160,9 @@ func NewMultiTuner(tasks []*Task, mkEngine func() Engine, cfg MultiTunerConfig) 
 	for range tasks {
 		mt.Engines = append(mt.Engines, mkEngine())
 	}
+	if cfg.WaveWidth <= 0 || cfg.WaveWidth > len(tasks) {
+		mt.Cfg.WaveWidth = len(tasks)
+	}
 	if cfg.Policy == AllocSWUCB {
 		mt.Cfg.WaveWidth = 1
 		// Ties break on a stream split from the first task's RNG, so the
@@ -164,11 +170,14 @@ func NewMultiTuner(tasks []*Task, mkEngine func() Engine, cfg MultiTunerConfig) 
 		mt.mab = bandit.NewSWUCB(len(tasks), subgraphC, subgraphWindow, tasks[0].RNG.Split())
 	}
 	if mt.Cfg.WaveWidth == 1 {
-		// One task per wave leaves the pool idle across tasks; lend it to the
-		// tasks for intra-round parallelism instead (results are identical
-		// either way, see Task.Pool).
+		// One task per wave — by configuration, or because the set holds one
+		// task — leaves the pool idle across tasks; lend it to the tasks for
+		// intra-round parallelism instead (results are identical either way,
+		// see Task.Pool). A pool the caller already attached stays.
 		for _, t := range tasks {
-			t.Pool = mt.pool
+			if t.Pool == nil {
+				t.Pool = mt.pool
+			}
 		}
 	}
 	return mt
@@ -179,7 +188,7 @@ func NewMultiTuner(tasks []*Task, mkEngine func() Engine, cfg MultiTunerConfig) 
 // serially); across tasks they are fanned in at wave barriers in wave
 // selection order, so the full record sequence is deterministic — journals
 // written through fn are byte-identical for every worker count. It replaces
-// each task's OnMeasure callback and must be called before Run.
+// each task's OnMeasure callback and must be called before RunCtx.
 func (mt *MultiTuner) SetRecorder(fn func(TrialRecord)) {
 	mt.record = fn
 	mt.pending = make([][]TrialRecord, len(mt.Tasks))
@@ -324,7 +333,7 @@ func (mt *MultiTuner) gradientEstimate(a int) float64 {
 	return GradientEstimate(mt.Tasks, a, mt.gHist[a], mt.allocations[a], mt.Cfg.GradAlpha, mt.Cfg.GradBeta)
 }
 
-// selectWave picks the tasks to advance this wave: at most width tasks, by
+// selectWave picks the tasks to advance this wave: width tasks (1..n), by
 // round-robin order or by descending gradient estimate with index
 // tie-breaking, or the bandit's one arm (all fully deterministic).
 func (mt *MultiTuner) selectWave(width int) []int {
@@ -338,9 +347,6 @@ func (mt *MultiTuner) selectWave(width int) []int {
 		return []int{mt.mab.Select()}
 	}
 	n := len(mt.Tasks)
-	if width <= 0 || width > n {
-		width = n
-	}
 	if mt.Cfg.Policy == AllocRoundRobin {
 		sel := make([]int, 0, width)
 		for i := 0; i < width; i++ {
@@ -371,29 +377,27 @@ func (mt *MultiTuner) selectWave(width int) []int {
 	return sel
 }
 
-// Wave runs one scheduling wave — an engine round on every selected task,
-// concurrently — and returns the selected task indices.
-func (mt *MultiTuner) Wave(width int) []int {
-	return mt.wave(width, 0)
-}
-
-// wave is Wave with an optional trial budget: with remaining > 0 the
-// per-task round sizes are clamped (serially, at the barrier, in selection
-// order) so the wave as a whole measures at most remaining candidates —
-// matching the exact-budget clamp of the serial Tune loop.
-func (mt *MultiTuner) wave(width, remaining int) []int {
+// wave runs one scheduling wave — an engine round on every selected task,
+// concurrently — within the remaining trial budget (> 0): per-task round sizes
+// are clamped serially, at the barrier, in selection order, so the wave as a
+// whole charges at most remaining trials. A task's pending transfer seeds are
+// measured ahead of its round and charged like any trial, so they come out of
+// its cap: the budget lands exactly even when the wave that measures a seed is
+// also the last one, and a task the seeds of earlier ones left nothing for is
+// not advanced.
+func (mt *MultiTuner) wave(width, remaining int) {
 	sel := mt.selectWave(width)
-	caps := make([]int, len(sel))
-	for i := range sel {
-		k := mt.Cfg.RoundTrials
-		if remaining > 0 {
-			if k > remaining {
-				k = remaining
-			}
-			remaining -= k
+	caps := make([]int, 0, len(sel))
+	for _, a := range sel {
+		if remaining <= 0 {
+			break
 		}
-		caps[i] = k
+		remaining -= len(mt.Tasks[a].seedCands)
+		k := min(mt.Cfg.RoundTrials, max(remaining, 0))
+		remaining -= k
+		caps = append(caps, k)
 	}
+	sel = sel[:len(caps)]
 	mt.pool.Run(len(sel), func(j int) {
 		a := sel[j]
 		t := mt.Tasks[a]
@@ -402,7 +406,7 @@ func (mt *MultiTuner) wave(width, remaining int) []int {
 		// inside the task's own pool slot, so it stays serial per task and
 		// worker-invariant like the round itself.
 		t.FlushSeedCandidates()
-		if mt.Engines[a].RunRound(t, caps[j]) == 0 {
+		if caps[j] > 0 && mt.Engines[a].RunRound(t, caps[j]) == 0 {
 			// The round produced nothing new (space exhausted or all
 			// duplicates); inject random exploration so waves make progress.
 			t.ExploreRandom(caps[j])
@@ -449,33 +453,30 @@ func (mt *MultiTuner) wave(width, remaining int) []int {
 			})
 		}
 	}
-	return sel
 }
 
-// Run tunes until the measurement budget is exhausted. The final wave is
+// RunCtx tunes until the measurement budget is exhausted. The final wave is
 // narrowed and its per-task rounds clamped so the budget lands exactly
-// (engines that measure in indivisible chunks may still overshoot by at
-// most their chunk, as in the serial Tune loop). If several consecutive
-// waves measure nothing new — the schedule spaces are exhausted — Run
-// returns rather than spinning on an unreachable budget.
-func (mt *MultiTuner) Run(budgetTrials int) {
-	mt.RunCtx(context.Background(), budgetTrials)
-}
-
-// RunCtx is Run with cooperative cancellation, checked at wave barriers: a
-// cancelled session finishes its in-flight wave — so every measurement is
-// committed, its record drained to the recorder in the deterministic fan-in
-// order, and the allocation history stays consistent — then stops instead of
-// selecting another wave. It returns true if the context cut the run short.
-// An uncancelled run takes exactly the same path as Run, preserving the
-// workers=1 ≡ workers=N byte-identical-journal contract.
+// (engines that measure in indivisible chunks may still overshoot by at most
+// their chunk). If several consecutive waves measure nothing new — the
+// schedule spaces are exhausted — it returns rather than spinning on an
+// unreachable budget.
+//
+// Cancellation is cooperative, checked at wave barriers: a cancelled session
+// finishes its in-flight wave — so every measurement is committed, its record
+// drained to the recorder in the deterministic fan-in order, and the
+// allocation history stays consistent — then stops instead of selecting
+// another wave. It returns true if the context cut the run short. The context
+// is only ever read at barriers, so an uncancelled run is the same run under
+// any context, preserving the workers=1 ≡ workers=N byte-identical-journal
+// contract.
 func (mt *MultiTuner) RunCtx(ctx context.Context, budgetTrials int) bool {
 	stalled := 0
 	for {
 		// Budget first, then cancellation — a run whose final wave spent the
-		// budget completed, even if the context fired during that wave (the
-		// serial loops order their checks the same way).
-		remaining := budgetTrials - mt.Trials()
+		// budget completed, even if the context fired during that wave.
+		before := mt.Trials()
+		remaining := budgetTrials - before
 		if remaining <= 0 {
 			return false
 		}
@@ -483,13 +484,9 @@ func (mt *MultiTuner) RunCtx(ctx context.Context, budgetTrials int) bool {
 			return true
 		}
 		width := mt.Cfg.WaveWidth
-		if width <= 0 || width > len(mt.Tasks) {
-			width = len(mt.Tasks)
-		}
 		if need := (remaining + mt.Cfg.RoundTrials - 1) / mt.Cfg.RoundTrials; width > need {
 			width = need
 		}
-		before := mt.Trials()
 		mt.wave(width, remaining)
 		if mt.Trials() == before {
 			if stalled++; stalled >= 3 {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func runMulti(t *testing.T, graphs []*texpr.Subgraph, mk func() Engine, cfg Mult
 	t.Helper()
 	tasks := NewTaskSet(graphs, hardware.CPUXeon6226R(), seed)
 	mt := NewMultiTuner(tasks, mk, cfg)
-	mt.Run(budget)
+	mt.RunCtx(context.Background(), budget)
 	return mt
 }
 
@@ -123,9 +124,11 @@ func TestMultiTunerRoundRobinCyclesTasks(t *testing.T) {
 	cfg.WaveWidth = 3
 	tasks := NewTaskSet(graphs, hardware.CPUXeon6226R(), 9)
 	mt := NewMultiTuner(tasks, func() Engine { return NewRandom() }, cfg)
+	// A budget of 2·n full waves: 3 tasks × 4 trials each.
+	mt.RunCtx(context.Background(), 2*len(tasks)*3*4)
 	seen := make([]int, len(tasks))
-	for w := 0; w < 2*len(tasks); w++ {
-		for _, a := range mt.Wave(cfg.WaveWidth) {
+	for _, snap := range mt.History[:2*len(tasks)] {
+		for _, a := range snap.Tasks {
 			seen[a]++
 		}
 	}

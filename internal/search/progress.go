@@ -2,18 +2,17 @@ package search
 
 import "context"
 
-// Progress is one committed progress point of a tuning run, emitted at the
-// barriers where state is worker-invariant: after each round of the operator
-// loop (TuneSession) and at each wave barrier of the MultiTuner (one event
-// per task advanced that wave, in wave-selection order). Every field is read from
-// committed state only, so for a fixed seed and configuration the event
-// sequence is byte-identical for every worker count — the same contract the
-// tuning journal keeps.
+// Progress is one committed progress point of a tuning run. There is one
+// emitter: MultiTuner.wave, at each wave barrier, one event per task advanced
+// that wave, in wave-selection order (an operator run is a one-task set, so
+// its waves are its rounds). Every field is read from committed state only, so
+// for a fixed seed and configuration the event sequence is byte-identical for
+// every worker count — the same contract the tuning journal keeps.
 type Progress struct {
 	// Task is the index of the task the event describes (0 for operator runs).
 	Task int
-	// Wave is the 0-based wave (MultiTuner) or round (TuneSession) index at
-	// whose barrier the event was committed.
+	// Wave is the 0-based index of the wave at whose barrier the event was
+	// committed.
 	Wave int
 	// Allocation is how many engine rounds the task has received so far.
 	Allocation int
@@ -31,57 +30,41 @@ type Progress struct {
 	// BestExec is the task's best measured execution time so far (+Inf until
 	// the task measures its first schedule).
 	BestExec float64
-	// RunBest is the run-level objective the driver optimizes: the best
-	// execution time for an operator run, Σ w·g (the estimated end-to-end
-	// network time) for a network run (+Inf until every task has measured).
+	// RunBest is the run-level objective the driver optimizes: Σ w·g, the
+	// estimated end-to-end time over the task set (+Inf until every task has
+	// measured) — or, through OperatorProgress, an operator's measured best.
 	// Plateau detection reads this trajectory.
 	RunBest float64
 	// CostSec is the cumulative simulated search time at the barrier.
 	CostSec float64
 }
 
-// TuneSession is Tune with cooperative cancellation and a progress callback.
-// The context is checked at round boundaries: a cancelled session stops after
-// its in-flight round commits — every measurement accounted (best logs,
-// training set, OnMeasure journal callbacks), the task resumable — and
-// TuneSession returns true. After every committed round, onProgress (when
-// non-nil) receives one Progress event built from the task's committed state.
-// The callback runs synchronously on the tuning goroutine, so anything it
-// observes is consistent and anything it does (such as cancelling ctx) takes
-// effect at the next round boundary.
+// OperatorProgress adapts a progress callback for a run whose objective is one
+// operator's measured best execution time rather than the noise-free Σ w·g a
+// wave reports: RunBest becomes the task's BestExec. The operator entry points
+// install it; the wave itself never asks how many tasks it drives.
+func OperatorProgress(fn func(Progress)) func(Progress) {
+	if fn == nil {
+		return nil
+	}
+	return func(p Progress) {
+		p.RunBest = p.BestExec
+		fn(p)
+	}
+}
+
+// TuneSession runs the engine on one task until the measurement budget is
+// exhausted: the one-task case of MultiTuner.RunCtx, so the round loop, the
+// exact-budget clamp, the transfer-seed flush, the stalled-space exit and the
+// cancellation points are the network path's. The context is checked at round
+// boundaries: a cancelled session stops after its in-flight round commits —
+// every measurement accounted (best logs, training set, OnMeasure journal
+// callbacks), the task resumable — and TuneSession returns true. After every
+// committed round, onProgress (when non-nil) receives one Progress event built
+// from the task's committed state, synchronously on the tuning goroutine. The
+// task's own Pool and OnMeasure are left as the caller set them.
 func TuneSession(ctx context.Context, e Engine, t *Task, budgetTrials, measureK int, onProgress func(Progress)) bool {
-	if t.Trials < budgetTrials {
-		// Measure any transfer warm-start candidates before the first engine
-		// round, so the donor's best schedule anchors the search immediately.
-		t.FlushSeedCandidates()
-	}
-	round := 0
-	for t.Trials < budgetTrials {
-		if ctx.Err() != nil {
-			return true
-		}
-		k := measureK
-		if remaining := budgetTrials - t.Trials; k > remaining {
-			k = remaining
-		}
-		if e.RunRound(t, k) == 0 {
-			t.ExploreRandom(k)
-		}
-		if onProgress != nil {
-			onProgress(Progress{
-				Task:          0,
-				Wave:          round,
-				Allocation:    round + 1,
-				TaskTrials:    t.Trials,
-				TotalTrials:   t.Trials,
-				TaskMeasured:  t.Measured,
-				TotalMeasured: t.Measured,
-				BestExec:      t.BestExec,
-				RunBest:       t.BestExec,
-				CostSec:       t.Meas.CostSec(),
-			})
-		}
-		round++
-	}
-	return false
+	mt := NewMultiTuner([]*Task{t}, func() Engine { return e }, MultiTunerConfig{RoundTrials: measureK, Workers: 1})
+	mt.OnProgress = OperatorProgress(onProgress)
+	return mt.RunCtx(ctx, budgetTrials)
 }

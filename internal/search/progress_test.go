@@ -19,7 +19,7 @@ func collectMultiProgress(t *testing.T, workers int, budget int) []Progress {
 	mt := NewMultiTuner(tasks, func() Engine { return NewRandom() }, cfg)
 	var events []Progress
 	mt.OnProgress = func(p Progress) { events = append(events, p) }
-	mt.Run(budget)
+	mt.RunCtx(context.Background(), budget)
 	return events
 }
 
@@ -73,8 +73,8 @@ func TestMultiTunerProgressCommitted(t *testing.T) {
 	}
 }
 
-// TestTuneSessionProgress drives the serial operator loop and checks one
-// event lands per round with the task's committed best.
+// TestTuneSessionProgress drives the one-task case of the wave loop and checks
+// one event lands per round with the task's committed best.
 func TestTuneSessionProgress(t *testing.T) {
 	graphs := bertGraphs(t)
 	tasks := NewTaskSet(graphs[:1], hardware.CPUXeon6226R(), 5)

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,12 +82,11 @@ func TestTuneHonorsBudget(t *testing.T) {
 		func() Engine { return NewRandom() },
 		func() Engine { return NewAnsor(DefaultAnsorConfig()) },
 		func() Engine { return NewHARL(DefaultHARLConfig()) },
-		func() Engine { return NewAutoTVM(DefaultAutoTVMConfig()) },
 		func() Engine { return NewFlextensor(DefaultFlextensorConfig()) },
 	} {
 		e := mk()
 		task, _ := newTestTask(t, workload.GEMM("g", 1, 256, 256, 256), 4)
-		Tune(e, task, 48, 16)
+		TuneSession(context.Background(), e, task, 48, 16, nil)
 		if task.Trials < 48 || task.Trials > 48+16 {
 			t.Fatalf("%s: trials %d for budget 48", e.Name(), task.Trials)
 		}
@@ -104,7 +104,6 @@ func TestEngineNames(t *testing.T) {
 		"random":          NewRandom(),
 		"ansor":           NewAnsor(DefaultAnsorConfig()),
 		"harl":            NewHARL(DefaultHARLConfig()),
-		"autotvm":         NewAutoTVM(DefaultAutoTVMConfig()),
 		"flextensor":      NewFlextensor(DefaultFlextensorConfig()),
 		"hierarchical-rl": func() Engine { c := DefaultHARLConfig(); c.AdaptiveStopping = false; return NewHARL(c) }(),
 	}
@@ -124,7 +123,7 @@ func TestGuidedSearchBeatsRandom(t *testing.T) {
 	sg := workload.GEMM("g", 1, 512, 512, 512)
 	run := func(mk func() Engine, seed uint64) float64 {
 		task, sim := newTestTask(t, sg, seed)
-		Tune(mk(), task, 160, 16)
+		TuneSession(context.Background(), mk(), task, 160, 16, nil)
 		return sim.Exec(task.Best)
 	}
 	// Average over two seeds to damp texture luck.
@@ -148,7 +147,7 @@ func TestAnsorNoCollapse(t *testing.T) {
 	sg := workload.GEMM("g", 1, 1024, 1024, 1024)
 	for _, seed := range []uint64{7, 17} {
 		task, sim := newTestTask(t, sg, seed)
-		Tune(NewAnsor(DefaultAnsorConfig()), task, 300, 16)
+		TuneSession(context.Background(), NewAnsor(DefaultAnsorConfig()), task, 300, 16, nil)
 		if best := sim.Exec(task.Best); best > 2.0e-3 {
 			t.Fatalf("seed %d: ansor best %.4g ms suggests premature convergence", seed, best*1e3)
 		}
@@ -250,7 +249,7 @@ func TestSubgraphWithMultipleStagesTunes(t *testing.T) {
 		} {
 			e := mk()
 			task, _ := newTestTask(t, sg, 11)
-			Tune(e, task, 32, 16)
+			TuneSession(context.Background(), e, task, 32, 16, nil)
 			if task.Best == nil {
 				t.Fatalf("%s on %s found nothing", e.Name(), sg.Name)
 			}

@@ -5,17 +5,18 @@
 //     cost-model-guided top-K measurement) — Section 4 and 5 of the paper;
 //   - the Ansor baseline (uniform sketch selection + evolutionary search);
 //   - the Flextensor baseline (fixed sketch, fixed-length RL tracks);
-//   - the AutoTVM baseline (simulated annealing);
-//   - a pure random-sampling baseline used in tests and ablations.
+//   - a pure random-sampling baseline (the serving benchmark's miss scheduler,
+//     tests and ablations).
 //
 // Engines operate on Tasks (one subgraph plus its sketches, cost model and
 // measurement accounting) one round at a time, measuring a fixed number of
-// candidates per round; the network-level subgraph selection loop lives in
-// internal/core.
+// candidates per round. One loop drives them: MultiTuner selects subgraphs
+// wave by wave (paper §6.3) and runs the rounds; an operator run is the same
+// loop over a one-task set (TuneSession). internal/core wires presets,
+// journals and warm starts around it.
 package search
 
 import (
-	"context"
 	"math"
 	"sort"
 	"sync"
@@ -365,8 +366,8 @@ func (t *Task) SeedCandidate(s *schedule.Schedule) {
 
 // FlushSeedCandidates measures any queued warm-start candidates through the
 // normal MeasureBatch path (real measurements, charged trials) and clears
-// the queue. The tuning loops call it at a deterministic point before each
-// task's first engine round; it is a cheap no-op afterwards.
+// the queue. MultiTuner.wave calls it at a deterministic point before each
+// task's engine round; it is a cheap no-op after the first.
 func (t *Task) FlushSeedCandidates() {
 	if len(t.seedCands) == 0 {
 		return
@@ -590,9 +591,9 @@ type Engine interface {
 	RunRound(t *Task, measureK int) int
 }
 
-// ExploreRandom measures k uniformly random schedules — the fallback both
-// the serial Tune loop and the concurrent MultiTuner use when an engine
-// round produces nothing new (space exhausted or all duplicates).
+// ExploreRandom measures k uniformly random schedules — MultiTuner's fallback
+// when an engine round produces nothing new (space exhausted or all
+// duplicates).
 func (t *Task) ExploreRandom(k int) {
 	var batch []*schedule.Schedule
 	for i := 0; i < k; i++ {
@@ -600,10 +601,4 @@ func (t *Task) ExploreRandom(k int) {
 		batch = append(batch, t.RandomSchedule(sk))
 	}
 	t.MeasureBatch(batch)
-}
-
-// Tune runs the engine on a single task until the measurement budget is
-// exhausted (the operator-level experiments of Section 6.2).
-func Tune(e Engine, t *Task, budgetTrials, measureK int) {
-	TuneSession(context.Background(), e, t, budgetTrials, measureK, nil)
 }

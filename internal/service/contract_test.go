@@ -62,6 +62,7 @@ func TestV1ErrorContract(t *testing.T) {
 		{"tune bad json", "POST", "/v1/tune", "not json", 400, CodeInvalidRequest},
 		{"tune unknown target", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","target":"tpu"}`, 400, CodeInvalidRequest},
 		{"tune unknown scheduler", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","scheduler":"sgd"}`, 400, CodeInvalidRequest},
+		{"tune deleted scheduler", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","scheduler":"autotvm"}`, 400, CodeInvalidRequest},
 		{"tune unknown op", "POST", "/v1/tune", `{"op":"wavelet","shape":"64"}`, 400, CodeInvalidRequest},
 		{"tune empty", "POST", "/v1/tune", `{}`, 400, CodeInvalidRequest},
 		{"schedule no op", "GET", "/v1/schedule", "", 400, CodeInvalidRequest},

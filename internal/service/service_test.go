@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -228,5 +229,33 @@ func TestSubmitRejectsBadRequest(t *testing.T) {
 	defer q.Shutdown()
 	if _, _, err := q.Submit(Request{}); err == nil {
 		t.Fatal("empty request must be rejected at submit")
+	}
+}
+
+// TestExhaustedSpaceJobFreesWorker drives the real tuner: a job whose whole
+// schedule space is smaller than the default 320-trial budget, with the
+// plateau stop opted out, ends when the space is measured out and hands its
+// worker to the next job. (It used to spin until someone cancelled it.)
+func TestExhaustedSpaceJobFreesWorker(t *testing.T) {
+	q := NewQueue(&HarlTuner{}, 1)
+	defer q.Shutdown()
+	var tiny Request
+	if err := json.Unmarshal([]byte(`{"op":"gemm","shape":"1,1,1","scheduler":"random","plateau_window":-1}`), &tiny); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := q.Submit(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := waitState(t, q, snap.ID, StateDone)
+	if j.Outcome == nil || j.Outcome.Trials == 0 || j.Outcome.Trials >= 320 || j.Outcome.Cancelled || j.Outcome.PlateauStopped {
+		t.Fatalf("outcome = %+v, want an uncancelled run of fewer than 320 trials", j.Outcome)
+	}
+	next, _, err := q.Submit(Request{Op: "gemm", Shape: "64,64,64", Scheduler: "random", Trials: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := waitState(t, q, next.ID, StateDone); j.Outcome == nil || j.Outcome.Trials != 16 {
+		t.Fatalf("second job outcome = %+v", j.Outcome)
 	}
 }

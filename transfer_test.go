@@ -118,3 +118,47 @@ func TestTransferNeedsRegistry(t *testing.T) {
 		t.Fatal("network session must reject Transfer without Registry")
 	}
 }
+
+// TestTransferSeedsChargedAgainstBudget: a transfer seed is measured ahead of
+// its task's first round and charged like any trial, so it comes out of that
+// round's cap — the budget lands exactly even when the wave that measures the
+// seed is also the run's last, on the operator path and on a network whose
+// budget is smaller than its first wave.
+func TestTransferSeedsChargedAgainstBudget(t *testing.T) {
+	w := pretrainWorkload()
+	for _, n := range []int{1, 8, 16, 17} {
+		res, err := TuneOperator(w, GPU(), Options{Scheduler: "random", Trials: n, Seed: 1, Registry: importedRegistry(t), Transfer: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WarmTransfer == "" {
+			t.Fatal("no donor: the case needs a pending seed")
+		}
+		if res.Trials != n {
+			t.Errorf("operator budget %d: spent %d trials", n, res.Trials)
+		}
+	}
+	// Every BERT subgraph tuned on gpu is a cross-target donor for the same
+	// subgraph on cpu. The first cpu wave would be ten rounds of 16; a budget
+	// of 20 narrows it to two subgraphs, each with a seed pending.
+	reg, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	opts := Options{Scheduler: "random", Trials: 160, Seed: 1, Workers: 1, Registry: reg}
+	if _, err := TuneNetwork("bert", 1, GPU(), opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Trials, opts.Transfer = 20, true
+	net, err := TuneNetwork("bert", 1, CPU(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.WarmTransfers != 10 {
+		t.Fatalf("%d of 10 subgraphs found their gpu donor", net.WarmTransfers)
+	}
+	if net.Trials != 20 {
+		t.Errorf("network budget 20: spent %d trials", net.Trials)
+	}
+}
