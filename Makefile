@@ -18,10 +18,12 @@
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
 #   make cover     — coverage profile across ./... and the total percentage
-#   make fuzz      — 20 s of fuzzing, split between FuzzUnmarshalCheckpoint (the
-#                    cost-model checkpoint decoder) and FuzzLanes (nn's
-#                    element-wise lanes against math's scalars); crashers land
-#                    in the package's testdata/fuzz/
+#   make fuzz      — 20 s of fuzzing, split three ways between the repo's fuzz
+#                    targets: FuzzUnmarshalCheckpoint (the cost-model checkpoint
+#                    decoder), FuzzLanes (nn's element-wise lanes against
+#                    math's scalars, its glue loops against their Go loops) and
+#                    FuzzGemm (nn's matrix kernel against the naive triple
+#                    loop); crashers land in the package's testdata/fuzz/
 #   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
 #                    item 5 ("one of everything") drives down; fails above the
 #                    count of the last PR that lowered it (the ratchet only
@@ -92,12 +94,13 @@ cover:
 # Minimization is capped so the 20 s go to new inputs, not to shrinking the
 # first interesting one (the default spends up to a minute on each).
 fuzz:
-	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=10s -fuzzminimizetime=1s
-	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzLanes -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=7s -fuzzminimizetime=1s
+	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzLanes -fuzztime=7s -fuzzminimizetime=1s
+	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzGemm -fuzztime=6s -fuzzminimizetime=1s
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 17649 ]; then echo "make loc: $$n lines, above the 17649 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 17643 ]; then echo "make loc: $$n lines, above the 17643 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

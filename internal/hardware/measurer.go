@@ -8,11 +8,11 @@ import (
 	"harl/internal/xrand"
 )
 
-// Search-computation cost constants (seconds of simulated tuner time). They
-// give the search-time accounting realistic proportions: a hardware
-// measurement costs seconds (compile + r_min repeats), one cost-model query
-// costs tens of microseconds, and one RL forward/backward step costs a
-// fraction of a millisecond.
+// Search-computation cost constants (seconds of simulated tuner time), what the
+// search-time accounting charges: a hardware measurement costs seconds (compile
+// + r_min repeats), one cost-model query a millisecond, one RL step for one
+// track nine, one PPO update two. They are hand-set — this tree measures an RL
+// step some hundred times below its charge — and ROADMAP 1(a) recalibrates them.
 const (
 	// DefaultCompileSec is the per-trial program build + upload overhead.
 	DefaultCompileSec = 1.2

@@ -9,6 +9,9 @@ func adamAVX(w, gw, m, v *float64, n int, inv, bc1, bc2, lr float64)
 func expAVX(x *float64, groups int) int
 func logAVX(x *float64, groups int) int
 func tanhAVX(x *float64, groups int) int
+func rowOpAVX(op int, x, y *float64, n int, a, b float64)
+func fillRowsAVX(dst, src *float64, rows, cols int)
+func transposeAVX(dst, src *float64, rows, cols int)
 
 // Every path is chosen once, here, from CPUID and XGETBV.
 func init() {
@@ -16,6 +19,7 @@ func init() {
 		gemmTiles = gemmAVX
 		if cpuHasAVX2FMA() {
 			lanes.adam, lanes.exp, lanes.log, lanes.tanh = adamAVX, expAVX, logAVX, tanhAVX
+			lanes.rowOp, lanes.fillRows, lanes.transpose = rowOpAVX, fillRowsAVX, transposeAVX
 		}
 	}
 }

@@ -4,7 +4,9 @@
 // of math's exp_amd64.s, log is its log_amd64.s, tanh is the pure-Go math.tanh —
 // so a lane holds the bits the math call returns. The three math kernels stop
 // before a group with an element outside their domain and return the number of
-// groups done; the caller finishes that group with the math call.
+// groups done; the caller finishes that group with the math call. After them,
+// the loops between the kernels (rowOpAVX, fillRowsAVX), on the same terms
+// against the Go loop at each call site, and Transpose's 4×4 blocks.
 
 #include "textflag.h"
 
@@ -244,12 +246,16 @@ done:
 	RET
 
 // func tanhAVX(x *float64, groups int) int
-// x[i] = math.Tanh(x[i]) four at a time; stops before a group with a NaN. Both
-// finite branches of math.tanh run on every lane: 1 - 2/(exp(2|x|) + 1), which
-// past math.tanh's |x| > 44 cut-off (the argument held at 700) rounds to the 1
-// returned there, and x + x*s*P(s)/Q(s) with s = x*x; |x| < 0.625 picks the
-// second. x's sign bit is then OR-ed in: that negates the first, changes nothing
-// in the second, which has x's sign, and keeps a -0, which comes out as +0.
+// x[i] = math.Tanh(x[i]) four at a time; stops before a group with a NaN. Every
+// lane runs math.tanh's small branch, x + x*s*P(s)/Q(s) with s = x*x, and a
+// group whose four |x| are all below 0.625 — where math.tanh calls no exp — runs
+// nothing else. Any other group runs the large branch on every lane as well,
+// 1 - 2/(exp(2|x|) + 1), which past math.tanh's |x| > 44 cut-off (the argument
+// held at 700) rounds to the 1 returned there, and the comparison that sorted
+// the group picks per lane: the lanes that skip the exp are the lanes the blend
+// would have discarded it from. x's sign bit is then OR-ed in: that negates the
+// large branch, changes nothing in the small one, which has x's sign, and keeps
+// a -0, which comes out as +0.
 TEXT ·tanhAVX(SB), NOSPLIT, $0-24
 	MOVQ x+0(FP), SI
 	MOVQ groups+8(FP), CX
@@ -257,6 +263,7 @@ TEXT ·tanhAVX(SB), NOSPLIT, $0-24
 	K(0, Y14)
 	K(8, Y15)
 	K(104, Y13)
+	K(248, Y12)
 loop:
 	CMPQ AX, CX
 	JGE  done
@@ -265,22 +272,17 @@ loop:
 	VMOVMSKPD Y1, DX
 	TESTL     DX, DX
 	JNZ       done
-	VANDPD Y14, Y8, Y9 // z = |x|
-	VADDPD Y9, Y9, Y0
-	VMINPD Y15, Y0, Y0
-	EXP4
-	VADDPD Y13, Y0, Y0
-	K(112, Y1)
-	VDIVPD Y0, Y1, Y0
-	VSUBPD Y0, Y13, Y0 // 1 - 2/(exp(2z) + 1)
-	VMULPD Y8, Y8, Y1  // s
-	K(256, Y2)
-	VMULPD Y1, Y2, Y2
+	VANDPD    Y14, Y8, Y9      // z = |x|
+	VCMPPD    $5, Y12, Y9, Y10 // not z < 0.625
+	VMOVMSKPD Y10, DX
+	VMULPD Y8, Y8, Y1 // s
+	K(256, Y5)
+	VMULPD Y1, Y5, Y5
 	K(264, Y3)
-	VADDPD Y3, Y2, Y2
-	VMULPD Y1, Y2, Y2
+	VADDPD Y3, Y5, Y5
+	VMULPD Y1, Y5, Y5
 	K(272, Y3)
-	VADDPD Y3, Y2, Y2 // (P0*s + P1)*s + P2
+	VADDPD Y3, Y5, Y5 // (P0*s + P1)*s + P2
 	K(280, Y3)
 	VADDPD Y1, Y3, Y3
 	VMULPD Y1, Y3, Y3
@@ -290,15 +292,23 @@ loop:
 	K(296, Y4)
 	VADDPD Y4, Y3, Y3 // ((s + Q0)*s + Q1)*s + Q2
 	VMULPD Y1, Y8, Y1
-	VMULPD Y2, Y1, Y1
+	VMULPD Y5, Y1, Y1
 	VDIVPD Y3, Y1, Y1
-	VADDPD Y1, Y8, Y1 // x + x*s*P/Q
-	K(248, Y2)
-	VCMPPD    $5, Y2, Y9, Y2 // not z < 0.625
-	VBLENDVPD Y2, Y0, Y1, Y0
-	VANDNPD   Y8, Y14, Y3
-	VORPD     Y3, Y0, Y0
-	VMOVUPD Y0, (SI)
+	VADDPD Y1, Y8, Y5 // x + x*s*P/Q
+	TESTL  DX, DX
+	JZ     sign // all four small
+	VADDPD Y9, Y9, Y0
+	VMINPD Y15, Y0, Y0
+	EXP4
+	VADDPD Y13, Y0, Y0
+	K(112, Y1)
+	VDIVPD Y0, Y1, Y0
+	VSUBPD Y0, Y13, Y0 // 1 - 2/(exp(2z) + 1)
+	VBLENDVPD Y10, Y0, Y5, Y5
+sign:
+	VANDNPD Y8, Y14, Y3
+	VORPD   Y3, Y5, Y5
+	VMOVUPD Y5, (SI)
 	ADDQ $32, SI
 	INCQ AX
 	JMP  loop
@@ -352,5 +362,140 @@ loop:
 	ADDQ $32, AX
 	CMPQ AX, CX
 	JLT  loop
+	VZEROUPPER
+	RET
+
+// NEXT closes a rowOpAVX loop: the next group of x, at byte offset AX of CX, or
+// the return.
+#define NEXT(loop) \
+	ADDQ $32, AX; \
+	CMPQ AX, CX; \
+	JLT  loop; \
+	VZEROUPPER; \
+	RET
+
+// func rowOpAVX(op int, x, y *float64, n int, a, b float64)
+// One of the loops between nn's kernels over n elements, a positive multiple of
+// 4, by nn.go's op constants: x -= a, x /= a, x = a*x - b*y, x *= 1 - y*y,
+// x += y. Each lane rounds what the scalar loop rounds, in its order; nothing is
+// fused.
+TEXT ·rowOpAVX(SB), NOSPLIT, $0-48
+	MOVQ op+0(FP), DX
+	MOVQ x+8(FP), DI
+	MOVQ y+16(FP), SI
+	MOVQ n+24(FP), CX
+	SHLQ $3, CX
+	VBROADCASTSD a+32(FP), Y14
+	VBROADCASTSD b+40(FP), Y15
+	K(104, Y13)
+	XORQ AX, AX
+	CMPQ DX, $1
+	JLT  sub
+	JEQ  div
+	CMPQ DX, $3
+	JLT  axmby
+	JEQ  tanhgrad
+add:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	NEXT(add)
+sub:
+	VMOVUPD (DI)(AX*1), Y0
+	VSUBPD  Y14, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	NEXT(sub)
+div:
+	VMOVUPD (DI)(AX*1), Y0
+	VDIVPD  Y14, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	NEXT(div)
+axmby:
+	VMULPD  (DI)(AX*1), Y14, Y0
+	VMULPD  (SI)(AX*1), Y15, Y1
+	VSUBPD  Y1, Y0, Y0 // a*x - b*y
+	VMOVUPD Y0, (DI)(AX*1)
+	NEXT(axmby)
+tanhgrad:
+	VMOVUPD (SI)(AX*1), Y0
+	VMULPD  Y0, Y0, Y0
+	VSUBPD  Y0, Y13, Y0
+	VMOVUPD (DI)(AX*1), Y1
+	VMULPD  Y0, Y1, Y1 // x * (1 - y*y)
+	VMOVUPD Y1, (DI)(AX*1)
+	NEXT(tanhgrad)
+
+// func fillRowsAVX(dst, src *float64, rows, cols int)
+// dst[r*cols+c] = src[r] over the whole groups of four columns c of every row:
+// rows >= 1, cols >= 4.
+TEXT ·fillRowsAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	SHLQ $3, R9
+	MOVQ R9, R10 // a row of dst, in bytes
+	ANDQ $-32, R9
+row:
+	VBROADCASTSD (SI), Y0
+	XORQ AX, AX
+group:
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  group
+	ADDQ $8, SI
+	ADDQ R10, DI
+	DECQ R8
+	JNZ  row
+	VZEROUPPER
+	RET
+
+// func transposeAVX(dst, src *float64, rows, cols int)
+// dst[c*rows+r] = src[r*cols+c] over the whole 4×4 blocks: rows, cols >= 4. A
+// block is four loads, two rounds of shuffles — pairs within each 128-bit half,
+// then halves across registers — and four stores.
+TEXT ·transposeAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	LEAQ (R8*8), R10 // a row of dst, in bytes
+	LEAQ (R9*8), R11 // a row of src
+	ANDQ $-4, R8
+	ANDQ $-4, R9
+	XORQ R12, R12 // r
+rows:
+	MOVQ SI, AX              // &src[r][0]
+	LEAQ (DI)(R12*8), BX     // &dst[0][r]
+	XORQ R13, R13            // c
+block:
+	LEAQ (AX)(R11*2), DX
+	VMOVUPD (AX), Y0         // a0 a1 a2 a3
+	VMOVUPD (AX)(R11*1), Y1  // b0 b1 b2 b3
+	VMOVUPD (DX), Y2         // c0 c1 c2 c3
+	VMOVUPD (DX)(R11*1), Y3  // d0 d1 d2 d3
+	VUNPCKLPD Y1, Y0, Y4     // a0 b0 a2 b2
+	VUNPCKHPD Y1, Y0, Y5     // a1 b1 a3 b3
+	VUNPCKLPD Y3, Y2, Y6     // c0 d0 c2 d2
+	VUNPCKHPD Y3, Y2, Y7     // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y6, Y4, Y0 // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y7, Y5, Y1 // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y6, Y4, Y2 // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y7, Y5, Y3 // a3 b3 c3 d3
+	LEAQ (BX)(R10*2), DX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, (BX)(R10*1)
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y3, (DX)(R10*1)
+	ADDQ $32, AX
+	LEAQ (BX)(R10*4), BX
+	ADDQ $4, R13
+	CMPQ R13, R9
+	JLT  block
+	LEAQ (SI)(R11*4), SI
+	ADDQ $4, R12
+	CMPQ R12, R8
+	JLT  rows
 	VZEROUPPER
 	RET

@@ -35,7 +35,17 @@
 // lanes, so one transcription matches it. A kernel stops at the first group
 // with an element outside its domain (exp: finite |x| ≤ 700; log: positive,
 // normal, finite; tanh: not NaN); the rest of the block, like a tail short of
-// four, goes through the math call.
+// four, goes through the math call. tanh's lanes run math.tanh's small branch
+// on all four and the exp of its large one only in a group with some |x| ≥ 0.625:
+// the comparison that sorts the group is the one the blend picks lanes by, so
+// the exp skipped is the exp the blend discarded.
+//
+// The loops between those kernels have lanes too — the bias seed of a forward
+// block, Add (bias and head-input gradients), TanhGrad, Axmby, Softmax's x - max
+// and x / sum — an element to a lane, its operations those of the scalar loop at
+// the call site in that loop's order, none fused; Transpose moves 4×4 register
+// blocks. A sum down a row (Softmax's, the entropy) stays a scalar chain: lanes
+// would reorder it.
 //
 // The committed journal and checkpoint pins are pins of amd64 at the default
 // GOAMD64 on an FMA-capable host all the same: math.Exp rounds differently
@@ -47,7 +57,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"harl/internal/xrand"
 )
@@ -146,9 +155,18 @@ func gemm(c []float64, ldc int, a []float64, ars, acs int, b []float64, ldb, m, 
 // cols×rows: a sample-major block (a row per sample) becomes feature-major (a
 // row per feature) and back.
 func Transpose(dst, src []float64, rows, cols int) {
+	dst, src, r4, c4 := dst[:rows*cols], src[:rows*cols], 0, 0
+	if lanes.transpose != nil && min(rows, cols) >= 4 {
+		r4, c4 = rows&^3, cols&^3 // the corner of whole 4×4 blocks
+		lanes.transpose(&dst[0], &src[0], rows, cols)
+	}
 	for r := 0; r < rows; r++ {
-		for c, v := range src[r*cols : (r+1)*cols] {
-			dst[c*rows+r] = v
+		c := 0
+		if r < r4 {
+			c = c4
+		}
+		for ; c < cols; c++ {
+			dst[c*rows+r] = src[r*cols+c]
 		}
 	}
 }
@@ -160,8 +178,13 @@ func (l *Linear) ForwardBatch(yT, xT []float64, n int) {
 	if len(xT) != n*l.In || len(yT) != n*l.Out {
 		panic(fmt.Sprintf("nn: Linear forward dims %d→%d != %d×(%d→%d)", len(xT), len(yT), n, l.In, l.Out))
 	}
+	n4 := 0
+	if lanes.fillRows != nil && n >= 4 && l.Out > 0 {
+		n4 = n &^ 3
+		lanes.fillRows(&yT[0], &l.B[0], l.Out, n)
+	}
 	for o, bias := range l.B {
-		row := yT[o*n : (o+1)*n]
+		row := yT[o*n+n4 : (o+1)*n]
 		for s := range row {
 			row[s] = bias
 		}
@@ -180,9 +203,7 @@ func (l *Linear) BackwardBatch(dx, x, dy []float64, n int) {
 		panic(fmt.Sprintf("nn: Linear backward dims %d←%d != %d×(%d←%d)", len(x), len(dy), n, l.In, l.Out))
 	}
 	for s := 0; s < n; s++ {
-		for o, g := range dy[s*l.Out : (s+1)*l.Out] {
-			l.GB[o] += g
-		}
+		Add(l.GB, dy[s*l.Out:(s+1)*l.Out])
 	}
 	gemm(l.GW, l.In, dy, 1, l.Out, x, l.In, l.Out, l.In, n)
 	if dx != nil {
@@ -208,6 +229,10 @@ const adamBeta1, adamBeta2, adamEps = 0.9, 0.999, 1e-8
 var lanes struct {
 	adam           func(w, g, m, v *float64, n int, inv, bc1, bc2, lr float64)
 	exp, log, tanh func(x *float64, groups int) int
+	rowOp          func(op int, x, y *float64, n int, a, b float64)
+	// Of a rows×cols block these take the whole groups of four columns —
+	// transpose, of rows as well — and leave the ragged edge to the Go loop.
+	fillRows, transpose func(dst, src *float64, rows, cols int)
 }
 
 func adam(w, g, m, v []float64, lr float64, batch, t int) {
@@ -241,6 +266,49 @@ func apply(x []float64, kernel func(*float64, int) int, f func(float64) float64)
 
 // Tanh replaces every element of x with its hyperbolic tangent.
 func Tanh(x []float64) { apply(x, lanes.tanh, math.Tanh) }
+
+// lanes.rowOp's operations on an element x, given y's and the scalars a and b.
+const (
+	opSub      = iota // x -= a
+	opDiv             // x /= a
+	opAxmby           // x = a·x - b·y
+	opTanhGrad        // x *= 1 - y·y
+	opAdd             // x += y
+)
+
+// head runs op in lanes over the whole groups of four at the front of x, where
+// there are lanes, and returns the number of elements done: the scalar loop that
+// follows the call specifies op and takes the rest.
+func head(op int, x, y []float64, a, b float64) int {
+	if lanes.rowOp == nil || len(x) < 4 {
+		return 0
+	}
+	_ = y[len(x)-1]
+	lanes.rowOp(op, &x[0], &y[0], len(x)&^3, a, b)
+	return len(x) &^ 3
+}
+
+// TanhGrad takes the gradient g with respect to act = tanh(z) to the gradient
+// with respect to z, in place: d tanh = 1 - tanh².
+func TanhGrad(g, act []float64) {
+	for i := head(opTanhGrad, g, act, 0, 0); i < len(g); i++ {
+		g[i] *= 1 - act[i]*act[i]
+	}
+}
+
+// Add adds src to dst element by element.
+func Add(dst, src []float64) {
+	for i := head(opAdd, dst, src, 0, 0); i < len(dst); i++ {
+		dst[i] += src[i]
+	}
+}
+
+// Axmby replaces every x[i] with a·x[i] - b·y[i], each product rounded.
+func Axmby(x []float64, a float64, y []float64, b float64) {
+	for i := head(opAxmby, x, y, a, b); i < len(x); i++ {
+		x[i] = a*x[i] - b*y[i]
+	}
+}
 
 // MLP is a stack of Linear layers with tanh activations between them (none
 // after the last layer). Its batched passes run through its own blocks: an
@@ -295,10 +363,7 @@ func (m *MLP) BackwardBatch(x, dy []float64, n int) {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		l := m.Layers[i]
 		if i+1 < len(m.Layers) {
-			// Layer i's stored output is tanh(z_i); d tanh = 1 - tanh².
-			for j, act := range m.acts[i][:len(g)] {
-				g[j] *= 1 - act*act
-			}
+			TanhGrad(g, m.acts[i]) // layer i's stored output is tanh(z_i)
 		}
 		in, dx := x, []float64(nil)
 		if i > 0 {
@@ -313,21 +378,37 @@ func (m *MLP) BackwardBatch(x, dy []float64, n int) {
 // softmax; the exponentials are taken block-wide, so narrow rows fill lanes.
 func Softmax(x []float64, size int) {
 	for r := 0; r < len(x); r += size {
-		maxL := slices.Max(x[r : r+size])
-		for i := r; i < r+size; i++ {
-			x[i] -= maxL
+		row := x[r : r+size]
+		maxL := rowMax(row)
+		for i := head(opSub, row, row, maxL, 0); i < size; i++ {
+			row[i] -= maxL
 		}
 	}
 	apply(x, lanes.exp, math.Exp)
 	for r := 0; r < len(x); r += size {
-		sum := 0.0
-		for _, v := range x[r : r+size] {
+		row, sum := x[r:r+size], 0.0
+		for _, v := range row {
 			sum += v
 		}
-		for i := r; i < r+size; i++ {
-			x[i] /= sum
+		for i := head(opDiv, row, row, sum, 0); i < size; i++ {
+			row[i] /= sum
 		}
 	}
+}
+
+// rowMax is slices.Max(x), len(x) ≥ 1, as four independent chains of the builtin
+// max: a NaN anywhere still comes out NaN and a +0 still beats a -0 whatever the
+// order, so the grouping moves nothing, and unlike a chain of plain comparisons
+// it has no branch for a row's running maxima to mispredict.
+func rowMax(x []float64) float64 {
+	m0, m1, m2, m3 := x[0], x[0], x[0], x[0]
+	for ; len(x) >= 4; x = x[4:] {
+		m0, m1, m2, m3 = max(m0, x[0]), max(m1, x[1]), max(m2, x[2]), max(m3, x[3])
+	}
+	for _, v := range x {
+		m0 = max(m0, v)
+	}
+	return max(m0, m1, m2, m3)
 }
 
 // SampleCategorical draws an index from the probability vector.

@@ -44,10 +44,13 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 func useKernel(impl string) (undo func(), ok bool) {
 	hostTiles, hostLanes := gemmTiles, lanes
 	if impl != "avx" {
-		gemmTiles, lanes.adam, lanes.exp, lanes.log, lanes.tanh = nil, nil, nil, nil, nil
+		gemmTiles, lanes = nil, zero(lanes)
 	}
 	return func() { gemmTiles, lanes = hostTiles, hostLanes }, gemmTiles != nil || impl != "avx"
 }
+
+// zero returns the zero value of its argument's type: lanes' has no name.
+func zero[T any](T) (z T) { return z }
 
 var kernels = []string{"avx", "portable"}
 

@@ -324,17 +324,11 @@ func (a *Agent) accumulate(picks []int, mean, std float64) {
 		for r, i := range picks {
 			row := a.headProbs(k, r)
 			nn.LogProbGrad(row, row, a.buf[i].Acts[k])
-			for j := range row {
-				row[j] = gradMul[r]*row[j] - a.Cfg.WEntropy*ent[r*head.Out+j]
-			}
+			nn.Axmby(row, gradMul[r], ent[r*head.Out:], a.Cfg.WEntropy)
 		}
 		head.BackwardBatch(headDx, h, a.probs[k][:n*head.Out], n)
-		for i, g := range headDx {
-			dh[i] += g
-		}
+		nn.Add(dh, headDx)
 	}
-	for i, hi := range h {
-		dh[i] *= 1 - hi*hi // through the trunk-output tanh
-	}
+	nn.TanhGrad(dh, h) // through the trunk-output tanh
 	a.trunk.BackwardBatch(x, dh, n)
 }

@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit used by the HARL
-// experiment harness: summaries, histograms, correlation coefficients and
-// normalization helpers that regenerate the paper's tables and figures.
+// experiment harness: summaries, histograms and correlation coefficients that
+// regenerate the paper's tables and figures.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds the usual descriptive statistics of a sample.
@@ -122,25 +120,6 @@ func (h *Histogram) Fraction(from, to int) float64 {
 	return float64(n) / float64(total)
 }
 
-// Render draws a textual bar chart of the histogram, one row per bin, with
-// bars scaled so the largest bin spans width characters.
-func (h *Histogram) Render(width int) string {
-	maxC := 1
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	binW := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		lo := h.Lo + float64(i)*binW
-		bar := strings.Repeat("#", c*width/maxC)
-		fmt.Fprintf(&b, "%8.3f..%8.3f | %6d %s\n", lo, lo+binW, c, bar)
-	}
-	return b.String()
-}
-
 // Pearson returns the Pearson correlation coefficient of the paired samples.
 func Pearson(xs, ys []float64) float64 {
 	if len(xs) != len(ys) || len(xs) < 2 {
@@ -195,68 +174,4 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// NormalizeMax scales xs so that the maximum maps to 1. Zero or empty input
-// is returned unchanged (as a copy).
-func NormalizeMax(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	maxV := 0.0
-	for _, x := range xs {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	if maxV == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] /= maxV
-	}
-	return out
-}
-
-// ArgMin returns the index of the smallest element (first on ties), or -1 for
-// an empty slice.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element (first on ties), or -1 for
-// an empty slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// GeoMean returns the geometric mean of strictly positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

@@ -61,17 +61,6 @@ func TestHistogramBinning(t *testing.T) {
 	}
 }
 
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0.1)
-	h.Add(0.1)
-	h.Add(0.6)
-	out := h.Render(10)
-	if out == "" {
-		t.Fatal("empty render")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
@@ -99,37 +88,6 @@ func TestRanksWithTies(t *testing.T) {
 		if r[i] != want[i] {
 			t.Fatalf("ranks %v want %v", r, want)
 		}
-	}
-}
-
-func TestNormalizeMax(t *testing.T) {
-	out := NormalizeMax([]float64{2, 4, 8})
-	if out[2] != 1 || out[0] != 0.25 {
-		t.Fatalf("normalize %v", out)
-	}
-	// All-zero input unchanged.
-	z := NormalizeMax([]float64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatalf("zero normalize %v", z)
-	}
-}
-
-func TestArgMinMax(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if ArgMin(xs) != 1 || ArgMax(xs) != 0 {
-		t.Fatalf("argmin/argmax wrong")
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Fatal("empty args should be -1")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); !almost(g, 2, 1e-12) {
-		t.Fatalf("geomean %f", g)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Fatal("geomean of negative should be NaN")
 	}
 }
 
