@@ -54,11 +54,10 @@ func main() {
 	registryLayout := flag.String("registry-layout", "auto", "registry storage layout: auto (detect), single (one journal) or sharded (256 fingerprint-sharded journals; migrates a single-file registry in place)")
 	importLog := flag.String("import", "", "seed the registry from this tuning-record journal before serving")
 	workers := flag.Int("workers", 2, "queue workers draining tuning jobs concurrently")
-	plateauWindow := flag.Int("plateau-window", 6, "default plateau early stop: end a job's search when its best-so-far trajectory improves by no more than -plateau-improve across this many progress events (0 disables; requests override with plateau_window)")
+	plateauWindow := flag.Int("plateau-window", 6, "default plateau early stop: end a job's search when its best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator job, allocation decisions of a network job, however many subgraphs each advances (0 disables; requests override with plateau_window)")
 	plateauImprove := flag.Float64("plateau-improve", 0.005, "default minimum relative improvement (0.005 = 0.5%) over the plateau window to keep searching")
 	fleetList := flag.String("fleet", "", "comma-separated harl-worker endpoints shared by every tuning session (bit-identical to in-process measurement; dead workers fall back in-process); counters at /metrics as harl_fleet_*")
 	transfer := flag.Bool("transfer", false, "cross-key transfer warm starts: a registry miss scans for a donor key (same workload on another target, or a compatible workload on the same target) instead of starting cold; counted at /metrics as harl_transfer_warmstarts_total")
-	adaptive := flag.Bool("adaptive", false, "adaptive measurement sampling: measure only cluster representatives of each candidate batch once the cost model earns trust, backfilling the rest from predictions; savings at /metrics as harl_measure_saved_total")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060), separate from -addr so profiling is never exposed to tuning clients; empty disables")
 	flag.Parse()
 
@@ -115,7 +114,6 @@ func main() {
 		DefaultPlateau: harl.Plateau{Window: *plateauWindow, MinImprovement: *plateauImprove},
 		Fleet:          fleetPool,
 		Transfer:       *transfer,
-		Adaptive:       harl.AdaptiveSampling{Enabled: *adaptive},
 	}, *workers)
 	handler := service.NewServer(queue, reg)
 	if fleetPool != nil {

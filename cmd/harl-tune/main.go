@@ -60,10 +60,9 @@ func main() {
 	registryLayout := flag.String("registry-layout", "auto", "registry storage layout: auto (detect), single (one journal) or sharded (256 fingerprint-sharded journals; migrates a single-file registry in place)")
 	fleetList := flag.String("fleet", "", "comma-separated harl-worker endpoints to fan measurement batches out to (results are byte-identical to in-process measurement; a dead worker falls back in-process)")
 	progress := flag.Bool("progress", false, "stream one progress line per committed round/wave to stderr — the same event stream harl-serve serves over SSE")
-	plateauWindow := flag.Int("plateau-window", 0, "stop the search early when the best-so-far trajectory improves by no more than -plateau-improve across this many progress events (0 disables)")
+	plateauWindow := flag.Int("plateau-window", 0, "stop the search early when the best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator run, allocation decisions of a network run, however many subgraphs each advances (0 disables)")
 	plateauImprove := flag.Float64("plateau-improve", 0, "minimum relative improvement (0.01 = 1%) over the plateau window to keep searching")
 	transfer := flag.Bool("transfer", false, "cross-key transfer warm starts (requires -registry): when this key misses, scan the registry for a donor key — the same workload on another target, or a compatible workload on the same target — and seed the cost model and first candidate from it")
-	adaptive := flag.Bool("adaptive", false, "adaptive measurement sampling: once the cost model earns trust, measure only cluster representatives of each candidate batch and backfill the rest from predictions (results stay deterministic per worker count)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file when tuning finishes")
 	flag.Parse()
@@ -115,8 +114,7 @@ func main() {
 	}
 	opts := harl.Options{Scheduler: *scheduler, Trials: *trials, Seed: *seed, Workers: *workers,
 		RecordLog: *logPath, ResumeFrom: *resume,
-		PretrainFrom: *pretrainLog, ModelIn: *modelIn, ModelOut: *modelOut,
-		Transfer: *transfer, AdaptiveSampling: harl.AdaptiveSampling{Enabled: *adaptive},
+		PretrainFrom: *pretrainLog, ModelIn: *modelIn, ModelOut: *modelOut, Transfer: *transfer,
 		Plateau: harl.Plateau{Window: *plateauWindow, MinImprovement: *plateauImprove}}
 	if *progress {
 		opts.OnProgress = func(e harl.ProgressEvent) {
@@ -172,9 +170,6 @@ func main() {
 		if res.WarmTransfers > 0 {
 			fmt.Printf("transfer warm-started %d subgraph(s) from registry donors\n", res.WarmTransfers)
 		}
-		if res.MeasureSaved > 0 {
-			fmt.Printf("adaptive sampling: measured %d of %d trials (%d saved)\n", res.Measured, res.Trials, res.MeasureSaved)
-		}
 		fmt.Printf("cost model: %d training samples across %d subgraph models, %d refits, pretrained %d task(s)\n",
 			res.CostModelSamples, len(res.Breakdown), res.CostModelRefits, res.Pretrained)
 		if *modelOut != "" {
@@ -218,9 +213,6 @@ func main() {
 	}
 	if res.WarmTransfer != "" {
 		fmt.Printf("  transfer warm start from donor %s\n", res.WarmTransfer)
-	}
-	if res.MeasureSaved > 0 {
-		fmt.Printf("  adaptive sampling: measured %d of %d trials (%d saved)\n", res.Measured, res.Trials, res.MeasureSaved)
 	}
 	fmt.Printf("  best program: %.4f ms (%.1f GFLOP/s)\n", res.ExecSeconds*1e3, res.GFLOPS)
 	fmt.Printf("  trials: %d, simulated search time: %.0f s\n", res.Trials, res.SearchSeconds)

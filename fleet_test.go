@@ -107,13 +107,11 @@ func TestFleetWorkerKilledMidRun(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	pool, err := DialFleetOptions([]string{srv.URL}, FleetOptions{
-		Retries:        -1,
-		HealthInterval: 25 * time.Millisecond,
-	})
+	p, err := fleet.NewPool([]string{srv.URL}, fleet.Config{Retries: -1, HealthInterval: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := &Fleet{pool: p}
 	defer pool.Close()
 
 	fleetRes := tuneToJournal(t, fleetLog, func(o *Options) { o.FleetPool = pool })

@@ -26,7 +26,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"harl/internal/core"
 	"harl/internal/costmodel"
@@ -277,21 +276,6 @@ type Options struct {
 	// chosen donor key is reported in Result.WarmTransfer. A run whose own
 	// key hits, or for which no compatible donor exists, is unaffected.
 	Transfer bool
-	// AdaptiveSampling, when enabled, thins hardware measurement inside each
-	// search round: the round's candidates are clustered in feature space
-	// (deterministically, seeded from the task RNG) and only cluster
-	// representatives are measured; the rest train the cost model from their
-	// representative's result and charge a trial without touching hardware.
-	// The measured fraction shrinks as the model's predicted-vs-measured
-	// error tightens, floored at 8 per round. Result.Trials keeps its budget
-	// meaning; Result.Measured / Result.MeasureSaved report the split.
-	AdaptiveSampling AdaptiveSampling
-}
-
-// AdaptiveSampling configures Options.AdaptiveSampling.
-type AdaptiveSampling struct {
-	// Enabled turns adaptive measurement sampling on.
-	Enabled bool
 }
 
 func (o Options) withDefaults() Options {
@@ -347,14 +331,8 @@ type Result struct {
 	// ExecSeconds is the (noise-free) execution time of the best program.
 	ExecSeconds float64
 	GFLOPS      float64
-	// Trials is the charged-trial count — the budget the search spent.
-	// Without adaptive sampling every charged trial is a measurement; with
-	// it, Measured carries the real hardware-measurement count and
-	// MeasureSaved the backfilled remainder (Trials = Measured +
-	// MeasureSaved).
-	Trials       int
-	Measured     int
-	MeasureSaved int
+	// Trials is the number of measured trials — the budget the search spent.
+	Trials int
 	// SearchSeconds is the total simulated tuning time.
 	SearchSeconds float64
 	// BestSchedule describes the winning configuration.
@@ -436,7 +414,6 @@ func (o Options) hooks() (core.TuneHooks, func() error, error) {
 		h.Journal = jr
 		closeFn = jr.Close
 	}
-	h.Sampling = o.AdaptiveSampling.Enabled
 	if o.FleetPool != nil {
 		h.Evaluators = o.FleetPool.pool
 	} else if len(o.Fleet) > 0 {
@@ -647,33 +624,12 @@ type Fleet struct {
 	pool *fleet.Pool
 }
 
-// FleetOptions tunes fleet dispatch; the zero value selects production
-// defaults (30s batch timeout, 2 retries, 2s health-check period).
-type FleetOptions struct {
-	// BatchTimeout bounds one measure-batch RPC.
-	BatchTimeout time.Duration
-	// Retries is the re-dispatch bound per batch before falling back to
-	// in-process measurement (0 default; negative disables retries).
-	Retries int
-	// HealthInterval is the worker health-check period.
-	HealthInterval time.Duration
-}
-
-// DialFleet opens a fleet over the worker endpoints with default options.
-// Endpoints are "host:port" or full URLs. Dialing succeeds even while every
-// worker is unreachable (they are probed and admitted in the background);
-// it fails only on an empty endpoint list.
+// DialFleet opens a fleet over the worker endpoints (30s batch timeout, 2
+// retries, 2s health-check period). Endpoints are "host:port" or full URLs.
+// Dialing succeeds even while every worker is unreachable (they are probed
+// and admitted in the background); it fails only on an empty endpoint list.
 func DialFleet(endpoints []string) (*Fleet, error) {
-	return DialFleetOptions(endpoints, FleetOptions{})
-}
-
-// DialFleetOptions is DialFleet with explicit dispatch knobs.
-func DialFleetOptions(endpoints []string, o FleetOptions) (*Fleet, error) {
-	p, err := fleet.NewPool(endpoints, fleet.Config{
-		Timeout:        o.BatchTimeout,
-		Retries:        o.Retries,
-		HealthInterval: o.HealthInterval,
-	})
+	p, err := fleet.NewPool(endpoints, fleet.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -878,8 +834,6 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 	out := Result{
 		Scheduler:        o.Scheduler,
 		Trials:           task.Trials,
-		Measured:         task.Measured,
-		MeasureSaved:     task.MeasureSaved,
 		SearchSeconds:    tuner.CostSec(),
 		BestLog:          append([]float64(nil), task.BestLog...),
 		WarmStarted:      res.warmed > 0,
@@ -914,12 +868,8 @@ type NetworkResult struct {
 	// communication overhead.
 	EstimatedSeconds float64
 	MeasuredSeconds  float64
-	// Trials is the charged-trial count across all subgraph tasks; Measured
-	// and MeasureSaved split it into real hardware measurements and
-	// adaptive-sampling backfills (see Result.Trials).
+	// Trials is the measured-trial count across all subgraph tasks.
 	Trials        int
-	Measured      int
-	MeasureSaved  int
 	SearchSeconds float64
 	Breakdown     []SubgraphReport
 	// WarmStarted is the number of subgraph tasks seeded from
@@ -1043,8 +993,6 @@ func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o
 		EstimatedSeconds: pnt.EstimatedExec(),
 		MeasuredSeconds:  pnt.MeasuredExec(),
 		Trials:           pnt.Trials(),
-		Measured:         pnt.MT.Measured(),
-		MeasureSaved:     pnt.MT.MeasureSaved(),
 		SearchSeconds:    pnt.CostSec(),
 		WarmStarted:      res.warmed,
 		Pretrained:       res.pretrained,

@@ -115,10 +115,6 @@ type TuneHooks struct {
 	// registry.SelectDonor), so transfer preserves the worker-invariance
 	// contract.
 	Transfer TransferProvider
-	// Sampling, when set, attaches an adaptive measurement sampler to every
-	// task: engine rounds cluster their candidates in feature space and
-	// measure only cluster representatives (see search.AdaptiveSampler).
-	Sampling bool
 }
 
 // TransferSeed is what a transfer donor contributes to a cold task: a model
@@ -155,9 +151,6 @@ type EvaluatorProvider interface {
 func seedCostModel(t *search.Task, hooks TuneHooks) {
 	if hooks.Evaluators != nil {
 		t.Remote = hooks.Evaluators.EvaluatorFor(t)
-	}
-	if hooks.Sampling {
-		t.Sampler = &search.AdaptiveSampler{}
 	}
 	if hooks.Model != nil {
 		if d := hooks.Model.Dim(); d == 0 || d == t.FeatureDim() {

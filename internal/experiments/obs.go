@@ -8,9 +8,7 @@ import (
 
 // Observations aggregates the measurement accounting of every tuning run one
 // experiment performs, for the BENCH summary: how many schedules were
-// actually measured on (simulated) hardware, how many charged trials were
-// served from cost-model backfills instead (adaptive sampling's saving; zero
-// when sampling is off), and the mean charged-trial index at which runs
+// measured on (simulated) hardware, and the mean trial index at which runs
 // locked in their final best. The accumulator is package-global because an
 // experiment is a process-level unit — RunExperiment resets it, the run
 // helpers feed it, and NewSummary takes it — but it is mutex-guarded so
@@ -19,12 +17,9 @@ type Observations struct {
 	// Runs counts the tuning tasks observed (network runs count one per
 	// subgraph task).
 	Runs int
-	// Measured and MeasureSaved partition the charged trials: every trial
-	// either cost a hardware measurement or was backfilled from a cluster
-	// representative's result.
-	Measured     int
-	MeasureSaved int
-	// TrialsToBest is the mean charged-trial index (1-based) at which the
+	// Measured is the trial count summed over the observed tasks.
+	Measured int
+	// TrialsToBest is the mean trial index (1-based) at which the
 	// observed tasks last improved their best — how deep into the budget the
 	// final answer arrived.
 	TrialsToBest int
@@ -63,13 +58,12 @@ func observeTask(t *search.Task) {
 	obsMu.Lock()
 	defer obsMu.Unlock()
 	obsCur.Runs++
-	obsCur.Measured += t.Measured
-	obsCur.MeasureSaved += t.MeasureSaved
+	obsCur.Measured += t.Trials
 	obsSum += trialsToBest(t.BestLog)
 }
 
 // trialsToBest is the 1-based index of the last improvement in a best-so-far
-// log — the charged trial that produced the task's final answer.
+// log — the trial that produced the task's final answer.
 func trialsToBest(best []float64) int {
 	if len(best) == 0 {
 		return 0

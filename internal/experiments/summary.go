@@ -24,14 +24,10 @@ type Summary struct {
 	Batches            []int   `json:"batches"`
 	NetworkBudgetScale float64 `json:"network_budget_scale"`
 	Workers            int     `json:"workers"`
-	// Measured and MeasureSaved partition the charged trials of every tuning
-	// run the experiment performed: hardware measurements actually paid
-	// versus trials backfilled from cost-model predictions (adaptive
-	// sampling; zero when sampling is off). TrialsToBest is the mean charged
-	// trial at which runs locked in their final best. Experiments that tune
-	// nothing (tab1) report zeros.
+	// Measured is the trial count of every tuning run the experiment
+	// performed, and TrialsToBest the mean trial at which runs locked in
+	// their final best. Experiments that tune nothing (tab1) report zeros.
 	Measured     int `json:"measured"`
-	MeasureSaved int `json:"measure_saved"`
 	TrialsToBest int `json:"trials_to_best"`
 	// Output is the experiment's rendered table/figure text — the same rows
 	// a human sees, kept verbatim so summaries are diffable run to run.
@@ -52,7 +48,6 @@ func NewSummary(id string, cfg Config, output string) Summary {
 		NetworkBudgetScale: cfg.NetworkBudgetScale,
 		Workers:            cfg.EffectiveWorkers(),
 		Measured:           obs.Measured,
-		MeasureSaved:       obs.MeasureSaved,
 		TrialsToBest:       obs.TrialsToBest,
 		Output:             output,
 	}

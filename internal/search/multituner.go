@@ -29,10 +29,13 @@ const (
 	AllocSWUCB
 )
 
-// The subgraph bandit's exploration constant and window (paper Table 5).
+// The subgraph bandit's exploration constant and window, and Eq. 3's α and β
+// (paper Table 5).
 const (
 	subgraphC      = 0.25
 	subgraphWindow = 256
+	gradAlpha      = 0.2
+	gradBeta       = 2.0
 )
 
 // MultiTunerConfig parameterizes the concurrent multi-task scheduler.
@@ -50,19 +53,14 @@ type MultiTunerConfig struct {
 	WaveWidth int
 	// Policy selects the budget allocator.
 	Policy AllocPolicy
-	// GradAlpha and GradBeta are the Eq. 3 constants (Table 5); zero
-	// selects the corresponding default.
-	GradAlpha float64
-	GradBeta  float64
 }
 
-// DefaultMultiTunerConfig mirrors the paper's allocator constants.
+// DefaultMultiTunerConfig is the paper's allocator: 16 trials per round,
+// tasks picked by the Eq. 3 gradient estimate.
 func DefaultMultiTunerConfig() MultiTunerConfig {
 	return MultiTunerConfig{
 		RoundTrials: 16,
 		Policy:      AllocGradient,
-		GradAlpha:   0.2,
-		GradBeta:    2.0,
 	}
 }
 
@@ -140,15 +138,8 @@ func NewTaskSet(graphs []*texpr.Subgraph, plat *hardware.Platform, seed uint64) 
 // NewMultiTuner builds the scheduler; mkEngine constructs a fresh engine per
 // task (engine state is per-task and must not be shared across goroutines).
 func NewMultiTuner(tasks []*Task, mkEngine func() Engine, cfg MultiTunerConfig) *MultiTuner {
-	def := DefaultMultiTunerConfig()
 	if cfg.RoundTrials <= 0 {
-		cfg.RoundTrials = def.RoundTrials
-	}
-	if cfg.GradAlpha == 0 {
-		cfg.GradAlpha = def.GradAlpha
-	}
-	if cfg.GradBeta == 0 {
-		cfg.GradBeta = def.GradBeta
+		cfg.RoundTrials = DefaultMultiTunerConfig().RoundTrials
 	}
 	mt := &MultiTuner{
 		Tasks:       tasks,
@@ -214,32 +205,12 @@ func (mt *MultiTuner) drainRecords(sel []int) {
 	}
 }
 
-// Trials returns the cumulative charged-trial count across all tasks — the
-// budget spent. With adaptive sampling this includes backfilled candidates;
-// Measured counts what actually reached the measurer.
+// Trials returns the cumulative trial count across all tasks — the budget
+// spent.
 func (mt *MultiTuner) Trials() int {
 	total := 0
 	for _, t := range mt.Tasks {
 		total += t.Trials
-	}
-	return total
-}
-
-// Measured returns the cumulative count of schedules actually measured.
-func (mt *MultiTuner) Measured() int {
-	total := 0
-	for _, t := range mt.Tasks {
-		total += t.Measured
-	}
-	return total
-}
-
-// MeasureSaved returns the cumulative count of charged trials whose
-// measurement the adaptive sampler skipped.
-func (mt *MultiTuner) MeasureSaved() int {
-	total := 0
-	for _, t := range mt.Tasks {
-		total += t.MeasureSaved
 	}
 	return total
 }
@@ -282,16 +253,17 @@ func (mt *MultiTuner) EstimatedExec() float64 {
 	return total
 }
 
-// GradientEstimate computes the Eq. 3 benefit score of giving task a the
+// gradientEstimate computes the Eq. 3 benefit score of giving task a the
 // next round (larger = more expected end-to-end gain). The first term is the
 // recent measured improvement slope of the task's weighted execution time
-// (hist holds that value after each of the task's rounds counted by rounds);
-// the second is Ansor's optimistic potential: the task can either keep its
+// (gHist holds that value after each of the task's rounds); the second is
+// Ansor's optimistic potential: the task can either keep its
 // historical halving pace (g/t) or approach β× the best throughput achieved
 // by similar subgraphs (same main-stage kind). It reads committed task state
 // only: the gradient allocator ranks tasks by it and the SW-UCB allocator
 // uses it as the arm reward.
-func GradientEstimate(tasks []*Task, a int, hist []float64, rounds int, alpha, beta float64) float64 {
+func (mt *MultiTuner) gradientEstimate(a int) float64 {
+	tasks, hist := mt.Tasks, mt.gHist[a]
 	t := tasks[a]
 	g := t.WeightedBestExec()
 	if math.IsInf(g, 1) {
@@ -301,7 +273,7 @@ func GradientEstimate(tasks []*Task, a int, hist []float64, rounds int, alpha, b
 	if n := len(hist); n >= 2 {
 		slope = hist[n-2] - hist[n-1] // positive when improving
 	}
-	ta := float64(rounds)
+	ta := float64(mt.allocations[a])
 	if ta < 1 {
 		ta = 1
 	}
@@ -322,15 +294,11 @@ func GradientEstimate(tasks []*Task, a int, hist []float64, rounds int, alpha, b
 	if maxP > 0 {
 		// min(-g/t, β·B/maxP - g) in the paper's negative orientation is
 		// max(g/t, g - β·B/maxP) as a positive benefit.
-		if bound := g - beta*float64(t.Graph.Weight)*t.Graph.FLOPs()/maxP; bound > potential {
+		if bound := g - gradBeta*float64(t.Graph.Weight)*t.Graph.FLOPs()/maxP; bound > potential {
 			potential = bound
 		}
 	}
-	return alpha*slope + (1-alpha)*potential
-}
-
-func (mt *MultiTuner) gradientEstimate(a int) float64 {
-	return GradientEstimate(mt.Tasks, a, mt.gHist[a], mt.allocations[a], mt.Cfg.GradAlpha, mt.Cfg.GradBeta)
+	return gradAlpha*slope + (1-gradAlpha)*potential
 }
 
 // selectWave picks the tasks to advance this wave: width tasks (1..n), by
@@ -436,20 +404,17 @@ func (mt *MultiTuner) wave(width, remaining int) {
 		mt.mab.Update(a, reward)
 	}
 	if mt.OnProgress != nil {
-		measured := mt.Measured()
 		for _, a := range sel {
 			t := mt.Tasks[a]
 			mt.OnProgress(Progress{
-				Task:          a,
-				Wave:          snap.Wave,
-				Allocation:    mt.allocations[a],
-				TaskTrials:    t.Trials,
-				TotalTrials:   snap.Trials,
-				TaskMeasured:  t.Measured,
-				TotalMeasured: measured,
-				BestExec:      t.BestExec,
-				RunBest:       snap.EstExec,
-				CostSec:       snap.CostSec,
+				Task:        a,
+				Wave:        snap.Wave,
+				Allocation:  mt.allocations[a],
+				TaskTrials:  t.Trials,
+				TotalTrials: snap.Trials,
+				BestExec:    t.BestExec,
+				RunBest:     snap.EstExec,
+				CostSec:     snap.CostSec,
 			})
 		}
 	}

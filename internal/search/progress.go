@@ -16,17 +16,10 @@ type Progress struct {
 	Wave int
 	// Allocation is how many engine rounds the task has received so far.
 	Allocation int
-	// TaskTrials is the task-local cumulative charged-trial count and
-	// TotalTrials the run-wide one (equal for operator runs). With adaptive
-	// sampling, charged trials include backfilled candidates that were never
-	// measured; TaskMeasured/TotalMeasured carry the real measurement counts.
+	// TaskTrials is the task-local cumulative trial count and TotalTrials the
+	// run-wide one (equal for operator runs).
 	TaskTrials  int
 	TotalTrials int
-	// TaskMeasured is the task-local count of schedules actually measured,
-	// and TotalMeasured the run-wide one. Without adaptive sampling they
-	// equal TaskTrials/TotalTrials.
-	TaskMeasured  int
-	TotalMeasured int
 	// BestExec is the task's best measured execution time so far (+Inf until
 	// the task measures its first schedule).
 	BestExec float64

@@ -74,24 +74,9 @@ type Task struct {
 	BestExec float64
 
 	// Trials is the number of trials charged to this task — the budget the
-	// search spends. Without adaptive sampling every charged trial is a real
-	// measurement; with it, backfilled candidates charge a trial without
-	// touching hardware, so Trials keeps its budget meaning while Measured
-	// below carries the real count.
+	// search spends. Every charged trial is a real measurement, committed to
+	// the measurer and passed to OnMeasure.
 	Trials int
-
-	// Measured counts schedules actually measured (committed to the
-	// measurer), and MeasureSaved the charged trials whose measurement the
-	// adaptive sampler skipped by backfilling from a cluster representative.
-	// Trials == Measured + MeasureSaved always holds.
-	Measured     int
-	MeasureSaved int
-
-	// Sampler, when non-nil, thins measurement batches: fresh candidates are
-	// clustered in feature space and only cluster representatives reach the
-	// measurer; the rest train the cost model from their representative's
-	// result.
-	Sampler *AdaptiveSampler
 
 	// TransferDonor, when non-empty, names the registry key (workload@target)
 	// whose knowledge warm-started this task via cross-key transfer.
@@ -212,47 +197,33 @@ func (t *Task) rankUnseen(pool candPool) []candidate {
 // MeasureBatch measures the given schedules (skipping already-measured
 // configurations), commits them to the cost model's training set as a new
 // version (refitCost) and updates the task's best. It returns the measured
-// execution times aligned with the input slice (NaN for skipped duplicates
-// and for candidates the adaptive sampler backfilled instead of measuring).
+// execution times aligned with the input slice (NaN for skipped duplicates).
 //
 // Trial evaluation (simulator + noise) fans out across the task's Pool; the
 // order-sensitive bookkeeping — measurement-cost accounting, best-so-far
 // logs, cost-model training — is committed serially in input order, so the
-// result is byte-identical for every worker count. When a Sampler is
-// attached, the fresh candidates are first partitioned into cluster
-// representatives (measured through the normal path, in input order) and
-// backfills (committed after the representatives: each charges a trial and
-// trains the cost model with its representative's measurement, but never
-// reaches the measurer — that skipped Commit is the hardware time saved).
+// result is byte-identical for every worker count.
 func (t *Task) MeasureBatch(scheds []*schedule.Schedule) []float64 {
 	out := make([]float64, len(scheds))
-	var fresh []int
+	var jobs []measureJob
 	for i, s := range scheds {
 		if s == nil || t.measured[s.Key()] {
 			out[i] = math.NaN()
 			continue
 		}
 		t.measured[s.Key()] = true
-		fresh = append(fresh, i)
+		jobs = append(jobs, measureJob{idx: i, seq: t.Meas.ReserveSeq(s.Key())})
 	}
-	reps, repOf := t.sampleBatch(scheds, fresh)
-	jobs := make([]measureJob, 0, len(reps))
-	for _, i := range reps {
-		jobs = append(jobs, measureJob{idx: i, seq: t.Meas.ReserveSeq(scheds[i].Key())})
-	}
-	preds := t.predictJobs(scheds, jobs)
 	if !t.evalRemote(scheds, jobs, out) {
 		t.Pool.Run(len(jobs), func(j int) {
 			jb := jobs[j]
 			out[jb.idx] = t.Meas.NoisyExec(scheds[jb.idx], jb.seq)
 		})
 	}
-	t.observeErrors(preds, jobs, out)
 	for _, jb := range jobs {
 		s, exec := scheds[jb.idx], out[jb.idx]
 		t.Meas.Commit(exec)
 		t.Trials++
-		t.Measured++
 		if exec < t.BestExec {
 			t.BestExec = exec
 			t.Best = s
@@ -264,94 +235,10 @@ func (t *Task) MeasureBatch(scheds []*schedule.Schedule) []float64 {
 			t.OnMeasure(s, exec, t.Trials)
 		}
 	}
-	if repOf != nil {
-		for _, i := range fresh {
-			rep, ok := repOf[i]
-			if !ok || rep == i {
-				continue
-			}
-			// Backfill: charged against the budget so run shape matches an
-			// unsampled search, trained into the model with the cluster
-			// representative's measurement, but never sent to hardware (no
-			// Meas.Commit) and never journaled (no OnMeasure — the journal
-			// records real measurements only).
-			t.Trials++
-			t.MeasureSaved++
-			t.BestLog = append(t.BestLog, t.BestExec)
-			t.TrialCost = append(t.TrialCost, t.Meas.CostSec())
-			t.Cost.Add(scheds[i].Features(), math.Log(1/out[rep]))
-			out[i] = math.NaN()
-		}
-	}
 	if len(jobs) > 0 {
 		t.refitCost()
 	}
 	return out
-}
-
-// sampleBatch decides which fresh batch indices are actually measured.
-// Without a sampler every fresh candidate is its own representative (nil
-// map). With one, the fresh candidates are clustered in feature space and
-// only cluster representatives go to hardware; repOf maps each fresh batch
-// index to its cluster representative's batch index.
-func (t *Task) sampleBatch(scheds []*schedule.Schedule, fresh []int) (reps []int, repOf map[int]int) {
-	if t.Sampler == nil || len(fresh) == 0 {
-		return fresh, nil
-	}
-	k := t.Sampler.target(len(fresh))
-	if k >= len(fresh) {
-		return fresh, nil
-	}
-	feats := make([][]float64, len(fresh))
-	for j, i := range fresh {
-		feats[j] = scheds[i].Features()
-	}
-	var scores []float64
-	if cm := t.FittedCost(); cm.Trained() {
-		t.Meas.AddCostModelQueries(len(fresh))
-		scores = cm.PredictBatch(feats)
-	}
-	local, assign := clusterReps(feats, scores, k, t.RNG)
-	repByCluster := make(map[int]int, len(local))
-	for _, j := range local {
-		repByCluster[assign[j]] = fresh[j]
-	}
-	repOf = make(map[int]int, len(fresh))
-	reps = make([]int, 0, len(local))
-	for _, j := range local {
-		reps = append(reps, fresh[j])
-	}
-	for j, i := range fresh {
-		repOf[i] = repByCluster[assign[j]]
-	}
-	return reps, repOf
-}
-
-// predictJobs predicts each job's log-throughput before its measurement
-// commits, feeding the sampler's predicted-vs-measured error window. It is a
-// no-op without a sampler or before the model first trains.
-func (t *Task) predictJobs(scheds []*schedule.Schedule, jobs []measureJob) []float64 {
-	if t.Sampler == nil || len(jobs) == 0 || !t.FittedCost().Trained() {
-		return nil
-	}
-	feats := make([][]float64, len(jobs))
-	for k, jb := range jobs {
-		feats[k] = scheds[jb.idx].Features()
-	}
-	t.Meas.AddCostModelQueries(len(jobs))
-	return t.FittedCost().PredictBatch(feats)
-}
-
-// observeErrors folds this batch's predicted-vs-measured relative errors
-// into the sampler's window.
-func (t *Task) observeErrors(preds []float64, jobs []measureJob, out []float64) {
-	if preds == nil {
-		return
-	}
-	for k, jb := range jobs {
-		actual := math.Log(1 / out[jb.idx])
-		t.Sampler.observe(math.Abs(1 - math.Exp(preds[k]-actual)))
-	}
 }
 
 // SeedCandidate queues an unmeasured warm-start candidate (the transfer

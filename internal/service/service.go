@@ -94,12 +94,10 @@ type Outcome struct {
 	Scheduler   string  `json:"scheduler"`
 	ExecSeconds float64 `json:"exec_seconds"`
 	GFLOPS      float64 `json:"gflops,omitempty"`
-	// Trials is the charged-trial count (the budget the search spent);
-	// Measured the schedules actually measured on hardware and MeasureSaved
-	// the adaptive-sampling backfills (trials = measured + measure_saved).
-	Trials       int `json:"trials"`
-	Measured     int `json:"measured"`
-	MeasureSaved int `json:"measure_saved,omitempty"`
+	// Trials is the measured-trial count (the budget the search spent).
+	// Measured repeats it: the field is part of the v1 wire format.
+	Trials   int `json:"trials"`
+	Measured int `json:"measured"`
 	// WarmTransfer names the donor registry key that warm-started an
 	// operator job via cross-key transfer; WarmTransfers counts the
 	// transfer-seeded subgraph tasks of a network job.
@@ -169,13 +167,11 @@ type Metrics struct {
 	RegistryHits   int `json:"registry_hits"`
 	RegistryMisses int `json:"registry_misses"`
 	RegistryErrors int `json:"registry_errors"`
-	// TrialsMeasured sums the schedules finished jobs actually measured — the
-	// compute the service actually spent. MeasureSaved sums the charged
-	// trials adaptive sampling skipped, and TransferWarmstarts the sessions
-	// (operator jobs) or subgraph tasks (network jobs) a cross-key transfer
-	// donor warm-started.
+	// TrialsMeasured sums the schedules finished jobs measured — the
+	// compute the service actually spent — and TransferWarmstarts the
+	// sessions (operator jobs) or subgraph tasks (network jobs) a cross-key
+	// transfer donor warm-started.
 	TrialsMeasured     int `json:"trials_measured"`
-	MeasureSaved       int `json:"measure_saved"`
 	TransferWarmstarts int `json:"transfer_warmstarts"`
 	QueueDepth         int `json:"queue_depth"`
 	Running            int `json:"running"`
@@ -357,11 +353,10 @@ func (q *Queue) worker() {
 }
 
 // foldSavingsLocked accumulates a finished (done or cancelled) outcome's
-// measurement accounting into the queue metrics: real measurements, sampled
-// savings and transfer warm starts. Caller holds q.mu.
+// measurement accounting into the queue metrics: measured trials and
+// transfer warm starts. Caller holds q.mu.
 func (q *Queue) foldSavingsLocked(out Outcome) {
 	q.m.TrialsMeasured += out.Measured
-	q.m.MeasureSaved += out.MeasureSaved
 	q.m.TransferWarmstarts += out.WarmTransfers
 	if out.WarmTransfer != "" {
 		q.m.TransferWarmstarts++

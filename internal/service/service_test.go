@@ -235,7 +235,9 @@ func TestSubmitRejectsBadRequest(t *testing.T) {
 // TestExhaustedSpaceJobFreesWorker drives the real tuner: a job whose whole
 // schedule space is smaller than the default 320-trial budget, with the
 // plateau stop opted out, ends when the space is measured out and hands its
-// worker to the next job. (It used to spin until someone cancelled it.)
+// worker to the next job. (It used to spin until someone cancelled it.) Every
+// finished job, operator or network, reports measured == trials: the
+// benchmark's fleet check compares dispatched trials to outcome.measured.
 func TestExhaustedSpaceJobFreesWorker(t *testing.T) {
 	q := NewQueue(&HarlTuner{}, 1)
 	defer q.Shutdown()
@@ -255,7 +257,17 @@ func TestExhaustedSpaceJobFreesWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j := waitState(t, q, next.ID, StateDone); j.Outcome == nil || j.Outcome.Trials != 16 {
+	if j := waitState(t, q, next.ID, StateDone); j.Outcome == nil || j.Outcome.Trials != 16 || j.Outcome.Measured != 16 {
 		t.Fatalf("second job outcome = %+v", j.Outcome)
+	}
+	if j.Outcome.Measured != j.Outcome.Trials {
+		t.Fatalf("first job measured %d of %d trials", j.Outcome.Measured, j.Outcome.Trials)
+	}
+	net, _, err := q.Submit(Request{Network: "bert", Scheduler: "random", Trials: 24, PlateauWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := waitState(t, q, net.ID, StateDone); j.Outcome == nil || j.Outcome.Trials != 24 || j.Outcome.Measured != 24 {
+		t.Fatalf("network job outcome = %+v", j.Outcome)
 	}
 }

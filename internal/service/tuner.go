@@ -31,12 +31,9 @@ type HarlTuner struct {
 	Fleet *harl.Fleet
 	// Transfer, when set (harl-serve -transfer; requires Registry), gives
 	// every session cross-key transfer warm starts: a registry miss scans
-	// for a donor key instead of starting cold. Adaptive, when enabled
-	// (harl-serve -adaptive), attaches adaptive measurement sampling to
-	// every session. Both are daemon-wide policies, constant across requests,
-	// so neither is part of the coalescing key.
+	// for a donor key instead of starting cold. It is a daemon-wide policy,
+	// constant across requests, so it is not part of the coalescing key.
 	Transfer bool
-	Adaptive harl.AdaptiveSampling
 }
 
 // plateau resolves a normalized request's effective early-stop policy
@@ -134,16 +131,15 @@ func (h *HarlTuner) Tune(ctx context.Context, req Request, progress func(harl.Pr
 		return Outcome{}, err
 	}
 	opts := harl.Options{
-		Scheduler:        req.Scheduler,
-		Trials:           req.Trials,
-		Seed:             req.Seed,
-		Workers:          req.Workers,
-		Registry:         h.Registry,
-		OnProgress:       progress,
-		Plateau:          h.plateau(req),
-		FleetPool:        h.Fleet,
-		Transfer:         h.Transfer && h.Registry != nil,
-		AdaptiveSampling: h.Adaptive,
+		Scheduler:  req.Scheduler,
+		Trials:     req.Trials,
+		Seed:       req.Seed,
+		Workers:    req.Workers,
+		Registry:   h.Registry,
+		OnProgress: progress,
+		Plateau:    h.plateau(req),
+		FleetPool:  h.Fleet,
+		Transfer:   h.Transfer && h.Registry != nil,
 	}
 	if isNet {
 		res, err := harl.TuneNetworkContext(ctx, req.Network, req.Batch, tgt, opts)
@@ -163,8 +159,7 @@ func (h *HarlTuner) Tune(ctx context.Context, req Request, progress func(harl.Pr
 			Scheduler:      req.Scheduler,
 			ExecSeconds:    exec,
 			Trials:         res.Trials,
-			Measured:       res.Measured,
-			MeasureSaved:   res.MeasureSaved,
+			Measured:       res.Trials,
 			WarmTransfers:  res.WarmTransfers,
 			SearchSeconds:  res.SearchSeconds,
 			CacheHit:       res.Trials == 0 && res.CacheHits == len(res.Breakdown),
@@ -183,8 +178,7 @@ func (h *HarlTuner) Tune(ctx context.Context, req Request, progress func(harl.Pr
 		ExecSeconds:    res.ExecSeconds,
 		GFLOPS:         res.GFLOPS,
 		Trials:         res.Trials,
-		Measured:       res.Measured,
-		MeasureSaved:   res.MeasureSaved,
+		Measured:       res.Trials,
 		WarmTransfer:   res.WarmTransfer,
 		SearchSeconds:  res.SearchSeconds,
 		BestSchedule:   res.BestSchedule,

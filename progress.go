@@ -26,15 +26,10 @@ type ProgressEvent struct {
 	// Allocation is how many engine rounds this task has received so far —
 	// the adaptive allocator's per-task budget decision made observable.
 	Allocation int `json:"allocation"`
-	// TaskTrials is the task-local cumulative charged-trial count;
-	// TotalTrials the run-wide one (equal for operator runs).
+	// TaskTrials is the task-local cumulative trial count; TotalTrials the
+	// run-wide one (equal for operator runs).
 	TaskTrials  int `json:"task_trials"`
 	TotalTrials int `json:"total_trials"`
-	// TaskMeasured and TotalMeasured count the schedules actually measured;
-	// with adaptive sampling off they equal TaskTrials/TotalTrials, with it
-	// on the gap is the saved hardware measurements.
-	TaskMeasured  int `json:"task_measured"`
-	TotalMeasured int `json:"total_measured"`
 	// BestExecSeconds is the task's best measured execution time so far (0
 	// until the task measures its first schedule).
 	BestExecSeconds float64 `json:"best_exec_seconds"`
@@ -50,7 +45,7 @@ type ProgressEvent struct {
 // Plateau configures adaptive early stopping on the observed convergence
 // trajectory: when the run objective (ProgressEvent.RunBestSeconds) improves
 // by a relative fraction of MinImprovement or less across the last Window
-// committed progress events, the session stops through the same
+// committed waves, the session stops through the same
 // checkpoint-on-cancel path a user cancellation takes — the in-flight round
 // commits, the record log and model checkpoint are written, the partial best
 // is published to any configured Registry, and the result comes back with
@@ -124,8 +119,6 @@ func publicProgress(names []string, p search.Progress) ProgressEvent {
 		Allocation:      p.Allocation,
 		TaskTrials:      p.TaskTrials,
 		TotalTrials:     p.TotalTrials,
-		TaskMeasured:    p.TaskMeasured,
-		TotalMeasured:   p.TotalMeasured,
 		BestExecSeconds: finiteOrZero(p.BestExec),
 		RunBestSeconds:  finiteOrZero(p.RunBest),
 		SearchSeconds:   p.CostSec,
