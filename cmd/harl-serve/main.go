@@ -57,7 +57,6 @@ func main() {
 	plateauWindow := flag.Int("plateau-window", 6, "default plateau early stop: end a job's search when its best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator job, allocation decisions of a network job, however many subgraphs each advances (0 disables; requests override with plateau_window)")
 	plateauImprove := flag.Float64("plateau-improve", 0.005, "default minimum relative improvement (0.005 = 0.5%) over the plateau window to keep searching")
 	fleetList := flag.String("fleet", "", "comma-separated harl-worker endpoints shared by every tuning session (bit-identical to in-process measurement; dead workers fall back in-process); counters at /metrics as harl_fleet_*")
-	transfer := flag.Bool("transfer", false, "cross-key transfer warm starts: a registry miss scans for a donor key (same workload on another target, or a compatible workload on the same target) instead of starting cold; counted at /metrics as harl_transfer_warmstarts_total")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060), separate from -addr so profiling is never exposed to tuning clients; empty disables")
 	flag.Parse()
 
@@ -113,7 +112,6 @@ func main() {
 		Registry:       reg,
 		DefaultPlateau: harl.Plateau{Window: *plateauWindow, MinImprovement: *plateauImprove},
 		Fleet:          fleetPool,
-		Transfer:       *transfer,
 	}, *workers)
 	handler := service.NewServer(queue, reg)
 	if fleetPool != nil {

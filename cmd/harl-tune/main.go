@@ -62,7 +62,6 @@ func main() {
 	progress := flag.Bool("progress", false, "stream one progress line per committed round/wave to stderr — the same event stream harl-serve serves over SSE")
 	plateauWindow := flag.Int("plateau-window", 0, "stop the search early when the best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator run, allocation decisions of a network run, however many subgraphs each advances (0 disables)")
 	plateauImprove := flag.Float64("plateau-improve", 0, "minimum relative improvement (0.01 = 1%) over the plateau window to keep searching")
-	transfer := flag.Bool("transfer", false, "cross-key transfer warm starts (requires -registry): when this key misses, scan the registry for a donor key — the same workload on another target, or a compatible workload on the same target — and seed the cost model and first candidate from it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file when tuning finishes")
 	flag.Parse()
@@ -81,9 +80,6 @@ func main() {
 	}
 	if *plateauImprove > 0 && *plateauWindow == 0 {
 		fatal(fmt.Errorf("-plateau-improve needs -plateau-window > 0 to take effect"))
-	}
-	if *transfer && *registryDir == "" {
-		fatal(fmt.Errorf("-transfer needs -registry (the donor scan reads it)"))
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -114,7 +110,7 @@ func main() {
 	}
 	opts := harl.Options{Scheduler: *scheduler, Trials: *trials, Seed: *seed, Workers: *workers,
 		RecordLog: *logPath, ResumeFrom: *resume,
-		PretrainFrom: *pretrainLog, ModelIn: *modelIn, ModelOut: *modelOut, Transfer: *transfer,
+		PretrainFrom: *pretrainLog, ModelIn: *modelIn, ModelOut: *modelOut,
 		Plateau: harl.Plateau{Window: *plateauWindow, MinImprovement: *plateauImprove}}
 	if *progress {
 		opts.OnProgress = func(e harl.ProgressEvent) {
@@ -167,9 +163,6 @@ func main() {
 		if res.WarmStarted > 0 {
 			fmt.Printf("warm-started %d subgraph(s) from %s\n", res.WarmStarted, *resume)
 		}
-		if res.WarmTransfers > 0 {
-			fmt.Printf("transfer warm-started %d subgraph(s) from registry donors\n", res.WarmTransfers)
-		}
 		fmt.Printf("cost model: %d training samples across %d subgraph models, %d refits, pretrained %d task(s)\n",
 			res.CostModelSamples, len(res.Breakdown), res.CostModelRefits, res.Pretrained)
 		if *modelOut != "" {
@@ -210,9 +203,6 @@ func main() {
 	}
 	if res.WarmStarted {
 		fmt.Printf("  warm-started from %s\n", *resume)
-	}
-	if res.WarmTransfer != "" {
-		fmt.Printf("  transfer warm start from donor %s\n", res.WarmTransfer)
 	}
 	fmt.Printf("  best program: %.4f ms (%.1f GFLOP/s)\n", res.ExecSeconds*1e3, res.GFLOPS)
 	fmt.Printf("  trials: %d, simulated search time: %.0f s\n", res.Trials, res.SearchSeconds)

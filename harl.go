@@ -266,16 +266,6 @@ type Options struct {
 	// is how harl-serve wires it. Takes precedence over Fleet. The caller
 	// keeps ownership: Close is never called by the run.
 	FleetPool *Fleet
-	// Transfer, when set (requires Registry), makes a registry miss cheap
-	// instead of cold: the run scans the registry for a donor key — the same
-	// workload on another target, or a structurally compatible workload on
-	// the same target — and seeds the session with a cost model fitted over
-	// the donor records plus the donor's best schedule as the first measured
-	// candidate. Donor selection is deterministic (pure over the sorted
-	// record set), so transfer preserves the worker-invariance contract. The
-	// chosen donor key is reported in Result.WarmTransfer. A run whose own
-	// key hits, or for which no compatible donor exists, is unaffected.
-	Transfer bool
 }
 
 func (o Options) withDefaults() Options {
@@ -303,13 +293,8 @@ func (o Options) withDefaults() Options {
 // is opened, so a bad request cannot leak an opened (and possibly newly
 // created) record log.
 func (o Options) validate() error {
-	if _, _, err := core.EngineFactory(o.Scheduler); err != nil {
-		return err
-	}
-	if o.Transfer && o.Registry == nil {
-		return fmt.Errorf("harl: Options.Transfer needs Options.Registry (the donor scan reads it)")
-	}
-	return nil
+	_, _, err := core.EngineFactory(o.Scheduler)
+	return err
 }
 
 // Schedulers lists the available scheduler presets.
@@ -342,10 +327,6 @@ type Result struct {
 	// WarmStarted reports whether a cached record from Options.ResumeFrom
 	// seeded the run.
 	WarmStarted bool
-	// WarmTransfer names the donor registry key ("workload@target") that
-	// warm-started the run via Options.Transfer; empty when no transfer
-	// happened (own-key hit, no compatible donor, or Transfer off).
-	WarmTransfer string
 	// CostModelSamples is the cost model's final training-set size and
 	// CostModelRefits the training-set versions committed — each is fitted if
 	// and when something reads the model.
@@ -585,16 +566,6 @@ func (r *Registry) ImportJournal(path string) (int, error) { return r.reg.Import
 // record.
 func (r *Registry) Len() int { return r.reg.Len() }
 
-// Records returns the current best records in stable key order.
-func (r *Registry) Records() []Record {
-	recs := r.reg.Records()
-	out := make([]Record, 0, len(recs))
-	for _, rec := range recs {
-		out = append(out, fromInternalRecord(rec))
-	}
-	return out
-}
-
 // RegistryStats is a snapshot of the registry's storage counters — the
 // numbers behind the harl_registry_* storage series at harl-serve's /metrics.
 type RegistryStats = registry.Stats
@@ -700,10 +671,10 @@ type sessionResult struct {
 }
 
 // session is the one pipeline behind every tuning entry point: resolve the
-// hooks, check the pretraining log matches, wire transfer, seed the cost
-// models, warm-start, attach the journal and progress/plateau, run the tuner,
-// close the journal, verify a zero-budget replay was complete, save the model
-// checkpoint and publish the bests.
+// hooks, check the pretraining log matches, seed the cost models, warm-start,
+// attach the journal and progress/plateau, run the tuner, close the journal,
+// verify a zero-budget replay was complete, save the model checkpoint and
+// publish the bests.
 func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, error) {
 	var res sessionResult
 	hooks, closeHooks, err := o.hooks()
@@ -717,9 +688,6 @@ func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, err
 	plat := tasks[0].Plat
 	if err := checkPretrainMatches(hooks.Pretrain, o.PretrainFrom, tasks); err != nil {
 		return res, err
-	}
-	if o.Transfer {
-		hooks.Transfer = &transferProvider{reg: o.Registry, target: plat.Name, scheduler: o.Scheduler}
 	}
 	names := make([]string, len(tasks))
 	for i, t := range tasks {
@@ -837,7 +805,6 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 		SearchSeconds:    tuner.CostSec(),
 		BestLog:          append([]float64(nil), task.BestLog...),
 		WarmStarted:      res.warmed > 0,
-		WarmTransfer:     task.TransferDonor,
 		CostModelSamples: task.Cost.Len(),
 		CostModelRefits:  task.CostRefits,
 		Pretrained:       task.Pretrained,
@@ -875,9 +842,6 @@ type NetworkResult struct {
 	// WarmStarted is the number of subgraph tasks seeded from
 	// Options.ResumeFrom's cached records.
 	WarmStarted int
-	// WarmTransfers is the number of subgraph tasks warm-started from a
-	// transfer donor key via Options.Transfer.
-	WarmTransfers int
 	// Pretrained is the number of subgraph tasks whose cost model carried
 	// offline knowledge (Options.PretrainFrom or Options.ModelIn) before the
 	// first round; CostModelSamples and CostModelRefits sum the per-task
@@ -1004,9 +968,6 @@ func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o
 		task := pnt.MT.Tasks[i]
 		out.CostModelSamples += task.Cost.Len()
 		out.CostModelRefits += task.CostRefits
-		if task.TransferDonor != "" {
-			out.WarmTransfers++
-		}
 		out.Breakdown = append(out.Breakdown, SubgraphReport{
 			Name:         b.Name,
 			Weight:       b.Weight,

@@ -18,7 +18,6 @@ import (
 
 	"harl/internal/costmodel"
 	"harl/internal/pretrain"
-	"harl/internal/schedule"
 	"harl/internal/search"
 	"harl/internal/tunelog"
 )
@@ -108,29 +107,6 @@ type TuneHooks struct {
 	// evaluation reproduces the in-process values bit-exactly, so the hook
 	// changes where measurement runs, never what the journal records.
 	Evaluators EvaluatorProvider
-	// Transfer, when non-nil, supplies cross-key warm starts for tasks whose
-	// own (workload, target) registry key missed: a donor cost model cloned
-	// into the task plus the donor's best schedule queued as an unmeasured
-	// first candidate. Donor selection is deterministic (see
-	// registry.SelectDonor), so transfer preserves the worker-invariance
-	// contract.
-	Transfer TransferProvider
-}
-
-// TransferSeed is what a transfer donor contributes to a cold task: a model
-// fitted over donor samples (cloned per task; nil to skip model seeding), an
-// unmeasured warm-start candidate reconstructed from the donor's best
-// serialized steps, and the donor's registry key for reporting.
-type TransferSeed struct {
-	Model *costmodel.Model
-	Seed  *schedule.Schedule
-	Donor string
-}
-
-// TransferProvider resolves cross-key transfer seeds. A nil result means no
-// usable donor (including: the task's own key hit, so transfer is moot).
-type TransferProvider interface {
-	TransferFor(t *search.Task) *TransferSeed
 }
 
 // EvaluatorProvider hands out per-task remote measurement clients. It is an
@@ -159,19 +135,6 @@ func seedCostModel(t *search.Task, hooks TuneHooks) {
 	}
 	if hooks.Pretrain != nil {
 		pretrain.SeedTask(hooks.Pretrain, t)
-	}
-	if hooks.Transfer != nil {
-		if ts := hooks.Transfer.TransferFor(t); ts != nil {
-			// A donor model only fills a cold slot: explicit checkpoints and
-			// journal replays above carry key-exact knowledge and win.
-			if ts.Model != nil && t.Cost.Len() == 0 {
-				if d := ts.Model.Dim(); d == 0 || d == t.FeatureDim() {
-					t.SetCostModel(ts.Model.Clone())
-				}
-			}
-			t.SeedCandidate(ts.Seed)
-			t.TransferDonor = ts.Donor
-		}
 	}
 }
 

@@ -270,14 +270,8 @@ func (r *Registry) ImportJournal(path string) (int, error) {
 func (r *Registry) Len() int { return r.b.Len() }
 
 // Records returns a copy of the current best records, sorted by key — the
-// stable enumeration order the index file uses.
-func (r *Registry) Records() []tunelog.Record {
-	recs, err := r.b.Records()
-	if err != nil {
-		return nil
-	}
-	return recs
-}
+// stable enumeration order the index file uses — or the backend's read error.
+func (r *Registry) Records() ([]tunelog.Record, error) { return r.b.Records() }
 
 // Layout reports the storage layout backing this registry.
 func (r *Registry) Layout() Layout { return r.b.Layout() }

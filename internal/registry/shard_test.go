@@ -29,6 +29,29 @@ func countLines(t *testing.T, path string) int {
 	return strings.Count(string(data), "\n")
 }
 
+// records is Registry.Records, failing the test on a read error.
+func records(t *testing.T, r *Registry) []tunelog.Record {
+	t.Helper()
+	recs, err := r.Records()
+	if err != nil {
+		t.Fatalf("Records: %v", err)
+	}
+	return recs
+}
+
+// sameBests fails the test unless got holds exactly want's records, in order.
+func sameBests(t *testing.T, what string, got, want []tunelog.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d bests, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: best %d diverged:\n got %+v\nwant %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 func TestMigrateSingleToSharded(t *testing.T) {
 	dir := t.TempDir()
 	v1 := openLayout(t, dir, LayoutSingle)
@@ -49,7 +72,7 @@ func TestMigrateSingleToSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	heal.Force = true
-	want := v1.Records()
+	want := records(t, v1)
 	if err := v1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +94,7 @@ func TestMigrateSingleToSharded(t *testing.T) {
 	}
 	// The rebuild from shard journals must be record-for-record identical,
 	// Force heal included.
-	got := r.Records()
-	if len(got) != len(want) {
-		t.Fatalf("migrated registry has %d bests, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("best %d diverged after migration:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
+	sameBests(t, "after migration", records(t, r), want)
 	if rec, ok := resolve(t, r, "w@m1", heal.Target, "harl"); !ok || rec != heal {
 		t.Fatalf("heal lost in migration: %+v, %v", rec, ok)
 	}
@@ -130,7 +145,7 @@ func TestInterruptedMigrationResumes(t *testing.T) {
 				if err := v1.Replace(synthRecord("w@im-00", "harl", 5e-4, 13)); err != nil {
 					t.Fatal(err)
 				}
-				want := v1.Records()
+				want := records(t, v1)
 				if err := v1.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -148,12 +163,7 @@ func TestInterruptedMigrationResumes(t *testing.T) {
 				if r.Len() != len(want) {
 					t.Fatalf("reopen after interrupted migration sees %d keys, want %d", r.Len(), len(want))
 				}
-				got := r.Records()
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("best %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
-					}
-				}
+				sameBests(t, "after resumed migration", records(t, r), want)
 				if _, err := os.Stat(filepath.Join(dir, JournalFile)); !os.IsNotExist(err) {
 					t.Fatalf("v1 journal still at the root: %v", err)
 				}
@@ -262,7 +272,7 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 		t.Fatalf("no compaction after 15 records over 1 key (min %d, factor %g): %+v",
 			sb.compactMin, sb.compactFactor, st)
 	}
-	want := r.Records()
+	want := records(t, r)
 	if got, ok := resolve(t, r, "w@hot", heal.Target, "harl"); !ok || got != heal {
 		t.Fatalf("live resolve after compaction = %+v, %v; want the heal", got, ok)
 	}
@@ -281,15 +291,7 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 	// on the identical best map.
 	fresh := openLayout(t, dir, LayoutSharded)
 	defer fresh.Close()
-	got := fresh.Records()
-	if len(got) != len(want) {
-		t.Fatalf("rebuild has %d bests, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("best %d diverged after compaction rebuild:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
+	sameBests(t, "after compaction rebuild", records(t, fresh), want)
 	if rec, ok := resolve(t, fresh, "w@hot", heal.Target, "harl"); !ok || rec != heal {
 		t.Fatalf("heal lost across compaction rebuild: %+v, %v", rec, ok)
 	}
@@ -412,7 +414,7 @@ func TestShardCacheBoundsResidency(t *testing.T) {
 			t.Fatalf("%d resident shards after resolving %s, cache cap 2", st.ResidentShards, rec.Workload)
 		}
 	}
-	if got := r.Records(); len(got) != keys {
+	if got := records(t, r); len(got) != keys {
 		t.Fatalf("Records covers %d keys, want %d", len(got), keys)
 	}
 	// Records loads every shard; the bound must hold afterwards too.

@@ -348,20 +348,16 @@ func (mt *MultiTuner) selectWave(width int) []int {
 // wave runs one scheduling wave — an engine round on every selected task,
 // concurrently — within the remaining trial budget (> 0): per-task round sizes
 // are clamped serially, at the barrier, in selection order, so the wave as a
-// whole charges at most remaining trials. A task's pending transfer seeds are
-// measured ahead of its round and charged like any trial, so they come out of
-// its cap: the budget lands exactly even when the wave that measures a seed is
-// also the last one, and a task the seeds of earlier ones left nothing for is
-// not advanced.
+// whole charges at most remaining trials, and a task the tasks before it left
+// nothing for is not advanced.
 func (mt *MultiTuner) wave(width, remaining int) {
 	sel := mt.selectWave(width)
 	caps := make([]int, 0, len(sel))
-	for _, a := range sel {
+	for range sel {
 		if remaining <= 0 {
 			break
 		}
-		remaining -= len(mt.Tasks[a].seedCands)
-		k := min(mt.Cfg.RoundTrials, max(remaining, 0))
+		k := min(mt.Cfg.RoundTrials, remaining)
 		remaining -= k
 		caps = append(caps, k)
 	}
@@ -369,12 +365,7 @@ func (mt *MultiTuner) wave(width, remaining int) {
 	mt.pool.Run(len(sel), func(j int) {
 		a := sel[j]
 		t := mt.Tasks[a]
-		// Transfer warm-start candidates are measured ahead of the task's
-		// first engine round; a no-op on every later wave. The flush happens
-		// inside the task's own pool slot, so it stays serial per task and
-		// worker-invariant like the round itself.
-		t.FlushSeedCandidates()
-		if caps[j] > 0 && mt.Engines[a].RunRound(t, caps[j]) == 0 {
+		if mt.Engines[a].RunRound(t, caps[j]) == 0 {
 			// The round produced nothing new (space exhausted or all
 			// duplicates); inject random exploration so waves make progress.
 			t.ExploreRandom(caps[j])

@@ -24,28 +24,30 @@ func runMulti(t *testing.T, graphs []*texpr.Subgraph, mk func() Engine, cfg Mult
 	return mt
 }
 
+// The wave clamp lands every budget exactly — below one round, below one
+// wave, on a round boundary and past one — and a budget that covers a round
+// per task visits every task.
 func TestMultiTunerHonorsBudget(t *testing.T) {
-	cfg := DefaultMultiTunerConfig()
-	cfg.RoundTrials = 8
-	mt := runMulti(t, bertGraphs(t), func() Engine { return NewRandom() }, cfg, 3, 120)
-	if mt.Trials() < 120 {
-		t.Fatalf("budget not exhausted: %d trials", mt.Trials())
-	}
-	// The final wave is width-capped, so the overshoot stays below one full
-	// wave of rounds.
-	if mt.Trials() > 120+len(mt.Tasks)*cfg.RoundTrials {
-		t.Fatalf("excessive overshoot: %d trials", mt.Trials())
-	}
-	for i, task := range mt.Tasks {
-		if task.Trials > 0 && task.Best == nil {
-			t.Fatalf("task %d measured but has no best", i)
+	for _, rt := range []int{8, 16} {
+		for _, budget := range []int{1, 7, 20, 120, 161} {
+			cfg := DefaultMultiTunerConfig()
+			cfg.RoundTrials = rt
+			mt := runMulti(t, bertGraphs(t), func() Engine { return NewRandom() }, cfg, 3, budget)
+			if mt.Trials() != budget {
+				t.Errorf("RoundTrials %d, budget %d: spent %d trials", rt, budget, mt.Trials())
+			}
+			for i, task := range mt.Tasks {
+				if task.Trials > 0 && task.Best == nil {
+					t.Fatalf("RoundTrials %d, budget %d: task %d measured but has no best", rt, budget, i)
+				}
+			}
+			if budget >= len(mt.Tasks)*rt && math.IsInf(mt.EstimatedExec(), 1) {
+				t.Errorf("RoundTrials %d, budget %d: every task must be visited (estimated exec finite)", rt, budget)
+			}
+			if mt.CostSec() <= 0 {
+				t.Fatalf("RoundTrials %d, budget %d: search cost must accumulate", rt, budget)
+			}
 		}
-	}
-	if math.IsInf(mt.EstimatedExec(), 1) {
-		t.Fatal("every task must be visited (estimated exec finite)")
-	}
-	if mt.CostSec() <= 0 {
-		t.Fatal("search cost must accumulate")
 	}
 }
 

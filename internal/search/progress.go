@@ -48,8 +48,8 @@ func OperatorProgress(fn func(Progress)) func(Progress) {
 
 // TuneSession runs the engine on one task until the measurement budget is
 // exhausted: the one-task case of MultiTuner.RunCtx, so the round loop, the
-// exact-budget clamp, the transfer-seed flush, the stalled-space exit and the
-// cancellation points are the network path's. The context is checked at round
+// exact-budget clamp, the stalled-space exit and the cancellation points are
+// the network path's. The context is checked at round
 // boundaries: a cancelled session stops after its in-flight round commits —
 // every measurement accounted (best logs, training set, OnMeasure journal
 // callbacks), the task resumable — and TuneSession returns true. After every

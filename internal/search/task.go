@@ -78,10 +78,6 @@ type Task struct {
 	// the measurer and passed to OnMeasure.
 	Trials int
 
-	// TransferDonor, when non-empty, names the registry key (workload@target)
-	// whose knowledge warm-started this task via cross-key transfer.
-	TransferDonor string
-
 	// BestLog records the task-local best execution time after every trial,
 	// and TrialCost the global search-time at that trial (for time-to-target
 	// metrics in network tuning).
@@ -103,7 +99,6 @@ type Task struct {
 
 	costStale bool // a committed version FittedCost has not fitted yet
 	measured  map[uint64]bool
-	seedCands []*schedule.Schedule
 }
 
 // BatchEvaluator evaluates one measurement batch, possibly out of process: it
@@ -239,29 +234,6 @@ func (t *Task) MeasureBatch(scheds []*schedule.Schedule) []float64 {
 		t.refitCost()
 	}
 	return out
-}
-
-// SeedCandidate queues an unmeasured warm-start candidate (the transfer
-// path's donor-best schedule) to be measured ahead of the first engine round
-// by FlushSeedCandidates. Already-measured configurations are dropped.
-func (t *Task) SeedCandidate(s *schedule.Schedule) {
-	if s == nil || t.measured[s.Key()] {
-		return
-	}
-	t.seedCands = append(t.seedCands, s)
-}
-
-// FlushSeedCandidates measures any queued warm-start candidates through the
-// normal MeasureBatch path (real measurements, charged trials) and clears
-// the queue. MultiTuner.wave calls it at a deterministic point before each
-// task's engine round; it is a cheap no-op after the first.
-func (t *Task) FlushSeedCandidates() {
-	if len(t.seedCands) == 0 {
-		return
-	}
-	batch := t.seedCands
-	t.seedCands = nil
-	t.MeasureBatch(batch)
 }
 
 // evalRemote dispatches the batch's fresh trials to the remote evaluator,

@@ -348,5 +348,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE harl_fleet_fallbacks_total counter\nharl_fleet_fallbacks_total %d\n", fs.Fallbacks)
 	}
 	fmt.Fprintf(w, "# TYPE harl_trials_measured_total counter\nharl_trials_measured_total %d\n", m.TrialsMeasured)
-	fmt.Fprintf(w, "# TYPE harl_transfer_warmstarts_total counter\nharl_transfer_warmstarts_total %d\n", m.TransferWarmstarts)
 }

@@ -96,13 +96,8 @@ type Outcome struct {
 	GFLOPS      float64 `json:"gflops,omitempty"`
 	// Trials is the measured-trial count (the budget the search spent).
 	// Measured repeats it: the field is part of the v1 wire format.
-	Trials   int `json:"trials"`
-	Measured int `json:"measured"`
-	// WarmTransfer names the donor registry key that warm-started an
-	// operator job via cross-key transfer; WarmTransfers counts the
-	// transfer-seeded subgraph tasks of a network job.
-	WarmTransfer  string  `json:"warm_transfer,omitempty"`
-	WarmTransfers int     `json:"warm_transfers,omitempty"`
+	Trials        int     `json:"trials"`
+	Measured      int     `json:"measured"`
 	SearchSeconds float64 `json:"search_seconds"`
 	BestSchedule  string  `json:"best_schedule,omitempty"`
 	// CacheHit reports the result came from the registry without measuring;
@@ -167,14 +162,11 @@ type Metrics struct {
 	RegistryHits   int `json:"registry_hits"`
 	RegistryMisses int `json:"registry_misses"`
 	RegistryErrors int `json:"registry_errors"`
-	// TrialsMeasured sums the schedules finished jobs measured — the
-	// compute the service actually spent — and TransferWarmstarts the
-	// sessions (operator jobs) or subgraph tasks (network jobs) a cross-key
-	// transfer donor warm-started.
-	TrialsMeasured     int `json:"trials_measured"`
-	TransferWarmstarts int `json:"transfer_warmstarts"`
-	QueueDepth         int `json:"queue_depth"`
-	Running            int `json:"running"`
+	// TrialsMeasured sums the schedules finished (done or cancelled) jobs
+	// measured — the compute the service actually spent.
+	TrialsMeasured int `json:"trials_measured"`
+	QueueDepth     int `json:"queue_depth"`
+	Running        int `json:"running"`
 }
 
 // maxRetainedJobs bounds how many finished (done/failed/cancelled) jobs the
@@ -331,12 +323,12 @@ func (q *Queue) worker() {
 			j.State = StateCancelled
 			j.Outcome = &out
 			q.m.Cancelled++
-			q.foldSavingsLocked(out)
+			q.m.TrialsMeasured += out.Measured
 		default:
 			j.State = StateDone
 			j.Outcome = &out
 			q.m.Done++
-			q.foldSavingsLocked(out)
+			q.m.TrialsMeasured += out.Measured
 			if out.PlateauStopped {
 				q.m.PlateauStopped++
 			}
@@ -349,17 +341,6 @@ func (q *Queue) worker() {
 		}
 		q.finishLocked(j)
 		q.mu.Unlock()
-	}
-}
-
-// foldSavingsLocked accumulates a finished (done or cancelled) outcome's
-// measurement accounting into the queue metrics: measured trials and
-// transfer warm starts. Caller holds q.mu.
-func (q *Queue) foldSavingsLocked(out Outcome) {
-	q.m.TrialsMeasured += out.Measured
-	q.m.TransferWarmstarts += out.WarmTransfers
-	if out.WarmTransfer != "" {
-		q.m.TransferWarmstarts++
 	}
 }
 

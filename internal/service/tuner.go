@@ -29,11 +29,6 @@ type HarlTuner struct {
 	// changes results — which is also why it is not part of the coalescing
 	// key.
 	Fleet *harl.Fleet
-	// Transfer, when set (harl-serve -transfer; requires Registry), gives
-	// every session cross-key transfer warm starts: a registry miss scans
-	// for a donor key instead of starting cold. It is a daemon-wide policy,
-	// constant across requests, so it is not part of the coalescing key.
-	Transfer bool
 }
 
 // plateau resolves a normalized request's effective early-stop policy
@@ -139,7 +134,6 @@ func (h *HarlTuner) Tune(ctx context.Context, req Request, progress func(harl.Pr
 		OnProgress: progress,
 		Plateau:    h.plateau(req),
 		FleetPool:  h.Fleet,
-		Transfer:   h.Transfer && h.Registry != nil,
 	}
 	if isNet {
 		res, err := harl.TuneNetworkContext(ctx, req.Network, req.Batch, tgt, opts)
@@ -160,7 +154,6 @@ func (h *HarlTuner) Tune(ctx context.Context, req Request, progress func(harl.Pr
 			ExecSeconds:    exec,
 			Trials:         res.Trials,
 			Measured:       res.Trials,
-			WarmTransfers:  res.WarmTransfers,
 			SearchSeconds:  res.SearchSeconds,
 			CacheHit:       res.Trials == 0 && res.CacheHits == len(res.Breakdown),
 			Cancelled:      res.Cancelled,
@@ -179,7 +172,6 @@ func (h *HarlTuner) Tune(ctx context.Context, req Request, progress func(harl.Pr
 		GFLOPS:         res.GFLOPS,
 		Trials:         res.Trials,
 		Measured:       res.Trials,
-		WarmTransfer:   res.WarmTransfer,
 		SearchSeconds:  res.SearchSeconds,
 		BestSchedule:   res.BestSchedule,
 		CacheHit:       res.CacheHit,
