@@ -3,7 +3,8 @@
 #   make           — vet + build + unit tests
 #   make fmt       — gofmt the whole tree in place
 #   make lint      — the determinism lint suite (internal/lint) as a vet
-#                    tool over every package including tests, plus
+#                    tool over every package including tests, then its
+#                    whole-program deadexport pass over ./..., plus
 #                    staticcheck when it is on PATH
 #   make race      — the full suite under the race detector (the merge gate
 #                    for anything touching the concurrent tuning engine)
@@ -56,10 +57,12 @@ vet:
 # Running the suite through `go vet -vettool` (rather than standalone) rides
 # vet's per-package result cache and covers _test.go-adjacent packages; the
 # binary's -V=full content hash invalidates the cache when analyzers change.
+# deadexport needs every package's uses at once, so it runs standalone.
 # staticcheck is optional locally (CI installs a pinned version).
 lint:
 	$(GO) build -o bin/harl-lint ./cmd/harl-lint
 	$(GO) vet -vettool=bin/harl-lint ./...
+	bin/harl-lint -only deadexport ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck -checks=SA ./..."; \
 		staticcheck -checks=SA ./...; \
@@ -101,6 +104,6 @@ fuzz:
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 16793 ]; then echo "make loc: $$n lines, above the 16793 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 16775 ]; then echo "make loc: $$n lines, above the 16775 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

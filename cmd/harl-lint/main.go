@@ -5,6 +5,11 @@
 //
 //	harl-lint [-only detrand,maporder] [packages...]
 //
+// The whole-program deadexport pass runs only standalone and only when named,
+// over the whole module (it must see every use):
+//
+//	harl-lint -only deadexport ./...
+//
 // As a vet tool, so the suite rides the go toolchain's per-package caching
 // and covers test files:
 //
@@ -79,19 +84,19 @@ func standalone(only string, patterns []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	analyzers, full := selectAnalyzers(only)
-	if analyzers == nil {
-		fmt.Fprintf(os.Stderr, "harl-lint: unknown analyzer in -only=%s\n", only)
-		return 1
-	}
 	pkgs, err := lint.Load(root, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	analyzers := selectAnalyzers(only, pkgs)
+	if analyzers == nil {
+		fmt.Fprintf(os.Stderr, "harl-lint: unknown analyzer in -only=%s\n", only)
+		return 1
+	}
 	found := 0
 	for _, pkg := range pkgs {
-		diags, err := lint.Run(pkg, analyzers, lint.Options{ReportStaleAllows: full})
+		diags, err := lint.Run(pkg, analyzers, lint.Options{ReportStaleAllows: true})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -108,12 +113,12 @@ func standalone(only string, patterns []string) int {
 	return 0
 }
 
-// selectAnalyzers resolves -only, reporting whether the full suite runs
-// (stale-allow checking is only meaningful then).
-func selectAnalyzers(only string) ([]*lint.Analyzer, bool) {
+// selectAnalyzers resolves -only (nil for an unknown name). The empty list
+// is the per-package suite; deadexport runs only when named, over pkgs.
+func selectAnalyzers(only string, pkgs []*lint.Package) []*lint.Analyzer {
 	suite := lint.Suite()
 	if only == "" {
-		return suite, true
+		return suite
 	}
 	byName := make(map[string]*lint.Analyzer, len(suite))
 	for _, a := range suite {
@@ -121,13 +126,17 @@ func selectAnalyzers(only string) ([]*lint.Analyzer, bool) {
 	}
 	var out []*lint.Analyzer
 	for _, name := range strings.Split(only, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
+		name = strings.TrimSpace(name)
+		a, ok := byName[name]
+		if name == "deadexport" {
+			a, ok = lint.NewDeadexport(pkgs), true
+		}
 		if !ok {
-			return nil, false
+			return nil
 		}
 		out = append(out, a)
 	}
-	return out, false
+	return out
 }
 
 // vetConfig is the package description cmd/go hands a vet tool — the same

@@ -50,9 +50,6 @@ type Target struct {
 // AVX-512).
 func CPU() Target { return Target{hardware.CPUXeon6226R()} }
 
-// GPU returns the paper's GPU platform (NVIDIA RTX 3090 class).
-func GPU() Target { return Target{hardware.GPURTX3090()} }
-
 // TargetByName resolves a platform short name (see Targets).
 func TargetByName(name string) (Target, error) {
 	if p := hardware.ByName(name); p != nil {
@@ -106,13 +103,6 @@ func Conv3D(d, h, w, cin, cout, kernel, stride, pad, batch int) Workload {
 // ConvT2D builds a transposed 2-D convolution workload.
 func ConvT2D(h, w, cin, cout, kernel, stride, pad, batch int) Workload {
 	return Workload{workload.ConvT2D(fmt.Sprintf("T2D-%dx%d-%d-%d-b%d", h, w, cin, cout, batch), batch, h, w, cin, cout, kernel, stride, pad)}
-}
-
-// FusedGEMM builds a GEMM followed by a fused elementwise epilogue (bias +
-// activation with the given per-element FLOP cost), exercising the sketch
-// generator's Tiling-with-Fusion rule.
-func FusedGEMM(m, k, n, batch int, epilogueFLOPs float64) Workload {
-	return Workload{workload.GEMMEpilogue(fmt.Sprintf("GEMM+ep-%dx%dx%d", m, k, n), batch, m, k, n, epilogueFLOPs)}
 }
 
 // TableSixWorkloads returns the four Table-6 configurations of an operator
@@ -502,21 +492,6 @@ func OpenRegistryOptions(dir string, o RegistryOptions) (*Registry, error) {
 // force-replaces the poisoned key — unlike any other Lookup error, which
 // reports the registry itself unreadable.
 var ErrRecordBroken = errors.New("harl: registry record does not reconstruct")
-
-// Resolve returns the registry's best record for the workload on the target
-// under the given scheduler preset ("" matches every preset, returning the
-// overall best). The error reports an unreadable registry — distinct from a
-// plain miss.
-func (r *Registry) Resolve(w Workload, t Target, scheduler string) (Record, bool, error) {
-	rec, ok, err := r.reg.Resolve(w.sg.Fingerprint(), t.plat.Name, scheduler)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("harl: registry read: %w", err)
-	}
-	if !ok {
-		return Record{}, false, nil
-	}
-	return fromInternalRecord(rec), true, nil
-}
 
 // SavedSchedule is a registry hit rendered for consumption: the stored
 // record plus the reconstructed schedule and its noise-free performance.

@@ -98,7 +98,11 @@ func TestTuneOperatorReproducible(t *testing.T) {
 }
 
 func TestTargets(t *testing.T) {
-	if CPU().Name() == GPU().Name() {
+	gpu, err := TargetByName("gpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if CPU().Name() == gpu.Name() {
 		t.Fatal("targets must differ")
 	}
 	if _, err := TargetByName("cpu"); err != nil {
@@ -116,7 +120,6 @@ func TestWorkloadConstructors(t *testing.T) {
 		Conv2D(56, 56, 64, 64, 1, 1, 0, 1),
 		Conv3D(16, 14, 14, 256, 256, 3, 1, 1, 1),
 		ConvT2D(4, 4, 512, 256, 4, 2, 1, 1),
-		FusedGEMM(128, 128, 128, 1, 4),
 	} {
 		if w.FLOPs() <= 0 {
 			t.Fatalf("%s: non-positive FLOPs", w.Name())
@@ -718,7 +721,11 @@ func TestPretrainMismatchErrors(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "pretrain") {
 		t.Fatalf("foreign workload pretrain must error, got %v", err)
 	}
-	if _, err := TuneOperator(pretrainWorkload(), GPU(), Options{
+	gpu, err := TargetByName("gpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TuneOperator(pretrainWorkload(), gpu, Options{
 		Scheduler: "random", Trials: 16, PretrainFrom: committedPretrainJournal,
 	}); err == nil {
 		t.Fatal("foreign target pretrain must error")

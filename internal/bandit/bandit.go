@@ -1,8 +1,6 @@
-// Package bandit implements the non-stationary multi-armed-bandit policies of
-// HARL's high-level decisions: Sliding-Window Upper-Confidence-Bound (SW-UCB,
-// Eq. 1 of the paper) for subgraph and sketch selection, plus the greedy,
-// uniform and stationary-UCB policies used by the Ansor baseline and the
-// ablation studies.
+// Package bandit implements the non-stationary multi-armed bandit of HARL's
+// high-level decisions: Sliding-Window Upper-Confidence-Bound (SW-UCB, Eq. 1
+// of the paper) for subgraph and sketch selection.
 //
 // SW-UCB selects O_t = argmax_a ( Q_t(τ,a) + c·sqrt( ln(min(t,τ)) / N_t(τ,a) ) ),
 // where Q averages the rewards of arm a inside a sliding window of size τ and
@@ -16,16 +14,6 @@ import (
 
 	"harl/internal/xrand"
 )
-
-// Policy is a sequential arm-selection strategy.
-type Policy interface {
-	// Select returns the arm to pull at the current step.
-	Select() int
-	// Update records the observed reward of a pulled arm.
-	Update(arm int, reward float64)
-	// Name identifies the policy in experiment output.
-	Name() string
-}
 
 // SWUCB is the sliding-window UCB policy of Eq. 1.
 type SWUCB struct {
@@ -51,9 +39,6 @@ func NewSWUCB(arms int, c float64, window int, rng *xrand.RNG) *SWUCB {
 	}
 	return &SWUCB{C: c, Window: window, arms: arms, rng: rng}
 }
-
-// Name implements Policy.
-func (b *SWUCB) Name() string { return "sw-ucb" }
 
 // windowStats returns per-arm pull counts and mean rewards in the window.
 func (b *SWUCB) windowStats() (counts []int, means []float64) {
@@ -103,117 +88,12 @@ func (b *SWUCB) Select() int {
 	return best[b.rng.Intn(len(best))]
 }
 
-// Update implements Policy: the pull enters the sliding window, evicting the
-// oldest entry beyond τ.
+// Update records the reward of a pulled arm: the pull enters the sliding
+// window, evicting the oldest entry beyond τ.
 func (b *SWUCB) Update(arm int, reward float64) {
 	b.t++
 	b.hist = append(b.hist, pull{arm, reward})
 	if len(b.hist) > b.Window {
 		b.hist = b.hist[1:]
 	}
-}
-
-// Counts returns the all-time pull counts per arm (for allocation reporting).
-func (b *SWUCB) Counts() []int {
-	counts, _ := b.windowStats()
-	return counts
-}
-
-// Greedy always selects the arm with the best running mean reward — the
-// deterministic selection Ansor's task scheduler applies to its gradient
-// estimates (the "Greedy Selection / Greedy Allocation" rows of Table 1).
-type Greedy struct {
-	sums   []float64
-	counts []int
-	rng    *xrand.RNG
-}
-
-// NewGreedy creates a greedy policy over the given number of arms.
-func NewGreedy(arms int, rng *xrand.RNG) *Greedy {
-	return &Greedy{sums: make([]float64, arms), counts: make([]int, arms), rng: rng}
-}
-
-// Name implements Policy.
-func (g *Greedy) Name() string { return "greedy" }
-
-// Select implements Policy: argmax of mean reward, unexplored arms first.
-func (g *Greedy) Select() int {
-	for a, n := range g.counts {
-		if n == 0 {
-			return a
-		}
-	}
-	best, bestV := 0, math.Inf(-1)
-	for a := range g.sums {
-		if v := g.sums[a] / float64(g.counts[a]); v > bestV {
-			best, bestV = a, v
-		}
-	}
-	return best
-}
-
-// Update implements Policy.
-func (g *Greedy) Update(arm int, reward float64) {
-	g.sums[arm] += reward
-	g.counts[arm]++
-}
-
-// Uniform selects arms uniformly at random — Ansor's sketch selection.
-type Uniform struct {
-	arms int
-	rng  *xrand.RNG
-}
-
-// NewUniform creates a uniform policy.
-func NewUniform(arms int, rng *xrand.RNG) *Uniform { return &Uniform{arms: arms, rng: rng} }
-
-// Name implements Policy.
-func (u *Uniform) Name() string { return "uniform" }
-
-// Select implements Policy.
-func (u *Uniform) Select() int { return u.rng.Intn(u.arms) }
-
-// Update implements Policy (no state).
-func (u *Uniform) Update(int, float64) {}
-
-// UCB1 is the classic stationary UCB policy, included for ablations against
-// the sliding-window variant on non-stationary reward streams.
-type UCB1 struct {
-	C      float64
-	sums   []float64
-	counts []int
-	t      int
-	rng    *xrand.RNG
-}
-
-// NewUCB1 creates a stationary UCB1 policy.
-func NewUCB1(arms int, c float64, rng *xrand.RNG) *UCB1 {
-	return &UCB1{C: c, sums: make([]float64, arms), counts: make([]int, arms), rng: rng}
-}
-
-// Name implements Policy.
-func (u *UCB1) Name() string { return "ucb1" }
-
-// Select implements Policy.
-func (u *UCB1) Select() int {
-	for a, n := range u.counts {
-		if n == 0 {
-			return a
-		}
-	}
-	best, bestV := 0, math.Inf(-1)
-	for a := range u.sums {
-		v := u.sums[a]/float64(u.counts[a]) + u.C*math.Sqrt(math.Log(float64(u.t))/float64(u.counts[a]))
-		if v > bestV {
-			best, bestV = a, v
-		}
-	}
-	return best
-}
-
-// Update implements Policy.
-func (u *UCB1) Update(arm int, reward float64) {
-	u.t++
-	u.sums[arm] += reward
-	u.counts[arm]++
 }

@@ -43,7 +43,7 @@ func tuneWithJournal(t *testing.T, workers, budget int, warm *tunelog.Database) 
 	var buf bytes.Buffer
 	jr := tunelog.NewJournal(&buf)
 	res := tuneOperator(t, workload.GEMM("g", 1, 128, 128, 128), hardware.CPUXeon6226R(), "harl", budget, 5, workers, warm, jr)
-	if err := jr.Err(); err != nil {
+	if err := jr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return res, buf.Bytes()
@@ -179,7 +179,7 @@ func TestParallelNetworkJournalWorkerInvariance(t *testing.T) {
 		jr := tunelog.NewJournal(&buf)
 		pnt.AttachJournal(jr, 3)
 		pnt.RunCtx(context.Background(), 330)
-		if err := jr.Err(); err != nil {
+		if err := jr.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -204,7 +204,7 @@ func TestNetworkTunerJournalAndWarmStart(t *testing.T) {
 	jr := tunelog.NewJournal(&buf)
 	nt.AttachJournal(jr, 3)
 	nt.RunCtx(context.Background(), 330)
-	if err := jr.Err(); err != nil {
+	if err := jr.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -138,7 +138,7 @@ func TestMeasureBatchViaRemote(t *testing.T) {
 	if local.BestExec != remote.BestExec {
 		t.Fatalf("best exec diverged: local %v, remote %v", local.BestExec, remote.BestExec)
 	}
-	ll, rl := local.Meas.BestLog(), remote.Meas.BestLog()
+	ll, rl := local.BestLog, remote.BestLog
 	if len(ll) != len(rl) {
 		t.Fatalf("log lengths diverged: %d vs %d", len(ll), len(rl))
 	}

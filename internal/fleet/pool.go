@@ -211,16 +211,12 @@ func (p *Pool) EvaluatorFor(t *search.Task) search.BatchEvaluator {
 	if !served {
 		return nil
 	}
-	spec, err := json.Marshal(SpecOf(t.Graph))
-	if err != nil {
-		return nil
-	}
 	return &RemoteMeasurer{
 		pool:      p,
 		target:    target,
 		workload:  t.Graph.Fingerprint(),
 		noiseSeed: t.Meas.NoiseSeed(),
-		spec:      spec,
+		spec:      SpecOf(t.Graph),
 	}
 }
 

@@ -26,7 +26,7 @@ type RemoteMeasurer struct {
 	target    string
 	workload  string
 	noiseSeed uint64
-	spec      json.RawMessage // pre-marshaled SubgraphSpec
+	spec      SubgraphSpec
 }
 
 // EvalBatch dispatches one measure batch: it leases a healthy worker, runs
@@ -40,7 +40,14 @@ func (r *RemoteMeasurer) EvalBatch(scheds []*schedule.Schedule, seqs []uint64) (
 	for i, s := range scheds {
 		trials[i] = TrialSpec{Steps: s.MarshalSteps(), Seq: seqs[i]}
 	}
-	body, err := r.marshalRequest(trials)
+	body, err := json.Marshal(MeasureRequest{
+		V:         ProtocolVersion,
+		Workload:  r.workload,
+		Target:    r.target,
+		NoiseSeed: r.noiseSeed,
+		Subgraph:  r.spec,
+		Trials:    trials,
+	})
 	if err != nil {
 		r.pool.countFallback()
 		return nil, err
@@ -71,21 +78,6 @@ func (r *RemoteMeasurer) EvalBatch(scheds []*schedule.Schedule, seqs []uint64) (
 	}
 	r.pool.countFallback()
 	return nil, lastErr
-}
-
-func (r *RemoteMeasurer) marshalRequest(trials []TrialSpec) ([]byte, error) {
-	var sg SubgraphSpec
-	if err := json.Unmarshal(r.spec, &sg); err != nil {
-		return nil, fmt.Errorf("fleet: subgraph spec corrupt: %w", err)
-	}
-	return json.Marshal(MeasureRequest{
-		V:         ProtocolVersion,
-		Workload:  r.workload,
-		Target:    r.target,
-		NoiseSeed: r.noiseSeed,
-		Subgraph:  sg,
-		Trials:    trials,
-	})
 }
 
 // dispatch runs one measure RPC against one worker and validates the response

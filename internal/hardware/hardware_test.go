@@ -179,15 +179,12 @@ func TestGPUFasterOnBigGEMM(t *testing.T) {
 	}
 }
 
-func TestGFLOPSConsistent(t *testing.T) {
-	sim := NewSimulator(CPUXeon6226R())
-	rng := xrand.New(9)
-	g := workload.GEMM("g", 1, 512, 512, 512)
-	s := schedule.NewRandom(sketch.Generate(g)[0], 4, rng)
-	gf := sim.GFLOPS(s)
-	if want := g.FLOPs() / sim.Exec(s) / 1e9; math.Abs(gf-want) > 1e-9 {
-		t.Fatalf("GFLOPS %.3f want %.3f", gf, want)
-	}
+// measure runs one trial the way search.Task does: reserve the schedule's
+// repetition index, evaluate, commit.
+func measure(m *Measurer, s *schedule.Schedule) float64 {
+	noisy := m.NoisyExec(s, m.ReserveSeq(s.Key()))
+	m.Commit(noisy)
+	return noisy
 }
 
 func TestMeasurerNoiseAndAccounting(t *testing.T) {
@@ -198,14 +195,11 @@ func TestMeasurerNoiseAndAccounting(t *testing.T) {
 	exact := sim.Exec(s)
 	var devs float64
 	for i := 0; i < 50; i++ {
-		noisy := m.Measure(s)
+		noisy := measure(m, s)
 		devs += math.Abs(noisy-exact) / exact
 		if noisy <= 0 {
 			t.Fatal("non-positive measurement")
 		}
-	}
-	if m.Trials() != 50 {
-		t.Fatalf("trials %d", m.Trials())
 	}
 	// Noise should be small but non-zero on average.
 	avg := devs / 50
@@ -216,50 +210,25 @@ func TestMeasurerNoiseAndAccounting(t *testing.T) {
 	if m.CostSec() < 50*(m.CompileSec) {
 		t.Fatalf("cost %.1f too small", m.CostSec())
 	}
-	if len(m.BestLog()) != 50 || len(m.CostLog()) != 50 {
-		t.Fatal("logs not recorded per trial")
-	}
 }
 
-func TestMeasurerBestLogMonotone(t *testing.T) {
+// The split reserve/evaluate/commit API must agree with the measurement
+// function itself, NoisyExecSeeded (what a fleet worker computes): each
+// reservation of a schedule takes the next repetition index, and Commit
+// charges compile time plus at least three repeats.
+func TestMeasurerSplitAPIMatchesMeasure(t *testing.T) {
 	sim := NewSimulator(CPUXeon6226R())
-	rng := xrand.New(11)
-	m := NewMeasurer(sim, rng.Split())
-	for i := 0; i < 100; i++ {
-		m.Measure(randSchedule(rng))
-	}
-	log := m.BestLog()
-	for i := 1; i < len(log); i++ {
-		if log[i] > log[i-1] {
-			t.Fatal("best log must be non-increasing")
+	s := randSchedule(xrand.New(14))
+	m := NewMeasurer(sim, xrand.New(7))
+	for seq := uint64(0); seq < 3; seq++ {
+		if got, want := m.NoisyExec(s, m.ReserveSeq(s.Key())), NoisyExecSeeded(sim, s, m.NoiseSeed(), seq); got != want {
+			t.Fatalf("repetition %d: split API %v, NoisyExecSeeded %v", seq, got, want)
 		}
 	}
-	cost := m.CostLog()
-	for i := 1; i < len(cost); i++ {
-		if cost[i] < cost[i-1] {
-			t.Fatal("cost log must be non-decreasing")
-		}
-	}
-}
-
-func TestTimeToReach(t *testing.T) {
-	sim := NewSimulator(CPUXeon6226R())
-	rng := xrand.New(12)
-	m := NewMeasurer(sim, rng.Split())
-	for i := 0; i < 60; i++ {
-		m.Measure(randSchedule(rng))
-	}
-	best := m.BestExec()
-	sec, ok := m.TimeToReach(best)
-	if !ok || sec <= 0 || sec > m.CostSec() {
-		t.Fatalf("TimeToReach(best) = %f, %v", sec, ok)
-	}
-	if _, ok := m.TimeToReach(best / 100); ok {
-		t.Fatal("unreachable target reported reached")
-	}
-	n, ok := m.TrialsToReach(best)
-	if !ok || n < 1 || n > 60 {
-		t.Fatalf("TrialsToReach %d %v", n, ok)
+	noisy := NoisyExecSeeded(sim, s, m.NoiseSeed(), 0)
+	m.Commit(noisy)
+	if want := m.CompileSec + math.Max(3, math.Ceil(m.RepeatMinSec/noisy))*noisy; m.CostSec() != want {
+		t.Fatalf("Commit charged %v, want %v", m.CostSec(), want)
 	}
 }
 
@@ -311,50 +280,6 @@ func TestFusionBeatsUnfused(t *testing.T) {
 	}
 }
 
-func TestTimeToReachEdgeCases(t *testing.T) {
-	sim := NewSimulator(CPUXeon6226R())
-	m := NewMeasurer(sim, xrand.New(11))
-
-	// Empty log: nothing has been measured, nothing is reachable.
-	if sec, ok := m.TimeToReach(1e9); ok || sec != 0 {
-		t.Fatalf("empty log TimeToReach = (%v, %v)", sec, ok)
-	}
-	if n, ok := m.TrialsToReach(1e9); ok || n != 0 {
-		t.Fatalf("empty log TrialsToReach = (%v, %v)", n, ok)
-	}
-
-	rng := xrand.New(12)
-	for i := 0; i < 10; i++ {
-		m.Measure(randSchedule(rng))
-	}
-
-	// Unreachable target: report the full budget/trial count and false.
-	if sec, ok := m.TimeToReach(0); ok || sec != m.CostSec() {
-		t.Fatalf("unreachable TimeToReach = (%v, %v), cost %v", sec, ok, m.CostSec())
-	}
-	if n, ok := m.TrialsToReach(0); ok || n != m.Trials() {
-		t.Fatalf("unreachable TrialsToReach = (%v, %v)", n, ok)
-	}
-
-	// Exact-hit target: the final best value is reached at the trial where
-	// the best log first attains it, not at the end.
-	best := m.BestExec()
-	firstIdx := -1
-	for i, e := range m.BestLog() {
-		if e <= best {
-			firstIdx = i
-			break
-		}
-	}
-	sec, ok := m.TimeToReach(best)
-	if !ok || sec != m.CostLog()[firstIdx] {
-		t.Fatalf("exact-hit TimeToReach = (%v, %v), want (%v, true)", sec, ok, m.CostLog()[firstIdx])
-	}
-	if n, ok := m.TrialsToReach(best); !ok || n != firstIdx+1 {
-		t.Fatalf("exact-hit TrialsToReach = (%v, %v), want (%d, true)", n, ok, firstIdx+1)
-	}
-}
-
 // Measurement noise is derived per (schedule, repetition), so the measured
 // value of a schedule does not depend on what was measured before it —
 // the property that makes parallel measurement order-independent.
@@ -367,43 +292,25 @@ func TestMeasurerNoiseOrderIndependent(t *testing.T) {
 	}
 	m1 := NewMeasurer(sim, xrand.New(99))
 	m2 := NewMeasurer(sim, xrand.New(99))
-	a1, b1 := m1.Measure(a), m1.Measure(b)
-	b2, a2 := m2.Measure(b), m2.Measure(a) // reversed order
+	a1, b1 := measure(m1, a), measure(m1, b)
+	b2, a2 := measure(m2, b), measure(m2, a) // reversed order
 	if a1 != a2 || b1 != b2 {
 		t.Fatalf("measurement order changed values: a %v/%v b %v/%v", a1, a2, b1, b2)
 	}
 	// Re-measuring the same schedule draws fresh noise (repetition index).
-	if again := m1.Measure(a); again == a1 {
+	if again := measure(m1, a); again == a1 {
 		t.Fatal("repeated measurement must redraw noise")
 	}
 	// A different measurer seed gives a different noise stream.
 	m3 := NewMeasurer(sim, xrand.New(100))
-	if m3.Measure(a) == a1 {
+	if measure(m3, a) == a1 {
 		t.Fatal("noise must depend on the measurer seed")
 	}
 }
 
-// The split reserve/evaluate/commit API used by parallel batches must agree
-// with the one-shot Measure path.
-func TestMeasurerSplitAPIMatchesMeasure(t *testing.T) {
-	sim := NewSimulator(CPUXeon6226R())
-	rng := xrand.New(14)
-	s := randSchedule(rng)
-	m1 := NewMeasurer(sim, xrand.New(7))
-	m2 := NewMeasurer(sim, xrand.New(7))
-	want := m1.Measure(s)
-	noisy := m2.NoisyExec(s, m2.ReserveSeq(s.Key()))
-	m2.Commit(noisy)
-	if noisy != want {
-		t.Fatalf("split API %v vs Measure %v", noisy, want)
-	}
-	if m1.CostSec() != m2.CostSec() || m1.Trials() != m2.Trials() {
-		t.Fatal("accounting diverged between split and one-shot paths")
-	}
-}
-
 // Concurrent measurement, cost charging and reads must be race-free (run
-// under -race) and lose no trials.
+// under -race) and lose no trials: every schedule's repetition index was
+// claimed once, and the budget equals a serial measurer's.
 func TestMeasurerConcurrentUse(t *testing.T) {
 	sim := NewSimulator(CPUXeon6226R())
 	m := NewMeasurer(sim, xrand.New(15))
@@ -419,19 +326,24 @@ func TestMeasurerConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				m.Measure(scheds[w*each+i])
+				measure(m, scheds[w*each+i])
 				m.AddSearchCost(1e-6)
 				m.AddCostModelQueries(2)
-				_ = m.BestExec()
-				_, _ = m.TrialsToReach(0)
+				_ = m.CostSec()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if m.Trials() != workers*each {
-		t.Fatalf("lost trials: %d of %d", m.Trials(), workers*each)
+	serial := NewMeasurer(sim, xrand.New(15))
+	for _, s := range scheds {
+		if seq := m.ReserveSeq(s.Key()); seq != 1 {
+			t.Fatalf("schedule reserved %d times, want 1", seq)
+		}
+		measure(serial, s)
+		serial.AddSearchCost(1e-6)
+		serial.AddCostModelQueries(2)
 	}
-	if len(m.BestLog()) != workers*each || len(m.CostLog()) != workers*each {
-		t.Fatal("log lengths wrong after concurrent use")
+	if got, want := m.CostSec(), serial.CostSec(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("concurrent budget %v, serial %v", got, want)
 	}
 }

@@ -41,10 +41,10 @@ const (
 // a sequential stream but derived by hashing (schedule key, per-schedule
 // repetition index, measurer seed), so the measured value of a schedule does
 // not depend on how many other schedules were measured before it or on which
-// goroutine measured it. The mutable bookkeeping (trial count, cost budget,
-// best-so-far logs) is mutex-protected and appended in Commit order; callers
-// that need bit-exact logs across worker counts (see search.ParallelPool)
-// compute NoisyExec concurrently and Commit in a deterministic order.
+// goroutine measured it. The mutable bookkeeping (repetition indices and the
+// cost budget) is mutex-protected. Best-so-far logs are search.Task's, per
+// task, appended in the deterministic order its callers Commit in after
+// computing NoisyExec concurrently (see search.ParallelPool).
 type Measurer struct {
 	Sim *Simulator
 
@@ -54,12 +54,8 @@ type Measurer struct {
 	mu        sync.Mutex
 	noiseSeed uint64
 	noiseSeq  map[uint64]uint64 // per-schedule-key measurement count
-	trials    int
 	costSec   float64
 	cmQueries int64 // cost-model queries, charged at CostModelQuerySec each
-	bestExec  float64
-	execLog   []float64 // best-so-far exec time after each trial
-	costLog   []float64 // cumulative search seconds after each trial
 }
 
 // NewMeasurer builds a measurer over the simulator with an independent noise
@@ -71,7 +67,6 @@ func NewMeasurer(sim *Simulator, rng *xrand.RNG) *Measurer {
 		RepeatMinSec: DefaultRepeatMinSec,
 		noiseSeed:    rng.Uint64(),
 		noiseSeq:     make(map[uint64]uint64),
-		bestExec:     math.Inf(1),
 	}
 }
 
@@ -125,27 +120,12 @@ func noiseAt(key, seed, seq uint64) float64 {
 }
 
 // Commit records one completed trial: it charges the measurement cost
-// (compile + r_min repeats) to the search-time budget and appends to the
-// best-so-far logs. Log order is the Commit call order.
+// (compile + r_min repeats) to the search-time budget.
 func (m *Measurer) Commit(noisy float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	repeats := math.Max(3, math.Ceil(m.RepeatMinSec/noisy))
 	m.costSec += m.CompileSec + repeats*noisy
-	m.trials++
-	if noisy < m.bestExec {
-		m.bestExec = noisy
-	}
-	m.execLog = append(m.execLog, m.bestExec)
-	m.costLog = append(m.costLog, m.costSecLocked())
-}
-
-// Measure runs one hardware trial: it returns the noisy measured execution
-// time in seconds and charges the measurement cost to the search-time budget.
-func (m *Measurer) Measure(s *schedule.Schedule) float64 {
-	noisy := m.NoisyExec(s, m.ReserveSeq(s.Key()))
-	m.Commit(noisy)
-	return noisy
 }
 
 // AddSearchCost charges non-measurement tuner computation to the budget.
@@ -164,71 +144,9 @@ func (m *Measurer) AddCostModelQueries(n int) {
 	m.mu.Unlock()
 }
 
-func (m *Measurer) costSecLocked() float64 {
-	return m.costSec + float64(m.cmQueries)*CostModelQuerySec
-}
-
-// Trials returns the number of hardware measurements performed.
-func (m *Measurer) Trials() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.trials
-}
-
 // CostSec returns the total simulated search time so far.
 func (m *Measurer) CostSec() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.costSecLocked()
-}
-
-// BestExec returns the best measured execution time so far (+Inf if none).
-func (m *Measurer) BestExec() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bestExec
-}
-
-// BestLog returns the best-so-far execution time after each trial. The slice
-// is live; read it only after measurement activity has quiesced.
-func (m *Measurer) BestLog() []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.execLog
-}
-
-// CostLog returns the cumulative search time after each trial (same caveat
-// as BestLog).
-func (m *Measurer) CostLog() []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.costLog
-}
-
-// TimeToReach returns the simulated search seconds spent until the best
-// measured execution time first dropped to target or below, and whether the
-// target was reached at all. With no trials recorded it returns the current
-// cost budget (0 for a fresh measurer) and false.
-func (m *Measurer) TimeToReach(target float64) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, e := range m.execLog {
-		if e <= target {
-			return m.costLog[i], true
-		}
-	}
-	return m.costSecLocked(), false
-}
-
-// TrialsToReach returns the number of trials until the best measured time
-// first reached target, and whether it was reached.
-func (m *Measurer) TrialsToReach(target float64) (int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, e := range m.execLog {
-		if e <= target {
-			return i + 1, true
-		}
-	}
-	return m.trials, false
+	return m.costSec + float64(m.cmQueries)*CostModelQuerySec
 }

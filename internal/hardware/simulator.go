@@ -339,9 +339,3 @@ func (sim *Simulator) standaloneStageTime(st *texpr.Stage) float64 {
 	tComp := st.FLOPs() / (p.PeakFlops() * 0.5) // scalar-ish epilogue code
 	return math.Max(tMem, tComp) + p.LaunchOverheadSec
 }
-
-// GFLOPS returns the achieved throughput of a schedule in GFLOP/s — the
-// "performance" (inverse execution time) metric of the paper, scaled by work.
-func (sim *Simulator) GFLOPS(s *schedule.Schedule) float64 {
-	return s.Sk.Graph.FLOPs() / sim.Exec(s) / 1e9
-}

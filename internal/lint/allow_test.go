@@ -10,7 +10,8 @@ import (
 // TestAllowPolicy pins the suppression contract on the allowpolicy fixture:
 // a justified allow silences its diagnostic; a reasonless allow, a typo'd
 // analyzer name and a stale allow each surface as diagnostics of their own,
-// and a broken allow suppresses nothing.
+// and a broken allow suppresses nothing. The fixture's deadexport allows are
+// not stale here: like the vet run of the suite, this run has no deadexport.
 func TestAllowPolicy(t *testing.T) {
 	root, err := lint.ModuleRoot(".")
 	if err != nil {
@@ -56,6 +57,26 @@ func TestAllowPolicy(t *testing.T) {
 	}
 	if now != 1 {
 		t.Errorf("want exactly 1 surviving time.Now diagnostic (the unjustified one), got %d:\n%s", now, render(diags))
+	}
+}
+
+// TestAllowPolicyDeadexport runs the deadexport pass, as `harl-lint -only
+// deadexport` does, over the same fixture: the justified deadexport allow
+// silences its finding, the one that suppresses nothing is stale, and the
+// detrand allows are not, since detrand did not run.
+func TestAllowPolicyDeadexport(t *testing.T) {
+	diags := runDeadexport(t, "./internal/lint/testdata/src/allowpolicy/a")
+	if containsDiag(diags, "KeptForTests") {
+		t.Errorf("allowed KeptForTests still reported:\n%s", render(diags))
+	}
+	stale := 0
+	for _, d := range diags {
+		if strings.HasPrefix(d.Message, "stale //lint:allow") {
+			stale++
+		}
+	}
+	if stale != 1 || !containsDiag(diags, "stale //lint:allow: no deadexport diagnostic") {
+		t.Errorf("want exactly the one stale deadexport allow, got %d stale:\n%s", stale, render(diags))
 	}
 }
 

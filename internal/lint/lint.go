@@ -3,7 +3,8 @@
 // load-bearing conventions the regression suites only catch after the fact —
 // the workers=1 ≡ workers=N byte-identical-journal contract, the atomic-write
 // rules of the persistence packages, and the one-error-envelope v1 API
-// contract.
+// contract — plus one whole-program pass, deadexport (NewDeadexport), that
+// reports exported declarations nothing outside tests uses.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer / Pass / Diagnostic) so analyzers port to the upstream
@@ -18,8 +19,8 @@
 //
 // comment on the offending line or the line directly above it. The reason is
 // mandatory — an allow without one is itself a diagnostic — and an allow that
-// suppresses nothing is reported as stale, so the tree can never accumulate
-// unexplained or dead suppressions.
+// suppresses nothing in a run of its analyzer is reported as stale, so the
+// tree can never accumulate unexplained or dead suppressions.
 package lint
 
 import (
@@ -94,20 +95,22 @@ type Package struct {
 // Options configures a Run.
 type Options struct {
 	// ReportStaleAllows adds diagnostics for //lint:allow comments that
-	// suppressed nothing. Enable it only when running the full suite — under
-	// a partial run an allow for an unrun analyzer is not evidence of
-	// staleness.
+	// suppressed nothing. Only allows naming an analyzer of this run can be
+	// stale: one for an analyzer that did not run is not evidence.
 	ReportStaleAllows bool
 }
 
 // Run applies the analyzers to one package, filters the findings through the
 // package's //lint:allow comments, and returns the surviving diagnostics
 // sorted by position. Malformed allow comments (missing analyzer or reason)
-// and — under Options.ReportStaleAllows — allows that matched nothing are
-// reported as diagnostics themselves and cannot be suppressed.
+// and — under Options.ReportStaleAllows — allows for one of these analyzers
+// that matched nothing are reported as diagnostics themselves and cannot be
+// suppressed.
 func Run(pkg *Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     pkg.Fset,
@@ -134,7 +137,7 @@ func Run(pkg *Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error
 	diags = append(kept, broken...)
 	if opts.ReportStaleAllows {
 		for _, al := range allows {
-			if !al.used {
+			if !al.used && ran[al.analyzer] {
 				diags = append(diags, Diagnostic{
 					Pos:      al.pos,
 					Analyzer: allowAnalyzerName,

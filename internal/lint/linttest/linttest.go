@@ -27,6 +27,8 @@ import (
 // Run loads testdata/src/<fixture> relative to the calling test's package
 // directory, applies the analyzer, and reports every mismatch between
 // diagnostics and want annotations as a test error.
+//
+//lint:allow deadexport internal/lint's *_test.go run their fixtures through it
 func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	t.Helper()
 	pkgs := load(t, fixture)

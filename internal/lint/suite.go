@@ -74,10 +74,11 @@ var ClosePackages = []string{
 var ModuleScope = []string{"harl/..."}
 
 // allAnalyzerNames are the valid targets of a //lint:allow comment.
-var allAnalyzerNames = []string{"detrand", "maporder", "wireenvelope", "atomicwrite", "errclose"}
+var allAnalyzerNames = []string{"detrand", "maporder", "wireenvelope", "atomicwrite", "errclose", "deadexport"}
 
-// Suite returns the full analyzer suite at its production scopes — what
-// cmd/harl-lint runs both standalone and as a go vet -vettool.
+// Suite returns the per-package analyzer suite at its production scopes —
+// what cmd/harl-lint runs both standalone and as a go vet -vettool. The
+// whole-program deadexport pass (NewDeadexport) is not in it.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		NewDetrand(DeterministicPackages),

@@ -1,8 +1,10 @@
 // Package a is the suppression-policy fixture: a working allow, a reasonless
 // allow, a typo'd analyzer name and a stale allow. The last three are
 // diagnostics themselves — the tree cannot accumulate unexplained or dead
-// suppressions. Expectations live in allow_test.go (programmatic, because
-// own-line allow comments cannot also carry want annotations).
+// suppressions. Two deadexport allows, one working and one stale, are stale
+// only in a run of deadexport itself. Expectations live in allow_test.go
+// (programmatic, because own-line allow comments cannot also carry want
+// annotations).
 package a
 
 import (
@@ -34,3 +36,15 @@ func BadStale() int {
 	//lint:allow detrand leftover from a removed wall-clock read
 	return 42
 }
+
+// KeptForTests stands for a test seam: only tests would use it, and its allow
+// silences deadexport.
+//
+//lint:allow deadexport allow_test.go checks this suppression
+func KeptForTests() int { return 7 }
+
+// staleDeadexport's allow sits above an unexported func, which deadexport
+// never reports.
+//
+//lint:allow deadexport leftover from when this func was exported
+func staleDeadexport() int { return 8 }

@@ -63,7 +63,6 @@ const (
 // Registry is an open best-schedule store: a storage backend behind a
 // publish batcher.
 type Registry struct {
-	dir string
 	b   Backend
 	bat *batcher
 }
@@ -198,7 +197,7 @@ func OpenOptions(dir string, o Options) (*Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{dir: dir, b: b, bat: newBatcher(b)}, nil
+	return &Registry{b: b, bat: newBatcher(b)}, nil
 }
 
 // Resolve returns the best known record for the key, if any — the cache-hit
@@ -269,10 +268,6 @@ func (r *Registry) ImportJournal(path string) (int, error) {
 // a best record.
 func (r *Registry) Len() int { return r.b.Len() }
 
-// Records returns a copy of the current best records, sorted by key — the
-// stable enumeration order the index file uses — or the backend's read error.
-func (r *Registry) Records() ([]tunelog.Record, error) { return r.b.Records() }
-
 // Layout reports the storage layout backing this registry.
 func (r *Registry) Layout() Layout { return r.b.Layout() }
 
@@ -283,9 +278,6 @@ func (r *Registry) Stats() Stats {
 	s.BatchesFlushed, s.BatchedRecords = r.bat.stats()
 	return s
 }
-
-// Dir returns the registry's directory path.
-func (r *Registry) Dir() string { return r.dir }
 
 // Close flushes the publish batcher (pending publishes complete durably) and
 // releases the backend. Publishes after Close fail.

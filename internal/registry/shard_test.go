@@ -32,7 +32,7 @@ func countLines(t *testing.T, path string) int {
 // records is Registry.Records, failing the test on a read error.
 func records(t *testing.T, r *Registry) []tunelog.Record {
 	t.Helper()
-	recs, err := r.Records()
+	recs, err := r.b.Records()
 	if err != nil {
 		t.Fatalf("Records: %v", err)
 	}

@@ -227,9 +227,6 @@ func (a *Agent) Observe(t Transition) {
 	a.bufPos = (a.bufPos + 1) % a.Cfg.BufferCap
 }
 
-// BufferLen returns the number of stored transitions.
-func (a *Agent) BufferLen() int { return len(a.buf) }
-
 // Tick advances the environment-step counter and trains when the paper's
 // training interval T_rl elapses. It reports whether an update happened.
 func (a *Agent) Tick() bool {

@@ -52,8 +52,8 @@ func TestBufferRing(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Observe(Transition{State: []float64{0, 0}, Acts: []int{0}})
 	}
-	if a.BufferLen() != 8 {
-		t.Fatalf("buffer len %d want cap 8", a.BufferLen())
+	if len(a.buf) != 8 {
+		t.Fatalf("buffer len %d want cap 8", len(a.buf))
 	}
 }
 

@@ -284,9 +284,6 @@ func (s *Schedule) applyTiling(action int) {
 // from tile loop i to tile loop j.
 func (s *Schedule) TilingActionFor(i, j int) int { return i*s.NumTileLoops() + j }
 
-// DummyTilingAction returns the explicit no-op tiling action index.
-func (s *Schedule) DummyTilingAction() int { t := s.NumTileLoops(); return t * t }
-
 // --- Evolutionary mutation (Ansor baseline) ---------------------------------
 
 // Mutate returns a randomly perturbed copy, used by the evolutionary-search

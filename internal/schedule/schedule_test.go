@@ -107,8 +107,8 @@ func TestTilingMoveMechanics(t *testing.T) {
 	if n3.SpatialTiles[0][0] != 1024 || n3.SpatialTiles[0][1] != 1 {
 		t.Fatal("unit-loop move must be a no-op")
 	}
-	// Dummy action changes nothing.
-	n4 := s.Apply(Action{Tiling: s.DummyTilingAction(), ComputeAt: 1, Parallel: 1, Unroll: 1})
+	// The dummy action, the last tiling action, changes nothing.
+	n4 := s.Apply(Action{Tiling: s.NumTilingActions() - 1, ComputeAt: 1, Parallel: 1, Unroll: 1})
 	if n4.Key() != s.Key() {
 		t.Fatal("dummy action changed the schedule")
 	}
@@ -118,12 +118,12 @@ func TestKnobClamping(t *testing.T) {
 	rng := xrand.New(5)
 	s := NewRandom(gemmSketch(t), 4, rng)
 	s.UnrollIdx = 0
-	n := s.Apply(Action{Tiling: s.DummyTilingAction(), ComputeAt: 0, Parallel: 0, Unroll: 0})
+	n := s.Apply(Action{Tiling: s.NumTilingActions() - 1, ComputeAt: 0, Parallel: 0, Unroll: 0})
 	if n.UnrollIdx != 0 {
 		t.Fatal("unroll must clamp at 0")
 	}
 	s.UnrollIdx = 3
-	n = s.Apply(Action{Tiling: s.DummyTilingAction(), ComputeAt: 2, Parallel: 2, Unroll: 2})
+	n = s.Apply(Action{Tiling: s.NumTilingActions() - 1, ComputeAt: 2, Parallel: 2, Unroll: 2})
 	if n.UnrollIdx != 3 {
 		t.Fatal("unroll must clamp at max")
 	}

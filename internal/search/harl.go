@@ -308,11 +308,3 @@ func (h *HARL) Agent(t *Task) *rl.Agent {
 	}
 	return nil
 }
-
-// SketchCounts returns the sketch-selection counts of the task's MAB window.
-func (h *HARL) SketchCounts(t *Task) []int {
-	if st := h.states[t]; st != nil {
-		return st.mab.Counts()
-	}
-	return nil
-}

@@ -430,17 +430,6 @@ func (t *Task) WeightedBestExec() float64 {
 	return float64(t.Graph.Weight) * t.Meas.Sim.Exec(t.Best)
 }
 
-// TrialsToReach returns the task-local trial count after which the best
-// execution time first reached target (and whether it did).
-func (t *Task) TrialsToReach(target float64) (int, bool) {
-	for i, e := range t.BestLog {
-		if e <= target {
-			return i + 1, true
-		}
-	}
-	return t.Trials, false
-}
-
 // Engine is one parameter-search strategy operating round by round.
 type Engine interface {
 	// Name identifies the engine in experiment output.

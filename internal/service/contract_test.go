@@ -20,7 +20,7 @@ func newTestServer(t *testing.T, h http.Handler) *httptest.Server {
 
 // doRequest performs the call and decodes the body into the typed v1
 // envelope, so the test fails if the response is shaped like anything else.
-func doRequest(t *testing.T, method, url, body string) (*http.Response, ErrorBody) {
+func doRequest(t *testing.T, method, url, body string) (*http.Response, wire.ErrorBody) {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -39,7 +39,7 @@ func doRequest(t *testing.T, method, url, body string) (*http.Response, ErrorBod
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env ErrorBody
+	var env wire.ErrorBody
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatalf("%s %s: body is not JSON: %v (%s)", method, url, err, raw)
 	}

@@ -29,7 +29,7 @@ import (
 //	                     (Prometheus text format)
 //
 // Responses are the named wire types of this package (see wire.go); every
-// error response is the v1 envelope (ErrorBody) with a stable machine code.
+// error response is the v1 envelope (wire.ErrorBody) with a stable machine code.
 type Server struct {
 	queue    *Queue
 	registry *harl.Registry

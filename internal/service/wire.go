@@ -5,24 +5,15 @@ import (
 	"harl/internal/wire"
 )
 
-// The service speaks the unified v1 contract defined in internal/wire; the
-// aliases below re-export it so client code and tests can consume the whole
-// API surface — request, response and error shapes — from this one package.
-//
-// Every non-2xx response from a /v1 endpoint is an ErrorBody:
+// ErrorCode is a stable machine-readable error identifier, re-exported from
+// internal/wire, which defines the unified v1 contract the service speaks.
+// Every non-2xx response from a /v1 endpoint is a wire.ErrorBody:
 //
 //	{"error":{"code":"<machine_code>","message":"<human detail>"}}
 //
 // Codes are stable and machine-matchable; messages are human diagnostics
 // with no stability promise.
-type (
-	// ErrorBody is the one error-response shape of the v1 API.
-	ErrorBody = wire.ErrorBody
-	// ErrorInfo is the envelope's payload: stable code + human message.
-	ErrorInfo = wire.ErrorInfo
-	// ErrorCode is a stable machine-readable error identifier.
-	ErrorCode = wire.ErrorCode
-)
+type ErrorCode = wire.ErrorCode
 
 // The stable v1 error codes (see internal/wire for the full semantics).
 const (

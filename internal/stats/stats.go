@@ -98,28 +98,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 }
 
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Fraction returns the fraction of in-range mass in bins [from, to).
-func (h *Histogram) Fraction(from, to int) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	n := 0
-	for i := from; i < to && i < len(h.Counts); i++ {
-		n += h.Counts[i]
-	}
-	return float64(n) / float64(total)
-}
-
 // Pearson returns the Pearson correlation coefficient of the paired samples.
 func Pearson(xs, ys []float64) float64 {
 	if len(xs) != len(ys) || len(xs) < 2 {
@@ -141,6 +119,8 @@ func Pearson(xs, ys []float64) float64 {
 
 // Spearman returns the Spearman rank correlation of the paired samples.
 // Ties receive their average rank.
+//
+//lint:allow deadexport internal/costmodel/gbdt_test.go checks the fitted model's ranking with it
 func Spearman(xs, ys []float64) float64 {
 	return Pearson(Ranks(xs), Ranks(ys))
 }

@@ -389,16 +389,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// StageIndex returns the index of the named stage, or -1.
-func (g *Subgraph) StageIndex(name string) int {
-	for i, st := range g.Stages {
-		if st.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // String renders a short human-readable description of the subgraph.
 func (g *Subgraph) String() string {
 	var b strings.Builder

@@ -20,15 +20,6 @@ type Network struct {
 // reports 10 for BERT and 24 for ResNet-50).
 func (n *Network) DistinctSubgraphs() int { return len(n.Subgraphs) }
 
-// TotalWeight returns Σ w_n, the number of subgraph executions per inference.
-func (n *Network) TotalWeight() int {
-	t := 0
-	for _, sg := range n.Subgraphs {
-		t += sg.Weight
-	}
-	return t
-}
-
 func withWeight(sg *texpr.Subgraph, w int) *texpr.Subgraph {
 	sg.Weight = w
 	return sg

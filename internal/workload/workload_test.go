@@ -196,14 +196,3 @@ func TestNetworkTrialBudget(t *testing.T) {
 		t.Fatal("default budget wrong")
 	}
 }
-
-func TestTotalWeight(t *testing.T) {
-	net := BERT(1)
-	want := 0
-	for _, sg := range net.Subgraphs {
-		want += sg.Weight
-	}
-	if net.TotalWeight() != want {
-		t.Fatal("TotalWeight mismatch")
-	}
-}

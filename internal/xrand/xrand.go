@@ -83,18 +83,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n) via Fisher-Yates.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -106,14 +94,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes xs in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Choice returns a uniform index weighted by the non-negative weights.
@@ -139,9 +119,6 @@ func (r *RNG) Choice(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
 // HashSeed is the Hash64 of no words.
 const HashSeed uint64 = 0x9e3779b97f4a7c15

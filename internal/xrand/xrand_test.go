@@ -90,25 +90,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(11)
-	const n = 100000
-	sum, sq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %f too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance %f too far from 1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(13)
 	f := func(nRaw uint8) bool {
@@ -204,31 +185,5 @@ func TestHashUnitRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(23)
-	xs := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 21 {
-		t.Fatalf("shuffle altered elements: %v", xs)
-	}
-}
-
-func TestBoolProbability(t *testing.T) {
-	r := New(29)
-	n := 0
-	for i := 0; i < 10000; i++ {
-		if r.Bool(0.25) {
-			n++
-		}
-	}
-	if n < 2200 || n > 2800 {
-		t.Fatalf("Bool(0.25) fired %d/10000", n)
 	}
 }
