@@ -10,7 +10,8 @@
 #                    for anything touching the concurrent tuning engine)
 #   make bench     — one pass over every experiment benchmark
 #   make bench-hot — the search hot-path microbenchmarks (features, schedule
-#                    key, batch scoring, refit, single-row and batch
+#                    key, batch scoring, refit with the histogram fill on its
+#                    lanes and on its Go loop, single-row and batch
 #                    prediction, PPO step and update, and under those nn's
 #                    matrix kernel and element-wise lanes, AVX and portable),
 #                    repeated BENCH_COUNT times with allocation stats into
@@ -19,12 +20,13 @@
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
 #   make cover     — coverage profile across ./... and the total percentage
-#   make fuzz      — 20 s of fuzzing, split three ways between the repo's fuzz
+#   make fuzz      — 20 s of fuzzing, split four ways between the repo's fuzz
 #                    targets: FuzzUnmarshalCheckpoint (the cost-model checkpoint
-#                    decoder), FuzzLanes (nn's element-wise lanes against
-#                    math's scalars, its glue loops against their Go loops) and
-#                    FuzzGemm (nn's matrix kernel against the naive triple
-#                    loop); crashers land in the package's testdata/fuzz/
+#                    decoder), FuzzFill (the cost model's histogram fill lanes
+#                    against its Go loop), FuzzLanes (nn's element-wise lanes
+#                    against math's scalars, its glue loops against their Go
+#                    loops) and FuzzGemm (nn's matrix kernel against the naive
+#                    triple loop); crashers land in the package's testdata/fuzz/
 #   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
 #                    item 5 ("one of everything") drives down; fails above the
 #                    count of the last PR that lowered it (the ratchet only
@@ -35,7 +37,7 @@ GO ?= go
 
 # The search hot path: schedule featurization and identity hash, batch
 # candidate scoring, cost model refit (synthetic rows and real schedule
-# features), single-row prediction (97% of HARL's predict calls) and batch
+# features, the real ones also with the histogram fill's lanes off), single-row prediction (97% of HARL's predict calls) and batch
 # prediction, the PPO policy step and update that are most of a HARL session,
 # and the matrix kernel and element-wise lanes under them (internal/nn's
 # BenchmarkGemm and BenchmarkLanes, both implementations). CI's perf-smoke job
@@ -97,13 +99,14 @@ cover:
 # Minimization is capped so the 20 s go to new inputs, not to shrinking the
 # first interesting one (the default spends up to a minute on each).
 fuzz:
-	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=7s -fuzzminimizetime=1s
-	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzLanes -fuzztime=7s -fuzzminimizetime=1s
-	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzGemm -fuzztime=6s -fuzzminimizetime=1s
+	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzFill -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzLanes -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzGemm -fuzztime=5s -fuzzminimizetime=1s
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 16775 ]; then echo "make loc: $$n lines, above the 16775 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 16751 ]; then echo "make loc: $$n lines, above the 16751 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

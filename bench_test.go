@@ -323,23 +323,31 @@ func BenchmarkCostModelPredict(b *testing.B) {
 // fill all 32 bins of every feature; real-512 refits on what a session
 // actually stores — feature rows of random Conv3D schedules (41 features, ~5
 // occupied bins each) with simulated log-throughput targets — and is the one
-// that tracks the workload.
+// that tracks the workload; real-512-portable is the same refit with the
+// histogram fill on its Go loop instead of the host's lanes.
 func BenchmarkRefit(b *testing.B) {
 	refit := func(name string, n int, sample func() ([]float64, float64)) {
 		xs, ys := make([][]float64, n), make([]float64, n)
 		for i := range xs {
 			xs[i], ys[i] = sample()
 		}
-		b.Run(name, func(b *testing.B) {
-			m := costmodel.New(costmodel.DefaultParams())
-			for i := range xs {
-				m.Add(xs[i], ys[i])
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Refit()
-			}
-		})
+		run := func(name string) {
+			b.Run(name, func(b *testing.B) {
+				m := costmodel.New(costmodel.DefaultParams())
+				for i := range xs {
+					m.Add(xs[i], ys[i])
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Refit()
+				}
+			})
+		}
+		run(name)
+		if name == "real-512" {
+			defer costmodel.PortableFill()()
+			run(name + "-portable")
+		}
 	}
 	for _, n := range []int{128, 512, 2048} {
 		rng := xrand.New(1)

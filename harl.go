@@ -1199,20 +1199,10 @@ func NetworkWorkloads(name string, batch int) ([]Workload, error) {
 	return out, nil
 }
 
-// TrainStats summarizes an offline cost-model fit (TrainModel).
-type TrainStats struct {
-	// Records is the number of journal records replayed into the model, and
-	// Workloads the number of distinct workloads they cover.
-	Records   int
-	Workloads int
-	// Skipped counts matching records whose schedule steps failed to
-	// reconstruct (foreign or stale journals).
-	Skipped int
-	// Samples is the model's resulting training-set size and Trained whether
-	// the fit produced a usable ensemble.
-	Samples int
-	Trained bool
-}
+// TrainStats summarizes an offline cost-model fit (TrainModel): the journal
+// records replayed and the workloads they cover, the records skipped, and the
+// resulting training-set size and whether it trained.
+type TrainStats = pretrain.Stats
 
 // TrainModel fits a cost model offline from a tuning-record log — replaying
 // every record that matches one of the workloads on the target, regenerating
@@ -1234,18 +1224,8 @@ func TrainModel(logPath string, ws []Workload, t Target, outPath string) (TrainS
 		graphs[i] = w.sg
 	}
 	m, st := pretrain.FitModel(db, graphs, t.plat.Name, costmodel.DefaultParams())
-	stats := TrainStats{
-		Records:   st.Records,
-		Workloads: st.Workloads,
-		Skipped:   st.Skipped,
-		Samples:   m.Len(),
-		Trained:   m.Trained(),
-	}
 	if st.Records == 0 {
-		return stats, fmt.Errorf("harl: no records in %q match the given workloads on %s", logPath, t.Name())
+		return st, fmt.Errorf("harl: no records in %q match the given workloads on %s", logPath, t.Name())
 	}
-	if err := costmodel.SaveFile(outPath, m); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	return st, costmodel.SaveFile(outPath, m)
 }

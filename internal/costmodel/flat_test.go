@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -117,37 +118,52 @@ func testRunner(n int, fn func(i int)) {
 // TestParallelRefitBitIdentical pins the SetRunner contract: a refit fanned
 // across a concurrent runner must produce a byte-identical model (checkpoint
 // bytes, not just predictions) to the serial refit, and repeated refits with
-// reused scratch buffers must not drift.
+// reused scratch buffers must not drift — with the histogram fill on the
+// host's lanes and on the Go loop, which must agree with each other too.
 func TestParallelRefitBitIdentical(t *testing.T) {
-	rng := xrand.New(22)
-	xs, ys := synth(rng, 700, 8)
-	serial, par := New(DefaultParams()), New(DefaultParams())
-	par.SetRunner(testRunner)
-	for i := range xs {
-		serial.Add(xs[i], ys[i])
-		par.Add(xs[i], ys[i])
+	ckpts := map[string][]string{}
+	for _, impl := range fills {
+		t.Run(impl, func(t *testing.T) {
+			undo, ok := useFill(impl)
+			defer undo()
+			if !ok {
+				t.Skip("costmodel has no fill lanes on this host")
+			}
+			rng := xrand.New(22)
+			xs, ys := synth(rng, 700, 8)
+			serial, par := New(DefaultParams()), New(DefaultParams())
+			par.SetRunner(testRunner)
+			for i := range xs {
+				serial.Add(xs[i], ys[i])
+				par.Add(xs[i], ys[i])
+			}
+			for round := 0; round < 3; round++ {
+				serial.Refit()
+				par.Refit()
+				a, err := serial.MarshalCheckpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := par.MarshalCheckpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(a) != string(b) {
+					t.Fatalf("round %d: parallel refit produced a different model", round)
+				}
+				ckpts[impl] = append(ckpts[impl], string(a))
+				// Grow the training set between rounds so the reused buffers are
+				// exercised at changing sizes.
+				nx, ny := synth(rng, 100, 8)
+				for i := range nx {
+					serial.Add(nx[i], ny[i])
+					par.Add(nx[i], ny[i])
+				}
+			}
+		})
 	}
-	for round := 0; round < 3; round++ {
-		serial.Refit()
-		par.Refit()
-		a, err := serial.MarshalCheckpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.MarshalCheckpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Fatalf("round %d: parallel refit produced a different model", round)
-		}
-		// Grow the training set between rounds so the reused buffers are
-		// exercised at changing sizes.
-		nx, ny := synth(rng, 100, 8)
-		for i := range nx {
-			serial.Add(nx[i], ny[i])
-			par.Add(nx[i], ny[i])
-		}
+	if lanes, ok := ckpts["avx"]; ok && !slices.Equal(lanes, ckpts["portable"]) {
+		t.Fatal("the lanes and the Go loop fitted different models")
 	}
 }
 

@@ -16,8 +16,9 @@
 // runs on one kernel, a padded perfect-tree layout of the ensemble (see
 // perfForest), and Refit reuses its scan buffers, finds each tree node's
 // split in one sample-outer / feature-inner sweep over the node (see
-// scanFeatures for why that way round) and fans its independent scans across
-// an optional Runner. All of it is exact: predictions and fitted ensembles
+// scanFeatures for why that way round; on an AVX host the sweep's adds run in
+// 256-bit lanes, see fillLanes) and fans its independent scans across an
+// optional Runner. All of it is exact: predictions and fitted ensembles
 // are bit-identical to a straightforward walk of the node slices and a
 // feature-at-a-time histogram scan, which live on in the tests as the oracles
 // the production code is pinned against.
@@ -256,8 +257,9 @@ type Model struct {
 }
 
 // binAcc accumulates one (feature, bin) cell of a node's histogram: sample
-// count, residual sum and sum of squares.
-type binAcc struct{ n, s, q float64 }
+// count, residual sum and sum of squares, padded to 32 bytes so a cell is one
+// 256-bit lane group of fillLanes.
+type binAcc struct{ n, s, q, _ float64 }
 
 // New creates an empty model.
 func New(p Params) *Model { return &Model{P: p} }
@@ -305,9 +307,11 @@ func (m *Model) Add(x []float64, y float64) {
 	m.xs = append(m.xs, append([]float64(nil), x...))
 	m.ys = append(m.ys, y)
 	if m.P.MaxData > 0 && len(m.xs) > m.P.MaxData {
+		// Reslicing off the front keeps an eviction O(1); append moves the
+		// window to a fresh array whenever the capacity behind it runs out.
 		drop := len(m.xs) - m.P.MaxData
-		m.xs = append([][]float64(nil), m.xs[drop:]...)
-		m.ys = append([]float64(nil), m.ys[drop:]...)
+		clear(m.xs[:drop])
+		m.xs, m.ys = m.xs[drop:], m.ys[drop:]
 	}
 }
 
@@ -552,14 +556,32 @@ func (m *Model) bestSplit(idx []int, resid []float64, total, totalSq float64) (f
 	return feat, thr, gain
 }
 
+// fillLanes, where the host has one, is scanFeatures' fill loop in assembly
+// (nil elsewhere): for each sample of the node in order, one 256-bit add of
+// [1, r, r·r, 0] to its cell in each of w ≥ 1 columns — each cell still its
+// own IEEE chain in the same order, so the histogram is the Go loop's bit for
+// bit. The Go loop is its specification and the path everywhere else.
+var fillLanes func(hist *[numBins]binAcc, bins *uint8, d int, idx *int, n int, resid *float64, w int)
+
+// PortableFill sends Refit's histogram fill through the Go loop until the
+// returned func restores the host's kernel: a seam for measuring the loop
+// beside the lanes.
+//
+//lint:allow deadexport bench_test.go (BenchmarkRefit/real-512-portable) and costmodel/fill_test.go run the Go loop with it
+func PortableFill() (restore func()) {
+	host := fillLanes
+	fillLanes = nil
+	return func() { fillLanes = host }
+}
+
 // scanFeatures is bestSplit's work over the feature columns [lo, hi) (inputs
-// in m.split): one sample-outer / feature-inner sweep filling their histogram
-// rows, then each feature's boundary scan. The loop nest is this way round
-// because schedule features occupy 4–6 bins each: feature-outer, consecutive
-// samples land on the same few accumulators and every add waits on the
-// previous store, and each step gathers one strided byte; sample-outer reads
-// the bin row contiguously, takes r and r² once, and spreads consecutive adds
-// over hi-lo independent cells. Every (feature, bin) cell still receives
+// in m.split, lo < hi): one sample-outer / feature-inner sweep filling their
+// histogram rows, then each feature's boundary scan. The loop nest is this way
+// round because schedule features occupy 4–6 bins each: feature-outer,
+// consecutive samples land on the same few accumulators and every add waits on
+// the previous store, and each step gathers one strided byte; sample-outer
+// reads the bin row contiguously, takes r and r² once, and spreads consecutive
+// adds over hi-lo independent cells. Every (feature, bin) cell still receives
 // exactly the node's samples in idx order and is its own IEEE sum chain, so
 // the histogram — hence every gain and threshold — is bit-identical to the
 // feature-at-a-time scan the tests keep as the oracle.
@@ -569,15 +591,19 @@ func (m *Model) scanFeatures(lo, hi int) {
 	for f := range hist {
 		clear(hist[f][:len(m.edges[lo+f])+1])
 	}
-	resid := m.split.resid
-	for _, i := range m.split.idx {
-		r := resid[i]
-		q := r * r
-		for f, b := range m.bins[i*d+lo : i*d+hi] {
-			a := &hist[f][b%numBins] // b < numBins already; the mask spares the bounds check
-			a.n++
-			a.s += r
-			a.q += q
+	resid, idx := m.split.resid, m.split.idx
+	if fillLanes != nil && len(idx) > 0 {
+		fillLanes(&hist[0], &m.bins[lo], d, &idx[0], len(idx), &resid[0], hi-lo)
+	} else {
+		for _, i := range idx {
+			r := resid[i]
+			q := r * r
+			for f, b := range m.bins[i*d+lo : i*d+hi] {
+				a := &hist[f][b%numBins] // b < numBins already; the mask spares the bounds check
+				a.n++
+				a.s += r
+				a.q += q
+			}
 		}
 	}
 	for f := lo; f < hi; f++ {

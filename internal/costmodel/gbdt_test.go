@@ -3,10 +3,12 @@ package costmodel
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
-	"harl/internal/stats"
 	"harl/internal/xrand"
 )
 
@@ -65,7 +67,7 @@ func TestRankingQuality(t *testing.T) {
 	m.Refit()
 	hx, hy := synth(rng, 300, 6)
 	pred := m.PredictBatch(hx)
-	if rho := stats.Spearman(pred, hy); rho < 0.9 {
+	if rho := spearman(pred, hy); rho < 0.9 {
 		t.Fatalf("holdout spearman %.3f, want ≥ 0.9", rho)
 	}
 }
@@ -104,15 +106,62 @@ func TestRefitDeterministic(t *testing.T) {
 	}
 }
 
+// TestMaxDataEviction pins Add past MaxData: the kept samples are the last
+// MaxData added, in order, a refit of them is the model built from only those
+// samples, byte for byte, and an Add in the steady state costs its own row
+// plus amortized slack, not a copy of the training set.
 func TestMaxDataEviction(t *testing.T) {
 	p := DefaultParams()
-	p.MaxData = 50
+	p.MaxData = 300
+	xs, ys := synth(xrand.New(9), 1000, 6)
 	m := New(p)
-	for i := 0; i < 120; i++ {
-		m.Add([]float64{float64(i)}, float64(i))
+	for i := range xs {
+		m.Add(xs[i], ys[i])
 	}
-	if m.Len() != 50 {
-		t.Fatalf("len %d want 50", m.Len())
+	kept := New(p)
+	for i := len(xs) - p.MaxData; i < len(xs); i++ {
+		kept.Add(xs[i], ys[i])
+	}
+	if m.Len() != p.MaxData {
+		t.Fatalf("%d samples kept, want %d", m.Len(), p.MaxData)
+	}
+	for i := range m.xs {
+		if !slices.Equal(m.xs[i], kept.xs[i]) || m.ys[i] != kept.ys[i] {
+			t.Fatalf("sample %d is not sample %d of the input", i, len(xs)-p.MaxData+i)
+		}
+	}
+	m.Refit()
+	kept.Refit()
+	a, err := m.MarshalCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := kept.MarshalCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("the evicting model and one built from the kept samples fit differently")
+	}
+
+	big := New(DefaultParams())
+	row := make([]float64, 8)
+	for i := 0; i < big.P.MaxData; i++ {
+		big.Add(row, 1)
+	}
+	const adds = 4096
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < adds; i++ {
+		big.Add(row, 1)
+	}
+	runtime.ReadMemStats(&after)
+	// A row is one 64-byte object; re-homing the window of 4096 slice headers
+	// and targets every ~1000 adds (append's growth past 256) adds ~150 bytes.
+	objs, size := float64(after.Mallocs-before.Mallocs)/adds, float64(after.TotalAlloc-before.TotalAlloc)/adds
+	if objs > 1.1 || size > 512 {
+		t.Fatalf("an Add past MaxData allocates %.2f objects, %.0f bytes", objs, size)
 	}
 }
 
@@ -295,5 +344,81 @@ func TestRefitIsPureInSamples(t *testing.T) {
 				t.Fatalf("%s n=%d MaxData=%d: refit-per-batch and refit-once checkpoints differ", cat, tc.n, tc.maxData)
 			}
 		}
+	}
+}
+
+// pearson returns the Pearson correlation coefficient of the paired samples.
+func pearson(xs, ys []float64) float64 {
+	mean := func(xs []float64) float64 {
+		s := 0.0
+		for _, x := range xs {
+			s += x
+		}
+		return s / float64(len(xs))
+	}
+	mx, my := mean(xs), mean(ys)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+// spearman returns the Spearman rank correlation of the paired samples,
+// TestRankingQuality's measure of a fitted model.
+func spearman(xs, ys []float64) float64 { return pearson(ranks(xs), ranks(ys)) }
+
+// ranks converts a sample into average ranks (1-based): ties share the mean
+// of the ranks they span.
+func ranks(xs []float64) []float64 {
+	n := len(xs)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	r := make([]float64, n)
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
+			j++
+		}
+		avg := float64(i+j)/2 + 1
+		for k := i; k <= j; k++ {
+			r[idx[k]] = avg
+		}
+		i = j + 1
+	}
+	return r
+}
+
+func TestPearsonPerfect(t *testing.T) {
+	xs := []float64{1, 2, 3, 4}
+	if r := pearson(xs, []float64{2, 4, 6, 8}); math.Abs(r-1) > 1e-12 {
+		t.Fatalf("pearson %f", r)
+	}
+	if r := pearson(xs, []float64{8, 6, 4, 2}); math.Abs(r+1) > 1e-12 {
+		t.Fatalf("pearson %f", r)
+	}
+}
+
+func TestSpearmanMonotone(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5}
+	ys := []float64{1, 8, 27, 64, 125} // monotone but nonlinear
+	if r := spearman(xs, ys); math.Abs(r-1) > 1e-12 {
+		t.Fatalf("spearman %f", r)
+	}
+}
+
+func TestRanksWithTies(t *testing.T) {
+	r := ranks([]float64{10, 20, 20, 30})
+	if want := []float64{1, 2.5, 2.5, 4}; !slices.Equal(r, want) {
+		t.Fatalf("ranks %v want %v", r, want)
 	}
 }

@@ -107,7 +107,8 @@ func kWayRunner(k int) Runner {
 
 // TestBestSplitMatchesOracle pins the one-sweep split finder to the retired
 // per-feature scan with ==: same feature, threshold and gain on every node
-// shape the tree grower can hand it, serial and through runners of odd width.
+// shape the tree grower can hand it, serial and through runners of odd width,
+// with the histogram fill on the host's lanes and on the Go loop.
 func TestBestSplitMatchesOracle(t *testing.T) {
 	uniX, uniY := synth(xrand.New(41), 700, 24)
 	gemmX, gemmY := realRows("GEMM-S", 600, 42)
@@ -179,9 +180,14 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 					}
 					for r, run := range runners {
 						m.SetRunner(run)
-						if gf, gt, gg := productionSplit(m, idx, resid); gf != wf || gt != wt || gg != wg {
-							t.Fatalf("node of %d samples, runner %d: split (%d, %v, %v), oracle (%d, %v, %v)",
-								len(idx), r, gf, gt, gg, wf, wt, wg)
+						for _, impl := range fills {
+							undo, ok := useFill(impl)
+							gf, gt, gg := productionSplit(m, idx, resid)
+							undo()
+							if ok && (gf != wf || gt != wt || gg != wg) {
+								t.Fatalf("node of %d samples, runner %d, %s fill: split (%d, %v, %v), oracle (%d, %v, %v)",
+									len(idx), r, impl, gf, gt, gg, wf, wt, wg)
+							}
 						}
 					}
 				}

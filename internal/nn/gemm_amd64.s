@@ -17,27 +17,6 @@ DATA gemmMask<>+48(SB)/8, $-1
 DATA gemmMask<>+56(SB)/8, $-1
 GLOBL gemmMask<>(SB), RODATA, $128
 
-// func cpuHasAVX() bool
-// CPUID.1:ECX says the CPU has AVX (bit 28) and the OS uses XSAVE (bit 27);
-// XCR0 bits 1 and 2 say the OS saves the XMM and YMM state.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // MADDS is one step of a tile: row p of b, in Y8 and Y9, into all four rows.
 #define MADDS \
 	VBROADCASTSD (R13), Y10; \

@@ -10,30 +10,6 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX2FMA() bool
-// CPUID.1:ECX bit 12 says FMA, CPUID.7.0:EBX bit 5 AVX2; cpuHasAVX has vouched
-// for the YMM state. With FMA (and AVX) math.Exp is on its FMA path as well.
-TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	TESTL $0x1000, CX
-	JZ   no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	TESTL $0x20, BX
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 DATA lanesK<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF // all but the sign bit
 DATA lanesK<>+8(SB)/8, $700.0 // exp's domain, far inside math.Exp's straight line
 DATA lanesK<>+16(SB)/8, $1.4426950408889634073599246810018920 // LOG2E

@@ -42,6 +42,10 @@ type Stats struct {
 	// incompatible dimension (workload families mixed in one journal — the
 	// fit keeps the most-sampled dimension, like core.MergedCostModel).
 	Skipped int
+	// Samples is the model's resulting training-set size and Trained whether
+	// the fit produced a usable ensemble.
+	Samples int
+	Trained bool
 }
 
 // SeedTask replays every record of db matching the task's (workload
@@ -135,5 +139,6 @@ func FitModel(db *tunelog.Database, graphs []*texpr.Subgraph, target string, p c
 		}
 	}
 	m.Refit()
+	st.Samples, st.Trained = m.Len(), m.Trained()
 	return m, st
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the HARL
-// experiment harness: summaries, histograms and correlation coefficients that
-// regenerate the paper's tables and figures.
+// experiment harness: the summaries and histograms that regenerate the
+// paper's tables and figures.
 package stats
 
 import (
@@ -96,62 +96,4 @@ func (h *Histogram) Add(x float64) {
 		i = len(h.Counts) - 1
 	}
 	h.Counts[i]++
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired samples.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := mean(xs), mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns the Spearman rank correlation of the paired samples.
-// Ties receive their average rank.
-//
-//lint:allow deadexport internal/costmodel/gbdt_test.go checks the fitted model's ranking with it
-func Spearman(xs, ys []float64) float64 {
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks converts a sample into average ranks (1-based).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

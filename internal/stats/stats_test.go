@@ -55,36 +55,6 @@ func TestHistogramBinning(t *testing.T) {
 	}
 }
 
-func TestPearsonPerfect(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if r := Pearson(xs, ys); !almost(r, 1, 1e-12) {
-		t.Fatalf("pearson %f", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if r := Pearson(xs, neg); !almost(r, -1, 1e-12) {
-		t.Fatalf("pearson %f", r)
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125} // monotone but nonlinear
-	if r := Spearman(xs, ys); !almost(r, 1, 1e-12) {
-		t.Fatalf("spearman %f", r)
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	r := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("ranks %v want %v", r, want)
-		}
-	}
-}
-
 func TestQuantileProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
