@@ -107,6 +107,6 @@ fuzz:
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 16751 ]; then echo "make loc: $$n lines, above the 16751 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 16698 ]; then echo "make loc: $$n lines, above the 16698 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

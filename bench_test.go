@@ -1,6 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper at scaled
-// budgets (see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured results). Each experiment benchmark performs one
+// budgets (the experiment index is the README section "Regenerating the
+// paper's tables and figures"). Each experiment benchmark performs one
 // full tuning comparison per iteration and reports the headline quantity of
 // the corresponding figure as a custom metric. Component micro-benchmarks for
 // the substrates follow at the bottom.

@@ -15,20 +15,19 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strings"
 	"time"
 
-	"harl"
+	"harl/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1a fig1b fig1c tab1 fig5 fig6 fig7a fig7b fig8 fig9 tab4 fig10 tab7 tab8) or 'all'")
+	ids, suite := experiments.IDs()
+	exp := flag.String("exp", "all", "experiment id ("+strings.Join(ids, " ")+") or 'all'")
 	budget := flag.Int("budget", 0, "operator measurement-trial budget (0 = preset default)")
 	scale := flag.Float64("scale", 0, "network budget scale relative to the paper's 12k/22k/16k (0 = preset default)")
 	seed := flag.Uint64("seed", 0, "random seed (0 = preset default)")
@@ -40,8 +39,8 @@ func main() {
 
 	// Validate every enumerated flag up front, so a typo exits non-zero with
 	// the valid-value list before any experiment burns minutes of tuning.
-	if *exp != "all" && !slices.Contains(harl.Experiments(), *exp) {
-		fatal(fmt.Errorf("unknown experiment %q (want all, %s)", *exp, strings.Join(harl.Experiments(), ", ")))
+	if *exp != "all" && !slices.Contains(ids, *exp) {
+		fatal(fmt.Errorf("unknown experiment %q (want all, %s)", *exp, strings.Join(ids, ", ")))
 	}
 	if *configs < 0 || *configs > 4 {
 		fatal(fmt.Errorf("-configs must be 0 (preset default) or 1..4, got %d", *configs))
@@ -53,35 +52,40 @@ func main() {
 		fatal(fmt.Errorf("-budget must be >= 0, got %d", *budget))
 	}
 
-	cfg := harl.ExperimentConfig{
-		Seed:               *seed,
-		OperatorBudget:     *budget,
-		NetworkBudgetScale: *scale,
-		ConfigsPerCategory: *configs,
-		Workers:            *workers,
-		Full:               *full,
+	// Each non-zero flag overrides its field of the preset.
+	cfg := experiments.Scaled()
+	if *full {
+		cfg = experiments.Full()
+	}
+	if *seed != 0 {
+		cfg.Seed = *seed
+	}
+	if *budget > 0 {
+		cfg.OperatorBudget = *budget
+	}
+	if *scale > 0 {
+		cfg.NetworkBudgetScale = *scale
+	}
+	if *configs > 0 {
+		cfg.ConfigsPerCategory = *configs
+	}
+	if *workers != 0 {
+		cfg.Workers = *workers
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		// fig6 and fig9 share runs with fig5/fig8; run each grid once.
-		ids = []string{"tab1", "fig1a", "fig1b", "fig1c", "fig5", "fig7a", "fig7b", "fig8", "tab4", "fig10", "tab7", "tab8"}
+	if *exp != "all" {
+		suite = []string{*exp}
 	}
-	for _, id := range ids {
+	for _, id := range suite {
 		fmt.Printf("=== %s ===\n", id)
-		var buf bytes.Buffer
-		w := io.Writer(os.Stdout)
-		if *out != "" {
-			w = io.MultiWriter(os.Stdout, &buf)
-		}
 		start := time.Now()
-		if err := harl.RunExperiment(id, cfg, w); err != nil {
+		sum, err := experiments.Run(id, cfg, os.Stdout)
+		if err != nil {
 			fatal(err)
 		}
-		elapsed := time.Since(start)
-		fmt.Printf("(%s in %v)\n\n", id, elapsed.Round(time.Millisecond))
+		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 		if *out != "" {
-			path, err := harl.WriteBenchSummary(*out, id, cfg, buf.String())
+			path, err := sum.WriteFile(*out)
 			if err != nil {
 				fatal(err)
 			}

@@ -3,9 +3,7 @@ package harl
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -196,53 +194,6 @@ func TestSchedulersList(t *testing.T) {
 		if !found[want] {
 			t.Fatalf("missing scheduler %q", want)
 		}
-	}
-}
-
-func TestRunExperimentUnknown(t *testing.T) {
-	if err := RunExperiment("fig99", ExperimentConfig{}, io.Discard); err == nil {
-		t.Fatal("unknown experiment must error")
-	}
-}
-
-func TestRunExperimentTable1(t *testing.T) {
-	var sb strings.Builder
-	if err := RunExperiment("tab1", ExperimentConfig{}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "harl") {
-		t.Fatal("table 1 output missing")
-	}
-}
-
-func TestRunExperimentFig1b(t *testing.T) {
-	var sb strings.Builder
-	cfg := ExperimentConfig{OperatorBudget: 64}
-	if err := RunExperiment("fig1b", cfg, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "improvement ratio") {
-		t.Fatalf("fig1b output: %q", sb.String())
-	}
-}
-
-func TestExperimentsListComplete(t *testing.T) {
-	// Every id advertised must dispatch (checked against tab1's cheap path
-	// plus the error path; heavier ids are covered by the bench harness).
-	ids := Experiments()
-	if len(ids) != 14 {
-		t.Fatalf("experiment ids %d want 14 (every paper table+figure)", len(ids))
-	}
-}
-
-func TestExperimentConfigResolve(t *testing.T) {
-	c := ExperimentConfig{OperatorBudget: 99, Batches: []int{4}}.resolve()
-	if c.OperatorBudget != 99 || c.Batches[0] != 4 {
-		t.Fatalf("resolve override broken: %+v", c)
-	}
-	full := ExperimentConfig{Full: true}.resolve()
-	if full.OperatorBudget != 1000 || full.NetworkBudgetScale != 1.0 {
-		t.Fatalf("full preset broken: %+v", full)
 	}
 }
 
@@ -448,31 +399,6 @@ func TestTargetByNameErrorListsPlatforms(t *testing.T) {
 		if _, err := TargetByName(name); err != nil {
 			t.Fatalf("listed target %q must resolve: %v", name, err)
 		}
-	}
-}
-
-func TestWriteBenchSummary(t *testing.T) {
-	dir := t.TempDir()
-	path, err := WriteBenchSummary(dir, "tab1", ExperimentConfig{}, "row\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_tab1.json" {
-		t.Fatalf("summary path %q", path)
-	}
-	var got map[string]any
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got["experiment"] != "tab1" || got["output"] != "row\n" {
-		t.Fatalf("summary %v", got)
-	}
-	if _, ok := got["duration_ms"]; ok {
-		t.Fatal("summary carries a timing field; BENCH_*.json is an output pin, not a perf trace")
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index lives in DESIGN.md). Each experiment
-// is a function that runs the required tuning jobs at a configurable budget,
-// returns typed result rows, and renders the same rows the paper reports to
-// an io.Writer. The bench harness (bench_test.go) and the harl-bench command
-// are thin wrappers over this package.
+// evaluation (the per-experiment index is the README section "Regenerating
+// the paper's tables and figures"). Each experiment is a function that runs
+// the required tuning jobs at a configurable budget, returns typed result
+// rows, and renders the same rows the paper reports to an io.Writer. Run
+// dispatches an experiment id to its function and returns the run's Summary;
+// the harl-bench command drives the package through Run, and the root
+// package's benchmarks (bench_test.go) call the functions directly.
 package experiments
 
 import (
@@ -16,6 +18,7 @@ import (
 	"harl/internal/core"
 	"harl/internal/hardware"
 	"harl/internal/search"
+	"harl/internal/stats"
 	"harl/internal/texpr"
 	"harl/internal/workload"
 )
@@ -61,11 +64,6 @@ func (c Config) EffectiveWorkers() int {
 		return runtime.NumCPU()
 	}
 	return c.Workers
-}
-
-// workers resolves the configured pool width (0 means single-threaded).
-func (c Config) workers() int {
-	return c.EffectiveWorkers()
 }
 
 // Scaled returns the default reduced-budget configuration used by the bench
@@ -207,7 +205,7 @@ func OperatorGrid(cfg Config, w io.Writer) []OperatorRow {
 			}
 			var aPerf, hPerf, aTime, hTime, aGF, hGF []float64
 			for i, sg := range suite {
-				pr := RunPair(sg, plat, cfg.OperatorBudget, cfg.MeasureK, cfg.Seed+uint64(i)*97+uint64(batch), cfg.workers())
+				pr := RunPair(sg, plat, cfg.OperatorBudget, cfg.MeasureK, cfg.Seed+uint64(i)*97+uint64(batch), cfg.EffectiveWorkers())
 				aPerf = append(aPerf, 1/pr.AnsorExec)
 				hPerf = append(hPerf, 1/pr.HARLExec)
 				aTime = append(aTime, pr.AnsorTime)
@@ -216,11 +214,11 @@ func OperatorGrid(cfg Config, w io.Writer) []OperatorRow {
 				hGF = append(hGF, pr.HARLGF)
 			}
 			row := OperatorRow{Category: cat, Batch: batch,
-				AnsorGF: mean(aGF), HARLGF: mean(hGF)}
-			ap, hp := mean(aPerf), mean(hPerf)
+				AnsorGF: stats.Summarize(aGF).Mean, HARLGF: stats.Summarize(hGF).Mean}
+			ap, hp := stats.Summarize(aPerf).Mean, stats.Summarize(hPerf).Mean
 			maxPerf := math.Max(ap, hp)
 			row.AnsorPerf, row.HARLPerf = ap/maxPerf, hp/maxPerf
-			at, ht := mean(aTime), mean(hTime)
+			at, ht := stats.Summarize(aTime).Mean, stats.Summarize(hTime).Mean
 			maxTime := math.Max(at, ht)
 			if maxTime > 0 {
 				row.AnsorTime, row.HARLTime = at/maxTime, ht/maxTime
@@ -230,24 +228,11 @@ func OperatorGrid(cfg Config, w io.Writer) []OperatorRow {
 				row.TimeRatio = ht / at
 			}
 			rows = append(rows, row)
-			if w != nil {
-				fmt.Fprintf(w, "%-7s batch=%-3d perf: ansor=%.3f harl=%.3f (harl/ansor=%.2fx, %4.0f vs %4.0f gflops) | search time: ansor=%.3f harl=%.3f (ratio %.2f)\n",
-					cat, batch, row.AnsorPerf, row.HARLPerf, row.Speedup, row.AnsorGF, row.HARLGF, row.AnsorTime, row.HARLTime, row.TimeRatio)
-			}
+			fmt.Fprintf(w, "%-7s batch=%-3d perf: ansor=%.3f harl=%.3f (harl/ansor=%.2fx, %4.0f vs %4.0f gflops) | search time: ansor=%.3f harl=%.3f (ratio %.2f)\n",
+				cat, batch, row.AnsorPerf, row.HARLPerf, row.Speedup, row.AnsorGF, row.HARLGF, row.AnsorTime, row.HARLTime, row.TimeRatio)
 		}
 	}
 	return rows
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +259,7 @@ func AblationTrajectory(cfg Config, w io.Writer) TrajectoryResult {
 	curves := map[string][]float64{}
 	finals := map[string]float64{}
 	for _, name := range []string{"ansor", "hierarchical-rl", "harl"} {
-		task := tuneOperator(sg, plat, name, budget, cfg.MeasureK, cfg.Seed, cfg.workers())
+		task := tuneOperator(sg, plat, name, budget, cfg.MeasureK, cfg.Seed, cfg.EffectiveWorkers())
 		curves[name] = task.BestLog
 		finals[name] = bestGFLOPS(task)
 	}
@@ -294,14 +279,12 @@ func AblationTrajectory(cfg Config, w io.Writer) TrajectoryResult {
 		tr.HierRL = append(tr.HierRL, sampleCurve(curves["hierarchical-rl"], idx, bestPerf))
 		tr.HARL = append(tr.HARL, sampleCurve(curves["harl"], idx, bestPerf))
 	}
-	if w != nil {
-		fmt.Fprintf(w, "trials   ansor  hier-rl  harl   (normalized performance)\n")
-		for i, n := range tr.Trials {
-			fmt.Fprintf(w, "%6d   %.3f  %.3f    %.3f\n", n, tr.Ansor[i], tr.HierRL[i], tr.HARL[i])
-		}
-		fmt.Fprintf(w, "final gflops: ansor=%.0f hier-rl=%.0f harl=%.0f\n",
-			finals["ansor"], finals["hierarchical-rl"], finals["harl"])
+	fmt.Fprintf(w, "trials   ansor  hier-rl  harl   (normalized performance)\n")
+	for i, n := range tr.Trials {
+		fmt.Fprintf(w, "%6d   %.3f  %.3f    %.3f\n", n, tr.Ansor[i], tr.HierRL[i], tr.HARL[i])
 	}
+	fmt.Fprintf(w, "final gflops: ansor=%.0f hier-rl=%.0f harl=%.0f\n",
+		finals["ansor"], finals["hierarchical-rl"], finals["harl"])
 	return tr
 }
 
@@ -338,8 +321,8 @@ type CriticalStepsResult struct {
 func CriticalSteps(cfg Config, w io.Writer) CriticalStepsResult {
 	sg := workload.GEMM("GEMM-L-1024", 1, 1024, 1024, 1024)
 	plat := hardware.CPUXeon6226R()
-	fixed := tuneOperator(sg, plat, "hierarchical-rl", cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
-	adaptive := tuneOperator(sg, plat, "harl", cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.workers())
+	fixed := tuneOperator(sg, plat, "hierarchical-rl", cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.EffectiveWorkers())
+	adaptive := tuneOperator(sg, plat, "harl", cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.EffectiveWorkers())
 
 	res := CriticalStepsResult{
 		FixedBins:    positionBins(fixed.TrackPositions),
@@ -347,14 +330,12 @@ func CriticalSteps(cfg Config, w io.Writer) CriticalStepsResult {
 	}
 	res.FixedLastDecile = lastDecile(fixed.TrackPositions)
 	res.AdaptiveLastDecile = lastDecile(adaptive.TrackPositions)
-	if w != nil {
-		fmt.Fprintf(w, "position   fixed  adaptive  (critical-step histograms)\n")
-		for i := 0; i < 10; i++ {
-			fmt.Fprintf(w, "%3d%%-%3d%%  %5d  %5d\n", i*10, (i+1)*10, res.FixedBins[i], res.AdaptiveBins[i])
-		}
-		fmt.Fprintf(w, "critical step in last 10%% of path: fixed=%.1f%% adaptive=%.1f%%\n",
-			res.FixedLastDecile*100, res.AdaptiveLastDecile*100)
+	fmt.Fprintf(w, "position   fixed  adaptive  (critical-step histograms)\n")
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(w, "%3d%%-%3d%%  %5d  %5d\n", i*10, (i+1)*10, res.FixedBins[i], res.AdaptiveBins[i])
 	}
+	fmt.Fprintf(w, "critical step in last 10%% of path: fixed=%.1f%% adaptive=%.1f%%\n",
+		res.FixedLastDecile*100, res.AdaptiveLastDecile*100)
 	return res
 }
 
@@ -424,7 +405,7 @@ func sensitivity(cfg Config, w io.Writer, param string, values []float64) []Sens
 			hcfg.Rho = v
 		}
 		mk := func() search.Engine { return search.NewHARL(hcfg) }
-		task := runOperator(core.NewTuner([]*texpr.Subgraph{sg}, plat, "harl", mk, core.PolicySWUCB, cfg.MeasureK, cfg.Seed, cfg.workers(), 0), cfg.OperatorBudget)
+		task := runOperator(core.NewTuner([]*texpr.Subgraph{sg}, plat, "harl", mk, core.PolicySWUCB, cfg.MeasureK, cfg.Seed, cfg.EffectiveWorkers(), 0), cfg.OperatorBudget)
 		rounds := math.Max(1, float64(task.Trials)/float64(cfg.MeasureK))
 		rows = append(rows, SensitivityRow{
 			Value:       v,
@@ -441,11 +422,9 @@ func sensitivity(cfg Config, w io.Writer, param string, values []float64) []Sens
 		rows[i].Perf = rows[i].RawGF / maxGF
 		rows[i].TimePerIter = rows[i].RawTimeIter / maxTI
 	}
-	if w != nil {
-		fmt.Fprintf(w, "%-8s normalized-performance  normalized-time/iteration\n", param)
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-8.3g %.3f                   %.3f\n", r.Value, r.Perf, r.TimePerIter)
-		}
+	fmt.Fprintf(w, "%-8s normalized-performance  normalized-time/iteration\n", param)
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-8.3g %.3f                   %.3f\n", r.Value, r.Perf, r.TimePerIter)
 	}
 	return rows
 }

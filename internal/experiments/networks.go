@@ -38,7 +38,7 @@ func runNetwork(cfg Config, netName string, batch int, platName, schedName strin
 		panic("experiments: unknown network " + netName)
 	}
 	plat := hardware.ByName(platName)
-	nt, err := core.NewSequentialNetworkTuner(net, plat, schedName, cfg.MeasureK, seed, cfg.workers())
+	nt, err := core.NewSequentialNetworkTuner(net, plat, schedName, cfg.MeasureK, seed, cfg.EffectiveWorkers())
 	if err != nil {
 		panic(err)
 	}
@@ -98,10 +98,8 @@ func NetworkGrid(cfg Config, w io.Writer) []NetworkRow {
 					row.HARLTime = hSnap.CostSec / maxT
 				}
 				rows = append(rows, row)
-				if w != nil {
-					fmt.Fprintf(w, "%-9s %-3s batch=%-3d perf: ansor=%.3f harl=%.3f (%.2fx, %.2f vs %.2f ms) | search time: ansor=%.3f harl=%.3f\n",
-						netName, platName, batch, row.AnsorPerf, row.HARLPerf, row.Speedup, row.AnsorMs, row.HARLMs, row.AnsorTime, row.HARLTime)
-				}
+				fmt.Fprintf(w, "%-9s %-3s batch=%-3d perf: ansor=%.3f harl=%.3f (%.2fx, %.2f vs %.2f ms) | search time: ansor=%.3f harl=%.3f\n",
+					netName, platName, batch, row.AnsorPerf, row.HARLPerf, row.Speedup, row.AnsorMs, row.HARLMs, row.AnsorTime, row.HARLTime)
 			}
 		}
 	}
@@ -147,15 +145,13 @@ func Table4(cfg Config, w io.Writer) Table4Result {
 	res.EstimatedSpeedup = ansor.EstimatedExec() / harl.EstimatedExec()
 	res.MeasuredSpeedup = ansor.MeasuredExec() / harl.MeasuredExec()
 	res.NoMABSpeedup = ansor.MeasuredExec() / noMAB.MeasuredExec()
-	if w != nil {
-		fmt.Fprintf(w, "%-18s contribution  speedup\n", "subgraph")
-		for _, r := range res.Rows {
-			fmt.Fprintf(w, "%-18s %5.1f%%        %.2fx\n", r.Subgraph, r.Contribution*100, r.Speedup)
-		}
-		fmt.Fprintf(w, "Estimated HARL (sum): %.2fx\n", res.EstimatedSpeedup)
-		fmt.Fprintf(w, "Measured HARL:        %.2fx\n", res.MeasuredSpeedup)
-		fmt.Fprintf(w, "Measured HARL (w/o subgraph MAB): %.2fx\n", res.NoMABSpeedup)
+	fmt.Fprintf(w, "%-18s contribution  speedup\n", "subgraph")
+	for _, r := range res.Rows {
+		fmt.Fprintf(w, "%-18s %5.1f%%        %.2fx\n", r.Subgraph, r.Contribution*100, r.Speedup)
 	}
+	fmt.Fprintf(w, "Estimated HARL (sum): %.2fx\n", res.EstimatedSpeedup)
+	fmt.Fprintf(w, "Measured HARL:        %.2fx\n", res.MeasuredSpeedup)
+	fmt.Fprintf(w, "Measured HARL (w/o subgraph MAB): %.2fx\n", res.NoMABSpeedup)
 	return res
 }
 
@@ -202,12 +198,10 @@ func AllocationAblation(cfg Config, w io.Writer) []AllocationRow {
 		}
 		rows = append(rows, row)
 	}
-	if w != nil {
-		fmt.Fprintf(w, "%-10s harl(=ansor) harl(total)  nomab(=ansor) nomab(total)\n", "subgraph")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-10s %8d     %8d     %8d      %8d\n",
-				r.Subgraph, r.HARLAtAnsor, r.HARLTotal, r.NoMABAtAnsor, r.NoMABTotal)
-		}
+	fmt.Fprintf(w, "%-10s harl(=ansor) harl(total)  nomab(=ansor) nomab(total)\n", "subgraph")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-10s %8d     %8d     %8d      %8d\n",
+			r.Subgraph, r.HARLAtAnsor, r.HARLTotal, r.NoMABAtAnsor, r.NoMABTotal)
 	}
 	return rows
 }

@@ -6,49 +6,38 @@ import (
 	"harl/internal/search"
 )
 
-// Observations aggregates the measurement accounting of every tuning run one
-// experiment performs, for the BENCH summary: how many schedules were
-// measured on (simulated) hardware, and the mean trial index at which runs
-// locked in their final best. The accumulator is package-global because an
-// experiment is a process-level unit — RunExperiment resets it, the run
-// helpers feed it, and NewSummary takes it — but it is mutex-guarded so
+// The measurement accounting of every tuning run one experiment performs,
+// for its Summary: how many schedules were measured on (simulated) hardware,
+// and the trial index at which each run locked in its final best. It is
+// package-global because an experiment is a process-level unit — Run resets
+// it, the run helpers feed it and Run takes it — but it is mutex-guarded so
 // worker-pooled runs and concurrent tests stay race-free.
-type Observations struct {
-	// Runs counts the tuning tasks observed (network runs count one per
-	// subgraph task).
-	Runs int
-	// Measured is the trial count summed over the observed tasks.
-	Measured int
-	// TrialsToBest is the mean trial index (1-based) at which the
-	// observed tasks last improved their best — how deep into the budget the
-	// final answer arrived.
-	TrialsToBest int
-}
-
 var (
-	obsMu  sync.Mutex
-	obsCur Observations
-	obsSum int // sum of per-task trials-to-best, averaged at Take time
+	obsMu       sync.Mutex
+	obsRuns     int // tuning tasks observed; a network run counts one per subgraph task
+	obsMeasured int // trials summed over the observed tasks
+	obsToBest   int // per-task trials-to-best summed over the observed tasks
 )
 
-// ResetObservations clears the accumulator; call at the start of an
-// experiment so its summary reflects only its own runs.
-func ResetObservations() {
+// resetObservations clears the accumulator at the start of an experiment so
+// its summary reflects only its own runs.
+func resetObservations() {
 	obsMu.Lock()
 	defer obsMu.Unlock()
-	obsCur, obsSum = Observations{}, 0
+	obsRuns, obsMeasured, obsToBest = 0, 0, 0
 }
 
-// TakeObservations returns the totals accumulated since the last reset.
-// Experiments that tune nothing (tab1's static matrix) report all zeros.
-func TakeObservations() Observations {
+// takeObservations returns the trials measured since the last reset and the
+// mean 1-based trial index at which the observed tasks last improved their
+// best — how deep into the budget the final answers arrived. Experiments
+// that tune nothing (tab1's static matrix) report zeros.
+func takeObservations() (measured, toBest int) {
 	obsMu.Lock()
 	defer obsMu.Unlock()
-	o := obsCur
-	if o.Runs > 0 {
-		o.TrialsToBest = obsSum / o.Runs
+	if obsRuns > 0 {
+		toBest = obsToBest / obsRuns
 	}
-	return o
+	return obsMeasured, toBest
 }
 
 // observeTask folds one finished tuning task into the accumulator. Every
@@ -57,9 +46,9 @@ func TakeObservations() Observations {
 func observeTask(t *search.Task) {
 	obsMu.Lock()
 	defer obsMu.Unlock()
-	obsCur.Runs++
-	obsCur.Measured += t.Trials
-	obsSum += trialsToBest(t.BestLog)
+	obsRuns++
+	obsMeasured += t.Trials
+	obsToBest += trialsToBest(t.BestLog)
 }
 
 // trialsToBest is the 1-based index of the last improvement in a best-so-far

@@ -94,13 +94,11 @@ func GreedyAllocation(cfg Config, w io.Writer) GreedyWasteResult {
 			LastOnePct: finalTrials[i] - at,
 		})
 	}
-	if w != nil {
-		fmt.Fprintf(w, "%-18s total-allocations  allocations-for-last-1%%\n", "subgraph")
-		for _, r := range res.Rows {
-			fmt.Fprintf(w, "%-18s %8d           %8d\n", r.Subgraph, r.Total, r.LastOnePct)
-		}
-		fmt.Fprintf(w, "fraction of all trials spent on last 1%% improvement: %.1f%%\n", res.FractionWasted*100)
+	fmt.Fprintf(w, "%-18s total-allocations  allocations-for-last-1%%\n", "subgraph")
+	for _, r := range res.Rows {
+		fmt.Fprintf(w, "%-18s %8d           %8d\n", r.Subgraph, r.Total, r.LastOnePct)
 	}
+	fmt.Fprintf(w, "fraction of all trials spent on last 1%% improvement: %.1f%%\n", res.FractionWasted*100)
 	return res
 }
 
@@ -151,11 +149,9 @@ func UniformImprovement(cfg Config, w io.Writer) UniformImprovementResult {
 		NearZeroFraction: float64(nearZero) / float64(len(ratios)),
 		Hist:             hist,
 	}
-	if w != nil {
-		fmt.Fprintf(w, "improvement ratio of %d uniform moves: mean=%.3f p25=%.3f median=%.3f p75=%.3f\n",
-			res.Summary.N, res.Summary.Mean, res.Summary.P25, res.Summary.P50, res.Summary.P75)
-		fmt.Fprintf(w, "moves with |improvement| < 2%%: %.1f%% (most improvements are around 0)\n", res.NearZeroFraction*100)
-	}
+	fmt.Fprintf(w, "improvement ratio of %d uniform moves: mean=%.3f p25=%.3f median=%.3f p75=%.3f\n",
+		res.Summary.N, res.Summary.Mean, res.Summary.P25, res.Summary.P50, res.Summary.P75)
+	fmt.Fprintf(w, "moves with |improvement| < 2%%: %.1f%% (most improvements are around 0)\n", res.NearZeroFraction*100)
 	return res
 }
 
@@ -179,7 +175,7 @@ func FixedLengthWaste(cfg Config, w io.Writer) FixedLengthWasteResult {
 	var all []float64
 	for i, geom := range []string{"GEMM-S", "GEMM-M", "GEMM-L"} {
 		sg := workload.SuiteFor(geom, 1)[0]
-		task := tuneOperator(sg, plat, "flextensor", cfg.OperatorBudget/2, cfg.MeasureK, cfg.Seed+uint64(i), cfg.workers())
+		task := tuneOperator(sg, plat, "flextensor", cfg.OperatorBudget/2, cfg.MeasureK, cfg.Seed+uint64(i), cfg.EffectiveWorkers())
 		all = append(all, task.TrackPositions...)
 	}
 	res := FixedLengthWasteResult{Bins: positionBins(all)}
@@ -192,13 +188,11 @@ func FixedLengthWaste(cfg Config, w io.Writer) FixedLengthWasteResult {
 	if len(all) > 0 {
 		res.EarlyFraction = float64(early) / float64(len(all))
 	}
-	if w != nil {
-		fmt.Fprintf(w, "position of best schedule in fixed-length search paths (%d tracks):\n", len(all))
-		for i, c := range res.Bins {
-			fmt.Fprintf(w, "%3d%%-%3d%%  %d\n", i*10, (i+1)*10, c)
-		}
-		fmt.Fprintf(w, "tracks peaking within first 40%% of path: %.1f%%\n", res.EarlyFraction*100)
+	fmt.Fprintf(w, "position of best schedule in fixed-length search paths (%d tracks):\n", len(all))
+	for i, c := range res.Bins {
+		fmt.Fprintf(w, "%3d%%-%3d%%  %d\n", i*10, (i+1)*10, c)
 	}
+	fmt.Fprintf(w, "tracks peaking within first 40%% of path: %.1f%%\n", res.EarlyFraction*100)
 	return res
 }
 

@@ -6,10 +6,10 @@
 // accounts simulated search time (compile overhead, repeat rule r_min,
 // search-computation cost).
 //
-// The simulator is the substitution for real hardware (see DESIGN.md): its
-// role is not absolute accuracy but a performance landscape with the same
-// structure real hardware exhibits — multi-level cache reuse rewards balanced
-// tile pyramids, vector units reward aligned innermost loops, parallel
+// The simulator is the substitution for real hardware: its role is not
+// absolute accuracy but a performance landscape with the same structure real
+// hardware exhibits — multi-level cache reuse rewards balanced tile
+// pyramids, vector units reward aligned innermost loops, parallel
 // speedup saturates at the core count and suffers from load imbalance and
 // spawn overhead, unrolling trades loop overhead against instruction-cache
 // pressure, and operator fusion removes intermediate-tensor traffic. A

@@ -32,12 +32,6 @@ type HARLConfig struct {
 	// stopping is off, sized so both modes visit a similar number of
 	// candidates (the paper's Figure 4 equivalence).
 	FixedLength int
-	// UniformSketch disables the sketch-level SW-UCB (ablation), falling
-	// back to Ansor's uniform sketch selection.
-	UniformSketch bool
-	// SketchC and SketchWindow are the SW-UCB constants (c=0.25, τ=256).
-	SketchC      float64
-	SketchWindow int
 	// RL holds the PPO hyper-parameters (paper Table 5).
 	RL rl.Config
 }
@@ -52,11 +46,16 @@ func DefaultHARLConfig() HARLConfig {
 		MinTracks:        8,
 		AdaptiveStopping: true,
 		FixedLength:      35, // 32·35 ≈ 32·20+16·20+8·20 candidates
-		SketchC:          0.25,
-		SketchWindow:     256,
 		RL:               rl.DefaultConfig(),
 	}
 }
+
+// sketchC and sketchWindow are the sketch-level SW-UCB constants (c=0.25,
+// τ=256).
+const (
+	sketchC      = 0.25
+	sketchWindow = 256
+)
 
 // HARL is the paper's search engine: SW-UCB sketch selection, PPO-driven
 // parameter modification over the Table-3 action space, adaptive-stopping
@@ -105,7 +104,7 @@ func (h *HARL) state(t *Task) *harlState {
 	}
 	st = &harlState{
 		agent: rl.NewAgent(stateDim, heads, h.Cfg.RL, t.RNG.Split()),
-		mab:   bandit.NewSWUCB(len(t.Sketches), h.Cfg.SketchC, h.Cfg.SketchWindow, t.RNG.Split()),
+		mab:   bandit.NewSWUCB(len(t.Sketches), sketchC, sketchWindow, t.RNG.Split()),
 	}
 	h.states[t] = st
 	return st
@@ -134,7 +133,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 
 	// --- sketch selection (SW-UCB over the task's sketches) ------------------
 	var skIdx int
-	if h.Cfg.UniformSketch || len(t.Sketches) == 1 {
+	if len(t.Sketches) == 1 {
 		skIdx = t.RNG.Intn(len(t.Sketches))
 	} else {
 		skIdx = st.mab.Select()
@@ -233,7 +232,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 	if roundBest > st.bestPerfEver {
 		st.bestPerfEver = roundBest
 	}
-	if st.bestPerfEver > 0 && !h.Cfg.UniformSketch && len(t.Sketches) > 1 {
+	if st.bestPerfEver > 0 && len(t.Sketches) > 1 {
 		st.mab.Update(skIdx, roundBest/st.bestPerfEver)
 	}
 	return n

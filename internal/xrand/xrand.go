@@ -4,7 +4,7 @@
 // Every stochastic component in the repository (schedule sampling, evolutionary
 // mutation, PPO exploration, measurement noise, bandit tie-breaking) draws from
 // an *xrand.RNG seeded explicitly by the experiment harness, so that every
-// experiment in EXPERIMENTS.md is exactly reproducible. The generator is
+// experiment harl-bench regenerates is exactly reproducible. The generator is
 // splitmix64 at its core, promoted to xoshiro256** for the main stream, which
 // is both fast and statistically strong enough for simulation workloads.
 package xrand
