@@ -51,7 +51,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	registryDir := flag.String("registry", "registry", "best-schedule registry directory (created if missing)")
-	registryLayout := flag.String("registry-layout", "auto", "registry storage layout: auto (detect), single (one journal) or sharded (256 fingerprint-sharded journals; migrates a single-file registry in place)")
+	registryLayout := flag.String("registry-layout", "auto", "registry storage layout: auto (a new registry is sharded, an existing single-file one opens as it is) or sharded (migrates a single-file registry in place)")
 	importLog := flag.String("import", "", "seed the registry from this tuning-record journal before serving")
 	workers := flag.Int("workers", 2, "queue workers draining tuning jobs concurrently")
 	plateauWindow := flag.Int("plateau-window", 6, "default plateau early stop: end a job's search when its best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator job, allocation decisions of a network job, however many subgraphs each advances (0 disables; requests override with plateau_window)")

@@ -57,7 +57,7 @@ func main() {
 	modelIn := flag.String("model-in", "", "load a cost-model checkpoint (from -model-out or harl-train) before search")
 	modelOut := flag.String("model-out", "", "save the trained cost-model checkpoint after tuning")
 	registryDir := flag.String("registry", "", "best-schedule registry directory shared with harl-serve: resolve before tuning (a hit costs 0 trials) and publish the best after")
-	registryLayout := flag.String("registry-layout", "auto", "registry storage layout: auto (detect), single (one journal) or sharded (256 fingerprint-sharded journals; migrates a single-file registry in place)")
+	registryLayout := flag.String("registry-layout", "auto", "registry storage layout: auto (a new registry is sharded, an existing single-file one opens as it is) or sharded (migrates a single-file registry in place)")
 	fleetList := flag.String("fleet", "", "comma-separated harl-worker endpoints to fan measurement batches out to (results are byte-identical to in-process measurement; a dead worker falls back in-process)")
 	progress := flag.Bool("progress", false, "stream one progress line per committed round/wave to stderr — the same event stream harl-serve serves over SSE")
 	plateauWindow := flag.Int("plateau-window", 0, "stop the search early when the best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator run, allocation decisions of a network run, however many subgraphs each advances (0 disables)")

@@ -12,13 +12,14 @@ import (
 type Layout string
 
 const (
-	// LayoutAuto detects the layout from the directory contents: an existing
-	// shards/ tree opens sharded, an existing (or absent) journal.jsonl opens
-	// single-file. New registries default to the single-file layout.
+	// LayoutAuto detects the layout from the directory contents: a root
+	// journal.jsonl with no shards/ tree is a v1 registry and opens
+	// single-file, untouched; anything else — a new registry included —
+	// opens sharded.
 	LayoutAuto Layout = ""
-	// LayoutSingle is the v1 layout: one flat journal.jsonl plus an
-	// index.json snapshot, with the whole index resident in memory. Right for
-	// small registries and kept for compatibility.
+	// LayoutSingle is the v1 layout: one flat journal.jsonl, with the whole
+	// index resident in memory. Kept so existing v1 registries open
+	// unchanged; new registries are sharded.
 	LayoutSingle Layout = "single"
 	// LayoutSharded is the v2 layout: the journal split by workload
 	// fingerprint into shards/<xx>/journal.jsonl, each independently locked
@@ -78,11 +79,15 @@ type Backend interface {
 	// reopening. The error reports an unreadable or damaged store — distinct
 	// from a plain miss.
 	Resolve(workload, target, scheduler string) (tunelog.Record, bool, error)
-	// AppendBatch durably appends the batch under the cross-process lock(s),
+	// AppendBatch appends the batch under the cross-process lock(s),
 	// skipping records the journal already holds, and reports per input
-	// record whether it improved (or established) its key. On a mid-batch
-	// write failure the backend reloads from disk so in-memory state never
-	// claims a record the journal did not durably get.
+	// record whether it improved (or established) its key. The appended
+	// lines reach the OS before it returns but are not fsynced: they survive
+	// a process kill, while a machine crash can lose the latest appends
+	// (torn-tail repair keeps that loss to a suffix of whole lines: a
+	// half-written last line never merges into the next record). On a
+	// mid-batch write failure the backend reloads from disk so in-memory
+	// state never claims a record the journal did not get.
 	AppendBatch(recs []tunelog.Record) ([]bool, error)
 	// Len returns the number of keys with a best record.
 	Len() int
@@ -94,28 +99,34 @@ type Backend interface {
 	Close() error
 }
 
-// DetectLayout reports the layout of an existing registry directory: a
-// shards/ tree means sharded, anything else (including a not-yet-created
-// directory) means single-file.
+// DetectLayout reports the layout of a registry directory: a root
+// journal.jsonl with no shards/ tree is a v1 registry (single-file); anything
+// else — a shards/ tree, or an empty or not-yet-created directory — is
+// sharded.
 func DetectLayout(dir string) Layout {
-	if st, err := os.Stat(filepath.Join(dir, ShardsDir)); err == nil && st.IsDir() {
-		return LayoutSharded
+	if _, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil && !hasShards(dir) {
+		return LayoutSingle
 	}
-	return LayoutSingle
+	return LayoutSharded
+}
+
+func hasShards(dir string) bool {
+	st, err := os.Stat(filepath.Join(dir, ShardsDir))
+	return err == nil && st.IsDir()
 }
 
 // openBackend resolves the layout and opens it. A root journal.jsonl under the
 // sharded layout is a v1 registry to migrate in place — or a migration a kill
 // interrupted after shards/ was created and before the journal was retired,
-// which DetectLayout alone would open as an empty sharded registry. The
-// replay skips records a shard already holds, so both cases run Migrate.
+// which would otherwise open as an empty sharded registry. The replay skips
+// records a shard already holds, so both cases run Migrate.
 func openBackend(dir string, o Options) (Backend, error) {
 	layout := o.Layout
 	switch layout {
 	case LayoutAuto:
 		layout = DetectLayout(dir)
 	case LayoutSingle:
-		if DetectLayout(dir) == LayoutSharded {
+		if hasShards(dir) {
 			return nil, fmt.Errorf("registry: %s holds a sharded registry; open it with the sharded (or auto) layout", dir)
 		}
 	case LayoutSharded:

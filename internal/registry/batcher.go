@@ -12,10 +12,10 @@ import (
 // daemon sessions, a CLI run, a Replace heal — queues its record with a
 // per-caller response channel; a single flusher goroutine takes the first
 // pending request plus whatever else is already queued and services them with
-// ONE backend append: one lock acquisition, one journal open, one index/header
-// write per touched journal, however many sessions published. The requests
-// that arrive while that append holds the file lock are the next batch. A lone
-// publisher waits for nothing but its own durable append; concurrent
+// ONE backend append: one lock acquisition, one journal open (and, sharded,
+// one header write) per touched journal, however many sessions published. The
+// requests that arrive while that append holds the file lock are the next
+// batch. A lone publisher waits for nothing but its own append; concurrent
 // publishers stop serializing one file lock apiece.
 
 // maxBatch caps the records one flush carries, so a deep backlog cannot hold
@@ -56,7 +56,7 @@ func newBatcher(b Backend) *batcher {
 	return bt
 }
 
-// publish queues one record and blocks until its batch is durable. The read
+// publish queues one record and blocks until its batch is appended. The read
 // lock is held across the send so close cannot close ch under a sender; the
 // flusher never takes mu, so a full ch always drains.
 func (bt *batcher) publish(rec tunelog.Record) (bool, error) {
@@ -121,7 +121,7 @@ func (bt *batcher) stats() (batches, records int64) {
 	return bt.batches.Load(), bt.records.Load()
 }
 
-// close stops intake, waits for pending publishes to flush durably, and
+// close stops intake, waits for pending publishes to be appended, and
 // stops the flusher. Idempotent.
 func (bt *batcher) close() {
 	bt.mu.Lock()

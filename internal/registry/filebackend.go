@@ -11,10 +11,9 @@ import (
 )
 
 // fileBackend is the v1 single-file layout: one flat journal.jsonl (the
-// authoritative append-only log) plus an index.json snapshot for external
-// readers, with the whole best map and dedup set resident in memory. Kept for
-// compatibility and small registries; the sharded backend supersedes it at
-// scale.
+// authoritative append-only log), with the whole best map and dedup set
+// resident in memory. Kept so existing v1 registries open unchanged; new
+// registries are sharded.
 type fileBackend struct {
 	dir string
 
@@ -98,13 +97,13 @@ func (b *fileBackend) Resolve(workload, target, scheduler string) (tunelog.Recor
 
 // AppendBatch appends records to the journal — opened, appended and closed
 // under a blocking advisory lock, so concurrent publishers from other
-// processes serialize at batch granularity — absorbs them into the best map,
-// and rewrites the index snapshot once. Records the journal is already known
-// to hold are skipped entirely (re-importing a seed journal on every daemon
-// boot must not grow the file). On any write failure the in-memory state is
-// reloaded from disk: it must never claim a record the journal did not
-// durably get, or a retry of the same publish would be skipped as a duplicate
-// and the record silently lost until restart.
+// processes serialize at batch granularity — and absorbs them into the best
+// map. Records the journal is already known to hold are skipped entirely
+// (re-importing a seed journal on every daemon boot must not grow the file).
+// On any write failure the in-memory state is reloaded from disk: it must
+// never claim a record the journal did not get, or a retry of the same
+// publish would be skipped as a duplicate and the record silently lost until
+// restart.
 func (b *fileBackend) AppendBatch(recs []tunelog.Record) ([]bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -148,25 +147,18 @@ func (b *fileBackend) AppendBatch(recs []tunelog.Record) ([]bool, error) {
 	b.stamp = stampOf(path)
 	b.stats.Appends++
 	b.stats.AppendedRecords += int64(appended)
-	return improved, b.writeIndexLocked()
+	return improved, nil
 }
 
 // failAppendLocked handles a journal write failure: the in-memory state may
-// claim records that never durably landed, so it is rebuilt from the journal
-// on disk. The write error is returned (a reload failure piggybacks on it);
+// claim records that never landed, so it is rebuilt from the journal on
+// disk. The write error is returned (a reload failure piggybacks on it);
 // the caller's retry then re-appends exactly what the journal is missing.
 func (b *fileBackend) failAppendLocked(err error) error {
 	if lerr := b.loadLocked(); lerr != nil {
 		return fmt.Errorf("registry: append failed (%w) and reload failed: %v", err, lerr)
 	}
 	return fmt.Errorf("registry: append: %w", err)
-}
-
-// writeIndexLocked snapshots the best map as index.json (atomic temp-file +
-// rename), keys sorted so equal states serialize byte-identically. Caller
-// holds the write lock.
-func (b *fileBackend) writeIndexLocked() error {
-	return writeIndexFile(filepath.Join(b.dir, IndexFile), b.best, b.size)
 }
 
 func (b *fileBackend) Len() int {

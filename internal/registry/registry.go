@@ -6,22 +6,25 @@
 //
 // Storage is pluggable behind the Backend interface, with two layouts:
 //
+//	sharded  (v2, every new registry) the journal split by workload
+//	         fingerprint across shards/<xx>/journal.jsonl (256 shards), each
+//	         independently locked and compacted down to its per-key bests
+//	         when superseded records dominate, with an LRU bounding how many
+//	         shard indexes are resident. See shardbackend.go.
 //	single   (v1) one flat journal.jsonl — the authoritative append-only log
 //	         (same schema as tuning logs, so any tuning journal can be
 //	         imported wholesale; replaying it in order reproduces the best
-//	         map exactly, including Force heal records) — plus an index.json
-//	         snapshot for external readers, rewritten via temp-file + rename
-//	         after journal growth. The whole index stays in memory.
-//	sharded  (v2) the journal split by workload fingerprint across
-//	         shards/<xx>/journal.jsonl (256 shards), each independently
-//	         locked and compacted when superseded records dominate, with an
-//	         LRU bounding how many shard indexes are resident — the layout
-//	         for registries holding orders of magnitude more keys than fit
-//	         one in-memory index. See shardbackend.go.
+//	         map exactly, including Force heal records). The whole index
+//	         stays in memory. Kept so existing v1 registries open unchanged.
 //
 // In both layouts the append-only journal(s) stay authoritative: any backend
 // rebuilds its state from a replay, and a single-file registry opens
 // unchanged or migrates in place to the sharded layout (Migrate).
+//
+// Durability: a publish returns once its lines reach the OS, not the disk —
+// appends are not fsynced. A returned publish survives a process kill; a
+// machine crash can lose the most recent appends, and torn-tail repair keeps
+// that loss to a suffix of whole lines.
 //
 // Concurrency: a Registry value is safe for concurrent readers and
 // concurrent publishers in-process. Publishes funnel through a group-commit
@@ -29,14 +32,13 @@
 // append was in flight, so N concurrent publishers amortize lock acquisitions
 // instead of paying one apiece. Across processes,
 // writers serialize behind blocking advisory file locks held only for the
-// append. Open never writes, so read-only consumers can open a registry
-// another process is publishing into; and a Resolve miss re-checks durable
-// state and reloads when another process has grown it, so a long-running
-// daemon observes records a CLI publishes beside it.
+// append. Open writes no journal state, so read-only consumers can open a
+// registry another process is publishing into; and a Resolve miss re-checks
+// the journals on disk and reloads when another process has grown them, so a
+// long-running daemon observes records a CLI publishes beside it.
 package registry
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -44,19 +46,14 @@ import (
 	"sort"
 	"time"
 
-	"harl/internal/atomicfile"
 	"harl/internal/tunelog"
 )
 
-// IndexVersion is the index.json format version written by this package.
-const IndexVersion = 1
-
-// JournalFile, IndexFile and ShardsDir are the registry's on-disk layout
-// under its directory (JournalFile/IndexFile for the single-file layout,
-// ShardsDir for the sharded one).
+// JournalFile and ShardsDir are the registry's on-disk layout under its
+// directory (JournalFile for the single-file layout, ShardsDir for the
+// sharded one).
 const (
 	JournalFile = "journal.jsonl"
-	IndexFile   = "index.json"
 	ShardsDir   = "shards"
 )
 
@@ -129,7 +126,7 @@ func resolveBest(best map[string]tunelog.Record, workload, target, scheduler str
 }
 
 // sortedBest returns a best map's records sorted by key — the stable
-// enumeration order the index file and Records use.
+// enumeration order Records and compaction use.
 func sortedBest(best map[string]tunelog.Record) []tunelog.Record {
 	keys := make([]string, 0, len(best))
 	for k := range best {
@@ -143,47 +140,11 @@ func sortedBest(best map[string]tunelog.Record) []tunelog.Record {
 	return out
 }
 
-type indexFile struct {
-	V int `json:"v"`
-	// JournalRecords is the distinct journal record count the snapshot was
-	// built from, so external consumers can tell a lagging snapshot.
-	JournalRecords int              `json:"journal_records"`
-	Best           []tunelog.Record `json:"best"`
-}
-
-// loadIndex parses an index snapshot — for external tools and tests; the
-// registry itself treats the journal as authoritative and never reads the
-// index back.
-func loadIndex(path string) (indexFile, error) {
-	var idx indexFile
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return idx, err
-	}
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return idx, fmt.Errorf("registry: damaged index: %w", err)
-	}
-	if idx.V != IndexVersion {
-		return idx, fmt.Errorf("registry: unknown index version %d", idx.V)
-	}
-	return idx, nil
-}
-
-// writeIndexFile snapshots a best map as an index file (atomic temp-file +
-// rename), keys sorted so equal states serialize byte-identically.
-func writeIndexFile(path string, best map[string]tunelog.Record, records int) error {
-	idx := indexFile{V: IndexVersion, JournalRecords: records, Best: sortedBest(best)}
-	data, err := json.MarshalIndent(idx, "", " ")
-	if err != nil {
-		return fmt.Errorf("registry: marshal index: %w", err)
-	}
-	return atomicfile.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // Open opens (creating if needed) the registry directory with auto-detected
-// layout, loading state from the authoritative journal(s). Open never writes,
-// so read-only consumers can open a registry another process is actively
-// publishing into.
+// layout, loading state from the authoritative journal(s). Open writes no
+// journal state — at most it creates the directory and, for a sharded
+// registry, its shards/ tree — so read-only consumers can open a registry
+// another process is actively publishing into.
 func Open(dir string) (*Registry, error) {
 	return OpenOptions(dir, Options{})
 }
@@ -216,8 +177,9 @@ func (r *Registry) Resolve(workload, target, scheduler string) (tunelog.Record, 
 // journal (unless the journal already holds it) and the best map updates only
 // when the record beats the current best for its key. The returned bool
 // reports that improvement. Concurrent publishes are group-committed: each
-// caller blocks until its record is durable, and one locked append services
-// every record queued while the previous append was in flight.
+// caller blocks until its record is appended (see the package doc for what
+// that survives), and one locked append services every record queued while
+// the previous append was in flight.
 func (r *Registry) Publish(rec tunelog.Record) (bool, error) {
 	return r.bat.publish(rec)
 }
@@ -226,7 +188,7 @@ func (r *Registry) Publish(rec tunelog.Record) (bool, error) {
 // has a lower recorded time — the repair path for a poisoned key: a foreign
 // record whose steps no longer reconstruct can carry an unbeatably low
 // ExecSec, and Publish's keep-better rule would preserve it forever. The
-// heal is durable: the record is journaled with Force set, and journal
+// heal persists: the record is journaled with Force set, and journal
 // replays absorb it in order, so rebuilds keep the replacement.
 func (r *Registry) Replace(rec tunelog.Record) error {
 	rec.Force = true
@@ -279,8 +241,8 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// Close flushes the publish batcher (pending publishes complete durably) and
-// releases the backend. Publishes after Close fail.
+// Close flushes the publish batcher (pending publishes are appended first)
+// and releases the backend. Publishes after Close fail.
 func (r *Registry) Close() error {
 	r.bat.close()
 	return r.b.Close()
@@ -289,7 +251,8 @@ func (r *Registry) Close() error {
 // Migrate converts a single-file registry directory to the sharded layout in
 // place: the journal replays into per-shard journals (order preserved, so
 // Force heals keep their effect), the old journal is kept as
-// journal.v1.jsonl for rollback, and the now-stale index.json is removed.
+// journal.v1.jsonl for rollback, and an index.json snapshot older binaries
+// wrote beside it is removed.
 // Opening a directory as sharded calls this whenever a root journal.jsonl is
 // present; the replay skips records a shard already holds, so a run killed at
 // any point before the rename is completed by the next one.
@@ -312,6 +275,6 @@ func Migrate(dir string) error {
 	if err := os.Rename(src, filepath.Join(dir, "journal.v1.jsonl")); err != nil {
 		return fmt.Errorf("registry: migrate: retire v1 journal: %w", err)
 	}
-	os.Remove(filepath.Join(dir, IndexFile))
+	os.Remove(filepath.Join(dir, "index.json"))
 	return nil
 }

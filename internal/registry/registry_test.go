@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -96,44 +95,6 @@ func TestResolveAnyScheduler(t *testing.T) {
 	got, ok := resolve(t, r, harl.Workload, harl.Target, "")
 	if !ok || got != ansor {
 		t.Fatalf("empty scheduler must resolve the overall best; got %+v", got)
-	}
-}
-
-func TestStaleIndexRebuiltFromJournal(t *testing.T) {
-	dir := t.TempDir()
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := sampleRecord(1, "harl", 2e-4, 1)
-	if _, err := r.Publish(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Sabotage the index: journal stays authoritative.
-	if err := os.WriteFile(filepath.Join(dir, IndexFile), []byte("{garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if got, ok := resolve(t, r2, rec.Workload, rec.Target, "harl"); !ok || got != rec {
-		t.Fatalf("rebuild from journal failed: %+v, %v", got, ok)
-	}
-	// Open never writes (read-only consumers must be able to open a registry
-	// mid-publish); the damaged snapshot is replaced by the next publish.
-	if _, err := loadIndex(filepath.Join(dir, IndexFile)); err == nil {
-		t.Fatal("Open must not rewrite the index")
-	}
-	if _, err := r2.Publish(sampleRecord(4, "harl", 3e-4, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if idx, err := loadIndex(filepath.Join(dir, IndexFile)); err != nil || idx.JournalRecords != 2 {
-		t.Fatalf("publish did not refresh the index: %+v, %v", idx, err)
 	}
 }
 

@@ -76,6 +76,10 @@ func TestMigrateSingleToSharded(t *testing.T) {
 	if err := v1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The index.json snapshot older binaries kept beside a v1 journal.
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Opening with the sharded layout migrates in place.
 	r := openLayout(t, dir, LayoutSharded)
@@ -89,7 +93,7 @@ func TestMigrateSingleToSharded(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "journal.v1.jsonl")); err != nil {
 		t.Fatalf("retired v1 journal missing: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, IndexFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
 		t.Fatalf("stale v1 index survived migration: %v", err)
 	}
 	// The rebuild from shard journals must be record-for-record identical,
@@ -191,9 +195,32 @@ func replayInto(t *testing.T, dir string, recs []tunelog.Record) {
 	}
 }
 
+// snapshotFiles reads every regular file under dir, keyed by relative path.
+func snapshotFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestV1RegistryOpensUnmodified: a pre-existing single-file registry opened
-// with the default (auto) layout resolves as before and its files stay
-// byte-identical — storage v2 must not disturb v1 deployments.
+// with the default (auto) layout resolves as before, and open, Resolve and
+// Close leave every file byte-identical and add none — not even a shards
+// tree. That includes the index.json older binaries wrote beside the journal.
 func TestV1RegistryOpensUnmodified(t *testing.T) {
 	dir := t.TempDir()
 	v1 := openLayout(t, dir, LayoutSingle)
@@ -204,10 +231,10 @@ func TestV1RegistryOpensUnmodified(t *testing.T) {
 	if err := v1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	journalBefore, err := os.ReadFile(filepath.Join(dir, JournalFile))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before := snapshotFiles(t, dir)
 	r := openLayout(t, dir, LayoutAuto)
 	if r.Layout() != LayoutSingle {
 		t.Fatalf("auto-detected %q for a v1 directory", r.Layout())
@@ -215,18 +242,45 @@ func TestV1RegistryOpensUnmodified(t *testing.T) {
 	if got, ok := resolve(t, r, "w@v1", rec.Target, "harl"); !ok || got != rec {
 		t.Fatalf("v1 resolve = %+v, %v", got, ok)
 	}
+	if _, ok := resolve(t, r, "w@absent", rec.Target, "harl"); ok {
+		t.Fatal("v1 resolve hit an absent key")
+	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	journalAfter, err := os.ReadFile(filepath.Join(dir, JournalFile))
-	if err != nil {
-		t.Fatal(err)
+	after := snapshotFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("opening a v1 registry changed its files: %d before, %d after", len(before), len(after))
 	}
-	if string(journalBefore) != string(journalAfter) {
-		t.Fatal("opening a v1 registry modified its journal")
+	for path, data := range before {
+		if after[path] != data {
+			t.Fatalf("opening a v1 registry modified %s", path)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, ShardsDir)); !os.IsNotExist(err) {
 		t.Fatal("opening a v1 registry created a shards tree")
+	}
+}
+
+// TestAutoOpensNewRegistrySharded: the default layout for a directory that
+// holds no registry yet — empty or not yet created — is sharded, and the
+// shards/ tree it creates keeps later auto opens sharded.
+func TestAutoOpensNewRegistrySharded(t *testing.T) {
+	empty := t.TempDir()
+	for _, dir := range []string{empty, filepath.Join(empty, "new")} {
+		r := openLayout(t, dir, LayoutAuto)
+		if r.Layout() != LayoutSharded {
+			t.Fatalf("auto opened %s as %q, want sharded", dir, r.Layout())
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := os.Stat(filepath.Join(dir, ShardsDir)); err != nil || !st.IsDir() {
+			t.Fatalf("auto open of a new registry did not create %s: %v", ShardsDir, err)
+		}
+		if DetectLayout(dir) != LayoutSharded {
+			t.Fatalf("%s not detected as sharded after its first open", dir)
+		}
 	}
 }
 
@@ -294,6 +348,45 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 	sameBests(t, "after compaction rebuild", records(t, fresh), want)
 	if rec, ok := resolve(t, fresh, "w@hot", heal.Target, "harl"); !ok || rec != heal {
 		t.Fatalf("heal lost across compaction rebuild: %+v, %v", rec, ok)
+	}
+}
+
+// TestImportCompactsHotShard: with the default thresholds, importing a
+// network-sized journal — 80 records of one key, about what a BERT tune logs
+// per subgraph — compacts its shard on the spot, so a later hit parses one
+// line instead of eighty.
+func TestImportCompactsHotShard(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "tune.jsonl")
+	jr, err := tunelog.OpenJournal(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 80; i++ {
+		if err := jr.Append(synthRecord("w@bert-sg", "harl", float64(100-i)*1e-6, i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openLayout(t, filepath.Join(dir, "reg"), LayoutSharded)
+	defer r.Close()
+	if _, err := r.ImportJournal(logPath); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Compactions < 1 || st.Records != 1 {
+		t.Fatalf("import of 80 records over 1 key: %d compactions, %d records; want ≥ 1 and 1", st.Compactions, st.Records)
+	}
+	journals := shardJournals(t, filepath.Join(dir, "reg"))
+	if len(journals) != 1 {
+		t.Fatalf("one key spread across %d shard journals", len(journals))
+	}
+	if lines := countLines(t, journals[0]); lines != 1 {
+		t.Fatalf("compacted shard journal holds %d records, want 1", lines)
+	}
+	if got, ok := resolve(t, r, "w@bert-sg", "cpu-xeon6226r", "harl"); !ok || got.Trial != 80 {
+		t.Fatalf("hot key after compaction = %+v, %v; want the trial-80 best", got, ok)
 	}
 }
 

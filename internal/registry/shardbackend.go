@@ -43,10 +43,12 @@ const shardHeaderVersion = 1
 // shardCacheCap is how many shard indexes stay resident (LRU eviction beyond
 // it). A shard is rewritten down to its per-key bests (Force heals preserved)
 // when it holds at least compactMinRecords records and more than
-// compactFactor times as many records as live keys.
+// compactFactor times as many records as live keys. The minimum sits below
+// the ~80 records a network tune logs per subgraph, so an imported network
+// journal compacts as it lands and a later hit replays one line per key.
 const (
 	shardCacheCap     = 64
-	compactMinRecords = 256
+	compactMinRecords = 64
 	compactFactor     = 4.0
 )
 
@@ -388,7 +390,7 @@ func (b *shardedBackend) appendShardLocked(s *shard, recs []tunelog.Record, idxs
 
 // failShardAppendLocked mirrors the single-file backend's append-failure
 // contract: the in-memory shard state may claim records the journal never
-// durably got, so it is rebuilt from disk before the error is returned — a
+// got, so it is rebuilt from disk before the error is returned — a
 // retry of the same publish must re-append, not be skipped as a duplicate.
 func (b *shardedBackend) failShardAppendLocked(s *shard, err error) error {
 	if lerr := b.loadShardLocked(s); lerr != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -59,45 +60,87 @@ func TestTuneRejectsNonPositiveBatch(t *testing.T) {
 // storage layer cannot read used to be reported as a plain miss — /v1/schedule
 // answered 404 for schedules that were durably there, and /v1/tune burned a
 // full search per request. It must surface as a 500 with the error counter
-// bumped, distinct from the reconstruct-miss case.
+// bumped, distinct from the reconstruct-miss case, under either layout.
 func TestLookupRegistryIOErrorIsServerError(t *testing.T) {
-	dir := t.TempDir()
-	reg, err := harl.OpenRegistry(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := newFakeTuner()
-	q := NewQueue(ft, 1)
-	srv := httptest.NewServer(NewServer(q, reg))
-	t.Cleanup(func() {
-		srv.Close()
-		q.Shutdown()
-		reg.Close()
-	})
-	// Corrupt the store out from under the open handle: a directory where the
-	// journal file belongs errors every read (works even running as root,
-	// unlike permission bits).
-	if err := os.Mkdir(filepath.Join(dir, "journal.jsonl"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	resp, out := getJSON(t, srv.URL+"/v1/schedule?op=gemm&shape=64,64,64")
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("schedule over broken registry: status %d, want 500; body %v", resp.StatusCode, out)
-	}
-	resp, out = postJSON(t, srv.URL+"/v1/tune", `{"op":"gemm","shape":"64,64,64"}`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("tune over broken registry: status %d, want 500; body %v", resp.StatusCode, out)
-	}
-	m := q.Metrics()
-	if m.RegistryErrors != 2 {
-		t.Fatalf("RegistryErrors = %d, want both failed lookups counted", m.RegistryErrors)
-	}
-	if m.RegistryMisses != 0 || m.Submitted != 0 {
-		t.Fatalf("broken registry misreported as miss or enqueued a job: %+v", m)
-	}
-	body := getMetricsText(t, srv.URL)
-	if !strings.Contains(body, "harl_registry_errors_total 2") {
-		t.Fatalf("/metrics lacks harl_registry_errors_total 2:\n%s", body)
+	for _, tc := range []struct {
+		layout string
+		// seed prepares the directory before open; brk corrupts the store
+		// out from under the open handle. A directory where a journal file
+		// belongs errors every read (works even running as root, unlike
+		// permission bits).
+		seed, brk func(t *testing.T, dir string)
+	}{
+		{
+			layout: "single",
+			// A root journal.jsonl is what makes auto open a v1 registry.
+			seed: func(t *testing.T, dir string) {
+				if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			brk: func(t *testing.T, dir string) {
+				path := filepath.Join(dir, "journal.jsonl")
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Mkdir(path, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		{
+			layout: "sharded",
+			seed:   func(*testing.T, string) {},
+			// Every shard, so the queried key's shard is broken without the
+			// test re-deriving the fingerprint routing.
+			brk: func(t *testing.T, dir string) {
+				for i := 0; i < 256; i++ {
+					if err := os.MkdirAll(filepath.Join(dir, "shards", fmt.Sprintf("%02x", i), "journal.jsonl"), 0o755); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+		},
+	} {
+		t.Run(tc.layout, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.seed(t, dir)
+			reg, err := harl.OpenRegistry(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Layout(); got != tc.layout {
+				t.Fatalf("registry opened %q, want %q", got, tc.layout)
+			}
+			ft := newFakeTuner()
+			q := NewQueue(ft, 1)
+			srv := httptest.NewServer(NewServer(q, reg))
+			t.Cleanup(func() {
+				srv.Close()
+				q.Shutdown()
+				reg.Close()
+			})
+			tc.brk(t, dir)
+			resp, out := getJSON(t, srv.URL+"/v1/schedule?op=gemm&shape=64,64,64")
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("schedule over broken registry: status %d, want 500; body %v", resp.StatusCode, out)
+			}
+			resp, out = postJSON(t, srv.URL+"/v1/tune", `{"op":"gemm","shape":"64,64,64"}`)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("tune over broken registry: status %d, want 500; body %v", resp.StatusCode, out)
+			}
+			m := q.Metrics()
+			if m.RegistryErrors != 2 {
+				t.Fatalf("RegistryErrors = %d, want both failed lookups counted", m.RegistryErrors)
+			}
+			if m.RegistryMisses != 0 || m.Submitted != 0 {
+				t.Fatalf("broken registry misreported as miss or enqueued a job: %+v", m)
+			}
+			body := getMetricsText(t, srv.URL)
+			if !strings.Contains(body, "harl_registry_errors_total 2") {
+				t.Fatalf("/metrics lacks harl_registry_errors_total 2:\n%s", body)
+			}
+		})
 	}
 }
 

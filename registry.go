@@ -16,11 +16,11 @@ import (
 // Registry is an open persistent best-schedule store: the amortization layer
 // that turns tuning from a batch job into a service. It maps (workload
 // fingerprint, target, scheduler) to the best schedule ever published for
-// that key, durably (a journal plus an atomically-updated index under one
-// directory — see the README registry-layout section). It is safe for
-// concurrent use in-process, and across processes concurrent publishers
-// serialize behind a blocking per-publish lock on the journal — a CLI can
-// publish into the registry a running daemon serves from.
+// that key, kept in append-only journals under one directory (see the README
+// "Registry storage" section). It is safe for concurrent use in-process, and
+// across processes concurrent publishers serialize behind blocking
+// per-append file locks — a CLI can publish into the registry a running
+// daemon serves from.
 type Registry struct {
 	reg *registry.Registry
 }
@@ -33,13 +33,13 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return OpenRegistryOptions(dir, RegistryOptions{})
 }
 
-// RegistryOptions select a registry's storage layout. The zero value
-// auto-detects it (an existing sharded registry opens sharded, anything else
-// single-file).
+// RegistryOptions select how a registry opens. The zero value auto-detects
+// the layout: an existing single-file (v1) registry opens single-file and is
+// left untouched, anything else — a new registry included — opens sharded.
 type RegistryOptions struct {
-	// Layout is "", "auto", "single" or "sharded". Opening an existing
-	// single-file registry with "sharded" migrates it in place (the v1
-	// journal is kept beside the shards as journal.v1.jsonl).
+	// Layout is "", "auto" or "sharded". Opening an existing single-file
+	// registry with "sharded" migrates it in place (the v1 journal is kept
+	// beside the shards as journal.v1.jsonl).
 	Layout string
 }
 
@@ -50,12 +50,10 @@ func OpenRegistryOptions(dir string, o RegistryOptions) (*Registry, error) {
 	switch o.Layout {
 	case "", "auto":
 		layout = registry.LayoutAuto
-	case "single":
-		layout = registry.LayoutSingle
 	case "sharded":
 		layout = registry.LayoutSharded
 	default:
-		return nil, fmt.Errorf("harl: unknown registry layout %q (valid: auto, single, sharded)", o.Layout)
+		return nil, fmt.Errorf("harl: unknown registry layout %q (valid: auto, sharded)", o.Layout)
 	}
 	r, err := registry.OpenOptions(dir, registry.Options{Layout: layout})
 	if err != nil {
@@ -142,7 +140,7 @@ func (r *Registry) Layout() string { return string(r.reg.Layout()) }
 // Stats returns a snapshot of the registry's storage counters.
 func (r *Registry) Stats() RegistryStats { return r.reg.Stats() }
 
-// Close releases the registry: pending batched publishes flush durably
+// Close releases the registry: pending batched publishes are appended
 // first. Publishes hold their file lock only for the duration of each
 // append, so Close is cheap and never blocks on other processes.
 func (r *Registry) Close() error { return r.reg.Close() }

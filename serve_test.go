@@ -3,6 +3,7 @@ package harl
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,6 +58,31 @@ func TestRegistryHitServesCommittedJournalBest(t *testing.T) {
 	}
 	if miss.CacheHit || miss.Trials == 0 {
 		t.Fatalf("different scheduler key hit the cache: %+v", miss)
+	}
+}
+
+// TestOpenRegistryLayouts: a new registry opens sharded by default, and the
+// layout names are auto and sharded only — "single" is not one, and the error
+// says which are.
+func TestOpenRegistryLayouts(t *testing.T) {
+	reg, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Layout(); got != "sharded" {
+		t.Fatalf("new registry opened %q, want sharded", got)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenRegistryOptions(t.TempDir(), RegistryOptions{Layout: "single"})
+	if err == nil {
+		t.Fatal(`layout "single" was accepted`)
+	}
+	for _, name := range []string{`"single"`, "auto", "sharded"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not name %s", err, name)
+		}
 	}
 }
 
