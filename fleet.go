@@ -4,13 +4,12 @@ import "harl/internal/fleet"
 
 // Fleet is an open connection to a pool of harl-worker measurement daemons:
 // the distributed-measurement layer. Attach one to a run with
-// Options.FleetPool (a daemon shares one Fleet across every run it serves)
-// or let Options.Fleet dial a private one per run. The pool health-checks
-// its workers in the background, ejects ones that keep failing, readmits
-// them when they recover, and routes each task only to workers that serve
-// its target platform — a heterogeneous fleet can hold cpu-only and
-// gpu-only workers side by side. A Fleet with every worker down still
-// serves: batches fall back to in-process measurement with identical
+// Options.FleetPool; a daemon shares one Fleet across every run it serves.
+// The pool health-checks its workers in the background, ejects ones that
+// keep failing, readmits them when they recover, and routes each task only
+// to workers that serve its target platform — a heterogeneous fleet can hold
+// cpu-only and gpu-only workers side by side. A Fleet with every worker down
+// still serves: batches fall back to in-process measurement with identical
 // results.
 type Fleet struct {
 	pool *fleet.Pool

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,6 +27,17 @@ func tuneToJournal(t *testing.T, path string, mutate func(*Options)) Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// dialFleet opens a fleet over one worker URL, closed with the test.
+func dialFleet(t *testing.T, url string) *Fleet {
+	t.Helper()
+	pool, err := DialFleet([]string{url})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	return pool
 }
 
 func readJournal(t *testing.T, path string) []byte {
@@ -56,7 +68,8 @@ func TestFleetJournalByteIdentity(t *testing.T) {
 	}
 	srv := httptest.NewServer(wk.Handler())
 	defer srv.Close()
-	fleetRes := tuneToJournal(t, fleetLog, func(o *Options) { o.Fleet = []string{srv.URL} })
+	pool := dialFleet(t, srv.URL)
+	fleetRes := tuneToJournal(t, fleetLog, func(o *Options) { o.FleetPool = pool })
 
 	if wk.Batches() == 0 || wk.Trials() == 0 {
 		t.Fatalf("fleet run measured nothing remotely (batches=%d trials=%d)", wk.Batches(), wk.Trials())
@@ -151,6 +164,7 @@ func TestFleetNetworkTune(t *testing.T) {
 	}
 	srv := httptest.NewServer(wk.Handler())
 	defer srv.Close()
+	pool := dialFleet(t, srv.URL)
 
 	for _, workers := range []int{0, 2} {
 		dir := t.TempDir()
@@ -162,7 +176,7 @@ func TestFleetNetworkTune(t *testing.T) {
 		}
 		before := wk.Batches()
 		o.RecordLog = fleetLog
-		o.Fleet = []string{srv.URL}
+		o.FleetPool = pool
 		if _, err := TuneNetwork("bert", 1, CPU(), o); err != nil {
 			t.Fatal(err)
 		}
@@ -176,13 +190,20 @@ func TestFleetNetworkTune(t *testing.T) {
 }
 
 // TestFailedHooksReleaseJournal: a run that opens its record log and then
-// fails to dial the fleet must release the log's exclusive lock — the next
-// run on the same RecordLog would otherwise fail fast on it.
+// fails — here on a pretrain log that matches none of its workloads, checked
+// after the log is open — must release the log's exclusive lock; the next
+// run on the same RecordLog would otherwise fail fast on it. A blank fleet
+// endpoint fails at DialFleet, before any run.
 func TestFailedHooksReleaseJournal(t *testing.T) {
+	if _, err := DialFleet([]string{" "}); err == nil {
+		t.Fatal("a blank fleet endpoint must fail the dial")
+	}
 	path := filepath.Join(t.TempDir(), "tune.jsonl")
 	w := GEMM(64, 64, 64, 1)
-	if _, err := TuneOperator(w, CPU(), Options{Scheduler: "random", Trials: 16, RecordLog: path, Fleet: []string{" "}}); err == nil {
-		t.Fatal("a blank fleet endpoint must fail the run")
+	foreign := filepath.Join("examples", "pretrain", "gemm-cpu.jsonl")
+	_, err := TuneOperator(w, CPU(), Options{Scheduler: "random", Trials: 16, RecordLog: path, PretrainFrom: foreign})
+	if err == nil || !strings.Contains(err.Error(), "to pretrain from") {
+		t.Fatalf("a pretrain log matching no workload must fail the run, got %v", err)
 	}
 	if _, err := TuneOperator(w, CPU(), Options{Scheduler: "random", Trials: 16, RecordLog: path}); err != nil {
 		t.Fatalf("record log still held after the failed run: %v", err)

@@ -138,7 +138,7 @@ func seedCostModel(t *search.Task, hooks TuneHooks) {
 	}
 }
 
-// MergedCostModel folds tasks' training samples — in task order — into one
+// mergedCostModel folds tasks' training samples — in task order — into one
 // fresh model and refits it: the checkpoint artifact of a network tuning
 // run, usable to pretrain any later run on structurally compatible
 // workloads. Feature dimensions vary across workload structures and a
@@ -146,7 +146,7 @@ func seedCostModel(t *search.Task, hooks TuneHooks) {
 // that carries the most samples across the task set (ties to the earlier
 // task); tasks of other dimensions, and tasks whose model is not the
 // concrete GBDT, contribute nothing.
-func MergedCostModel(tasks []*search.Task) *costmodel.Model {
+func mergedCostModel(tasks []*search.Task) *costmodel.Model {
 	bestDim, bestN := 0, -1
 	counts := make(map[int]int)
 	for _, t := range tasks {

@@ -160,7 +160,7 @@ func TestWarmStartIgnoresForeignRecords(t *testing.T) {
 	if res.WarmStarted {
 		t.Fatal("foreign record must not warm-start a different workload")
 	}
-	gpu := tuneOperator(t, workload.GEMM("g", 1, 128, 128, 128), hardware.GPURTX3090(), "random", 16, 1, 1, db, nil)
+	gpu := tuneOperator(t, workload.GEMM("g", 1, 128, 128, 128), hardware.ByName("gpu"), "random", 16, 1, 1, db, nil)
 	if gpu.WarmStarted {
 		t.Fatal("cpu record must not warm-start a gpu run")
 	}

@@ -12,10 +12,10 @@ import (
 	"harl/internal/workload"
 )
 
-// CommOverheadSec is the per-subgraph-execution framework/communication
+// commOverheadSec is the per-subgraph-execution framework/communication
 // overhead separating the estimated from the measured end-to-end time
 // (Table 4's "Estimated HARL (sum)" vs "Measured HARL" rows).
-const CommOverheadSec = 3e-6
+const commOverheadSec = 3e-6
 
 // ParallelNetworkTuner is the tuner: it drives search.MultiTuner over a list
 // of subgraph tasks, each wave picking a set of subgraphs with the preset's
@@ -184,17 +184,17 @@ func (p *ParallelNetworkTuner) MeasuredExec() float64 {
 	for _, t := range p.MT.Tasks {
 		executions += t.Graph.Weight
 	}
-	return est + float64(executions)*CommOverheadSec
+	return est + float64(executions)*commOverheadSec
 }
 
 // CostModel returns the run's checkpoint artifact. A one-subgraph run saves
 // its task's own model as fitted — its parameters and any loaded ensemble
-// intact; a network folds its tasks' samples into one model (MergedCostModel).
+// intact; a network folds its tasks' samples into one model (mergedCostModel).
 func (p *ParallelNetworkTuner) CostModel() costmodel.CostModel {
 	if len(p.MT.Tasks) == 1 {
 		return p.MT.Tasks[0].FittedCost()
 	}
-	return MergedCostModel(p.MT.Tasks)
+	return mergedCostModel(p.MT.Tasks)
 }
 
 // SnapshotAtExec returns the earliest wave snapshot whose estimated execution

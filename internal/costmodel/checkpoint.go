@@ -19,8 +19,8 @@ import (
 	"harl/internal/atomicfile"
 )
 
-// CheckpointVersion is the artifact format version written by this package.
-const CheckpointVersion = 1
+// checkpointVersion is the artifact format version written by this package.
+const checkpointVersion = 1
 
 type ckptNode struct {
 	Feat  int     `json:"f"`
@@ -52,7 +52,7 @@ type checkpoint struct {
 // trailing newline). It implements Checkpointer.
 func (m *Model) MarshalCheckpoint() ([]byte, error) {
 	ck := checkpoint{
-		V:      CheckpointVersion,
+		V:      checkpointVersion,
 		Params: m.P,
 		Base:   m.base,
 		YMin:   m.yMin,
@@ -83,8 +83,8 @@ func UnmarshalCheckpoint(data []byte) (*Model, error) {
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return nil, fmt.Errorf("costmodel: malformed checkpoint: %w", err)
 	}
-	if ck.V != CheckpointVersion {
-		return nil, fmt.Errorf("costmodel: checkpoint version %d, want %d", ck.V, CheckpointVersion)
+	if ck.V != checkpointVersion {
+		return nil, fmt.Errorf("costmodel: checkpoint version %d, want %d", ck.V, checkpointVersion)
 	}
 	if len(ck.XS) != len(ck.YS) {
 		return nil, fmt.Errorf("costmodel: checkpoint has %d feature rows but %d targets", len(ck.XS), len(ck.YS))

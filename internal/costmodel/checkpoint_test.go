@@ -221,7 +221,7 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 // wideCheckpoint renders an artifact of the given feature dimension, carried
 // by two training rows or, without them, by the ridge weights alone.
 func wideCheckpoint(dim int, rows bool) []byte {
-	ck := checkpoint{V: CheckpointVersion, Params: DefaultParams()}
+	ck := checkpoint{V: checkpointVersion, Params: DefaultParams()}
 	if rows {
 		ck.XS, ck.YS = [][]float64{make([]float64, dim), make([]float64, dim)}, []float64{1, 2}
 	} else {
@@ -245,7 +245,7 @@ func renderCheckpoint(ck checkpoint) []byte {
 func sizedCheckpoint(numTrees, trees, rows, maxData int) []byte {
 	p := DefaultParams()
 	p.NumTrees, p.MaxData = numTrees, maxData
-	ck := checkpoint{V: CheckpointVersion, Params: p}
+	ck := checkpoint{V: checkpointVersion, Params: p}
 	for i := 0; i < rows; i++ {
 		ck.XS = append(ck.XS, []float64{float64(i % 5)})
 		ck.YS = append(ck.YS, float64(i%3))
@@ -274,7 +274,7 @@ func chainCheckpoint(depth, maxDepth int, shared bool) []byte {
 	ct.Nodes = append(ct.Nodes, ckptNode{Leaf: 1, End: true})
 	p := DefaultParams()
 	p.MaxDepth = maxDepth
-	return renderCheckpoint(checkpoint{V: CheckpointVersion, Params: p,
+	return renderCheckpoint(checkpoint{V: checkpointVersion, Params: p,
 		XS: [][]float64{{1}}, YS: []float64{2}, Trees: []ckptTree{ct}})
 }
 

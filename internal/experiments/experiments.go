@@ -4,8 +4,8 @@
 // the required tuning jobs at a configurable budget, returns typed result
 // rows, and renders the same rows the paper reports to an io.Writer. Run
 // dispatches an experiment id to its function and returns the run's Summary;
-// the harl-bench command drives the package through Run, and the root
-// package's benchmarks (bench_test.go) call the functions directly.
+// the harl-bench command drives the package through Run, and the
+// package's own benchmarks (bench_test.go) call the functions directly.
 package experiments
 
 import (
@@ -110,11 +110,11 @@ type PairResult struct {
 	Reached    bool    // whether HARL matched Ansor's final program at all
 }
 
-// RunPair tunes one subgraph with Ansor and HARL under identical budgets and
+// runPair tunes one subgraph with Ansor and HARL under identical budgets and
 // computes the paper's two metrics (Section 6.2): Performance (inverse
 // execution time of the final program) and Search time (time to reach a
 // program no worse than the baseline's final output).
-func RunPair(sg *texpr.Subgraph, plat *hardware.Platform, budget, measureK int, seed uint64, workers int) PairResult {
+func runPair(sg *texpr.Subgraph, plat *hardware.Platform, budget, measureK int, seed uint64, workers int) PairResult {
 	// Fresh subgraph instances per engine would share state anyway; tasks are
 	// engine-private so a single instance is safe.
 	ansor := tuneOperator(sg, plat, "ansor", budget, measureK, seed, workers)
@@ -192,9 +192,9 @@ type OperatorRow struct {
 	TimeRatio       float64 // HARL search time / Ansor search time
 }
 
-// OperatorGrid runs the Fig. 5/6 grid on the CPU platform and returns one row
+// operatorGrid runs the Fig. 5/6 grid on the CPU platform and returns one row
 // per (category, batch).
-func OperatorGrid(cfg Config, w io.Writer) []OperatorRow {
+func operatorGrid(cfg Config, w io.Writer) []OperatorRow {
 	plat := hardware.CPUXeon6226R()
 	var rows []OperatorRow
 	for _, batch := range cfg.Batches {
@@ -205,7 +205,7 @@ func OperatorGrid(cfg Config, w io.Writer) []OperatorRow {
 			}
 			var aPerf, hPerf, aTime, hTime, aGF, hGF []float64
 			for i, sg := range suite {
-				pr := RunPair(sg, plat, cfg.OperatorBudget, cfg.MeasureK, cfg.Seed+uint64(i)*97+uint64(batch), cfg.EffectiveWorkers())
+				pr := runPair(sg, plat, cfg.OperatorBudget, cfg.MeasureK, cfg.Seed+uint64(i)*97+uint64(batch), cfg.EffectiveWorkers())
 				aPerf = append(aPerf, 1/pr.AnsorExec)
 				hPerf = append(hPerf, 1/pr.HARLExec)
 				aTime = append(aTime, pr.AnsorTime)
@@ -249,9 +249,9 @@ type TrajectoryResult struct {
 	FinalGF map[string]float64
 }
 
-// AblationTrajectory reproduces Fig. 7(a): Ansor vs Hierarchical-RL (fixed
+// ablationTrajectory reproduces Fig. 7(a): Ansor vs Hierarchical-RL (fixed
 // length) vs HARL (adaptive stopping) on the 1024³ GEMM.
-func AblationTrajectory(cfg Config, w io.Writer) TrajectoryResult {
+func ablationTrajectory(cfg Config, w io.Writer) TrajectoryResult {
 	sg := workload.GEMM("GEMM-L-1024", 1, 1024, 1024, 1024)
 	plat := hardware.CPUXeon6226R()
 	budget := cfg.OperatorBudget
@@ -317,8 +317,8 @@ type CriticalStepsResult struct {
 	AdaptiveLastDecile float64
 }
 
-// CriticalSteps reproduces Fig. 7(b) on the 1024³ GEMM.
-func CriticalSteps(cfg Config, w io.Writer) CriticalStepsResult {
+// criticalSteps reproduces Fig. 7(b) on the 1024³ GEMM.
+func criticalSteps(cfg Config, w io.Writer) CriticalStepsResult {
 	sg := workload.GEMM("GEMM-L-1024", 1, 1024, 1024, 1024)
 	plat := hardware.CPUXeon6226R()
 	fixed := tuneOperator(sg, plat, "hierarchical-rl", cfg.OperatorBudget, cfg.MeasureK, cfg.Seed, cfg.EffectiveWorkers())
@@ -380,15 +380,15 @@ type SensitivityRow struct {
 	RawTimeIter float64
 }
 
-// LambdaSensitivity reproduces Table 7: the adaptive-stopping window size λ
+// lambdaSensitivity reproduces Table 7: the adaptive-stopping window size λ
 // swept over {10, 20, 40, 80} on the 1024³ GEMM.
-func LambdaSensitivity(cfg Config, w io.Writer) []SensitivityRow {
+func lambdaSensitivity(cfg Config, w io.Writer) []SensitivityRow {
 	return sensitivity(cfg, w, "lambda", []float64{10, 20, 40, 80})
 }
 
-// RhoSensitivity reproduces Table 8: the elimination ratio ρ swept over
+// rhoSensitivity reproduces Table 8: the elimination ratio ρ swept over
 // {0.75, 0.5, 0.25}.
-func RhoSensitivity(cfg Config, w io.Writer) []SensitivityRow {
+func rhoSensitivity(cfg Config, w io.Writer) []SensitivityRow {
 	return sensitivity(cfg, w, "rho", []float64{0.75, 0.5, 0.25})
 }
 

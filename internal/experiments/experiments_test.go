@@ -24,7 +24,7 @@ func tinyCfg() Config {
 
 func TestRunPairMetrics(t *testing.T) {
 	sg := workload.GEMM("g", 1, 256, 256, 256)
-	pr := RunPair(sg, hardware.CPUXeon6226R(), 64, 16, 1, 1)
+	pr := runPair(sg, hardware.CPUXeon6226R(), 64, 16, 1, 1)
 	if pr.AnsorExec <= 0 || pr.HARLExec <= 0 {
 		t.Fatalf("degenerate pair %+v", pr)
 	}
@@ -39,7 +39,7 @@ func TestOperatorGridShape(t *testing.T) {
 	}
 	cfg := tinyCfg()
 	var sb strings.Builder
-	rows := OperatorGrid(cfg, &sb)
+	rows := operatorGrid(cfg, &sb)
 	if len(rows) != len(workload.OperatorCategories()) {
 		t.Fatalf("rows %d", len(rows))
 	}
@@ -62,7 +62,7 @@ func TestOperatorGridShape(t *testing.T) {
 
 func TestAblationTrajectoryShape(t *testing.T) {
 	cfg := tinyCfg()
-	tr := AblationTrajectory(cfg, io.Discard)
+	tr := ablationTrajectory(cfg, io.Discard)
 	if len(tr.Trials) != 20 || len(tr.HARL) != 20 {
 		t.Fatalf("trajectory points %d", len(tr.Trials))
 	}
@@ -80,7 +80,7 @@ func TestAblationTrajectoryShape(t *testing.T) {
 
 func TestCriticalStepsShape(t *testing.T) {
 	cfg := tinyCfg()
-	res := CriticalSteps(cfg, io.Discard)
+	res := criticalSteps(cfg, io.Discard)
 	if len(res.FixedBins) != 10 || len(res.AdaptiveBins) != 10 {
 		t.Fatal("histograms must have 10 bins")
 	}
@@ -95,7 +95,7 @@ func TestCriticalStepsShape(t *testing.T) {
 
 func TestSensitivityNormalization(t *testing.T) {
 	cfg := tinyCfg()
-	rows := LambdaSensitivity(cfg, io.Discard)
+	rows := lambdaSensitivity(cfg, io.Discard)
 	if len(rows) != 4 {
 		t.Fatalf("lambda rows %d", len(rows))
 	}
@@ -107,14 +107,14 @@ func TestSensitivityNormalization(t *testing.T) {
 	if maxPerf != 1 || maxTI != 1 {
 		t.Fatalf("normalization broken: perf max %f time max %f", maxPerf, maxTI)
 	}
-	rows8 := RhoSensitivity(cfg, io.Discard)
+	rows8 := rhoSensitivity(cfg, io.Discard)
 	if len(rows8) != 3 || rows8[0].Value != 0.75 {
 		t.Fatalf("rho rows %+v", rows8)
 	}
 }
 
 func TestUniformImprovementObservation(t *testing.T) {
-	res := UniformImprovement(tinyCfg(), io.Discard)
+	res := uniformImprovement(tinyCfg(), io.Discard)
 	// Paper Observation 1: most improvements are around 0.
 	if math.Abs(res.Summary.P50) > 0.05 {
 		t.Fatalf("median improvement %f, expected ≈0", res.Summary.P50)
@@ -127,7 +127,7 @@ func TestUniformImprovementObservation(t *testing.T) {
 func TestFixedLengthWasteObservation(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.OperatorBudget = 256 // enough tracks for a stable histogram
-	res := FixedLengthWaste(cfg, io.Discard)
+	res := fixedLengthWaste(cfg, io.Discard)
 	if len(res.Bins) != 10 {
 		t.Fatal("bins")
 	}
@@ -142,7 +142,7 @@ func TestGreedyAllocationRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network run is slow")
 	}
-	res := GreedyAllocation(tinyCfg(), io.Discard)
+	res := greedyAllocation(tinyCfg(), io.Discard)
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows %d want top-5", len(res.Rows))
 	}
@@ -158,7 +158,7 @@ func TestGreedyAllocationRows(t *testing.T) {
 
 func TestTable1Render(t *testing.T) {
 	var sb strings.Builder
-	Table1(&sb)
+	table1(&sb)
 	out := sb.String()
 	for _, want := range []string{"ansor", "flextensor", "harl", "SW-UCB"} {
 		if !strings.Contains(out, want) {

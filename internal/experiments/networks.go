@@ -67,8 +67,8 @@ type NetworkRow struct {
 	AnsorMs, HARLMs     float64
 }
 
-// NetworkGrid reproduces the Fig. 8/9 grid.
-func NetworkGrid(cfg Config, w io.Writer) []NetworkRow {
+// networkGrid reproduces the Fig. 8/9 grid.
+func networkGrid(cfg Config, w io.Writer) []NetworkRow {
 	var rows []NetworkRow
 	seed := cfg.Seed
 	for _, batch := range cfg.Batches {
@@ -126,8 +126,8 @@ type Table4Result struct {
 	NoMABSpeedup     float64
 }
 
-// Table4 reproduces the BERT-on-CPU breakdown ablation.
-func Table4(cfg Config, w io.Writer) Table4Result {
+// table4 reproduces the BERT-on-CPU breakdown ablation.
+func table4(cfg Config, w io.Writer) Table4Result {
 	ansor := runNetwork(cfg, "BERT", 1, "cpu", "ansor", cfg.Seed)
 	harl := runNetwork(cfg, "BERT", 1, "cpu", "harl", cfg.Seed+5)
 	noMAB := runNetwork(cfg, "BERT", 1, "cpu", "harl-nomab", cfg.Seed+9)
@@ -169,8 +169,8 @@ type AllocationRow struct {
 	NoMABTotal   int
 }
 
-// AllocationAblation reproduces Fig. 10 for the five named BERT subgraphs.
-func AllocationAblation(cfg Config, w io.Writer) []AllocationRow {
+// allocationAblation reproduces Fig. 10 for the five named BERT subgraphs.
+func allocationAblation(cfg Config, w io.Writer) []AllocationRow {
 	ansor := runNetwork(cfg, "BERT", 1, "cpu", "ansor", cfg.Seed)
 	harl := runNetwork(cfg, "BERT", 1, "cpu", "harl", cfg.Seed+5)
 	noMAB := runNetwork(cfg, "BERT", 1, "cpu", "harl-nomab", cfg.Seed+9)

@@ -41,7 +41,7 @@ func takeObservations() (measured, toBest int) {
 }
 
 // observeTask folds one finished tuning task into the accumulator. Every
-// run helper that drives a search (RunPair, runNetwork, the single-engine
+// run helper that drives a search (runPair, runNetwork, the single-engine
 // ablations) calls it once per task.
 func observeTask(t *search.Task) {
 	obsMu.Lock()

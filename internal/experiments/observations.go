@@ -33,11 +33,11 @@ type GreedyWasteResult struct {
 	FractionWasted float64
 }
 
-// GreedyAllocation reproduces Fig. 1(a): tune BERT with Ansor and measure how
+// greedyAllocation reproduces Fig. 1(a): tune BERT with Ansor and measure how
 // many trials the greedy task scheduler spends on the last 1% of improvement.
 // The waste phenomenon needs a near-saturated tuning run, so this experiment
 // enforces a budget floor regardless of the configured network scale.
-func GreedyAllocation(cfg Config, w io.Writer) GreedyWasteResult {
+func greedyAllocation(cfg Config, w io.Writer) GreedyWasteResult {
 	if cfg.NetworkBudgetScale < 0.12 {
 		cfg.NetworkBudgetScale = 0.12
 	}
@@ -116,9 +116,9 @@ type UniformImprovementResult struct {
 	Hist             *stats.Histogram
 }
 
-// UniformImprovement reproduces Fig. 1(b): 200 random programs each mutated
+// uniformImprovement reproduces Fig. 1(b): 200 random programs each mutated
 // uniformly for 20 trials; the improvement ratio of each move is recorded.
-func UniformImprovement(cfg Config, w io.Writer) UniformImprovementResult {
+func uniformImprovement(cfg Config, w io.Writer) UniformImprovementResult {
 	sg := workload.GEMM("GEMM-M-512", 1, 512, 512, 512)
 	plat := hardware.CPUXeon6226R()
 	sim := hardware.NewSimulator(plat)
@@ -168,9 +168,9 @@ type FixedLengthWasteResult struct {
 	EarlyFraction float64
 }
 
-// FixedLengthWaste reproduces Fig. 1(c) by running Flextensor over the GEMM
+// fixedLengthWaste reproduces Fig. 1(c) by running Flextensor over the GEMM
 // suite and collecting critical-step positions.
-func FixedLengthWaste(cfg Config, w io.Writer) FixedLengthWasteResult {
+func fixedLengthWaste(cfg Config, w io.Writer) FixedLengthWasteResult {
 	plat := hardware.CPUXeon6226R()
 	var all []float64
 	for i, geom := range []string{"GEMM-S", "GEMM-M", "GEMM-L"} {
@@ -200,9 +200,9 @@ func FixedLengthWaste(cfg Config, w io.Writer) FixedLengthWasteResult {
 // Table 1: system comparison matrix.
 // ---------------------------------------------------------------------------
 
-// Table1 prints the qualitative system-comparison matrix of the paper's
+// table1 prints the qualitative system-comparison matrix of the paper's
 // Table 1, cross-checked against the engines actually implemented here.
-func Table1(w io.Writer) {
+func table1(w io.Writer) {
 	fmt.Fprintf(w, "%-12s %-22s %-22s %-26s %-30s\n", "system",
 		"subgraph selection", "sketch selection", "schedule selection", "track time-allocation")
 	fmt.Fprintf(w, "%-12s %-22s %-22s %-26s %-30s\n", "ansor",

@@ -26,20 +26,20 @@ type experiment struct {
 // them. fig5/fig6 and fig8/fig9 share their underlying runs and are emitted
 // together by either id.
 var table = []experiment{
-	{id: "tab1", run: func(_ Config, w io.Writer) { Table1(w) }},
-	{id: "fig1a", run: func(c Config, w io.Writer) { GreedyAllocation(c, w) }},
-	{id: "fig1b", run: func(c Config, w io.Writer) { UniformImprovement(c, w) }},
-	{id: "fig1c", run: func(c Config, w io.Writer) { FixedLengthWaste(c, w) }},
-	{id: "fig5", run: func(c Config, w io.Writer) { OperatorGrid(c, w) }},
-	{id: "fig6", alias: true, run: func(c Config, w io.Writer) { OperatorGrid(c, w) }},
-	{id: "fig7a", run: func(c Config, w io.Writer) { AblationTrajectory(c, w) }},
-	{id: "fig7b", run: func(c Config, w io.Writer) { CriticalSteps(c, w) }},
-	{id: "fig8", run: func(c Config, w io.Writer) { NetworkGrid(c, w) }},
-	{id: "fig9", alias: true, run: func(c Config, w io.Writer) { NetworkGrid(c, w) }},
-	{id: "tab4", run: func(c Config, w io.Writer) { Table4(c, w) }},
-	{id: "fig10", run: func(c Config, w io.Writer) { AllocationAblation(c, w) }},
-	{id: "tab7", run: func(c Config, w io.Writer) { LambdaSensitivity(c, w) }},
-	{id: "tab8", run: func(c Config, w io.Writer) { RhoSensitivity(c, w) }},
+	{id: "tab1", run: func(_ Config, w io.Writer) { table1(w) }},
+	{id: "fig1a", run: func(c Config, w io.Writer) { greedyAllocation(c, w) }},
+	{id: "fig1b", run: func(c Config, w io.Writer) { uniformImprovement(c, w) }},
+	{id: "fig1c", run: func(c Config, w io.Writer) { fixedLengthWaste(c, w) }},
+	{id: "fig5", run: func(c Config, w io.Writer) { operatorGrid(c, w) }},
+	{id: "fig6", alias: true, run: func(c Config, w io.Writer) { operatorGrid(c, w) }},
+	{id: "fig7a", run: func(c Config, w io.Writer) { ablationTrajectory(c, w) }},
+	{id: "fig7b", run: func(c Config, w io.Writer) { criticalSteps(c, w) }},
+	{id: "fig8", run: func(c Config, w io.Writer) { networkGrid(c, w) }},
+	{id: "fig9", alias: true, run: func(c Config, w io.Writer) { networkGrid(c, w) }},
+	{id: "tab4", run: func(c Config, w io.Writer) { table4(c, w) }},
+	{id: "fig10", run: func(c Config, w io.Writer) { allocationAblation(c, w) }},
+	{id: "tab7", run: func(c Config, w io.Writer) { lambdaSensitivity(c, w) }},
+	{id: "tab8", run: func(c Config, w io.Writer) { rhoSensitivity(c, w) }},
 }
 
 // IDs lists every experiment id Run accepts, aliases included, and the suite:

@@ -325,11 +325,11 @@ func TestWorkerErrorContract(t *testing.T) {
 	goodReq := func() MeasureRequest {
 		scheds, seqs := sampleBatch(task, 1)
 		return MeasureRequest{
-			V:         ProtocolVersion,
+			V:         protocolVersion,
 			Workload:  task.Graph.Fingerprint(),
 			Target:    "cpu",
 			NoiseSeed: task.Meas.NoiseSeed(),
-			Subgraph:  SpecOf(task.Graph),
+			Subgraph:  specOf(task.Graph),
 			Trials:    []TrialSpec{{Steps: scheds[0].MarshalSteps(), Seq: seqs[0]}},
 		}
 	}

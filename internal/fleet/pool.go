@@ -216,7 +216,7 @@ func (p *Pool) EvaluatorFor(t *search.Task) search.BatchEvaluator {
 		target:    target,
 		workload:  t.Graph.Fingerprint(),
 		noiseSeed: t.Meas.NoiseSeed(),
-		spec:      SpecOf(t.Graph),
+		spec:      specOf(t.Graph),
 	}
 }
 

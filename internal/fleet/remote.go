@@ -41,7 +41,7 @@ func (r *RemoteMeasurer) EvalBatch(scheds []*schedule.Schedule, seqs []uint64) (
 		trials[i] = TrialSpec{Steps: s.MarshalSteps(), Seq: seqs[i]}
 	}
 	body, err := json.Marshal(MeasureRequest{
-		V:         ProtocolVersion,
+		V:         protocolVersion,
 		Workload:  r.workload,
 		Target:    r.target,
 		NoiseSeed: r.noiseSeed,
@@ -103,8 +103,8 @@ func (r *RemoteMeasurer) dispatch(w *worker, body []byte, n int) ([]float64, err
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		return nil, fmt.Errorf("fleet: bad measure body from %s: %w", w.endpoint, err)
 	}
-	if mr.V != ProtocolVersion {
-		return nil, fmt.Errorf("fleet: worker %s speaks protocol v%d, want v%d", w.endpoint, mr.V, ProtocolVersion)
+	if mr.V != protocolVersion {
+		return nil, fmt.Errorf("fleet: worker %s speaks protocol v%d, want v%d", w.endpoint, mr.V, protocolVersion)
 	}
 	if len(mr.ExecSec) != n {
 		return nil, fmt.Errorf("fleet: worker %s returned %d results for %d trials", w.endpoint, len(mr.ExecSec), n)

@@ -101,8 +101,8 @@ func (wk *Worker) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "bad measure request: %v", err)
 		return
 	}
-	if req.V != ProtocolVersion {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "protocol v%d not supported, want v%d", req.V, ProtocolVersion)
+	if req.V != protocolVersion {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "protocol v%d not supported, want v%d", req.V, protocolVersion)
 		return
 	}
 	plat := hardware.ByName(req.Target)
@@ -152,7 +152,7 @@ func (wk *Worker) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 	wk.batches.Add(1)
 	wk.trials.Add(int64(len(scheds)))
-	wire.WriteJSON(w, http.StatusOK, MeasureResponse{V: ProtocolVersion, ExecSec: out})
+	wire.WriteJSON(w, http.StatusOK, MeasureResponse{V: protocolVersion, ExecSec: out})
 }
 
 func (wk *Worker) simulator(plat *hardware.Platform) *hardware.Simulator {

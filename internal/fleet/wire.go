@@ -33,9 +33,9 @@ import (
 	"harl/internal/texpr"
 )
 
-// ProtocolVersion is the measure-protocol schema version. Workers reject
+// protocolVersion is the measure-protocol schema version. Workers reject
 // requests with a different version rather than misinterpreting them.
-const ProtocolVersion = 1
+const protocolVersion = 1
 
 // SubgraphSpec is a subgraph in wire form: exactly the exported structure of
 // texpr.Subgraph, rebuilt (and revalidated) on the worker via
@@ -47,8 +47,8 @@ type SubgraphSpec struct {
 	Stages []*texpr.Stage `json:"stages"`
 }
 
-// SpecOf renders a subgraph for the wire.
-func SpecOf(g *texpr.Subgraph) SubgraphSpec {
+// specOf renders a subgraph for the wire.
+func specOf(g *texpr.Subgraph) SubgraphSpec {
 	return SubgraphSpec{Name: g.Name, Weight: g.Weight, Stages: g.Stages}
 }
 

@@ -18,7 +18,7 @@ func TestPlatformPeaks(t *testing.T) {
 	if p := cpu.PeakFlops(); math.Abs(p-2.97e12) > 0.05e12 {
 		t.Fatalf("cpu peak %g", p)
 	}
-	gpu := GPURTX3090()
+	gpu := gpuRTX3090()
 	// RTX 3090 class: ~35 TFLOP/s fp32.
 	if p := gpu.PeakFlops(); p < 30e12 || p > 40e12 {
 		t.Fatalf("gpu peak %g", p)
@@ -39,7 +39,7 @@ func TestByName(t *testing.T) {
 
 func TestUnrollDepths(t *testing.T) {
 	// Appendix A.1: CPU {0,16,64,512}, GPU {0,16,64,512,1024}.
-	cpu, gpu := CPUXeon6226R(), GPURTX3090()
+	cpu, gpu := CPUXeon6226R(), gpuRTX3090()
 	if len(cpu.UnrollDepths) != 4 || cpu.UnrollDepths[3] != 512 {
 		t.Fatalf("cpu unroll %v", cpu.UnrollDepths)
 	}
@@ -166,7 +166,7 @@ func TestTextureIsBounded(t *testing.T) {
 func TestGPUFasterOnBigGEMM(t *testing.T) {
 	rng := xrand.New(8)
 	g := workload.GEMM("g", 1, 1024, 1024, 1024)
-	cpu, gpu := NewSimulator(CPUXeon6226R()), NewSimulator(GPURTX3090())
+	cpu, gpu := NewSimulator(CPUXeon6226R()), NewSimulator(gpuRTX3090())
 	bestCPU, bestGPU := math.Inf(1), math.Inf(1)
 	for i := 0; i < 4000; i++ {
 		sc := schedule.NewRandom(sketch.Generate(g)[0], 4, rng)

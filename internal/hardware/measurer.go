@@ -11,17 +11,18 @@ import (
 // Search-computation cost constants (seconds of simulated tuner time), what the
 // search-time accounting charges: a hardware measurement costs seconds (compile
 // + r_min repeats), one cost-model query a millisecond, one RL step for one
-// track nine, one PPO update two. They are hand-set — this tree measures an RL
-// step some hundred times below its charge — and ROADMAP 1(a) recalibrates them.
+// track nine, one PPO update two. They are hand-set — this tree measures an
+// RL step some hundred times below its charge — and ROADMAP item 14
+// recalibrates them.
 const (
-	// DefaultCompileSec is the per-trial program build + upload overhead.
-	DefaultCompileSec = 1.2
-	// DefaultRepeatMinSec is r_min from Table 5: a schedule is re-executed
+	// defaultCompileSec is the per-trial program build + upload overhead.
+	defaultCompileSec = 1.2
+	// defaultRepeatMinSec is r_min from Table 5: a schedule is re-executed
 	// until at least this much wall-clock has been spent measuring it.
-	DefaultRepeatMinSec = 1.0
-	// CostModelQuerySec is one cost-model prediction including candidate
+	defaultRepeatMinSec = 1.0
+	// costModelQuerySec is one cost-model prediction including candidate
 	// feature extraction (feature extraction dominates in TVM-class systems).
-	CostModelQuerySec = 1e-3
+	costModelQuerySec = 1e-3
 	// RLStepSec is one actor-critic forward pass for one track, including
 	// state featurization and environment application.
 	RLStepSec = 9e-3
@@ -55,7 +56,7 @@ type Measurer struct {
 	noiseSeed uint64
 	noiseSeq  map[uint64]uint64 // per-schedule-key measurement count
 	costSec   float64
-	cmQueries int64 // cost-model queries, charged at CostModelQuerySec each
+	cmQueries int64 // cost-model queries, charged at costModelQuerySec each
 }
 
 // NewMeasurer builds a measurer over the simulator with an independent noise
@@ -63,8 +64,8 @@ type Measurer struct {
 func NewMeasurer(sim *Simulator, rng *xrand.RNG) *Measurer {
 	return &Measurer{
 		Sim:          sim,
-		CompileSec:   DefaultCompileSec,
-		RepeatMinSec: DefaultRepeatMinSec,
+		CompileSec:   defaultCompileSec,
+		RepeatMinSec: defaultRepeatMinSec,
 		noiseSeed:    rng.Uint64(),
 		noiseSeq:     make(map[uint64]uint64),
 	}
@@ -136,7 +137,7 @@ func (m *Measurer) AddSearchCost(sec float64) {
 }
 
 // AddCostModelQueries charges n cost-model predictions. Queries are counted
-// as an integer and priced at CostModelQuerySec when the budget is read, so
+// as an integer and priced at costModelQuerySec when the budget is read, so
 // the accounted total is independent of summation order under concurrency.
 func (m *Measurer) AddCostModelQueries(n int) {
 	m.mu.Lock()
@@ -148,5 +149,5 @@ func (m *Measurer) AddCostModelQueries(n int) {
 func (m *Measurer) CostSec() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.costSec + float64(m.cmQueries)*CostModelQuerySec
+	return m.costSec + float64(m.cmQueries)*costModelQuerySec
 }

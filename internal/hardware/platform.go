@@ -90,9 +90,9 @@ func CPUXeon6226R() *Platform {
 	}
 }
 
-// GPURTX3090 models the paper's GPU platform: NVIDIA GeForce RTX 3090
+// gpuRTX3090 models the paper's GPU platform: NVIDIA GeForce RTX 3090
 // (82 SMs, ~35 TFLOP/s fp32, 936 GB/s GDDR6X).
-func GPURTX3090() *Platform {
+func gpuRTX3090() *Platform {
 	return &Platform{
 		Name:              "gpu-rtx3090",
 		GPU:               true,
@@ -119,7 +119,7 @@ var platformRegistry = []struct {
 	mk          func() *Platform
 }{
 	{"cpu", "cpu-xeon6226r", CPUXeon6226R},
-	{"gpu", "gpu-rtx3090", GPURTX3090},
+	{"gpu", "gpu-rtx3090", gpuRTX3090},
 }
 
 // PlatformNames lists the accepted short platform names in registry order.

@@ -1,10 +1,8 @@
-package lint_test
+package lint
 
 import (
 	"strings"
 	"testing"
-
-	"harl/internal/lint"
 )
 
 // TestAllowPolicy pins the suppression contract on the allowpolicy fixture:
@@ -13,18 +11,18 @@ import (
 // and a broken allow suppresses nothing. The fixture's deadexport allows are
 // not stale here: like the vet run of the suite, this run has no deadexport.
 func TestAllowPolicy(t *testing.T) {
-	root, err := lint.ModuleRoot(".")
+	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := lint.Load(root, "./internal/lint/testdata/src/allowpolicy/a")
+	pkgs, err := Load(root, "./internal/lint/testdata/src/allowpolicy/a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 {
 		t.Fatalf("want 1 fixture package, got %d", len(pkgs))
 	}
-	diags, err := lint.Run(pkgs[0], []*lint.Analyzer{lint.NewDetrand(fixtureScope)}, lint.Options{ReportStaleAllows: true})
+	diags, err := Run(pkgs[0], []*Analyzer{newDetrand(fixtureScope)}, Options{ReportStaleAllows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestAllowPolicyDeadexport(t *testing.T) {
 	}
 }
 
-func containsDiag(diags []lint.Diagnostic, substr string) bool {
+func containsDiag(diags []Diagnostic, substr string) bool {
 	for _, d := range diags {
 		if strings.Contains(d.Message, substr) {
 			return true
@@ -89,7 +87,7 @@ func containsDiag(diags []lint.Diagnostic, substr string) bool {
 	return false
 }
 
-func render(diags []lint.Diagnostic) string {
+func render(diags []Diagnostic) string {
 	var b strings.Builder
 	for _, d := range diags {
 		b.WriteString("  " + d.String() + "\n")

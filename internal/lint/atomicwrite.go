@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// NewAtomicwrite builds the atomicwrite analyzer scoped to the given package
+// newAtomicwrite builds the atomicwrite analyzer scoped to the given package
 // list. In the packages that own persisted artifacts it reports:
 //
 //   - os.WriteFile and os.Create — a crash mid-write leaves a torn artifact
@@ -18,7 +18,7 @@ import (
 // Durable artifacts go through harl/internal/atomicfile (temp file + rename
 // + fsync) or the locked journal append helpers in harl/internal/tunelog;
 // PR 6's torn-tail repair exists because one path predating the rule did not.
-func NewAtomicwrite(scope []string) *Analyzer {
+func newAtomicwrite(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "atomicwrite",
 		Doc:  "persisted artifacts go through internal/atomicfile or locked journal appends, never bare writes",

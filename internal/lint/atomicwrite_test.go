@@ -1,12 +1,9 @@
-package lint_test
+package lint
 
 import (
 	"testing"
-
-	"harl/internal/lint"
-	"harl/internal/lint/linttest"
 )
 
 func TestAtomicwriteFixture(t *testing.T) {
-	linttest.Run(t, lint.NewAtomicwrite(fixtureScope), "atomicwrite/a")
+	runFixture(t, newAtomicwrite(fixtureScope), "atomicwrite/a")
 }

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
+	"strings"
 )
 
 // declKey names a package-level declaration or a method the way every load
@@ -41,27 +42,38 @@ var implicitInterfaces = []map[string]string{
 // methods are never reported, and main packages' exports are never
 // reported, though their uses count.
 //
+// Second, it reports a live exported package-level func, var or const of an
+// internal/ package that no other package references: nothing outside the
+// module can import it, so its export serves no one. Methods and fields
+// follow their type, and so does a var or const of a named type its package
+// declares or aliases, so an enum is never split. Types wait for a
+// value-flow walk: one can cross a package boundary unnamed, as a func
+// result whose fields the caller sets.
+//
 // The program is analyzed here, once. The analyzer's Run reports the
 // findings declared in its package, so they go through that package's
 // //lint:allow comments like any other analyzer's. It cannot run as a vet
 // tool: vet's per-package protocol sees no uses from other packages.
 func NewDeadexport(pkgs []*Package) *Analyzer {
 	type finding struct {
-		pos  token.Pos
-		what string
+		pos    token.Pos
+		what   string
+		scoped bool // in scope of the own-package finding
 	}
 	var (
 		decls  = map[declKey]finding{}
 		used   = map[declKey]bool{}
+		shared = map[declKey]bool{} // used from another package
 		ifaces = slices.Clone(implicitInterfaces)
 		seen   = map[*types.Interface]bool{}
 		named  []*types.Named
 	)
-	refs := func(info *types.Info, n ast.Node, self ...declKey) {
+	refs := func(pkg *Package, n ast.Node, self ...declKey) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if k, ok := keyOf(info.Uses[id]); ok && !slices.Contains(self, k) {
+				if k, ok := keyOf(pkg.Info.Uses[id]); ok && !slices.Contains(self, k) {
 					used[k] = true
+					shared[k] = shared[k] || k.pkg != pkg.Path
 				}
 			}
 			return true
@@ -94,16 +106,25 @@ func NewDeadexport(pkgs []*Package) *Analyzer {
 
 	for _, pkg := range pkgs {
 		lib := pkg.Types.Name() != "main"
+		internal := slices.Contains(strings.Split(pkg.Path, "/"), "internal")
 		// declare returns a declaration's key, recording it in decls when it
 		// is an export of a library package.
 		declare := func(id *ast.Ident, what string) declKey {
-			k, ok := keyOf(pkg.Info.Defs[id])
+			obj := pkg.Info.Defs[id]
+			k, ok := keyOf(obj)
 			if ok && lib && id.IsExported() {
 				name := k.name
 				if k.recv != "" {
 					name = k.recv + "." + name
 				}
-				decls[k] = finding{id.Pos(), what + " " + name}
+				// A value of a type its package declares, or aliases under
+				// the same name, stays with that type.
+				var enum bool
+				if n, ok := obj.Type().(*types.Named); ok {
+					tn, _ := pkg.Types.Scope().Lookup(n.Obj().Name()).(*types.TypeName)
+					enum = tn != nil && types.Identical(tn.Type(), n)
+				}
+				decls[k] = finding{id.Pos(), what + " " + name, internal && k.recv == "" && what != "type" && !enum}
 			}
 			return k
 		}
@@ -116,9 +137,9 @@ func NewDeadexport(pkgs []*Package) *Analyzer {
 						what = "method"
 					}
 					self := declare(d.Name, what)
-					refs(pkg.Info, d.Type, self)
+					refs(pkg, d.Type, self)
 					if d.Body != nil {
-						refs(pkg.Info, d.Body, self)
+						refs(pkg, d.Body, self)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
@@ -135,7 +156,7 @@ func NewDeadexport(pkgs []*Package) *Analyzer {
 						for _, id := range names {
 							self = append(self, declare(id, d.Tok.String()))
 						}
-						refs(pkg.Info, spec, self...)
+						refs(pkg, spec, self...)
 					}
 				}
 			}
@@ -178,18 +199,24 @@ func NewDeadexport(pkgs []*Package) *Analyzer {
 		}
 	}
 
-	dead := map[string][]finding{}
+	found := map[string][]finding{}
 	for k, f := range decls {
-		if !used[k] {
-			dead[k.pkg] = append(dead[k.pkg], f)
+		switch {
+		case !used[k]:
+			f.what += " has no use outside _test.go files: delete it, or allow it naming the tests that need it"
+		case f.scoped && !shared[k]:
+			f.what += " is used only inside its package: unexport it, or allow it naming who needs it"
+		default:
+			continue
 		}
+		found[k.pkg] = append(found[k.pkg], f)
 	}
 	return &Analyzer{
 		Name: "deadexport",
-		Doc:  "report exported declarations that nothing outside _test.go files uses",
+		Doc:  "report exported declarations that nothing outside _test.go files, or nothing outside their internal/ package, uses",
 		Run: func(pass *Pass) error {
-			for _, f := range dead[pass.Path] {
-				pass.Reportf(f.pos, "exported %s has no use outside _test.go files: delete it, or allow it naming the tests that need it", f.what)
+			for _, f := range found[pass.Path] {
+				pass.Reportf(f.pos, "exported %s", f.what)
 			}
 			return nil
 		},

@@ -1,28 +1,26 @@
-package lint_test
+package lint
 
 import (
 	"strings"
 	"testing"
-
-	"harl/internal/lint"
 )
 
 // runDeadexport loads the fixture packages matching pattern as one program
 // and runs the deadexport pass over them, stale allows reported.
-func runDeadexport(t *testing.T, pattern string) []lint.Diagnostic {
+func runDeadexport(t *testing.T, pattern string) []Diagnostic {
 	t.Helper()
-	root, err := lint.ModuleRoot(".")
+	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := lint.Load(root, pattern)
+	pkgs, err := Load(root, pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := lint.NewDeadexport(pkgs)
-	var diags []lint.Diagnostic
+	a := NewDeadexport(pkgs)
+	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		d, err := lint.Run(pkg, []*lint.Analyzer{a}, lint.Options{ReportStaleAllows: true})
+		d, err := Run(pkg, []*Analyzer{a}, Options{ReportStaleAllows: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,16 +33,26 @@ func runDeadexport(t *testing.T, pattern string) []lint.Diagnostic {
 // dead declarations of each kind and one used only from a _test.go file are
 // reported; a use from the other package (seen there through export data), a
 // pointer-receiver method completing a used interface, String/Error/Unwrap,
-// an allowed seam and a main package's exports are not.
+// an allowed seam and a main package's exports are not. Of the live names,
+// a func, var and const that only their own package uses are reported by the
+// second finding, even when another package's test uses one; a const of its
+// package's own type, an exported type and an allowed name are not, and an
+// allow on a name b uses is stale.
 func TestDeadexportFixture(t *testing.T) {
 	diags := runDeadexport(t, "./internal/lint/testdata/src/deadexport/...")
+	const dead, local = " has no use outside _test.go files", " is used only inside its package"
 	wants := []string{
-		"exported func DeadFunc ",
-		"exported type DeadType ",
-		"exported var DeadVar ",
-		"exported const DeadConst ",
-		"exported func TestOnly ",
-		"exported method Square.Perimeter ",
+		"exported func DeadFunc" + dead,
+		"exported type DeadType" + dead,
+		"exported var DeadVar" + dead,
+		"exported const DeadConst" + dead,
+		"exported func TestOnly" + dead,
+		"exported method Square.Perimeter" + dead,
+		"exported func LocalFunc" + local,
+		"exported var LocalVar" + local,
+		"exported const LocalConst" + local,
+		"exported func LocalAndBTest" + local,
+		"stale //lint:allow: no deadexport diagnostic",
 	}
 	if len(diags) != len(wants) {
 		t.Errorf("want %d diagnostics, got %d:\n%s", len(wants), len(diags), render(diags))

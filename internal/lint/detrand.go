@@ -35,13 +35,13 @@ var detrandBannedCalls = map[string]map[string]string{
 	},
 }
 
-// NewDetrand builds the detrand analyzer scoped to the given package list. It
+// newDetrand builds the detrand analyzer scoped to the given package list. It
 // reports imports of math/rand (v1 and v2) and crypto/rand, and calls to wall
 // clocks (time.Now/Since/Until) and process-identity accessors
 // (os.Getpid/Getenv/...) inside the deterministic packages: reproducibility of
 // the RL search loop is what makes journals replayable and cost models
 // transferable, so entropy may enter only through the explicit xrand seam.
-func NewDetrand(scope []string) *Analyzer {
+func newDetrand(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "detrand",
 		Doc:  "forbid wall clocks, math/rand and pid/env-derived values in the deterministic packages",

@@ -1,10 +1,7 @@
-package lint_test
+package lint
 
 import (
 	"testing"
-
-	"harl/internal/lint"
-	"harl/internal/lint/linttest"
 )
 
 // fixtureScope points the analyzers at the fixture tree instead of their
@@ -12,22 +9,22 @@ import (
 var fixtureScope = []string{"harl/internal/lint/testdata/..."}
 
 func TestDetrandFixture(t *testing.T) {
-	linttest.Run(t, lint.NewDetrand(fixtureScope), "detrand/a")
+	runFixture(t, newDetrand(fixtureScope), "detrand/a")
 }
 
 // TestDetrandScope pins that the analyzer stays silent outside its scope: the
 // same fixture package analyzed under the production scope produces nothing.
 func TestDetrandScope(t *testing.T) {
-	root, err := lint.ModuleRoot(".")
+	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := lint.Load(root, "./internal/lint/testdata/src/detrand/a")
+	pkgs, err := Load(root, "./internal/lint/testdata/src/detrand/a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pkg := range pkgs {
-		diags, err := lint.Run(pkg, []*lint.Analyzer{lint.NewDetrand(lint.DeterministicPackages)}, lint.Options{})
+		diags, err := Run(pkg, []*Analyzer{newDetrand(deterministicPackages)}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// NewErrclose builds the errclose analyzer scoped to the given package list
+// newErrclose builds the errclose analyzer scoped to the given package list
 // (normally the whole module). It reports discarded error returns of Close
 // and Flush on the persistence types — tunelog journals and file locks,
 // registry backends, cost-model checkpoint writers — whether discarded as a
@@ -15,10 +15,10 @@ import (
 // surfaces the retained write error of every fire-and-forget append, a
 // backend Close is the batcher's drain barrier, and a failed flock release
 // can wedge every later publisher. The analyzer keys on the receiver's
-// defining package (ClosePackages, plus the io.Closer handles
+// defining package (closePackages, plus the io.Closer handles
 // tunelog.AcquireFileLock hands out), so closing an os.File or an HTTP body
 // stays untouched.
-func NewErrclose(scope []string) *Analyzer {
+func newErrclose(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "errclose",
 		Doc:  "check Close/Flush errors on journals, checkpoints, locks and registry backends",
@@ -114,7 +114,7 @@ func closeLike(info *types.Info, call *ast.CallExpr) (*types.Func, string) {
 	if pkg == "io" && name == "Closer" {
 		return fn, "io.Closer (lock handle)"
 	}
-	if matchScope(pkg, ClosePackages) {
+	if matchScope(pkg, closePackages) {
 		return fn, name
 	}
 	return nil, ""

@@ -1,12 +1,9 @@
-package lint_test
+package lint
 
 import (
 	"testing"
-
-	"harl/internal/lint"
-	"harl/internal/lint/linttest"
 )
 
 func TestErrcloseFixture(t *testing.T) {
-	linttest.Run(t, lint.NewErrclose(fixtureScope), "errclose/a")
+	runFixture(t, newErrclose(fixtureScope), "errclose/a")
 }

@@ -1,5 +1,15 @@
-// Package linttest runs lint analyzers against fixture packages under
-// testdata/src, checking reported diagnostics against `// want "substring"`
+package lint
+
+import (
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// runFixture runs an analyzer against a fixture package under testdata/src,
+// checking reported diagnostics against `// want "substring"`
 // annotations — the same contract as golang.org/x/tools/go/analysis/
 // analysistest, rebuilt on the stdlib-only loader.
 //
@@ -12,38 +22,23 @@
 // comment (several quoted strings for several diagnostics on one line).
 // Lines with a //lint:allow suppression carry no want — their absence from
 // the diagnostic set is exactly what proves the suppression works.
-package linttest
-
-import (
-	"go/token"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"testing"
-
-	"harl/internal/lint"
-)
-
-// Run loads testdata/src/<fixture> relative to the calling test's package
-// directory, applies the analyzer, and reports every mismatch between
-// diagnostics and want annotations as a test error.
 //
-//lint:allow deadexport internal/lint's *_test.go run their fixtures through it
-func Run(t *testing.T, a *lint.Analyzer, fixture string) {
+// Every mismatch between diagnostics and want annotations is a test error.
+func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	pkgs := load(t, fixture)
+	pkgs := loadFixture(t, fixture)
 	for _, pkg := range pkgs {
-		diags, err := lint.Run(pkg, []*lint.Analyzer{a}, lint.Options{})
+		diags, err := Run(pkg, []*Analyzer{a}, Options{})
 		if err != nil {
-			t.Fatalf("lint.Run(%s): %v", pkg.Path, err)
+			t.Fatalf("Run(%s): %v", pkg.Path, err)
 		}
-		check(t, pkg, diags)
+		checkWants(t, pkg, diags)
 	}
 }
 
-func load(t *testing.T, fixture string) []*lint.Package {
+func loadFixture(t *testing.T, fixture string) []*Package {
 	t.Helper()
-	root, err := lint.ModuleRoot(".")
+	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +51,7 @@ func load(t *testing.T, fixture string) []*lint.Package {
 		t.Fatal(err)
 	}
 	pattern := "./" + filepath.ToSlash(rel)
-	pkgs, err := lint.Load(root, pattern)
+	pkgs, err := Load(root, pattern)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixture, err)
 	}
@@ -72,7 +67,7 @@ type want struct {
 	matched bool
 }
 
-func check(t *testing.T, pkg *lint.Package, diags []lint.Diagnostic) {
+func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 	t.Helper()
 	wants := collectWants(t, pkg)
 	for _, d := range diags {
@@ -89,7 +84,7 @@ func check(t *testing.T, pkg *lint.Package, diags []lint.Diagnostic) {
 	}
 }
 
-func matchWant(wants []*want, d lint.Diagnostic) *want {
+func matchWant(wants []*want, d Diagnostic) *want {
 	for _, w := range wants {
 		if w.matched || w.pos.Filename != d.Pos.Filename || w.pos.Line != d.Pos.Line {
 			continue
@@ -101,7 +96,7 @@ func matchWant(wants []*want, d lint.Diagnostic) *want {
 	return nil
 }
 
-func collectWants(t *testing.T, pkg *lint.Package) []*want {
+func collectWants(t *testing.T, pkg *Package) []*want {
 	t.Helper()
 	var wants []*want
 	for _, f := range pkg.Files {

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// NewMaporder builds the maporder analyzer scoped to the given package list.
+// newMaporder builds the maporder analyzer scoped to the given package list.
 // It reports a range over a map whose loop body reaches an order-sensitive
 // sink — a journal append, a checkpoint/JSON/wire encode, a fingerprint or
 // hash write, or a writer print. Go randomizes map iteration order, so bytes
@@ -16,7 +16,7 @@ import (
 // The deterministic idiom is untouched: collect keys into a slice inside the
 // range, sort, then emit while ranging the sorted slice — there the sink sits
 // after the map loop, not inside it.
-func NewMaporder(scope []string) *Analyzer {
+func newMaporder(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "maporder",
 		Doc:  "forbid map iteration that feeds journals, checkpoints, hashes or wire encodes",

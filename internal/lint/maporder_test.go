@@ -1,12 +1,9 @@
-package lint_test
+package lint
 
 import (
 	"testing"
-
-	"harl/internal/lint"
-	"harl/internal/lint/linttest"
 )
 
 func TestMaporderFixture(t *testing.T) {
-	linttest.Run(t, lint.NewMaporder(fixtureScope), "maporder/a")
+	runFixture(t, newMaporder(fixtureScope), "maporder/a")
 }

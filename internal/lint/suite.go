@@ -1,13 +1,13 @@
 package lint
 
-// DeterministicPackages are the packages under the workers=1 ≡ workers=N
+// deterministicPackages are the packages under the workers=1 ≡ workers=N
 // byte-identical-journal contract (established in PR 1, extended by every PR
 // since): all of the search loop, the learned models it trains, the
 // serialization formats it persists, and the RNG seam itself. Inside them,
 // every random draw must flow through harl/internal/xrand task streams and
 // nothing may read wall clocks or process identity — detrand enforces this
 // mechanically.
-var DeterministicPackages = []string{
+var deterministicPackages = []string{
 	"harl/internal/search",
 	"harl/internal/costmodel",
 	"harl/internal/schedule",
@@ -22,35 +22,35 @@ var DeterministicPackages = []string{
 	"harl/internal/xrand",
 }
 
-// PersistencePackages are the packages that own durable artifacts (registry
+// persistencePackages are the packages that own durable artifacts (registry
 // journals and indexes, cost-model checkpoints, bench summaries, tuning
 // logs). Writes here must go through harl/internal/atomicfile or the locked
 // journal helpers — atomicwrite rejects bare os.WriteFile / os.Create /
 // truncating os.OpenFile, the torn-artifact bug class PR 6's S1 fixed after
 // the fact.
-var PersistencePackages = []string{
+var persistencePackages = []string{
 	"harl/internal/registry",
 	"harl/internal/costmodel",
 	"harl/internal/experiments",
 	"harl/internal/tunelog",
 }
 
-// HandlerPackages are the HTTP surfaces bound to the v1 wire contract: every
+// handlerPackages are the HTTP surfaces bound to the v1 wire contract: every
 // error response is a wire.WriteError envelope and every success body a named
 // versioned type — wireenvelope rejects http.Error and anonymous map[string]
 // response literals, the exact bug class PR 7's S2/S3 fixed by hand.
-var HandlerPackages = []string{
+var handlerPackages = []string{
 	"harl/internal/service",
 	"harl/internal/fleet",
 	"harl/cmd/harl-serve",
 	"harl/cmd/harl-worker",
 }
 
-// OrderSensitivePackages is where maporder applies: the deterministic
+// orderSensitivePackages is where maporder applies: the deterministic
 // packages plus everything that feeds journals, checkpoints, fingerprints or
 // wire bodies — a map iteration reaching such a sink makes output order
 // depend on Go's randomized map order.
-var OrderSensitivePackages = append([]string{
+var orderSensitivePackages = append([]string{
 	"harl/internal/registry",
 	"harl/internal/experiments",
 	"harl/internal/pretrain",
@@ -58,20 +58,20 @@ var OrderSensitivePackages = append([]string{
 	"harl/internal/service",
 	"harl/internal/fleet",
 	"harl",
-}, DeterministicPackages...)
+}, deterministicPackages...)
 
-// ClosePackages are the packages whose Close/Flush errors carry data-loss
+// closePackages are the packages whose Close/Flush errors carry data-loss
 // signal (a journal close that fails may mean the tail never hit the disk):
 // errclose flags discarding them, wherever the call site lives.
-var ClosePackages = []string{
+var closePackages = []string{
 	"harl/internal/tunelog",
 	"harl/internal/registry",
 	"harl/internal/costmodel",
 }
 
-// ModuleScope is every package of this module — the outer bound for
+// moduleScope is every package of this module — the outer bound for
 // analyzers keyed on receiver types rather than call-site package.
-var ModuleScope = []string{"harl/..."}
+var moduleScope = []string{"harl/..."}
 
 // allAnalyzerNames are the valid targets of a //lint:allow comment.
 var allAnalyzerNames = []string{"detrand", "maporder", "wireenvelope", "atomicwrite", "errclose", "deadexport"}
@@ -81,10 +81,10 @@ var allAnalyzerNames = []string{"detrand", "maporder", "wireenvelope", "atomicwr
 // whole-program deadexport pass (NewDeadexport) is not in it.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		NewDetrand(DeterministicPackages),
-		NewMaporder(OrderSensitivePackages),
-		NewWireenvelope(HandlerPackages),
-		NewAtomicwrite(PersistencePackages),
-		NewErrclose(ModuleScope),
+		newDetrand(deterministicPackages),
+		newMaporder(orderSensitivePackages),
+		newWireenvelope(handlerPackages),
+		newAtomicwrite(persistencePackages),
+		newErrclose(moduleScope),
 	}
 }

@@ -11,7 +11,11 @@ import (
 // Unused is exported from a main package, so it is not reported.
 func Unused() {}
 
+// Local is exported from a main package and used only there: not reported
+// either.
+func Local() int { return a.SharedFunc() + a.SharedVar + a.SharedConst + a.Stale() }
+
 func main() {
 	var s a.Shape = &a.Square{Side: 2}
-	fmt.Println(s.Area(), a.UsedByB(), int(a.Code(1)))
+	fmt.Println(s.Area(), a.UsedByB(), int(a.Code(1)), Local())
 }

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// NewWireenvelope builds the wireenvelope analyzer scoped to the given
+// newWireenvelope builds the wireenvelope analyzer scoped to the given
 // package list. In the HTTP handler layers it reports:
 //
 //   - calls to net/http.Error — every non-2xx body must be the one v1 error
@@ -19,7 +19,7 @@ import (
 // This is the exact bug class PR 7 fixed by hand: a hand-rolled error string
 // and {"cache_hit":false} map bodies that silently violated the documented
 // contract.
-func NewWireenvelope(scope []string) *Analyzer {
+func newWireenvelope(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "wireenvelope",
 		Doc:  "route handler errors through wire.WriteError and responses through named wire types",

@@ -1,12 +1,9 @@
-package lint_test
+package lint
 
 import (
 	"testing"
-
-	"harl/internal/lint"
-	"harl/internal/lint/linttest"
 )
 
 func TestWireenvelopeFixture(t *testing.T) {
-	linttest.Run(t, lint.NewWireenvelope(fixtureScope), "wireenvelope/a")
+	runFixture(t, newWireenvelope(fixtureScope), "wireenvelope/a")
 }

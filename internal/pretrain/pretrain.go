@@ -40,7 +40,7 @@ type Stats struct {
 	// steps that failed to reconstruct against the regenerated sketches
 	// (foreign or stale journals), or features of a structurally
 	// incompatible dimension (workload families mixed in one journal — the
-	// fit keeps the most-sampled dimension, like core.MergedCostModel).
+	// fit keeps the most-sampled dimension, like core's mergedCostModel).
 	Skipped int
 	// Samples is the model's resulting training-set size and Trained whether
 	// the fit produced a usable ensemble.
@@ -93,7 +93,7 @@ func FitModel(db *tunelog.Database, graphs []*texpr.Subgraph, target string, p c
 	}
 	// Pass 1: decode every matching record and count samples per feature
 	// dimension. The fit keeps the dimension that carries the most samples
-	// (first-seen wins ties) — the same policy as core.MergedCostModel, so
+	// (first-seen wins ties) — the same policy as core's mergedCostModel, so
 	// the harl-train artifact and a network run's ModelOut artifact agree on
 	// which structural family a mixed journal trains.
 	type sample struct {

@@ -85,7 +85,7 @@ func TestSeedTaskIgnoresForeignRecords(t *testing.T) {
 	if other.Pretrained {
 		t.Fatal("task with no matching records must stay cold")
 	}
-	gpu := newTask(gemm, hardware.GPURTX3090(), 1)
+	gpu := newTask(gemm, hardware.ByName("gpu"), 1)
 	if n := pretrain.SeedTask(db, gpu); n != 0 {
 		t.Fatalf("foreign target replayed %d records", n)
 	}

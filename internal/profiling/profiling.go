@@ -9,13 +9,13 @@ import (
 	"net/http/pprof"
 )
 
-// Handler returns a mux serving only the net/http/pprof endpoints under
+// handler returns a mux serving only the net/http/pprof endpoints under
 // /debug/pprof/. Daemons mount it on a dedicated address given by their
 // -pprof flag:
 //
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=30
 //	go tool pprof http://localhost:6060/debug/pprof/heap
-func Handler() http.Handler {
+func handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -25,9 +25,9 @@ func Handler() http.Handler {
 	return mux
 }
 
-// ListenAndServe serves Handler() on addr. It blocks, so daemons run it in a
+// ListenAndServe serves handler() on addr. It blocks, so daemons run it in a
 // goroutine; a listen failure is reported through the returned error rather
 // than killing the daemon (profiling is diagnostics, not the service).
 func ListenAndServe(addr string) error {
-	return http.ListenAndServe(addr, Handler())
+	return http.ListenAndServe(addr, handler())
 }

@@ -99,19 +99,19 @@ type Backend interface {
 	Close() error
 }
 
-// DetectLayout reports the layout of a registry directory: a root
+// detectLayout reports the layout of a registry directory: a root
 // journal.jsonl with no shards/ tree is a v1 registry (single-file); anything
 // else — a shards/ tree, or an empty or not-yet-created directory — is
 // sharded.
-func DetectLayout(dir string) Layout {
-	if _, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil && !hasShards(dir) {
+func detectLayout(dir string) Layout {
+	if _, err := os.Stat(filepath.Join(dir, journalFile)); err == nil && !hasShards(dir) {
 		return LayoutSingle
 	}
 	return LayoutSharded
 }
 
 func hasShards(dir string) bool {
-	st, err := os.Stat(filepath.Join(dir, ShardsDir))
+	st, err := os.Stat(filepath.Join(dir, shardsDir))
 	return err == nil && st.IsDir()
 }
 
@@ -119,12 +119,12 @@ func hasShards(dir string) bool {
 // sharded layout is a v1 registry to migrate in place — or a migration a kill
 // interrupted after shards/ was created and before the journal was retired,
 // which would otherwise open as an empty sharded registry. The replay skips
-// records a shard already holds, so both cases run Migrate.
+// records a shard already holds, so both cases run migrate.
 func openBackend(dir string, o Options) (Backend, error) {
 	layout := o.Layout
 	switch layout {
 	case LayoutAuto:
-		layout = DetectLayout(dir)
+		layout = detectLayout(dir)
 	case LayoutSingle:
 		if hasShards(dir) {
 			return nil, fmt.Errorf("registry: %s holds a sharded registry; open it with the sharded (or auto) layout", dir)
@@ -136,8 +136,8 @@ func openBackend(dir string, o Options) (Backend, error) {
 	if layout == LayoutSingle {
 		return openFileBackend(dir)
 	}
-	if _, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil {
-		if err := Migrate(dir); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, journalFile)); err == nil {
+		if err := migrate(dir); err != nil {
 			return nil, err
 		}
 	}

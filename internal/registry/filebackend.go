@@ -49,7 +49,7 @@ func (b *fileBackend) loadLocked() error {
 	b.seen = make(map[tunelog.Record]bool)
 	b.size = 0
 	b.stamp = fileStamp{}
-	path := filepath.Join(b.dir, JournalFile)
+	path := filepath.Join(b.dir, journalFile)
 	// Stamp before reading: a concurrent append between the load and a
 	// post-load stat would then go unnoticed forever; stamping first means it
 	// only causes one redundant reload.
@@ -76,7 +76,7 @@ func (b *fileBackend) loadLocked() error {
 func (b *fileBackend) Resolve(workload, target, scheduler string) (tunelog.Record, bool, error) {
 	b.mu.RLock()
 	rec, ok := resolveBest(b.best, workload, target, scheduler)
-	stale := !ok && stampOf(filepath.Join(b.dir, JournalFile)) != b.stamp
+	stale := !ok && stampOf(filepath.Join(b.dir, journalFile)) != b.stamp
 	b.mu.RUnlock()
 	if ok || !stale {
 		return rec, ok, nil
@@ -86,7 +86,7 @@ func (b *fileBackend) Resolve(workload, target, scheduler string) (tunelog.Recor
 	// so the reload is cheap by comparison).
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if stampOf(filepath.Join(b.dir, JournalFile)) != b.stamp {
+	if stampOf(filepath.Join(b.dir, journalFile)) != b.stamp {
 		if err := b.loadLocked(); err != nil {
 			return tunelog.Record{}, false, err
 		}
@@ -107,7 +107,7 @@ func (b *fileBackend) Resolve(workload, target, scheduler string) (tunelog.Recor
 func (b *fileBackend) AppendBatch(recs []tunelog.Record) ([]bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	path := filepath.Join(b.dir, JournalFile)
+	path := filepath.Join(b.dir, journalFile)
 	jr, err := b.openJournal(path)
 	if err != nil {
 		return nil, err

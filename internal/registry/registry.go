@@ -19,7 +19,7 @@
 //
 // In both layouts the append-only journal(s) stay authoritative: any backend
 // rebuilds its state from a replay, and a single-file registry opens
-// unchanged or migrates in place to the sharded layout (Migrate).
+// unchanged or migrates in place to the sharded layout (migrate).
 //
 // Durability: a publish returns once its lines reach the OS, not the disk —
 // appends are not fsynced. A returned publish survives a process kill; a
@@ -49,12 +49,12 @@ import (
 	"harl/internal/tunelog"
 )
 
-// JournalFile and ShardsDir are the registry's on-disk layout under its
-// directory (JournalFile for the single-file layout, ShardsDir for the
+// journalFile and shardsDir are the registry's on-disk layout under its
+// directory (journalFile for the single-file layout, shardsDir for the
 // sharded one).
 const (
-	JournalFile = "journal.jsonl"
-	ShardsDir   = "shards"
+	journalFile = "journal.jsonl"
+	shardsDir   = "shards"
 )
 
 // Registry is an open best-schedule store: a storage backend behind a
@@ -248,7 +248,7 @@ func (r *Registry) Close() error {
 	return r.b.Close()
 }
 
-// Migrate converts a single-file registry directory to the sharded layout in
+// migrate converts a single-file registry directory to the sharded layout in
 // place: the journal replays into per-shard journals (order preserved, so
 // Force heals keep their effect), the old journal is kept as
 // journal.v1.jsonl for rollback, and an index.json snapshot older binaries
@@ -256,8 +256,8 @@ func (r *Registry) Close() error {
 // Opening a directory as sharded calls this whenever a root journal.jsonl is
 // present; the replay skips records a shard already holds, so a run killed at
 // any point before the rename is completed by the next one.
-func Migrate(dir string) error {
-	src := filepath.Join(dir, JournalFile)
+func migrate(dir string) error {
+	src := filepath.Join(dir, journalFile)
 	db, err := tunelog.LoadFile(src)
 	if err != nil {
 		return fmt.Errorf("registry: migrate: %w", err)

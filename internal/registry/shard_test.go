@@ -13,7 +13,7 @@ import (
 // shardJournals returns the existing shard journal paths under dir.
 func shardJournals(t *testing.T, dir string) []string {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, ShardsDir, "*", JournalFile))
+	matches, err := filepath.Glob(filepath.Join(dir, shardsDir, "*", journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestMigrateSingleToSharded(t *testing.T) {
 	if r.Layout() != LayoutSharded {
 		t.Fatalf("layout after migration = %q", r.Layout())
 	}
-	if _, err := os.Stat(filepath.Join(dir, JournalFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, journalFile)); !os.IsNotExist(err) {
 		t.Fatalf("v1 journal still in place after migration: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "journal.v1.jsonl")); err != nil {
@@ -103,20 +103,20 @@ func TestMigrateSingleToSharded(t *testing.T) {
 		t.Fatalf("heal lost in migration: %+v, %v", rec, ok)
 	}
 	// Auto-detection now picks the sharded layout.
-	if DetectLayout(dir) != LayoutSharded {
+	if detectLayout(dir) != LayoutSharded {
 		t.Fatal("migrated directory not detected as sharded")
 	}
 }
 
-// TestInterruptedMigrationResumes: Migrate creates shards/ first and retires
-// the root journal last, so a kill in between leaves a directory DetectLayout
+// TestInterruptedMigrationResumes: migrate creates shards/ first and retires
+// the root journal last, so a kill in between leaves a directory detectLayout
 // calls sharded with the v1 journal orphaned beside it. Opening must finish
 // the migration — every v1 key back, Force heal included — at each kill
 // point, under both the auto and the explicit sharded layout.
 func TestInterruptedMigrationResumes(t *testing.T) {
 	killPoints := map[string]func(t *testing.T, dir string, recs []tunelog.Record){
 		"AfterMkdirAll": func(t *testing.T, dir string, _ []tunelog.Record) {
-			if err := os.MkdirAll(filepath.Join(dir, ShardsDir), 0o755); err != nil {
+			if err := os.MkdirAll(filepath.Join(dir, shardsDir), 0o755); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -153,7 +153,7 @@ func TestInterruptedMigrationResumes(t *testing.T) {
 				if err := v1.Close(); err != nil {
 					t.Fatal(err)
 				}
-				db, err := tunelog.LoadFile(filepath.Join(dir, JournalFile))
+				db, err := tunelog.LoadFile(filepath.Join(dir, journalFile))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,7 +168,7 @@ func TestInterruptedMigrationResumes(t *testing.T) {
 					t.Fatalf("reopen after interrupted migration sees %d keys, want %d", r.Len(), len(want))
 				}
 				sameBests(t, "after resumed migration", records(t, r), want)
-				if _, err := os.Stat(filepath.Join(dir, JournalFile)); !os.IsNotExist(err) {
+				if _, err := os.Stat(filepath.Join(dir, journalFile)); !os.IsNotExist(err) {
 					t.Fatalf("v1 journal still at the root: %v", err)
 				}
 				if _, err := os.Stat(filepath.Join(dir, "journal.v1.jsonl")); err != nil {
@@ -179,7 +179,7 @@ func TestInterruptedMigrationResumes(t *testing.T) {
 	}
 }
 
-// replayInto appends recs to dir's shards the way Migrate's replay does,
+// replayInto appends recs to dir's shards the way migrate's replay does,
 // leaving the root journal in place.
 func replayInto(t *testing.T, dir string, recs []tunelog.Record) {
 	t.Helper()
@@ -257,7 +257,7 @@ func TestV1RegistryOpensUnmodified(t *testing.T) {
 			t.Fatalf("opening a v1 registry modified %s", path)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, ShardsDir)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, shardsDir)); !os.IsNotExist(err) {
 		t.Fatal("opening a v1 registry created a shards tree")
 	}
 }
@@ -275,10 +275,10 @@ func TestAutoOpensNewRegistrySharded(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if st, err := os.Stat(filepath.Join(dir, ShardsDir)); err != nil || !st.IsDir() {
-			t.Fatalf("auto open of a new registry did not create %s: %v", ShardsDir, err)
+		if st, err := os.Stat(filepath.Join(dir, shardsDir)); err != nil || !st.IsDir() {
+			t.Fatalf("auto open of a new registry did not create %s: %v", shardsDir, err)
 		}
-		if DetectLayout(dir) != LayoutSharded {
+		if detectLayout(dir) != LayoutSharded {
 			t.Fatalf("%s not detected as sharded after its first open", dir)
 		}
 	}

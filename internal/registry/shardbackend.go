@@ -15,10 +15,10 @@ import (
 	"harl/internal/tunelog"
 )
 
-// ShardCount is the number of journal shards in the sharded (v2) layout.
-const ShardCount = 256
+// shardCount is the number of journal shards in the sharded (v2) layout.
+const shardCount = 256
 
-// ShardHeaderFile and ShardLockFile are the per-shard files beside each
+// shardHeaderFile and shardLockFile are the per-shard files beside each
 // shard's journal.jsonl:
 //
 //	header.json  {"v":1,"generation":G,"keys":K,"records":N} — the generation
@@ -33,8 +33,8 @@ const ShardCount = 256
 //	             via rename — a flock held on the replaced journal inode
 //	             would no longer exclude anyone.
 const (
-	ShardHeaderFile = "header.json"
-	ShardLockFile   = "lock"
+	shardHeaderFile = "header.json"
+	shardLockFile   = "lock"
 )
 
 // shardHeaderVersion is the header.json format version.
@@ -60,7 +60,7 @@ type shardHeader struct {
 }
 
 func readShardHeader(dir string) (shardHeader, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ShardHeaderFile))
+	data, err := os.ReadFile(filepath.Join(dir, shardHeaderFile))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return shardHeader{V: shardHeaderVersion}, nil
@@ -82,7 +82,7 @@ func writeShardHeader(dir string, h shardHeader) error {
 	if err != nil {
 		return fmt.Errorf("registry: marshal shard header: %w", err)
 	}
-	return atomicfile.WriteFile(filepath.Join(dir, ShardHeaderFile), append(data, '\n'), 0o644)
+	return atomicfile.WriteFile(filepath.Join(dir, shardHeaderFile), append(data, '\n'), 0o644)
 }
 
 // shardStamp identifies a shard's durable state: the journal's cheap file
@@ -116,10 +116,10 @@ type shard struct {
 	records int
 }
 
-func (s *shard) journalPath() string { return filepath.Join(s.dir, JournalFile) }
-func (s *shard) lockPath() string    { return filepath.Join(s.dir, ShardLockFile) }
+func (s *shard) journalPath() string { return filepath.Join(s.dir, journalFile) }
+func (s *shard) lockPath() string    { return filepath.Join(s.dir, shardLockFile) }
 
-// shardedBackend is the v2 layout: records route to one of ShardCount shard
+// shardedBackend is the v2 layout: records route to one of shardCount shard
 // journals by a hash of the workload fingerprint, so every key's records —
 // and therefore every Resolve, including the any-scheduler scan — live in
 // exactly one shard. Each shard is its own mini registry: an authoritative
@@ -137,7 +137,7 @@ type shardedBackend struct {
 	compactFactor float64
 
 	mu       sync.RWMutex
-	shards   [ShardCount]*shard
+	shards   [shardCount]*shard
 	resident int
 	useClock atomic.Int64
 	stats    Stats
@@ -148,7 +148,7 @@ type shardedBackend struct {
 }
 
 func openSharded(dir string) (*shardedBackend, error) {
-	root := filepath.Join(dir, ShardsDir)
+	root := filepath.Join(dir, shardsDir)
 	// Creating the shards/ marker makes the layout choice sticky for later
 	// auto-detecting opens; like the registry directory itself it is the one
 	// write opening is allowed.
@@ -189,7 +189,7 @@ func (b *shardedBackend) Layout() Layout { return LayoutSharded }
 func (b *shardedBackend) shardFor(workload string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(workload))
-	return b.shards[h.Sum32()&(ShardCount-1)]
+	return b.shards[h.Sum32()&(shardCount-1)]
 }
 
 func (b *shardedBackend) touch(s *shard) {

@@ -117,8 +117,8 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// PrimeFactors returns the prime factorization of n in ascending order.
-func PrimeFactors(n int) []int {
+// primeFactors returns the prime factorization of n in ascending order.
+func primeFactors(n int) []int {
 	var fs []int
 	for n%2 == 0 {
 		fs = append(fs, 2)
@@ -160,7 +160,7 @@ func randomFactorization(extent, levels int, rng *xrand.RNG) []int {
 	for i := range row {
 		row[i] = 1
 	}
-	for _, p := range PrimeFactors(extent) {
+	for _, p := range primeFactors(extent) {
 		row[rng.Intn(levels)] *= p
 	}
 	return row

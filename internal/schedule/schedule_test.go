@@ -24,14 +24,14 @@ func TestPrimeFactors(t *testing.T) {
 		2310: {2, 3, 5, 7, 11},
 	}
 	for n, want := range cases {
-		got := PrimeFactors(n)
+		got := primeFactors(n)
 		if len(got) != len(want) {
-			t.Fatalf("PrimeFactors(%d) = %v", n, got)
+			t.Fatalf("primeFactors(%d) = %v", n, got)
 		}
 		prod := 1
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("PrimeFactors(%d) = %v want %v", n, got, want)
+				t.Fatalf("primeFactors(%d) = %v want %v", n, got, want)
 			}
 			prod *= got[i]
 		}

@@ -142,7 +142,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	// fully populated here (a follow-up Get could already miss it).
 	job, coalesced, err := s.queue.Submit(req)
 	if err != nil {
-		if errors.Is(err, ErrShuttingDown) {
+		if errors.Is(err, errShuttingDown) {
 			writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err)
 			return
 		}

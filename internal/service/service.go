@@ -17,10 +17,10 @@ import (
 	"harl"
 )
 
-// ErrShuttingDown is returned by Submit once the queue has begun draining;
+// errShuttingDown is returned by Submit once the queue has begun draining;
 // the HTTP layer maps it to 503 shutting_down (a retryable condition, unlike
 // a 400).
-var ErrShuttingDown = errors.New("service: queue is shut down")
+var errShuttingDown = errors.New("service: queue is shut down")
 
 // JobState is the lifecycle of one tuning job.
 type JobState string
@@ -259,7 +259,7 @@ func (q *Queue) Submit(req Request) (Job, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return Job{}, false, ErrShuttingDown
+		return Job{}, false, errShuttingDown
 	}
 	if j, ok := q.inflight[key]; ok {
 		j.Coalesced++

@@ -40,15 +40,15 @@ func Summarize(xs []float64) Summary {
 	s.Std = math.Sqrt(s.Std / float64(len(xs)))
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	s.P25 = Quantile(sorted, 0.25)
-	s.P50 = Quantile(sorted, 0.50)
-	s.P75 = Quantile(sorted, 0.75)
+	s.P25 = quantile(sorted, 0.25)
+	s.P50 = quantile(sorted, 0.50)
+	s.P75 = quantile(sorted, 0.75)
 	return s
 }
 
-// Quantile returns the q-quantile of an ascending-sorted sample using linear
+// quantile returns the q-quantile of an ascending-sorted sample using linear
 // interpolation between order statistics.
-func Quantile(sorted []float64, q float64) float64 {
+func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}

@@ -27,13 +27,13 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestQuantileInterpolation(t *testing.T) {
 	sorted := []float64{0, 10}
-	if q := Quantile(sorted, 0.5); q != 5 {
+	if q := quantile(sorted, 0.5); q != 5 {
 		t.Fatalf("median of {0,10} = %f", q)
 	}
-	if q := Quantile(sorted, 0); q != 0 {
+	if q := quantile(sorted, 0); q != 0 {
 		t.Fatalf("q0 = %f", q)
 	}
-	if q := Quantile(sorted, 1); q != 10 {
+	if q := quantile(sorted, 1); q != 10 {
 		t.Fatalf("q1 = %f", q)
 	}
 }

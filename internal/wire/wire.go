@@ -64,8 +64,8 @@ type ErrorBody struct {
 	Error ErrorInfo `json:"error"`
 }
 
-// Errorf builds an envelope value.
-func Errorf(code ErrorCode, format string, args ...any) ErrorBody {
+// errorf builds an envelope value.
+func errorf(code ErrorCode, format string, args ...any) ErrorBody {
 	return ErrorBody{Error: ErrorInfo{Code: code, Message: fmt.Sprintf(format, args...)}}
 }
 
@@ -88,7 +88,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // fields and cannot fail to marshal, so this is the floor every error path
 // bottoms out on — including WriteJSON's own encode-failure fallback.
 func WriteError(w http.ResponseWriter, status int, code ErrorCode, format string, args ...any) {
-	body := Errorf(code, format, args...)
+	body := errorf(code, format, args...)
 	data, err := json.MarshalIndent(body, "", " ")
 	if err != nil {
 		// Unreachable with string fields; keep the contract anyway.

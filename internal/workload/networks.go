@@ -54,9 +54,9 @@ func BERT(batch int) *Network {
 			// Attention softmax over (batch·heads·seq) rows of length seq.
 			withWeight(Softmax("Softmax", batch*heads*seq, seq), layers),
 			// Scores = Q·K^T per head.
-			withWeight(BatchGEMM("Batch_GEMM-I", batch*heads, seq, headDim, seq), layers),
+			withWeight(batchGEMM("Batch_GEMM-I", batch*heads, seq, headDim, seq), layers),
 			// Context = scores·V per head.
-			withWeight(BatchGEMM("Batch_GEMM-II", batch*heads, seq, seq, headDim), layers),
+			withWeight(batchGEMM("Batch_GEMM-II", batch*heads, seq, seq, headDim), layers),
 			// Residual add + layernorm core (2 per layer).
 			withWeight(Elementwise("Element-wise-I", rows*hidden, 8, 2), 2*layers),
 			// GELU over the FF activation.
@@ -106,8 +106,8 @@ func ResNet50(batch int) *Network {
 		sgs = append(sgs, Conv2DReLU(c.name, c.weight, batch, c.h, c.h, c.cin, c.cout, c.k, c.stride, c.pad))
 	}
 	sgs = append(sgs,
-		withWeight(Pool2D("maxpool", batch, 112, 112, 64, 3, 2), 1),
-		withWeight(Pool2D("global_avgpool", batch, 7, 7, 2048, 7, 7), 1),
+		withWeight(pool2D("maxpool", batch, 112, 112, 64, 3, 2), 1),
+		withWeight(pool2D("global_avgpool", batch, 7, 7, 2048, 7, 7), 1),
 		withWeight(Elementwise("residual_add", batch*56*56*256, 2, 2), 16),
 		withWeight(GEMM("fc1000", 1, batch, 2048, 1000), 1),
 	)

@@ -44,9 +44,9 @@ func GEMM(name string, batch, m, k, n int) *texpr.Subgraph {
 	return texpr.MustSubgraph(name, 1, st)
 }
 
-// BatchGEMM builds a batched matmul C[b,M,N] = A[b,M,K]·B[b,K,N] where both
+// batchGEMM builds a batched matmul C[b,M,N] = A[b,M,K]·B[b,K,N] where both
 // operands carry the batch axis (attention score/context computation in BERT).
-func BatchGEMM(name string, batch, m, k, n int) *texpr.Subgraph {
+func batchGEMM(name string, batch, m, k, n int) *texpr.Subgraph {
 	st := &texpr.Stage{
 		Name:                 "batch_matmul",
 		Kind:                 texpr.ComputeHeavy,
@@ -233,6 +233,8 @@ func ConvT2D(name string, batch, h, w, cin, cout, k, stride, pad int) *texpr.Sub
 // DepthwiseConv2D builds a depthwise 2-D convolution (MobileNet building block):
 // each channel is convolved independently, so the channel axis is spatial and
 // only the kernel window is reduced.
+//
+//lint:allow deadexport search/search_test.go builds a depthwise subgraph with it
 func DepthwiseConv2D(name string, batch, h, w, c, k, stride, pad int) *texpr.Subgraph {
 	oh, ow := convOut(h, k, stride, pad), convOut(w, k, stride, pad)
 	st := &texpr.Stage{
@@ -267,6 +269,8 @@ func DepthwiseConv2D(name string, batch, h, w, c, k, stride, pad int) *texpr.Sub
 
 // Softmax builds a two-stage softmax subgraph over (rows, cols): a reduction
 // stage (max+sum of exp) followed by an elementwise normalization consuming it.
+//
+//lint:allow deadexport search/search_test.go and sketch/sketch_test.go build subgraphs with it
 func Softmax(name string, rows, cols int) *texpr.Subgraph {
 	reduceSt := &texpr.Stage{
 		Name:                 "softmax_reduce",
@@ -298,6 +302,8 @@ func Softmax(name string, rows, cols int) *texpr.Subgraph {
 
 // Elementwise builds a single-stage elementwise subgraph over a flat shape
 // with the given per-element FLOP cost (e.g. 8 for GELU, 2 for add+scale).
+//
+//lint:allow deadexport search/search_test.go and sketch/sketch_test.go build subgraphs with it
 func Elementwise(name string, elems int, flopsPerElem float64, inputs int) *texpr.Subgraph {
 	st := &texpr.Stage{
 		Name:          "ewise",
@@ -318,6 +324,8 @@ func Elementwise(name string, elems int, flopsPerElem float64, inputs int) *texp
 // GEMMEpilogue builds a GEMM followed by an elementwise epilogue stage
 // (bias+activation) consuming its output — the fused dense pattern that gives
 // the sketch generator its Tiling-with-Fusion and Inline choices.
+//
+//lint:allow deadexport schedule/serialize_test.go and sketch/sketch_test.go build subgraphs with it
 func GEMMEpilogue(name string, batch, m, k, n int, epilogueFLOPs float64) *texpr.Subgraph {
 	g := GEMM(name, batch, m, k, n)
 	mat := g.Stages[0]
@@ -338,6 +346,8 @@ func GEMMEpilogue(name string, batch, m, k, n int, epilogueFLOPs float64) *texpr
 
 // Conv2DReLU builds a conv2d followed by a fused bias+ReLU elementwise stage —
 // the canonical CNN subgraph after operator fusion.
+//
+//lint:allow deadexport the root bench_test.go, hardware/hardware_test.go, schedule/schedule_test.go, search/search_test.go and sketch/sketch_test.go build subgraphs with it
 func Conv2DReLU(name string, weight, batch, h, w, cin, cout, k, stride, pad int) *texpr.Subgraph {
 	conv := conv2DStage("conv2d", batch, h, w, cin, cout, k, stride, pad)
 	relu := &texpr.Stage{
@@ -355,8 +365,8 @@ func Conv2DReLU(name string, weight, batch, h, w, cin, cout, k, stride, pad int)
 	return texpr.MustSubgraph(name, weight, conv, relu)
 }
 
-// Pool2D builds a pooling subgraph (ReduceLight over a window).
-func Pool2D(name string, batch, h, w, c, k, stride int) *texpr.Subgraph {
+// pool2D builds a pooling subgraph (ReduceLight over a window).
+func pool2D(name string, batch, h, w, c, k, stride int) *texpr.Subgraph {
 	oh, ow := convOut(h, k, stride, 0), convOut(w, k, stride, 0)
 	st := &texpr.Stage{
 		Name:          "pool2d",
@@ -390,9 +400,9 @@ type OperatorConfig struct {
 	Params   []int
 }
 
-// Table6 returns the complete operator-benchmark grid from Appendix A.3 of
+// table6 returns the complete operator-benchmark grid from Appendix A.3 of
 // the paper: 7 categories × 4 configurations each.
-func Table6() []OperatorConfig {
+func table6() []OperatorConfig {
 	return []OperatorConfig{
 		{"GEMM-S", []int{128, 128, 128}}, {"GEMM-S", []int{128, 256, 128}},
 		{"GEMM-S", []int{256, 256, 256}}, {"GEMM-S", []int{512, 32, 512}},
@@ -445,7 +455,7 @@ func (c OperatorConfig) Build(batch int) *texpr.Subgraph {
 // SuiteFor returns the four Table 6 subgraphs of one category at a batch size.
 func SuiteFor(category string, batch int) []*texpr.Subgraph {
 	var out []*texpr.Subgraph
-	for _, cfg := range Table6() {
+	for _, cfg := range table6() {
 		if cfg.Category == category {
 			out = append(out, cfg.Build(batch))
 		}

@@ -90,7 +90,7 @@ func TestGEMMEpilogueFusion(t *testing.T) {
 }
 
 func TestTable6Complete(t *testing.T) {
-	cfgs := Table6()
+	cfgs := table6()
 	if len(cfgs) != 28 {
 		t.Fatalf("Table 6 has %d configs, want 7 categories × 4", len(cfgs))
 	}

@@ -7,7 +7,6 @@ import (
 
 	"harl/internal/core"
 	"harl/internal/costmodel"
-	"harl/internal/fleet"
 	"harl/internal/tunelog"
 )
 
@@ -88,21 +87,11 @@ type Options struct {
 	// convergence trajectory flatlines (see Plateau): the session takes the
 	// checkpoint-on-cancel path and the result reports PlateauStopped.
 	Plateau Plateau
-	// Fleet, when non-empty, lists harl-worker endpoints ("host:port" or
-	// full URLs) and fans the run's hardware-measurement batches out to
-	// them. Remote measurement reproduces the in-process values bit-exactly
-	// (the noise function is pure in schedule, repetition index and noise
-	// seed, and all commit-order bookkeeping stays local), so journals and
-	// results are byte-identical to an in-process run — a dead or slow
-	// worker costs throughput, never correctness: failed batches are retried
-	// on the rotation and finally measured in-process. The run dials its own
-	// pool and closes it when done; a daemon serving many runs should share
-	// one pool via FleetPool instead.
-	Fleet []string
-	// FleetPool, when non-nil, attaches an already-dialed shared fleet (see
-	// DialFleet) — one health-checked worker pool serving every run, which
-	// is how harl-serve wires it. Takes precedence over Fleet. The caller
-	// keeps ownership: Close is never called by the run.
+	// FleetPool, when non-nil, measures the run's batches on a dialed fleet
+	// (see DialFleet) — one health-checked worker pool can serve every run,
+	// which is how harl-serve wires it. Journals and results stay
+	// byte-identical to an in-process run. The caller keeps ownership: Close
+	// is never called by the run.
 	FleetPool *Fleet
 }
 
@@ -149,10 +138,10 @@ func SchedulerByName(name string) (string, error) {
 }
 
 // hooks resolves the Options journal fields into core tuning hooks plus a
-// close function for what it opened — the record log and a privately dialed
-// fleet (a no-op when neither was). The close function is valid on error
-// returns too and may be called twice. The resume log is read before the
-// record log is opened for append, so the two may name the same file.
+// close function for what it opened — the record log (a no-op when none
+// was). The close function is valid on error returns too and may be called
+// twice. The resume log is read before the record log is opened for append,
+// so the two may name the same file.
 func (o Options) hooks() (core.TuneHooks, func() error, error) {
 	var h core.TuneHooks
 	closeFn := func() error { return nil }
@@ -192,17 +181,6 @@ func (o Options) hooks() (core.TuneHooks, func() error, error) {
 	}
 	if o.FleetPool != nil {
 		h.Evaluators = o.FleetPool.pool
-	} else if len(o.Fleet) > 0 {
-		p, err := fleet.NewPool(o.Fleet, fleet.Config{})
-		if err != nil {
-			return h, closeFn, err
-		}
-		h.Evaluators = p
-		inner := closeFn
-		closeFn = func() error {
-			p.Close()
-			return inner()
-		}
 	}
 	return h, closeFn, nil
 }
