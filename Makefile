@@ -14,7 +14,8 @@
 #   make bench-hot — the search hot-path microbenchmarks (features, schedule
 #                    key, batch scoring, refit with the histogram fill on its
 #                    lanes and on its Go loop, single-row and batch
-#                    prediction, PPO step and update, and under those nn's
+#                    prediction, PPO window step and update, the update
+#                    also pinned to one proc, and under those nn's
 #                    matrix kernel and element-wise lanes, AVX and portable),
 #                    repeated BENCH_COUNT times with allocation stats into
 #                    bench-hot.txt
@@ -40,12 +41,15 @@ GO ?= go
 # The search hot path: schedule featurization and identity hash, batch
 # candidate scoring, cost model refit (synthetic rows and real schedule
 # features, the real ones also with the histogram fill's lanes off), single-row prediction (97% of HARL's predict calls) and batch
-# prediction, the PPO policy step and update that are most of a HARL session,
-# and the matrix kernel and element-wise lanes under them (internal/nn's
+# prediction, the PPO window step (32 tracks' ActBatch, ValueBatch, Observe
+# and Tick at the GEMM-1024³ agent's dims) and update that are most of a HARL
+# session, the update again at GOMAXPROCS 1 (its critic half then runs after
+# the actor's, so the fork's single-core cost is gated too), and the matrix
+# kernel and element-wise lanes under them (internal/nn's
 # BenchmarkGemm and BenchmarkLanes, both implementations). CI's perf-smoke job
 # runs exactly this set on the base and head commits and fails on significant
 # regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOStep|BenchmarkPPOTrain|BenchmarkGemm|BenchmarkLanes)$$
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOWindowStep|BenchmarkPPOTrain|BenchmarkPPOTrainOneProc|BenchmarkGemm|BenchmarkLanes)$$
 BENCH_COUNT ?= 10
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check
@@ -112,6 +116,6 @@ fuzz:
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 16578 ]; then echo "make loc: $$n lines, above the 16578 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 16549 ]; then echo "make loc: $$n lines, above the 16549 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

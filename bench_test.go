@@ -10,6 +10,7 @@ package harl
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"harl/internal/costmodel"
@@ -245,26 +246,34 @@ func BenchmarkPredictBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkPPOStep measures one policy query plus one training tick.
-func BenchmarkPPOStep(b *testing.B) {
+// BenchmarkPPOWindowStep measures one HARL window step at the GEMM-1024³
+// agent's dims: 32 tracks act in one ActBatch, are valued in one ValueBatch and
+// observed, then the agent ticks, training on every other step.
+func BenchmarkPPOWindowStep(b *testing.B) {
+	const tracks, dim = 32, 23
 	rng := xrand.New(1)
-	agent := rl.NewAgent(24, []int{197, 3, 3, 3}, rl.DefaultConfig(), rng)
-	state := make([]float64, 24)
-	for i := range state {
-		state[i] = rng.Float64()
+	agent := rl.NewAgent(dim, []int{101, 3, 3, 3}, rl.DefaultConfig(), rng)
+	x := make([]float64, tracks*dim)
+	for i := range x {
+		x[i] = rng.Float64()
 	}
+	decs, vals := make([]rl.Decision, tracks), make([]float64, tracks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := agent.Act(state)
-		agent.Observe(rl.Transition{State: state, Acts: d.Acts, OldLogP: d.LogProb, Reward: 0.1, Value: d.Value})
+		agent.ActBatch(decs, x)
+		agent.ValueBatch(vals, x)
+		for t, d := range decs {
+			agent.Observe(rl.Transition{State: x[t*dim : (t+1)*dim], Acts: d.Acts, OldLogP: d.LogProb,
+				Reward: 0.01, Value: d.Value, NextValue: vals[t]})
+		}
 		agent.Tick()
 	}
 }
 
 // BenchmarkPPOTrain measures one PPO update (Epochs minibatches of batched
-// forward/backward passes plus Adam) at the benchmark's GEMM-1024³ dims over
-// a warm 1024-transition replay buffer — the layer that is ~80% of a HARL
-// session.
+// forward/backward passes plus Adam, the critic's half on a second goroutine)
+// at the benchmark's GEMM-1024³ dims over a warm 1024-transition replay
+// buffer — the layer that is ~80% of a HARL session.
 func BenchmarkPPOTrain(b *testing.B) {
 	rng := xrand.New(1)
 	agent := rl.NewAgent(23, []int{101, 3, 3, 3}, rl.DefaultConfig(), rng)
@@ -282,6 +291,14 @@ func BenchmarkPPOTrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		agent.Train()
 	}
+}
+
+// BenchmarkPPOTrainOneProc is BenchmarkPPOTrain at GOMAXPROCS 1, whatever
+// -cpu says: the update's two halves then run one after the other, so this
+// prices the fork itself.
+func BenchmarkPPOTrainOneProc(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	BenchmarkPPOTrain(b)
 }
 
 // BenchmarkSketchGeneration measures sketch enumeration for a fused subgraph.

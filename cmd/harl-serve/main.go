@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"harl"
-	"harl/internal/profiling"
 	"harl/internal/service"
 )
 
@@ -57,7 +56,6 @@ func main() {
 	plateauWindow := flag.Int("plateau-window", 6, "default plateau early stop: end a job's search when its best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator job, allocation decisions of a network job, however many subgraphs each advances (0 disables; requests override with plateau_window)")
 	plateauImprove := flag.Float64("plateau-improve", 0.005, "default minimum relative improvement (0.005 = 0.5%) over the plateau window to keep searching")
 	fleetList := flag.String("fleet", "", "comma-separated harl-worker endpoints shared by every tuning session (bit-identical to in-process measurement; dead workers fall back in-process); counters at /metrics as harl_fleet_*")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060), separate from -addr so profiling is never exposed to tuning clients; empty disables")
 	flag.Parse()
 
 	if *workers < 1 {
@@ -76,14 +74,6 @@ func main() {
 				fatal(fmt.Errorf("-plateau-improve needs -plateau-window > 0 to take effect"))
 			}
 		})
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := profiling.ListenAndServe(*pprofAddr); err != nil {
-				fmt.Fprintln(os.Stderr, "harl-serve: pprof:", err)
-			}
-		}()
-		fmt.Printf("harl-serve: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 	reg, err := harl.OpenRegistryOptions(*registryDir, harl.RegistryOptions{Layout: *registryLayout})
 	if err != nil {

@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
@@ -50,7 +49,7 @@ func main() {
 	scheduler := flag.String("scheduler", "harl", "scheduler preset: "+strings.Join(harl.Schedulers(), ", "))
 	trials := flag.Int("trials", 320, "measurement-trial budget (negative = no new measurements, replay the -resume cache only)")
 	seed := flag.Uint64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "tuning worker pool size (0 = 1, -1 = all CPU cores); results are identical for every worker count")
+	workers := flag.Int("workers", 0, "tuning worker pool size (0 = 1, -1 = all CPU cores); at every size a PPO update also trains its critic on a second goroutine; results are identical for every worker count")
 	logPath := flag.String("log", "", "append one JSONL tuning record per measured trial to this file")
 	resume := flag.String("resume", "", "warm-start from the best cached schedules of this record log (may equal -log)")
 	pretrainLog := flag.String("pretrain", "", "pretrain the cost model by replaying this record log before search (model-only; may equal -log or -resume)")
@@ -63,7 +62,6 @@ func main() {
 	plateauWindow := flag.Int("plateau-window", 0, "stop the search early when the best-so-far trajectory improves by no more than -plateau-improve across this many waves — rounds of an operator run, allocation decisions of a network run, however many subgraphs each advances (0 disables)")
 	plateauImprove := flag.Float64("plateau-improve", 0, "minimum relative improvement (0.01 = 1%) over the plateau window to keep searching")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file when tuning finishes")
 	flag.Parse()
 
 	// Validate every name-typed flag up front, so a typo exits non-zero with
@@ -92,20 +90,6 @@ func main() {
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "harl-tune: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // report live heap, not garbage awaiting collection
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "harl-tune: memprofile:", err)
-			}
 		}()
 	}
 	opts := harl.Options{Scheduler: *scheduler, Trials: *trials, Seed: *seed, Workers: *workers,

@@ -35,14 +35,12 @@ import (
 	"time"
 
 	"harl/internal/fleet"
-	"harl/internal/profiling"
 )
 
 func main() {
 	addr := flag.String("addr", ":9090", "HTTP listen address")
 	targets := flag.String("targets", "", "comma-separated target platforms this worker measures for (e.g. \"cpu\" or \"cpu,gpu\"); empty serves all")
 	evalWorkers := flag.Int("eval-workers", 0, "goroutines evaluating trials within a batch (<= 0 selects GOMAXPROCS)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6061), separate from -addr so profiling is never exposed to coordinators; empty disables")
 	flag.Parse()
 
 	var targetList []string
@@ -54,14 +52,6 @@ func main() {
 	worker, err := fleet.NewWorker(targetList, *evalWorkers)
 	if err != nil {
 		fatal(err)
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := profiling.ListenAndServe(*pprofAddr); err != nil {
-				fmt.Fprintln(os.Stderr, "harl-worker: pprof:", err)
-			}
-		}()
-		fmt.Printf("harl-worker: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: worker.Handler()}

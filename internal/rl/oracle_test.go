@@ -1,7 +1,9 @@
 package rl
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"harl/internal/nn"
@@ -225,7 +227,17 @@ func randStates(rng *xrand.RNG, n, dim int) [][]float64 {
 // moment to agree bit for bit — at the benchmark's dims and bench_test.go's,
 // with replay buffers shorter than MiniBatch and not a multiple of the block
 // height (duplicate picks are then certain), and with a wrapped ring buffer.
+// Every case runs at GOMAXPROCS 1, where Train's critic half runs after the
+// actor's, and at GOMAXPROCS 2, where the two halves overlap.
 func TestTrainMatchesPerSampleOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), trainMatchesPerSampleOracle)
+	}
+}
+
+func trainMatchesPerSampleOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		stateDim  int

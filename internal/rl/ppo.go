@@ -9,11 +9,17 @@
 // MLP; its one-step temporal-difference error is the advantage function
 // (Eq. 6) that both drives the policy gradient (Eq. 5) and feeds the
 // adaptive-stopping module's track ranking.
+//
+// An Agent is driven by one goroutine. Its update trains the critic on a
+// second one beside the actor: the two share no parameter, gradient or Adam
+// moment, and the critic's half draws nothing from the RNG, so the result is
+// bit-identical whichever half finishes first, at any GOMAXPROCS.
 package rl
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"harl/internal/nn"
 	"harl/internal/xrand"
@@ -96,18 +102,25 @@ type Agent struct {
 
 	// Scratch for one block of at most chunkRows samples, allocated with the
 	// agent: O(chunkRows × (stateDim + Hidden + Σheads)) with the networks'
-	// own blocks. An Agent is driven by one goroutine and every pass consumes
-	// the previous one's blocks before overwriting them. Forward passes take
-	// and give feature-major blocks (nn.Linear.ForwardBatch); everything here
-	// is sample-major unless it says otherwise.
+	// own blocks. Every pass consumes the previous one's blocks before
+	// overwriting them. During Train the critic's half owns the critic and
+	// the crit* blocks, the actor's half everything else; both only read buf
+	// and picks. Forward passes take and give feature-major blocks
+	// (nn.Linear.ForwardBatch); everything here is sample-major unless it
+	// says otherwise.
 	x      []float64   // a query block's states, stateDim×rows feature-major; a minibatch block's, rows×stateDim
 	h      []float64   // the trunk activation, rows×Hidden
 	probs  [][]float64 // per head, rows×size: logits, probabilities, then loss gradient
 	dh     []float64   // gradient w.r.t. h, summed over heads
 	headDx []float64   // one head's input gradient
-	perRow []float64   // critic output gradient, then policy-gradient scale
+	perRow []float64   // policy-gradient scale
 	tmp    []float64   // feature-major staging: a minibatch block's states, then one head's logits; later one head's d H / d logits, sample-major
-	picks  []int       // minibatch sample indices
+	picks  []int       // every epoch's minibatch sample indices, epoch-major
+
+	critX, critXT []float64 // the critic's minibatch block states, rows×stateDim and feature-major
+	critDv        []float64 // the critic's output gradient
+	criticPass    func()    // a.trainCritic, bound once so that go allocates nothing
+	criticDone    sync.WaitGroup
 }
 
 // NewAgent builds an agent for the given state dimensionality and per-head
@@ -131,6 +144,8 @@ func NewAgent(stateDim int, headSizes []int, cfg Config, rng *xrand.RNG) *Agent 
 	a.h, a.dh, a.headDx = make([]float64, chunkRows*cfg.Hidden), make([]float64, chunkRows*cfg.Hidden), make([]float64, chunkRows*cfg.Hidden)
 	a.perRow = make([]float64, chunkRows)
 	a.tmp = make([]float64, chunkRows*staged)
+	a.critX, a.critXT, a.critDv = make([]float64, chunkRows*stateDim), make([]float64, chunkRows*stateDim), make([]float64, chunkRows)
+	a.criticPass = a.trainCritic
 	return a
 }
 
@@ -240,42 +255,76 @@ func (a *Agent) Tick() bool {
 
 // Train performs one PPO update: Cfg.Epochs passes over minibatches sampled
 // from the replay buffer, with the clipped surrogate objective for the actor
-// (Eq. 5), MSE-to-TD-target for the critic and an entropy bonus. Gradients are
-// zero on entry: every nn.Step clears what it consumed.
+// (Eq. 5), MSE-to-TD-target for the critic and an entropy bonus. Every
+// epoch's minibatch is drawn up front (nothing else draws from the RNG in
+// between), then the critic trains on a second goroutine while this one
+// trains the actor; the one join is at the end. Gradients are zero on entry:
+// every nn.Step clears what it consumed.
 func (a *Agent) Train() {
 	n := len(a.buf)
 	if n == 0 {
 		return
 	}
-	batch := min(a.Cfg.MiniBatch, n)
+	batch, picks := min(a.Cfg.MiniBatch, n), a.picks[:0]
+	for len(picks) < a.Cfg.Epochs*batch {
+		picks = append(picks, a.rng.Intn(n))
+	}
+	a.picks = picks
+	a.criticDone.Add(1)
+	go a.criticPass()
 	for ep := 0; ep < a.Cfg.Epochs; ep++ {
-		// Sample the minibatch and normalize its advantages (zero mean, unit
-		// std) — the standard PPO variance-reduction step.
-		mean, sq, picks := 0.0, 0.0, a.picks[:0]
-		for len(picks) < batch {
-			i := a.rng.Intn(n)
-			picks = append(picks, i)
+		// Normalize the minibatch's advantages (zero mean, unit std) — the
+		// standard PPO variance-reduction step.
+		mean, sq, picks := 0.0, 0.0, a.picks[ep*batch:(ep+1)*batch]
+		for _, i := range picks {
 			adv := a.buf[i].Advantage(a.Cfg.Gamma)
 			mean += adv
 			sq += adv * adv
 		}
-		a.picks = picks
 		mean /= float64(batch)
 		std := math.Sqrt(math.Max(sq/float64(batch)-mean*mean, 1e-12))
 		for lo := 0; lo < batch; lo += chunkRows {
 			a.accumulate(picks[lo:min(lo+chunkRows, batch)], mean, std)
 		}
-		a.adamT++
-		nn.Step(a.Cfg.LrActor, batch, a.adamT, a.trunk.Layers...)
-		nn.Step(a.Cfg.LrActor, batch, a.adamT, a.heads...)
-		nn.Step(a.Cfg.LrCritic, batch, a.adamT, a.critic.Layers...)
+		nn.Step(a.Cfg.LrActor, batch, a.adamT+ep+1, a.trunk.Layers...)
+		nn.Step(a.Cfg.LrActor, batch, a.adamT+ep+1, a.heads...)
 	}
+	a.criticDone.Wait()
+	a.adamT += a.Cfg.Epochs
 	a.updates++
 }
 
-// accumulate adds the gradient contribution of one block of the minibatch —
-// the buffered transitions picks, in order — normalizing their advantages
-// with the minibatch mean and std for the policy term.
+// trainCritic is the critic's half of Train: w_mse·(V(s) − (r + γ·V_old(s')))²
+// over every epoch's minibatch, block by block in sample order, then that
+// epoch's Adam step.
+func (a *Agent) trainCritic() {
+	defer a.criticDone.Done()
+	batch, dim := min(a.Cfg.MiniBatch, len(a.buf)), a.trunk.Layers[0].In
+	for ep := 0; ep < a.Cfg.Epochs; ep++ {
+		epoch := a.picks[ep*batch : (ep+1)*batch]
+		for lo := 0; lo < batch; lo += chunkRows {
+			picks := epoch[lo:min(lo+chunkRows, batch)]
+			n := len(picks)
+			x, xT, dv := a.critX[:n*dim], a.critXT[:n*dim], a.critDv[:n]
+			for r, i := range picks {
+				copy(x[r*dim:], a.buf[i].State)
+			}
+			nn.Transpose(xT, x, n, dim)
+			v := a.critic.ForwardBatch(xT, n)
+			for r, i := range picks {
+				t := &a.buf[i]
+				dv[r] = 2 * a.Cfg.WMSE * (v[r] - (t.Reward + a.Cfg.Gamma*t.NextValue))
+			}
+			a.critic.BackwardBatch(x, dv, n)
+		}
+		nn.Step(a.Cfg.LrCritic, batch, a.adamT+ep+1, a.critic.Layers...)
+	}
+}
+
+// accumulate adds the actor's gradient contribution of one block of the
+// minibatch — the buffered transitions picks, in order — normalizing their
+// advantages with the minibatch mean and std for the policy term: the
+// clipped surrogate plus the entropy bonus.
 func (a *Agent) accumulate(picks []int, mean, std float64) {
 	n, dim := len(picks), a.trunk.Layers[0].In
 	x, xT := a.x[:n*dim], a.tmp[:n*dim]
@@ -283,16 +332,6 @@ func (a *Agent) accumulate(picks []int, mean, std float64) {
 		copy(x[r*dim:], a.buf[i].State)
 	}
 	nn.Transpose(xT, x, n, dim)
-
-	// ----- critic: w_mse * (V(s) - (r + γ·V_old(s')))² ------------------------
-	v, dv := a.critic.ForwardBatch(xT, n), a.perRow[:n]
-	for r, i := range picks {
-		t := &a.buf[i]
-		dv[r] = 2 * a.Cfg.WMSE * (v[r] - (t.Reward + a.Cfg.Gamma*t.NextValue))
-	}
-	a.critic.BackwardBatch(x, dv, n)
-
-	// ----- actor: clipped surrogate + entropy bonus --------------------------
 	hT, gradMul := a.forwardActor(xT, n), a.perRow
 	h := a.h[:len(hT)] // sample-major, as the heads' weight gradients read it
 	nn.Transpose(h, hT, len(hT)/n, n)

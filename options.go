@@ -28,7 +28,8 @@ type Options struct {
 	// selects runtime.NumCPU(). It is a pool width and nothing else — every
 	// value produces byte-identical results, journals and progress streams,
 	// for TuneOperator and TuneNetwork alike; workers only cut wall-clock
-	// time.
+	// time. At every value, each PPO update also trains its critic on a
+	// second goroutine beside its actor, with the same bit-identical result.
 	Workers int
 	// RecordLog, when non-empty, appends one JSONL tuning record per
 	// measured trial to this file (created if missing). Records arrive in
