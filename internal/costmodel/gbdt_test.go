@@ -2,6 +2,8 @@ package costmodel
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -343,6 +345,39 @@ func TestRefitIsPureInSamples(t *testing.T) {
 			if !bytes.Equal(eb, lb) {
 				t.Fatalf("%s n=%d MaxData=%d: refit-per-batch and refit-once checkpoints differ", cat, tc.n, tc.maxData)
 			}
+		}
+	}
+}
+
+// TestRefitCheckpointPinned pins what Refit fits across commits: the sha256
+// of the checkpoint after one Refit over real schedule rows of three
+// categories (about a sixth of C1D's columns fall in one bin at the root) and
+// over uniform rows, each taken before tree growth moved onto the binned
+// matrix. A change to how trees are grown that moves one bit fails here, not
+// only through a tuning journal's pin.
+func TestRefitCheckpointPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows func() ([][]float64, []float64)
+		want string
+	}{
+		{"real-c1d", func() ([][]float64, []float64) { return realRows("C1D", 600, 61) }, "a7b7fc789bfc6b400f9a054b61e1b0fe270f0c0864a8186421bf4ad2e46413c4"},
+		{"real-gemm-s", func() ([][]float64, []float64) { return realRows("GEMM-S", 600, 62) }, "d11e76b3888e9f38749bf85a71f74b15243c56e1eed94f3d30b4b42de4db1d2b"},
+		{"real-t2d", func() ([][]float64, []float64) { return realRows("T2D", 600, 63) }, "e0c8bd3914a127574d137a394234e4f5259d42ab7c9961aaee985ecba7b0f53f"},
+		{"uniform", func() ([][]float64, []float64) { return synth(xrand.New(64), 600, 16) }, "ea8559995a0a389fcc589d1542457203865acc6d37ad4ddc52a981829b1aa0d1"},
+	} {
+		xs, ys := tc.rows()
+		m := New(DefaultParams())
+		for i := range xs {
+			m.Add(xs[i], ys[i])
+		}
+		m.Refit()
+		data, err := m.MarshalCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
+			t.Errorf("%s: checkpoint sha256 %s (%d bytes), want %s", tc.name, got, len(data), tc.want)
 		}
 	}
 }
