@@ -12,8 +12,9 @@
 #                    for anything touching the concurrent tuning engine)
 #   make bench     — one pass over every experiment benchmark
 #   make bench-hot — the search hot-path microbenchmarks (features, schedule
-#                    key, batch scoring, refit with the histogram fill on its
-#                    lanes and on its Go loop, single-row and batch
+#                    key, batch scoring, refit with the histogram fill and
+#                    boundary scans on their lanes and on their Go loops,
+#                    single-row and batch
 #                    prediction, PPO window step and update, the update
 #                    also pinned to one proc, and under those nn's
 #                    matrix kernel and element-wise lanes, AVX and portable),
@@ -23,10 +24,11 @@
 #                    bench/baseline.txt (needs benchstat on PATH:
 #                    go install golang.org/x/perf/cmd/benchstat@latest)
 #   make cover     — coverage profile across ./... and the total percentage
-#   make fuzz      — 20 s of fuzzing, split four ways between the repo's fuzz
+#   make fuzz      — 25 s of fuzzing, split five ways between the repo's fuzz
 #                    targets: FuzzUnmarshalCheckpoint (the cost-model checkpoint
-#                    decoder), FuzzFill (the cost model's histogram fill lanes
-#                    against its Go loop), FuzzLanes (nn's element-wise lanes
+#                    decoder), FuzzFill and FuzzScan (the cost model's histogram
+#                    fill and boundary scan lanes against their Go loops),
+#                    FuzzLanes (nn's element-wise lanes
 #                    against math's scalars, its glue loops against their Go
 #                    loops) and FuzzGemm (nn's matrix kernel against the naive
 #                    triple loop); crashers land in the package's testdata/fuzz/
@@ -40,7 +42,7 @@ GO ?= go
 
 # The search hot path: schedule featurization and identity hash, batch
 # candidate scoring, cost model refit (synthetic rows and real schedule
-# features, the real ones also with the histogram fill's lanes off), single-row prediction (97% of HARL's predict calls) and batch
+# features, the real ones also with the cost model's lanes off), single-row prediction (97% of HARL's predict calls) and batch
 # prediction, the PPO window step (32 tracks' ActBatch, ValueBatch, Observe
 # and Tick at the GEMM-1024³ agent's dims) and update that are most of a HARL
 # session, the update again at GOMAXPROCS 1 (its critic half then runs after
@@ -105,17 +107,18 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Minimization is capped so the 20 s go to new inputs, not to shrinking the
+# Minimization is capped so the 25 s go to new inputs, not to shrinking the
 # first interesting one (the default spends up to a minute on each).
 fuzz:
 	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzUnmarshalCheckpoint -fuzztime=5s -fuzzminimizetime=1s
 	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzFill -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/costmodel -run='^$$' -fuzz=FuzzScan -fuzztime=5s -fuzzminimizetime=1s
 	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzLanes -fuzztime=5s -fuzzminimizetime=1s
 	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzGemm -fuzztime=5s -fuzzminimizetime=1s
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 16549 ]; then echo "make loc: $$n lines, above the 16549 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 16545 ]; then echo "make loc: $$n lines, above the 16545 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

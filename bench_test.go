@@ -149,7 +149,7 @@ func BenchmarkCostModelPredict(b *testing.B) {
 // actually stores — feature rows of random Conv3D schedules (41 features, ~5
 // occupied bins each) with simulated log-throughput targets — and is the one
 // that tracks the workload; real-512-portable is the same refit with the
-// histogram fill on its Go loop instead of the host's lanes.
+// histogram fill and boundary scans on their Go loops instead of the lanes.
 func BenchmarkRefit(b *testing.B) {
 	refit := func(name string, n int, sample func() ([]float64, float64)) {
 		xs, ys := make([][]float64, n), make([]float64, n)
@@ -170,7 +170,7 @@ func BenchmarkRefit(b *testing.B) {
 		}
 		run(name)
 		if name == "real-512" {
-			defer costmodel.PortableFill()()
+			defer costmodel.Portable()()
 			run(name + "-portable")
 		}
 	}

@@ -33,11 +33,12 @@ type CostModel interface {
 	Len() int
 }
 
-// ParallelRefitter is implemented by cost models whose Refit fans independent
-// scans across a worker pool. The contract is strict: the fitted model must be
-// bit-identical for every worker count (the runner only changes wall-clock
-// time), so installing a task's pool cannot perturb the workers=1 ≡ workers=N
-// journal contract. search.Task installs its pool before each fit (FittedCost).
+// ParallelRefitter is implemented by cost models whose Refit fans per-feature
+// binning and split scans across a worker pool. The contract is strict: the
+// fitted model must be bit-identical for every worker count (the runner only
+// changes wall-clock time), so installing a task's pool cannot perturb the
+// workers=1 ≡ workers=N journal contract. search.Task installs its pool
+// before each fit (FittedCost).
 type ParallelRefitter interface {
 	SetRunner(Runner)
 }

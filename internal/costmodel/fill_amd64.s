@@ -4,7 +4,8 @@
 // cell is the add's first operand, as in the Go loop's a.s += r, so even a NaN
 // payload comes out the same. The bin byte is masked to the row, the one bound
 // checked here: the rest are in range because idx holds row indices of the
-// binned matrix and of resid, and hist has w rows.
+// binned matrix and of resid, and hist has w rows. The columns go two at a
+// time (different rows, so the two cells never alias), then the odd one.
 
 #include "textflag.h"
 
@@ -34,19 +35,39 @@ sample:
 	IMULQ R8, AX
 	LEAQ (SI)(AX*1), CX            // the sample's bin bytes from column lo
 	MOVQ DI, DX                    // column f's row of cells
-	XORQ R13, R13
+	MOVQ R12, R13
+	SHRQ $1, R13                   // column pairs
+	JZ   odd
 
-column:
-	MOVBLZX (CX)(R13*1), AX
+pair:
+	MOVBLZX (CX), AX
+	MOVBLZX 1(CX), R14
 	ANDL $31, AX                   // b % numBins
+	ANDL $31, R14
+	SHLQ $5, AX
+	SHLQ $5, R14
+	VMOVUPD (DX)(AX*1), Y1
+	VMOVUPD 1024(DX)(R14*1), Y2
+	VADDPD Y0, Y1, Y1              // cell + v, the cell first
+	VADDPD Y0, Y2, Y2
+	VMOVUPD Y1, (DX)(AX*1)
+	VMOVUPD Y2, 1024(DX)(R14*1)
+	ADDQ $2048, DX                 // two columns' rows: numBins cells of 32 bytes each
+	ADDQ $2, CX
+	DECQ R13
+	JNZ  pair
+
+odd:
+	TESTQ $1, R12
+	JZ    next
+	MOVBLZX (CX), AX
+	ANDL $31, AX
 	SHLQ $5, AX
 	VMOVUPD (DX)(AX*1), Y1
-	VADDPD Y0, Y1, Y1              // cell + v, the cell first
+	VADDPD Y0, Y1, Y1
 	VMOVUPD Y1, (DX)(AX*1)
-	ADDQ $1024, DX                 // the next column's row: numBins cells of 32 bytes
-	INCQ R13
-	CMPQ R13, R12
-	JLT  column
+
+next:
 	INCQ BX
 	CMPQ BX, R10
 	JLT  sample

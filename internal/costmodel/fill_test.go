@@ -10,17 +10,17 @@ import (
 	"harl/internal/xrand"
 )
 
-// fills names the histogram fill's implementations: the host's lanes (when it
-// has them) and the Go loop.
-var fills = []string{"avx", "portable"}
+// kernels names the implementations of scanFeatures' histogram fill and
+// boundary scans: the host's lanes (when it has them) and the Go loops.
+var kernels = []string{"avx", "portable"}
 
-// useFill sends scanFeatures' fill through impl until undo; ok is false when
+// useKernels sends scanFeatures through impl until undo; ok is false when
 // impl is "avx" and the host has no lanes.
-func useFill(impl string) (undo func(), ok bool) {
+func useKernels(impl string) (undo func(), ok bool) {
 	if impl == "avx" {
-		return func() {}, fillLanes != nil
+		return func() {}, fillLanes != nil && scanLanes != nil
 	}
-	return PortableFill(), true
+	return Portable(), true
 }
 
 // cellBits is a cell's four lanes as bits, the pad included.
@@ -42,13 +42,13 @@ func checkFill(t *testing.T, name string, d, lo, hi int, bins []uint8, idx []int
 		t.Skip("costmodel has no fill lanes on this host: Go loop only")
 	}
 	edges := make([]float64, numBins-1) // a full row, so the Go side clears every cell
-	m := &Model{bins: bins, edges: make([][]float64, d)}
+	m := &Model{bins: bins, edges: make([][]float64, d), cols: make([]int, d)}
 	for f := range m.edges {
-		m.edges[f] = edges
+		m.edges[f], m.cols[f] = edges, f
 	}
-	m.hist, m.gainBuf, m.thrBuf = make([][numBins]binAcc, d), make([]float64, d), make([]float64, d)
+	m.hist, m.gainBuf, m.binBuf = make([][numBins]binAcc, d), make([]float64, d), make([]int32, d)
 	m.split.idx, m.split.resid, m.split.n = idx, resid, float64(len(idx))
-	undo := PortableFill()
+	undo := Portable()
 	m.scanFeatures(lo, hi)
 	undo()
 
@@ -143,7 +143,7 @@ func TestFillLanesMatchGo(t *testing.T) {
 
 // FuzzFill puts arbitrary residual bits and bin bytes through both fills:
 // shape picks the matrix width and the column chunk, every 8 bytes of raw are
-// one sample's residual, and binsRaw (cycled) its bin bytes. A quarter of
+// one sample's residual, and binsRaw (cycled) its bin bytes. A fifth of
 // `make fuzz`.
 func FuzzFill(f *testing.F) {
 	f.Add(uint16(0x1234), []byte{0, 1, 2, 31}, []byte("\x00\x00\x00\x00\x00\x00\xf8\x7f\x01\x00\x00\x00\x00\x00\xf8\xff"))

@@ -44,8 +44,9 @@ func referencePredict(m *Model, x []float64) float64 {
 // evaluation kernel: Predict and PredictBatch over the padded layout (full
 // blocks, the remainder, and the row-at-a-time walk a mismatched row forces)
 // must equal the oracle walk exactly — for freshly refit models, for models
-// reloaded from checkpoints, and for clones — and so must the residuals Refit
-// carried through it.
+// reloaded from checkpoints, and for clones. It also pins the residuals Refit
+// leaves, each leaf taken off its samples as grow made it, against the oracle
+// walk of the finished trees.
 func TestFlatKernelEquivalence(t *testing.T) {
 	rng := xrand.New(21)
 	m := New(DefaultParams())
@@ -64,7 +65,7 @@ func TestFlatKernelEquivalence(t *testing.T) {
 			r -= m.P.LearningRate * tr.predict(x)
 		}
 		if r != m.resid[i] {
-			t.Fatalf("refit residual %d: kernel %v, reference %v", i, m.resid[i], r)
+			t.Fatalf("refit residual %d: leaf-time %v, oracle walk %v", i, m.resid[i], r)
 		}
 	}
 	hx, _ := synth(rng, 303, 8)
@@ -118,16 +119,17 @@ func testRunner(n int, fn func(i int)) {
 // TestParallelRefitBitIdentical pins the SetRunner contract: a refit fanned
 // across a concurrent runner must produce a byte-identical model (checkpoint
 // bytes, not just predictions) to the serial refit, and repeated refits with
-// reused scratch buffers must not drift — with the histogram fill on the
-// host's lanes and on the Go loop, which must agree with each other too.
+// reused scratch buffers must not drift — with the histogram fill and
+// boundary scans on the host's lanes and on the Go loops, which must agree
+// with each other too.
 func TestParallelRefitBitIdentical(t *testing.T) {
 	ckpts := map[string][]string{}
-	for _, impl := range fills {
+	for _, impl := range kernels {
 		t.Run(impl, func(t *testing.T) {
-			undo, ok := useFill(impl)
+			undo, ok := useKernels(impl)
 			defer undo()
 			if !ok {
-				t.Skip("costmodel has no fill lanes on this host")
+				t.Skip("costmodel has no lanes on this host")
 			}
 			rng := xrand.New(22)
 			xs, ys := synth(rng, 700, 8)
@@ -163,7 +165,7 @@ func TestParallelRefitBitIdentical(t *testing.T) {
 		})
 	}
 	if lanes, ok := ckpts["avx"]; ok && !slices.Equal(lanes, ckpts["portable"]) {
-		t.Fatal("the lanes and the Go loop fitted different models")
+		t.Fatal("the lanes and the Go loops fitted different models")
 	}
 }
 

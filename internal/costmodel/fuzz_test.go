@@ -12,7 +12,7 @@ import (
 // model through: whatever the loader accepts must be a model every entry
 // point can be called on — Predict, PredictBatch (block, remainder and
 // mismatched-row paths) and Refit, within a wall-clock bound — and one whose
-// save → load → save is byte-stable. `make fuzz` runs it for 20 s.
+// save → load → save is byte-stable. `make fuzz` runs it for 5 s.
 func FuzzUnmarshalCheckpoint(f *testing.F) {
 	small := New(DefaultParams())
 	xs, ys := synth(xrand.New(31), 24, 3)

@@ -12,19 +12,20 @@
 //
 // Because the model sits on the search hot path (every candidate the engines
 // visit is scored, and the ensemble is rebuilt after every measurement
-// batch), every evaluation — Refit's residual update, Predict, PredictBatch —
-// runs on one kernel, a padded perfect-tree layout of the ensemble (see
-// perfForest), and Refit reuses its scan buffers, finds each tree node's
-// split in one sample-outer / feature-inner sweep over the node (see
-// scanFeatures for why that way round; on an AVX host the sweep's adds run in
-// 256-bit lanes, see fillLanes) and fans its independent scans across an
-// optional Runner. All of it is exact: predictions and fitted ensembles
-// are bit-identical to a straightforward walk of the node slices and a
-// feature-at-a-time histogram scan, which live on in the tests as the oracles
-// the production code is pinned against.
+// batch), Predict and PredictBatch run on one kernel, a padded perfect-tree
+// layout of the ensemble (see perfForest), and Refit grows trees on the binned
+// matrix alone: each node's split comes from one sample-outer / feature-inner
+// sweep (see scanFeatures; on an AVX host its adds and boundary scans run in
+// 256-bit lanes, see fillLanes and scanLanes), nodes partition by bin, and
+// each leaf leaves its samples' residuals as it is made. All of it is exact:
+// predictions and fitted ensembles are bit-identical to a straightforward
+// walk of the node slices and a feature-at-a-time histogram scan of the raw
+// values, which live on in the tests as the oracles the production code is
+// pinned against.
 package costmodel
 
 import (
+	"bytes"
 	"math"
 	"sort"
 )
@@ -222,14 +223,15 @@ type Model struct {
 	xs [][]float64
 	ys []float64
 
-	// Histogram state rebuilt at each refit: per-feature bin edges and the
-	// binned training matrix, flattened row-major (bins[i*dim+f] is sample
-	// i's bin for feature f).
+	// Histogram state rebuilt at each refit: per-feature bin edges, the
+	// features whose samples occupy two bins or more, and their binned
+	// matrix, row-major (bins[i*len(cols)+c] is sample i's bin of cols[c]).
 	edges [][]float64
+	cols  []int
 	bins  []uint8
 
 	// run, when set, parallelizes the independent scans of Refit (per-feature
-	// binning and split finding, per-sample residual updates) with a fixed
+	// binning, per-node split finding over column chunks) with a fixed
 	// slot-merge order, so the fitted ensemble is bit-identical for every
 	// worker count. search.Task points it at the task's pool before refits.
 	run Runner
@@ -239,10 +241,11 @@ type Model struct {
 	resid      []float64
 	idx        []int
 	idxScratch []int
-	featVals   []float64 // per-feature sort scratch, dim×n
-	gainBuf    []float64
-	thrBuf     []float64
-	hist       [][numBins]binAcc // bestSplit's histogram block, one row per feature
+	featVals   []float64         // per-feature sort scratch, dim×n
+	colBins    []uint8           // every feature's bins, column-major, dim×n
+	gainBuf    []float64         // per column: its best gain at the node
+	binBuf     []int32           // per column: the bin boundary reaching it
+	hist       [][numBins]binAcc // bestSplit's histogram block, one row per column
 
 	// split carries one bestSplit call's inputs and splitScan is the
 	// persistent feature-chunk job reading them: a closure literal inside
@@ -315,46 +318,9 @@ func (m *Model) Add(x []float64, y float64) {
 	}
 }
 
-// parallelChunk is the sample-chunk size of the parallel per-sample scans:
-// coarse enough that dispatch overhead stays negligible, fine enough that a
-// full training set spreads across a pool.
+// parallelChunk is the node size from which bestSplit fans its feature
+// chunks across the runner: below it the dispatch costs more than it saves.
 const parallelChunk = 256
-
-// forSamples runs fn(i) for i in [0, n), fanning contiguous chunks across
-// the runner when one is set and the scan is large enough to amortize the
-// dispatch. fn must write only to per-index state; results are identical to
-// the inline loop regardless of worker count.
-func (m *Model) forSamples(n int, fn func(i int)) {
-	if m.run == nil || n < 2*parallelChunk {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunks := (n + parallelChunk - 1) / parallelChunk
-	m.run(chunks, func(c int) {
-		hi := (c + 1) * parallelChunk
-		if hi > n {
-			hi = n
-		}
-		for i := c * parallelChunk; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// forFeatures runs fn(f) for every feature, in parallel when a runner is set.
-// Each feature's work is independent and lands in its own slot, so the merge
-// order is fixed and the result worker-count-invariant.
-func (m *Model) forFeatures(d int, fn func(f int)) {
-	if m.run == nil || d < 2 {
-		for f := 0; f < d; f++ {
-			fn(f)
-		}
-		return
-	}
-	m.run(d, fn)
-}
 
 // Refit rebuilds the ensemble from the stored samples. With fewer samples
 // than MinSamples the model stays untrained and Predict returns the base.
@@ -393,9 +359,9 @@ func (m *Model) Refit() {
 		resid[i] = y - m.base
 	}
 	m.fitLinear(resid)
-	m.forSamples(n, func(i int) {
-		resid[i] -= m.linearTerm(m.xs[i])
-	})
+	for i, x := range m.xs {
+		resid[i] -= m.linearTerm(x)
+	}
 	m.buildBins()
 	m.idx = resize(m.idx, n)
 	for t := 0; t < m.P.NumTrees; t++ {
@@ -406,10 +372,7 @@ func (m *Model) Refit() {
 		}
 		tr := m.buildTree(resid)
 		m.trees = append(m.trees, tr)
-		ti := m.perf.addTree(tr, m.P.LearningRate)
-		m.forSamples(n, func(i int) {
-			resid[i] -= m.perf.score(ti, m.xs[i])
-		})
+		m.perf.addTree(tr, m.P.LearningRate)
 	}
 }
 
@@ -417,14 +380,16 @@ func (m *Model) Refit() {
 const numBins = 32
 
 // buildBins computes per-feature quantile bin edges over the training set and
-// the binned sample matrix used by bestSplit. Features bin independently (one
-// slot each), so the per-feature scans fan across the runner.
+// the binned sample matrix tree growth reads. Features bin independently (one
+// slot each), so the per-feature scans fan across the runner. A feature whose
+// samples share one bin gets no column: no node can split on it.
 func (m *Model) buildBins() {
 	n := len(m.xs)
 	d := len(m.xs[0])
 	m.edges = resize(m.edges, d)
 	m.featVals = resize(m.featVals, d*n)
-	m.forFeatures(d, func(f int) {
+	m.colBins = resize(m.colBins, d*n)
+	bin := func(f int) {
 		vals := m.featVals[f*n : (f+1)*n]
 		for i, x := range m.xs {
 			vals[i] = x[f]
@@ -438,15 +403,30 @@ func (m *Model) buildBins() {
 			}
 		}
 		m.edges[f] = edges
-	})
-	m.bins = resize(m.bins, n*d)
-	m.forSamples(n, func(i int) {
-		x := m.xs[i]
-		row := m.bins[i*d : (i+1)*d]
-		for f := 0; f < d; f++ {
-			row[f] = uint8(sort.SearchFloat64s(m.edges[f], x[f]))
+		col := m.colBins[f*n : (f+1)*n]
+		for i, x := range m.xs {
+			col[i] = uint8(sort.SearchFloat64s(edges, x[f]))
 		}
-	})
+	}
+	if m.run != nil && d > 1 {
+		m.run(d, bin)
+	} else {
+		for f := 0; f < d; f++ {
+			bin(f)
+		}
+	}
+	m.cols = m.cols[:0]
+	for f := 0; f < d; f++ {
+		if col := m.colBins[f*n : (f+1)*n]; bytes.Count(col, col[:1]) < n {
+			m.cols = append(m.cols, f)
+		}
+	}
+	m.bins = resize(m.bins, n*len(m.cols))
+	for c, f := range m.cols {
+		for i, b := range m.colBins[f*n : (f+1)*n] {
+			m.bins[i*len(m.cols)+c] = b
+		}
+	}
 }
 
 // buildTree grows one regression tree over m.idx (reset to identity by the
@@ -467,7 +447,8 @@ func (m *Model) buildTree(resid []float64) *tree {
 // range is stably partitioned in place (the scratch buffer holds the right
 // side), which preserves exactly the relative sample order the slice-append
 // implementation produced — every reduction scans samples in the same order,
-// so the tree is bit-identical.
+// so the tree is bit-identical. A leaf takes lr·leaf off its samples'
+// residuals at once: no later node of the tree reads them.
 func (m *Model) grow(tr *tree, lo, hi int, resid []float64, depth int) int {
 	idx := m.idx[lo:hi]
 	// One walk serves the leaf value (the node's mean residual) and the
@@ -478,40 +459,40 @@ func (m *Model) grow(tr *tree, lo, hi int, resid []float64, depth int) int {
 		totalSq += resid[i] * resid[i]
 	}
 	me := len(tr.nodes)
-	tr.nodes = append(tr.nodes, node{isLeaf: true, leaf: total / float64(len(idx))})
-	if depth >= m.P.MaxDepth || len(idx) < m.P.MinSamples {
-		return me
+	leaf := total / float64(len(idx))
+	tr.nodes = append(tr.nodes, node{isLeaf: true, leaf: leaf})
+	if depth < m.P.MaxDepth && len(idx) >= m.P.MinSamples && len(m.cols) > 0 {
+		if c, b, gain := m.bestSplit(idx, resid, total, totalSq); gain > 1e-12 {
+			if mid := m.partition(lo, hi, c, b); mid != lo && mid != hi {
+				l := m.grow(tr, lo, mid, resid, depth+1)
+				r := m.grow(tr, mid, hi, resid, depth+1)
+				tr.nodes[me] = node{feat: m.cols[c], thr: m.edges[m.cols[c]][b], left: l, right: r}
+				return me
+			}
+		}
 	}
-	feat, thr, gain := m.bestSplit(idx, resid, total, totalSq)
-	if gain <= 1e-12 {
-		return me
+	step := float64(m.P.LearningRate * leaf) // the kernel's rounded leaf: never fused below
+	for _, i := range idx {
+		resid[i] -= step
 	}
-	mid := m.partition(lo, hi, feat, thr)
-	if mid == lo || mid == hi {
-		return me
-	}
-	l := m.grow(tr, lo, mid, resid, depth+1)
-	r := m.grow(tr, mid, hi, resid, depth+1)
-	tr.nodes[me] = node{feat: feat, thr: thr, left: l, right: r}
 	return me
 }
 
-// partition stably reorders m.idx[lo:hi] so samples with x[feat] <= thr come
-// first, returning the boundary. Relative order within each side is
-// preserved (the property grow's determinism rests on).
-func (m *Model) partition(lo, hi, feat int, thr float64) int {
-	m.idxScratch = m.idxScratch[:0]
-	w := lo
-	for r := lo; r < hi; r++ {
-		i := m.idx[r]
-		if m.xs[i][feat] <= thr {
-			m.idx[w] = i
-			w++
-		} else {
-			m.idxScratch = append(m.idxScratch, i)
-		}
+// partition stably reorders m.idx[lo:hi] so samples in bins up to b of column
+// c come first (x <= edges[b] exactly when bin(x) <= b), returning the
+// boundary. Relative order within each side is preserved (the property grow's
+// determinism rests on).
+func (m *Model) partition(lo, hi, c, b int) int {
+	m.idxScratch = resize(m.idxScratch, hi-lo)
+	right, dc := m.idxScratch, len(m.cols)
+	w, k := lo, 0
+	for _, i := range m.idx[lo:hi] {
+		// Without a branch: left is the sign bit of bin-b-1, 1 on the left.
+		left := int(uint(int(m.bins[i*dc+c])-b-1) >> 63)
+		m.idx[w], right[k] = i, i
+		w, k = w+left, k+1-left
 	}
-	copy(m.idx[w:hi], m.idxScratch)
+	copy(m.idx[w:hi], right[:k])
 	return w
 }
 
@@ -523,16 +504,17 @@ const featChunk = 8
 
 // bestSplit finds the split of a node (idx, with the residual total and sum
 // of squares grow already took) with the largest sum-of-squared-error
-// reduction using the histogram method: scanFeatures fills every feature's
-// per-bin (count, sum, sum²) and walks each feature's bin boundaries into its
-// own gainBuf/thrBuf slot, and the slots merge serially in feature order under
-// a strict-greater comparison — the first (feature, bin) pair reaching the
-// maximal gain wins however the features were chunked.
-func (m *Model) bestSplit(idx []int, resid []float64, total, totalSq float64) (feat int, thr, gain float64) {
-	d := len(m.edges)
+// reduction using the histogram method: scanFeatures fills every column's
+// per-bin (count, sum, sum²) and walks each column's bin boundaries into its
+// own gainBuf/binBuf slot, and the slots merge serially in column order under
+// a strict-greater comparison — the first (column, bin) pair reaching the
+// maximal gain wins however the columns were chunked. The split is column c
+// at its bin boundary b; gain 0 means none. There is at least one column.
+func (m *Model) bestSplit(idx []int, resid []float64, total, totalSq float64) (c, b int, gain float64) {
+	d := len(m.cols)
 	n := float64(len(idx))
 	m.gainBuf = resize(m.gainBuf, d)
-	m.thrBuf = resize(m.thrBuf, d)
+	m.binBuf = resize(m.binBuf, d)
 	m.hist = resize(m.hist, d)
 	m.split.idx, m.split.resid = idx, resid
 	m.split.n, m.split.total, m.split.totalSq, m.split.base = n, total, totalSq, totalSq-total*total/n
@@ -541,19 +523,19 @@ func (m *Model) bestSplit(idx []int, resid []float64, total, totalSq float64) (f
 	// the parallel and serial paths pick identical splits.
 	if m.run != nil && len(idx) >= 2*parallelChunk {
 		if m.splitScan == nil {
-			m.splitScan = func(c int) { m.scanFeatures(c*featChunk, min(len(m.edges), (c+1)*featChunk)) }
+			m.splitScan = func(c int) { m.scanFeatures(c*featChunk, min(len(m.cols), (c+1)*featChunk)) }
 		}
 		m.run((d+featChunk-1)/featChunk, m.splitScan)
 	} else {
 		m.scanFeatures(0, d)
 	}
 	m.split.idx, m.split.resid = nil, nil
-	for f := 0; f < d; f++ {
-		if m.gainBuf[f] > gain {
-			feat, thr, gain = f, m.thrBuf[f], m.gainBuf[f]
+	for k, g := range m.gainBuf {
+		if g > gain {
+			c, b, gain = k, int(m.binBuf[k]), g
 		}
 	}
-	return feat, thr, gain
+	return c, b, gain
 }
 
 // fillLanes, where the host has one, is scanFeatures' fill loop in assembly
@@ -563,20 +545,25 @@ func (m *Model) bestSplit(idx []int, resid []float64, total, totalSq float64) (f
 // bit. The Go loop is its specification and the path everywhere else.
 var fillLanes func(hist *[numBins]binAcc, bins *uint8, d int, idx *int, n int, resid *float64, w int)
 
-// PortableFill sends Refit's histogram fill through the Go loop until the
-// returned func restores the host's kernel: a seam for measuring the loop
-// beside the lanes.
+// scanLanes, where the host has one, is scanFeature over four columns in
+// assembly (nil elsewhere), one lane each repeating the Go loop's IEEE
+// operations in order to nb, the group's longest edge count.
+var scanLanes func(hist *[numBins]binAcc, nb int, n, total, totalSq, base float64, gain *float64, bin *int32)
+
+// Portable sends Refit's histogram fill and boundary scans through their Go
+// loops until the returned func restores the host's kernels: a seam for
+// measuring the loops beside the lanes.
 //
-//lint:allow deadexport bench_test.go (BenchmarkRefit/real-512-portable) and costmodel/fill_test.go run the Go loop with it
-func PortableFill() (restore func()) {
-	host := fillLanes
-	fillLanes = nil
-	return func() { fillLanes = host }
+//lint:allow deadexport bench_test.go (BenchmarkRefit/real-512-portable) and costmodel/fill_test.go (useKernels, checkFill) run the Go loops with it
+func Portable() (restore func()) {
+	fill, scan := fillLanes, scanLanes
+	fillLanes, scanLanes = nil, nil
+	return func() { fillLanes, scanLanes = fill, scan }
 }
 
-// scanFeatures is bestSplit's work over the feature columns [lo, hi) (inputs
-// in m.split, lo < hi): one sample-outer / feature-inner sweep filling their
-// histogram rows, then each feature's boundary scan. The loop nest is this way
+// scanFeatures is bestSplit's work over the columns [lo, hi) (inputs in
+// m.split, lo < hi): one sample-outer / feature-inner sweep filling their
+// histogram rows, then each column's boundary scan. The loop nest is this way
 // round because schedule features occupy 4–6 bins each: feature-outer,
 // consecutive samples land on the same few accumulators and every add waits on
 // the previous store, and each step gathers one strided byte; sample-outer
@@ -586,10 +573,10 @@ func PortableFill() (restore func()) {
 // the histogram — hence every gain and threshold — is bit-identical to the
 // feature-at-a-time scan the tests keep as the oracle.
 func (m *Model) scanFeatures(lo, hi int) {
-	d := len(m.edges)
+	d := len(m.cols)
 	hist := m.hist[lo:hi]
 	for f := range hist {
-		clear(hist[f][:len(m.edges[lo+f])+1])
+		clear(hist[f][:len(m.edges[m.cols[lo+f]])+1])
 	}
 	resid, idx := m.split.resid, m.split.idx
 	if fillLanes != nil && len(idx) > 0 {
@@ -606,18 +593,24 @@ func (m *Model) scanFeatures(lo, hi int) {
 			}
 		}
 	}
-	for f := lo; f < hi; f++ {
-		m.scanFeature(f)
+	c := lo
+	for ; scanLanes != nil && c+4 <= hi; c += 4 {
+		e := m.edges
+		nb := max(len(e[m.cols[c]]), len(e[m.cols[c+1]]), len(e[m.cols[c+2]]), len(e[m.cols[c+3]]))
+		scanLanes(&m.hist[c], nb, m.split.n, m.split.total, m.split.totalSq, m.split.base, &m.gainBuf[c], &m.binBuf[c])
+	}
+	for ; c < hi; c++ {
+		m.scanFeature(c)
 	}
 }
 
-// scanFeature is the boundary scan over feature f's filled histogram row
-// (result in m.gainBuf[f]/m.thrBuf[f]): it tracks the feature's first best
+// scanFeature is the boundary scan over column c's filled histogram row
+// (result in m.gainBuf[c]/m.binBuf[c]): it tracks the column's first best
 // gain under the same strict-greater comparison bestSplit merges with.
-func (m *Model) scanFeature(f int) {
-	edges, hist := m.edges[f], &m.hist[f]
+func (m *Model) scanFeature(c int) {
+	edges, hist := m.edges[m.cols[c]], &m.hist[c]
 	n, total, totalSq, baseSSE := m.split.n, m.split.total, m.split.totalSq, m.split.base
-	bestG, bestT := 0.0, 0.0
+	bestG, bestB := 0.0, 0
 	lN, lSum, lSq := 0.0, 0.0, 0.0
 	for b := 0; b < len(edges); b++ {
 		lN += hist[b].n
@@ -629,10 +622,10 @@ func (m *Model) scanFeature(f int) {
 		rSum, rSq, rN := total-lSum, totalSq-lSq, n-lN
 		sse := (lSq - lSum*lSum/lN) + (rSq - rSum*rSum/rN)
 		if g := baseSSE - sse; g > bestG {
-			bestG, bestT = g, edges[b]
+			bestG, bestB = g, b
 		}
 	}
-	m.gainBuf[f], m.thrBuf[f] = bestG, bestT
+	m.gainBuf[c], m.binBuf[c] = bestG, int32(bestB)
 }
 
 // fitLinear fits ridge regression of the residuals onto the features via

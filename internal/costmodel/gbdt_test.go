@@ -352,8 +352,8 @@ func TestRefitIsPureInSamples(t *testing.T) {
 // TestRefitCheckpointPinned pins what Refit fits across commits: the sha256
 // of the checkpoint after one Refit over real schedule rows of three
 // categories (about a sixth of C1D's columns fall in one bin at the root) and
-// over uniform rows, each taken before tree growth moved onto the binned
-// matrix. A change to how trees are grown that moves one bit fails here, not
+// over uniform rows and rows of constant columns only, each taken before
+// tree growth moved onto the binned matrix. A change to how trees are grown that moves one bit fails here, not
 // only through a tuning journal's pin.
 func TestRefitCheckpointPinned(t *testing.T) {
 	for _, tc := range []struct {
@@ -365,6 +365,13 @@ func TestRefitCheckpointPinned(t *testing.T) {
 		{"real-gemm-s", func() ([][]float64, []float64) { return realRows("GEMM-S", 600, 62) }, "d11e76b3888e9f38749bf85a71f74b15243c56e1eed94f3d30b4b42de4db1d2b"},
 		{"real-t2d", func() ([][]float64, []float64) { return realRows("T2D", 600, 63) }, "e0c8bd3914a127574d137a394234e4f5259d42ab7c9961aaee985ecba7b0f53f"},
 		{"uniform", func() ([][]float64, []float64) { return synth(xrand.New(64), 600, 16) }, "ea8559995a0a389fcc589d1542457203865acc6d37ad4ddc52a981829b1aa0d1"},
+		{"constant-columns", func() ([][]float64, []float64) {
+			xs, ys := synth(xrand.New(65), 100, 3)
+			for _, x := range xs {
+				x[0], x[1], x[2] = 1, -2, 0.5 // no column in the binned matrix: 30 one-leaf trees
+			}
+			return xs, ys
+		}, "310ff3185b95a9fc7048bc904b133cd01ae7cc5e43f6b3e04e0189554a396555"},
 	} {
 		xs, ys := tc.rows()
 		m := New(DefaultParams())

@@ -2,6 +2,8 @@ package costmodel
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -13,10 +15,12 @@ import (
 )
 
 // oracleBestSplit is the retired feature-outer / sample-inner split finder:
-// one private histogram per feature, filled by re-walking the node's samples,
-// then the boundary scan, features merged in order under strict-greater.
-// Production fills every feature's histogram in one sample-order sweep; this
-// is the ground truth that sweep is pinned against.
+// one private histogram per feature, filled by re-walking the node's samples
+// and binning each raw value against the feature's edges, then the boundary
+// scan, every feature merged in order under strict-greater. Production fills
+// the histograms of the binned matrix's columns (the features with two or
+// more occupied bins) in one sample-order sweep; this is the ground truth
+// that sweep is pinned against.
 func oracleBestSplit(m *Model, idx []int, resid []float64) (feat int, thr, gain float64) {
 	d := len(m.edges)
 	total, totalSq := 0.0, 0.0
@@ -34,7 +38,7 @@ func oracleBestSplit(m *Model, idx []int, resid []float64) (feat int, thr, gain 
 		}
 		var cnt, sum, sq [numBins]float64
 		for _, i := range idx {
-			b := m.bins[i*d+f]
+			b := sort.SearchFloat64s(edges, m.xs[i][f])
 			r := resid[i]
 			cnt[b]++
 			sum[b] += r
@@ -61,14 +65,20 @@ func oracleBestSplit(m *Model, idx []int, resid []float64) (feat int, thr, gain 
 	return feat, thr, gain
 }
 
-// productionSplit calls bestSplit the way grow does, totals taken in idx order.
+// productionSplit calls bestSplit the way grow does, totals taken in idx
+// order, and names its split the way the tree records it: feature and edge.
 func productionSplit(m *Model, idx []int, resid []float64) (int, float64, float64) {
 	total, totalSq := 0.0, 0.0
 	for _, i := range idx {
 		total += resid[i]
 		totalSq += resid[i] * resid[i]
 	}
-	return m.bestSplit(idx, resid, total, totalSq)
+	c, b, gain := m.bestSplit(idx, resid, total, totalSq)
+	if gain == 0 {
+		return 0, 0, 0
+	}
+	f := m.cols[c]
+	return f, m.edges[f][b], gain
 }
 
 // realRows returns n (features, log-throughput) samples of random schedules
@@ -108,17 +118,22 @@ func kWayRunner(k int) Runner {
 // TestBestSplitMatchesOracle pins the one-sweep split finder to the retired
 // per-feature scan with ==: same feature, threshold and gain on every node
 // shape the tree grower can hand it, serial and through runners of odd width,
-// with the histogram fill on the host's lanes and on the Go loop.
+// with the histogram fill and boundary scans on the host's lanes and on the
+// Go loops.
 func TestBestSplitMatchesOracle(t *testing.T) {
 	uniX, uniY := synth(xrand.New(41), 700, 24)
 	gemmX, gemmY := realRows("GEMM-S", 600, 42)
 	c3dX, c3dY := realRows("C3D", 600, 43)
-	// Columns 1 and 3 are constant (no edges, never a candidate); 4 and 5
-	// duplicate column 0, which alone may win the three-way tie; 6 duplicates
-	// column 2.
-	degX, degY := synth(xrand.New(44), 600, 7)
-	for _, x := range degX {
-		x[1], x[3], x[4], x[5], x[6] = 0.5, -1, x[0], x[0], x[2]
+	// Columns 1 and 3 are constant (one bin, no column in the binned
+	// matrix); 4 and 5 duplicate column 0, which alone may win the three-way
+	// tie; 6 duplicates column 2. Column 7 is constant but for one outlier
+	// above every quantile edge: one edge, two occupied bins, a column.
+	degX, degY := synth(xrand.New(44), 600, 8)
+	for i, x := range degX {
+		x[1], x[3], x[4], x[5], x[6], x[7] = 0.5, -1, x[0], x[0], x[2], 0
+		if i == 17 {
+			x[7], degY[i] = 1, degY[i]+40
+		}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -126,11 +141,12 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 		ys     []float64
 		dim    int
 		noFeat []int // features that must never be chosen
+		cols   []int // the binned matrix's columns, when the case pins them
 	}{
-		{"uniform", uniX, uniY, 24, nil},
-		{"real-gemm-s", gemmX, gemmY, 23, nil},
-		{"real-c3d", c3dX, c3dY, 41, nil},
-		{"constant-and-duplicated-columns", degX, degY, 7, []int{1, 3, 4, 5, 6}},
+		{"uniform", uniX, uniY, 24, nil, nil},
+		{"real-gemm-s", gemmX, gemmY, 23, nil, nil},
+		{"real-c3d", c3dX, c3dY, 41, nil, nil},
+		{"constant-and-duplicated-columns", degX, degY, 8, []int{1, 3, 4, 5, 6}, []int{0, 2, 4, 5, 6, 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(DefaultParams())
@@ -140,6 +156,9 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 			m.Refit() // leaves the edges, the binned matrix and the final residuals
 			if m.Dim() != tc.dim {
 				t.Fatalf("dim %d, want %d", m.Dim(), tc.dim)
+			}
+			if tc.cols != nil && !slices.Equal(m.cols, tc.cols) {
+				t.Fatalf("binned columns %v, want %v", m.cols, tc.cols)
 			}
 			n := len(tc.xs)
 			raw := make([]float64, n) // the first tree's residuals: large, structured
@@ -180,12 +199,12 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 					}
 					for r, run := range runners {
 						m.SetRunner(run)
-						for _, impl := range fills {
-							undo, ok := useFill(impl)
+						for _, impl := range kernels {
+							undo, ok := useKernels(impl)
 							gf, gt, gg := productionSplit(m, idx, resid)
 							undo()
 							if ok && (gf != wf || gt != wt || gg != wg) {
-								t.Fatalf("node of %d samples, runner %d, %s fill: split (%d, %v, %v), oracle (%d, %v, %v)",
+								t.Fatalf("node of %d samples, runner %d, %s kernels: split (%d, %v, %v), oracle (%d, %v, %v)",
 									len(idx), r, impl, gf, gt, gg, wf, wt, wg)
 							}
 						}
