@@ -22,54 +22,31 @@ import (
 	"harl/internal/tunelog"
 )
 
-// TaskPolicy selects which subgraph (task) to optimize each round.
-type TaskPolicy int
-
-const (
-	// PolicyGreedyGradient is Ansor's deterministic argmax over the Eq. 3
-	// gradient estimate (the "Greedy Allocation" row of Table 1).
-	PolicyGreedyGradient TaskPolicy = iota
-	// PolicySWUCB is HARL's non-stationary bandit over subgraphs, using the
-	// same gradient estimate as the arm reward (Eq. 1/3/4).
-	PolicySWUCB
-	// PolicyRoundRobin cycles through tasks (diagnostics only).
-	PolicyRoundRobin
-)
-
-func (p TaskPolicy) String() string {
-	switch p {
-	case PolicyGreedyGradient:
-		return "greedy-gradient"
-	case PolicySWUCB:
-		return "sw-ucb"
-	case PolicyRoundRobin:
-		return "round-robin"
-	}
-	return fmt.Sprintf("TaskPolicy(%d)", int(p))
-}
-
 // EngineFactory returns a constructor for the preset's search engine plus
-// its subgraph-selection policy. The factory builds a fresh engine per call:
-// engine state is keyed per task and must never be shared across goroutines,
-// so concurrent tuners (search.MultiTuner) instantiate one engine per task.
-func EngineFactory(name string) (func() search.Engine, TaskPolicy, error) {
+// its subgraph-selection policy: Ansor's greedy argmax over the Eq. 3
+// gradient estimate (the "Greedy Allocation" row of Table 1), HARL's SW-UCB
+// bandit over subgraphs, or round-robin. The factory builds a fresh engine
+// per call: engine state is keyed per task and must never be shared across
+// goroutines, so concurrent tuners (search.MultiTuner) instantiate one
+// engine per task.
+func EngineFactory(name string) (func() search.Engine, search.AllocPolicy, error) {
 	switch name {
 	case "harl":
-		return func() search.Engine { return search.NewHARL(search.DefaultHARLConfig()) }, PolicySWUCB, nil
+		return func() search.Engine { return search.NewHARL(search.DefaultHARLConfig()) }, search.AllocSWUCB, nil
 	case "hierarchical-rl":
 		return func() search.Engine {
 			cfg := search.DefaultHARLConfig()
 			cfg.AdaptiveStopping = false
 			return search.NewHARL(cfg)
-		}, PolicySWUCB, nil
+		}, search.AllocSWUCB, nil
 	case "harl-nomab":
-		return func() search.Engine { return search.NewHARL(search.DefaultHARLConfig()) }, PolicyGreedyGradient, nil
+		return func() search.Engine { return search.NewHARL(search.DefaultHARLConfig()) }, search.AllocGradient, nil
 	case "ansor":
-		return func() search.Engine { return search.NewAnsor(search.DefaultAnsorConfig()) }, PolicyGreedyGradient, nil
+		return func() search.Engine { return search.NewAnsor(search.DefaultAnsorConfig()) }, search.AllocGradient, nil
 	case "flextensor":
-		return func() search.Engine { return search.NewFlextensor(search.DefaultFlextensorConfig()) }, PolicyRoundRobin, nil
+		return func() search.Engine { return search.NewFlextensor(search.DefaultFlextensorConfig()) }, search.AllocRoundRobin, nil
 	case "random":
-		return func() search.Engine { return search.NewRandom() }, PolicyRoundRobin, nil
+		return func() search.Engine { return search.NewRandom() }, search.AllocRoundRobin, nil
 	}
 	return nil, 0, fmt.Errorf("core: unknown scheduler %q", name)
 }

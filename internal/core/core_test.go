@@ -33,7 +33,7 @@ func TestSchedulerPresets(t *testing.T) {
 func TestSchedulerPolicies(t *testing.T) {
 	// The paper's Table 1: Ansor allocates greedily, HARL uses the MAB;
 	// the no-MAB ablation is HARL's engine with the greedy policy.
-	for name, want := range map[string]TaskPolicy{"ansor": PolicyGreedyGradient, "harl": PolicySWUCB, "harl-nomab": PolicyGreedyGradient} {
+	for name, want := range map[string]search.AllocPolicy{"ansor": search.AllocGradient, "harl": search.AllocSWUCB, "harl-nomab": search.AllocGradient} {
 		if _, got, err := EngineFactory(name); err != nil || got != want {
 			t.Fatalf("%s policy %v (err %v), want %v", name, got, err, want)
 		}
@@ -182,13 +182,5 @@ func TestTaskIndexByName(t *testing.T) {
 	}
 	if nt.TaskIndexByName("nope") != -1 {
 		t.Fatal("unknown name must be -1")
-	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	if PolicyGreedyGradient.String() != "greedy-gradient" ||
-		PolicySWUCB.String() != "sw-ucb" ||
-		PolicyRoundRobin.String() != "round-robin" {
-		t.Fatal("policy strings wrong")
 	}
 }

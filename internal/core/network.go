@@ -86,17 +86,17 @@ func newPresetTuner(graphs []*texpr.Subgraph, plat *hardware.Platform, schedName
 // NewTuner is the constructor under the preset ones, taking the engine factory
 // and subgraph policy directly — how the sensitivity studies (Tables 7/8) run
 // an engine configuration no preset names. waveWidth is 0 for the full-width
-// shape, 1 for the sequential one.
-func NewTuner(graphs []*texpr.Subgraph, plat *hardware.Platform, schedName string, mk func() search.Engine, policy TaskPolicy, roundTrials int, seed uint64, workers, waveWidth int) *ParallelNetworkTuner {
+// shape, 1 for the sequential one; the SW-UCB bandit advances one task per
+// wave, so policy AllocSWUCB runs it only in the sequential shape and
+// allocates by the gradient estimate otherwise.
+func NewTuner(graphs []*texpr.Subgraph, plat *hardware.Platform, schedName string, mk func() search.Engine, policy search.AllocPolicy, roundTrials int, seed uint64, workers, waveWidth int) *ParallelNetworkTuner {
 	cfg := search.DefaultMultiTunerConfig()
 	cfg.RoundTrials = roundTrials
 	cfg.Workers = workers
 	cfg.WaveWidth = waveWidth
-	switch {
-	case policy == PolicyRoundRobin:
-		cfg.Policy = search.AllocRoundRobin
-	case policy == PolicySWUCB && waveWidth == 1:
-		cfg.Policy = search.AllocSWUCB
+	cfg.Policy = policy
+	if policy == search.AllocSWUCB && waveWidth != 1 {
+		cfg.Policy = search.AllocGradient
 	}
 	tasks := search.NewTaskSet(graphs, plat, seed)
 	return &ParallelNetworkTuner{MT: search.NewMultiTuner(tasks, mk, cfg), SchedName: schedName}

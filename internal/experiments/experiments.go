@@ -405,7 +405,7 @@ func sensitivity(cfg Config, w io.Writer, param string, values []float64) []Sens
 			hcfg.Rho = v
 		}
 		mk := func() search.Engine { return search.NewHARL(hcfg) }
-		task := runOperator(core.NewTuner([]*texpr.Subgraph{sg}, plat, "harl", mk, core.PolicySWUCB, cfg.MeasureK, cfg.Seed, cfg.EffectiveWorkers(), 0), cfg.OperatorBudget)
+		task := runOperator(core.NewTuner([]*texpr.Subgraph{sg}, plat, "harl", mk, search.AllocSWUCB, cfg.MeasureK, cfg.Seed, cfg.EffectiveWorkers(), 0), cfg.OperatorBudget)
 		rounds := math.Max(1, float64(task.Trials)/float64(cfg.MeasureK))
 		rows = append(rows, SensitivityRow{
 			Value:       v,

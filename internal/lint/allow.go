@@ -43,8 +43,6 @@ func (as allowSet) match(d Diagnostic) *allow {
 // collectAllows extracts the package's allow comments plus diagnostics for
 // malformed ones (missing analyzer name or reason, or naming an analyzer the
 // suite does not have — a typo would otherwise silently suppress nothing).
-// Allow comments in _test.go files are ignored, matching the analyzers'
-// test-file skip.
 func collectAllows(pkg *Package) (allowSet, []Diagnostic) {
 	var (
 		allows allowSet
@@ -62,9 +60,6 @@ func collectAllows(pkg *Package) (allowSet, []Diagnostic) {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				if strings.HasSuffix(pos.Filename, "_test.go") {
-					continue
-				}
 				fields := strings.Fields(rest)
 				switch {
 				case len(fields) < 2:

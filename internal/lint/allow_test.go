@@ -9,7 +9,7 @@ import (
 // a justified allow silences its diagnostic; a reasonless allow, a typo'd
 // analyzer name and a stale allow each surface as diagnostics of their own,
 // and a broken allow suppresses nothing. The fixture's deadexport allows are
-// not stale here: like the vet run of the suite, this run has no deadexport.
+// not stale here: this run has no deadexport.
 func TestAllowPolicy(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {
@@ -22,7 +22,7 @@ func TestAllowPolicy(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("want 1 fixture package, got %d", len(pkgs))
 	}
-	diags, err := Run(pkgs[0], []*Analyzer{newDetrand(fixtureScope)}, Options{ReportStaleAllows: true})
+	diags, err := Run(pkgs[0], []*Analyzer{newDetrand(fixtureScope)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestAllowPolicy(t *testing.T) {
 	}
 }
 
-// TestAllowPolicyDeadexport runs the deadexport pass, as `harl-lint -only
-// deadexport` does, over the same fixture: the justified deadexport allow
+// TestAllowPolicyDeadexport runs the deadexport pass alone over the same
+// fixture: the justified deadexport allow
 // silences its finding, the one that suppresses nothing is stale, and the
 // detrand allows are not, since detrand did not run.
 func TestAllowPolicyDeadexport(t *testing.T) {

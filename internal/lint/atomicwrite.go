@@ -28,9 +28,6 @@ func newAtomicwrite(scope []string) *Analyzer {
 			return nil
 		}
 		for _, f := range pass.Files {
-			if pass.InTestFile(f.Pos()) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

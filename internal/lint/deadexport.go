@@ -29,7 +29,7 @@ var implicitInterfaces = []map[string]string{
 	{"Len": "func() int", "Less": "func(int, int) bool", "Swap": "func(int, int)"},
 }
 
-// NewDeadexport builds the whole-program deadexport analyzer over pkgs,
+// newDeadexport builds the whole-program deadexport analyzer over pkgs,
 // which must be all of what Load returns for ./... — go list's GoFiles, so
 // no _test.go file is among them and a use from a test keeps nothing live.
 //
@@ -52,9 +52,8 @@ var implicitInterfaces = []map[string]string{
 //
 // The program is analyzed here, once. The analyzer's Run reports the
 // findings declared in its package, so they go through that package's
-// //lint:allow comments like any other analyzer's. It cannot run as a vet
-// tool: vet's per-package protocol sees no uses from other packages.
-func NewDeadexport(pkgs []*Package) *Analyzer {
+// //lint:allow comments like any other analyzer's.
+func newDeadexport(pkgs []*Package) *Analyzer {
 	type finding struct {
 		pos    token.Pos
 		what   string

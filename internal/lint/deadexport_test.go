@@ -6,7 +6,7 @@ import (
 )
 
 // runDeadexport loads the fixture packages matching pattern as one program
-// and runs the deadexport pass over them, stale allows reported.
+// and runs the deadexport pass over them.
 func runDeadexport(t *testing.T, pattern string) []Diagnostic {
 	t.Helper()
 	root, err := ModuleRoot(".")
@@ -17,10 +17,10 @@ func runDeadexport(t *testing.T, pattern string) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewDeadexport(pkgs)
+	a := newDeadexport(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		d, err := Run(pkg, []*Analyzer{a}, Options{ReportStaleAllows: true})
+		d, err := Run(pkg, []*Analyzer{a})
 		if err != nil {
 			t.Fatal(err)
 		}

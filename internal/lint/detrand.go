@@ -51,9 +51,6 @@ func newDetrand(scope []string) *Analyzer {
 			return nil
 		}
 		for _, f := range pass.Files {
-			if pass.InTestFile(f.Pos()) {
-				continue
-			}
 			for _, imp := range f.Imports {
 				path, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {

@@ -36,9 +36,6 @@ func newErrclose(scope []string) *Analyzer {
 				how, recv, fn.Name())
 		}
 		for _, f := range pass.Files {
-			if pass.InTestFile(f.Pos()) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch st := n.(type) {
 				case *ast.ExprStmt:

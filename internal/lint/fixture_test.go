@@ -28,7 +28,7 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
 	pkgs := loadFixture(t, fixture)
 	for _, pkg := range pkgs {
-		diags, err := Run(pkg, []*Analyzer{a}, Options{})
+		diags, err := Run(pkg, []*Analyzer{a})
 		if err != nil {
 			t.Fatalf("Run(%s): %v", pkg.Path, err)
 		}

@@ -3,15 +3,18 @@
 // load-bearing conventions the regression suites only catch after the fact —
 // the workers=1 ≡ workers=N byte-identical-journal contract, the atomic-write
 // rules of the persistence packages, and the one-error-envelope v1 API
-// contract — plus one whole-program pass, deadexport (NewDeadexport), that
-// reports exported declarations nothing outside tests uses.
+// contract — plus one whole-program pass, deadexport, that reports exported
+// declarations nothing outside tests uses. cmd/harl-lint loads the module
+// once (Load) and runs all six (Suite) over every package of it.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer / Pass / Diagnostic) so analyzers port to the upstream
 // framework mechanically, but it is built on the standard library alone:
 // packages are parsed with go/parser and type-checked with go/types against
 // compiler export data (see load.go), so the suite needs no third-party
-// modules — a hard constraint of this build environment.
+// modules — a hard constraint of this build environment. Only a package's
+// non-test files are loaded: the contracts guard production code paths, and
+// tests may use wall clocks, ad-hoc writes and unchecked closes freely.
 //
 // Suppressions: a diagnostic is silenced only by an explicit
 //
@@ -48,10 +51,7 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Path is the package's import path with any test-variant suffix
-	// ("pkg [pkg.test]") stripped, so scope matching treats a package and
-	// its internal test variant identically.
-	Path string
+	Path     string // import path
 
 	diags *[]Diagnostic
 }
@@ -63,13 +63,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// InTestFile reports whether pos lies in a _test.go file. Every analyzer in
-// the suite skips test files: tests may use wall clocks, ad-hoc writes and
-// unchecked closes freely — the contracts guard production code paths.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // A Diagnostic is one finding, positioned and attributed to its analyzer.
@@ -85,28 +78,21 @@ func (d Diagnostic) String() string {
 
 // Package is a loaded, type-checked package ready for analysis.
 type Package struct {
-	Path  string // import path, test-variant suffix stripped
+	Path  string // import path
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
 
-// Options configures a Run.
-type Options struct {
-	// ReportStaleAllows adds diagnostics for //lint:allow comments that
-	// suppressed nothing. Only allows naming an analyzer of this run can be
-	// stale: one for an analyzer that did not run is not evidence.
-	ReportStaleAllows bool
-}
-
 // Run applies the analyzers to one package, filters the findings through the
 // package's //lint:allow comments, and returns the surviving diagnostics
 // sorted by position. Malformed allow comments (missing analyzer or reason)
-// and — under Options.ReportStaleAllows — allows for one of these analyzers
-// that matched nothing are reported as diagnostics themselves and cannot be
-// suppressed.
-func Run(pkg *Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
+// and allows for one of these analyzers that matched nothing are reported as
+// diagnostics themselves and cannot be suppressed. Only allows naming an
+// analyzer of this run can be stale: one for an analyzer that did not run is
+// not evidence.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -135,15 +121,13 @@ func Run(pkg *Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error
 		kept = append(kept, d)
 	}
 	diags = append(kept, broken...)
-	if opts.ReportStaleAllows {
-		for _, al := range allows {
-			if !al.used && ran[al.analyzer] {
-				diags = append(diags, Diagnostic{
-					Pos:      al.pos,
-					Analyzer: allowAnalyzerName,
-					Message:  fmt.Sprintf("stale //lint:allow: no %s diagnostic on this or the next line; remove it", al.analyzer),
-				})
-			}
+	for _, al := range allows {
+		if !al.used && ran[al.analyzer] {
+			diags = append(diags, Diagnostic{
+				Pos:      al.pos,
+				Analyzer: allowAnalyzerName,
+				Message:  fmt.Sprintf("stale //lint:allow: no %s diagnostic on this or the next line; remove it", al.analyzer),
+			})
 		}
 	}
 	sortDiagnostics(diags)

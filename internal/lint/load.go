@@ -14,7 +14,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // listedPackage is the subset of `go list -json` output the loader consumes.
@@ -31,7 +30,8 @@ type listedPackage struct {
 // `go list -export -deps -json` (which compiles dependencies into the build
 // cache as needed) and type-checks only the matched packages' sources. This
 // keeps the loader offline and stdlib-only — the trade the suite makes for
-// not depending on golang.org/x/tools.
+// not depending on golang.org/x/tools. A package's sources are go list's
+// GoFiles, so no _test.go file is ever loaded.
 //
 // dir anchors the go tool invocation (any directory inside the module).
 func Load(dir string, patterns ...string) ([]*Package, error) {
@@ -54,25 +54,35 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	imp := ExportDataImporter(fset, func(path string) (string, error) {
+	// One importer memoizes the packages it reads, so it serves the whole load.
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		e, ok := exports[path]
 		if !ok {
-			return "", fmt.Errorf("lint: no export data for import %q", path)
+			return nil, fmt.Errorf("lint: no export data for import %q", path)
 		}
-		return e, nil
-	})
+		return os.Open(e)
+	})}
 	var out []*Package
 	for _, p := range all {
 		if !wanted[p.ImportPath] || p.Standard {
 			continue
 		}
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, f)
+		pkg := &Package{Path: p.ImportPath, Fset: fset, Info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}}
+		for _, name := range p.GoFiles {
+			name = filepath.Join(p.Dir, name)
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("lint: parse %s: %w", name, err)
+			}
+			pkg.Files = append(pkg.Files, f)
 		}
-		pkg, err := TypeCheck(fset, p.ImportPath, files, imp)
-		if err != nil {
-			return nil, err
+		if pkg.Types, err = conf.Check(p.ImportPath, fset, pkg.Files, pkg.Info); err != nil {
+			return nil, fmt.Errorf("lint: type-check %s: %w", p.ImportPath, err)
 		}
 		out = append(out, pkg)
 	}
@@ -99,61 +109,6 @@ func goList(dir string, args []string) ([]*listedPackage, error) {
 		}
 		out = append(out, &p)
 	}
-}
-
-// ExportDataImporter builds a go/types importer that reads gc export data,
-// locating each package's export file through resolve. One importer instance
-// memoizes loaded packages, so it is shared across a load. cmd/harl-lint's
-// vettool mode reuses it with the resolve table go vet supplies.
-func ExportDataImporter(fset *token.FileSet, resolve func(path string) (string, error)) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, err := resolve(path)
-		if err != nil {
-			return nil, err
-		}
-		return os.Open(file)
-	})
-}
-
-// TypeCheck parses and type-checks one package from explicit file paths —
-// the shared backend of Load and of cmd/harl-lint's vettool mode, which gets
-// its file and export-data lists from go vet instead of go list.
-func TypeCheck(fset *token.FileSet, importPath string, files []string, imp types.Importer) (*Package, error) {
-	var parsed []*ast.File
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parse %s: %w", name, err)
-		}
-		parsed = append(parsed, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(strippedPath(importPath), fset, parsed, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-check %s: %w", importPath, err)
-	}
-	return &Package{
-		Path:  strippedPath(importPath),
-		Fset:  fset,
-		Files: parsed,
-		Types: tpkg,
-		Info:  info,
-	}, nil
-}
-
-// strippedPath removes the test-variant suffix go vet appends to internal
-// test packages ("harl/internal/search [harl/internal/search.test]").
-func strippedPath(importPath string) string {
-	if i := strings.IndexByte(importPath, ' '); i >= 0 {
-		return importPath[:i]
-	}
-	return importPath
 }
 
 // ModuleRoot walks up from dir to the directory holding go.mod.

@@ -26,9 +26,6 @@ func newMaporder(scope []string) *Analyzer {
 			return nil
 		}
 		for _, f := range pass.Files {
-			if pass.InTestFile(f.Pos()) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				rng, ok := n.(*ast.RangeStmt)
 				if !ok {

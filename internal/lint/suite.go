@@ -76,15 +76,17 @@ var moduleScope = []string{"harl/..."}
 // allAnalyzerNames are the valid targets of a //lint:allow comment.
 var allAnalyzerNames = []string{"detrand", "maporder", "wireenvelope", "atomicwrite", "errclose", "deadexport"}
 
-// Suite returns the per-package analyzer suite at its production scopes —
-// what cmd/harl-lint runs both standalone and as a go vet -vettool. The
-// whole-program deadexport pass (NewDeadexport) is not in it.
-func Suite() []*Analyzer {
+// Suite returns the six analyzers at their production scopes — what
+// cmd/harl-lint runs over every package of pkgs. pkgs must be all of what
+// Load returns for ./...: deadexport analyzes them as one program, and a
+// narrower set hides callers and reports false deads.
+func Suite(pkgs []*Package) []*Analyzer {
 	return []*Analyzer{
 		newDetrand(deterministicPackages),
 		newMaporder(orderSensitivePackages),
 		newWireenvelope(handlerPackages),
 		newAtomicwrite(persistencePackages),
 		newErrclose(moduleScope),
+		newDeadexport(pkgs),
 	}
 }

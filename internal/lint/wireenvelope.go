@@ -29,9 +29,6 @@ func newWireenvelope(scope []string) *Analyzer {
 			return nil
 		}
 		for _, f := range pass.Files {
-			if pass.InTestFile(f.Pos()) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

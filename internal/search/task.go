@@ -12,8 +12,10 @@
 // measurement accounting) one round at a time, measuring a fixed number of
 // candidates per round. One loop drives them: MultiTuner selects subgraphs
 // wave by wave (paper §6.3) and runs the rounds; an operator run is the same
-// loop over a one-task set (TuneSession). internal/core wires presets,
-// journals and warm starts around it.
+// loop over a one-task set (core.NewOperatorTuner's MultiTuner).
+// internal/core wires presets, journals and warm starts around it.
+// TuneSession, one engine on one task with no allocator, serves the
+// benchmark's traced runs and tests.
 package search
 
 import (
