@@ -13,7 +13,7 @@
 #                    for anything touching the concurrent tuning engine)
 #   make bench     — one pass over every experiment benchmark
 #   make bench-hot — the search hot-path microbenchmarks (features, schedule
-#                    key, batch scoring, refit with the histogram fill and
+#                    key, evolutionary mutation, batch scoring, refit with the histogram fill and
 #                    boundary scans on their lanes and on their Go loops,
 #                    single-row and batch
 #                    prediction, PPO window step and update, the update
@@ -41,7 +41,8 @@
 
 GO ?= go
 
-# The search hot path: schedule featurization and identity hash, batch
+# The search hot path: schedule featurization and identity hash (each cold and
+# memoized), an evolutionary child (Mutate, then its Key and Features), batch
 # candidate scoring, cost model refit (synthetic rows and real schedule
 # features, the real ones also with the cost model's lanes off), single-row prediction (97% of HARL's predict calls) and batch
 # prediction, the PPO window step (32 tracks' ActBatch, ValueBatch, Observe
@@ -52,7 +53,7 @@ GO ?= go
 # BenchmarkGemm and BenchmarkLanes, both implementations). CI's perf-smoke job
 # runs exactly this set on the base and head commits and fails on significant
 # regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOWindowStep|BenchmarkPPOTrain|BenchmarkPPOTrainOneProc|BenchmarkGemm|BenchmarkLanes)$$
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScheduleMutate|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOWindowStep|BenchmarkPPOTrain|BenchmarkPPOTrainOneProc|BenchmarkGemm|BenchmarkLanes)$$
 BENCH_COUNT ?= 10
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check
@@ -118,6 +119,6 @@ fuzz:
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 16276 ]; then echo "make loc: $$n lines, above the 16276 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt 16262 ]; then echo "make loc: $$n lines, above the 16262 the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

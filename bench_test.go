@@ -196,13 +196,39 @@ func BenchmarkRefit(b *testing.B) {
 }
 
 // BenchmarkScheduleKey measures the schedule identity hash behind every
-// pool/seen/measured map lookup of the engines; it must not allocate.
+// pool/seen/measured map lookup of the engines: "cold" pays one Clone plus
+// the hash (a fresh schedule's first lookup), "cached" the memoized re-read
+// every later lookup pays, which must not allocate.
 func BenchmarkScheduleKey(b *testing.B) {
 	s := schedule.NewRandom(sketch.Generate(workload.SuiteFor("C3D", 1)[0])[0], 4, xrand.New(1))
+	var k uint64
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k ^= s.Clone().Key()
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k ^= s.Key()
+		}
+	})
+	benchKeySink = k
+}
+
+// BenchmarkScheduleMutate measures one evolutionary child as Ansor's
+// generation loop makes it, at C3D dims: Mutate (a flat Clone plus one random
+// move), then the child's Key and Features.
+func BenchmarkScheduleMutate(b *testing.B) {
+	s := schedule.NewRandom(sketch.Generate(workload.SuiteFor("C3D", 1)[0])[0], 4, xrand.New(1))
+	rng := xrand.New(2)
 	b.ReportAllocs()
 	var k uint64
 	for i := 0; i < b.N; i++ {
-		k ^= s.Key()
+		c := s.Mutate(rng)
+		k ^= c.Key()
+		_ = c.Features()
 	}
 	benchKeySink = k
 }

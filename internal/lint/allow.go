@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -47,10 +48,10 @@ func collectAllows(pkg *Package) (allowSet, []Diagnostic) {
 	var (
 		allows allowSet
 		broken []Diagnostic
+		names  []string // what an allow may name: Suite's analyzers
 	)
-	known := make(map[string]bool, len(allAnalyzerNames))
-	for _, n := range allAnalyzerNames {
-		known[n] = true
+	for _, a := range Suite(nil) {
+		names = append(names, a.Name)
 	}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -68,11 +69,11 @@ func collectAllows(pkg *Package) (allowSet, []Diagnostic) {
 						Analyzer: allowAnalyzerName,
 						Message:  "malformed //lint:allow: need an analyzer name and a justification, e.g. //lint:allow detrand <why this is safe>",
 					})
-				case !known[fields[0]]:
+				case !slices.Contains(names, fields[0]):
 					broken = append(broken, Diagnostic{
 						Pos:      pos,
 						Analyzer: allowAnalyzerName,
-						Message:  "unknown analyzer " + strings.Trim(fields[0], `"`) + " in //lint:allow (have " + strings.Join(allAnalyzerNames, ", ") + ")",
+						Message:  "unknown analyzer " + strings.Trim(fields[0], `"`) + " in //lint:allow (have " + strings.Join(names, ", ") + ")",
 					})
 				default:
 					allows = append(allows, &allow{pos: pos, analyzer: fields[0]})

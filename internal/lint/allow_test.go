@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 )
@@ -75,6 +78,37 @@ func TestAllowPolicyDeadexport(t *testing.T) {
 	}
 	if stale != 1 || !containsDiag(diags, "stale //lint:allow: no deadexport diagnostic") {
 		t.Errorf("want exactly the one stale deadexport allow, got %d stale:\n%s", stale, render(diags))
+	}
+}
+
+// TestAllowNamesSuite derives the valid //lint:allow targets from Suite: an
+// allow naming any of its analyzers is accepted, and one naming an analyzer
+// it lacks is reported.
+func TestAllowNamesSuite(t *testing.T) {
+	src := "package p\n"
+	names := map[string]bool{}
+	for _, a := range Suite(nil) {
+		names[a.Name] = true
+		src += "//lint:allow " + a.Name + " a reason\n"
+	}
+	if len(names) != 6 {
+		t.Fatalf("Suite has %d distinct analyzer names, want 6", len(names))
+	}
+	src += "//lint:allow nosuch a reason\n"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allows, broken := collectAllows(&Package{Fset: fset, Files: []*ast.File{f}})
+	for _, al := range allows {
+		delete(names, al.analyzer)
+	}
+	if len(allows) != 6 || len(names) != 0 {
+		t.Errorf("accepted %d allows, and none for %v", len(allows), names)
+	}
+	if len(broken) != 1 || !containsDiag(broken, "unknown analyzer nosuch in //lint:allow") {
+		t.Errorf("want exactly the unknown analyzer reported, got:\n%s", render(broken))
 	}
 }
 

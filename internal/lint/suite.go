@@ -73,9 +73,6 @@ var closePackages = []string{
 // analyzers keyed on receiver types rather than call-site package.
 var moduleScope = []string{"harl/..."}
 
-// allAnalyzerNames are the valid targets of a //lint:allow comment.
-var allAnalyzerNames = []string{"detrand", "maporder", "wireenvelope", "atomicwrite", "errclose", "deadexport"}
-
 // Suite returns the six analyzers at their production scopes — what
 // cmd/harl-lint runs over every package of pkgs. pkgs must be all of what
 // Load returns for ./...: deadexport analyzes them as one program, and a

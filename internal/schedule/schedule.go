@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"harl/internal/sketch"
+	"harl/internal/texpr"
 	"harl/internal/xrand"
 )
 
@@ -40,28 +41,34 @@ type Schedule struct {
 	// sampling time so the schedule stays platform-agnostic afterwards).
 	NumUnroll int
 
-	// feats memoizes Features(): every consumer of a schedule — cost-model
-	// training, batch scoring, the RL state vector — reads the same vector,
-	// and the tuning loops read it many times per candidate. The cache is
-	// computed lazily on first read and dropped by Clone, which every
-	// mutation path (Apply, Mutate) goes through before changing fields.
+	// feats memoizes Features() and key Key() (0: not hashed yet), which
+	// cost-model training, scoring, the RL state and the engines' map lookups
+	// read many times per candidate. Both fill on first read, so goroutines
+	// share a schedule only once it was read (MeasureBatch hashes a batch
+	// before its pool measures it); Clone, which every mutation path (Apply,
+	// Mutate) goes through first, drops them.
 	feats []float64
+	key   uint64
 }
 
-// Clone returns a deep copy. The feature cache is not carried over: clones
-// exist to be mutated (Apply, Mutate), and a fresh schedule recomputes its
-// vector on first read.
+// Clone returns a deep copy without the memos: clones exist to be mutated
+// (Apply, Mutate). Its tile rows share one backing array, and each row, like
+// SpatialTiles ahead of ReduceTiles in their one header slice, is capped at
+// its length, so an append reallocates instead of running into a neighbour.
 func (s *Schedule) Clone() *Schedule {
 	c := *s
-	c.feats = nil
-	c.SpatialTiles = make([][]int, len(s.SpatialTiles))
-	for i, t := range s.SpatialTiles {
-		c.SpatialTiles[i] = append([]int(nil), t...)
+	c.feats, c.key = nil, 0
+	ns, n := len(s.SpatialTiles), 0
+	rows := append(append(make([][]int, 0, ns+len(s.ReduceTiles)), s.SpatialTiles...), s.ReduceTiles...)
+	for _, r := range rows {
+		n += len(r)
 	}
-	c.ReduceTiles = make([][]int, len(s.ReduceTiles))
-	for i, t := range s.ReduceTiles {
-		c.ReduceTiles[i] = append([]int(nil), t...)
+	flat := make([]int, 0, n)
+	for i, r := range rows {
+		flat = append(flat, r...)
+		rows[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
 	}
+	c.SpatialTiles, c.ReduceTiles = rows[:ns:ns], rows[ns:]
 	return &c
 }
 
@@ -69,41 +76,11 @@ func (s *Schedule) Clone() *Schedule {
 // ≥ 1 and each row's product equals the corresponding axis extent.
 func (s *Schedule) Validate() error {
 	main := s.Sk.MainStage()
-	if len(s.SpatialTiles) != len(main.Spatial) {
-		return fmt.Errorf("schedule: %d spatial tile rows for %d axes", len(s.SpatialTiles), len(main.Spatial))
+	if err := checkRows("spatial", "axis", s.SpatialTiles, main.Spatial, sketch.SpatialLevels); err != nil {
+		return err
 	}
-	for a, row := range s.SpatialTiles {
-		if len(row) != sketch.SpatialLevels {
-			return fmt.Errorf("schedule: axis %d has %d levels", a, len(row))
-		}
-		p := 1
-		for _, e := range row {
-			if e < 1 {
-				return fmt.Errorf("schedule: axis %d has level extent %d", a, e)
-			}
-			p *= e
-		}
-		if p != main.Spatial[a].Extent {
-			return fmt.Errorf("schedule: axis %d product %d != extent %d", a, p, main.Spatial[a].Extent)
-		}
-	}
-	if len(s.ReduceTiles) != len(main.Reduce) {
-		return fmt.Errorf("schedule: %d reduce tile rows for %d axes", len(s.ReduceTiles), len(main.Reduce))
-	}
-	for r, row := range s.ReduceTiles {
-		if len(row) != sketch.ReduceLevels {
-			return fmt.Errorf("schedule: reduce axis %d has %d levels", r, len(row))
-		}
-		p := 1
-		for _, e := range row {
-			if e < 1 {
-				return fmt.Errorf("schedule: reduce axis %d has level extent %d", r, e)
-			}
-			p *= e
-		}
-		if p != main.Reduce[r].Extent {
-			return fmt.Errorf("schedule: reduce axis %d product %d != extent %d", r, p, main.Reduce[r].Extent)
-		}
+	if err := checkRows("reduce", "reduce axis", s.ReduceTiles, main.Reduce, sketch.ReduceLevels); err != nil {
+		return err
 	}
 	if s.ComputeAt < 0 || s.ComputeAt >= s.Sk.ComputeAtCandidates() {
 		return fmt.Errorf("schedule: compute-at %d out of %d candidates", s.ComputeAt, s.Sk.ComputeAtCandidates())
@@ -117,10 +94,34 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// primeFactors returns the prime factorization of n in ascending order.
-func primeFactors(n int) []int {
-	var fs []int
-	for n%2 == 0 {
+// checkRows checks one kind of tile rows against the stage's axes of that
+// kind: a row of `levels` extents ≥ 1 per axis, multiplying to its extent.
+func checkRows(kind, axis string, rows [][]int, its []texpr.Iter, levels int) error {
+	if len(rows) != len(its) {
+		return fmt.Errorf("schedule: %d %s tile rows for %d axes", len(rows), kind, len(its))
+	}
+	for a, row := range rows {
+		if len(row) != levels {
+			return fmt.Errorf("schedule: %s %d has %d levels", axis, a, len(row))
+		}
+		p := 1
+		for _, e := range row {
+			if e < 1 {
+				return fmt.Errorf("schedule: %s %d has level extent %d", axis, a, e)
+			}
+			p *= e
+		}
+		if p != its[a].Extent {
+			return fmt.Errorf("schedule: %s %d product %d != extent %d", axis, a, p, its[a].Extent)
+		}
+	}
+	return nil
+}
+
+// primeFactors appends the prime factorization of n, in ascending order, to
+// fs.
+func primeFactors(fs []int, n int) []int {
+	for n > 1 && n%2 == 0 {
 		fs = append(fs, 2)
 		n /= 2
 	}
@@ -136,32 +137,16 @@ func primeFactors(n int) []int {
 	return fs
 }
 
-// smallestFactor returns the smallest prime factor of n greater than 1, or 0
-// if n <= 1.
-func smallestFactor(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	if n%2 == 0 {
-		return 2
-	}
-	for p := 3; p*p <= n; p += 2 {
-		if n%p == 0 {
-			return p
-		}
-	}
-	return n
-}
-
 // randomFactorization distributes the prime factors of extent uniformly over
-// `levels` buckets.
-func randomFactorization(extent, levels int, rng *xrand.RNG) []int {
-	row := make([]int, levels)
+// the levels of row, in place, and returns row. The factors go through a
+// stack buffer: an int has fewer than 64 of them.
+func randomFactorization(row []int, extent int, rng *xrand.RNG) []int {
 	for i := range row {
 		row[i] = 1
 	}
-	for _, p := range primeFactors(extent) {
-		row[rng.Intn(levels)] *= p
+	var buf [64]int
+	for _, p := range primeFactors(buf[:0], extent) {
+		row[rng.Intn(len(row))] *= p
 	}
 	return row
 }
@@ -172,10 +157,10 @@ func NewRandom(sk *sketch.Sketch, numUnroll int, rng *xrand.RNG) *Schedule {
 	main := sk.MainStage()
 	s := &Schedule{Sk: sk, NumUnroll: numUnroll}
 	for _, it := range main.Spatial {
-		s.SpatialTiles = append(s.SpatialTiles, randomFactorization(it.Extent, sketch.SpatialLevels, rng))
+		s.SpatialTiles = append(s.SpatialTiles, randomFactorization(make([]int, sketch.SpatialLevels), it.Extent, rng))
 	}
 	for _, it := range main.Reduce {
-		s.ReduceTiles = append(s.ReduceTiles, randomFactorization(it.Extent, sketch.ReduceLevels, rng))
+		s.ReduceTiles = append(s.ReduceTiles, randomFactorization(make([]int, sketch.ReduceLevels), it.Extent, rng))
 	}
 	s.ComputeAt = rng.Intn(sk.ComputeAtCandidates())
 	s.ParallelFuse = rng.Intn(len(main.Spatial) + 1)
@@ -200,12 +185,6 @@ func (s *Schedule) loopRef(i int) (row *[]int, level int, axis int) {
 	i -= ns
 	r := i / sketch.ReduceLevels
 	return &s.ReduceTiles[r], i % sketch.ReduceLevels, len(s.SpatialTiles) + r
-}
-
-// LoopExtent returns the extent of the flat tile loop i.
-func (s *Schedule) LoopExtent(i int) int {
-	row, level, _ := s.loopRef(i)
-	return (*row)[level]
 }
 
 // --- Action space (paper Table 3) ------------------------------------------
@@ -272,12 +251,13 @@ func (s *Schedule) applyTiling(action int) {
 	if axisI != axisJ {
 		return
 	}
-	f := smallestFactor((*rowI)[levelI])
-	if f == 0 {
+	var buf [64]int
+	fs := primeFactors(buf[:0], (*rowI)[levelI])
+	if len(fs) == 0 {
 		return
 	}
-	(*rowI)[levelI] /= f
-	(*rowJ)[levelJ] *= f
+	(*rowI)[levelI] /= fs[0]
+	(*rowJ)[levelJ] *= fs[0]
 }
 
 // TilingActionFor returns the flat tiling-action index that moves a factor
@@ -298,21 +278,20 @@ func (s *Schedule) Mutate(rng *xrand.RNG) *Schedule {
 		// A uniformly random (i, j) pair; retry a few times to land a valid move.
 		for attempt := 0; attempt < 4; attempt++ {
 			i, j := rng.Intn(t), rng.Intn(t)
-			before := n.LoopExtent(i)
+			row, level, _ := n.loopRef(i)
+			before := (*row)[level]
 			n.applyTiling(n.TilingActionFor(i, j))
-			if n.LoopExtent(i) != before {
+			if (*row)[level] != before {
 				break
 			}
 		}
 	case 1: // resample one spatial axis factorization
-		a := rng.Intn(len(n.SpatialTiles))
-		ext := product(n.SpatialTiles[a])
-		n.SpatialTiles[a] = randomFactorization(ext, sketch.SpatialLevels, rng)
+		row := n.SpatialTiles[rng.Intn(len(n.SpatialTiles))]
+		randomFactorization(row, product(row), rng)
 	case 2: // resample one reduction axis factorization (or a knob if none)
 		if len(n.ReduceTiles) > 0 {
-			r := rng.Intn(len(n.ReduceTiles))
-			ext := product(n.ReduceTiles[r])
-			n.ReduceTiles[r] = randomFactorization(ext, sketch.ReduceLevels, rng)
+			row := n.ReduceTiles[rng.Intn(len(n.ReduceTiles))]
+			randomFactorization(row, product(row), rng)
 			break
 		}
 		fallthrough
@@ -344,8 +323,11 @@ func product(xs []int) int {
 // measurement texture: xrand.Hash64 of the graph-name hash, the sketch id,
 // every tile extent and the three annotation indices, mixed word by word —
 // the engines call it inside map lookups and sort comparators, so it must not
-// allocate.
+// allocate. It is hashed once and memoized (a hash of 0 is recomputed).
 func (s *Schedule) Key() uint64 {
+	if s.key != 0 {
+		return s.key
+	}
 	h := xrand.HashMix(xrand.HashSeed, hashString(s.Sk.Graph.Name), uint64(s.Sk.ID))
 	for _, row := range s.SpatialTiles {
 		for _, e := range row {
@@ -357,7 +339,8 @@ func (s *Schedule) Key() uint64 {
 			h = xrand.HashMix(h, uint64(e))
 		}
 	}
-	return xrand.HashMix(h, uint64(s.ComputeAt), uint64(s.ParallelFuse), uint64(s.UnrollIdx))
+	s.key = xrand.HashMix(h, uint64(s.ComputeAt), uint64(s.ParallelFuse), uint64(s.UnrollIdx))
+	return s.key
 }
 
 func hashString(s string) uint64 {

@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +26,7 @@ func TestPrimeFactors(t *testing.T) {
 		2310: {2, 3, 5, 7, 11},
 	}
 	for n, want := range cases {
-		got := primeFactors(n)
+		got := primeFactors(nil, n)
 		if len(got) != len(want) {
 			t.Fatalf("primeFactors(%d) = %v", n, got)
 		}
@@ -300,19 +302,7 @@ func TestKeyIsHash64OfParameterWords(t *testing.T) {
 		sks := sketch.Generate(workload.SuiteFor(cat, 1)[0])
 		for i := 0; i < 1000; i++ {
 			s := NewRandom(sks[rng.Intn(len(sks))], 4, rng)
-			words := []uint64{hashString(s.Sk.Graph.Name), uint64(s.Sk.ID)}
-			for _, row := range s.SpatialTiles {
-				for _, e := range row {
-					words = append(words, uint64(e))
-				}
-			}
-			for _, row := range s.ReduceTiles {
-				for _, e := range row {
-					words = append(words, uint64(e))
-				}
-			}
-			words = append(words, uint64(s.ComputeAt), uint64(s.ParallelFuse), uint64(s.UnrollIdx))
-			if got, want := s.Key(), xrand.Hash64(words...); got != want {
+			if got, want := s.Key(), freshKey(s); got != want {
 				t.Fatalf("%s schedule %d: Key %#x, Hash64 of its words %#x", cat, i, got, want)
 			}
 			last = s
@@ -320,5 +310,154 @@ func TestKeyIsHash64OfParameterWords(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { last.Key() }); n != 0 {
 		t.Fatalf("Key allocates %.1f objects per call, want 0", n)
+	}
+}
+
+// freshKey is Key's definition, computed from the schedule's fields now:
+// xrand.Hash64 over a materialized slice of its parameter words.
+func freshKey(s *Schedule) uint64 {
+	words := []uint64{hashString(s.Sk.Graph.Name), uint64(s.Sk.ID)}
+	for _, row := range append(append([][]int(nil), s.SpatialTiles...), s.ReduceTiles...) {
+		for _, e := range row {
+			words = append(words, uint64(e))
+		}
+	}
+	words = append(words, uint64(s.ComputeAt), uint64(s.ParallelFuse), uint64(s.UnrollIdx))
+	return xrand.Hash64(words...)
+}
+
+// snapshot is a deep copy of a schedule's tile rows, identity and features,
+// taken to check later that nothing derived from the schedule changed it.
+type snapshot struct {
+	rows  [][]int
+	key   uint64
+	feats []float64
+}
+
+func snap(s *Schedule) snapshot {
+	var rows [][]int
+	for _, r := range append(append([][]int(nil), s.SpatialTiles...), s.ReduceTiles...) {
+		rows = append(rows, append([]int(nil), r...))
+	}
+	return snapshot{rows, s.Key(), append([]float64(nil), s.Features()...)}
+}
+
+func (want snapshot) check(t *testing.T, what string, s *Schedule) {
+	t.Helper()
+	got := snap(s)
+	for i := range want.rows {
+		if !slices.Equal(got.rows[i], want.rows[i]) {
+			t.Fatalf("%s: row %d is %v, was %v", what, i, got.rows[i], want.rows[i])
+		}
+	}
+	if got.key != want.key || got.key != freshKey(s) {
+		t.Fatalf("%s: Key %#x, was %#x, fresh hash %#x", what, got.key, want.key, freshKey(s))
+	}
+	if !slices.Equal(got.feats, want.feats) || !slices.Equal(got.feats, s.computeFeatures()) {
+		t.Fatalf("%s: Features moved", what)
+	}
+}
+
+// TestMemosAndFlatClone pins the memo and flat-clone contract over random
+// schedules of several Table-6 operators and every path that makes one
+// (NewRandom, Clone, Apply with every tiling action, Mutate,
+// UnmarshalSteps): a schedule's memoized Key and Features equal a fresh
+// computation from its fields; deriving a child, then changing the child
+// (through further derivations, row writes and appends), never changes the
+// parent's rows, Key or Features; and no row or header of a clone can grow
+// into its neighbour in the shared backing array.
+func TestMemosAndFlatClone(t *testing.T) {
+	rng := xrand.New(72)
+	for _, cat := range []string{"GEMM-S", "C1D", "C2D", "C3D", "T2D"} {
+		sks := sketch.Generate(workload.SuiteFor(cat, 1)[0])
+		for _, sk := range sks {
+			parent := NewRandom(sk, 4, rng)
+			var kids []*Schedule
+			for a := 0; a < parent.NumTilingActions(); a++ {
+				kids = append(kids, parent.Apply(Action{Tiling: a, ComputeAt: rng.Intn(DeltaActions),
+					Parallel: rng.Intn(DeltaActions), Unroll: rng.Intn(DeltaActions)}))
+			}
+			for i := 0; i < 64; i++ {
+				kids = append(kids, parent.Mutate(rng))
+			}
+			back, err := UnmarshalSteps(sks, parent.MarshalSteps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			kids = append(kids, parent.Clone(), back)
+			want := snap(parent)
+			want.check(t, cat+" parent", parent)
+			for i, kid := range kids {
+				snap(kid).check(t, cat+" child", kid)
+				grandkid := kid.Mutate(rng).Apply(Action{Tiling: rng.Intn(kid.NumTilingActions()), ComputeAt: 2, Parallel: 2, Unroll: 2})
+				snap(grandkid).check(t, cat+" grandchild", grandkid)
+				if i%2 == 0 {
+					continue
+				}
+				// Grow every row and header of a clone in place: its
+				// neighbours, and the parent, must not see it.
+				c := kid.Clone()
+				sibling := snap(c)
+				c.SpatialTiles = append(c.SpatialTiles, []int{-1})
+				if len(c.ReduceTiles) > 0 && c.ReduceTiles[0][0] == -1 {
+					t.Fatalf("%s: SpatialTiles grew into ReduceTiles", cat)
+				}
+				c.SpatialTiles = c.SpatialTiles[:len(c.SpatialTiles)-1]
+				for _, rows := range [][][]int{c.SpatialTiles, c.ReduceTiles} {
+					for r := range rows {
+						if cap(rows[r]) != len(rows[r]) {
+							t.Fatalf("%s: row %d has room to grow: len %d cap %d", cat, r, len(rows[r]), cap(rows[r]))
+						}
+						_ = append(rows[r], -1)
+					}
+				}
+				sibling.check(t, cat+" grown clone", c)
+				for _, rows := range [][][]int{c.SpatialTiles, c.ReduceTiles} {
+					for r := range rows {
+						rows[r][0] = -1
+					}
+				}
+				snap(kid).check(t, cat+" clone's source", kid)
+			}
+			want.check(t, cat+" parent after its children", parent)
+		}
+	}
+}
+
+// totalAllocs counts the allocations of runs calls of f, as
+// testing.AllocsPerRun does but without its integer division, so that one
+// allocation more in a branch that only some calls take still shows.
+func totalAllocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCloneAllocs pins Clone (and so Apply) at three allocations whatever
+// the axis count: the struct, the row headers and one backing array.
+func TestCloneAllocs(t *testing.T) {
+	s := NewRandom(sketch.Generate(workload.SuiteFor("C3D", 1)[0])[0], 4, xrand.New(73))
+	if n := totalAllocs(100, func() { s.Clone() }); n != 3*100 {
+		t.Fatalf("100 Clones allocate %d objects, want 300", n)
+	}
+	a := Action{Tiling: s.TilingActionFor(0, 1), ComputeAt: 2, Parallel: 0, Unroll: 1}
+	if n := totalAllocs(100, func() { s.Apply(a) }); n != 3*100 {
+		t.Fatalf("100 Applies allocate %d objects, want 300", n)
+	}
+}
+
+// TestMutateAllocs pins Mutate at its Clone's three allocations on every
+// branch: a resampled factorization is written into the clone's own row.
+func TestMutateAllocs(t *testing.T) {
+	s := NewRandom(sketch.Generate(workload.SuiteFor("C3D", 1)[0])[0], 4, xrand.New(74))
+	rng := xrand.New(75)
+	if n := totalAllocs(1000, func() { s.Mutate(rng) }); n != 3*1000 {
+		t.Fatalf("1000 Mutates allocate %d objects, want 3000", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"harl/internal/hardware"
 	"harl/internal/schedule"
+	"harl/internal/xrand"
 )
 
 // AnsorConfig parameterizes the evolutionary baseline.
@@ -82,13 +83,14 @@ func (a *Ansor) RunRound(t *Task, measureK int) int {
 	}
 
 	// --- evolution: score, select ∝ score, mutate uniformly ------------------
-	pool := make(candPool)
+	pool := make(candPool, a.Cfg.Population*(a.Cfg.Generations+1))
+	seen := make(map[uint64]bool, a.Cfg.Population)
 	// scorePool batch-scores the configurations of pop not yet in the pool,
 	// fanning model queries across the task's worker pool (duplicates within
 	// a generation are scored once, as the old per-schedule memoization did).
 	scorePool := func(pop []*schedule.Schedule) {
 		var fresh []*schedule.Schedule
-		seen := make(map[uint64]bool)
+		clear(seen)
 		for _, s := range pop {
 			k := s.Key()
 			if _, ok := pool[k]; ok || seen[k] {
@@ -102,7 +104,7 @@ func (a *Ansor) RunRound(t *Task, measureK int) int {
 		}
 	}
 
-	scores := make([]float64, len(pop))
+	scores, cum := make([]float64, len(pop)), make([]float64, len(pop))
 	for g := 0; g <= a.Cfg.Generations; g++ {
 		scorePool(pop)
 		maxS := 0.0
@@ -115,17 +117,17 @@ func (a *Ansor) RunRound(t *Task, measureK int) int {
 		if g == a.Cfg.Generations {
 			break
 		}
-		weights := make([]float64, len(pop))
 		for i, sc := range scores {
 			if maxS > 0 {
-				weights[i] = math.Exp(3 * (sc/maxS - 1)) // soft fitness-proportional
+				cum[i] = math.Exp(3 * (sc/maxS - 1)) // soft fitness-proportional
 			} else {
-				weights[i] = 1
+				cum[i] = 1
 			}
 		}
+		xrand.RunningSums(cum)
 		next := make([]*schedule.Schedule, len(pop))
 		for i := range next {
-			parent := pop[t.RNG.Choice(weights)]
+			parent := pop[t.RNG.Choice(cum)]
 			next[i] = parent.Mutate(t.RNG) // uniform schedule selection π(s_t|s_{t-1})
 			t.Meas.AddSearchCost(hardware.EvoStepSec)
 		}

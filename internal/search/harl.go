@@ -141,7 +141,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 	sk := t.Sketches[skIdx]
 
 	// --- Phase 1: parameter modification --------------------------------------
-	pool := make(candPool)
+	pool := make(candPool, h.Cfg.Tracks*(1+h.Cfg.FixedLength)) // an episode's candidates, either stopping mode
 
 	inits := make([]*schedule.Schedule, h.Cfg.Tracks)
 	for i := range inits {

@@ -12,6 +12,7 @@ package xrand
 import (
 	"math"
 	"math/bits"
+	"sort"
 )
 
 // RNG is a deterministic pseudo-random number generator. It is NOT safe for
@@ -96,28 +97,30 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Choice returns a uniform index weighted by the non-negative weights.
-// If all weights are zero it falls back to uniform selection.
-func (r *RNG) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
+// RunningSums overwrites the weights w with their running sums, the form
+// Choice draws from, and returns w. It panics on a negative or NaN weight.
+func RunningSums(w []float64) []float64 {
+	acc := 0.0
+	for i, x := range w {
+		if x < 0 || math.IsNaN(x) {
 			panic("xrand: negative or NaN weight")
 		}
-		total += w
+		acc += x
+		w[i] = acc
 	}
+	return w
+}
+
+// Choice draws an index with probability proportional to its weight, given
+// the weights' RunningSums, by bisection: the first i with x < cum[i] for x
+// uniform in [0, total), else the last index; all-zero weights draw uniformly.
+func (r *RNG) Choice(cum []float64) int {
+	total := cum[len(cum)-1]
 	if total == 0 {
-		return r.Intn(len(weights))
+		return r.Intn(len(cum))
 	}
 	x := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if x < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
+	return sort.Search(len(cum)-1, func(i int) bool { return x < cum[i] })
 }
 
 // HashSeed is the Hash64 of no words.

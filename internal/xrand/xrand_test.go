@@ -111,10 +111,10 @@ func TestPermIsPermutation(t *testing.T) {
 
 func TestChoiceRespectsWeights(t *testing.T) {
 	r := New(17)
-	weights := []float64{0, 1, 0, 3}
+	cum := RunningSums([]float64{0, 1, 0, 3})
 	counts := make([]int, 4)
 	for i := 0; i < 40000; i++ {
-		counts[r.Choice(weights)]++
+		counts[r.Choice(cum)]++
 	}
 	if counts[0] != 0 || counts[2] != 0 {
 		t.Fatalf("zero-weight arms selected: %v", counts)
@@ -129,7 +129,7 @@ func TestChoiceZeroWeightsFallsBack(t *testing.T) {
 	r := New(19)
 	counts := make([]int, 3)
 	for i := 0; i < 3000; i++ {
-		counts[r.Choice([]float64{0, 0, 0})]++
+		counts[r.Choice(RunningSums([]float64{0, 0, 0}))]++
 	}
 	for i, c := range counts {
 		if c == 0 {
@@ -144,7 +144,78 @@ func TestChoicePanicsOnNegative(t *testing.T) {
 			t.Fatal("negative weight did not panic")
 		}
 	}()
-	New(1).Choice([]float64{1, -1})
+	New(1).Choice(RunningSums([]float64{1, -1}))
+}
+
+// linearChoice is the linear scan Choice replaced, kept as its oracle: the
+// same draw, then the first index whose running sum exceeds it, summing the
+// weights afresh on every call.
+func linearChoice(r *RNG, weights []float64) int {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	if total == 0 {
+		return r.Intn(len(weights))
+	}
+	x := r.Float64() * total
+	acc := 0.0
+	for i, w := range weights {
+		acc += w
+		if x < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestChoiceMatchesLinearScan holds the bisected Choice to the linear scan
+// over random weight vectors — positive, mostly zero, tied, all zero, an
+// infinite weight, and a subnormal total that a draw rounds up to, which
+// sends both to the last index: every draw must return the same index and
+// leave the generator in the same state.
+func TestChoiceMatchesLinearScan(t *testing.T) {
+	gen := New(76)
+	last := 0 // draws that rounded up to the total and took a zero-weight last index
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + gen.Intn(200)
+		w := make([]float64, n)
+		for i := range w {
+			switch trial % 6 {
+			case 0:
+				w[i] = gen.Float64()
+			case 1:
+				if gen.Intn(4) == 0 {
+					w[i] = gen.Float64()
+				}
+			case 2:
+				w[i] = float64(gen.Intn(3))
+			case 4:
+				if gen.Intn(n) == 0 {
+					w[i] = math.Inf(1)
+				}
+			case 5:
+				if gen.Intn(n) == 0 {
+					w[i] = math.SmallestNonzeroFloat64
+				}
+			}
+		}
+		cum := RunningSums(append([]float64(nil), w...))
+		seed := gen.Uint64()
+		a, b := New(seed), New(seed)
+		for d := 0; d < 32; d++ {
+			want, got := linearChoice(a, w), b.Choice(cum)
+			if got != want || *a != *b {
+				t.Fatalf("weights %v draw %d: Choice %d, linear scan %d (states equal: %v)", w, d, got, want, *a == *b)
+			}
+			if cum[n-1] > 0 && w[want] == 0 {
+				last++
+			}
+		}
+	}
+	if last == 0 {
+		t.Fatal("no draw rounded up to the total: the last-index fallback went untested")
+	}
 }
 
 func TestHash64Deterministic(t *testing.T) {
