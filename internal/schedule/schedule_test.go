@@ -294,7 +294,8 @@ func TestStringContainsSketch(t *testing.T) {
 // definition it replaced — xrand.Hash64 over a materialized word slice — on
 // random schedules of every Table-6 operator category (every journal and
 // measurement texture hangs off these values), and pins that it allocates
-// nothing: the engines call it inside map lookups and sort comparators.
+// nothing, hashed or memoized: the engines call it inside map lookups and
+// sort comparators.
 func TestKeyIsHash64OfParameterWords(t *testing.T) {
 	rng := xrand.New(71)
 	var last *Schedule
@@ -308,8 +309,13 @@ func TestKeyIsHash64OfParameterWords(t *testing.T) {
 			last = s
 		}
 	}
+	// Clearing the memo inside the measured call makes every run hash the
+	// schedule afresh, the path each new candidate's first lookup takes.
+	if n := testing.AllocsPerRun(100, func() { last.key = 0; last.Key() }); n != 0 {
+		t.Fatalf("hashing a schedule's Key allocates %.1f objects per call, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { last.Key() }); n != 0 {
-		t.Fatalf("Key allocates %.1f objects per call, want 0", n)
+		t.Fatalf("a memoized Key allocates %.1f objects per call, want 0", n)
 	}
 }
 
