@@ -34,9 +34,9 @@
 #                    loops) and FuzzGemm (nn's matrix kernel against the naive
 #                    triple loop); crashers land in the package's testdata/fuzz/
 #   make loc       — non-test Go lines outside benchmark/: the number ROADMAP
-#                    item 5 ("one of everything") drives down; fails above the
-#                    count of the last PR that lowered it (the ratchet only
-#                    turns one way: lower the literal with the count)
+#                    item 5 ("one of everything") drives down; fails above
+#                    LOC_RATCHET, the count of the last PR that lowered it (the
+#                    ratchet only turns one way: lower it with the count)
 #   make check     — everything: vet, lint, build, tests, race
 
 GO ?= go
@@ -55,6 +55,10 @@ GO ?= go
 # regressions.
 HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScheduleMutate|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOWindowStep|BenchmarkPPOTrain|BenchmarkPPOTrainOneProc|BenchmarkGemm|BenchmarkLanes)$$
 BENCH_COUNT ?= 10
+
+# The make loc ratchet. This is the one place the number lives: CI, README and
+# ROADMAP refer to it by name.
+LOC_RATCHET = 15847
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check
 
@@ -119,6 +123,6 @@ fuzz:
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
-	if [ $$n -gt 16262 ]; then echo "make loc: $$n lines, above the 16262 the ratchet stands at" >&2; exit 1; fi
+	if [ $$n -gt $(LOC_RATCHET) ]; then echo "make loc: $$n lines, above the $(LOC_RATCHET) the ratchet stands at" >&2; exit 1; fi
 
 check: vet lint build test race

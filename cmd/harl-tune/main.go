@@ -8,13 +8,12 @@
 //	harl-tune -network bert -batch 1 -trials 600 -scheduler ansor
 //
 // Every measured trial can be journaled to a persistent record log, a later
-// run can warm-start from it, and the cost model can be pretrained offline or
-// checkpointed across runs (see the cost-model section of README.md):
+// run can warm-start from it, and a later run's cost model can be pretrained
+// from it (see the cost-model section of README.md):
 //
 //	harl-tune -op gemm -shape 1024,1024,1024 -log tune.jsonl
 //	harl-tune -op gemm -shape 1024,1024,1024 -resume tune.jsonl -trials -1
 //	harl-tune -op gemm -shape 1024,1024,1024 -pretrain tune.jsonl
-//	harl-tune -op gemm -shape 1024,1024,1024 -model-in model.json -model-out model.json
 //
 // With -registry the CLI shares the harl-serve daemon's best-schedule cache:
 // an already-tuned (workload, target, scheduler) returns instantly with zero
@@ -24,8 +23,7 @@
 //
 // -progress streams one line per committed round/wave to stderr (the same
 // event stream harl-serve exposes over SSE), and -plateau-window with
-// -plateau-improve stop a flatlined search early through the
-// checkpoint-on-cancel path:
+// -plateau-improve stop a flatlined search early the way a cancellation does:
 //
 //	harl-tune -op gemm -shape 64,64,64 -progress -plateau-window 8 -plateau-improve 0.005
 package main
@@ -53,8 +51,6 @@ func main() {
 	logPath := flag.String("log", "", "append one JSONL tuning record per measured trial to this file")
 	resume := flag.String("resume", "", "warm-start from the best cached schedules of this record log (may equal -log)")
 	pretrainLog := flag.String("pretrain", "", "pretrain the cost model by replaying this record log before search (model-only; may equal -log or -resume)")
-	modelIn := flag.String("model-in", "", "load a cost-model checkpoint (from -model-out or harl-train) before search")
-	modelOut := flag.String("model-out", "", "save the trained cost-model checkpoint after tuning")
 	registryDir := flag.String("registry", "", "best-schedule registry directory shared with harl-serve: resolve before tuning (a hit costs 0 trials) and publish the best after")
 	registryLayout := flag.String("registry-layout", "auto", "registry storage layout: auto (a new registry is sharded, an existing single-file one opens as it is) or sharded (migrates a single-file registry in place)")
 	fleetList := flag.String("fleet", "", "comma-separated harl-worker endpoints to fan measurement batches out to (results are byte-identical to in-process measurement; a dead worker falls back in-process)")
@@ -93,8 +89,7 @@ func main() {
 		}()
 	}
 	opts := harl.Options{Scheduler: *scheduler, Trials: *trials, Seed: *seed, Workers: *workers,
-		RecordLog: *logPath, ResumeFrom: *resume,
-		PretrainFrom: *pretrainLog, ModelIn: *modelIn, ModelOut: *modelOut,
+		RecordLog: *logPath, ResumeFrom: *resume, PretrainFrom: *pretrainLog,
 		Plateau: harl.Plateau{Window: *plateauWindow, MinImprovement: *plateauImprove}}
 	if *progress {
 		opts.OnProgress = func(e harl.ProgressEvent) {
@@ -139,7 +134,7 @@ func main() {
 			fmt.Printf("registry served %d of %d subgraph(s) from %s\n", res.CacheHits, len(res.Breakdown), *registryDir)
 		}
 		if res.Cancelled {
-			fmt.Println("run cancelled: partial bests shown; the record log and checkpoint are resumable")
+			fmt.Println("run cancelled: partial bests shown; the record log is resumable")
 		}
 		if res.PlateauStopped {
 			fmt.Printf("stopped early on plateau after %d trials: no further improvement expected\n", res.Trials)
@@ -149,9 +144,6 @@ func main() {
 		}
 		fmt.Printf("cost model: %d training samples across %d subgraph models, %d refits, pretrained %d task(s)\n",
 			res.CostModelSamples, len(res.Breakdown), res.CostModelRefits, res.Pretrained)
-		if *modelOut != "" {
-			fmt.Printf("cost model checkpoint (merged over the compatible subgraphs): %s\n", *modelOut)
-		}
 		fmt.Printf("%-18s %-7s %-12s %-8s %s\n", "subgraph", "weight", "exec(us)", "trials", "contribution")
 		for _, b := range res.Breakdown {
 			fmt.Printf("%-18s %-7d %-12.1f %-8d %.1f%%\n", b.Name, b.Weight, b.ExecSeconds*1e6, b.Trials, b.Contribution*100)
@@ -180,7 +172,7 @@ func main() {
 		fmt.Printf("  registry hit from %s: served without measuring a trial\n", *registryDir)
 	}
 	if res.Cancelled {
-		fmt.Println("  run cancelled: partial best shown; the record log and checkpoint are resumable")
+		fmt.Println("  run cancelled: partial best shown; the record log is resumable")
 	}
 	if res.PlateauStopped {
 		fmt.Printf("  stopped early on plateau after %d trials: no further improvement expected\n", res.Trials)
@@ -192,9 +184,6 @@ func main() {
 	fmt.Printf("  trials: %d, simulated search time: %.0f s\n", res.Trials, res.SearchSeconds)
 	fmt.Printf("  cost model: %d training samples, %d refits, pretrained=%v\n",
 		res.CostModelSamples, res.CostModelRefits, res.Pretrained)
-	if *modelOut != "" && !res.CacheHit {
-		fmt.Printf("  cost model checkpoint: %s\n", *modelOut)
-	}
 	fmt.Printf("  schedule: %s\n", res.BestSchedule)
 }
 

@@ -1,9 +1,7 @@
-// Pretrain: the offline cost-model workflow. A first tuning run journals its
-// measurements; harl.TrainModel (the library form of the harl-train command)
-// replays that journal into a checkpointable model; later runs start with
-// the model's knowledge — either by loading the checkpoint (Options.ModelIn)
-// or by replaying the journal directly (Options.PretrainFrom) — and reach
-// the journal's best program in far fewer trials than a cold-started search.
+// Pretrain: starting from a trained cost model. A first tuning run journals
+// its measurements; a later run replays that journal into its cost model
+// before the first round (Options.PretrainFrom, harl-tune -pretrain) and
+// races a cold-started run of the same seed to the journal's best program.
 //
 // A copy of the journal this example produces (same workload, scheduler
 // "harl", 96 trials, seed 7) is committed as examples/pretrain/gemm-cpu.jsonl
@@ -37,7 +35,6 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	logPath := filepath.Join(dir, "gemm.jsonl")
-	ckptPath := filepath.Join(dir, "model.json")
 
 	w := harl.GEMM(256, 256, 256, 1)
 
@@ -53,15 +50,6 @@ func main() {
 	}
 	fmt.Printf("run 1 (journaled):  %.4f ms after %d trials\n", res1.ExecSeconds*1e3, res1.Trials)
 
-	// Offline: turn the journal into a reusable model artifact. Features are
-	// regenerated deterministically from the serialized schedule steps, so
-	// the same journal always yields a byte-identical checkpoint.
-	st, err := harl.TrainModel(logPath, []harl.Workload{w}, harl.CPU(), ckptPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("harl-train:         %d records -> %d samples, trained=%v\n", st.Records, st.Samples, st.Trained)
-
 	// The target to race for: the journal's best measured execution time.
 	best, ok, err := harl.BestRecord(logPath, w, harl.CPU())
 	if err != nil || !ok {
@@ -75,10 +63,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Run 2b: same seed, but the cost model knows the journal before the
-	// first round (checkpoint form; PretrainFrom: logPath is equivalent).
+	// Run 2b: same seed, but the cost model learns the journal before the
+	// first round. Features are regenerated deterministically from the
+	// serialized schedule steps, so the same journal always trains the same
+	// model.
 	pre, err := harl.TuneOperator(w, harl.CPU(), harl.Options{
-		Scheduler: "harl", Trials: 160, Seed: 1, ModelIn: ckptPath,
+		Scheduler: "harl", Trials: 160, Seed: 1, PretrainFrom: logPath,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -168,7 +168,7 @@ func (w Workload) Fingerprint() string { return w.sg.Fingerprint() }
 
 // ParseShape parses a CLI-style comma-separated shape ("1024,1024,1024")
 // into the dims OperatorWorkload expects — the parsing shared by harl-tune
-// and harl-train.
+// and harl-serve.
 func ParseShape(s string) ([]int, error) {
 	if s == "" {
 		return nil, fmt.Errorf("harl: missing shape")
@@ -188,7 +188,7 @@ func ParseShape(s string) ([]int, error) {
 // OperatorWorkload builds an operator workload from its CLI-style kind and
 // shape ("gemm": M,K,N; "c1d": L,Cin,Cout,K,stride,pad; "c2d"/"t2d":
 // H,W,Cin,Cout,K,stride,pad; "c3d": D,H,W,Cin,Cout,K,stride,pad) — the
-// parsing shared by harl-tune and harl-train.
+// parsing shared by harl-tune and harl-serve.
 func OperatorWorkload(op string, dims []int, batch int) (Workload, error) {
 	need := func(n int) error {
 		if len(dims) != n {
@@ -227,7 +227,7 @@ func OperatorWorkload(op string, dims []int, batch int) (Workload, error) {
 }
 
 // NetworkWorkloads returns the subgraph workloads of one of the paper's
-// networks — the workload set harl-train fits a network-wide model over.
+// networks (harl-serve validates a network request with it).
 func NetworkWorkloads(name string, batch int) ([]Workload, error) {
 	net, err := networkByName(name, batch)
 	if err != nil {

@@ -437,7 +437,7 @@ func TestTuneNetworkBadSchedulerDoesNotCreateLog(t *testing.T) {
 	}
 }
 
-// committedPretrainJournal is the tuning journal committed for the offline
+// committedPretrainJournal is the tuning journal committed for the
 // pretraining workflow (GEMM 256^3 b1 on cpu, scheduler "harl", 96 trials,
 // seed 7 — regenerate with:
 // go run ./cmd/harl-tune -op gemm -shape 256,256,256 -scheduler harl -trials 96 -seed 7 -log examples/pretrain/gemm-cpu.jsonl).
@@ -474,6 +474,9 @@ func TestPretrainReachesJournalBestFaster(t *testing.T) {
 	pre, err := TuneOperator(w, CPU(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cold.Pretrained {
+		t.Fatal("cold run must not report pretraining")
 	}
 	if !pre.Pretrained || pre.CostModelSamples <= cold.CostModelSamples {
 		t.Fatalf("pretrained run: pretrained=%v samples=%d (cold %d)",
@@ -527,117 +530,6 @@ func TestPretrainJournalsAreWorkerInvariant(t *testing.T) {
 	}
 }
 
-func TestTrainModelDeterministic(t *testing.T) {
-	w := pretrainWorkload()
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	st, err := TrainModel(committedPretrainJournal, []Workload{w}, CPU(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 96 || st.Workloads != 1 || st.Skipped != 0 || !st.Trained || st.Samples != 96 {
-		t.Fatalf("train stats %+v", st)
-	}
-	if _, err := TrainModel(committedPretrainJournal, []Workload{w}, CPU(), b); err != nil {
-		t.Fatal(err)
-	}
-	da, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(da, db) {
-		t.Fatal("same journal produced different checkpoints")
-	}
-	// No matching records: the foreign-workload fit must fail loudly.
-	if _, err := TrainModel(committedPretrainJournal, []Workload{GEMM(64, 64, 64, 1)}, CPU(), a); err == nil {
-		t.Fatal("foreign workload must error")
-	}
-	if _, err := TrainModel(committedPretrainJournal, nil, CPU(), a); err == nil {
-		t.Fatal("empty workload set must error")
-	}
-	if _, err := TrainModel(filepath.Join(dir, "missing.jsonl"), []Workload{w}, CPU(), a); err == nil {
-		t.Fatal("missing journal must error")
-	}
-}
-
-func TestModelCheckpointAcrossRuns(t *testing.T) {
-	w := pretrainWorkload()
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "model.json")
-	first, err := TuneOperator(w, CPU(), Options{Scheduler: "ansor", Trials: 48, Seed: 5, ModelOut: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Pretrained {
-		t.Fatal("cold run must not report pretraining")
-	}
-	second, err := TuneOperator(w, CPU(), Options{Scheduler: "ansor", Trials: 48, Seed: 6, ModelIn: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Pretrained {
-		t.Fatal("model-in run must report pretraining")
-	}
-	if second.CostModelSamples != first.CostModelSamples+second.Trials {
-		t.Fatalf("model-in run holds %d samples, want %d carried + %d new",
-			second.CostModelSamples, first.CostModelSamples, second.Trials)
-	}
-	if _, err := TuneOperator(w, CPU(), Options{Scheduler: "ansor", Trials: 16, ModelIn: filepath.Join(dir, "missing.json")}); err == nil {
-		t.Fatal("missing model-in must error")
-	}
-	if _, err := TuneOperator(w, CPU(), Options{Scheduler: "ansor", Trials: 16, PretrainFrom: filepath.Join(dir, "missing.jsonl")}); err == nil {
-		t.Fatal("missing pretrain log must error")
-	}
-}
-
-func TestTuneNetworkModelSeeding(t *testing.T) {
-	dir := t.TempDir()
-	opCkpt := filepath.Join(dir, "op.json")
-	if _, err := TrainModel(committedPretrainJournal, []Workload{pretrainWorkload()}, CPU(), opCkpt); err != nil {
-		t.Fatal(err)
-	}
-	netCkpt := filepath.Join(dir, "net.json")
-	for _, workers := range []int{0, 2} {
-		// Scheduler "harl" queries the model for every scored candidate, so
-		// this also pins down that a checkpoint from one workload structure
-		// cannot crash predictions on an incompatible one.
-		res, err := TuneNetwork("bert", 1, CPU(), Options{
-			Scheduler: "harl",
-			Trials:    64,
-			Seed:      4,
-			Workers:   workers,
-			ModelIn:   opCkpt,
-			ModelOut:  netCkpt,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The GEMM-trained checkpoint seeds exactly BERT's structurally
-		// compatible subgraphs (the GEMM family) — more than none, fewer
-		// than all (Softmax, Batch_GEMM and element-wise dims differ).
-		if res.Pretrained == 0 || res.Pretrained >= len(res.Breakdown) {
-			t.Fatalf("workers=%d: %d of %d tasks pretrained", workers, res.Pretrained, len(res.Breakdown))
-		}
-		if res.CostModelSamples <= res.Trials {
-			t.Fatalf("workers=%d: %d samples for %d trials (carried knowledge missing)", workers, res.CostModelSamples, res.Trials)
-		}
-		if res.CostModelRefits == 0 {
-			t.Fatalf("workers=%d: no refits recorded", workers)
-		}
-		data, err := os.ReadFile(netCkpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 {
-			t.Fatalf("workers=%d: empty network model checkpoint", workers)
-		}
-	}
-}
-
 func TestPretrainMismatchErrors(t *testing.T) {
 	// A pretrain journal with no record for the run's workload on the target
 	// is almost always a wrong shape/network/target; it must error rather
@@ -662,5 +554,11 @@ func TestPretrainMismatchErrors(t *testing.T) {
 		Scheduler: "random", Trials: 32, PretrainFrom: committedPretrainJournal,
 	}); err == nil {
 		t.Fatal("network with no matching subgraphs must error")
+	}
+	missing := filepath.Join(t.TempDir(), "missing.jsonl")
+	if _, err := TuneOperator(pretrainWorkload(), CPU(), Options{
+		Scheduler: "ansor", Trials: 16, PretrainFrom: missing,
+	}); err == nil {
+		t.Fatal("missing pretrain log must error")
 	}
 }

@@ -1,9 +1,10 @@
 // Package atomicfile writes files atomically: content lands in a temp file
 // in the destination directory and is renamed into place, so readers never
 // observe a partially written artifact and a crash mid-write leaves the
-// previous version intact. Every durable artifact of the repo — BENCH_*.json
-// summaries, cost-model checkpoints, registry indexes — goes through this
-// path (a killed run must not truncate what a later run warm-starts from).
+// previous version intact. Every durable artifact of the repo but the
+// append-only journals — BENCH_*.json summaries, registry shard headers and
+// compacted shards — goes through this path (a killed run must not truncate
+// what a later run warm-starts from).
 package atomicfile
 
 import (

@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 
-	"harl/internal/costmodel"
 	"harl/internal/pretrain"
 	"harl/internal/search"
 	"harl/internal/tunelog"
@@ -68,11 +67,6 @@ type TuneHooks struct {
 	// tuning starts, so an already-tuned workload converges immediately and
 	// its best schedule is never re-measured.
 	Warm *tunelog.Database
-	// Model, when non-nil, is a checkpointed cost model cloned into every
-	// task before search starts (each task keeps refitting its own copy).
-	// The concrete type here is constructor wiring: past this point the
-	// search layers see only the costmodel.CostModel interface.
-	Model *costmodel.Model
 	// Pretrain, when non-nil, replays each task's matching journal records
 	// into its cost model before search starts — model-only: unlike Warm it
 	// seeds no schedules and skips no measurements, it just makes the reward
@@ -96,55 +90,14 @@ type EvaluatorProvider interface {
 }
 
 // seedCostModel applies the hooks' per-task stages: the remote measurement
-// evaluator if a fleet is attached, then model-in and pretrain (in that
-// order: a loaded checkpoint first, then the journal replay on top). Knowledge only transfers between structurally compatible workloads:
-// a model whose feature dimension differs from the task's (axis counts
-// differ across workload structures) is not installed, and the task keeps
-// its own cold model.
+// evaluator if a fleet is attached, then the pretraining journal's replay.
 func seedCostModel(t *search.Task, hooks TuneHooks) {
 	if hooks.Evaluators != nil {
 		t.Remote = hooks.Evaluators.EvaluatorFor(t)
 	}
-	if hooks.Model != nil {
-		if d := hooks.Model.Dim(); d == 0 || d == t.FeatureDim() {
-			t.SetCostModel(hooks.Model.Clone())
-		}
-	}
 	if hooks.Pretrain != nil {
 		pretrain.SeedTask(hooks.Pretrain, t)
 	}
-}
-
-// mergedCostModel folds tasks' training samples — in task order — into one
-// fresh model and refits it: the checkpoint artifact of a network tuning
-// run, usable to pretrain any later run on structurally compatible
-// workloads. Feature dimensions vary across workload structures and a
-// training matrix must stay rectangular, so the merge keeps the dimension
-// that carries the most samples across the task set (ties to the earlier
-// task); tasks of other dimensions, and tasks whose model is not the
-// concrete GBDT, contribute nothing.
-func mergedCostModel(tasks []*search.Task) *costmodel.Model {
-	bestDim, bestN := 0, -1
-	counts := make(map[int]int)
-	for _, t := range tasks {
-		cm, ok := t.Cost.(*costmodel.Model)
-		if !ok {
-			continue
-		}
-		d := cm.Dim()
-		counts[d] += cm.Len()
-		if counts[d] > bestN {
-			bestDim, bestN = d, counts[d]
-		}
-	}
-	m := costmodel.New(costmodel.DefaultParams())
-	for _, t := range tasks {
-		if cm, ok := t.Cost.(*costmodel.Model); ok && cm.Dim() == bestDim {
-			m.Merge(cm)
-		}
-	}
-	m.Refit()
-	return m
 }
 
 // warmStartTask seeds a task from the database's best record for its

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"harl/internal/costmodel"
 	"harl/internal/hardware"
 	"harl/internal/search"
 	"harl/internal/texpr"
@@ -140,8 +139,8 @@ func (p *ParallelNetworkTuner) WarmStart(db *tunelog.Database) int {
 	return n
 }
 
-// SeedCostModels applies the hooks' checkpointed model and/or pretraining
-// journal to every task before RunCtx, returning the number of tasks whose cost
+// SeedCostModels applies the hooks' per-task stages (seedCostModel) to every
+// task before RunCtx, returning the number of tasks whose cost
 // model starts with offline knowledge. Seeding happens before the first wave
 // on committed state, so the determinism contract (worker-count invariance)
 // is untouched.
@@ -185,16 +184,6 @@ func (p *ParallelNetworkTuner) MeasuredExec() float64 {
 		executions += t.Graph.Weight
 	}
 	return est + float64(executions)*commOverheadSec
-}
-
-// CostModel returns the run's checkpoint artifact. A one-subgraph run saves
-// its task's own model as fitted — its parameters and any loaded ensemble
-// intact; a network folds its tasks' samples into one model (mergedCostModel).
-func (p *ParallelNetworkTuner) CostModel() costmodel.CostModel {
-	if len(p.MT.Tasks) == 1 {
-		return p.MT.Tasks[0].FittedCost()
-	}
-	return mergedCostModel(p.MT.Tasks)
 }
 
 // SnapshotAtExec returns the earliest wave snapshot whose estimated execution

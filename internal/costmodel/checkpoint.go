@@ -9,14 +9,16 @@
 // byte-identical artifacts (the property the round-trip tests pin down).
 // Loaders reject checkpoints of a different version rather than
 // misinterpreting them.
+//
+// No tuning path reads or writes a checkpoint: a run that should start with a
+// trained model replays a journal (internal/pretrain). The codec stays as the
+// byte digest the tests pin fitted models with, and the benchmark's probe
+// times its decoder.
 package costmodel
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-
-	"harl/internal/atomicfile"
 )
 
 // checkpointVersion is the artifact format version written by this package.
@@ -49,7 +51,7 @@ type checkpoint struct {
 }
 
 // MarshalCheckpoint renders the model as one canonical JSON document (with a
-// trailing newline). It implements Checkpointer.
+// trailing newline).
 func (m *Model) MarshalCheckpoint() ([]byte, error) {
 	ck := checkpoint{
 		V:      checkpointVersion,
@@ -173,28 +175,4 @@ func UnmarshalCheckpoint(data []byte) (*Model, error) {
 	}
 	m.reflatten()
 	return m, nil
-}
-
-// SaveFile writes a model's checkpoint to path (0644). It accepts any
-// Checkpointer so callers holding the CostModel interface can save without
-// naming the concrete type. The write is atomic (temp file + rename): a run
-// killed mid-save never truncates an existing checkpoint.
-func SaveFile(path string, m Checkpointer) error {
-	data, err := m.MarshalCheckpoint()
-	if err != nil {
-		return err
-	}
-	if err := atomicfile.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("costmodel: write checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadFile reads a checkpoint written by SaveFile (or harl-train).
-func LoadFile(path string) (*Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("costmodel: read checkpoint: %w", err)
-	}
-	return UnmarshalCheckpoint(data)
 }

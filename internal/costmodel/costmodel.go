@@ -6,8 +6,8 @@ import "math"
 // against. Everything outside this package — search.Task, the engines, the
 // tuners in internal/core — depends only on this interface; the concrete
 // GBDT (Model) appears solely in constructor wiring, so alternative models
-// (a pretrained ensemble loaded from a checkpoint, a mock in tests, a future
-// neural model) drop in without touching the search layers.
+// (a mock in tests, a future neural model) drop in without touching the
+// search layers.
 //
 // Implementations must be deterministic: equal training histories must yield
 // equal models, and Predict/PredictBatch/Throughput must be pure between
@@ -49,13 +49,6 @@ type ParallelRefitter interface {
 // the first len(xs) elements match PredictBatch exactly.
 type BatchInto interface {
 	PredictBatchInto(xs [][]float64, out []float64)
-}
-
-// Checkpointer is implemented by cost models that serialize to the versioned
-// checkpoint format (see checkpoint.go). Callers that hold a CostModel
-// type-assert against it to save artifacts without naming the concrete type.
-type Checkpointer interface {
-	MarshalCheckpoint() ([]byte, error)
 }
 
 // ToThroughput maps a log-throughput prediction to the positive score C(s),

@@ -99,7 +99,6 @@ func TestFlatKernelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("checkpoint-loaded", loaded)
-	check("clone", m.Clone())
 }
 
 // testRunner is a real concurrent runner that deliberately starts jobs in

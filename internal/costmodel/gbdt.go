@@ -267,10 +267,7 @@ type binAcc struct{ n, s, q, _ float64 }
 // New creates an empty model.
 func New(p Params) *Model { return &Model{P: p} }
 
-var (
-	_ CostModel    = (*Model)(nil)
-	_ Checkpointer = (*Model)(nil)
-)
+var _ CostModel = (*Model)(nil)
 
 // SetRunner installs the parallel runner Refit fans its scans across. The
 // fitted ensemble is bit-identical with or without a runner; only wall-clock
@@ -283,8 +280,7 @@ func (m *Model) Len() int { return len(m.xs) }
 // Dim returns the model's feature dimension (0 while empty). Schedule
 // features are uniform within a workload but their length varies across
 // workload structures (axis counts differ), so cost-model knowledge only
-// transfers between workloads of equal dimension; constructor wiring
-// (core.seedCostModel, Merge, pretrain.FitModel) gates on Dim.
+// transfers between workloads of equal dimension; Add gates on Dim.
 func (m *Model) Dim() int {
 	if len(m.xs) > 0 {
 		return len(m.xs[0])
@@ -815,43 +811,11 @@ func (m *Model) Throughput(x []float64) float64 {
 }
 
 // reflatten rebuilds the evaluation kernel from m.trees — the checkpoint-load
-// and Clone paths, where trees appear without going through Refit.
+// path, where trees appear without going through Refit.
 func (m *Model) reflatten() {
 	m.perf.reset(m.P.MaxDepth)
 	for _, t := range m.trees {
 		m.perf.addTree(t, m.P.LearningRate)
-	}
-}
-
-// Clone returns a deep copy of the model — fitted ensemble and training set —
-// so one pretrained or checkpointed model can seed many independent tasks
-// (each task refits its copy as new measurements arrive). Scratch buffers and
-// the runner are not carried over: the clone belongs to a different task,
-// which installs its own pool before the first refit.
-func (m *Model) Clone() *Model {
-	c := &Model{P: m.P, base: m.base, yMin: m.yMin, yMax: m.yMax}
-	for _, t := range m.trees {
-		c.trees = append(c.trees, &tree{nodes: append([]node(nil), t.nodes...)})
-	}
-	c.reflatten()
-	if m.lin != nil {
-		c.lin = append([]float64(nil), m.lin...)
-		c.linMu = append([]float64(nil), m.linMu...)
-	}
-	for _, x := range m.xs {
-		c.xs = append(c.xs, append([]float64(nil), x...))
-	}
-	c.ys = append([]float64(nil), m.ys...)
-	return c
-}
-
-// Merge appends the other model's training samples (in their stored order)
-// to this model's training set, respecting the cap. The caller refits when
-// done; network tuners use this to fold every task's samples into one
-// checkpointable model.
-func (m *Model) Merge(o *Model) {
-	for i, x := range o.xs {
-		m.Add(x, o.ys[i])
 	}
 }
 

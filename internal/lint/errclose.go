@@ -8,8 +8,8 @@ import (
 // newErrclose builds the errclose analyzer scoped to the given package list
 // (normally the whole module). It reports discarded error returns of Close
 // and Flush on the persistence types — tunelog journals and file locks,
-// registry backends, cost-model checkpoint writers — whether discarded as a
-// bare statement, a defer, or an explicit `_ =` assignment.
+// registry backends — whether discarded as a bare statement, a defer, or an
+// explicit `_ =` assignment.
 //
 // These closes carry data-loss signal, not cleanup noise: Journal.Close
 // surfaces the retained write error of every fire-and-forget append, a

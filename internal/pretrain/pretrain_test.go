@@ -71,6 +71,22 @@ func TestSeedTaskReplaysJournal(t *testing.T) {
 	if task.Best != nil || task.Trials != 0 {
 		t.Fatal("pretraining must not seed schedules or charge trials")
 	}
+	// The same journal trains the same model, whatever task seed replays it.
+	again := newTask(sg, plat, 2)
+	pretrain.SeedTask(db, again)
+	if !bytes.Equal(checkpoint(t, task), checkpoint(t, again)) {
+		t.Fatal("the same journal trained different models")
+	}
+}
+
+// checkpoint returns the codec bytes of the task's fitted model.
+func checkpoint(t *testing.T, task *search.Task) []byte {
+	t.Helper()
+	data, err := task.FittedCost().(*costmodel.Model).MarshalCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestSeedTaskIgnoresForeignRecords(t *testing.T) {
@@ -88,74 +104,5 @@ func TestSeedTaskIgnoresForeignRecords(t *testing.T) {
 	gpu := newTask(gemm, hardware.ByName("gpu"), 1)
 	if n := pretrain.SeedTask(db, gpu); n != 0 {
 		t.Fatalf("foreign target replayed %d records", n)
-	}
-}
-
-func TestFitModelDeterministic(t *testing.T) {
-	sg := workload.GEMM("g", 1, 256, 256, 256)
-	plat := hardware.CPUXeon6226R()
-	db, _ := journalFor(t, sg, plat, 64, 9)
-
-	m1, st1 := pretrain.FitModel(db, []*texpr.Subgraph{sg}, plat.Name, costmodel.DefaultParams())
-	m2, st2 := pretrain.FitModel(db, []*texpr.Subgraph{sg}, plat.Name, costmodel.DefaultParams())
-	if st1 != st2 {
-		t.Fatalf("stats diverged: %+v vs %+v", st1, st2)
-	}
-	if st1.Records != db.Size() || st1.Workloads != 1 || st1.Skipped != 0 {
-		t.Fatalf("unexpected stats %+v for %d records", st1, db.Size())
-	}
-	b1, err := m1.MarshalCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := m2.MarshalCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("same journal produced different models")
-	}
-}
-
-func TestFitModelMatchesOnlineTraining(t *testing.T) {
-	// The offline replay must regenerate the exact features and targets the
-	// online path trained on: a model fit from the journal predicts the same
-	// as the task's own end-of-run model refit over its identical history.
-	sg := workload.GEMM("g", 1, 256, 256, 256)
-	plat := hardware.CPUXeon6226R()
-	db, _ := journalFor(t, sg, plat, 64, 5)
-
-	offline, _ := pretrain.FitModel(db, []*texpr.Subgraph{sg}, plat.Name, costmodel.DefaultParams())
-	task := newTask(sg, plat, 2)
-	pretrain.SeedTask(db, task)
-
-	rng := xrand.New(77)
-	for i := 0; i < 50; i++ {
-		s := task.RandomSchedule(task.Sketches[rng.Intn(len(task.Sketches))])
-		if offline.Predict(s.Features()) != task.FittedCost().Predict(s.Features()) {
-			t.Fatal("offline fit and task replay disagree")
-		}
-	}
-}
-
-func TestFitModelSharedAcrossWorkloads(t *testing.T) {
-	a := workload.GEMM("a", 1, 256, 256, 256)
-	b := workload.GEMM("b", 1, 128, 256, 512)
-	plat := hardware.CPUXeon6226R()
-	dbA, _ := journalFor(t, a, plat, 48, 3)
-	dbB, _ := journalFor(t, b, plat, 48, 4)
-	merged := tunelog.NewDatabase()
-	for _, r := range dbA.Records() {
-		merged.Add(r)
-	}
-	for _, r := range dbB.Records() {
-		merged.Add(r)
-	}
-	m, st := pretrain.FitModel(merged, []*texpr.Subgraph{a, b}, plat.Name, costmodel.DefaultParams())
-	if st.Workloads != 2 || st.Records != dbA.Size()+dbB.Size() {
-		t.Fatalf("stats %+v", st)
-	}
-	if !m.Trained() {
-		t.Fatal("merged fit should train")
 	}
 }

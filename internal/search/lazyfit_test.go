@@ -21,7 +21,7 @@ import (
 
 // countingModel is the production GBDT with its seams counted: how often it
 // was fitted, and whether a fit ever ran beside a read. The embedded model
-// keeps every optional interface (ParallelRefitter, BatchInto, Checkpointer),
+// keeps every optional interface (ParallelRefitter, BatchInto) and the codec,
 // so a task takes the paths it takes in production.
 type countingModel struct {
 	*costmodel.Model
@@ -131,9 +131,11 @@ func runSession(t *testing.T, sg *texpr.Subgraph, scheduler string, workers int,
 	return s
 }
 
-func checkpointBytes(t *testing.T, m costmodel.Checkpointer) []byte {
+// checkpointBytes reads the task's model through FittedCost and returns its
+// codec bytes: the digest two models are compared by.
+func checkpointBytes(t *testing.T, task *search.Task) []byte {
 	t.Helper()
-	b, err := m.MarshalCheckpoint()
+	b, err := task.FittedCost().(interface{ MarshalCheckpoint() ([]byte, error) }).MarshalCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,8 @@ func checkpointBytes(t *testing.T, m costmodel.Checkpointer) []byte {
 // its round commits it — same journal bytes, trials, best log, version count
 // and simulated clock — while the model-free engines never fit and the others
 // skip at least their last version; the first read after the session fits
-// once, and that ensemble is the offline fit over the session's own journal.
+// once, and that ensemble is the one pretrain.SeedTask trains a fresh task
+// with from the session's own journal.
 // Under -race at width 4 the double also fails the test if a fit ever
 // overlaps a read: the fit happens before the fan-out, not inside it.
 func TestFitOnFirstRead(t *testing.T) {
@@ -156,14 +159,18 @@ func TestFitOnFirstRead(t *testing.T) {
 			t.Parallel()
 			eager := runSession(t, sg, name, 1, true)
 			et := eager.task
-			artifact := checkpointBytes(t, et.FittedCost().(costmodel.Checkpointer))
+			artifact := checkpointBytes(t, et)
 			db := tunelog.NewDatabase()
 			if err := db.Load(bytes.NewReader(eager.journal.Bytes())); err != nil {
 				t.Fatal(err)
 			}
-			offline, _ := pretrain.FitModel(db, []*texpr.Subgraph{sg}, et.Plat.Name, costmodel.DefaultParams())
+			rng := xrand.New(1)
+			offline := search.NewTask(sg, et.Plat, hardware.NewMeasurer(hardware.NewSimulator(et.Plat), rng.Split()), rng.Split())
+			if n := pretrain.SeedTask(db, offline); n != et.Trials {
+				t.Fatalf("replayed %d of the session's %d trials", n, et.Trials)
+			}
 			if !bytes.Equal(artifact, checkpointBytes(t, offline)) {
-				t.Fatal("the session's model is not the offline fit over its own journal")
+				t.Fatal("the session's model is not the one its own journal trains")
 			}
 			for _, workers := range []int{1, 4} {
 				lazy := runSession(t, sg, name, workers, false)
@@ -184,7 +191,7 @@ func TestFitOnFirstRead(t *testing.T) {
 				} else if during < 1 || during > lt.CostRefits-1 {
 					t.Fatalf("w=%d: %d fits for %d versions, want 1..%d", workers, during, lt.CostRefits, lt.CostRefits-1)
 				}
-				first := checkpointBytes(t, lt.FittedCost().(costmodel.Checkpointer))
+				first := checkpointBytes(t, lt)
 				lt.FittedCost()
 				if lazy.model.refits != during+1 {
 					t.Fatalf("w=%d: two reads after the session made %d fits, want 1", workers, lazy.model.refits-during)
@@ -194,45 +201,5 @@ func TestFitOnFirstRead(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSetCostModelDropsPendingVersion: a checkpoint loaded after WarmStart
-// committed versions on the model it replaces is served as loaded. The
-// artifact here carries rows its ensemble was never fitted on, so a fit
-// leaking through SetCostModel would change its bytes.
-func TestSetCostModelDropsPendingVersion(t *testing.T) {
-	sg := workload.GEMM("g", 1, 256, 256, 256)
-	plat := hardware.CPUXeon6226R()
-	rng := xrand.New(9)
-	sim := hardware.NewSimulator(plat)
-	task := search.NewTask(sg, plat, hardware.NewMeasurer(sim, rng.Split()), rng.Split())
-
-	m := costmodel.New(costmodel.DefaultParams())
-	add := func(n int) {
-		for i := 0; i < n; i++ {
-			s := task.RandomSchedule(task.Sketches[i%len(task.Sketches)])
-			m.Add(s.Features(), -sim.Exec(s))
-		}
-	}
-	add(32)
-	m.Refit()
-	add(32)
-	want := checkpointBytes(t, m)
-	loaded, err := costmodel.UnmarshalCheckpoint(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 3; i++ {
-		s := task.RandomSchedule(task.Sketches[0])
-		task.WarmStart(s, sim.Exec(s))
-	}
-	task.SetCostModel(loaded)
-	if task.CostRefits != 3 || !task.Pretrained {
-		t.Fatalf("versions=%d pretrained=%v, want 3 true", task.CostRefits, task.Pretrained)
-	}
-	if got := checkpointBytes(t, task.FittedCost().(costmodel.Checkpointer)); !bytes.Equal(got, want) {
-		t.Fatal("the loaded checkpoint was re-fit from its rows")
 	}
 }

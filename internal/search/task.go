@@ -19,8 +19,9 @@
 package search
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"harl/internal/costmodel"
@@ -40,10 +41,9 @@ type Task struct {
 	Meas     *hardware.Measurer
 	// Cost is the task's learned performance model. The search layer depends
 	// only on the costmodel.CostModel interface; the concrete GBDT appears
-	// solely in constructor wiring (NewTask, SetCostModel callers), so
-	// checkpointed or pretrained models drop in without touching engines.
-	// Assign the field to wrap the model; read the model (Trained, Predict*,
-	// Throughput, a checkpoint) through FittedCost. Add and Len need no fit.
+	// solely in constructor wiring (NewTask). Assign the field to wrap the
+	// model; read the model (Trained, Predict*, Throughput) through
+	// FittedCost. Add and Len need no fit.
 	Cost costmodel.CostModel
 	RNG  *xrand.RNG
 
@@ -94,8 +94,8 @@ type Task struct {
 	// CostRefits counts the training-set versions committed for this task's
 	// cost model — each is fitted if and when something reads the model (see
 	// FittedCost) — and Pretrained reports whether the model carried offline
-	// knowledge (a checkpoint or a journal replay) before the first engine
-	// round — the provenance surfaced by harl-tune's summary.
+	// knowledge (a journal replay) before the first engine round — the
+	// provenance surfaced by harl-tune's summary.
 	CostRefits int
 	Pretrained bool
 
@@ -182,11 +182,14 @@ func (t *Task) rankUnseen(pool candPool) []candidate {
 			cands = append(cands, c)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+	slices.SortFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score != b.score:
+			return 1
 		}
-		return cands[i].key < cands[j].key
+		return cmp.Compare(a.key, b.key)
 	})
 	return cands
 }
@@ -288,18 +291,6 @@ func (t *Task) FittedCost() costmodel.CostModel {
 		t.costStale = false
 	}
 	return t.Cost
-}
-
-// SetCostModel replaces the task's cost model before search starts — the
-// checkpoint-load path. A model that already carries training samples marks
-// the task pretrained. A version pending on the replaced model goes with it:
-// a loaded ensemble is used as loaded, never re-fit from its rows.
-func (t *Task) SetCostModel(m costmodel.CostModel) {
-	t.Cost = m
-	t.costStale = false
-	if m.Len() > 0 {
-		t.Pretrained = true
-	}
 }
 
 // PretrainSample feeds one offline sample (reconstructed from a tuning

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"harl/internal/core"
-	"harl/internal/costmodel"
 	"harl/internal/tunelog"
 )
 
@@ -51,25 +50,11 @@ type Options struct {
 	// fewer trials. It composes with ResumeFrom and preserves the
 	// worker-count determinism contract.
 	PretrainFrom string
-	// ModelIn, when non-empty, loads a cost-model checkpoint (written by
-	// ModelOut or harl-train) into every structurally compatible task —
-	// equal feature dimension — before search starts; each task refits its
-	// own copy as new measurements arrive, and incompatible tasks keep their
-	// cold model.
-	ModelIn string
-	// ModelOut, when non-empty, saves the run's trained cost model as a
-	// versioned checkpoint after tuning: the task's model for an operator
-	// run; for a network run, the merged model over the structurally
-	// compatible majority of its subgraph tasks (feature dimensions vary
-	// across workload structures, and model knowledge only transfers
-	// between equal dimensions).
-	ModelOut string
 	// Registry, when non-nil, puts a persistent best-schedule cache in front
 	// of the tuner. An operator run whose (workload, target, scheduler) key
 	// resolves returns the cached best instantly — zero measured trials,
-	// Result.CacheHit set — and, because no session runs, produces no
-	// session artifacts: RecordLog gains no records and ModelOut is not
-	// written. A network run seeds every resolving subgraph and skips the
+	// Result.CacheHit set — and, because no session runs, RecordLog gains no
+	// records. A network run seeds every resolving subgraph and skips the
 	// search entirely when all of them hit. After the run, the bests found
 	// are published back — including the partial bests of a cancelled or
 	// plateau-stopped session (publishing keeps better incumbents, so a
@@ -85,8 +70,8 @@ type Options struct {
 	// renders it locally.
 	OnProgress func(ProgressEvent)
 	// Plateau, when its Window is > 0, stops the session early once the
-	// convergence trajectory flatlines (see Plateau): the session takes the
-	// checkpoint-on-cancel path and the result reports PlateauStopped.
+	// convergence trajectory flatlines (see Plateau): the session ends the
+	// way a cancelled one does and the result reports PlateauStopped.
 	Plateau Plateau
 	// FleetPool, when non-nil, measures the run's batches on a dialed fleet
 	// (see DialFleet) — one health-checked worker pool can serve every run,
@@ -164,13 +149,6 @@ func (o Options) hooks() (core.TuneHooks, func() error, error) {
 			}
 			h.Pretrain = db
 		}
-	}
-	if o.ModelIn != "" {
-		m, err := costmodel.LoadFile(o.ModelIn)
-		if err != nil {
-			return h, closeFn, err
-		}
-		h.Model = m
 	}
 	if o.RecordLog != "" {
 		jr, err := tunelog.OpenJournal(o.RecordLog)

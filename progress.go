@@ -45,10 +45,9 @@ type ProgressEvent struct {
 // Plateau configures adaptive early stopping on the observed convergence
 // trajectory: when the run objective (ProgressEvent.RunBestSeconds) improves
 // by a relative fraction of MinImprovement or less across the last Window
-// committed waves, the session stops through the same
-// checkpoint-on-cancel path a user cancellation takes — the in-flight round
-// commits, the record log and model checkpoint are written, the partial best
-// is published to any configured Registry, and the result comes back with
+// committed waves, the session stops through the same path a user
+// cancellation takes — the in-flight round commits, the record log is
+// flushed, the partial best is published to any configured Registry, and the result comes back with
 // PlateauStopped set. Detection reads only committed, worker-invariant
 // state, so whether and where a run plateau-stops is identical for every
 // worker count.

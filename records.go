@@ -1,13 +1,6 @@
 package harl
 
-import (
-	"fmt"
-
-	"harl/internal/costmodel"
-	"harl/internal/pretrain"
-	"harl/internal/texpr"
-	"harl/internal/tunelog"
-)
+import "harl/internal/tunelog"
 
 // Record is one measured tuning trial of a persistent record log (see the
 // record-log section of README.md for the schema).
@@ -73,35 +66,4 @@ func BestRecord(path string, w Workload, t Target) (Record, bool, error) {
 		return Record{}, false, nil
 	}
 	return fromInternalRecord(rec), true, nil
-}
-
-// TrainStats summarizes an offline cost-model fit (TrainModel): the journal
-// records replayed and the workloads they cover, the records skipped, and the
-// resulting training-set size and whether it trained.
-type TrainStats = pretrain.Stats
-
-// TrainModel fits a cost model offline from a tuning-record log — replaying
-// every record that matches one of the workloads on the target, regenerating
-// features deterministically from the serialized schedule steps — and writes
-// the versioned checkpoint artifact to outPath. The artifact feeds
-// Options.ModelIn (or another TrainModel run's journal feeds
-// Options.PretrainFrom directly). Training is deterministic: the same
-// journal always produces a byte-identical checkpoint.
-func TrainModel(logPath string, ws []Workload, t Target, outPath string) (TrainStats, error) {
-	if len(ws) == 0 {
-		return TrainStats{}, fmt.Errorf("harl: no workloads to train over")
-	}
-	db, err := tunelog.LoadFile(logPath)
-	if err != nil {
-		return TrainStats{}, err
-	}
-	graphs := make([]*texpr.Subgraph, len(ws))
-	for i, w := range ws {
-		graphs[i] = w.sg
-	}
-	m, st := pretrain.FitModel(db, graphs, t.plat.Name, costmodel.DefaultParams())
-	if st.Records == 0 {
-		return st, fmt.Errorf("harl: no records in %q match the given workloads on %s", logPath, t.Name())
-	}
-	return st, costmodel.SaveFile(outPath, m)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"harl/internal/costmodel"
 	"harl/internal/tunelog"
 )
 
@@ -159,14 +158,14 @@ func TestNetworkRegistryFullHitSkipsSearch(t *testing.T) {
 	}
 }
 
-// TestCancelOperatorLeavesResumableArtifacts is the checkpoint-on-cancel
-// acceptance: a session cancelled mid-run must return its partial best and
-// leave a loadable journal (every committed measurement) plus a loadable
-// model checkpoint, and a later run must warm-start from that journal.
+// TestCancelOperatorLeavesResumableArtifacts is the cancel acceptance: a
+// session cancelled mid-run must return its partial best and leave a loadable
+// journal (every committed measurement), and a later run must warm-start from
+// that journal. A context cancelled before the session starts gives a
+// zero-trial Cancelled result.
 func TestCancelOperatorLeavesResumableArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "tune.jsonl")
-	modelPath := filepath.Join(dir, "model.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(150 * time.Millisecond)
@@ -177,7 +176,6 @@ func TestCancelOperatorLeavesResumableArtifacts(t *testing.T) {
 		Scheduler: "harl",
 		Trials:    1 << 30, // far beyond what 150ms can measure
 		RecordLog: logPath,
-		ModelOut:  modelPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,14 +194,6 @@ func TestCancelOperatorLeavesResumableArtifacts(t *testing.T) {
 	if len(recs) != res.Trials {
 		t.Fatalf("journal has %d records for %d committed trials", len(recs), res.Trials)
 	}
-	// The checkpoint loads and carries the session's training set.
-	m, err := costmodel.LoadFile(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != res.CostModelSamples {
-		t.Fatalf("checkpoint has %d samples, session reported %d", m.Len(), res.CostModelSamples)
-	}
 	// And the journal warm-starts a zero-budget replay of the partial best.
 	replay, err := TuneOperator(w, CPU(), Options{Scheduler: "harl", Trials: -1, ResumeFrom: logPath})
 	if err != nil {
@@ -212,16 +202,22 @@ func TestCancelOperatorLeavesResumableArtifacts(t *testing.T) {
 	if !replay.WarmStarted || replay.Trials != 0 {
 		t.Fatalf("replay of the cancelled journal: %+v", replay)
 	}
+	pre, cancelPre := context.WithCancel(context.Background())
+	cancelPre()
+	res, err = TuneOperatorContext(pre, GEMM(64, 64, 64, 1), CPU(), Options{Scheduler: "random", Trials: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cancelled || res.Trials != 0 {
+		t.Fatalf("pre-cancelled session: %+v", res)
+	}
 }
 
 // TestCancelNetworkMidWave cancels a concurrent multi-task session and
-// checks the wave-barrier checkpoint: a loadable journal consistent with the
-// committed trial count, a loadable merged model checkpoint, and partial
-// per-subgraph results.
+// checks what the wave barrier leaves: a loadable journal consistent with the
+// committed trial count, and partial per-subgraph results.
 func TestCancelNetworkMidWave(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "net.jsonl")
-	modelPath := filepath.Join(dir, "net-model.json")
+	logPath := filepath.Join(t.TempDir(), "net.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(300 * time.Millisecond)
@@ -233,7 +229,6 @@ func TestCancelNetworkMidWave(t *testing.T) {
 		MeasureK:  8, // small waves so the cancel lands after few trials even under -race
 		Workers:   3,
 		RecordLog: logPath,
-		ModelOut:  modelPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +245,6 @@ func TestCancelNetworkMidWave(t *testing.T) {
 	}
 	if len(recs) != res.Trials {
 		t.Fatalf("journal has %d records for %d committed trials", len(recs), res.Trials)
-	}
-	if _, err := costmodel.LoadFile(modelPath); err != nil {
-		t.Fatalf("merged checkpoint after cancel: %v", err)
 	}
 	total := 0
 	for _, b := range res.Breakdown {
@@ -306,30 +298,5 @@ func TestBrokenRegistryRecordIsRepaired(t *testing.T) {
 	}
 	if !again.CacheHit || again.Trials != 0 {
 		t.Fatalf("repaired key should hit: %+v", again)
-	}
-}
-
-// TestCancelBeforeFirstRoundStillWritesCheckpoint pins the cancel contract's
-// edge: a context cancelled before the session starts still produces the
-// promised (empty) model checkpoint and a zero-trial Cancelled result.
-func TestCancelBeforeFirstRoundStillWritesCheckpoint(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	modelPath := filepath.Join(t.TempDir(), "model.json")
-	res, err := TuneOperatorContext(ctx, GEMM(64, 64, 64, 1), CPU(), Options{
-		Scheduler: "random", Trials: 32, ModelOut: modelPath,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cancelled || res.Trials != 0 {
-		t.Fatalf("pre-cancelled session: %+v", res)
-	}
-	m, err := costmodel.LoadFile(modelPath)
-	if err != nil {
-		t.Fatalf("checkpoint missing after immediate cancel: %v", err)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("empty session checkpoint has %d samples", m.Len())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"harl/internal/core"
-	"harl/internal/costmodel"
 	"harl/internal/search"
 	"harl/internal/tunelog"
 )
@@ -34,7 +33,7 @@ type Result struct {
 	CostModelSamples int
 	CostModelRefits  int
 	// Pretrained reports whether the cost model carried offline knowledge
-	// (Options.PretrainFrom or Options.ModelIn) before the first round.
+	// (Options.PretrainFrom) before the first round.
 	Pretrained bool
 	// CacheHit reports that Options.Registry resolved the request and the
 	// result was served from the best-schedule cache without measuring a
@@ -42,22 +41,21 @@ type Result struct {
 	CacheHit bool
 	// Cancelled reports that the run's context was cancelled before the
 	// trial budget was spent. The result carries the partial best found so
-	// far; the record log (Options.RecordLog) holds every committed
-	// measurement and the model checkpoint (Options.ModelOut) was still
-	// written, so a cancelled session is fully resumable.
+	// far and the record log (Options.RecordLog) holds every committed
+	// measurement, so a cancelled session is fully resumable.
 	Cancelled bool
 	// PlateauStopped reports that Options.Plateau ended the search early
 	// because the convergence trajectory flatlined. The session went through
-	// the same checkpoint path as a cancellation — journal flushed, model
-	// saved, partial best published to Options.Registry — but the run is a
+	// the same path as a cancellation — journal flushed, partial best
+	// published to Options.Registry — but the run is a
 	// completed search, not a cancelled one: Cancelled stays false.
 	PlateauStopped bool
 }
 
 // checkPretrainMatches guards the PretrainFrom path: a journal with no
 // record for any of the run's workloads on the target would silently produce
-// a cold run, so — matching TrainModel's behavior — it is an error instead
-// (almost always a wrong shape, network or -target).
+// a cold run, so it is an error instead (almost always a wrong shape, network
+// or -target).
 func checkPretrainMatches(db *tunelog.Database, path string, tasks []*search.Task) error {
 	if db == nil {
 		return nil
@@ -68,17 +66,6 @@ func checkPretrainMatches(db *tunelog.Database, path string, tasks []*search.Tas
 		}
 	}
 	return fmt.Errorf("harl: no records in %q match the run's workloads on %s to pretrain from", path, tasks[0].Plat.Name)
-}
-
-// saveModel writes a cost model checkpoint for Options.ModelOut through the
-// Checkpointer interface (skipping silently is not an option: a run asked to
-// produce an artifact must produce it or fail).
-func saveModel(path string, cm costmodel.CostModel) error {
-	ck, ok := cm.(costmodel.Checkpointer)
-	if !ok {
-		return fmt.Errorf("harl: cost model %T cannot be checkpointed", cm)
-	}
-	return costmodel.SaveFile(path, ck)
 }
 
 // sessionSpec is what an entry point's registry-resolve step hands the session
@@ -111,8 +98,7 @@ type sessionResult struct {
 // session is the one pipeline behind every tuning entry point: resolve the
 // hooks, check the pretraining log matches, seed the cost models, warm-start,
 // attach the journal and progress/plateau, run the tuner, close the journal,
-// verify a zero-budget replay was complete, save the model checkpoint and
-// publish the bests.
+// verify a zero-budget replay was complete and publish the bests.
 func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, error) {
 	var res sessionResult
 	hooks, closeHooks, err := o.hooks()
@@ -163,14 +149,6 @@ func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, err
 			return res, fmt.Errorf("harl: cache replay incomplete: %d of %d workloads have cached records on %s (ResumeFrom %q) and there is no trial budget to measure the rest", seeded, len(tasks), plat.Name, o.ResumeFrom)
 		}
 	}
-	if o.ModelOut != "" {
-		// Written for every session that ran, including one cancelled before
-		// its first round (an empty model round-trips fine) — only an
-		// operator registry hit, which runs no session, skips it.
-		if err := saveModel(o.ModelOut, s.tuner.CostModel()); err != nil {
-			return res, err
-		}
-	}
 	// Publish whatever the session found, even a cancelled or plateau-stopped
 	// partial best: publishing keeps better incumbents, so a partial can only
 	// improve the key, and the next identical request is served from it.
@@ -191,9 +169,8 @@ func TuneOperator(w Workload, t Target, o Options) (Result, error) {
 
 // TuneOperatorContext is TuneOperator as a cancellable session. The context
 // is checked at measurement-round boundaries: on cancellation the in-flight
-// round commits, the record log holds every committed measurement, the model
-// checkpoint (Options.ModelOut) is still written, and the partial best comes
-// back with Result.Cancelled set — a cancelled session is fully resumable
+// round commits, the record log holds every committed measurement, and the
+// partial best comes back with Result.Cancelled set — a cancelled session is fully resumable
 // via Options.ResumeFrom/PretrainFrom. An uncancelled run is byte-identical
 // to TuneOperator. A run whose schedule space is smaller than the budget ends
 // when the space is exhausted, with Result.Trials below Options.Trials.
@@ -281,10 +258,10 @@ type NetworkResult struct {
 	// Options.ResumeFrom's cached records.
 	WarmStarted int
 	// Pretrained is the number of subgraph tasks whose cost model carried
-	// offline knowledge (Options.PretrainFrom or Options.ModelIn) before the
-	// first round; CostModelSamples and CostModelRefits sum the per-task
-	// training-set sizes and training-set versions committed — each is fitted
-	// if and when something reads the model.
+	// offline knowledge (Options.PretrainFrom) before the first round;
+	// CostModelSamples and CostModelRefits sum the per-task training-set
+	// sizes and training-set versions committed — each is fitted if and when
+	// something reads the model.
 	Pretrained       int
 	CostModelSamples int
 	CostModelRefits  int
@@ -307,10 +284,9 @@ func TuneNetwork(name string, batch int, t Target, o Options) (NetworkResult, er
 }
 
 // TuneNetworkContext is TuneNetwork as a cancellable session: the context is
-// checked at wave boundaries, so cancellation leaves a flushed record log, a
-// saved model checkpoint (Options.ModelOut) and the partial per-subgraph
-// bests with NetworkResult.Cancelled set — resumable exactly like an operator
-// session. An uncancelled run is byte-identical to TuneNetwork.
+// checked at wave boundaries, so cancellation leaves a flushed record log and
+// the partial per-subgraph bests with NetworkResult.Cancelled set — resumable
+// exactly like an operator session. An uncancelled run is byte-identical to TuneNetwork.
 func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o Options) (NetworkResult, error) {
 	o = o.withDefaults()
 	net, err := networkByName(name, batch)
