@@ -53,10 +53,10 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatal("save → load → re-save is not byte-identical")
 		}
-		x := make([]float64, m.Dim())
+		x := make([]float64, m.dim())
 		m.Predict(x)
 		m.PredictBatch([][]float64{x, x, x, x, x})
-		m.PredictBatch([][]float64{x, make([]float64, m.Dim()+1), x})
+		m.PredictBatch([][]float64{x, make([]float64, m.dim()+1), x})
 		// Refit costs NumTrees × samples × dim (and dim³ for the ridge term).
 		// The loader bounds trees and dimension; rows are as many as the
 		// artifact cares to spell out, so bound those here — and then the
@@ -65,7 +65,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 			start := time.Now()
 			m.Refit()
 			if took := time.Since(start); took > 10*time.Second {
-				t.Fatalf("first refit of a loaded model (%d trees × %d rows × %d features) took %v", m.P.NumTrees, m.Len(), m.Dim(), took)
+				t.Fatalf("first refit of a loaded model (%d trees × %d rows × %d features) took %v", m.P.NumTrees, m.Len(), m.dim(), took)
 			}
 			m.PredictBatch([][]float64{x, x, x, x, x})
 		}

@@ -277,11 +277,11 @@ func (m *Model) SetRunner(r Runner) { m.run = r }
 // Len returns the number of stored training samples.
 func (m *Model) Len() int { return len(m.xs) }
 
-// Dim returns the model's feature dimension (0 while empty). Schedule
+// dim returns the model's feature dimension (0 while empty). Schedule
 // features are uniform within a workload but their length varies across
 // workload structures (axis counts differ), so cost-model knowledge only
-// transfers between workloads of equal dimension; Add gates on Dim.
-func (m *Model) Dim() int {
+// transfers between workloads of equal dimension; Add gates on dim.
+func (m *Model) dim() int {
 	if len(m.xs) > 0 {
 		return len(m.xs[0])
 	}
@@ -300,7 +300,7 @@ func (m *Model) Trained() bool { return len(m.trees) > 0 || m.lin != nil }
 // rectangular for the fitters, and a mismatched dimension means the sample
 // belongs to a structurally incompatible workload.
 func (m *Model) Add(x []float64, y float64) {
-	if d := m.Dim(); d > 0 && len(x) != d {
+	if d := m.dim(); d > 0 && len(x) != d {
 		return
 	}
 	m.xs = append(m.xs, append([]float64(nil), x...))
@@ -736,7 +736,7 @@ func (m *Model) Predict(x []float64) float64 {
 // mismatched query (a structurally incompatible workload) falls back to the
 // base prediction instead of indexing out of range.
 func (m *Model) conforms(x []float64) bool {
-	d := m.Dim()
+	d := m.dim()
 	return d == 0 || len(x) == d
 }
 

@@ -273,8 +273,8 @@ func TestDimensionCompatibilityGuards(t *testing.T) {
 		m.Add(xs[i], ys[i])
 	}
 	m.Refit()
-	if m.Dim() != 6 {
-		t.Fatalf("dim %d, want 6", m.Dim())
+	if m.dim() != 6 {
+		t.Fatalf("dim %d, want 6", m.dim())
 	}
 	// Mismatched samples are dropped, keeping the training matrix
 	// rectangular.

@@ -154,8 +154,8 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 				m.Add(tc.xs[i], tc.ys[i])
 			}
 			m.Refit() // leaves the edges, the binned matrix and the final residuals
-			if m.Dim() != tc.dim {
-				t.Fatalf("dim %d, want %d", m.Dim(), tc.dim)
+			if m.dim() != tc.dim {
+				t.Fatalf("dim %d, want %d", m.dim(), tc.dim)
 			}
 			if tc.cols != nil && !slices.Equal(m.cols, tc.cols) {
 				t.Fatalf("binned columns %v, want %v", m.cols, tc.cols)
