@@ -58,7 +58,7 @@ BENCH_COUNT ?= 10
 
 # The make loc ratchet. This is the one place the number lives: CI, README and
 # ROADMAP refer to it by name.
-LOC_RATCHET = 15848
+LOC_RATCHET = 15703
 
 .PHONY: all fmt vet lint build test race bench bench-hot benchcmp cover fuzz loc check
 

@@ -8,20 +8,20 @@ import (
 // newErrclose builds the errclose analyzer scoped to the given package list
 // (normally the whole module). It reports discarded error returns of Close
 // and Flush on the persistence types — tunelog journals and file locks,
-// registry backends — whether discarded as a bare statement, a defer, or an
-// explicit `_ =` assignment.
+// registries and their backends — whether discarded as a bare statement, a
+// defer, or an explicit `_ =` assignment.
 //
 // These closes carry data-loss signal, not cleanup noise: Journal.Close
 // surfaces the retained write error of every fire-and-forget append, a
-// backend Close is the batcher's drain barrier, and a failed flock release
-// can wedge every later publisher. The analyzer keys on the receiver's
-// defining package (closePackages, plus the io.Closer handles
-// tunelog.AcquireFileLock hands out), so closing an os.File or an HTTP body
-// stays untouched.
+// registry Close waits for in-flight publishes and returns its backend's
+// error, and a failed flock release can wedge every later publisher. The
+// analyzer keys on the receiver's defining package (closePackages, plus the
+// io.Closer handles tunelog.AcquireFileLock hands out), so closing an os.File
+// or an HTTP body stays untouched.
 func newErrclose(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "errclose",
-		Doc:  "check Close/Flush errors on journals, checkpoints, locks and registry backends",
+		Doc:  "check Close/Flush errors on journals, locks and registries",
 	}
 	a.Run = func(pass *Pass) error {
 		if !matchScope(pass.Path, scope) {
@@ -32,7 +32,7 @@ func newErrclose(scope []string) *Analyzer {
 			if fn == nil {
 				return
 			}
-			pass.Reportf(call.Pos(), "%s %s.%s discards its error: it carries the journal/checkpoint write failure — check it (or join it into the returned error)",
+			pass.Reportf(call.Pos(), "%s %s.%s discards its error: it carries the journal write failure — check it (or join it into the returned error)",
 				how, recv, fn.Name())
 		}
 		for _, f := range pass.Files {

@@ -8,10 +8,11 @@ import (
 
 // newMaporder builds the maporder analyzer scoped to the given package list.
 // It reports a range over a map whose loop body reaches an order-sensitive
-// sink — a journal append, a checkpoint/JSON/wire encode, a fingerprint or
-// hash write, or a writer print. Go randomizes map iteration order, so bytes
-// produced inside such a loop differ run to run, which breaks the
-// byte-identical journal and checkpoint contracts.
+// sink — a journal append, a serialization (the cost model's in-memory
+// checkpoint codec, a JSON or wire encode), a fingerprint or hash write, or a
+// writer print. Go randomizes map iteration order, so bytes produced inside
+// such a loop differ run to run, which breaks the byte-identical journal
+// contract and the tests that pin encoded bytes.
 //
 // The deterministic idiom is untouched: collect keys into a slice inside the
 // range, sort, then emit while ranging the sorted slice — there the sink sits
@@ -19,7 +20,7 @@ import (
 func newMaporder(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "maporder",
-		Doc:  "forbid map iteration that feeds journals, checkpoints, hashes or wire encodes",
+		Doc:  "forbid map iteration that feeds journals, serializations, hashes or wire encodes",
 	}
 	a.Run = func(pass *Pass) error {
 		if !matchScope(pass.Path, scope) {

@@ -23,11 +23,11 @@ var deterministicPackages = []string{
 }
 
 // persistencePackages are the packages that own durable artifacts (registry
-// journals and indexes, cost-model checkpoints, bench summaries, tuning
-// logs). Writes here must go through harl/internal/atomicfile or the locked
-// journal helpers — atomicwrite rejects bare os.WriteFile / os.Create /
-// truncating os.OpenFile, the torn-artifact bug class PR 6's S1 fixed after
-// the fact.
+// journals and shard headers, bench summaries, tuning logs) — plus costmodel,
+// which writes no file: its checkpoint codec encodes to memory only. Writes
+// here must go through harl/internal/atomicfile or the locked journal helpers
+// — atomicwrite rejects bare os.WriteFile / os.Create / truncating
+// os.OpenFile, which tear an artifact a crash interrupts mid-write.
 var persistencePackages = []string{
 	"harl/internal/registry",
 	"harl/internal/costmodel",
@@ -62,7 +62,8 @@ var orderSensitivePackages = append([]string{
 
 // closePackages are the packages whose Close/Flush errors carry data-loss
 // signal (a journal close that fails may mean the tail never hit the disk):
-// errclose flags discarding them, wherever the call site lives.
+// errclose flags discarding them, wherever the call site lives. costmodel
+// has no Close or Flush today.
 var closePackages = []string{
 	"harl/internal/tunelog",
 	"harl/internal/registry",

@@ -53,10 +53,6 @@ type Stats struct {
 	Appends          int64
 	AppendedRecords  int64
 	LockAcquisitions int64
-	// BatchesFlushed and BatchedRecords count the publish batcher's flushes
-	// and the records they carried.
-	BatchesFlushed int64
-	BatchedRecords int64
 	// Compactions counts shard journal rewrites (sharded layout only).
 	Compactions int64
 	// ResidentShards is how many shard indexes are currently in memory
@@ -64,8 +60,8 @@ type Stats struct {
 	ResidentShards int
 }
 
-// Backend is the registry's storage layer: everything below the publish
-// batcher. Implementations are safe for concurrent use in-process and
+// Backend is the registry's storage layer: everything below Registry's
+// closed check. Implementations are safe for concurrent use in-process and
 // serialize cross-process writers behind advisory file locks; the append-only
 // journal(s) they keep are authoritative, so any backend's state can be
 // rebuilt from a replay.

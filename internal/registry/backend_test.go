@@ -174,12 +174,12 @@ func testReplaceHealSurvivesReopen(t *testing.T, layout Layout) {
 		t.Fatal(err)
 	}
 	heal := synthRecord("w@heal", "harl", 3e-4, 2)
-	if err := r.Replace(heal); err != nil {
+	heal.Force = true
+	if _, err := r.PublishBatch([]tunelog.Record{heal}); err != nil {
 		t.Fatal(err)
 	}
-	heal.Force = true // Replace journals the record with Force set
 	if got, ok := resolve(t, r, "w@heal", heal.Target, "harl"); !ok || got != heal {
-		t.Fatalf("Resolve after Replace = %+v, %v; want the forced heal", got, ok)
+		t.Fatalf("Resolve after the Force publish = %+v, %v; want the forced heal", got, ok)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

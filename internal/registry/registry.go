@@ -27,10 +27,9 @@
 // that loss to a suffix of whole lines.
 //
 // Concurrency: a Registry value is safe for concurrent readers and
-// concurrent publishers in-process. Publishes funnel through a group-commit
-// batcher — one locked append services every record queued while the previous
-// append was in flight, so N concurrent publishers amortize lock acquisitions
-// instead of paying one apiece. Across processes,
+// concurrent publishers in-process. A publish is one locked backend append on
+// the caller's goroutine; a batch the caller already holds (a session's bests,
+// an imported journal) is one append for all its records. Across processes,
 // writers serialize behind blocking advisory file locks held only for the
 // append. Open writes no journal state, so read-only consumers can open a
 // registry another process is publishing into; and a Resolve miss re-checks
@@ -44,6 +43,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"harl/internal/tunelog"
@@ -57,11 +57,14 @@ const (
 	shardsDir   = "shards"
 )
 
-// Registry is an open best-schedule store: a storage backend behind a
-// publish batcher.
+// Registry is an open best-schedule store over a storage backend.
 type Registry struct {
-	b   Backend
-	bat *batcher
+	b Backend
+
+	// mu is held shared by each append and exclusively by Close, so Close
+	// waits for in-flight publishes and a publish after it fails.
+	mu     sync.RWMutex
+	closed bool
 }
 
 // fileStamp identifies a journal state cheaply; the journal is append-only,
@@ -158,7 +161,7 @@ func OpenOptions(dir string, o Options) (*Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{b: b, bat: newBatcher(b)}, nil
+	return &Registry{b: b}, nil
 }
 
 // Resolve returns the best known record for the key, if any — the cache-hit
@@ -175,31 +178,23 @@ func (r *Registry) Resolve(workload, target, scheduler string) (tunelog.Record, 
 
 // Publish records one measurement into the registry: it is appended to the
 // journal (unless the journal already holds it) and the best map updates only
-// when the record beats the current best for its key. The returned bool
-// reports that improvement. Concurrent publishes are group-committed: each
-// caller blocks until its record is appended (see the package doc for what
-// that survives), and one locked append services every record queued while
-// the previous append was in flight.
+// when the record beats the current best for its key — or unconditionally when
+// rec.Force is set, the durable heal for a poisoned key. The returned bool
+// reports that improvement. The caller blocks for one locked append (see the
+// package doc for what that survives).
 func (r *Registry) Publish(rec tunelog.Record) (bool, error) {
-	return r.bat.publish(rec)
+	n, err := r.PublishBatch([]tunelog.Record{rec})
+	return n == 1, err
 }
 
-// Replace force-installs a record as its key's best even if the incumbent
-// has a lower recorded time — the repair path for a poisoned key: a foreign
-// record whose steps no longer reconstruct can carry an unbeatably low
-// ExecSec, and Publish's keep-better rule would preserve it forever. The
-// heal persists: the record is journaled with Force set, and journal
-// replays absorb it in order, so rebuilds keep the replacement.
-func (r *Registry) Replace(rec tunelog.Record) error {
-	rec.Force = true
-	_, err := r.bat.publish(rec)
-	return err
-}
-
-// PublishBatch appends an already-assembled batch in one locked write,
-// bypassing the batcher (the records are a batch by construction), and
+// PublishBatch appends an already-assembled batch in one locked write and
 // returns how many improved their key.
 func (r *Registry) PublishBatch(recs []tunelog.Record) (int, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.closed {
+		return 0, fmt.Errorf("registry: closed")
+	}
 	improved, err := r.b.AppendBatch(recs)
 	if err != nil {
 		return 0, err
@@ -234,17 +229,15 @@ func (r *Registry) Len() int { return r.b.Len() }
 func (r *Registry) Layout() Layout { return r.b.Layout() }
 
 // Stats snapshots the registry's storage counters (appends, lock
-// acquisitions, batch flushes, compactions, resident shards).
-func (r *Registry) Stats() Stats {
-	s := r.b.Stats()
-	s.BatchesFlushed, s.BatchedRecords = r.bat.stats()
-	return s
-}
+// acquisitions, compactions, resident shards).
+func (r *Registry) Stats() Stats { return r.b.Stats() }
 
-// Close flushes the publish batcher (pending publishes are appended first)
-// and releases the backend. Publishes after Close fail.
+// Close waits for in-flight publishes and releases the backend. Publishes
+// after Close fail.
 func (r *Registry) Close() error {
-	r.bat.close()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
 	return r.b.Close()
 }
 

@@ -68,10 +68,10 @@ func TestMigrateSingleToSharded(t *testing.T) {
 	}
 	// A Force heal: its effect must survive the replay into shards.
 	heal := synthRecord("w@m1", "harl", 5e-4, 3)
-	if err := v1.Replace(heal); err != nil {
+	heal.Force = true
+	if _, err := v1.PublishBatch([]tunelog.Record{heal}); err != nil {
 		t.Fatal(err)
 	}
-	heal.Force = true
 	want := records(t, v1)
 	if err := v1.Close(); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,9 @@ func TestInterruptedMigrationResumes(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := v1.Replace(synthRecord("w@im-00", "harl", 5e-4, 13)); err != nil {
+				heal := synthRecord("w@im-00", "harl", 5e-4, 13)
+				heal.Force = true
+				if _, err := v1.PublishBatch([]tunelog.Record{heal}); err != nil {
 					t.Fatal(err)
 				}
 				want := records(t, v1)
@@ -312,10 +314,10 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 		}
 	}
 	heal := synthRecord("w@hot", "harl", 5e-4, 7)
-	if err := r.Replace(heal); err != nil {
+	heal.Force = true
+	if _, err := r.PublishBatch([]tunelog.Record{heal}); err != nil {
 		t.Fatal(err)
 	}
-	heal.Force = true
 	for i := 0; i < 8; i++ {
 		if _, err := r.Publish(synthRecord("w@hot", "harl", float64(30+i)*1e-4, 8+i)); err != nil {
 			t.Fatal(err)

@@ -144,8 +144,8 @@ func TestLookupRegistryIOErrorIsServerError(t *testing.T) {
 	}
 }
 
-// TestMetricsExposeRegistryStorageStats: the storage counters (layout,
-// batches, locks, compactions) must be rendered for a registry-backed server.
+// TestMetricsExposeRegistryStorageStats: the storage counters (records,
+// appends, locks, compactions) must be rendered for a registry-backed server.
 func TestMetricsExposeRegistryStorageStats(t *testing.T) {
 	srv, _, _, _ := serveTestEnv(t)
 	body := getMetricsText(t, srv.URL)
@@ -154,7 +154,6 @@ func TestMetricsExposeRegistryStorageStats(t *testing.T) {
 		"harl_registry_records",
 		"harl_registry_appends_total",
 		"harl_registry_lock_acquisitions_total",
-		"harl_registry_batches_flushed_total",
 		"harl_registry_compactions_total",
 	} {
 		if !strings.Contains(body, metric) {

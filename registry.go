@@ -140,33 +140,33 @@ func (r *Registry) Layout() string { return string(r.reg.Layout()) }
 // Stats returns a snapshot of the registry's storage counters.
 func (r *Registry) Stats() RegistryStats { return r.reg.Stats() }
 
-// Close releases the registry: pending batched publishes are appended
-// first. Publishes hold their file lock only for the duration of each
-// append, so Close is cheap and never blocks on other processes.
+// Close releases the registry once in-flight publishes have appended.
+// Publishes hold their file lock only for the duration of each append, so
+// Close is cheap and never blocks on other processes.
 func (r *Registry) Close() error { return r.reg.Close() }
 
-// publishTasks publishes every tuned task's best into the registry. Warm- or
-// cache-seeded bests re-publish as no-ops (the registry keeps incumbents on
-// ties), so only genuine improvements change the index. Tasks whose
-// fingerprint appears in broken force-replace their key: the incumbent there
-// is a poisoned record (resolves but does not reconstruct) that keep-better
-// publishing could never depose.
+// publishTasks publishes every tuned task's best into the registry in one
+// batch. Warm- or cache-seeded bests re-publish as no-ops (the registry keeps
+// incumbents on ties), so only genuine improvements change the index. Tasks
+// whose fingerprint appears in broken publish with Force set: the incumbent
+// there is a poisoned record (resolves but does not reconstruct) that
+// keep-better publishing could never depose.
 func publishTasks(reg *Registry, tasks []*search.Task, target, scheduler string, seed uint64, broken map[string]bool) error {
+	var recs []tunelog.Record
 	for _, t := range tasks {
 		if t.Best == nil {
 			continue
 		}
 		fp := t.Graph.Fingerprint()
 		rec := tunelog.NewRecordFP(fp, target, scheduler, t.Best, t.BestExec, t.Trials, seed)
-		var err error
-		if broken[fp] {
-			err = reg.reg.Replace(rec)
-		} else {
-			_, err = reg.reg.Publish(rec)
-		}
-		if err != nil {
-			return fmt.Errorf("harl: publish to registry: %w", err)
-		}
+		rec.Force = broken[fp]
+		recs = append(recs, rec)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	if _, err := reg.reg.PublishBatch(recs); err != nil {
+		return fmt.Errorf("harl: publish to registry: %w", err)
 	}
 	return nil
 }

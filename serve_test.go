@@ -260,43 +260,99 @@ func TestCancelNetworkMidWave(t *testing.T) {
 // time — must not serve hits, must not suppress tuning, and must be
 // force-replaced by the fresh run's native best so the key heals.
 func TestBrokenRegistryRecordIsRepaired(t *testing.T) {
-	reg, err := OpenRegistry(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	// poison publishes a record for w's key whose steps do not reconstruct and
+	// whose recorded time no real measurement can beat.
+	poison := func(t *testing.T, reg *Registry, w Workload, scheduler string) {
+		t.Helper()
+		rec := tunelog.Record{
+			V: tunelog.SchemaVersion, Workload: w.Fingerprint(), Target: CPU().Name(),
+			Scheduler: scheduler, Steps: "sk=99 s0=1,1,1,1", ExecSec: 1e-12, Trial: 1, Seed: 1,
+		}
+		if _, err := reg.reg.Publish(rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := reg.Lookup(w, CPU(), scheduler); err == nil {
+			t.Fatal("poisoned record should fail reconstruction")
+		}
 	}
-	defer reg.Close()
-	w := GEMM(64, 64, 64, 1)
-	poison := tunelog.Record{
-		V: tunelog.SchemaVersion, Workload: w.Fingerprint(), Target: CPU().Name(),
-		Scheduler: "random", Steps: "sk=99 s0=1,1,1,1", ExecSec: 1e-12, Trial: 1, Seed: 1,
+	openReg := func(t *testing.T) *Registry {
+		t.Helper()
+		reg, err := OpenRegistry(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { reg.Close() })
+		return reg
 	}
-	if _, err := reg.reg.Publish(poison); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := reg.Lookup(w, CPU(), "random"); err == nil {
-		t.Fatal("poisoned record should fail reconstruction")
-	}
-	opts := Options{Scheduler: "random", Trials: 24, Seed: 3, Registry: reg}
-	res, err := TuneOperator(w, CPU(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit || res.Trials == 0 {
-		t.Fatalf("poisoned key served a hit: %+v", res)
-	}
-	// The fresh best replaced the poison despite its lower recorded time.
-	hit, ok, err := reg.Lookup(w, CPU(), "random")
-	if err != nil || !ok {
-		t.Fatalf("key not repaired: ok=%v err=%v", ok, err)
-	}
-	if hit.Schedule != res.BestSchedule {
-		t.Fatalf("repaired best %q != tuned best %q", hit.Schedule, res.BestSchedule)
-	}
-	again, err := TuneOperator(w, CPU(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.CacheHit || again.Trials != 0 {
-		t.Fatalf("repaired key should hit: %+v", again)
-	}
+
+	t.Run("operator", func(t *testing.T) {
+		reg := openReg(t)
+		w := GEMM(64, 64, 64, 1)
+		poison(t, reg, w, "random")
+		opts := Options{Scheduler: "random", Trials: 24, Seed: 3, Registry: reg}
+		res, err := TuneOperator(w, CPU(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit || res.Trials == 0 {
+			t.Fatalf("poisoned key served a hit: %+v", res)
+		}
+		// The fresh best replaced the poison despite its lower recorded time.
+		hit, ok, err := reg.Lookup(w, CPU(), "random")
+		if err != nil || !ok {
+			t.Fatalf("key not repaired: ok=%v err=%v", ok, err)
+		}
+		if hit.Schedule != res.BestSchedule {
+			t.Fatalf("repaired best %q != tuned best %q", hit.Schedule, res.BestSchedule)
+		}
+		again, err := TuneOperator(w, CPU(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit || again.Trials != 0 {
+			t.Fatalf("repaired key should hit: %+v", again)
+		}
+	})
+
+	// A network session publishes its bests as one batch: the poisoned
+	// subgraph's Force heal rides in it beside the other subgraphs' ordinary
+	// publishes.
+	t.Run("bert", func(t *testing.T) {
+		reg := openReg(t)
+		subgraphs, err := NetworkWorkloads("bert", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poison(t, reg, subgraphs[0], "random")
+		// One 8-candidate round for each of BERT's ten subgraphs.
+		opts := Options{Scheduler: "random", Trials: 80, MeasureK: 8, Seed: 5, Workers: 2, Registry: reg}
+		res, err := TuneNetwork("bert", 1, CPU(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHits != 0 || res.Trials == 0 {
+			t.Fatalf("cold run over a poisoned key: %+v", res)
+		}
+		tuned := map[string]float64{}
+		for _, b := range res.Breakdown {
+			tuned[b.Name] = b.ExecSeconds
+		}
+		// Every key, the healed one included, now holds this run's best.
+		for _, w := range subgraphs {
+			hit, ok, err := reg.Lookup(w, CPU(), "random")
+			if err != nil || !ok {
+				t.Fatalf("%s: no reconstructing best after the run: ok=%v err=%v", w.Name(), ok, err)
+			}
+			if hit.ExecSeconds != tuned[w.Name()] {
+				t.Fatalf("%s: registry best %g s != tuned best %g s", w.Name(), hit.ExecSeconds, tuned[w.Name()])
+			}
+		}
+		again, err := TuneNetwork("bert", 1, CPU(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.CacheHits != len(subgraphs) || again.Trials != 0 {
+			t.Fatalf("repaired network should fully hit: %d of %d hits, %d trials", again.CacheHits, len(subgraphs), again.Trials)
+		}
+	})
 }
