@@ -7,14 +7,14 @@ import (
 
 // newErrclose builds the errclose analyzer scoped to the given package list
 // (normally the whole module). It reports discarded error returns of Close
-// and Flush on the persistence types — tunelog journals and file locks,
-// registries and their backends — whether discarded as a bare statement, a
-// defer, or an explicit `_ =` assignment.
+// and Flush on the persistence types — tunelog journals and file locks, and
+// registries — whether discarded as a bare statement, a defer, or an
+// explicit `_ =` assignment.
 //
 // These closes carry data-loss signal, not cleanup noise: Journal.Close
 // surfaces the retained write error of every fire-and-forget append, a
-// registry Close waits for in-flight publishes and returns its backend's
-// error, and a failed flock release can wedge every later publisher. The
+// registry Close waits for in-flight publishes, and a failed flock release
+// can wedge every later publisher. The
 // analyzer keys on the receiver's defining package (closePackages, plus the
 // io.Closer handles tunelog.AcquireFileLock hands out), so closing an os.File
 // or an HTTP body stays untouched.
@@ -96,9 +96,9 @@ func closeLike(info *types.Info, call *ast.CallExpr) (*types.Func, string) {
 		return nil, ""
 	}
 	// The static receiver type at the call site decides scope: a concrete
-	// journal, a backend implementation, or an interface declared by a
-	// persistence package all count; so does a plain io.Closer, because that
-	// is how flock handles travel.
+	// journal or registry, or an interface declared by a persistence
+	// package, all count; so does a plain io.Closer, because that is how
+	// flock handles travel.
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil, ""

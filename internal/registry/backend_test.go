@@ -10,12 +10,12 @@ import (
 	"harl/internal/tunelog"
 )
 
-// The backend conformance suite: every storage layout must satisfy the same
+// The conformance suite: every storage layout must satisfy the same
 // contract — publish/resolve round trips, journal imports, Force heals,
 // refresh after a foreign append, race-free concurrent use, and the
 // reload-on-append-failure durability invariant. Each case runs against both
-// layouts; layout-specific behavior (compaction, generations, the LRU,
-// migration) lives in shard_test.go.
+// layouts; layout-specific behavior (compaction, generations, shard
+// residency, migration, v1 locking) lives in shard_test.go.
 
 var conformanceLayouts = []Layout{LayoutSingle, LayoutSharded}
 
@@ -30,29 +30,19 @@ func openLayout(t testing.TB, dir string, layout Layout) *Registry {
 }
 
 // synthRecord builds a schema-valid record with an arbitrary fingerprint —
-// backends store and route records without reconstructing schedules, so
+// journals store and route records without reconstructing schedules, so
 // conformance tests are free to use cheap synthetic keys.
 func synthRecord(w, scheduler string, exec float64, trial int) tunelog.Record {
 	return tunelog.Record{V: tunelog.SchemaVersion, Workload: w, Target: "cpu-xeon6226r",
 		Scheduler: scheduler, Steps: "steps:" + w, ExecSec: exec, Trial: trial, Seed: 1}
 }
 
-// setJournalHook substitutes the backend's journal opener (the append-failure
-// injection seam) and returns a restore func.
-func setJournalHook(t *testing.T, r *Registry, hook func(string) (*tunelog.Journal, error)) func() {
-	t.Helper()
-	switch b := r.b.(type) {
-	case *fileBackend:
-		old := b.openJournal
-		b.openJournal = hook
-		return func() { b.openJournal = old }
-	case *shardedBackend:
-		old := b.openJournal
-		b.openJournal = hook
-		return func() { b.openJournal = old }
-	}
-	t.Fatalf("unknown backend %T", r.b)
-	return nil
+// setJournalHook substitutes the registry's journal opener (the
+// append-failure injection seam) and returns a restore func.
+func setJournalHook(r *Registry, hook func(string) (*tunelog.Journal, error)) func() {
+	old := r.openJournal
+	r.openJournal = hook
+	return func() { r.openJournal = old }
 }
 
 type failingWriter struct{ err error }
@@ -276,7 +266,7 @@ func testAppendFailureReloadsState(t *testing.T, layout Layout) {
 		t.Fatal(err)
 	}
 	boom := errors.New("injected write failure")
-	restore := setJournalHook(t, r, func(string) (*tunelog.Journal, error) {
+	restore := setJournalHook(r, func(string) (*tunelog.Journal, error) {
 		return tunelog.NewJournal(failingWriter{boom}), nil
 	})
 	rec2 := synthRecord("w@fail", "harl", 1e-4, 2)
@@ -323,7 +313,7 @@ func testCloseFailureSurfacesAndReloads(t *testing.T, layout Layout) {
 	r := openLayout(t, dir, layout)
 	defer r.Close()
 	boom := errors.New("injected close failure")
-	restore := setJournalHook(t, r, func(string) (*tunelog.Journal, error) {
+	restore := setJournalHook(r, func(string) (*tunelog.Journal, error) {
 		return tunelog.NewJournalWriteCloser(writeOKCloseFail{boom}), nil
 	})
 	rec := synthRecord("w@closefail", "harl", 1e-4, 1)

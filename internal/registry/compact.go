@@ -24,54 +24,45 @@ import (
 // whereas the reverse order could leave a rewritten journal under the old
 // generation, which a size+mtime collision would make invisible.
 
-// shouldCompactLocked reports whether the shard's journal is dominated by
+// shouldCompact reports whether the shard's journal is dominated by
 // superseded records: at least compactMin records, and more than
-// compactFactor times as many records as live keys. Caller holds the backend
-// write lock with the shard resident.
-func (b *shardedBackend) shouldCompactLocked(s *shard) bool {
-	return s.idx != nil && s.idx.size >= b.compactMin &&
-		float64(s.idx.size) > b.compactFactor*float64(len(s.idx.best))
+// compactFactor times as many records as live keys.
+func (r *Registry) shouldCompact(j *journal) bool {
+	return j.records >= r.compactMin && float64(j.records) > r.compactFactor*float64(j.keys)
 }
 
-// compactShardLocked rewrites the shard journal down to its best records.
-// Caller holds the backend write lock AND the shard's cross-process file
-// lock (compaction rename-replaces the journal; the lock file, which is
-// never renamed, is what keeps other writers out).
-func (b *shardedBackend) compactShardLocked(s *shard) error {
-	kept := sortedBest(s.idx.best)
+// compact rewrites the shard journal down to its best records. Caller holds
+// r.idx exclusively AND the shard's cross-process file lock (compaction
+// rename-replaces the journal; the lock file, which is never renamed, is
+// what keeps other writers out).
+func (j *journal) compact() error {
+	kept := sortedBest(j.best)
 	var buf bytes.Buffer
 	for _, rec := range kept {
 		line, err := rec.MarshalLine()
 		if err != nil {
-			return fmt.Errorf("registry: compact shard %s: %w", s.id, err)
+			return fmt.Errorf("registry: compact %s: %w", j.path(), err)
 		}
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	gen := s.stamp.gen + 1
-	if err := writeShardHeader(s.dir, shardHeader{Generation: gen, Keys: len(kept), Records: len(kept)}); err != nil {
+	gen := j.stamp.gen + 1
+	if err := writeShardHeader(j.dir, shardHeader{Generation: gen, Keys: len(kept), Records: len(kept)}); err != nil {
 		return err
 	}
-	if err := writeJournalAtomic(s.journalPath(), buf.Bytes()); err != nil {
-		return fmt.Errorf("registry: compact shard %s: %w", s.id, err)
+	// atomicfile semantics (temp file, fsync, rename): readers racing the
+	// compaction observe either the old journal or the new one, never a
+	// truncated mix.
+	if err := atomicfile.WriteFile(j.path(), buf.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("registry: compact %s: %w", j.path(), err)
 	}
-	// The resident index stays valid — compaction never changes bests — but
-	// the dedup set and size now describe the rewritten journal.
-	s.idx.seen = make(map[tunelog.Record]bool, len(kept))
+	// The bests stay valid — compaction never changes them — but the dedup
+	// set and counts now describe the rewritten journal.
+	j.seen = make(map[tunelog.Record]bool, len(kept))
 	for _, rec := range kept {
-		s.idx.seen[rec] = true
+		j.seen[rec] = true
 	}
-	s.idx.size = len(kept)
-	s.stamp = shardStamp{gen: gen, fs: stampOf(s.journalPath())}
-	s.keys = len(kept)
-	s.records = len(kept)
-	b.stats.Compactions++
+	j.stamp = journalStamp{gen: gen, fs: stampOf(j.path())}
+	j.keys, j.records = len(kept), len(kept)
 	return nil
-}
-
-// writeJournalAtomic replaces a shard journal via temp-file + fsync + rename
-// (atomicfile semantics), so readers racing the compaction observe either
-// the old journal or the new one, never a truncated mix.
-func writeJournalAtomic(path string, data []byte) error {
-	return atomicfile.WriteFile(path, data, 0o644)
 }

@@ -1,0 +1,175 @@
+package registry
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+
+	"harl/internal/atomicfile"
+)
+
+// Layout names a registry's on-disk storage layout.
+type Layout string
+
+const (
+	// LayoutAuto detects the layout from the directory contents: a root
+	// journal.jsonl with no shards/ tree is a v1 registry and opens
+	// single-file, untouched; anything else — a new registry included —
+	// opens sharded.
+	LayoutAuto Layout = ""
+	// LayoutSingle is the v1 layout: one flat journal.jsonl at the registry
+	// root. Kept so existing v1 registries open unchanged; new registries
+	// are sharded.
+	LayoutSingle Layout = "single"
+	// LayoutSharded is the v2 layout: the journal split by workload
+	// fingerprint into shards/<xx>/journal.jsonl, each independently locked,
+	// loaded on first use and compacted.
+	LayoutSharded Layout = "sharded"
+)
+
+// Options select how a registry opens. The zero value auto-detects the
+// layout.
+type Options struct {
+	// Layout selects the storage layout (see the Layout constants). Opening a
+	// single-file registry with LayoutSharded migrates it in place.
+	Layout Layout
+}
+
+// Stats is a snapshot of a registry's storage counters — the observability
+// seam the service's /metrics endpoint renders. Counters are cumulative for
+// the lifetime of the open handle.
+type Stats struct {
+	// Records is the number of distinct journal records backing the bests
+	// (live, including superseded ones not yet compacted away).
+	Records int
+	// Appends counts journal appends written; LockAcquisitions the
+	// cross-process file locks taken to write them.
+	Appends          int64
+	LockAcquisitions int64
+	// Compactions counts shard journal rewrites (sharded layout only).
+	Compactions int64
+	// ResidentShards is how many shard indexes are loaded (sharded layout
+	// only): every shard resolved or published into since open.
+	ResidentShards int
+}
+
+// shardCount is the number of journal shards in the sharded (v2) layout.
+const shardCount = 256
+
+// shardHeaderFile and shardLockFile are the per-shard files beside each
+// shard's journal.jsonl:
+//
+//	header.json  {"v":1,"generation":G,"keys":K,"records":N} — the generation
+//	             counter lets readers detect a compaction rewrite that a
+//	             size+mtime stamp cannot (a rewrite can preserve both); the
+//	             cached counts make opening a large registry cheap (summing
+//	             256 headers instead of replaying every shard journal). The
+//	             journal stays authoritative: counts are advisory and are
+//	             corrected whenever the shard index is (re)built.
+//	lock         the shard's advisory write lock. It is a separate,
+//	             never-renamed file because compaction replaces the journal
+//	             via rename — a flock held on the replaced journal inode
+//	             would no longer exclude anyone.
+const (
+	shardHeaderFile = "header.json"
+	shardLockFile   = "lock"
+)
+
+// shardHeaderVersion is the header.json format version.
+const shardHeaderVersion = 1
+
+// A shard is rewritten down to its per-key bests (Force heals preserved)
+// when it holds at least compactMinRecords records and more than
+// compactFactor times as many records as live keys. The minimum sits below
+// the ~80 records a network tune logs per subgraph, so an imported network
+// journal compacts as it lands and a later hit replays one line per key.
+const (
+	compactMinRecords = 64
+	compactFactor     = 4.0
+)
+
+type shardHeader struct {
+	V          int   `json:"v"`
+	Generation int64 `json:"generation"`
+	Keys       int   `json:"keys"`
+	Records    int   `json:"records"`
+}
+
+func readShardHeader(dir string) (shardHeader, error) {
+	data, err := os.ReadFile(filepath.Join(dir, shardHeaderFile))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return shardHeader{V: shardHeaderVersion}, nil
+		}
+		return shardHeader{}, fmt.Errorf("registry: read shard header: %w", err)
+	}
+	var h shardHeader
+	if err := json.Unmarshal(data, &h); err != nil {
+		// A torn header is recoverable state, not data loss: treat it as
+		// generation-unknown so the next access reloads from the journal.
+		return shardHeader{V: shardHeaderVersion, Generation: -1}, nil
+	}
+	return h, nil
+}
+
+func writeShardHeader(dir string, h shardHeader) error {
+	h.V = shardHeaderVersion
+	data, err := json.Marshal(h)
+	if err != nil {
+		return fmt.Errorf("registry: marshal shard header: %w", err)
+	}
+	return atomicfile.WriteFile(filepath.Join(dir, shardHeaderFile), append(data, '\n'), 0o644)
+}
+
+// detectLayout reports the layout of a registry directory: a root
+// journal.jsonl with no shards/ tree is a v1 registry (single-file); anything
+// else — a shards/ tree, or an empty or not-yet-created directory — is
+// sharded.
+func detectLayout(dir string) Layout {
+	if _, err := os.Stat(filepath.Join(dir, journalFile)); err == nil && !hasShards(dir) {
+		return LayoutSingle
+	}
+	return LayoutSharded
+}
+
+func hasShards(dir string) bool {
+	st, err := os.Stat(filepath.Join(dir, shardsDir))
+	return err == nil && st.IsDir()
+}
+
+// openSingle opens a v1 registry: its one root journal, loaded at once. The
+// journal is its own lock file, the flock older binaries take on it too.
+func openSingle(dir string) (*Registry, error) {
+	path := filepath.Join(dir, journalFile)
+	j := &journal{dir: dir, lock: path}
+	if err := j.load(); err != nil {
+		return nil, err
+	}
+	return newRegistry(LayoutSingle, []*journal{j}), nil
+}
+
+// openSharded opens a v2 registry: shardCount shard journals, each loaded on
+// first use, with Len and Stats seeded from the shard headers — 256 small
+// reads instead of replaying every journal, so opening stays cheap no matter
+// how many records the registry holds.
+func openSharded(dir string) (*Registry, error) {
+	root := filepath.Join(dir, shardsDir)
+	// Creating the shards/ marker makes the layout choice sticky for later
+	// auto-detecting opens; like the registry directory itself it is the one
+	// write opening is allowed.
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return nil, fmt.Errorf("registry: create shards dir: %w", err)
+	}
+	journals := make([]*journal, shardCount)
+	for i := range journals {
+		sdir := filepath.Join(root, fmt.Sprintf("%02x", i))
+		h, err := readShardHeader(sdir)
+		if err != nil {
+			return nil, err
+		}
+		journals[i] = &journal{dir: sdir, lock: filepath.Join(sdir, shardLockFile), shard: true,
+			keys: h.Keys, records: h.Records}
+	}
+	return newRegistry(LayoutSharded, journals), nil
+}

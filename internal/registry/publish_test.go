@@ -10,44 +10,41 @@ import (
 	"harl/internal/tunelog"
 )
 
-// The publish contract, pinned without a clock: a gate in front of a real
-// backend holds each AppendBatch until the test releases it — events, never
-// time.
+// The publish contract, pinned without a clock: a gate on the journal-open
+// seam holds each append until the test releases it — events, never time.
 
-// gateBackend signals each AppendBatch's record count on entered and blocks
-// until the test sends the call's verdict on release: nil forwards the batch
-// to the wrapped backend, an error fails it.
-type gateBackend struct {
-	Backend
-	entered chan int
+// gate signals each journal open with the journal's path on entered and
+// blocks until the test sends the call's verdict on release: nil opens the
+// journal, an error fails the append.
+type gate struct {
+	entered chan string
 	release chan error
 }
 
-func (g *gateBackend) AppendBatch(recs []tunelog.Record) ([]bool, error) {
-	g.entered <- len(recs)
+func (g *gate) open(path string) (*tunelog.Journal, error) {
+	g.entered <- path
 	if err := <-g.release; err != nil {
 		return nil, err
 	}
-	return g.Backend.AppendBatch(recs)
+	return tunelog.OpenJournalUnlocked(path)
 }
 
-// pass waits for the next AppendBatch, lets it through and returns its size.
-func (g *gateBackend) pass() int {
-	n := <-g.entered
+// pass waits for the next journal open and lets it through.
+func (g *gate) pass() {
+	<-g.entered
 	g.release <- nil
-	return n
 }
 
 // openGated opens a registry whose appends pass through a gate. The cleanup
 // opens the gate for good before closing, so a failed assertion reports
 // instead of hanging on a held append.
-func openGated(t *testing.T, dir string, layout Layout) (*Registry, *gateBackend) {
+func openGated(t *testing.T, dir string, layout Layout) (*Registry, *gate) {
 	t.Helper()
 	r := openLayout(t, dir, layout)
-	// entered is buffered past any test's AppendBatch count: the gate is the
+	// entered is buffered past any test's append count: the gate is the
 	// unbuffered release.
-	g := &gateBackend{Backend: r.b, entered: make(chan int, 8), release: make(chan error)}
-	r.b = g
+	g := &gate{entered: make(chan string, 8), release: make(chan error)}
+	setJournalHook(r, g.open)
 	t.Cleanup(func() {
 		close(g.release)
 		r.Close()
@@ -71,12 +68,12 @@ func publishers(r *Registry, tag string, n, keys int) (wait func() []error) {
 }
 
 // holdAppend publishes one record and returns with its append held at the
-// gate.
-func holdAppend(t *testing.T, r *Registry, g *gateBackend, tag string) (wait func() []error) {
+// gate, after checking that the append opened exactly the record's journal.
+func holdAppend(t *testing.T, r *Registry, g *gate, tag string) (wait func() []error) {
 	t.Helper()
 	wait = publishers(r, tag, 1, 1)
-	if n := <-g.entered; n != 1 {
-		t.Fatalf("a publish appended a batch of %d", n)
+	if path, want := <-g.entered, r.journalFor("w@"+tag+"-0").path(); path != want {
+		t.Fatalf("a publish opened %s, want its record's journal %s", path, want)
 	}
 	return wait
 }
@@ -168,8 +165,8 @@ func TestConcurrentPublishersDurable(t *testing.T) {
 			}
 			fresh := openLayout(t, dir, layout)
 			defer fresh.Close()
-			if st := fresh.Stats(); st.Records != n || st.Keys != keys {
-				t.Fatalf("reopened with %d records over %d keys, want %d over %d", st.Records, st.Keys, n, keys)
+			if st := fresh.Stats(); st.Records != n || fresh.Len() != keys {
+				t.Fatalf("reopened with %d records over %d keys, want %d over %d", st.Records, fresh.Len(), n, keys)
 			}
 			for k := 0; k < keys; k++ {
 				// Publisher k is the first, and fastest, of its key's.

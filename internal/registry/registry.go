@@ -4,22 +4,23 @@
 // artifact so a second request for an already-tuned workload costs a lookup
 // instead of a search.
 //
-// Storage is pluggable behind the Backend interface, with two layouts:
+// Storage is append-only journals (the same schema as tuning logs, so any
+// tuning journal can be imported wholesale; replaying one in order
+// reproduces its best map exactly, including Force heal records), each with
+// an in-memory index replayed from it (see journal.go). There are two
+// layouts of them:
 //
 //	sharded  (v2, every new registry) the journal split by workload
 //	         fingerprint across shards/<xx>/journal.jsonl (256 shards), each
-//	         independently locked and compacted down to its per-key bests
-//	         when superseded records dominate, with an LRU bounding how many
-//	         shard indexes are resident. See shardbackend.go.
-//	single   (v1) one flat journal.jsonl — the authoritative append-only log
-//	         (same schema as tuning logs, so any tuning journal can be
-//	         imported wholesale; replaying it in order reproduces the best
-//	         map exactly, including Force heal records). The whole index
-//	         stays in memory. Kept so existing v1 registries open unchanged.
+//	         independently locked, loaded on first use, and compacted down
+//	         to its per-key bests when superseded records dominate. Memory
+//	         is every shard index loaded so far, each compacted.
+//	single   (v1) one flat journal.jsonl at the root, loaded on open. Kept
+//	         so existing v1 registries open unchanged.
 //
-// In both layouts the append-only journal(s) stay authoritative: any backend
-// rebuilds its state from a replay, and a single-file registry opens
-// unchanged or migrates in place to the sharded layout (migrate).
+// The journals stay authoritative: any index is rebuilt from a replay, and a
+// single-file registry opens unchanged or migrates in place to the sharded
+// layout (migrate).
 //
 // Durability: a publish returns once its lines reach the OS, not the disk —
 // appends are not fsynced. A returned publish survives a process kill; a
@@ -27,9 +28,9 @@
 // that loss to a suffix of whole lines.
 //
 // Concurrency: a Registry value is safe for concurrent readers and
-// concurrent publishers in-process. A publish is one locked backend append on
+// concurrent publishers in-process. A publish is one locked journal append on
 // the caller's goroutine; a batch the caller already holds (a session's bests,
-// an imported journal) is one append for all its records. Across processes,
+// an imported journal) is one append per journal it touches. Across processes,
 // writers serialize behind blocking advisory file locks held only for the
 // append. Open writes no journal state, so read-only consumers can open a
 // registry another process is publishing into; and a Resolve miss re-checks
@@ -38,13 +39,12 @@
 package registry
 
 import (
-	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"harl/internal/tunelog"
 )
@@ -57,9 +57,23 @@ const (
 	shardsDir   = "shards"
 )
 
-// Registry is an open best-schedule store over a storage backend.
+// Registry is an open best-schedule store: one journal at the root (v1) or
+// shardCount under shards/ (v2).
 type Registry struct {
-	b Backend
+	layout   Layout
+	journals []*journal
+	// compactMin/compactFactor gate shard compaction (see shouldCompact).
+	// Fields, not constants, so tests can shrink them.
+	compactMin    int
+	compactFactor float64
+	// openJournal opens a journal for an append its caller has locked; tests
+	// substitute a failing or gated opener.
+	openJournal func(path string) (*tunelog.Journal, error)
+
+	// idx guards every journal's index and stats: shared for a hit,
+	// exclusive for a load or an append.
+	idx   sync.RWMutex
+	stats Stats
 
 	// mu is held shared by each append and exclusively by Close, so Close
 	// waits for in-flight publishes and a publish after it fails.
@@ -67,22 +81,24 @@ type Registry struct {
 	closed bool
 }
 
-// fileStamp identifies a journal state cheaply; the journal is append-only,
-// so any growth changes the size (and a cross-process publish that somehow
-// kept the size would still change mtime). It cannot detect a rewrite that
-// preserves both — the sharded layout adds a generation counter for that
-// (see shardStamp).
-type fileStamp struct {
-	size  int64
-	mtime time.Time
+func newRegistry(layout Layout, journals []*journal) *Registry {
+	return &Registry{layout: layout, journals: journals, compactMin: compactMinRecords,
+		compactFactor: compactFactor, openJournal: tunelog.OpenJournalUnlocked}
 }
 
-func stampOf(path string) fileStamp {
-	st, err := os.Stat(path)
-	if err != nil {
-		return fileStamp{}
+// journalFor routes a workload fingerprint to its journal, so every key's
+// records — and therefore every Resolve, including the any-scheduler scan —
+// live in exactly one. The sharded route hashes the fingerprint instead of
+// slicing a literal prefix: fingerprints embed the subgraph name ("gemm@…"),
+// so a raw prefix would pile whole operator families into a handful of
+// shards.
+func (r *Registry) journalFor(workload string) *journal {
+	if len(r.journals) == 1 {
+		return r.journals[0]
 	}
-	return fileStamp{size: st.Size(), mtime: st.ModTime()}
+	h := fnv.New32a()
+	h.Write([]byte(workload))
+	return r.journals[h.Sum32()%uint32(len(r.journals))]
 }
 
 // key is the exact lookup key. The scheduler is part of the key: different
@@ -128,8 +144,8 @@ func resolveBest(best map[string]tunelog.Record, workload, target, scheduler str
 	return out, found
 }
 
-// sortedBest returns a best map's records sorted by key — the stable
-// enumeration order Records and compaction use.
+// sortedBest returns a best map's records sorted by key — the stable order
+// compaction writes.
 func sortedBest(best map[string]tunelog.Record) []tunelog.Record {
 	keys := make([]string, 0, len(best))
 	for k := range best {
@@ -152,16 +168,36 @@ func Open(dir string) (*Registry, error) {
 	return OpenOptions(dir, Options{})
 }
 
-// OpenOptions is Open with an explicit layout.
+// OpenOptions is Open with an explicit layout. A root journal.jsonl under the
+// sharded layout is a v1 registry to migrate in place — or a migration a kill
+// interrupted after shards/ was created and before the journal was retired,
+// which would otherwise open as an empty sharded registry. The replay skips
+// records a shard already holds, so both cases run migrate.
 func OpenOptions(dir string, o Options) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: create dir: %w", err)
 	}
-	b, err := openBackend(dir, o)
-	if err != nil {
-		return nil, err
+	layout := o.Layout
+	switch layout {
+	case LayoutAuto:
+		layout = detectLayout(dir)
+	case LayoutSingle:
+		if hasShards(dir) {
+			return nil, fmt.Errorf("registry: %s holds a sharded registry; open it with the sharded (or auto) layout", dir)
+		}
+	case LayoutSharded:
+	default:
+		return nil, fmt.Errorf("registry: unknown layout %q", layout)
 	}
-	return &Registry{b: b}, nil
+	if layout == LayoutSingle {
+		return openSingle(dir)
+	}
+	if _, err := os.Stat(filepath.Join(dir, journalFile)); err == nil {
+		if err := migrate(dir); err != nil {
+			return nil, err
+		}
+	}
+	return openSharded(dir)
 }
 
 // Resolve returns the best known record for the key, if any — the cache-hit
@@ -173,7 +209,28 @@ func OpenOptions(dir string, o Options) (*Registry, error) {
 // damaged store — the caller must not conflate it with a plain miss (a
 // service would silently turn every request into a cold search).
 func (r *Registry) Resolve(workload, target, scheduler string) (tunelog.Record, bool, error) {
-	return r.b.Resolve(workload, target, scheduler)
+	j := r.journalFor(workload)
+	r.idx.RLock()
+	if j.best != nil {
+		if rec, ok := resolveBest(j.best, workload, target, scheduler); ok {
+			r.idx.RUnlock()
+			return rec, true, nil
+		}
+	}
+	r.idx.RUnlock()
+	// Not loaded yet, or a miss: (re)load when the durable state moved —
+	// another process may have published or compacted since our last look (a
+	// miss already costs a full search downstream, so the check is cheap by
+	// comparison).
+	r.idx.Lock()
+	defer r.idx.Unlock()
+	if !j.fresh() {
+		if err := j.load(); err != nil {
+			return tunelog.Record{}, false, err
+		}
+	}
+	rec, ok := resolveBest(j.best, workload, target, scheduler)
+	return rec, ok, nil
 }
 
 // Publish records one measurement into the registry: it is appended to the
@@ -187,17 +244,29 @@ func (r *Registry) Publish(rec tunelog.Record) (bool, error) {
 	return n == 1, err
 }
 
-// PublishBatch appends an already-assembled batch in one locked write and
-// returns how many improved their key.
+// PublishBatch appends an already-assembled batch — one locked write per
+// journal it touches, in journal order — and returns how many improved their
+// key.
 func (r *Registry) PublishBatch(recs []tunelog.Record) (int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.closed {
 		return 0, fmt.Errorf("registry: closed")
 	}
-	improved, err := r.b.AppendBatch(recs)
-	if err != nil {
-		return 0, err
+	groups := make(map[*journal][]int)
+	for i, rec := range recs {
+		j := r.journalFor(rec.Workload)
+		groups[j] = append(groups[j], i)
+	}
+	improved := make([]bool, len(recs))
+	r.idx.Lock()
+	defer r.idx.Unlock()
+	for _, j := range r.journals {
+		if idxs := groups[j]; len(idxs) > 0 {
+			if err := r.appendLocked(j, recs, idxs, improved); err != nil {
+				return 0, err
+			}
+		}
 	}
 	n := 0
 	for _, ok := range improved {
@@ -223,22 +292,40 @@ func (r *Registry) ImportJournal(path string) (int, error) {
 
 // Len returns the number of distinct (workload, target, scheduler) keys with
 // a best record.
-func (r *Registry) Len() int { return r.b.Len() }
+func (r *Registry) Len() int {
+	r.idx.RLock()
+	defer r.idx.RUnlock()
+	n := 0
+	for _, j := range r.journals {
+		n += j.keys
+	}
+	return n
+}
 
 // Layout reports the storage layout backing this registry.
-func (r *Registry) Layout() Layout { return r.b.Layout() }
+func (r *Registry) Layout() Layout { return r.layout }
 
-// Stats snapshots the registry's storage counters (appends, lock
+// Stats snapshots the registry's storage counters (records, appends, lock
 // acquisitions, compactions, resident shards).
-func (r *Registry) Stats() Stats { return r.b.Stats() }
+func (r *Registry) Stats() Stats {
+	r.idx.RLock()
+	defer r.idx.RUnlock()
+	s := r.stats
+	for _, j := range r.journals {
+		s.Records += j.records
+		if j.shard && j.best != nil {
+			s.ResidentShards++
+		}
+	}
+	return s
+}
 
-// Close waits for in-flight publishes and releases the backend. Publishes
-// after Close fail.
+// Close waits for in-flight publishes; publishes after Close fail.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
-	return r.b.Close()
+	return nil
 }
 
 // migrate converts a single-file registry directory to the sharded layout in
@@ -255,15 +342,12 @@ func migrate(dir string) error {
 	if err != nil {
 		return fmt.Errorf("registry: migrate: %w", err)
 	}
-	sb, err := openSharded(dir)
+	sharded, err := openSharded(dir)
 	if err != nil {
 		return err
 	}
-	if _, err := sb.AppendBatch(db.Records()); err != nil {
-		return errors.Join(fmt.Errorf("registry: migrate: %w", err), sb.Close())
-	}
-	if err := sb.Close(); err != nil {
-		return err
+	if _, err := sharded.PublishBatch(db.Records()); err != nil {
+		return fmt.Errorf("registry: migrate: %w", err)
 	}
 	if err := os.Rename(src, filepath.Join(dir, "journal.v1.jsonl")); err != nil {
 		return fmt.Errorf("registry: migrate: retire v1 journal: %w", err)

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"harl/internal/tunelog"
 )
@@ -29,14 +30,44 @@ func countLines(t *testing.T, path string) int {
 	return strings.Count(string(data), "\n")
 }
 
-// records is Registry.Records, failing the test on a read error.
+// records returns every journal's bests sorted by key, loading the journals
+// that are not loaded or are stale.
 func records(t *testing.T, r *Registry) []tunelog.Record {
 	t.Helper()
-	recs, err := r.b.Records()
-	if err != nil {
-		t.Fatalf("Records: %v", err)
+	r.idx.Lock()
+	defer r.idx.Unlock()
+	merged := make(map[string]tunelog.Record)
+	for _, j := range r.journals {
+		if !j.fresh() {
+			if err := j.load(); err != nil {
+				t.Fatalf("load %s: %v", j.path(), err)
+			}
+		}
+		for k, rec := range j.best {
+			merged[k] = rec
+		}
 	}
-	return recs
+	return sortedBest(merged)
+}
+
+// checkTouchedLoaded fails the test unless exactly the shards holding recs'
+// keys are loaded.
+func checkTouchedLoaded(t *testing.T, r *Registry, recs []tunelog.Record) {
+	t.Helper()
+	touched := make(map[*journal]bool)
+	for _, rec := range recs {
+		touched[r.journalFor(rec.Workload)] = true
+	}
+	if st := r.Stats(); st.ResidentShards != len(touched) {
+		t.Fatalf("%d resident shards, want the %d touched", st.ResidentShards, len(touched))
+	}
+	r.idx.RLock()
+	defer r.idx.RUnlock()
+	for j := range touched {
+		if j.best == nil {
+			t.Fatalf("touched shard %s not loaded", j.dir)
+		}
+	}
 }
 
 // sameBests fails the test unless got holds exactly want's records, in order.
@@ -185,14 +216,14 @@ func TestInterruptedMigrationResumes(t *testing.T) {
 // leaving the root journal in place.
 func replayInto(t *testing.T, dir string, recs []tunelog.Record) {
 	t.Helper()
-	sb, err := openSharded(dir)
+	r, err := openSharded(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sb.AppendBatch(recs); err != nil {
+	if _, err := r.PublishBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.Close(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -304,8 +335,7 @@ func TestSingleLayoutRejectsShardedDir(t *testing.T) {
 func TestCompactionPreservesBestsAndForce(t *testing.T) {
 	dir := t.TempDir()
 	r := openLayout(t, dir, LayoutSharded)
-	sb := r.b.(*shardedBackend)
-	sb.compactMin, sb.compactFactor = 8, 2
+	r.compactMin, r.compactFactor = 8, 2
 	// One hot key accumulating improvements, then a Force heal, then no-op
 	// worse records so the heal stays the best through compaction.
 	for i := 0; i < 6; i++ {
@@ -326,7 +356,7 @@ func TestCompactionPreservesBestsAndForce(t *testing.T) {
 	st := r.Stats()
 	if st.Compactions == 0 {
 		t.Fatalf("no compaction after 15 records over 1 key (min %d, factor %g): %+v",
-			sb.compactMin, sb.compactFactor, st)
+			r.compactMin, r.compactFactor, st)
 	}
 	want := records(t, r)
 	if got, ok := resolve(t, r, "w@hot", heal.Target, "harl"); !ok || got != heal {
@@ -401,7 +431,6 @@ func TestGenerationDetectsSameStampRewrite(t *testing.T) {
 	dir := t.TempDir()
 	r := openLayout(t, dir, LayoutSharded)
 	defer r.Close()
-	sb := r.b.(*shardedBackend)
 	recA := synthRecord("w@gen-00000", "harl", 1e-4, 1)
 	// Find a second workload that routes to the SAME shard with the SAME
 	// marshaled line length, so the rewritten journal can match the original's
@@ -414,7 +443,7 @@ func TestGenerationDetectsSameStampRewrite(t *testing.T) {
 	found := false
 	for i := 1; i < 100000 && !found; i++ {
 		cand := synthRecord(fmt.Sprintf("w@gen-%05d", i), "harl", 1e-4, 1)
-		if sb.shardFor(cand.Workload) != sb.shardFor(recA.Workload) {
+		if r.journalFor(cand.Workload) != r.journalFor(recA.Workload) {
 			continue
 		}
 		line, err := cand.MarshalLine()
@@ -480,40 +509,89 @@ func TestGenerationDetectsSameStampRewrite(t *testing.T) {
 	}
 }
 
-// TestShardCacheBoundsResidency: the LRU must keep at most cacheCap shard
-// indexes in memory while Len and Records still cover everything.
-func TestShardCacheBoundsResidency(t *testing.T) {
-	r := openLayout(t, t.TempDir(), LayoutSharded)
-	defer r.Close()
-	r.b.(*shardedBackend).cacheCap = 2
+// TestTouchedShardsStayLoaded: a shard index stays loaded once loaded, so
+// resolving every key leaves exactly the touched shards loaded; before any
+// load, Len and Stats count the never-loaded shards from their headers.
+func TestTouchedShardsStayLoaded(t *testing.T) {
+	dir := t.TempDir()
+	r := openLayout(t, dir, LayoutSharded)
 	const keys = 64
 	recs := make([]tunelog.Record, 0, keys)
 	for i := 0; i < keys; i++ {
-		recs = append(recs, synthRecord(fmt.Sprintf("w@lru-%02d", i), "harl", float64(i+1)*1e-5, i+1))
+		recs = append(recs, synthRecord(fmt.Sprintf("w@load-%02d", i), "harl", float64(i+1)*1e-5, i+1))
 	}
 	if _, err := r.PublishBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.ResidentShards > 2 {
-		t.Fatalf("%d resident shards, cache cap 2", st.ResidentShards)
+	checkTouchedLoaded(t, r, recs)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if r.Len() != keys {
-		t.Fatalf("Len = %d with evicted shards, want %d", r.Len(), keys)
+
+	fresh := openLayout(t, dir, LayoutSharded)
+	defer fresh.Close()
+	if st := fresh.Stats(); st.ResidentShards != 0 || st.Records != keys || fresh.Len() != keys {
+		t.Fatalf("reopened with %d resident shards, %d records, %d keys; want 0, %d, %d",
+			st.ResidentShards, st.Records, fresh.Len(), keys, keys)
 	}
-	// Every key still resolves (cold shards reload through the LRU).
-	for _, rec := range recs {
-		if got, ok := resolve(t, r, rec.Workload, rec.Target, "harl"); !ok || got != rec {
-			t.Fatalf("evicted key %s: %+v, %v", rec.Workload, got, ok)
+	for i, rec := range recs {
+		if got, ok := resolve(t, fresh, rec.Workload, rec.Target, "harl"); !ok || got != rec {
+			t.Fatalf("key %s: %+v, %v", rec.Workload, got, ok)
 		}
-		if st := r.Stats(); st.ResidentShards > 2 {
-			t.Fatalf("%d resident shards after resolving %s, cache cap 2", st.ResidentShards, rec.Workload)
+		checkTouchedLoaded(t, fresh, recs[:i+1])
+		if st := fresh.Stats(); st.Records != keys || fresh.Len() != keys {
+			t.Fatalf("after resolving %d keys: %d records, %d keys; want %d each", i+1, st.Records, fresh.Len(), keys)
 		}
 	}
-	if got := records(t, r); len(got) != keys {
-		t.Fatalf("Records covers %d keys, want %d", len(got), keys)
+	if got := records(t, fresh); len(got) != keys {
+		t.Fatalf("the journals hold %d bests, want %d", len(got), keys)
 	}
-	// Records loads every shard; the bound must hold afterwards too.
-	if st := r.Stats(); st.ResidentShards > 2 {
-		t.Fatalf("%d resident shards after full enumeration, cache cap 2", st.ResidentShards)
+}
+
+// TestV1PublishWaitsForJournalLock: a v1 publish locks journal.jsonl itself,
+// the lock an older binary takes through tunelog.OpenJournal, so it waits
+// while another handle holds the journal, completes once that handle closes,
+// and adds no file to the directory.
+func TestV1PublishWaitsForJournalLock(t *testing.T) {
+	dir := t.TempDir()
+	r := openLayout(t, dir, LayoutSingle)
+	defer r.Close()
+	if _, err := r.Publish(synthRecord("w@v1lock", "harl", 2e-4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotFiles(t, dir)
+	holder, err := tunelog.OpenJournal(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := synthRecord("w@v1lock", "harl", 1e-4, 2)
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Publish(rec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("publish returned (err=%v) while another handle held the journal", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := holder.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("publish never proceeded after the holder closed")
+	}
+	for path := range snapshotFiles(t, dir) {
+		if _, ok := before[path]; !ok {
+			t.Fatalf("a v1 publish added %s", path)
+		}
+	}
+	if got, ok := resolve(t, r, rec.Workload, rec.Target, "harl"); !ok || got != rec {
+		t.Fatalf("Resolve after the wait = %+v, %v", got, ok)
 	}
 }

@@ -30,21 +30,12 @@ func OpenJournal(path string) (*Journal, error) {
 	return openJournal(path, lockFile)
 }
 
-// OpenJournalWait is OpenJournal with a blocking advisory lock: instead of
-// failing fast when another process holds the journal, the caller queues
-// behind it. Use it for short append-and-close critical sections (the
-// registry's publish path); long-lived tuning logs keep the fail-fast
-// OpenJournal so a forgotten second run is an error, not a silent stall.
-func OpenJournalWait(path string) (*Journal, error) {
-	return openJournal(path, lockFileWait)
-}
-
 // OpenJournalUnlocked opens a journal without taking an advisory lock of its
-// own, for callers that serialize writers externally. The sharded registry
-// needs this: compaction atomically replaces the journal file, and a flock
-// held on the replaced inode would no longer exclude anyone — so shard
-// writers lock a separate, never-renamed lock file (AcquireFileLock) and open
-// the journal itself unlocked.
+// own, for callers that serialize writers externally (AcquireFileLock). The
+// registry does: a v1 registry locks its journal file through a separate
+// descriptor, and a sharded one locks each shard's never-renamed lock file,
+// since compaction atomically replaces the shard journal and a flock held on
+// the replaced inode would no longer exclude anyone.
 func OpenJournalUnlocked(path string) (*Journal, error) {
 	return openJournal(path, func(*os.File) error { return nil })
 }
@@ -95,10 +86,12 @@ func repairTornTail(f *os.File) error {
 }
 
 // AcquireFileLock takes a blocking exclusive advisory lock on path (created
-// if missing), returning a closer that releases it. This is the external
-// serialization primitive for writers whose data file cannot carry the lock
-// itself — the sharded registry locks shards/<xx>/lock so compaction can
-// rename-replace the shard journal without orphaning waiters' flocks.
+// if missing), returning a closer that releases it — the external
+// serialization primitive behind OpenJournalUnlocked. A lock on a journal
+// file excludes OpenJournal on it too (flock locks belong to the open file,
+// so this holds within one process as well); the sharded registry locks
+// shards/<xx>/lock instead so compaction can rename-replace the shard journal
+// without orphaning waiters' flocks.
 func AcquireFileLock(path string) (io.Closer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644) //lint:allow atomicwrite lock-file inode: it anchors the advisory flock and never carries data
 	if err != nil {
