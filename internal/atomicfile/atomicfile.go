@@ -1,10 +1,11 @@
 // Package atomicfile writes files atomically: content lands in a temp file
 // in the destination directory and is renamed into place, so readers never
 // observe a partially written artifact and a crash mid-write leaves the
-// previous version intact. Every durable artifact of the repo but the
-// append-only journals — BENCH_*.json summaries, registry shard headers and
-// compacted shards — goes through this path (a killed run must not truncate
-// what a later run warm-starts from).
+// previous version intact. The BENCH_*.json summaries go through this path
+// (a killed run must not truncate what a later run reads). The append-only
+// journals do not, and neither do the registry's shard headers: they hold
+// advisory counts, rewritten in place, that a torn write only costs one
+// shard load to recount.
 package atomicfile
 
 import (

@@ -14,8 +14,9 @@ import (
 // contract — publish/resolve round trips, journal imports, Force heals,
 // refresh after a foreign append, race-free concurrent use, and the
 // reload-on-append-failure durability invariant. Each case runs against both
-// layouts; layout-specific behavior (compaction, generations, shard
-// residency, migration, v1 locking) lives in shard_test.go.
+// layouts; layout-specific behavior (shard residency, rename-replace
+// detection, imports' appended lines, migration, v1 locking) lives in
+// shard_test.go.
 
 var conformanceLayouts = []Layout{LayoutSingle, LayoutSharded}
 
@@ -255,8 +256,8 @@ func testConcurrentResolveDuringPublish(t *testing.T, layout Layout) {
 
 // testAppendFailureReloadsState is the S2 durability regression: when an
 // append fails mid-batch, the in-memory state must be reloaded from disk.
-// Pre-fix it kept claiming the failed records as seen, so a RETRY of the same
-// publish was skipped as a duplicate and the record silently lost until
+// An index that kept claiming the failed record would reject a RETRY of the
+// same publish as no improvement, and the record would be silently lost until
 // restart.
 func testAppendFailureReloadsState(t *testing.T, layout Layout) {
 	dir := t.TempDir()
@@ -280,7 +281,7 @@ func testAppendFailureReloadsState(t *testing.T, layout Layout) {
 		t.Fatalf("retry after failed append: %v", err)
 	}
 	if n != 1 {
-		t.Fatal("retried record was dedup-skipped: in-memory state claimed a record the journal never got")
+		t.Fatal("retried record was rejected: in-memory state claimed a record the journal never got")
 	}
 	if got, ok := resolve(t, r, "w@fail", rec2.Target, "harl"); !ok || got != rec2 {
 		t.Fatalf("Resolve after retry = %+v, %v", got, ok)
@@ -307,7 +308,8 @@ func (w writeOKCloseFail) Close() error              { return w.err }
 // close error after otherwise-successful appends must reach the publisher
 // (not vanish into a discarded Close) and must trip the same reload-from-disk
 // path as a write failure — records the close may not have made durable must
-// not be claimed as seen, or a retry would be dedup-skipped and lost.
+// not stay in the index, or a retry would be rejected as no improvement and
+// lost.
 func testCloseFailureSurfacesAndReloads(t *testing.T, layout Layout) {
 	dir := t.TempDir()
 	r := openLayout(t, dir, layout)
@@ -322,15 +324,74 @@ func testCloseFailureSurfacesAndReloads(t *testing.T, layout Layout) {
 	}
 	restore()
 	// The retry must re-append: the failed close means the journal never
-	// durably got the record, so the dedup set must not claim it.
+	// durably got the record, so the index must not claim it.
 	n, err := r.PublishBatch([]tunelog.Record{rec})
 	if err != nil {
 		t.Fatalf("retry after failed close: %v", err)
 	}
 	if n != 1 {
-		t.Fatal("retried record was dedup-skipped: close failure left it claimed as seen")
+		t.Fatal("retried record was rejected: close failure left it in the index")
 	}
 	if got, ok := resolve(t, r, "w@closefail", rec.Target, "harl"); !ok || got != rec {
 		t.Fatalf("Resolve after retry = %+v, %v", got, ok)
+	}
+}
+
+// TestReopenedBestsEqualLive: a journal holds only the records that changed a
+// best, and replaying it must rebuild the live best map exactly. Each case
+// publishes a sequence of batches; afterwards the journals hold one line per
+// reported improvement, and a reopened handle's bests equal the live ones and
+// the case's expected winners. The exact-duplicate Force heal is the case a
+// replay that dropped repeated lines would get wrong.
+func TestReopenedBestsEqualLive(t *testing.T) {
+	heal := func(rec tunelog.Record) tunelog.Record { rec.Force = true; return rec }
+	a1 := synthRecord("w@a", "harl", 2e-4, 1)
+	a2 := synthRecord("w@a", "harl", 1e-4, 2)
+	aTie := synthRecord("w@a", "harl", 1e-4, 3)
+	aSlow := synthRecord("w@a", "harl", 5e-4, 4)
+	aHeal := heal(synthRecord("w@a", "harl", 3e-4, 5))
+	b1 := synthRecord("w@b", "ansor", 4e-4, 1)
+	b2 := synthRecord("w@b", "ansor", 3e-4, 2)
+	bHeal := heal(synthRecord("w@b", "ansor", 6e-4, 3))
+	cases := []struct {
+		name    string
+		batches [][]tunelog.Record
+		want    []tunelog.Record // the expected bests, in key order
+	}{
+		{"Ties", [][]tunelog.Record{{a2}, {aTie}, {a2, aTie}}, []tunelog.Record{a2}},
+		{"ImproveAndWorse", [][]tunelog.Record{{a1, aSlow, a2}, {aSlow}}, []tunelog.Record{a2}},
+		{"HealThenImprove", [][]tunelog.Record{{a2}, {aHeal}, {aSlow}, {a1}}, []tunelog.Record{a1}},
+		{"HealEqualToBest", [][]tunelog.Record{{aHeal}, {aHeal}, {aHeal, aHeal}}, []tunelog.Record{aHeal}},
+		{"ForceDuplicateAfterImprove", [][]tunelog.Record{{aHeal}, {a2}, {aHeal}}, []tunelog.Record{aHeal}},
+		{"ForceDuplicateInOneBatch", [][]tunelog.Record{{aHeal, a2, aHeal, aSlow}}, []tunelog.Record{aHeal}},
+		{"ReimportBeatsHeal", [][]tunelog.Record{{a1, a2}, {aHeal}, {a1, a2}}, []tunelog.Record{a2}},
+		{"InterleavedKeys", [][]tunelog.Record{{a1, b1, a2}, {bHeal, aSlow, b2}, {aHeal, b1, bHeal}}, []tunelog.Record{aHeal, bHeal}},
+	}
+	for _, layout := range conformanceLayouts {
+		for _, c := range cases {
+			t.Run(string(layout)+"/"+c.name, func(t *testing.T) {
+				dir := t.TempDir()
+				r := openLayout(t, dir, layout)
+				improved := 0
+				for _, batch := range c.batches {
+					n, err := r.PublishBatch(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					improved += n
+				}
+				live := records(t, r)
+				sameBests(t, "live", live, c.want)
+				if got := r.Stats().Records; got != improved {
+					t.Fatalf("%d journal records for %d improvements", got, improved)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				fresh := openLayout(t, dir, layout)
+				defer fresh.Close()
+				sameBests(t, "reopened", records(t, fresh), live)
+			})
+		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"harl/internal/atomicfile"
 )
 
 // Layout names a registry's on-disk storage layout.
@@ -23,8 +21,8 @@ const (
 	// are sharded.
 	LayoutSingle Layout = "single"
 	// LayoutSharded is the v2 layout: the journal split by workload
-	// fingerprint into shards/<xx>/journal.jsonl, each independently locked,
-	// loaded on first use and compacted.
+	// fingerprint into shards/<xx>/journal.jsonl, each independently locked
+	// and loaded on first use.
 	LayoutSharded Layout = "sharded"
 )
 
@@ -40,15 +38,14 @@ type Options struct {
 // seam the service's /metrics endpoint renders. Counters are cumulative for
 // the lifetime of the open handle.
 type Stats struct {
-	// Records is the number of distinct journal records backing the bests
-	// (live, including superseded ones not yet compacted away).
+	// Records is the number of journal lines backing the bests: one per
+	// publish that improved or healed a key, superseded ones included. A
+	// never-loaded shard counts from its advisory header.
 	Records int
 	// Appends counts journal appends written; LockAcquisitions the
 	// cross-process file locks taken to write them.
 	Appends          int64
 	LockAcquisitions int64
-	// Compactions counts shard journal rewrites (sharded layout only).
-	Compactions int64
 	// ResidentShards is how many shard indexes are loaded (sharded layout
 	// only): every shard resolved or published into since open.
 	ResidentShards int
@@ -60,17 +57,19 @@ const shardCount = 256
 // shardHeaderFile and shardLockFile are the per-shard files beside each
 // shard's journal.jsonl:
 //
-//	header.json  {"v":1,"generation":G,"keys":K,"records":N} — the generation
-//	             counter lets readers detect a compaction rewrite that a
-//	             size+mtime stamp cannot (a rewrite can preserve both); the
-//	             cached counts make opening a large registry cheap (summing
-//	             256 headers instead of replaying every shard journal). The
-//	             journal stays authoritative: counts are advisory and are
-//	             corrected whenever the shard index is (re)built.
+//	header.json  {"v":1,"keys":K,"records":N} — advisory counts, so opening
+//	             a large registry sums 256 headers instead of replaying
+//	             every shard journal. It is rewritten in place after each
+//	             append, without fsync: the journal stays authoritative, the
+//	             counts are corrected whenever the shard index is (re)built
+//	             (a crash between an append and its rewrite leaves them one
+//	             publish behind until then), and a torn or missing header
+//	             costs its shard one load at open. Headers older binaries
+//	             wrote also carry a compaction generation; it is ignored.
 //	lock         the shard's advisory write lock. It is a separate,
-//	             never-renamed file because compaction replaces the journal
-//	             via rename — a flock held on the replaced journal inode
-//	             would no longer exclude anyone.
+//	             never-renamed file because older binaries compact a shard
+//	             by rename-replacing its journal — a flock held on the
+//	             replaced journal inode would no longer exclude anyone.
 const (
 	shardHeaderFile = "header.json"
 	shardLockFile   = "lock"
@@ -79,38 +78,23 @@ const (
 // shardHeaderVersion is the header.json format version.
 const shardHeaderVersion = 1
 
-// A shard is rewritten down to its per-key bests (Force heals preserved)
-// when it holds at least compactMinRecords records and more than
-// compactFactor times as many records as live keys. The minimum sits below
-// the ~80 records a network tune logs per subgraph, so an imported network
-// journal compacts as it lands and a later hit replays one line per key.
-const (
-	compactMinRecords = 64
-	compactFactor     = 4.0
-)
-
 type shardHeader struct {
-	V          int   `json:"v"`
-	Generation int64 `json:"generation"`
-	Keys       int   `json:"keys"`
-	Records    int   `json:"records"`
+	V       int `json:"v"`
+	Keys    int `json:"keys"`
+	Records int `json:"records"`
 }
 
-func readShardHeader(dir string) (shardHeader, error) {
+// readShardHeader reads a shard's counts; ok is false when the header is
+// missing or torn.
+func readShardHeader(dir string) (h shardHeader, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, shardHeaderFile))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return shardHeader{V: shardHeaderVersion}, nil
+			return h, false, nil
 		}
-		return shardHeader{}, fmt.Errorf("registry: read shard header: %w", err)
+		return h, false, fmt.Errorf("registry: read shard header: %w", err)
 	}
-	var h shardHeader
-	if err := json.Unmarshal(data, &h); err != nil {
-		// A torn header is recoverable state, not data loss: treat it as
-		// generation-unknown so the next access reloads from the journal.
-		return shardHeader{V: shardHeaderVersion, Generation: -1}, nil
-	}
-	return h, nil
+	return h, json.Unmarshal(data, &h) == nil, nil
 }
 
 func writeShardHeader(dir string, h shardHeader) error {
@@ -119,7 +103,11 @@ func writeShardHeader(dir string, h shardHeader) error {
 	if err != nil {
 		return fmt.Errorf("registry: marshal shard header: %w", err)
 	}
-	return atomicfile.WriteFile(filepath.Join(dir, shardHeaderFile), append(data, '\n'), 0o644)
+	//lint:allow atomicwrite advisory counts, rewritten under the shard lock: a torn header costs the next open one shard load, never a wrong count
+	if err := os.WriteFile(filepath.Join(dir, shardHeaderFile), append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("registry: write shard header: %w", err)
+	}
+	return nil
 }
 
 // detectLayout reports the layout of a registry directory: a root
@@ -152,7 +140,8 @@ func openSingle(dir string) (*Registry, error) {
 // openSharded opens a v2 registry: shardCount shard journals, each loaded on
 // first use, with Len and Stats seeded from the shard headers — 256 small
 // reads instead of replaying every journal, so opening stays cheap no matter
-// how many records the registry holds.
+// how many records the registry holds. A shard whose header is torn or
+// missing while its journal exists is loaded at once to count it.
 func openSharded(dir string) (*Registry, error) {
 	root := filepath.Join(dir, shardsDir)
 	// Creating the shards/ marker makes the layout choice sticky for later
@@ -164,12 +153,21 @@ func openSharded(dir string) (*Registry, error) {
 	journals := make([]*journal, shardCount)
 	for i := range journals {
 		sdir := filepath.Join(root, fmt.Sprintf("%02x", i))
-		h, err := readShardHeader(sdir)
-		if err != nil {
+		j := &journal{dir: sdir, lock: filepath.Join(sdir, shardLockFile), shard: true}
+		h, ok, err := readShardHeader(sdir)
+		switch {
+		case err != nil:
 			return nil, err
+		case ok:
+			j.keys, j.records = h.Keys, h.Records
+		default:
+			if _, err := os.Stat(j.path()); err == nil {
+				if err := j.load(); err != nil {
+					return nil, err
+				}
+			}
 		}
-		journals[i] = &journal{dir: sdir, lock: filepath.Join(sdir, shardLockFile), shard: true,
-			keys: h.Keys, records: h.Records}
+		journals[i] = j
 	}
 	return newRegistry(LayoutSharded, journals), nil
 }

@@ -4,17 +4,18 @@
 // artifact so a second request for an already-tuned workload costs a lookup
 // instead of a search.
 //
-// Storage is append-only journals (the same schema as tuning logs, so any
-// tuning journal can be imported wholesale; replaying one in order
-// reproduces its best map exactly, including Force heal records), each with
-// an in-memory index replayed from it (see journal.go). There are two
-// layouts of them:
+// Storage is best-only append-only journals (the same schema as tuning logs,
+// so any tuning journal can be imported wholesale), each with an in-memory
+// best map replayed from it (see journal.go). A record is appended only when
+// it changes a best — it improves its key, or it is a Force heal that differs
+// from the current best — so a journal holds one line per improvement and
+// replaying its lines in order reproduces the live best map exactly. There
+// are two layouts of them:
 //
 //	sharded  (v2, every new registry) the journal split by workload
 //	         fingerprint across shards/<xx>/journal.jsonl (256 shards), each
-//	         independently locked, loaded on first use, and compacted down
-//	         to its per-key bests when superseded records dominate. Memory
-//	         is every shard index loaded so far, each compacted.
+//	         independently locked and loaded on first use. Memory is every
+//	         shard index loaded so far.
 //	single   (v1) one flat journal.jsonl at the root, loaded on open. Kept
 //	         so existing v1 registries open unchanged.
 //
@@ -22,10 +23,10 @@
 // single-file registry opens unchanged or migrates in place to the sharded
 // layout (migrate).
 //
-// Durability: a publish returns once its lines reach the OS, not the disk —
-// appends are not fsynced. A returned publish survives a process kill; a
-// machine crash can lose the most recent appends, and torn-tail repair keeps
-// that loss to a suffix of whole lines.
+// Durability: a publish returns once its lines are fsynced, so a returned
+// publish survives a machine crash, not only a process kill. A crash during
+// the append loses at most that append; torn-tail repair keeps the loss to a
+// suffix of whole lines.
 //
 // Concurrency: a Registry value is safe for concurrent readers and
 // concurrent publishers in-process. A publish is one locked journal append on
@@ -43,7 +44,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"harl/internal/tunelog"
@@ -62,10 +62,6 @@ const (
 type Registry struct {
 	layout   Layout
 	journals []*journal
-	// compactMin/compactFactor gate shard compaction (see shouldCompact).
-	// Fields, not constants, so tests can shrink them.
-	compactMin    int
-	compactFactor float64
 	// openJournal opens a journal for an append its caller has locked; tests
 	// substitute a failing or gated opener.
 	openJournal func(path string) (*tunelog.Journal, error)
@@ -82,8 +78,7 @@ type Registry struct {
 }
 
 func newRegistry(layout Layout, journals []*journal) *Registry {
-	return &Registry{layout: layout, journals: journals, compactMin: compactMinRecords,
-		compactFactor: compactFactor, openJournal: tunelog.OpenJournalUnlocked}
+	return &Registry{layout: layout, journals: journals, openJournal: tunelog.OpenJournalUnlocked}
 }
 
 // journalFor routes a workload fingerprint to its journal, so every key's
@@ -108,17 +103,17 @@ func key(workload, target, scheduler string) string {
 	return workload + "\x00" + target + "\x00" + scheduler
 }
 
-// absorb folds one record into a best map, reporting whether it improved (or
-// established) its key. Ties keep the incumbent, so re-imports of equal
-// measurements never churn the map; a Force record wins unconditionally (the
-// durable heal path — journal replays preserve it because absorption is
-// order-sensitive).
+// absorb folds one record into a best map, reporting whether it changed it:
+// the record improved (or established) its key, or it is a Force heal that
+// differs from the current best. Ties keep the incumbent, so re-imports of
+// equal measurements never churn the map; a Force record wins whatever its
+// time (the durable heal path — journal replays preserve it because
+// absorption is order-sensitive). It is the one decision of what a journal
+// appends.
 func absorb(best map[string]tunelog.Record, rec tunelog.Record) bool {
 	k := key(rec.Workload, rec.Target, rec.Scheduler)
-	if !rec.Force {
-		if cur, ok := best[k]; ok && cur.ExecSec <= rec.ExecSec {
-			return false
-		}
+	if cur, ok := best[k]; ok && (cur == rec || !rec.Force && cur.ExecSec <= rec.ExecSec) {
+		return false
 	}
 	best[k] = rec
 	return true
@@ -144,21 +139,6 @@ func resolveBest(best map[string]tunelog.Record, workload, target, scheduler str
 	return out, found
 }
 
-// sortedBest returns a best map's records sorted by key — the stable order
-// compaction writes.
-func sortedBest(best map[string]tunelog.Record) []tunelog.Record {
-	keys := make([]string, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]tunelog.Record, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, best[k])
-	}
-	return out
-}
-
 // Open opens (creating if needed) the registry directory with auto-detected
 // layout, loading state from the authoritative journal(s). Open writes no
 // journal state — at most it creates the directory and, for a sharded
@@ -171,8 +151,8 @@ func Open(dir string) (*Registry, error) {
 // OpenOptions is Open with an explicit layout. A root journal.jsonl under the
 // sharded layout is a v1 registry to migrate in place — or a migration a kill
 // interrupted after shards/ was created and before the journal was retired,
-// which would otherwise open as an empty sharded registry. The replay skips
-// records a shard already holds, so both cases run migrate.
+// which would otherwise open as an empty sharded registry. The replay appends
+// only what changes a shard's bests, so both cases run migrate.
 func OpenOptions(dir string, o Options) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: create dir: %w", err)
@@ -218,10 +198,9 @@ func (r *Registry) Resolve(workload, target, scheduler string) (tunelog.Record, 
 		}
 	}
 	r.idx.RUnlock()
-	// Not loaded yet, or a miss: (re)load when the durable state moved —
-	// another process may have published or compacted since our last look (a
-	// miss already costs a full search downstream, so the check is cheap by
-	// comparison).
+	// Not loaded yet, or a miss: (re)load when the journal file moved —
+	// another process may have published since our last look (a miss already
+	// costs a full search downstream, so the stat is cheap by comparison).
 	r.idx.Lock()
 	defer r.idx.Unlock()
 	if !j.fresh() {
@@ -233,20 +212,20 @@ func (r *Registry) Resolve(workload, target, scheduler string) (tunelog.Record, 
 	return rec, ok, nil
 }
 
-// Publish records one measurement into the registry: it is appended to the
-// journal (unless the journal already holds it) and the best map updates only
-// when the record beats the current best for its key — or unconditionally when
-// rec.Force is set, the durable heal for a poisoned key. The returned bool
-// reports that improvement. The caller blocks for one locked append (see the
-// package doc for what that survives).
+// Publish records one measurement into the registry: when the record beats
+// the current best for its key — or, with rec.Force set (the durable heal for
+// a poisoned key), differs from it — it becomes the best and is appended to
+// the journal; otherwise nothing changes and nothing is written. The returned
+// bool reports that change. The caller blocks for one locked, fsynced append
+// (see the package doc).
 func (r *Registry) Publish(rec tunelog.Record) (bool, error) {
 	n, err := r.PublishBatch([]tunelog.Record{rec})
 	return n == 1, err
 }
 
-// PublishBatch appends an already-assembled batch — one locked write per
-// journal it touches, in journal order — and returns how many improved their
-// key.
+// PublishBatch publishes an already-assembled batch in order — one locked,
+// fsynced write per journal it touches, in journal order — and returns how
+// many records changed a best, which is how many lines it appended.
 func (r *Registry) PublishBatch(recs []tunelog.Record) (int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -277,17 +256,28 @@ func (r *Registry) PublishBatch(recs []tunelog.Record) (int, error) {
 	return n, nil
 }
 
-// ImportJournal publishes every record of a tuning-record log (corrupt lines
-// skipped, duplicates collapsed — tunelog.LoadFile semantics) in one append
-// batch and returns how many improved the registry. Importing the same
-// journal again is a no-op. This is how a daemon boots from a committed
-// journal, and how offline tuning runs feed a shared cache.
+// ImportJournal publishes every record of a journal file in one batch, in
+// file order with corrupt lines skipped, and returns how many changed a best
+// — the lines it appended, the file's improving subsequence. Importing a
+// tuning log again is a no-op, unless a Force heal has since replaced a key's
+// best with a slower record the log beats: tuning logs carry no Force
+// records. A journal holding heals (a registry journal) re-applies them. This
+// is how a daemon boots from a committed journal, and how offline tuning runs
+// feed a shared cache.
 func (r *Registry) ImportJournal(path string) (int, error) {
-	db, err := tunelog.LoadFile(path)
+	recs, err := readJournal(path)
 	if err != nil {
 		return 0, err
 	}
-	return r.PublishBatch(db.Records())
+	return r.PublishBatch(recs)
+}
+
+// readJournal returns every well-formed record of a journal file in file
+// order, duplicates included, as a replay needs them.
+func readJournal(path string) ([]tunelog.Record, error) {
+	var recs []tunelog.Record
+	_, err := tunelog.ScanFile(path, func(rec tunelog.Record) { recs = append(recs, rec) })
+	return recs, err
 }
 
 // Len returns the number of distinct (workload, target, scheduler) keys with
@@ -306,7 +296,7 @@ func (r *Registry) Len() int {
 func (r *Registry) Layout() Layout { return r.layout }
 
 // Stats snapshots the registry's storage counters (records, appends, lock
-// acquisitions, compactions, resident shards).
+// acquisitions, resident shards).
 func (r *Registry) Stats() Stats {
 	r.idx.RLock()
 	defer r.idx.RUnlock()
@@ -329,16 +319,16 @@ func (r *Registry) Close() error {
 }
 
 // migrate converts a single-file registry directory to the sharded layout in
-// place: the journal replays into per-shard journals (order preserved, so
-// Force heals keep their effect), the old journal is kept as
+// place: the journal replays into per-shard journals (every line, in order,
+// so Force heals keep their effect), the old journal is kept as
 // journal.v1.jsonl for rollback, and an index.json snapshot older binaries
 // wrote beside it is removed.
 // Opening a directory as sharded calls this whenever a root journal.jsonl is
-// present; the replay skips records a shard already holds, so a run killed at
-// any point before the rename is completed by the next one.
+// present; the replay appends only what changes a shard's bests, so a run
+// killed at any point before the rename is completed by the next one.
 func migrate(dir string) error {
 	src := filepath.Join(dir, journalFile)
-	db, err := tunelog.LoadFile(src)
+	recs, err := readJournal(src)
 	if err != nil {
 		return fmt.Errorf("registry: migrate: %w", err)
 	}
@@ -346,7 +336,7 @@ func migrate(dir string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := sharded.PublishBatch(db.Records()); err != nil {
+	if _, err := sharded.PublishBatch(recs); err != nil {
 		return fmt.Errorf("registry: migrate: %w", err)
 	}
 	if err := os.Rename(src, filepath.Join(dir, "journal.v1.jsonl")); err != nil {

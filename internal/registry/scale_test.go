@@ -12,8 +12,8 @@ import (
 // TestRegistryScaleSmoke is the CI bench-smoke scale check, gated behind
 // HARL_REGISTRY_SCALE=1: ~10k synthetic keys publish into a sharded registry
 // and leave every touched shard loaded, point lookups stay sub-millisecond, a
-// dominated shard compacts down, and a v1 single-file registry beside it
-// still opens and resolves untouched.
+// superseding burst on one key appends exactly its improvements, and a v1
+// single-file registry beside it still opens and resolves untouched.
 func TestRegistryScaleSmoke(t *testing.T) {
 	if os.Getenv("HARL_REGISTRY_SCALE") != "1" {
 		t.Skip("set HARL_REGISTRY_SCALE=1 to run the registry scale smoke")
@@ -50,30 +50,36 @@ func TestRegistryScaleSmoke(t *testing.T) {
 		t.Fatalf("average resolve %v, want sub-millisecond", avg)
 	}
 
-	// Dominate one key with superseded records — compactFactor per live key
-	// of its shard, past the more-than-compactFactor-per-key threshold once
-	// the shard's own records are counted: the shard must compact and the
-	// journal shrink below the records appended to it.
+	// Supersede one key again and again, each improvement beside a slower
+	// record: the journal must grow by exactly the improvements, and the
+	// hot shard's journal hold one line per record it counts.
 	hot := "w@scale-00000"
-	supersedes := int(compactFactor) * r.journalFor(hot).keys
+	const supersedes = 4000
+	before := r.Stats().Records
+	improvements := 0
 	for i := 0; i < supersedes; i += chunk {
-		batch := make([]tunelog.Record, 0, chunk)
+		batch := make([]tunelog.Record, 0, 2*chunk)
 		for j := 0; j < chunk && i+j < supersedes; j++ {
-			batch = append(batch, synthRecord(hot, "harl", 1e-7/float64(i+j+2), keys+i+j))
+			batch = append(batch,
+				synthRecord(hot, "harl", 1e-7/float64(i+j+2), keys+i+j),
+				synthRecord(hot, "harl", 1, keys+i+j))
 		}
-		if _, err := r.PublishBatch(batch); err != nil {
+		n, err := r.PublishBatch(batch)
+		if err != nil {
 			t.Fatal(err)
 		}
+		improvements += n
 	}
 	st := r.Stats()
-	if st.Compactions == 0 {
-		t.Fatalf("no compaction after %d superseded records on one key", supersedes)
+	if improvements != supersedes || st.Records-before != improvements {
+		t.Fatalf("%d improvements of %d, %d lines appended; want %d each", improvements, 2*supersedes, st.Records-before, supersedes)
 	}
-	if st.Records >= keys+supersedes {
-		t.Fatalf("%d records for %d keys — compaction shrank nothing", st.Records, keys)
+	hj := r.journalFor(hot)
+	if lines := countLines(t, hj.path()); lines != hj.records {
+		t.Fatalf("hot shard journal holds %d lines, its index counts %d", lines, hj.records)
 	}
-	if _, ok := resolve(t, r, hot, "cpu-xeon6226r", "harl"); !ok {
-		t.Fatal("hot key lost through compaction")
+	if got, ok := resolve(t, r, hot, "cpu-xeon6226r", "harl"); !ok || got.ExecSec != 1e-7/float64(supersedes+1) {
+		t.Fatalf("hot key after the burst = %+v, %v", got, ok)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

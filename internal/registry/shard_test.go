@@ -1,9 +1,12 @@
 package registry
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +50,16 @@ func records(t *testing.T, r *Registry) []tunelog.Record {
 			merged[k] = rec
 		}
 	}
-	return sortedBest(merged)
+	keys := make([]string, 0, len(merged))
+	for k := range merged {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]tunelog.Record, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, merged[k])
+	}
+	return out
 }
 
 // checkTouchedLoaded fails the test unless exactly the shards holding recs'
@@ -328,113 +340,71 @@ func TestSingleLayoutRejectsShardedDir(t *testing.T) {
 	}
 }
 
-// TestCompactionPreservesBestsAndForce: once superseded records dominate, the
-// shard journal is rewritten down to its per-key bests — and the rewrite must
-// keep the best map exactly, Force heals included, for both the live handle
-// and a from-scratch rebuild.
-func TestCompactionPreservesBestsAndForce(t *testing.T) {
-	dir := t.TempDir()
-	r := openLayout(t, dir, LayoutSharded)
-	r.compactMin, r.compactFactor = 8, 2
-	// One hot key accumulating improvements, then a Force heal, then no-op
-	// worse records so the heal stays the best through compaction.
-	for i := 0; i < 6; i++ {
-		if _, err := r.Publish(synthRecord("w@hot", "harl", float64(20-i)*1e-5, i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	heal := synthRecord("w@hot", "harl", 5e-4, 7)
-	heal.Force = true
-	if _, err := r.PublishBatch([]tunelog.Record{heal}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := r.Publish(synthRecord("w@hot", "harl", float64(30+i)*1e-4, 8+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := r.Stats()
-	if st.Compactions == 0 {
-		t.Fatalf("no compaction after 15 records over 1 key (min %d, factor %g): %+v",
-			r.compactMin, r.compactFactor, st)
-	}
-	want := records(t, r)
-	if got, ok := resolve(t, r, "w@hot", heal.Target, "harl"); !ok || got != heal {
-		t.Fatalf("live resolve after compaction = %+v, %v; want the heal", got, ok)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The compacted journal holds exactly the live bests.
-	journals := shardJournals(t, dir)
-	if len(journals) != 1 {
-		t.Fatalf("hot key spread across %d shard journals, want 1", len(journals))
-	}
-	if lines := countLines(t, journals[0]); lines != 1 {
-		t.Fatalf("compacted shard journal holds %d records, want 1 (the best)", lines)
-	}
-	// A from-scratch rebuild replays only the compacted journal and must land
-	// on the identical best map.
-	fresh := openLayout(t, dir, LayoutSharded)
-	defer fresh.Close()
-	sameBests(t, "after compaction rebuild", records(t, fresh), want)
-	if rec, ok := resolve(t, fresh, "w@hot", heal.Target, "harl"); !ok || rec != heal {
-		t.Fatalf("heal lost across compaction rebuild: %+v, %v", rec, ok)
-	}
-}
-
-// TestImportCompactsHotShard: with the default thresholds, importing a
-// network-sized journal — 80 records of one key, about what a BERT tune logs
-// per subgraph — compacts its shard on the spot, so a later hit parses one
-// line instead of eighty.
-func TestImportCompactsHotShard(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "tune.jsonl")
-	jr, err := tunelog.OpenJournal(logPath)
+// TestImportAppendsImprovingSubsequence: importing a tuning log appends
+// exactly its improving subsequence — each record that beat every record
+// before it — byte for byte, and importing it again appends nothing. The
+// committed GEMM journal holds 96 records of one key, 12 of them improving.
+func TestImportAppendsImprovingSubsequence(t *testing.T) {
+	src := filepath.Join("..", "..", "examples", "pretrain", "gemm-cpu.jsonl")
+	all, err := readJournal(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 80; i++ {
-		if err := jr.Append(synthRecord("w@bert-sg", "harl", float64(100-i)*1e-6, i+1)); err != nil {
+	var want bytes.Buffer
+	improving, best := 0, math.Inf(1)
+	for _, rec := range all {
+		if rec.ExecSec >= best {
+			continue
+		}
+		best = rec.ExecSec
+		line, err := rec.MarshalLine()
+		if err != nil {
 			t.Fatal(err)
 		}
+		want.Write(append(line, '\n'))
+		improving++
 	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
+	if len(all) != 96 || improving != 12 {
+		t.Fatalf("the committed journal holds %d records, %d improving; want 96 and 12", len(all), improving)
 	}
-	r := openLayout(t, filepath.Join(dir, "reg"), LayoutSharded)
+	dir := t.TempDir()
+	r := openLayout(t, dir, LayoutSharded)
 	defer r.Close()
-	if _, err := r.ImportJournal(logPath); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.Compactions < 1 || st.Records != 1 {
-		t.Fatalf("import of 80 records over 1 key: %d compactions, %d records; want ≥ 1 and 1", st.Compactions, st.Records)
-	}
-	journals := shardJournals(t, filepath.Join(dir, "reg"))
-	if len(journals) != 1 {
-		t.Fatalf("one key spread across %d shard journals", len(journals))
-	}
-	if lines := countLines(t, journals[0]); lines != 1 {
-		t.Fatalf("compacted shard journal holds %d records, want 1", lines)
-	}
-	if got, ok := resolve(t, r, "w@bert-sg", "cpu-xeon6226r", "harl"); !ok || got.Trial != 80 {
-		t.Fatalf("hot key after compaction = %+v, %v; want the trial-80 best", got, ok)
+	for pass, wantN := range []int{improving, 0} {
+		n, err := r.ImportJournal(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != wantN || r.Stats().Records != improving || r.Len() != 1 {
+			t.Fatalf("import %d: %d appended, %d records, %d keys; want %d, %d, 1",
+				pass+1, n, r.Stats().Records, r.Len(), wantN, improving)
+		}
+		journals := shardJournals(t, dir)
+		if len(journals) != 1 {
+			t.Fatalf("one key spread across %d shard journals", len(journals))
+		}
+		got, err := os.ReadFile(journals[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("import %d: shard journal is not the improving subsequence:\n%s", pass+1, got)
+		}
 	}
 }
 
-// TestGenerationDetectsSameStampRewrite: the file-stamp blind spot. A journal
-// rewrite that lands on the same size and mtime is invisible to
-// fileStamp{size,mtime}; the shard generation counter is what makes a
-// resident handle notice. The test first demonstrates the blind spot (rewrite
-// without a generation bump goes unseen), then the cure.
-func TestGenerationDetectsSameStampRewrite(t *testing.T) {
+// TestRenameReplaceDetectedAtSameStamp: older binaries still compact a shard
+// by rename-replacing its journal, and the replacement can keep the old
+// file's size and mtime. The inode changes with every rename, so a resident
+// handle's miss still sees the new journal and reloads.
+func TestRenameReplaceDetectedAtSameStamp(t *testing.T) {
 	dir := t.TempDir()
 	r := openLayout(t, dir, LayoutSharded)
 	defer r.Close()
 	recA := synthRecord("w@gen-00000", "harl", 1e-4, 1)
 	// Find a second workload that routes to the SAME shard with the SAME
-	// marshaled line length, so the rewritten journal can match the original's
-	// byte size exactly.
+	// marshaled line length, so the replacement journal can match the
+	// original's byte size exactly.
 	lineA, err := recA.MarshalLine()
 	if err != nil {
 		t.Fatal(err)
@@ -472,40 +442,31 @@ func TestGenerationDetectsSameStampRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the journal with different content of identical size and
-	// restore the mtime — the stamp collision a real compaction by another
-	// process can produce.
+	// Replace the journal the way a compaction does — write a temp file,
+	// rename it over — with another record of identical size, and give it
+	// the old mtime.
 	lineB, err := recB.MarshalLine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(lineB, '\n'), 0o644); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, append(lineB, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chtimes(path, st.ModTime(), st.ModTime()); err != nil {
+	if err := os.Chtimes(tmp, st.ModTime(), st.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
 	if st2, err := os.Stat(path); err != nil || st2.Size() != st.Size() || !st2.ModTime().Equal(st.ModTime()) {
-		t.Fatalf("rewrite did not preserve the stamp: %v size %d->%d", err, st.Size(), st2.Size())
-	}
-	// Blind spot: without a generation bump the resident handle cannot see the
-	// rewrite — recB misses even though it is on disk.
-	if _, ok := resolve(t, r, recB.Workload, recB.Target, "harl"); ok {
-		t.Fatal("stamp-identical rewrite was detected without a generation bump; the blind spot this test guards no longer exists")
-	}
-	// The cure: bump the shard generation, exactly as compaction does.
-	shardDir := filepath.Dir(path)
-	h, err := readShardHeader(shardDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Generation++
-	h.Keys, h.Records = 1, 1
-	if err := writeShardHeader(shardDir, h); err != nil {
-		t.Fatal(err)
+		t.Fatalf("replacement did not keep the stamp: %v size %d->%d", err, st.Size(), st2.Size())
 	}
 	if got, ok := resolve(t, r, recB.Workload, recB.Target, "harl"); !ok || got != recB {
-		t.Fatalf("generation bump did not trigger a reload: %+v, %v", got, ok)
+		t.Fatalf("a same-size, same-mtime rename-replace went unseen: %+v, %v", got, ok)
+	}
+	if _, ok := resolve(t, r, recA.Workload, recA.Target, "harl"); ok {
+		t.Fatal("recA still served from the replaced journal")
 	}
 }
 
@@ -545,6 +506,43 @@ func TestTouchedShardsStayLoaded(t *testing.T) {
 	}
 	if got := records(t, fresh); len(got) != keys {
 		t.Fatalf("the journals hold %d bests, want %d", len(got), keys)
+	}
+}
+
+// TestBadHeaderCountsByLoading: header.json holds advisory counts rewritten
+// in place without fsync, so a crash can leave one torn or missing. Opening
+// then loads that shard to count it: Len and Stats stay exact, and only the
+// shards with a bad header are loaded.
+func TestBadHeaderCountsByLoading(t *testing.T) {
+	dir := t.TempDir()
+	r := openLayout(t, dir, LayoutSharded)
+	const keys = 16
+	for i := 0; i < keys; i++ {
+		// Two improvements per key: records are twice the keys.
+		for _, exec := range []float64{2e-4, 1e-4} {
+			if _, err := r.Publish(synthRecord(fmt.Sprintf("w@hdr-%02d", i), "harl", exec, i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journals := shardJournals(t, dir)
+	if len(journals) < 2 {
+		t.Fatalf("%d keys landed in %d shards, want at least 2", keys, len(journals))
+	}
+	if err := os.Remove(filepath.Join(filepath.Dir(journals[0]), shardHeaderFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(filepath.Dir(journals[1]), shardHeaderFile), []byte(`{"v":1,"ke`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := openLayout(t, dir, LayoutSharded)
+	defer fresh.Close()
+	if st := fresh.Stats(); fresh.Len() != keys || st.Records != 2*keys || st.ResidentShards != 2 {
+		t.Fatalf("reopened with %d keys, %d records, %d resident shards; want %d, %d, 2",
+			fresh.Len(), st.Records, st.ResidentShards, keys, 2*keys)
 	}
 }
 

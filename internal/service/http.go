@@ -331,7 +331,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE harl_registry_records gauge\nharl_registry_records %d\n", rs.Records)
 		fmt.Fprintf(w, "# TYPE harl_registry_appends_total counter\nharl_registry_appends_total %d\n", rs.Appends)
 		fmt.Fprintf(w, "# TYPE harl_registry_lock_acquisitions_total counter\nharl_registry_lock_acquisitions_total %d\n", rs.LockAcquisitions)
-		fmt.Fprintf(w, "# TYPE harl_registry_compactions_total counter\nharl_registry_compactions_total %d\n", rs.Compactions)
 		fmt.Fprintf(w, "# TYPE harl_registry_resident_shards gauge\nharl_registry_resident_shards %d\n", rs.ResidentShards)
 	}
 	if s.fleet != nil {

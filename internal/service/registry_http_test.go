@@ -145,7 +145,8 @@ func TestLookupRegistryIOErrorIsServerError(t *testing.T) {
 }
 
 // TestMetricsExposeRegistryStorageStats: the storage counters (records,
-// appends, locks, compactions) must be rendered for a registry-backed server.
+// appends, locks, resident shards) must be rendered for a registry-backed
+// server.
 func TestMetricsExposeRegistryStorageStats(t *testing.T) {
 	srv, _, _, _ := serveTestEnv(t)
 	body := getMetricsText(t, srv.URL)
@@ -154,7 +155,7 @@ func TestMetricsExposeRegistryStorageStats(t *testing.T) {
 		"harl_registry_records",
 		"harl_registry_appends_total",
 		"harl_registry_lock_acquisitions_total",
-		"harl_registry_compactions_total",
+		"harl_registry_resident_shards",
 	} {
 		if !strings.Contains(body, metric) {
 			t.Fatalf("/metrics lacks %s:\n%s", metric, body)

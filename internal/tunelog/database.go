@@ -26,15 +26,12 @@ func NewDatabase() *Database {
 // LoadFile builds a database from one journal file. A missing file is an
 // error; a corrupt file loads the parseable prefix of every line (see Load).
 func LoadFile(path string) (*Database, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tunelog: open log: %w", err)
-	}
-	defer f.Close()
 	db := NewDatabase()
-	if err := db.Load(f); err != nil {
+	skipped, err := ScanFile(path, func(r Record) { db.Add(r) })
+	if err != nil {
 		return nil, err
 	}
+	db.skipped += skipped
 	return db, nil
 }
 
@@ -43,9 +40,44 @@ func LoadFile(path string) (*Database, error) {
 // — are counted (Skipped) and skipped rather than failing the load, so a
 // journal damaged by a crash still warm-starts from its intact prefix. Only
 // I/O errors are returned.
+//
+//lint:allow deadexport core/journal_test.go, pretrain/pretrain_test.go, search/lazyfit_test.go and tunelog_test.go load journals held in memory
 func (db *Database) Load(r io.Reader) error {
+	skipped, err := scan(r, maxFirstBuf, func(rec Record) { db.Add(rec) })
+	db.skipped += skipped
+	return err
+}
+
+// maxFirstBuf caps a scan's first line buffer; maxLine is the longest line
+// the buffer grows to.
+const (
+	maxFirstBuf = 64 << 10
+	maxLine     = 1 << 20
+)
+
+// ScanFile streams one journal file through fn: every well-formed record in
+// file order, exact duplicates included — the replay a registry journal
+// needs, where a repeated Force heal is a second event, not a copy. Corrupt
+// lines are skipped as in Load and counted in the result. The line buffer
+// starts at the file's size (capped at maxFirstBuf), so a small journal costs
+// a small buffer. A missing file is an error wrapping fs.ErrNotExist.
+func ScanFile(path string, fn func(Record)) (skipped int, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, fmt.Errorf("tunelog: open log: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("tunelog: stat log: %w", err)
+	}
+	return scan(f, int(min(st.Size()+1, maxFirstBuf)), fn)
+}
+
+// scan is the one line loop under Load and ScanFile.
+func scan(r io.Reader, firstBuf int, fn func(Record)) (skipped int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, firstBuf), maxLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -53,15 +85,15 @@ func (db *Database) Load(r io.Reader) error {
 		}
 		rec, err := ParseLine(line)
 		if err != nil || rec.V != SchemaVersion {
-			db.skipped++
+			skipped++
 			continue
 		}
-		db.Add(rec)
+		fn(rec)
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("tunelog: read log: %w", err)
+		return skipped, fmt.Errorf("tunelog: read log: %w", err)
 	}
-	return nil
+	return skipped, nil
 }
 
 // Add inserts one record, reporting whether it was new (false for an exact

@@ -33,9 +33,9 @@ func OpenJournal(path string) (*Journal, error) {
 // OpenJournalUnlocked opens a journal without taking an advisory lock of its
 // own, for callers that serialize writers externally (AcquireFileLock). The
 // registry does: a v1 registry locks its journal file through a separate
-// descriptor, and a sharded one locks each shard's never-renamed lock file,
-// since compaction atomically replaces the shard journal and a flock held on
-// the replaced inode would no longer exclude anyone.
+// descriptor, and a sharded one locks each shard's never-renamed lock file.
+// Older binaries compact a shard by atomically replacing its journal, and a
+// flock held on the replaced inode would no longer exclude them.
 func OpenJournalUnlocked(path string) (*Journal, error) {
 	return openJournal(path, func(*os.File) error { return nil })
 }
@@ -90,8 +90,8 @@ func repairTornTail(f *os.File) error {
 // serialization primitive behind OpenJournalUnlocked. A lock on a journal
 // file excludes OpenJournal on it too (flock locks belong to the open file,
 // so this holds within one process as well); the sharded registry locks
-// shards/<xx>/lock instead so compaction can rename-replace the shard journal
-// without orphaning waiters' flocks.
+// shards/<xx>/lock instead, the file older binaries lock while they compact
+// (rename-replace) a shard journal, so waiters' flocks are never orphaned.
 func AcquireFileLock(path string) (io.Closer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644) //lint:allow atomicwrite lock-file inode: it anchors the advisory flock and never carries data
 	if err != nil {
@@ -141,6 +141,20 @@ func (j *Journal) fail(err error) error {
 	defer j.mu.Unlock()
 	if j.err == nil {
 		j.err = err
+	}
+	return j.err
+}
+
+// Sync commits the lines appended so far to stable storage (fsync), so they
+// survive a machine crash and not only a process kill, and returns any
+// retained write error. It is a no-op for a writer that cannot sync.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if s, ok := j.c.(interface{ Sync() error }); ok && j.err == nil {
+		if err := s.Sync(); err != nil {
+			j.err = fmt.Errorf("tunelog: sync journal: %w", err)
+		}
 	}
 	return j.err
 }

@@ -22,7 +22,10 @@
 //   - Database loads one or more logs into memory, skipping corrupt or
 //     truncated lines and records with an unknown schema version,
 //     deduplicating exact duplicates, and answering best-record queries per
-//     (workload, target) key — the warm-start source for re-runs.
+//     (workload, target) key — the warm-start source for re-runs. Its
+//     line loop is ScanFile, which a caller folding records itself (the
+//     registry's replay) uses alone: every record in file order, duplicates
+//     included.
 package tunelog
 
 import (

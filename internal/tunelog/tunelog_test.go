@@ -2,7 +2,9 @@ package tunelog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -237,6 +239,99 @@ func TestJournalClosePropagatesCloserError(t *testing.T) {
 	}
 	if err := jr2.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Close after failed write = %v, want the sticky write error", err)
+	}
+}
+
+// syncFailWriter writes successfully but fails its fsync.
+type syncFailWriter struct{ closeFailWriter }
+
+func (syncFailWriter) Sync() error { return fmt.Errorf("fsync failed") }
+
+func TestJournalSync(t *testing.T) {
+	s, _ := sampleSchedule(1)
+	sg := workload.GEMM("g", 1, 64, 64, 64)
+	rec := NewRecord(sg, "cpu", "harl", s, 1e-5, 1, 7)
+	// A file journal syncs; a plain writer has nothing to sync.
+	jr, err := OpenJournal(filepath.Join(t.TempDir(), "tune.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Journal{jr, NewJournal(&bytes.Buffer{})} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A failed fsync is retained like a write error: Close reports it.
+	bad := NewJournalWriteCloser(syncFailWriter{})
+	if err := bad.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Sync(); err == nil || !strings.Contains(err.Error(), "fsync failed") {
+		t.Fatalf("Sync = %v, want the fsync error", err)
+	}
+	if err := bad.Close(); err == nil || !strings.Contains(err.Error(), "fsync failed") {
+		t.Fatalf("Close after a failed Sync = %v, want the fsync error", err)
+	}
+}
+
+// TestScanFileReplaysEveryLine: ScanFile hands over every well-formed line in
+// file order, exact duplicates included (LoadFile's database drops them),
+// skips and counts corrupt ones, reads a final line with no newline, and
+// grows its file-sized first buffer for a line longer than 64 KiB.
+func TestScanFileReplaysEveryLine(t *testing.T) {
+	s, _ := sampleSchedule(1)
+	sg := workload.GEMM("g", 1, 64, 64, 64)
+	a := NewRecord(sg, "cpu", "harl", s, 2e-5, 1, 7)
+	b := NewRecord(sg, "cpu", "harl", s, 1e-5, 2, 7)
+	long := a
+	long.Steps = strings.Repeat("x", 100<<10)
+	var buf bytes.Buffer
+	for _, rec := range []Record{a, b, a, long} {
+		line, err := rec.MarshalLine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(append(line, '\n'))
+	}
+	buf.WriteString("{torn\n")
+	line, err := a.MarshalLine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(line)
+	path := filepath.Join(t.TempDir(), "tune.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	skipped, err := ScanFile(path, func(r Record) { got = append(got, r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{a, b, a, long, a}
+	if skipped != 1 || len(got) != len(want) {
+		t.Fatalf("scanned %d records, skipped %d; want %d and 1", len(got), skipped, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: got trial %d, want trial %d", i, got[i].Trial, want[i].Trial)
+		}
+	}
+	db, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Size() != 3 || db.Skipped() != 1 {
+		t.Fatalf("LoadFile kept %d records, skipped %d; want the 3 distinct and 1", db.Size(), db.Skipped())
+	}
+	if _, err := ScanFile(filepath.Join(t.TempDir(), "absent.jsonl"), func(Record) {}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("ScanFile of a missing file = %v, want fs.ErrNotExist", err)
 	}
 }
 

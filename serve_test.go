@@ -2,6 +2,8 @@ package harl
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -355,4 +357,77 @@ func TestBrokenRegistryRecordIsRepaired(t *testing.T) {
 			t.Fatalf("repaired network should fully hit: %d of %d hits, %d trials", again.CacheHits, len(subgraphs), again.Trials)
 		}
 	})
+}
+
+// TestRegistryBestMapDigest pins the bests a registry ends with after a
+// fixed history, read back through a reopen: import the committed GEMM
+// journal, run two sessions (random and ansor, both misses that publish),
+// force-heal the random session's key with a slower record, then import the
+// GEMM journal again as a daemon does on every boot. The journals' bytes are
+// free to change with the storage format; the best map is not.
+func TestRegistryBestMapDigest(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join("examples", "pretrain", "gemm-cpu.jsonl")
+	reg, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.ImportJournal(journal); err != nil {
+		t.Fatal(err)
+	}
+	w := GEMM(256, 256, 256, 1)
+	for _, scheduler := range []string{"random", "ansor"} {
+		res, err := TuneOperator(w, CPU(), Options{Scheduler: scheduler, Trials: 48, Seed: 3, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit || res.Trials == 0 {
+			t.Fatalf("%s session hit the cache: %+v", scheduler, res)
+		}
+	}
+	heal, ok, err := reg.reg.Resolve(w.Fingerprint(), CPU().Name(), "random")
+	if err != nil || !ok {
+		t.Fatalf("random session's best: ok=%v err=%v", ok, err)
+	}
+	heal.ExecSec *= 2
+	heal.Trial++
+	heal.Force = true
+	if n, err := reg.reg.PublishBatch([]tunelog.Record{heal}); err != nil || n != 1 {
+		t.Fatalf("heal publish = %d, %v", n, err)
+	}
+	if _, err := reg.ImportJournal(journal); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	schedulers := []string{"ansor", "harl", "random"}
+	if fresh.Len() != len(schedulers) {
+		t.Fatalf("reopened registry holds %d keys, want %d", fresh.Len(), len(schedulers))
+	}
+	h := sha256.New()
+	for _, scheduler := range schedulers {
+		rec, ok, err := fresh.reg.Resolve(w.Fingerprint(), CPU().Name(), scheduler)
+		if err != nil || !ok {
+			t.Fatalf("%s best after reopen: ok=%v err=%v", scheduler, ok, err)
+		}
+		line, err := rec.MarshalLine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append(line, '\n'))
+	}
+	if rec, _, _ := fresh.reg.Resolve(w.Fingerprint(), CPU().Name(), "random"); rec != heal {
+		t.Fatalf("the heal did not survive: %+v", rec)
+	}
+	const want = "df2edf2719a066588497114c3e9a27b7e78490bf9b6db74baeb917733375109d" // as the registry that appended every distinct record computed it
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("best-map digest %s, want %s", got, want)
+	}
 }
