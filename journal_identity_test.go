@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"harl/internal/tunelog"
 )
 
 // TestCommittedJournalByteIdentity re-runs the exact tuning configuration that
@@ -75,4 +77,61 @@ func TestBenchmarkConfigJournalHashes(t *testing.T) {
 		_, err := TuneOperator(GEMM(1024, 1024, 1024, 1), CPU(), Options{Scheduler: "harl", Trials: 320, Seed: 1, Workers: 1, RecordLog: path})
 		return err
 	})
+}
+
+// TestSeededSessionPinned pins a session that stacks every start-up seed on
+// one task set: a short BERT run writes a journal, and a second run pretrains
+// from it, resumes from it and resolves one subgraph's best from a registry
+// holding it, at workers 1 and 2. The record log's sha256 and the seed counts
+// are literals, so a change to how a session seeds its tasks — their order or
+// what each stage reads — has to show here.
+func TestSeededSessionPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three short BERT sessions")
+	}
+	dir := t.TempDir()
+	first := filepath.Join(dir, "first.jsonl")
+	if _, err := TuneNetwork("bert", 1, CPU(), Options{Scheduler: "harl", Trials: 160, Seed: 3, RecordLog: first}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := tunelog.LoadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := networkByName("bert", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, ok := db.Best(net.Subgraphs[0].Fingerprint(), CPU().Name())
+	if !ok {
+		t.Fatalf("first session journaled nothing for %s", net.Subgraphs[0].Name)
+	}
+	const wantLog = "a61c58485c8d585af6bf74456a987cdc29f30a4035d41cc35d2f3a509d139ec3"
+	for _, workers := range []int{1, 2} {
+		reg, err := OpenRegistry(filepath.Join(dir, fmt.Sprintf("reg%d", workers)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		if _, err := reg.reg.Publish(best); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("seeded%d.jsonl", workers))
+		res, err := TuneNetwork("bert", 1, CPU(), Options{
+			Scheduler: "harl", Trials: 160, Seed: 5, Workers: workers, RecordLog: path,
+			PretrainFrom: first, ResumeFrom: first, Registry: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256(data))
+		if got != wantLog || res.WarmStarted != 10 || res.Pretrained != 10 || res.CacheHits != 1 {
+			t.Fatalf("w=%d: record log sha256 %s (%d bytes), warm-started %d, pretrained %d, cache hits %d; want %s, 10, 10, 1",
+				workers, got, len(data), res.WarmStarted, res.Pretrained, res.CacheHits, wantLog)
+		}
+	}
 }
