@@ -156,7 +156,8 @@ func TestFleetWorkerKilledMidRun(t *testing.T) {
 }
 
 // TestFleetNetworkTune: the fleet seam reaches every task of a network run
-// (the SeedCostModels path), on both the serial and the parallel scheduler.
+// (the session's per-task start-up attaches it), on both the serial and the
+// parallel scheduler.
 func TestFleetNetworkTune(t *testing.T) {
 	wk, err := fleet.NewWorker(nil, 2)
 	if err != nil {

@@ -149,19 +149,6 @@ func CustomOp(name string, axes []CustomAxis, flopsPerPoint float64, reuse bool)
 	return Workload{sg}, nil
 }
 
-// networkByName resolves one of the paper's network names.
-func networkByName(name string, batch int) (*workload.Network, error) {
-	switch name {
-	case "bert", "BERT":
-		return workload.BERT(batch), nil
-	case "resnet50", "resnet", "ResNet":
-		return workload.ResNet50(batch), nil
-	case "mobilenetv2", "mobilenet", "MobileNet":
-		return workload.MobileNetV2(batch), nil
-	}
-	return nil, fmt.Errorf("harl: unknown network %q", name)
-}
-
 // Fingerprint returns the workload's stable record-log identity (the
 // Workload field of its Records).
 func (w Workload) Fingerprint() string { return w.sg.Fingerprint() }
@@ -229,7 +216,7 @@ func OperatorWorkload(op string, dims []int, batch int) (Workload, error) {
 // NetworkWorkloads returns the subgraph workloads of one of the paper's
 // networks (harl-serve validates a network request with it).
 func NetworkWorkloads(name string, batch int) ([]Workload, error) {
-	net, err := networkByName(name, batch)
+	net, err := workload.NetworkByName(name, batch)
 	if err != nil {
 		return nil, err
 	}

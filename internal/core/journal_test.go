@@ -27,7 +27,7 @@ func tuneOperator(t *testing.T, sg *texpr.Subgraph, plat *hardware.Platform, sch
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmed := warm != nil && tn.WarmStart(warm) > 0
+	warmed := warm != nil && tn.MT.Tasks[0].WarmStartFrom(warm)
 	if jr != nil {
 		tn.AttachJournal(jr, seed)
 	}
@@ -222,7 +222,12 @@ func TestNetworkTunerJournalAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmed := nt2.WarmStart(db)
+	warmed := 0
+	for _, task := range nt2.MT.Tasks {
+		if task.WarmStartFrom(db) {
+			warmed++
+		}
+	}
 	if warmed == 0 {
 		t.Fatal("no tasks warm-started")
 	}

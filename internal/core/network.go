@@ -127,34 +127,6 @@ func (p *ParallelNetworkTuner) SetProgress(fn func(search.Progress)) {
 	p.MT.OnProgress = fn
 }
 
-// WarmStart seeds every task from its best cached record and returns the
-// number of tasks seeded.
-func (p *ParallelNetworkTuner) WarmStart(db *tunelog.Database) int {
-	n := 0
-	for _, t := range p.MT.Tasks {
-		if warmStartTask(t, db) {
-			n++
-		}
-	}
-	return n
-}
-
-// SeedCostModels applies the hooks' per-task stages (seedCostModel) to every
-// task before RunCtx, returning the number of tasks whose cost
-// model starts with offline knowledge. Seeding happens before the first wave
-// on committed state, so the determinism contract (worker-count invariance)
-// is untouched.
-func (p *ParallelNetworkTuner) SeedCostModels(hooks TuneHooks) int {
-	n := 0
-	for _, t := range p.MT.Tasks {
-		seedCostModel(t, hooks)
-		if t.Pretrained {
-			n++
-		}
-	}
-	return n
-}
-
 // RunCtx tunes until the measurement budget is exhausted or the schedule
 // spaces are, with cooperative cancellation at wave barriers (see
 // search.MultiTuner.RunCtx); it returns true if the context cut the run

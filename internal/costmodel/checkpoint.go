@@ -11,7 +11,7 @@
 // misinterpreting them.
 //
 // No tuning path reads or writes a checkpoint: a run that should start with a
-// trained model replays a journal (internal/pretrain). The codec stays as the
+// trained model replays a journal (search.Task.Pretrain). The codec stays as the
 // byte digest the tests pin fitted models with, and the benchmark's probe
 // times its decoder.
 package costmodel

@@ -26,16 +26,9 @@ func netBudget(cfg Config, net *workload.Network) int {
 // runNetwork tunes a network with a named scheduler preset, one subgraph
 // round at a time so the preset's allocation policy decides every round.
 func runNetwork(cfg Config, netName string, batch int, platName, schedName string, seed uint64) *core.ParallelNetworkTuner {
-	var net *workload.Network
-	switch netName {
-	case "BERT":
-		net = workload.BERT(batch)
-	case "ResNet":
-		net = workload.ResNet50(batch)
-	case "MobileNet":
-		net = workload.MobileNetV2(batch)
-	default:
-		panic("experiments: unknown network " + netName)
+	net, err := workload.NetworkByName(netName, batch)
+	if err != nil {
+		panic(err)
 	}
 	plat := hardware.ByName(platName)
 	nt, err := core.NewSequentialNetworkTuner(net, plat, schedName, cfg.MeasureK, seed, cfg.EffectiveWorkers())

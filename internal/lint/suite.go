@@ -53,7 +53,6 @@ var handlerPackages = []string{
 var orderSensitivePackages = append([]string{
 	"harl/internal/registry",
 	"harl/internal/experiments",
-	"harl/internal/pretrain",
 	"harl/internal/core",
 	"harl/internal/service",
 	"harl/internal/fleet",

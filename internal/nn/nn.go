@@ -23,7 +23,9 @@
 // accumulator: VMULPD and VADDPD round it as MULSD and ADDSD round a scalar, in
 // the same order, hence the same bits; a fused multiply-add rounds once where
 // these round twice, so neither implementation has one (no VFMADD; explicit
-// float64 conversions in Go).
+// float64 conversions in Go). No flag, option, environment variable or build
+// tag selects an implementation: Linear, MLP and rl have one data flow and
+// never ask which one runs.
 //
 // The element-wise loops — Adam, the exp under Softmax, the log under
 // EntropyGrad, tanh — have lanes on the same terms. Their specification is the

@@ -13,7 +13,13 @@
 // An Agent is driven by one goroutine. Its update trains the critic on a
 // second one beside the actor: the two share no parameter, gradient or Adam
 // moment, and the critic's half draws nothing from the RNG, so the result is
-// bit-identical whichever half finishes first, at any GOMAXPROCS.
+// bit-identical whichever half finishes first, at any GOMAXPROCS. Every pass
+// runs in blocks of at most chunkRows samples through agent-owned scratch
+// sized by the block, and the critic's pass is a method value bound once, so
+// a warm update allocates nothing (on two procs the runtime's goroutine free
+// lists first grow by a bounded ≈ 30 KB). The search queries the policy and
+// the critic once per window step for all its live tracks (ActBatch,
+// ValueBatch); Act and Value are the one-row case of the same code.
 package rl
 
 import (

@@ -10,7 +10,6 @@ import (
 	"harl/internal/core"
 	"harl/internal/costmodel"
 	"harl/internal/hardware"
-	"harl/internal/pretrain"
 	"harl/internal/schedule"
 	"harl/internal/search"
 	"harl/internal/texpr"
@@ -148,7 +147,7 @@ func checkpointBytes(t *testing.T, task *search.Task) []byte {
 // its round commits it — same journal bytes, trials, best log, version count
 // and simulated clock — while the model-free engines never fit and the others
 // skip at least their last version; the first read after the session fits
-// once, and that ensemble is the one pretrain.SeedTask trains a fresh task
+// once, and that ensemble is the one Task.Pretrain trains a fresh task
 // with from the session's own journal.
 // Under -race at width 4 the double also fails the test if a fit ever
 // overlaps a read: the fit happens before the fan-out, not inside it.
@@ -166,7 +165,7 @@ func TestFitOnFirstRead(t *testing.T) {
 			}
 			rng := xrand.New(1)
 			offline := search.NewTask(sg, et.Plat, hardware.NewMeasurer(hardware.NewSimulator(et.Plat), rng.Split()), rng.Split())
-			if n := pretrain.SeedTask(db, offline); n != et.Trials {
+			if n := offline.Pretrain(db); n != et.Trials {
 				t.Fatalf("replayed %d of the session's %d trials", n, et.Trials)
 			}
 			if !bytes.Equal(artifact, checkpointBytes(t, offline)) {

@@ -1,4 +1,4 @@
-package pretrain_test
+package search_test
 
 import (
 	"bytes"
@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"harl/internal/core"
-	"harl/internal/costmodel"
 	"harl/internal/hardware"
-	"harl/internal/pretrain"
 	"harl/internal/search"
 	"harl/internal/texpr"
 	"harl/internal/tunelog"
@@ -16,9 +14,8 @@ import (
 	"harl/internal/xrand"
 )
 
-// journalFor runs a short tuning job and returns its records as a database,
-// plus the best measured (noisy) execution time.
-func journalFor(t *testing.T, sg *texpr.Subgraph, plat *hardware.Platform, trials int, seed uint64) (*tunelog.Database, float64) {
+// journalFor runs a short tuning job and returns its records as a database.
+func journalFor(t *testing.T, sg *texpr.Subgraph, plat *hardware.Platform, trials int, seed uint64) *tunelog.Database {
 	t.Helper()
 	var buf bytes.Buffer
 	jr := tunelog.NewJournal(&buf)
@@ -38,11 +35,7 @@ func journalFor(t *testing.T, sg *texpr.Subgraph, plat *hardware.Platform, trial
 	if db.Size() == 0 {
 		t.Fatal("empty journal")
 	}
-	best, ok := db.Best(sg.Fingerprint(), plat.Name)
-	if !ok {
-		t.Fatal("no best record")
-	}
-	return db, best.ExecSec
+	return db
 }
 
 func newTask(sg *texpr.Subgraph, plat *hardware.Platform, seed uint64) *search.Task {
@@ -51,13 +44,13 @@ func newTask(sg *texpr.Subgraph, plat *hardware.Platform, seed uint64) *search.T
 	return search.NewTask(sg, plat, meas, rng.Split())
 }
 
-func TestSeedTaskReplaysJournal(t *testing.T) {
+func TestPretrainReplaysJournal(t *testing.T) {
 	sg := workload.GEMM("g", 1, 256, 256, 256)
 	plat := hardware.CPUXeon6226R()
-	db, _ := journalFor(t, sg, plat, 64, 3)
+	db := journalFor(t, sg, plat, 64, 3)
 
 	task := newTask(sg, plat, 1)
-	n := pretrain.SeedTask(db, task)
+	n := task.Pretrain(db)
 	if n != db.Size() {
 		t.Fatalf("replayed %d of %d records", n, db.Size())
 	}
@@ -73,36 +66,26 @@ func TestSeedTaskReplaysJournal(t *testing.T) {
 	}
 	// The same journal trains the same model, whatever task seed replays it.
 	again := newTask(sg, plat, 2)
-	pretrain.SeedTask(db, again)
-	if !bytes.Equal(checkpoint(t, task), checkpoint(t, again)) {
+	again.Pretrain(db)
+	if !bytes.Equal(checkpointBytes(t, task), checkpointBytes(t, again)) {
 		t.Fatal("the same journal trained different models")
 	}
 }
 
-// checkpoint returns the codec bytes of the task's fitted model.
-func checkpoint(t *testing.T, task *search.Task) []byte {
-	t.Helper()
-	data, err := task.FittedCost().(*costmodel.Model).MarshalCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func TestSeedTaskIgnoresForeignRecords(t *testing.T) {
+func TestPretrainIgnoresForeignRecords(t *testing.T) {
 	gemm := workload.GEMM("g", 1, 256, 256, 256)
 	plat := hardware.CPUXeon6226R()
-	db, _ := journalFor(t, gemm, plat, 48, 3)
+	db := journalFor(t, gemm, plat, 48, 3)
 
 	other := newTask(workload.GEMM("g2", 1, 128, 128, 512), plat, 1)
-	if n := pretrain.SeedTask(db, other); n != 0 {
+	if n := other.Pretrain(db); n != 0 {
 		t.Fatalf("foreign workload replayed %d records", n)
 	}
 	if other.Pretrained {
 		t.Fatal("task with no matching records must stay cold")
 	}
 	gpu := newTask(gemm, hardware.ByName("gpu"), 1)
-	if n := pretrain.SeedTask(db, gpu); n != 0 {
+	if n := gpu.Pretrain(db); n != 0 {
 		t.Fatalf("foreign target replayed %d records", n)
 	}
 }

@@ -13,7 +13,10 @@
 // candidates per round. One loop drives them: MultiTuner selects subgraphs
 // wave by wave (paper §6.3) and runs the rounds; an operator run is the same
 // loop over a one-task set (core.NewOperatorTuner's MultiTuner).
-// internal/core wires presets, journals and warm starts around it.
+// internal/core wires presets and journals around it. A task's start-up
+// state comes from past measurements before its first round: Task.Pretrain
+// trains its cost model from a tuning journal and Task.WarmStartFrom seeds
+// its best from one (a resume log, or the registry's hits).
 // TuneSession, one engine on one task with no allocator, serves the
 // benchmark's traced runs and tests.
 package search
@@ -29,6 +32,7 @@ import (
 	"harl/internal/schedule"
 	"harl/internal/sketch"
 	"harl/internal/texpr"
+	"harl/internal/tunelog"
 	"harl/internal/xrand"
 )
 
@@ -293,44 +297,74 @@ func (t *Task) FittedCost() costmodel.CostModel {
 	return t.Cost
 }
 
-// PretrainSample feeds one offline sample (reconstructed from a tuning
-// journal) into the cost model without charging a trial or touching the
-// measured set; call FinishPretrain once after the replay.
-func (t *Task) PretrainSample(s *schedule.Schedule, execSec float64) {
-	if s == nil || execSec <= 0 {
-		return
+// Pretrain replays every record of db matching the task's (workload
+// fingerprint, target) key into the cost model, in journal order, and commits
+// them as one training-set version, so the first engine round starts from a
+// model that knows the workload — the value-function transfer of Steiner et
+// al.: a model trained on prior measurements cuts the trials a new run needs.
+// It returns the number of records replayed; records whose steps no longer
+// reconstruct against the task's sketches (a foreign or stale journal) are
+// skipped.
+//
+// Pretraining is model-only: unlike WarmStartFrom it charges no trial and
+// seeds nothing into the best or the measured set, so the engines still
+// measure whatever they pick. The journal is the one artifact. Features are
+// not stored in it but regenerated exactly: sketch generation is
+// deterministic and a record's serialized steps rebuild the identical
+// schedule, so the same journal always trains the same model, bit for bit,
+// and the replay is part of the determinism contract.
+func (t *Task) Pretrain(db *tunelog.Database) int {
+	fp, target := t.Graph.Fingerprint(), t.Plat.Name
+	n := 0
+	for _, rec := range db.Records() {
+		if rec.Workload != fp || rec.Target != target {
+			continue
+		}
+		s, err := rec.Schedule(t.Sketches)
+		if err != nil {
+			continue
+		}
+		if rec.ExecSec > 0 {
+			t.Cost.Add(s.Features(), math.Log(1/rec.ExecSec))
+		}
+		n++
 	}
-	t.Cost.Add(s.Features(), math.Log(1/execSec))
+	if n > 0 && t.Cost.Len() > 0 {
+		t.refitCost()
+		t.Pretrained = true
+	}
+	return n
 }
 
-// FinishPretrain commits the replayed samples as one training-set version and
-// marks the task pretrained.
-func (t *Task) FinishPretrain() {
-	if t.Cost.Len() == 0 {
-		return
+// WarmStartFrom seeds the task from db's best record for its (workload
+// fingerprint, target) key — the cache-reuse path of the tuning-record
+// journal — and reports whether a usable record was found. A record whose
+// steps no longer reconstruct against the task's sketches is ignored. The
+// schedule is marked measured (engines will not spend a trial re-measuring
+// it), becomes the task best if it beats the current one, and primes the cost
+// model so the first engine round starts from a trained reward signal instead
+// of a cold model. It charges no measurement trial and appends nothing to the
+// best-so-far logs: those track new measurements only.
+func (t *Task) WarmStartFrom(db *tunelog.Database) bool {
+	rec, ok := db.Best(t.Graph.Fingerprint(), t.Plat.Name)
+	if !ok {
+		return false
 	}
-	t.refitCost()
-	t.Pretrained = true
-}
-
-// WarmStart seeds the task with a previously measured schedule and its
-// recorded noisy execution time — the cache-reuse path of the tuning-record
-// journal. The schedule is marked measured (engines will not spend a trial
-// re-measuring it), becomes the task best if it beats the current one, and
-// primes the cost model so the first engine round starts from a trained
-// reward signal instead of a cold model. It charges no measurement trial and
-// appends nothing to the best-so-far logs: those track new measurements only.
-func (t *Task) WarmStart(s *schedule.Schedule, execSec float64) {
-	if s == nil || execSec <= 0 {
-		return
+	s, err := rec.Schedule(t.Sketches)
+	if err != nil {
+		return false
+	}
+	if rec.ExecSec <= 0 {
+		return true
 	}
 	t.measured[s.Key()] = true
-	if execSec < t.BestExec {
-		t.BestExec = execSec
+	if rec.ExecSec < t.BestExec {
+		t.BestExec = rec.ExecSec
 		t.Best = s
 	}
-	t.Cost.Add(s.Features(), math.Log(1/execSec))
+	t.Cost.Add(s.Features(), math.Log(1/rec.ExecSec))
 	t.refitCost()
+	return true
 }
 
 // Score returns the cost model's positive performance score C(s) for the

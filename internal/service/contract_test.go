@@ -57,22 +57,22 @@ func TestV1ErrorContract(t *testing.T) {
 		path   string
 		body   string
 		status int
-		code   ErrorCode
+		code   wire.ErrorCode
 	}{
-		{"tune bad json", "POST", "/v1/tune", "not json", 400, CodeInvalidRequest},
-		{"tune unknown target", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","target":"tpu"}`, 400, CodeInvalidRequest},
-		{"tune unknown scheduler", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","scheduler":"sgd"}`, 400, CodeInvalidRequest},
-		{"tune deleted scheduler", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","scheduler":"autotvm"}`, 400, CodeInvalidRequest},
-		{"tune unknown op", "POST", "/v1/tune", `{"op":"wavelet","shape":"64"}`, 400, CodeInvalidRequest},
-		{"tune empty", "POST", "/v1/tune", `{}`, 400, CodeInvalidRequest},
-		{"schedule no op", "GET", "/v1/schedule", "", 400, CodeInvalidRequest},
-		{"schedule bad batch", "GET", "/v1/schedule?op=gemm&shape=64,64,64&batch=x", "", 400, CodeInvalidRequest},
-		{"schedule zero batch", "GET", "/v1/schedule?op=gemm&shape=64,64,64&batch=0", "", 400, CodeInvalidRequest},
-		{"schedule unknown target", "GET", "/v1/schedule?op=gemm&shape=64,64,64&target=tpu", "", 400, CodeInvalidRequest},
-		{"schedule miss", "GET", "/v1/schedule?op=gemm&shape=60,60,60", "", 404, CodeNotFound},
-		{"job not found", "GET", "/v1/jobs/j999", "", 404, CodeNotFound},
-		{"job events not found", "GET", "/v1/jobs/j999/events", "", 404, CodeNotFound},
-		{"cancel not cancellable", "DELETE", "/v1/jobs/j999", "", 409, CodeNotCancellable},
+		{"tune bad json", "POST", "/v1/tune", "not json", 400, wire.CodeInvalidRequest},
+		{"tune unknown target", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","target":"tpu"}`, 400, wire.CodeInvalidRequest},
+		{"tune unknown scheduler", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","scheduler":"sgd"}`, 400, wire.CodeInvalidRequest},
+		{"tune deleted scheduler", "POST", "/v1/tune", `{"op":"gemm","shape":"64,64,64","scheduler":"autotvm"}`, 400, wire.CodeInvalidRequest},
+		{"tune unknown op", "POST", "/v1/tune", `{"op":"wavelet","shape":"64"}`, 400, wire.CodeInvalidRequest},
+		{"tune empty", "POST", "/v1/tune", `{}`, 400, wire.CodeInvalidRequest},
+		{"schedule no op", "GET", "/v1/schedule", "", 400, wire.CodeInvalidRequest},
+		{"schedule bad batch", "GET", "/v1/schedule?op=gemm&shape=64,64,64&batch=x", "", 400, wire.CodeInvalidRequest},
+		{"schedule zero batch", "GET", "/v1/schedule?op=gemm&shape=64,64,64&batch=0", "", 400, wire.CodeInvalidRequest},
+		{"schedule unknown target", "GET", "/v1/schedule?op=gemm&shape=64,64,64&target=tpu", "", 400, wire.CodeInvalidRequest},
+		{"schedule miss", "GET", "/v1/schedule?op=gemm&shape=60,60,60", "", 404, wire.CodeNotFound},
+		{"job not found", "GET", "/v1/jobs/j999", "", 404, wire.CodeNotFound},
+		{"job events not found", "GET", "/v1/jobs/j999/events", "", 404, wire.CodeNotFound},
+		{"cancel not cancellable", "DELETE", "/v1/jobs/j999", "", 409, wire.CodeNotCancellable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,8 +102,8 @@ func TestTuneAfterShutdownIs503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (%+v)", resp.StatusCode, env)
 	}
-	if env.Error.Code != CodeShuttingDown {
-		t.Fatalf("code %q, want %q", env.Error.Code, CodeShuttingDown)
+	if env.Error.Code != wire.CodeShuttingDown {
+		t.Fatalf("code %q, want %q", env.Error.Code, wire.CodeShuttingDown)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestScheduleWithoutRegistryIs404(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404 (%+v)", resp.StatusCode, env)
 	}
-	if env.Error.Code != CodeNotFound {
-		t.Fatalf("code %q, want %q", env.Error.Code, CodeNotFound)
+	if env.Error.Code != wire.CodeNotFound {
+		t.Fatalf("code %q, want %q", env.Error.Code, wire.CodeNotFound)
 	}
 }
 

@@ -66,7 +66,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	wire.WriteJSON(w, status, v)
 }
 
-func writeError(w http.ResponseWriter, status int, code ErrorCode, err error) {
+func writeError(w http.ResponseWriter, status int, code wire.ErrorCode, err error) {
 	wire.WriteError(w, status, code, "%s", err.Error())
 }
 
@@ -112,16 +112,16 @@ func (s *Server) writeLookupError(w http.ResponseWriter, err error) {
 	var ioe registryIOError
 	if errors.As(err, &ioe) {
 		s.queue.CountRegistryError()
-		writeError(w, http.StatusInternalServerError, CodeRegistryIO, err)
+		writeError(w, http.StatusInternalServerError, wire.CodeRegistryIO, err)
 		return
 	}
-	writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+	writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, err)
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("service: bad request body: %w", err))
+		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	req = req.normalize()
@@ -143,10 +143,10 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	job, coalesced, err := s.queue.Submit(req)
 	if err != nil {
 		if errors.Is(err, errShuttingDown) {
-			writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err)
+			writeError(w, http.StatusServiceUnavailable, wire.CodeShuttingDown, err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, err)
 		return
 	}
 	if !coalesced {
@@ -157,7 +157,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if s.registry == nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("service: no registry configured"))
+		writeError(w, http.StatusNotFound, wire.CodeNotFound, fmt.Errorf("service: no registry configured"))
 		return
 	}
 	q := r.URL.Query()
@@ -165,13 +165,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if b := q.Get("batch"); b != "" {
 		v, err := strconv.Atoi(b)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("service: bad batch %q", b))
+			writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, fmt.Errorf("service: bad batch %q", b))
 			return
 		}
 		if v < 1 {
 			// An explicit non-positive batch is the client's error; clamping it
 			// to 1 would answer a question the client never asked.
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("service: batch must be >= 1, got %d", v))
+			writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, fmt.Errorf("service: batch must be >= 1, got %d", v))
 			return
 		}
 		batch = v
@@ -184,7 +184,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		Scheduler: q.Get("scheduler"),
 	}.normalize()
 	if req.Op == "" {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("service: schedule lookup needs op and shape query parameters"))
+		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, fmt.Errorf("service: schedule lookup needs op and shape query parameters"))
 		return
 	}
 	hit, ok, err := s.lookup(req)
@@ -194,7 +194,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ok {
 		s.queue.CountRegistryMiss()
-		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("service: no schedule for this (workload, target, scheduler)"))
+		writeError(w, http.StatusNotFound, wire.CodeNotFound, fmt.Errorf("service: no schedule for this (workload, target, scheduler)"))
 		return
 	}
 	s.queue.CountRegistryHit()
@@ -208,7 +208,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.queue.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("service: no job %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, wire.CodeNotFound, fmt.Errorf("service: no job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, job)
@@ -225,12 +225,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	plog, ok := s.queue.Progress(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("service: no job %q", id))
+		writeError(w, http.StatusNotFound, wire.CodeNotFound, fmt.Errorf("service: no job %q", id))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("service: response writer cannot stream"))
+		writeError(w, http.StatusInternalServerError, wire.CodeInternal, fmt.Errorf("service: response writer cannot stream"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -282,7 +282,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.queue.Cancel(id) {
-		writeError(w, http.StatusConflict, CodeNotCancellable, fmt.Errorf("service: job %q does not exist or already finished", id))
+		writeError(w, http.StatusConflict, wire.CodeNotCancellable, fmt.Errorf("service: job %q does not exist or already finished", id))
 		return
 	}
 	job, _ := s.queue.Get(id)

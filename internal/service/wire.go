@@ -1,29 +1,6 @@
 package service
 
-import (
-	"harl"
-	"harl/internal/wire"
-)
-
-// ErrorCode is a stable machine-readable error identifier, re-exported from
-// internal/wire, which defines the unified v1 contract the service speaks.
-// Every non-2xx response from a /v1 endpoint is a wire.ErrorBody:
-//
-//	{"error":{"code":"<machine_code>","message":"<human detail>"}}
-//
-// Codes are stable and machine-matchable; messages are human diagnostics
-// with no stability promise.
-type ErrorCode = wire.ErrorCode
-
-// The stable v1 error codes (see internal/wire for the full semantics).
-const (
-	CodeInvalidRequest = wire.CodeInvalidRequest
-	CodeNotFound       = wire.CodeNotFound
-	CodeNotCancellable = wire.CodeNotCancellable
-	CodeRegistryIO     = wire.CodeRegistryIO
-	CodeShuttingDown   = wire.CodeShuttingDown
-	CodeInternal       = wire.CodeInternal
-)
+import "harl"
 
 // TuneAccepted is the 202 body of POST /v1/tune when the request misses the
 // registry and a tuning job is enqueued (or an identical in-flight job is

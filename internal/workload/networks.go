@@ -20,6 +20,21 @@ type Network struct {
 // reports 10 for BERT and 24 for ResNet-50).
 func (n *Network) DistinctSubgraphs() int { return len(n.Subgraphs) }
 
+// NetworkByName resolves one of the paper's networks by name: "bert",
+// "resnet50" or "mobilenetv2", each also spelled the way the paper's figures
+// label it ("BERT", "ResNet", "MobileNet"), and "resnet" or "mobilenet".
+func NetworkByName(name string, batch int) (*Network, error) {
+	switch name {
+	case "bert", "BERT":
+		return BERT(batch), nil
+	case "resnet50", "resnet", "ResNet":
+		return resNet50(batch), nil
+	case "mobilenetv2", "mobilenet", "MobileNet":
+		return mobileNetV2(batch), nil
+	}
+	return nil, fmt.Errorf("workload: unknown network %q", name)
+}
+
 func withWeight(sg *texpr.Subgraph, w int) *texpr.Subgraph {
 	sg.Weight = w
 	return sg
@@ -75,10 +90,10 @@ type resnetConv struct {
 	stride, pad     int
 }
 
-// ResNet50 builds the ResNet-50 inventory: 24 distinct subgraphs (21 conv
+// resNet50 builds the ResNet-50 inventory: 24 distinct subgraphs (21 conv
 // shapes + pooling stages + the classifier GEMM), matching the count the
 // paper reports for the model.
-func ResNet50(batch int) *Network {
+func resNet50(batch int) *Network {
 	convs := []resnetConv{
 		{"conv1_7x7", 1, 224, 3, 64, 7, 2, 3},
 		{"c2_1x1_red", 3, 56, 64, 64, 1, 1, 0},
@@ -124,9 +139,9 @@ type mbConv struct {
 	stride, pad     int
 }
 
-// MobileNetV2 builds the MobileNet-V2 inventory: 21 distinct subgraphs drawn
+// mobileNetV2 builds the MobileNet-V2 inventory: 21 distinct subgraphs drawn
 // from the expand/depthwise/project structure of the inverted-residual blocks.
-func MobileNetV2(batch int) *Network {
+func mobileNetV2(batch int) *Network {
 	blocks := []mbConv{
 		{"conv1_3x3", 1, "conv", 224, 3, 32, 3, 2, 1},
 		{"b1_dw", 1, "dw", 112, 32, 32, 3, 1, 1},

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"harl/internal/texpr"
@@ -154,7 +155,7 @@ func TestBERTInventory(t *testing.T) {
 }
 
 func TestResNet50Inventory(t *testing.T) {
-	net := ResNet50(1)
+	net := resNet50(1)
 	if got := net.DistinctSubgraphs(); got != 24 {
 		t.Fatalf("ResNet-50 distinct subgraphs %d, paper says 24", got)
 	}
@@ -166,14 +167,14 @@ func TestResNet50Inventory(t *testing.T) {
 }
 
 func TestMobileNetV2Inventory(t *testing.T) {
-	net := MobileNetV2(1)
+	net := mobileNetV2(1)
 	if got := net.DistinctSubgraphs(); got != 21 {
 		t.Fatalf("MobileNet-V2 distinct subgraphs %d want 21", got)
 	}
 }
 
 func TestNetworksBatchScaling(t *testing.T) {
-	for _, mk := range []func(int) *Network{BERT, ResNet50, MobileNetV2} {
+	for _, mk := range []func(int) *Network{BERT, resNet50, mobileNetV2} {
 		n1, n16 := mk(1), mk(16)
 		var f1, f16 float64
 		for i := range n1.Subgraphs {
@@ -183,6 +184,22 @@ func TestNetworksBatchScaling(t *testing.T) {
 		if f16 < 10*f1 {
 			t.Fatalf("%s: batch-16 work only %.1fx batch-1", n1.Name, f16/f1)
 		}
+	}
+}
+
+func TestNetworkByNameSpellings(t *testing.T) {
+	for name, want := range map[string]string{
+		"bert": "BERT-b2", "BERT": "BERT-b2",
+		"resnet50": "ResNet50-b2", "resnet": "ResNet50-b2", "ResNet": "ResNet50-b2",
+		"mobilenetv2": "MobileNetV2-b2", "mobilenet": "MobileNetV2-b2", "MobileNet": "MobileNetV2-b2",
+	} {
+		net, err := NetworkByName(name, 2)
+		if err != nil || net.Name != want {
+			t.Fatalf("NetworkByName(%q) = %v, %v; want %s", name, net, err, want)
+		}
+	}
+	if _, err := NetworkByName("vgg", 1); err == nil || !strings.Contains(err.Error(), `"vgg"`) {
+		t.Fatalf("unknown network must error naming it, got %v", err)
 	}
 }
 

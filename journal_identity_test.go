@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"harl/internal/tunelog"
+	"harl/internal/workload"
 )
 
 // TestCommittedJournalByteIdentity re-runs the exact tuning configuration that
@@ -98,7 +99,7 @@ func TestSeededSessionPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := networkByName("bert", 1)
+	net, err := workload.NetworkByName("bert", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,43 +123,32 @@ func SchedulerByName(name string) (string, error) {
 	return "", fmt.Errorf("harl: unknown scheduler %q (want %s)", name, strings.Join(Schedulers(), ", "))
 }
 
-// hooks resolves the Options journal fields into core tuning hooks plus a
-// close function for what it opened — the record log (a no-op when none
+// openLogs opens the Options' three logs: the resume and pretrain databases
+// (one load when both name the same file) and the record log's journal, plus
+// a close function for what it opened — the record log (a no-op when none
 // was). The close function is valid on error returns too and may be called
 // twice. The resume log is read before the record log is opened for append,
 // so the two may name the same file.
-func (o Options) hooks() (core.TuneHooks, func() error, error) {
-	var h core.TuneHooks
-	closeFn := func() error { return nil }
+func (o Options) openLogs() (warm, pre *tunelog.Database, jr *tunelog.Journal, closeFn func() error, err error) {
+	closeFn = func() error { return nil }
 	if o.ResumeFrom != "" {
-		db, err := tunelog.LoadFile(o.ResumeFrom)
-		if err != nil {
-			return h, closeFn, err
+		if warm, err = tunelog.LoadFile(o.ResumeFrom); err != nil {
+			return
 		}
-		h.Warm = db
 	}
-	if o.PretrainFrom != "" {
-		// The pretrain log may equal the resume log; load it once.
-		if o.PretrainFrom == o.ResumeFrom {
-			h.Pretrain = h.Warm
-		} else {
-			db, err := tunelog.LoadFile(o.PretrainFrom)
-			if err != nil {
-				return h, closeFn, err
-			}
-			h.Pretrain = db
+	switch {
+	case o.PretrainFrom == o.ResumeFrom:
+		pre = warm
+	case o.PretrainFrom != "":
+		if pre, err = tunelog.LoadFile(o.PretrainFrom); err != nil {
+			return
 		}
 	}
 	if o.RecordLog != "" {
-		jr, err := tunelog.OpenJournal(o.RecordLog)
-		if err != nil {
-			return h, closeFn, err
+		if jr, err = tunelog.OpenJournal(o.RecordLog); err != nil {
+			return
 		}
-		h.Journal = jr
 		closeFn = jr.Close
 	}
-	if o.FleetPool != nil {
-		h.Evaluators = o.FleetPool.pool
-	}
-	return h, closeFn, nil
+	return
 }

@@ -8,6 +8,7 @@ import (
 	"harl/internal/core"
 	"harl/internal/search"
 	"harl/internal/tunelog"
+	"harl/internal/workload"
 )
 
 // Result summarizes an operator tuning run.
@@ -95,22 +96,23 @@ type sessionResult struct {
 	warmed, pretrained int
 }
 
-// session is the one pipeline behind every tuning entry point: resolve the
-// hooks, check the pretraining log matches, seed the cost models, warm-start,
-// attach the journal and progress/plateau, run the tuner, close the journal,
-// verify a zero-budget replay was complete and publish the bests.
+// session is the one pipeline behind every tuning entry point: open the
+// logs, check the pretraining log matches, start each task up (fleet
+// evaluator, pretraining, warm starts), attach the journal and
+// progress/plateau, run the tuner, close the journal, verify a zero-budget
+// replay was complete and publish the bests.
 func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, error) {
 	var res sessionResult
-	hooks, closeHooks, err := o.hooks()
-	// Error returns release whatever hooks opened; the success path checks
+	warm, pre, jr, closeLogs, err := o.openLogs()
+	// Error returns release whatever openLogs opened; the success path checks
 	// the journal's Close error below.
-	defer closeHooks()
+	defer closeLogs()
 	if err != nil {
 		return res, err
 	}
 	tasks := s.tuner.MT.Tasks
 	plat := tasks[0].Plat
-	if err := checkPretrainMatches(hooks.Pretrain, o.PretrainFrom, tasks); err != nil {
+	if err := checkPretrainMatches(pre, o.PretrainFrom, tasks); err != nil {
 		return res, err
 	}
 	names := make([]string, len(tasks))
@@ -120,19 +122,32 @@ func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, err
 	sessCtx, progressHook, plateaued, stopPlateau := o.progressSession(ctx, names)
 	defer stopPlateau()
 
-	res.pretrained = s.tuner.SeedCostModels(hooks)
-	if hooks.Warm != nil {
-		res.warmed = s.tuner.WarmStart(hooks.Warm)
+	// Each task starts up alone, before the first wave and on committed
+	// state: tasks share no start-up state and neither replay draws from an
+	// RNG, so the worker-count determinism contract is untouched.
+	for _, t := range tasks {
+		if o.FleetPool != nil {
+			t.Remote = o.FleetPool.pool.EvaluatorFor(t)
+		}
+		if pre != nil {
+			t.Pretrain(pre)
+		}
+		if t.Pretrained {
+			res.pretrained++
+		}
+		if warm != nil && t.WarmStartFrom(warm) {
+			res.warmed++
+		}
+		if s.regDB != nil {
+			t.WarmStartFrom(s.regDB)
+		}
 	}
-	if s.regDB != nil {
-		s.tuner.WarmStart(s.regDB)
-	}
-	if hooks.Journal != nil {
-		s.tuner.AttachJournal(hooks.Journal, o.Seed)
+	if jr != nil {
+		s.tuner.AttachJournal(jr, o.Seed)
 	}
 	s.tuner.SetProgress(progressHook)
 	stopped := s.tuner.RunCtx(sessCtx, s.budget)
-	if err := closeHooks(); err != nil {
+	if err := closeLogs(); err != nil {
 		return res, err
 	}
 	if o.Trials == 0 {
@@ -289,7 +304,7 @@ func TuneNetwork(name string, batch int, t Target, o Options) (NetworkResult, er
 // exactly like an operator session. An uncancelled run is byte-identical to TuneNetwork.
 func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o Options) (NetworkResult, error) {
 	o = o.withDefaults()
-	net, err := networkByName(name, batch)
+	net, err := workload.NetworkByName(name, batch)
 	if err != nil {
 		return NetworkResult{}, err
 	}
