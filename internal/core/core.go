@@ -3,9 +3,10 @@
 // a subgraph list — a network's subgraphs with subgraph-level selection
 // (Section 6.3), or the list of one that is an operator-level job (Section
 // 6.2). The caller starts each task up before the first wave (the harl
-// session attaches a fleet evaluator, then runs search.Task.Pretrain and
-// search.Task.WarmStartFrom); core only drives the tuner and journals what
-// it measures. The package also defines the named scheduler presets compared
+// session resolves the task set against its registry and, unless every task
+// hit and the tuner never runs, attaches a fleet evaluator, then runs
+// search.Task.Pretrain and search.Task.WarmStartFrom); core only drives the
+// tuner and journals what it measures. The package also defines the named scheduler presets compared
 // throughout the paper:
 //
 //	harl             sketch/subgraph SW-UCB + PPO parameters + adaptive stopping

@@ -51,11 +51,11 @@ type Options struct {
 	// worker-count determinism contract.
 	PretrainFrom string
 	// Registry, when non-nil, puts a persistent best-schedule cache in front
-	// of the tuner. An operator run whose (workload, target, scheduler) key
-	// resolves returns the cached best instantly — zero measured trials,
-	// Result.CacheHit set — and, because no session runs, RecordLog gains no
-	// records. A network run seeds every resolving subgraph and skips the
-	// search entirely when all of them hit. After the run, the bests found
+	// of the tuner. Each task — the one workload of an operator run, each
+	// subgraph of a network run — whose (workload, target, scheduler) key
+	// resolves is seeded with the cached best, and a run whose every task
+	// resolves is a lookup: it measures no trial, opens no RecordLog and reads
+	// neither ResumeFrom nor PretrainFrom. After any other run, the bests found
 	// are published back — including the partial bests of a cancelled or
 	// plateau-stopped session (publishing keeps better incumbents, so a
 	// partial best can only improve a key, never weaken it) — and the next

@@ -88,7 +88,7 @@ type SavedSchedule struct {
 // ErrRecordBroken; any other error means the registry storage itself failed
 // to read and the miss cannot be trusted.
 func (r *Registry) Lookup(w Workload, t Target, scheduler string) (SavedSchedule, bool, error) {
-	rec, s, ok, err := r.resolve(w.sg, t.plat.Name, scheduler)
+	rec, s, ok, err := r.resolve(w.sg, sketch.Generate(w.sg), t.plat.Name, scheduler)
 	if !ok {
 		return SavedSchedule{}, false, err
 	}
@@ -103,10 +103,11 @@ func (r *Registry) Lookup(w Workload, t Target, scheduler string) (SavedSchedule
 
 // resolve is the registry's one reconstruct policy, shared by Lookup and
 // registryWarmDB: resolve the subgraph's key, then rebuild the stored
-// schedule against the subgraph's regenerated sketches. ok reports a record
-// that reconstructs. A record that does not is a miss with an error wrapping
-// ErrRecordBroken; any other error is a storage read failure.
-func (r *Registry) resolve(sg *texpr.Subgraph, target, scheduler string) (tunelog.Record, *schedule.Schedule, bool, error) {
+// schedule against sketches, the subgraph's sketch list (a task's own, or a
+// freshly generated one for Lookup). ok reports a record that reconstructs. A
+// record that does not is a miss with an error wrapping ErrRecordBroken; any
+// other error is a storage read failure.
+func (r *Registry) resolve(sg *texpr.Subgraph, sketches []*sketch.Sketch, target, scheduler string) (tunelog.Record, *schedule.Schedule, bool, error) {
 	rec, ok, err := r.reg.Resolve(sg.Fingerprint(), target, scheduler)
 	if err != nil {
 		return rec, nil, false, fmt.Errorf("harl: registry read: %w", err)
@@ -114,7 +115,7 @@ func (r *Registry) resolve(sg *texpr.Subgraph, target, scheduler string) (tunelo
 	if !ok {
 		return rec, nil, false, nil
 	}
-	s, err := rec.Schedule(sketch.Generate(sg))
+	s, err := rec.Schedule(sketches)
 	if err != nil {
 		return rec, nil, false, fmt.Errorf("%w: %s: %v", ErrRecordBroken, sg.Name, err)
 	}
@@ -171,28 +172,29 @@ func publishTasks(reg *Registry, tasks []*search.Task, target, scheduler string,
 	return nil
 }
 
-// registryWarmDB collects the registry's best records for the network's
-// subgraphs under the run's scheduler into an in-memory database — the same
-// shape the resume cache uses — so registry hits ride the existing
-// warm-start machinery (seeded bests are never re-measured). A record that
-// no longer reconstructs against the subgraph's regenerated sketches is not
-// a hit: counting it would let a full-hit run skip the search with nothing
-// actually seeded; its fingerprint is reported in broken instead, so the
-// run's publish force-replaces the poisoned key. It returns the database
-// (nil when nothing resolved) and the number of subgraphs that hit. A
-// registry storage error aborts the warm-up: its misses cannot be trusted.
-func registryWarmDB(reg *Registry, graphs []*texpr.Subgraph, plat *hardware.Platform, scheduler string) (db *tunelog.Database, hits int, broken map[string]bool, err error) {
+// registryWarmDB is the registry's resolve-first policy for a session, for
+// operator and network runs alike: it resolves every task against its own
+// sketches under the run's scheduler and collects the hits into an in-memory
+// database — the shape the resume cache has — so they seed the tasks through
+// Task.WarmStartFrom, and a seeded best is never re-measured. A record that
+// no longer reconstructs is not a hit: counting it would let a full hit skip
+// the search with nothing seeded. Its fingerprint goes into broken instead,
+// so the session's publish force-replaces the poisoned key. It returns the
+// database (nil when nothing resolved) and the number of tasks that hit; when
+// that is every task, the session is a lookup. A registry storage error
+// aborts the session: its misses cannot be trusted.
+func registryWarmDB(reg *Registry, tasks []*search.Task, scheduler string) (db *tunelog.Database, hits int, broken map[string]bool, err error) {
 	if reg == nil {
 		return nil, 0, nil, nil
 	}
 	db, broken = tunelog.NewDatabase(), map[string]bool{}
-	for _, sg := range graphs {
-		switch rec, _, ok, rerr := reg.resolve(sg, plat.Name, scheduler); {
+	for _, t := range tasks {
+		switch rec, _, ok, rerr := reg.resolve(t.Graph, t.Sketches, t.Plat.Name, scheduler); {
 		case ok:
 			db.Add(rec)
 			hits++
 		case errors.Is(rerr, ErrRecordBroken):
-			broken[sg.Fingerprint()] = true
+			broken[t.Graph.Fingerprint()] = true
 		case rerr != nil:
 			return nil, 0, nil, rerr
 		}

@@ -3,7 +3,10 @@ package harl
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -87,8 +90,22 @@ func TestOpenRegistryLayouts(t *testing.T) {
 	}
 }
 
+// checkLookup checks that a request the registry fully resolved was a lookup:
+// its record log was never created and the registry took no lock and appended
+// nothing since before.
+func checkLookup(t *testing.T, reg *Registry, before RegistryStats, log string) {
+	t.Helper()
+	if _, err := os.Stat(log); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a full hit touched its record log: %v", err)
+	}
+	if after := reg.Stats(); after.LockAcquisitions != before.LockAcquisitions || after.Appends != before.Appends {
+		t.Fatalf("a full hit took %d registry locks and made %d appends, want 0 and 0",
+			after.LockAcquisitions-before.LockAcquisitions, after.Appends-before.Appends)
+	}
+}
+
 // TestTunePublishesThenHits covers the publish-after half of the cycle: a
-// cold tune with a registry makes the identical second request free.
+// cold tune with a registry makes the identical second request a lookup.
 func TestTunePublishesThenHits(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
@@ -104,6 +121,8 @@ func TestTunePublishesThenHits(t *testing.T) {
 	if cold.CacheHit || cold.Trials == 0 {
 		t.Fatalf("cold run should have tuned: %+v", cold)
 	}
+	opts.RecordLog = filepath.Join(t.TempDir(), "hit.jsonl")
+	before := reg.Stats()
 	hot, err := TuneOperator(w, CPU(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -115,10 +134,12 @@ func TestTunePublishesThenHits(t *testing.T) {
 		t.Fatalf("hit (%q, %g) disagrees with the run that published it (%q, %g)",
 			hot.BestSchedule, hot.ExecSeconds, cold.BestSchedule, cold.ExecSeconds)
 	}
+	checkLookup(t, reg, before, opts.RecordLog)
 }
 
 // TestNetworkRegistryFullHitSkipsSearch publishes a network's subgraph bests
-// and checks the second identical request collapses to a lookup.
+// and checks the second identical request collapses to a lookup, as an
+// operator hit does.
 func TestNetworkRegistryFullHitSkipsSearch(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
@@ -135,6 +156,8 @@ func TestNetworkRegistryFullHitSkipsSearch(t *testing.T) {
 	if cold.Trials == 0 || cold.CacheHits != 0 {
 		t.Fatalf("cold network run: %+v", cold)
 	}
+	opts.RecordLog = filepath.Join(t.TempDir(), "hit.jsonl")
+	before := reg.Stats()
 	hot, err := TuneNetwork("bert", 1, CPU(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -145,11 +168,13 @@ func TestNetworkRegistryFullHitSkipsSearch(t *testing.T) {
 	if hot.Trials != 0 {
 		t.Fatalf("full-hit network run measured %d trials, want 0", hot.Trials)
 	}
-	if hot.MeasuredSeconds <= 0 {
-		t.Fatalf("full-hit run lost the execution estimate: %+v", hot)
+	if hot.EstimatedSeconds != cold.EstimatedSeconds || hot.MeasuredSeconds <= 0 {
+		t.Fatalf("full hit estimates %g s (measured %g s), the run that published it %g s",
+			hot.EstimatedSeconds, hot.MeasuredSeconds, cold.EstimatedSeconds)
 	}
-	// A zero-budget replay served entirely by the registry is complete: the
-	// replay check counts registry seeds, not only ResumeFrom ones.
+	checkLookup(t, reg, before, opts.RecordLog)
+	// A zero-budget replay served entirely by the registry is a lookup too,
+	// not an incomplete replay.
 	opts.Trials = -1
 	replay, err := TuneNetwork("bert", 1, CPU(), opts)
 	if err != nil {

@@ -2,7 +2,6 @@ package harl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"harl/internal/core"
@@ -36,9 +35,9 @@ type Result struct {
 	// Pretrained reports whether the cost model carried offline knowledge
 	// (Options.PretrainFrom) before the first round.
 	Pretrained bool
-	// CacheHit reports that Options.Registry resolved the request and the
-	// result was served from the best-schedule cache without measuring a
-	// single trial.
+	// CacheHit reports that Options.Registry resolved the workload, so the
+	// run was a lookup: the result is the cached best, with zero trials and
+	// nothing journaled (see Options.Registry).
 	CacheHit bool
 	// Cancelled reports that the run's context was cancelled before the
 	// trial budget was spent. The result carries the partial best found so
@@ -69,22 +68,6 @@ func checkPretrainMatches(db *tunelog.Database, path string, tasks []*search.Tas
 	return fmt.Errorf("harl: no records in %q match the run's workloads on %s to pretrain from", path, tasks[0].Plat.Name)
 }
 
-// sessionSpec is what an entry point's registry-resolve step hands the session
-// pipeline.
-type sessionSpec struct {
-	// tuner drives the run's tasks: a network's subgraphs, or the one
-	// subgraph of an operator run.
-	tuner *core.ParallelNetworkTuner
-	// budget is the trial budget after the registry had its say.
-	budget int
-	// regDB holds the registry's reconstructing hits for the tasks, warm-started
-	// like a resume log; nil when nothing resolved.
-	regDB *tunelog.Database
-	// broken holds the fingerprints whose registry record resolved but does
-	// not reconstruct; the publish force-replaces those keys.
-	broken map[string]bool
-}
-
 // sessionResult is what the session pipeline reports beside the tuner's own
 // state.
 type sessionResult struct {
@@ -92,17 +75,34 @@ type sessionResult struct {
 	// plateau policy did.
 	cancelled, plateauStopped bool
 	// warmed counts the tasks seeded from Options.ResumeFrom, pretrained the
-	// tasks whose cost model started with offline knowledge.
-	warmed, pretrained int
+	// tasks whose cost model started with offline knowledge, hits the tasks
+	// served from Options.Registry.
+	warmed, pretrained, hits int
 }
 
-// session is the one pipeline behind every tuning entry point: open the
-// logs, check the pretraining log matches, start each task up (fleet
-// evaluator, pretraining, warm starts), attach the journal and
-// progress/plateau, run the tuner, close the journal, verify a zero-budget
-// replay was complete and publish the bests.
-func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, error) {
+// session is the one pipeline behind every tuning entry point: resolve the
+// tasks against the registry — a full hit seeds every task from it and ends
+// there, a lookup — then open the logs, check the pretraining log matches,
+// start each task up (fleet evaluator, pretraining, warm starts), attach the
+// journal and progress/plateau, run the tuner, close the journal, verify a
+// zero-budget replay was complete and publish the bests.
+func (o Options) session(ctx context.Context, tuner *core.ParallelNetworkTuner) (sessionResult, error) {
 	var res sessionResult
+	tasks := tuner.MT.Tasks
+	plat := tasks[0].Plat
+	regDB, hits, broken, err := registryWarmDB(o.Registry, tasks, o.Scheduler)
+	if err != nil {
+		return res, err
+	}
+	res.hits = hits
+	if hits == len(tasks) {
+		// The service contract: a known task set costs a lookup, not a search
+		// — no log opens, no trial is measured and nothing is published.
+		for _, t := range tasks {
+			t.WarmStartFrom(regDB)
+		}
+		return res, nil
+	}
 	warm, pre, jr, closeLogs, err := o.openLogs()
 	// Error returns release whatever openLogs opened; the success path checks
 	// the journal's Close error below.
@@ -110,8 +110,6 @@ func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, err
 	if err != nil {
 		return res, err
 	}
-	tasks := s.tuner.MT.Tasks
-	plat := tasks[0].Plat
 	if err := checkPretrainMatches(pre, o.PretrainFrom, tasks); err != nil {
 		return res, err
 	}
@@ -138,15 +136,15 @@ func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, err
 		if warm != nil && t.WarmStartFrom(warm) {
 			res.warmed++
 		}
-		if s.regDB != nil {
-			t.WarmStartFrom(s.regDB)
+		if regDB != nil {
+			t.WarmStartFrom(regDB)
 		}
 	}
 	if jr != nil {
-		s.tuner.AttachJournal(jr, o.Seed)
+		tuner.AttachJournal(jr, o.Seed)
 	}
-	s.tuner.SetProgress(progressHook)
-	stopped := s.tuner.RunCtx(sessCtx, s.budget)
+	tuner.SetProgress(progressHook)
+	stopped := tuner.RunCtx(sessCtx, o.Trials)
 	if err := closeLogs(); err != nil {
 		return res, err
 	}
@@ -168,7 +166,7 @@ func (o Options) session(ctx context.Context, s sessionSpec) (sessionResult, err
 	// partial best: publishing keeps better incumbents, so a partial can only
 	// improve the key, and the next identical request is served from it.
 	if o.Registry != nil {
-		if err := publishTasks(o.Registry, tasks, plat.Name, o.Scheduler, o.Seed, s.broken); err != nil {
+		if err := publishTasks(o.Registry, tasks, plat.Name, o.Scheduler, o.Seed, broken); err != nil {
 			return res, err
 		}
 	}
@@ -194,37 +192,11 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 	if err := o.validate(); err != nil {
 		return Result{}, err
 	}
-	var broken map[string]bool
-	if o.Registry != nil {
-		hit, ok, err := o.Registry.Lookup(w, t, o.Scheduler)
-		switch {
-		case ok:
-			// The service contract: a known workload costs a lookup, not a
-			// search — zero trials, zero simulated search time.
-			return Result{
-				Scheduler:    o.Scheduler,
-				ExecSeconds:  hit.ExecSeconds,
-				GFLOPS:       hit.GFLOPS,
-				BestSchedule: hit.Schedule,
-				CacheHit:     true,
-			}, nil
-		case errors.Is(err, ErrRecordBroken):
-			// A reconstruct error (foreign registry) falls through to a fresh
-			// tune, which force-replaces the broken record (its recorded time
-			// may be unbeatably low, so keep-better publishing would preserve
-			// the poison forever).
-			broken = map[string]bool{w.sg.Fingerprint(): true}
-		case err != nil:
-			// A storage error is not repairable by tuning and must not be
-			// mistaken for a miss.
-			return Result{}, err
-		}
-	}
 	tuner, err := core.NewOperatorTuner(w.sg, t.plat, o.Scheduler, o.MeasureK, o.Seed, o.Workers)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := o.session(ctx, sessionSpec{tuner: tuner, budget: o.Trials, broken: broken})
+	res, err := o.session(ctx, tuner)
 	if err != nil {
 		return Result{}, err
 	}
@@ -238,6 +210,7 @@ func TuneOperatorContext(ctx context.Context, w Workload, t Target, o Options) (
 		CostModelSamples: task.Cost.Len(),
 		CostModelRefits:  task.CostRefits,
 		Pretrained:       task.Pretrained,
+		CacheHit:         res.hits == 1,
 		Cancelled:        res.cancelled,
 		PlateauStopped:   res.plateauStopped,
 	}
@@ -280,9 +253,9 @@ type NetworkResult struct {
 	Pretrained       int
 	CostModelSamples int
 	CostModelRefits  int
-	// CacheHits is the number of subgraph tasks served from Options.Registry.
-	// When every subgraph hits, the search is skipped entirely and Trials is
-	// zero.
+	// CacheHits is the number of subgraph tasks seeded from Options.Registry.
+	// When it is every subgraph, the run was a lookup, as an operator hit is
+	// (see Options.Registry): Trials is zero and nothing was journaled.
 	CacheHits int
 	// Cancelled reports that the run's context was cancelled before the
 	// budget was spent; the breakdown reflects the partial bests.
@@ -311,21 +284,11 @@ func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o
 	if err := o.validate(); err != nil {
 		return NetworkResult{}, err
 	}
-	regDB, cacheHits, broken, err := registryWarmDB(o.Registry, net.Subgraphs, t.plat, o.Scheduler)
-	if err != nil {
-		return NetworkResult{}, err
-	}
-	budget := o.Trials
-	if o.Registry != nil && cacheHits == len(net.Subgraphs) {
-		// Every subgraph is served from the registry: the whole network run
-		// collapses to a lookup — zero measured trials.
-		budget = 0
-	}
 	pnt, err := core.NewParallelNetworkTuner(net, t.plat, o.Scheduler, o.MeasureK, o.Seed, o.Workers)
 	if err != nil {
 		return NetworkResult{}, err
 	}
-	res, err := o.session(ctx, sessionSpec{tuner: pnt, budget: budget, regDB: regDB, broken: broken})
+	res, err := o.session(ctx, pnt)
 	if err != nil {
 		return NetworkResult{}, err
 	}
@@ -337,7 +300,7 @@ func TuneNetworkContext(ctx context.Context, name string, batch int, t Target, o
 		SearchSeconds:    pnt.CostSec(),
 		WarmStarted:      res.warmed,
 		Pretrained:       res.pretrained,
-		CacheHits:        cacheHits,
+		CacheHits:        res.hits,
 		Cancelled:        res.cancelled,
 		PlateauStopped:   res.plateauStopped,
 	}
