@@ -89,3 +89,28 @@ func TestPretrainIgnoresForeignRecords(t *testing.T) {
 		t.Fatalf("foreign target replayed %d records", n)
 	}
 }
+
+// TestWarmStartTwiceAddsOneSample seeds one task twice from the same
+// database, as a registry hit equal to the resume best does: the second seed
+// finds the schedule already seeded and leaves the cost model alone.
+func TestWarmStartTwiceAddsOneSample(t *testing.T) {
+	sg := workload.GEMM("g", 1, 256, 256, 256)
+	plat := hardware.CPUXeon6226R()
+	db := journalFor(t, sg, plat, 32, 3)
+
+	task := newTask(sg, plat, 1)
+	if !task.WarmStartFrom(db) {
+		t.Fatal("first warm start found no record")
+	}
+	samples, refits, best := task.Cost.Len(), task.CostRefits, task.BestExec
+	if samples != 1 || refits != 1 {
+		t.Fatalf("first warm start: %d samples, %d refits, want 1 and 1", samples, refits)
+	}
+	if !task.WarmStartFrom(db) {
+		t.Fatal("second warm start found no record")
+	}
+	if task.Cost.Len() != samples || task.CostRefits != refits || task.BestExec != best {
+		t.Fatalf("second warm start moved the task: %d samples, %d refits, best %g; want %d, %d, %g",
+			task.Cost.Len(), task.CostRefits, task.BestExec, samples, refits, best)
+	}
+}

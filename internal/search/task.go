@@ -340,10 +340,12 @@ func (t *Task) Pretrain(db *tunelog.Database) int {
 // fingerprint, target) key — the cache-reuse path of the tuning-record
 // journal — and reports whether a usable record was found. A record whose
 // steps no longer reconstruct against the task's sketches is ignored. The
-// schedule is marked measured (engines will not spend a trial re-measuring
-// it), becomes the task best if it beats the current one, and primes the cost
-// model so the first engine round starts from a trained reward signal instead
-// of a cold model. It charges no measurement trial and appends nothing to the
+// schedule becomes the task best if it beats the current one. The first time
+// it seeds the task it is also marked measured (engines will not spend a
+// trial re-measuring it) and primes the cost model, so the first engine round
+// starts from a trained reward signal instead of a cold model; a repeat seed
+// of the same schedule (a registry hit equal to the resume best) adds no
+// second sample. It charges no measurement trial and appends nothing to the
 // best-so-far logs: those track new measurements only.
 func (t *Task) WarmStartFrom(db *tunelog.Database) bool {
 	rec, ok := db.Best(t.Graph.Fingerprint(), t.Plat.Name)
@@ -357,11 +359,14 @@ func (t *Task) WarmStartFrom(db *tunelog.Database) bool {
 	if rec.ExecSec <= 0 {
 		return true
 	}
-	t.measured[s.Key()] = true
 	if rec.ExecSec < t.BestExec {
 		t.BestExec = rec.ExecSec
 		t.Best = s
 	}
+	if t.measured[s.Key()] {
+		return true
+	}
+	t.measured[s.Key()] = true
 	t.Cost.Add(s.Features(), math.Log(1/rec.ExecSec))
 	t.refitCost()
 	return true

@@ -107,7 +107,7 @@ func TestSeededSessionPinned(t *testing.T) {
 	if !ok {
 		t.Fatalf("first session journaled nothing for %s", net.Subgraphs[0].Name)
 	}
-	const wantLog = "a61c58485c8d585af6bf74456a987cdc29f30a4035d41cc35d2f3a509d139ec3"
+	const wantLog = "aa3e50a868cae118955afa03167eb9304198e9ac6f3967665342cd5d72459af7"
 	for _, workers := range []int{1, 2} {
 		reg, err := OpenRegistry(filepath.Join(dir, fmt.Sprintf("reg%d", workers)))
 		if err != nil {
