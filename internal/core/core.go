@@ -6,8 +6,8 @@
 // session resolves the task set against its registry and, unless every task
 // hit and the tuner never runs, attaches a fleet evaluator, then runs
 // search.Task.Pretrain and search.Task.WarmStartFrom); core only drives the
-// tuner and journals what it measures. The package also defines the named scheduler presets compared
-// throughout the paper:
+// tuner and journals what it measures. The package also defines the named
+// scheduler presets compared throughout the paper:
 //
 //	harl             sketch/subgraph SW-UCB + PPO parameters + adaptive stopping
 //	hierarchical-rl  HARL without the adaptive-stopping module (Fig. 7a)
