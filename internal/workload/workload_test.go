@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -211,5 +213,43 @@ func TestNetworkTrialBudget(t *testing.T) {
 	}
 	if NetworkTrialBudget("other") != 10000 {
 		t.Fatal("default budget wrong")
+	}
+}
+
+// TestCatalogueDigest pins every subgraph the catalogue builds: its
+// fingerprint (the registry and journal key), its String form, its weight and
+// every field of every stage. A refactor of the constructors must leave this
+// digest alone, or every committed journal and registry key moves with it.
+func TestCatalogueDigest(t *testing.T) {
+	var sgs []*texpr.Subgraph
+	for _, batch := range []int{1, 16} {
+		for _, c := range table6() {
+			sgs = append(sgs, c.Build(batch))
+		}
+		for _, mk := range []func(int) *Network{BERT, resNet50, mobileNetV2} {
+			sgs = append(sgs, mk(batch).Subgraphs...)
+		}
+	}
+	sgs = append(sgs,
+		DepthwiseConv2D("dw", 2, 28, 30, 96, 5, 2, 2),
+		Conv2DReLU("c2r", 3, 2, 56, 54, 64, 128, 3, 2, 1),
+		ConvT2D("t2d", 2, 9, 7, 64, 32, 3, 2, 1),
+		Conv1D("c1d", 2, 100, 32, 48, 5, 3, 2),
+		Conv3D("c3d", 2, 8, 20, 18, 16, 24, 3, 2, 1),
+		GEMMEpilogue("ge", 4, 96, 80, 112, 3),
+		Softmax("sm", 384, 96),
+		Elementwise("ew", 4096, 5, 3),
+		pool2D("pool", 2, 31, 29, 40, 3, 2),
+	)
+	h := sha256.New()
+	for _, sg := range sgs {
+		fmt.Fprintf(h, "%s\n%s%d\n", sg.Fingerprint(), sg.String(), sg.Weight)
+		for _, st := range sg.Stages {
+			fmt.Fprintf(h, "%+v\n", st)
+		}
+	}
+	const want = "6dd089e6a59c78faa7ce87c254195433d08da67e8fb48eb2e8e214597e15081d"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("catalogue digest over %d subgraphs = %s, want %s", len(sgs), got, want)
 	}
 }
