@@ -67,167 +67,104 @@ func batchGEMM(name string, batch, m, k, n int) *texpr.Subgraph {
 	return texpr.MustSubgraph(name, 1, st)
 }
 
-func convOut(in, k, stride, pad int) int {
-	o := (in+2*pad-k)/stride + 1
-	if o < 1 {
-		o = 1
+// convOut returns the output extent of each input extent under a k-wide
+// window at the given stride and padding (at least 1).
+func convOut(k, stride, pad int, in ...int) []int {
+	out := make([]int, len(in))
+	for i, x := range in {
+		out[i] = max((x+2*pad-k)/stride+1, 1)
 	}
-	return o
+	return out
+}
+
+// gridNames names the output grid axes of a 1-, 2- or 3-D window; each window
+// reduce axis is "k" plus its grid axis's last letter (kl; kh, kw; kd, kh, kw).
+var gridNames = [][]string{1: {"l"}, 2: {"oh", "ow"}, 3: {"od", "oh", "ow"}}
+
+// slide builds a sliding-window multiply-accumulate stage (a convolution;
+// pool2D adjusts it): spatial axes n, one per grid extent, then the channel;
+// reduce axes ci when cin > 0 (which also makes the reduction parallel), then
+// a win-wide window axis per grid axis. data reads each grid axis through its
+// window (Scale stride, Offset win−stride), then ci or, with no ci, the
+// channel; weight reads the channel, ci and the window.
+func slide(name string, batch int, grid []int, ch, cin, win, stride int) *texpr.Stage {
+	st := &texpr.Stage{
+		Name:                 name,
+		Kind:                 texpr.ComputeHeavy,
+		FLOPsPerPoint:        2,
+		HasDataReuse:         true,
+		HasReductionParallel: cin > 0,
+		Spatial:              []texpr.Iter{{Name: "n", Extent: batch, Kind: texpr.Spatial}},
+	}
+	chName, chIter := "c", len(grid)+1
+	weight := []texpr.AxisRef{{Iter: chIter}}
+	if cin > 0 {
+		chName = "co"
+		st.Reduce = []texpr.Iter{{Name: "ci", Extent: cin, Kind: texpr.Reduction}}
+		weight = append(weight, texpr.AxisRef{Iter: 0, Reduce: true})
+	}
+	data := []texpr.AxisRef{{Iter: 0}}
+	for i, g := range grid {
+		axis := gridNames[len(grid)][i]
+		weight = append(weight, texpr.AxisRef{Iter: len(st.Reduce), Reduce: true})
+		st.Spatial = append(st.Spatial, texpr.Iter{Name: axis, Extent: g, Kind: texpr.Spatial})
+		st.Reduce = append(st.Reduce, texpr.Iter{Name: "k" + axis[len(axis)-1:], Extent: win, Kind: texpr.Reduction})
+		data = append(data, texpr.AxisRef{Iter: i + 1, Scale: stride, Offset: win - stride})
+	}
+	st.Spatial = append(st.Spatial, texpr.Iter{Name: chName, Extent: ch, Kind: texpr.Spatial})
+	if cin > 0 {
+		data = append(data, texpr.AxisRef{Iter: 0, Reduce: true})
+	} else {
+		data = append(data, texpr.AxisRef{Iter: chIter})
+	}
+	st.Inputs = []texpr.Access{{Tensor: "data", Dims: data}, {Tensor: "weight", Dims: weight}}
+	return st
+}
+
+// epilogue builds an inlinable elementwise stage over main's spatial domain
+// that reads main's output as "acc" (a fused bias+activation).
+func epilogue(name string, flops float64, main *texpr.Stage) *texpr.Stage {
+	dims := make([]texpr.AxisRef, len(main.Spatial))
+	for i := range dims {
+		dims[i] = texpr.AxisRef{Iter: i}
+	}
+	return &texpr.Stage{
+		Name:          name,
+		Kind:          texpr.Elementwise,
+		FLOPsPerPoint: flops,
+		CanInline:     true,
+		Spatial:       append([]texpr.Iter(nil), main.Spatial...),
+		Inputs:        []texpr.Access{{Tensor: "acc", Producer: main.Name, Dims: dims}},
+	}
 }
 
 // Conv1D builds a 1-D convolution subgraph over (batch, L, Cin) -> (batch, Lo, Cout).
 func Conv1D(name string, batch, l, cin, cout, k, stride, pad int) *texpr.Subgraph {
-	lo := convOut(l, k, stride, pad)
-	st := &texpr.Stage{
-		Name:                 "conv1d",
-		Kind:                 texpr.ComputeHeavy,
-		FLOPsPerPoint:        2,
-		HasDataReuse:         true,
-		HasReductionParallel: true,
-		Spatial: []texpr.Iter{
-			{Name: "n", Extent: batch, Kind: texpr.Spatial},
-			{Name: "l", Extent: lo, Kind: texpr.Spatial},
-			{Name: "co", Extent: cout, Kind: texpr.Spatial},
-		},
-		Reduce: []texpr.Iter{
-			{Name: "ci", Extent: cin, Kind: texpr.Reduction},
-			{Name: "kl", Extent: k, Kind: texpr.Reduction},
-		},
-		Inputs: []texpr.Access{
-			{Tensor: "data", Dims: []texpr.AxisRef{
-				{Iter: 0},
-				{Iter: 1, Scale: stride, Offset: k - stride},
-				{Iter: 0, Reduce: true},
-			}},
-			{Tensor: "weight", Dims: []texpr.AxisRef{
-				{Iter: 2}, {Iter: 0, Reduce: true}, {Iter: 1, Reduce: true},
-			}},
-		},
-	}
-	return texpr.MustSubgraph(name, 1, st)
+	return texpr.MustSubgraph(name, 1, slide("conv1d", batch, convOut(k, stride, pad, l), cout, cin, k, stride))
 }
 
 // Conv2D builds a 2-D convolution subgraph (NHWC-style iteration domain).
 func Conv2D(name string, batch, h, w, cin, cout, k, stride, pad int) *texpr.Subgraph {
-	st := conv2DStage("conv2d", batch, h, w, cin, cout, k, stride, pad)
-	return texpr.MustSubgraph(name, 1, st)
+	return texpr.MustSubgraph(name, 1, conv2DStage(batch, h, w, cin, cout, k, stride, pad))
 }
 
-func conv2DStage(stageName string, batch, h, w, cin, cout, k, stride, pad int) *texpr.Stage {
-	oh, ow := convOut(h, k, stride, pad), convOut(w, k, stride, pad)
-	return &texpr.Stage{
-		Name:                 stageName,
-		Kind:                 texpr.ComputeHeavy,
-		FLOPsPerPoint:        2,
-		HasDataReuse:         true,
-		HasReductionParallel: true,
-		Spatial: []texpr.Iter{
-			{Name: "n", Extent: batch, Kind: texpr.Spatial},
-			{Name: "oh", Extent: oh, Kind: texpr.Spatial},
-			{Name: "ow", Extent: ow, Kind: texpr.Spatial},
-			{Name: "co", Extent: cout, Kind: texpr.Spatial},
-		},
-		Reduce: []texpr.Iter{
-			{Name: "ci", Extent: cin, Kind: texpr.Reduction},
-			{Name: "kh", Extent: k, Kind: texpr.Reduction},
-			{Name: "kw", Extent: k, Kind: texpr.Reduction},
-		},
-		Inputs: []texpr.Access{
-			{Tensor: "data", Dims: []texpr.AxisRef{
-				{Iter: 0},
-				{Iter: 1, Scale: stride, Offset: k - stride},
-				{Iter: 2, Scale: stride, Offset: k - stride},
-				{Iter: 0, Reduce: true},
-			}},
-			{Tensor: "weight", Dims: []texpr.AxisRef{
-				{Iter: 3}, {Iter: 0, Reduce: true}, {Iter: 1, Reduce: true}, {Iter: 2, Reduce: true},
-			}},
-		},
-	}
+func conv2DStage(batch, h, w, cin, cout, k, stride, pad int) *texpr.Stage {
+	return slide("conv2d", batch, convOut(k, stride, pad, h, w), cout, cin, k, stride)
 }
 
 // Conv3D builds a 3-D convolution subgraph (video-style NDHWC domain).
 func Conv3D(name string, batch, d, h, w, cin, cout, k, stride, pad int) *texpr.Subgraph {
-	od, oh, ow := convOut(d, k, stride, pad), convOut(h, k, stride, pad), convOut(w, k, stride, pad)
-	st := &texpr.Stage{
-		Name:                 "conv3d",
-		Kind:                 texpr.ComputeHeavy,
-		FLOPsPerPoint:        2,
-		HasDataReuse:         true,
-		HasReductionParallel: true,
-		Spatial: []texpr.Iter{
-			{Name: "n", Extent: batch, Kind: texpr.Spatial},
-			{Name: "od", Extent: od, Kind: texpr.Spatial},
-			{Name: "oh", Extent: oh, Kind: texpr.Spatial},
-			{Name: "ow", Extent: ow, Kind: texpr.Spatial},
-			{Name: "co", Extent: cout, Kind: texpr.Spatial},
-		},
-		Reduce: []texpr.Iter{
-			{Name: "ci", Extent: cin, Kind: texpr.Reduction},
-			{Name: "kd", Extent: k, Kind: texpr.Reduction},
-			{Name: "kh", Extent: k, Kind: texpr.Reduction},
-			{Name: "kw", Extent: k, Kind: texpr.Reduction},
-		},
-		Inputs: []texpr.Access{
-			{Tensor: "data", Dims: []texpr.AxisRef{
-				{Iter: 0},
-				{Iter: 1, Scale: stride, Offset: k - stride},
-				{Iter: 2, Scale: stride, Offset: k - stride},
-				{Iter: 3, Scale: stride, Offset: k - stride},
-				{Iter: 0, Reduce: true},
-			}},
-			{Tensor: "weight", Dims: []texpr.AxisRef{
-				{Iter: 4}, {Iter: 0, Reduce: true}, {Iter: 1, Reduce: true},
-				{Iter: 2, Reduce: true}, {Iter: 3, Reduce: true},
-			}},
-		},
-	}
-	return texpr.MustSubgraph(name, 1, st)
+	return texpr.MustSubgraph(name, 1, slide("conv3d", batch, convOut(k, stride, pad, d, h, w), cout, cin, k, stride))
 }
 
 // ConvT2D builds a transposed 2-D convolution. The output grid is the
 // upsampled one (Ho = (H-1)*stride - 2*pad + K); the input access window is
-// the standard fractionally-strided approximation used for footprint modeling.
+// the standard fractionally-strided approximation used for footprint modeling:
+// a unit-stride window of the input elements one output point touches per axis.
 func ConvT2D(name string, batch, h, w, cin, cout, k, stride, pad int) *texpr.Subgraph {
-	oh := (h-1)*stride - 2*pad + k
-	ow := (w-1)*stride - 2*pad + k
-	if oh < 1 {
-		oh = 1
-	}
-	if ow < 1 {
-		ow = 1
-	}
-	win := (k + stride - 1) / stride // input elements touched per output point, per axis
-	st := &texpr.Stage{
-		Name:                 "conv2d_transpose",
-		Kind:                 texpr.ComputeHeavy,
-		FLOPsPerPoint:        2,
-		HasDataReuse:         true,
-		HasReductionParallel: true,
-		Spatial: []texpr.Iter{
-			{Name: "n", Extent: batch, Kind: texpr.Spatial},
-			{Name: "oh", Extent: oh, Kind: texpr.Spatial},
-			{Name: "ow", Extent: ow, Kind: texpr.Spatial},
-			{Name: "co", Extent: cout, Kind: texpr.Spatial},
-		},
-		Reduce: []texpr.Iter{
-			{Name: "ci", Extent: cin, Kind: texpr.Reduction},
-			{Name: "kh", Extent: win, Kind: texpr.Reduction},
-			{Name: "kw", Extent: win, Kind: texpr.Reduction},
-		},
-		Inputs: []texpr.Access{
-			{Tensor: "data", Dims: []texpr.AxisRef{
-				{Iter: 0},
-				{Iter: 1, Scale: 1, Offset: win - 1}, // fractional stride ≈ unit stride + window
-				{Iter: 2, Scale: 1, Offset: win - 1},
-				{Iter: 0, Reduce: true},
-			}},
-			{Tensor: "weight", Dims: []texpr.AxisRef{
-				{Iter: 3}, {Iter: 0, Reduce: true}, {Iter: 1, Reduce: true}, {Iter: 2, Reduce: true},
-			}},
-		},
-	}
-	return texpr.MustSubgraph(name, 1, st)
+	grid := []int{max((h-1)*stride-2*pad+k, 1), max((w-1)*stride-2*pad+k, 1)}
+	win := (k + stride - 1) / stride
+	return texpr.MustSubgraph(name, 1, slide("conv2d_transpose", batch, grid, cout, cin, win, 1))
 }
 
 // DepthwiseConv2D builds a depthwise 2-D convolution (MobileNet building block):
@@ -236,35 +173,7 @@ func ConvT2D(name string, batch, h, w, cin, cout, k, stride, pad int) *texpr.Sub
 //
 //lint:allow deadexport search/search_test.go builds a depthwise subgraph with it
 func DepthwiseConv2D(name string, batch, h, w, c, k, stride, pad int) *texpr.Subgraph {
-	oh, ow := convOut(h, k, stride, pad), convOut(w, k, stride, pad)
-	st := &texpr.Stage{
-		Name:          "depthwise_conv2d",
-		Kind:          texpr.ComputeHeavy,
-		FLOPsPerPoint: 2,
-		HasDataReuse:  true,
-		Spatial: []texpr.Iter{
-			{Name: "n", Extent: batch, Kind: texpr.Spatial},
-			{Name: "oh", Extent: oh, Kind: texpr.Spatial},
-			{Name: "ow", Extent: ow, Kind: texpr.Spatial},
-			{Name: "c", Extent: c, Kind: texpr.Spatial},
-		},
-		Reduce: []texpr.Iter{
-			{Name: "kh", Extent: k, Kind: texpr.Reduction},
-			{Name: "kw", Extent: k, Kind: texpr.Reduction},
-		},
-		Inputs: []texpr.Access{
-			{Tensor: "data", Dims: []texpr.AxisRef{
-				{Iter: 0},
-				{Iter: 1, Scale: stride, Offset: k - stride},
-				{Iter: 2, Scale: stride, Offset: k - stride},
-				{Iter: 3},
-			}},
-			{Tensor: "weight", Dims: []texpr.AxisRef{
-				{Iter: 3}, {Iter: 0, Reduce: true}, {Iter: 1, Reduce: true},
-			}},
-		},
-	}
-	return texpr.MustSubgraph(name, 1, st)
+	return texpr.MustSubgraph(name, 1, slide("depthwise_conv2d", batch, convOut(k, stride, pad, h, w), c, 0, k, stride))
 }
 
 // Softmax builds a two-stage softmax subgraph over (rows, cols): a reduction
@@ -327,21 +236,8 @@ func Elementwise(name string, elems int, flopsPerElem float64, inputs int) *texp
 //
 //lint:allow deadexport schedule/serialize_test.go and sketch/sketch_test.go build subgraphs with it
 func GEMMEpilogue(name string, batch, m, k, n int, epilogueFLOPs float64) *texpr.Subgraph {
-	g := GEMM(name, batch, m, k, n)
-	mat := g.Stages[0]
-	ep := &texpr.Stage{
-		Name:          "epilogue",
-		Kind:          texpr.Elementwise,
-		FLOPsPerPoint: epilogueFLOPs,
-		CanInline:     true,
-		Spatial:       append([]texpr.Iter(nil), mat.Spatial...),
-	}
-	dims := make([]texpr.AxisRef, len(ep.Spatial))
-	for i := range dims {
-		dims[i] = texpr.AxisRef{Iter: i}
-	}
-	ep.Inputs = []texpr.Access{{Tensor: "acc", Producer: mat.Name, Dims: dims}}
-	return texpr.MustSubgraph(name, 1, mat, ep)
+	mat := GEMM(name, batch, m, k, n).Stages[0]
+	return texpr.MustSubgraph(name, 1, mat, epilogue("epilogue", epilogueFLOPs, mat))
 }
 
 // Conv2DReLU builds a conv2d followed by a fused bias+ReLU elementwise stage —
@@ -349,48 +245,15 @@ func GEMMEpilogue(name string, batch, m, k, n int, epilogueFLOPs float64) *texpr
 //
 //lint:allow deadexport the root bench_test.go, hardware/hardware_test.go, schedule/schedule_test.go, search/search_test.go and sketch/sketch_test.go build subgraphs with it
 func Conv2DReLU(name string, weight, batch, h, w, cin, cout, k, stride, pad int) *texpr.Subgraph {
-	conv := conv2DStage("conv2d", batch, h, w, cin, cout, k, stride, pad)
-	relu := &texpr.Stage{
-		Name:          "bias_relu",
-		Kind:          texpr.Elementwise,
-		FLOPsPerPoint: 2,
-		CanInline:     true,
-		Spatial:       append([]texpr.Iter(nil), conv.Spatial...),
-	}
-	dims := make([]texpr.AxisRef, len(relu.Spatial))
-	for i := range dims {
-		dims[i] = texpr.AxisRef{Iter: i}
-	}
-	relu.Inputs = []texpr.Access{{Tensor: "acc", Producer: conv.Name, Dims: dims}}
-	return texpr.MustSubgraph(name, weight, conv, relu)
+	conv := conv2DStage(batch, h, w, cin, cout, k, stride, pad)
+	return texpr.MustSubgraph(name, weight, conv, epilogue("bias_relu", 2, conv))
 }
 
-// pool2D builds a pooling subgraph (ReduceLight over a window).
+// pool2D builds a pooling subgraph: a ReduceLight window over each channel
+// with no weight.
 func pool2D(name string, batch, h, w, c, k, stride int) *texpr.Subgraph {
-	oh, ow := convOut(h, k, stride, 0), convOut(w, k, stride, 0)
-	st := &texpr.Stage{
-		Name:          "pool2d",
-		Kind:          texpr.ReduceLight,
-		FLOPsPerPoint: 1,
-		Spatial: []texpr.Iter{
-			{Name: "n", Extent: batch, Kind: texpr.Spatial},
-			{Name: "oh", Extent: oh, Kind: texpr.Spatial},
-			{Name: "ow", Extent: ow, Kind: texpr.Spatial},
-			{Name: "c", Extent: c, Kind: texpr.Spatial},
-		},
-		Reduce: []texpr.Iter{
-			{Name: "kh", Extent: k, Kind: texpr.Reduction},
-			{Name: "kw", Extent: k, Kind: texpr.Reduction},
-		},
-		Inputs: []texpr.Access{
-			{Tensor: "data", Dims: []texpr.AxisRef{
-				{Iter: 0},
-				{Iter: 1, Scale: stride, Offset: k - stride},
-				{Iter: 2, Scale: stride, Offset: k - stride},
-				{Iter: 3},
-			}},
-		},
-	}
+	st := slide("pool2d", batch, convOut(k, stride, 0, h, w), c, 0, k, stride)
+	st.Kind, st.FLOPsPerPoint, st.HasDataReuse, st.Inputs = texpr.ReduceLight, 1, false, st.Inputs[:1]
 	return texpr.MustSubgraph(name, 1, st)
 }
 
