@@ -106,13 +106,9 @@ func NewTuner(graphs []*texpr.Subgraph, plat *hardware.Platform, schedName strin
 // and drain in selection order, so the journal is byte-identical for every
 // worker count.
 func (p *ParallelNetworkTuner) AttachJournal(jr *tunelog.Journal, seed uint64) {
-	fps := make([]string, len(p.MT.Tasks))
-	for i, t := range p.MT.Tasks {
-		fps[i] = t.Graph.Fingerprint()
-	}
 	p.MT.SetRecorder(func(r search.TrialRecord) {
 		t := p.MT.Tasks[r.Task]
-		jr.Append(tunelog.NewRecordFP(fps[r.Task], t.Plat.Name, p.SchedName, r.Sched, r.Exec, r.Trial, seed))
+		jr.Append(tunelog.NewRecord(t.Graph, t.Plat.Name, p.SchedName, r.Sched, r.Exec, r.Trial, seed))
 	})
 }
 

@@ -266,10 +266,12 @@ type Subgraph struct {
 
 	producerIdx [][]int // per stage: indices of producer stages
 	consumerIdx [][]int // per stage: indices of consumer stages
+	fingerprint string  // rendered once by NewSubgraph
 }
 
 // NewSubgraph builds and validates a subgraph from its stages, resolving the
-// Producer names of each access into DAG edges.
+// Producer names of each access into DAG edges, and renders its fingerprint.
+// The stages must not change afterwards; only Weight may.
 func NewSubgraph(name string, weight int, stages ...*Stage) (*Subgraph, error) {
 	if name == "" {
 		return nil, fmt.Errorf("texpr: subgraph with empty name")
@@ -309,6 +311,7 @@ func NewSubgraph(name string, weight int, stages ...*Stage) (*Subgraph, error) {
 			sg.consumerIdx[j] = append(sg.consumerIdx[j], i)
 		}
 	}
+	sg.fingerprint = sg.render()
 	return sg, nil
 }
 
@@ -356,7 +359,10 @@ func (g *Subgraph) FLOPs() float64 {
 // of one is a valid schedule of the other with the same simulated performance,
 // so cached tuning records are transferable between them. Weight is excluded:
 // it scales the network-level objective, not the schedule space.
-func (g *Subgraph) Fingerprint() string {
+func (g *Subgraph) Fingerprint() string { return g.fingerprint }
+
+// render computes the fingerprint Fingerprint returns.
+func (g *Subgraph) render() string {
 	var b strings.Builder
 	for _, st := range g.Stages {
 		fmt.Fprintf(&b, "|%s:%d:%g:%d%d%d:%d", st.Name, st.Kind, st.FLOPsPerPoint,

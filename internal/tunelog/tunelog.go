@@ -76,9 +76,8 @@ func NewRecord(g *texpr.Subgraph, target, scheduler string, s *schedule.Schedule
 	return NewRecordFP(g.Fingerprint(), target, scheduler, s, execSec, trial, seed)
 }
 
-// NewRecordFP is NewRecord with a precomputed workload fingerprint, for
-// per-trial callers that journal many records of one workload and hoist the
-// structural hash out of the measurement loop.
+// NewRecordFP is NewRecord for a caller that holds the workload fingerprint
+// rather than the subgraph.
 func NewRecordFP(fingerprint, target, scheduler string, s *schedule.Schedule, execSec float64, trial int, seed uint64) Record {
 	return Record{
 		V:         SchemaVersion,

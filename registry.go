@@ -158,9 +158,8 @@ func publishTasks(reg *Registry, tasks []*search.Task, target, scheduler string,
 		if t.Best == nil {
 			continue
 		}
-		fp := t.Graph.Fingerprint()
-		rec := tunelog.NewRecordFP(fp, target, scheduler, t.Best, t.BestExec, t.Trials, seed)
-		rec.Force = broken[fp]
+		rec := tunelog.NewRecord(t.Graph, target, scheduler, t.Best, t.BestExec, t.Trials, seed)
+		rec.Force = broken[rec.Workload]
 		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
