@@ -44,7 +44,7 @@ GO ?= go
 # The search hot path: schedule featurization and identity hash (each cold and
 # memoized), an evolutionary child (Mutate, then its Key and Features), batch
 # candidate scoring, cost model refit (synthetic rows and real schedule
-# features, the real ones also with the cost model's lanes off), single-row prediction (97% of HARL's predict calls) and batch
+# features, the real ones also with the cost model's lanes off), single-row prediction and batch
 # prediction, the PPO window step (32 tracks' ActBatch, ValueBatch, Observe
 # and Tick at the GEMM-1024³ agent's dims) and update that are most of a HARL
 # session, the update again at GOMAXPROCS 1 (its critic half then runs after

@@ -112,9 +112,8 @@ func BenchmarkCostModelRefit(b *testing.B) {
 	}
 }
 
-// BenchmarkCostModelPredict measures one single-row prediction — HARL's
-// per-track Task.Score, 97% of its predict calls — rotating over held-out
-// rows: every caller scores a schedule it has not scored before, and
+// BenchmarkCostModelPredict measures one single-row prediction, rotating
+// over held-out rows: every caller scores a schedule it has not scored before, and
 // re-predicting one vector would time a branch predictor that has memorized
 // that vector's path through every tree.
 func BenchmarkCostModelPredict(b *testing.B) {

@@ -71,9 +71,10 @@ type harlState struct {
 	bestPerfEver float64
 
 	// Scratch of one window step (stepTracks), one entry or row per live track.
-	x    []float64 // row-major block of the tracks' states, then of the successors'
-	decs []rl.Decision
-	vals []float64 // critic values of the successors
+	x     []float64 // row-major block of the tracks' states, then of the successors'
+	decs  []rl.Decision
+	vals  []float64            // critic values of the successors
+	nexts []*schedule.Schedule // the successors
 }
 
 // NewHARL builds the engine.
@@ -242,23 +243,28 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 // a modification set M per track, the environment applies it, the cost model
 // provides the ratio reward, and the critic's TD error becomes the advantage
 // recorded for PPO training and adaptive stopping (Algorithm 1, lines 7-13).
-// Policy and critic are each queried once for all tracks — their weights only
-// change in Tick, after the step — and every ordered effect (RNG draws, pool
+// Policy, environment and critic are each queried once for all tracks — the
+// policy and critic weights only change in Tick, after the step, and the cost
+// model only after a measurement — and every ordered effect (RNG draws, pool
 // records, search cost, replay buffer) happens in track order.
 func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, pool candPool) {
 	n, dim := len(live), t.FeatureDim()
 	if len(st.decs) < n {
 		st.x, st.decs, st.vals = make([]float64, n*dim), make([]rl.Decision, n), make([]float64, n)
+		st.nexts = make([]*schedule.Schedule, n)
 	}
-	x, decs, vals := st.x[:n*dim], st.decs[:n], st.vals[:n]
+	x, decs, vals, nexts := st.x[:n*dim], st.decs[:n], st.vals[:n], st.nexts[:n]
 	for i, tr := range live {
 		copy(x[i*dim:], tr.feats)
 	}
 	st.agent.ActBatch(decs, x)
 	for i, tr := range live {
 		acts := decs[i].Acts
-		next := tr.sched.Apply(schedule.Action{Tiling: acts[0], ComputeAt: acts[1], Parallel: acts[2], Unroll: acts[3]})
-		nextScore := t.Score(next)
+		nexts[i] = tr.sched.Apply(schedule.Action{Tiling: acts[0], ComputeAt: acts[1], Parallel: acts[2], Unroll: acts[3]})
+	}
+	scores := t.ScoreBatch(nexts)
+	for i, tr := range live {
+		next, nextScore := nexts[i], scores[i]
 		tr.reward = 0
 		if tr.score > 0 {
 			tr.reward = (nextScore - tr.score) / tr.score

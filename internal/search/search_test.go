@@ -270,8 +270,9 @@ func TestSubgraphWithMultipleStagesTunes(t *testing.T) {
 func TestScoreChargesSearchCost(t *testing.T) {
 	task, _ := newTestTask(t, workload.GEMM("g", 1, 128, 128, 128), 12)
 	s := task.RandomSchedule(task.Sketches[0])
+	one := []*schedule.Schedule{s}
 	// Untrained: free, returns neutral 1.
-	if task.Score(s) != 1 {
+	if task.ScoreBatch(one)[0] != 1 {
 		t.Fatal("untrained score must be 1")
 	}
 	before := task.Meas.CostSec()
@@ -281,7 +282,7 @@ func TestScoreChargesSearchCost(t *testing.T) {
 	}
 	task.MeasureBatch(batch)
 	mid := task.Meas.CostSec()
-	task.Score(s)
+	task.ScoreBatch(one)
 	if task.Meas.CostSec() <= mid {
 		t.Fatal("trained score must charge cost-model query time")
 	}

@@ -372,18 +372,6 @@ func (t *Task) WarmStartFrom(db *tunelog.Database) bool {
 	return true
 }
 
-// Score returns the cost model's positive performance score C(s) for the
-// ratio-form reward; before the model is trained it returns 1 so rewards are
-// zero rather than arbitrary.
-func (t *Task) Score(s *schedule.Schedule) float64 {
-	cm := t.FittedCost()
-	if !cm.Trained() {
-		return 1
-	}
-	t.Meas.AddCostModelQueries(1)
-	return cm.Throughput(s.Features())
-}
-
 // scoreChunk is the per-worker unit of ScoreBatch: large enough that
 // PredictBatch amortizes its tree-at-a-time pass, small enough that a
 // typical engine round (hundreds to ~1k candidates) still spreads across
@@ -407,14 +395,16 @@ var scoreBufPool = sync.Pool{New: func() any {
 	}
 }}
 
-// ScoreBatch scores many schedules at once: contiguous chunks fan out
+// ScoreBatch returns the cost model's positive performance score C(s) of each
+// schedule, aligned with the input, and charges one cost-model query per
+// schedule; before the model is trained every score is 1, uncharged, so HARL's
+// ratio-form rewards are zero rather than arbitrary. Contiguous chunks fan out
 // across the task's Pool, and each chunk extracts its features and predicts
 // them in one PredictBatch pass (into a pooled buffer when the model supports
 // costmodel.BatchInto). Chunks write disjoint output ranges and batch
-// prediction is bit-identical to element-wise Predict (the model is
-// read-only between refits), so ScoreBatch matches Score element-wise for
-// every pool width. It charges the same per-query search cost as Score and
-// returns scores aligned with the input.
+// prediction is bit-identical to the model's single-row Throughput (the model
+// is read-only between refits), so the scores are the same for every pool
+// width.
 func (t *Task) ScoreBatch(scheds []*schedule.Schedule) []float64 {
 	out := make([]float64, len(scheds))
 	cm := t.FittedCost()
