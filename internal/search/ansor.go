@@ -57,9 +57,6 @@ func NewAnsor(cfg AnsorConfig) *Ansor {
 	return &Ansor{Cfg: cfg, states: make(map[*Task]*ansorState)}
 }
 
-// Name implements Engine.
-func (a *Ansor) Name() string { return "ansor" }
-
 // RunRound implements Engine: one evolutionary round followed by top-K
 // measurement and a cost-model refit.
 func (a *Ansor) RunRound(t *Task, measureK int) int {

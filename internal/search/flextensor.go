@@ -37,9 +37,6 @@ func NewFlextensor(cfg FlextensorConfig) *Flextensor {
 	return &Flextensor{Cfg: cfg, agents: make(map[*Task]*rl.Agent)}
 }
 
-// Name implements Engine.
-func (f *Flextensor) Name() string { return "flextensor" }
-
 func (f *Flextensor) agent(t *Task) *rl.Agent {
 	if a := f.agents[t]; a != nil {
 		return a

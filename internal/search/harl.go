@@ -82,14 +82,6 @@ func NewHARL(cfg HARLConfig) *HARL {
 	return &HARL{Cfg: cfg, states: make(map[*Task]*harlState)}
 }
 
-// Name implements Engine.
-func (h *HARL) Name() string {
-	if !h.Cfg.AdaptiveStopping {
-		return "hierarchical-rl"
-	}
-	return "harl"
-}
-
 func (h *HARL) state(t *Task) *harlState {
 	st := h.states[t]
 	if st != nil {

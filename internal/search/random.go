@@ -13,9 +13,6 @@ type Random struct{}
 // NewRandom builds the baseline engine.
 func NewRandom() *Random { return &Random{} }
 
-// Name implements Engine.
-func (r *Random) Name() string { return "random" }
-
 // RunRound implements Engine.
 func (r *Random) RunRound(t *Task, measureK int) int {
 	var batch []*schedule.Schedule

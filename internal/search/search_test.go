@@ -79,38 +79,22 @@ func TestTaskWeightedBestExec(t *testing.T) {
 }
 
 func TestTuneHonorsBudget(t *testing.T) {
-	for _, mk := range []func() Engine{
-		func() Engine { return NewRandom() },
-		func() Engine { return NewAnsor(DefaultAnsorConfig()) },
-		func() Engine { return NewHARL(DefaultHARLConfig()) },
-		func() Engine { return NewFlextensor(DefaultFlextensorConfig()) },
+	for name, e := range map[string]Engine{
+		"random":     NewRandom(),
+		"ansor":      NewAnsor(DefaultAnsorConfig()),
+		"harl":       NewHARL(DefaultHARLConfig()),
+		"flextensor": NewFlextensor(DefaultFlextensorConfig()),
 	} {
-		e := mk()
 		task, _ := newTestTask(t, workload.GEMM("g", 1, 256, 256, 256), 4)
 		TuneSession(context.Background(), e, task, 48, 16, nil)
 		if task.Trials < 48 || task.Trials > 48+16 {
-			t.Fatalf("%s: trials %d for budget 48", e.Name(), task.Trials)
+			t.Fatalf("%s: trials %d for budget 48", name, task.Trials)
 		}
 		if task.Best == nil {
-			t.Fatalf("%s: no best found", e.Name())
+			t.Fatalf("%s: no best found", name)
 		}
 		if err := task.Best.Validate(); err != nil {
-			t.Fatalf("%s: best schedule invalid: %v", e.Name(), err)
-		}
-	}
-}
-
-func TestEngineNames(t *testing.T) {
-	names := map[string]Engine{
-		"random":          NewRandom(),
-		"ansor":           NewAnsor(DefaultAnsorConfig()),
-		"harl":            NewHARL(DefaultHARLConfig()),
-		"flextensor":      NewFlextensor(DefaultFlextensorConfig()),
-		"hierarchical-rl": func() Engine { c := DefaultHARLConfig(); c.AdaptiveStopping = false; return NewHARL(c) }(),
-	}
-	for want, e := range names {
-		if e.Name() != want {
-			t.Fatalf("engine name %q want %q", e.Name(), want)
+			t.Fatalf("%s: best schedule invalid: %v", name, err)
 		}
 	}
 }
@@ -253,15 +237,14 @@ func TestSubgraphWithMultipleStagesTunes(t *testing.T) {
 		workload.Elementwise("ew", 1<<16, 4, 2),
 		workload.DepthwiseConv2D("dw", 1, 28, 28, 96, 3, 1, 1),
 	} {
-		for _, mk := range []func() Engine{
-			func() Engine { return NewHARL(DefaultHARLConfig()) },
-			func() Engine { return NewAnsor(DefaultAnsorConfig()) },
+		for name, e := range map[string]Engine{
+			"harl":  NewHARL(DefaultHARLConfig()),
+			"ansor": NewAnsor(DefaultAnsorConfig()),
 		} {
-			e := mk()
 			task, _ := newTestTask(t, sg, 11)
 			TuneSession(context.Background(), e, task, 32, 16, nil)
 			if task.Best == nil {
-				t.Fatalf("%s on %s found nothing", e.Name(), sg.Name)
+				t.Fatalf("%s on %s found nothing", name, sg.Name)
 			}
 		}
 	}

@@ -454,8 +454,6 @@ func (t *Task) WeightedBestExec() float64 {
 
 // Engine is one parameter-search strategy operating round by round.
 type Engine interface {
-	// Name identifies the engine in experiment output.
-	Name() string
 	// RunRound performs one exploration round on the task and measures about
 	// measureK candidates. It returns the number of measurements performed.
 	RunRound(t *Task, measureK int) int
