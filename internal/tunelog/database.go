@@ -41,7 +41,7 @@ func LoadFile(path string) (*Database, error) {
 // journal damaged by a crash still warm-starts from its intact prefix. Only
 // I/O errors are returned.
 //
-//lint:allow deadexport core/journal_test.go, pretrain/pretrain_test.go, search/lazyfit_test.go and tunelog_test.go load journals held in memory
+//lint:allow deadexport core/journal_test.go, search/lazyfit_test.go, search/pretrain_test.go and tunelog_test.go load journals held in memory
 func (db *Database) Load(r io.Reader) error {
 	skipped, err := scan(r, maxFirstBuf, func(rec Record) { db.Add(rec) })
 	db.skipped += skipped

@@ -106,7 +106,7 @@ func AcquireFileLock(path string) (io.Closer, error) {
 
 // NewJournal wraps an arbitrary writer (tests, in-memory journals).
 //
-//lint:allow deadexport core/journal_test.go, pretrain/pretrain_test.go, registry/backend_test.go, search/lazyfit_test.go and tunelog_test.go journal into memory
+//lint:allow deadexport core/journal_test.go, registry/backend_test.go, search/lazyfit_test.go, search/pretrain_test.go and tunelog_test.go journal into memory
 func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
 // NewJournalWriteCloser wraps a writer whose Close matters: Close propagates
