@@ -235,9 +235,9 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 // a modification set M per track, the environment applies it, the cost model
 // provides the ratio reward, and the critic's TD error becomes the advantage
 // recorded for PPO training and adaptive stopping (Algorithm 1, lines 7-13).
-// Policy, environment and critic are each queried once for all tracks — the
-// policy and critic weights only change in Tick, after the step, and the cost
-// model only after a measurement — and every ordered effect (RNG draws, pool
+// Policy, cost model and critic are each queried once for all tracks — the
+// policy and critic weights only change in Tick, after the step, and the model
+// only after a measurement — and every ordered effect (RNG draws, pool
 // records, search cost, replay buffer) happens in track order.
 func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, pool candPool) {
 	n, dim := len(live), t.FeatureDim()
