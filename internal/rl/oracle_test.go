@@ -154,9 +154,29 @@ func (a *Agent) refAccumulate(t Transition, adv float64) {
 	refMLPBackward(a.trunk, inputs, dh)
 }
 
+// refAgent is an Agent beside the retired replay buffer, a ring of the
+// observed transitions themselves, which refTrain reads. It never reads the
+// agent's own ring, so a row-index or wrap-around bug there shows as a
+// mismatch.
+type refAgent struct {
+	*Agent
+	buf []Transition
+	pos int
+}
+
+// observe is the retired Agent.Observe.
+func (a *refAgent) observe(t Transition) {
+	if len(a.buf) < a.Cfg.BufferCap {
+		a.buf = append(a.buf, t)
+		return
+	}
+	a.buf[a.pos] = t
+	a.pos = (a.pos + 1) % a.Cfg.BufferCap
+}
+
 // refTrain is the retired Agent.Train: the same sampling, normalization and
 // Adam steps around per-sample accumulation.
-func (a *Agent) refTrain() {
+func (a *refAgent) refTrain() {
 	n := len(a.buf)
 	batch := min(a.Cfg.MiniBatch, n)
 	picks, advs := make([]int, batch), make([]float64, batch)
@@ -164,7 +184,8 @@ func (a *Agent) refTrain() {
 		mean, sq := 0.0, 0.0
 		for b := range picks {
 			picks[b] = a.rng.Intn(n)
-			advs[b] = a.buf[picks[b]].Advantage(a.Cfg.Gamma)
+			t := a.buf[picks[b]]
+			advs[b] = t.Reward + a.Cfg.Gamma*t.NextValue - t.Value
 			mean += advs[b]
 			sq += advs[b] * advs[b]
 		}
@@ -254,13 +275,13 @@ func trainMatchesPerSampleOracle(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.BufferCap = tc.bufferCap
 		got := NewAgent(tc.stateDim, tc.heads, cfg, xrand.New(31))
-		want := NewAgent(tc.stateDim, tc.heads, cfg, xrand.New(31))
+		want := &refAgent{Agent: NewAgent(tc.stateDim, tc.heads, cfg, xrand.New(31))}
 		env := xrand.New(32)
 		for i, s := range randStates(env, tc.observe, tc.stateDim) {
 			d := want.refAct(s)
 			tr := Transition{State: s, Acts: d.Acts, OldLogP: d.LogProb - 0.3*env.Float64(),
 				Reward: env.Float64() - 0.5, Value: d.Value, NextValue: want.refValue(s) + float64(i%3)}
-			want.Observe(tr)
+			want.observe(tr)
 			got.Act(s) // keep the two RNG streams aligned
 			got.Observe(tr)
 		}
@@ -268,7 +289,7 @@ func trainMatchesPerSampleOracle(t *testing.T) {
 			got.Train()
 			want.refTrain()
 		}
-		requireSameTensors(t, got, want)
+		requireSameTensors(t, got, want.Agent)
 		if got.rng.Uint64() != want.rng.Uint64() {
 			t.Fatalf("%s: agent RNG streams diverged", tc.name)
 		}

@@ -19,12 +19,16 @@
 // a warm update allocates nothing (on two procs the runtime's goroutine free
 // lists first grow by a bounded ≈ 30 KB). The search queries the policy and
 // the critic once per window step for all its live tracks (ActBatch,
-// ValueBatch); Act and Value are the one-row case of the same code.
+// ValueBatch); Act and Value are the one-row case of the same code. The
+// replay buffer is one pointer-free ring allocated with the agent, 8·stateDim
+// + 4·heads + 32 bytes a row (232 at the GEMM-1024³ dims); Observe copies into
+// it, and Decision.Acts is agent scratch, so a window step allocates nothing.
 package rl
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"harl/internal/nn"
@@ -65,12 +69,13 @@ func DefaultConfig() Config {
 
 // Decision is the outcome of one policy query.
 type Decision struct {
-	Acts    []int   // one sub-action index per head
+	Acts    []int   // one sub-action index per head, valid until the agent's next Act or ActBatch
 	LogProb float64 // joint log-probability of the sampled sub-actions
 	Value   float64 // critic value of the state
 }
 
 // Transition is one recorded environment step (S, M, S', R, Y of Algorithm 1).
+// Observe copies it, so the caller may reuse State and Acts afterwards.
 type Transition struct {
 	State     []float64
 	Acts      []int
@@ -80,10 +85,11 @@ type Transition struct {
 	NextValue float64 // V(s') at collection time
 }
 
-// Advantage returns the one-step TD advantage (Eq. 6) of the transition.
-func (t Transition) Advantage(gamma float64) float64 {
-	return t.Reward + gamma*t.NextValue - t.Value
-}
+// outcome is a transition's scalars: one 32-byte record of the replay ring.
+type outcome struct{ oldLogP, reward, value, nextValue float64 }
+
+// advantage returns the one-step TD advantage (Eq. 6) of the transition.
+func (o *outcome) advantage(gamma float64) float64 { return o.reward + gamma*o.nextValue - o.value }
 
 // chunkRows is the block height of every batched pass: larger batches run as
 // consecutive blocks of at most this many rows, in sample order, which bounds
@@ -98,8 +104,12 @@ type Agent struct {
 	heads  []*nn.Linear
 	critic *nn.MLP
 
-	buf    []Transition
-	bufPos int
+	// The replay ring of BufferCap rows, row i being states[i*stateDim:],
+	// acts[i*heads:] and outcomes[i]: rows are filled, Observe writes row pos.
+	states    []float64
+	acts      []int32
+	outcomes  []outcome
+	rows, pos int
 
 	steps   int
 	adamT   int
@@ -110,18 +120,19 @@ type Agent struct {
 	// agent: O(chunkRows × (stateDim + Hidden + Σheads)) with the networks'
 	// own blocks. Every pass consumes the previous one's blocks before
 	// overwriting them. During Train the critic's half owns the critic and
-	// the crit* blocks, the actor's half everything else; both only read buf
-	// and picks. Forward passes take and give feature-major blocks
+	// the crit* blocks, the actor's half everything else; both only read the
+	// ring and picks. Forward passes take and give feature-major blocks
 	// (nn.Linear.ForwardBatch); everything here is sample-major unless it
 	// says otherwise.
-	x      []float64   // a query block's states, stateDim×rows feature-major; a minibatch block's, rows×stateDim
-	h      []float64   // the trunk activation, rows×Hidden
-	probs  [][]float64 // per head, rows×size: logits, probabilities, then loss gradient
-	dh     []float64   // gradient w.r.t. h, summed over heads
-	headDx []float64   // one head's input gradient
-	perRow []float64   // policy-gradient scale
-	tmp    []float64   // feature-major staging: a minibatch block's states, then one head's logits; later one head's d H / d logits, sample-major
-	picks  []int       // every epoch's minibatch sample indices, epoch-major
+	x       []float64   // a query block's states, stateDim×rows feature-major; a minibatch block's, rows×stateDim
+	h       []float64   // the trunk activation, rows×Hidden
+	probs   [][]float64 // per head, rows×size: logits, probabilities, then loss gradient
+	dh      []float64   // gradient w.r.t. h, summed over heads
+	headDx  []float64   // one head's input gradient
+	perRow  []float64   // policy-gradient scale
+	tmp     []float64   // feature-major staging: a minibatch block's states, then one head's logits; later one head's d H / d logits, sample-major
+	picks   []int       // every epoch's minibatch sample indices, epoch-major
+	decActs []int       // the last Act or ActBatch's Decision.Acts, grown to the widest call
 
 	critX, critXT []float64 // the critic's minibatch block states, rows×stateDim and feature-major
 	critDv        []float64 // the critic's output gradient
@@ -137,9 +148,9 @@ func NewAgent(stateDim int, headSizes []int, cfg Config, rng *xrand.RNG) *Agent 
 		trunk:  nn.NewMLP(rng, chunkRows, stateDim, cfg.Hidden, cfg.Hidden),
 		critic: nn.NewMLP(rng, chunkRows, stateDim, cfg.Hidden, cfg.Hidden, 1),
 		rng:    rng,
-		buf:    make([]Transition, 0, cfg.BufferCap),
 		probs:  make([][]float64, len(headSizes)),
 	}
+	a.states, a.acts, a.outcomes = make([]float64, cfg.BufferCap*stateDim), make([]int32, cfg.BufferCap*len(headSizes)), make([]outcome, cfg.BufferCap)
 	staged := stateDim // the widest block tmp stages
 	for k, hs := range headSizes {
 		a.heads = append(a.heads, nn.NewLinear(cfg.Hidden, hs, rng))
@@ -193,9 +204,12 @@ func (a *Agent) headProbs(k, r int) []float64 {
 // ActBatch samples one joint action per row of the row-major state block x
 // (len(decs)×stateDim) into decs, drawing from the agent's RNG in (state,
 // head) order: decisions and RNG state afterwards equal len(decs) Act calls.
-// The call's Acts share one allocation, alive while any of them is kept.
+// The call's Acts are agent-owned scratch, valid until the next Act or
+// ActBatch.
 func (a *Agent) ActBatch(decs []Decision, x []float64) {
-	dim, acts := a.dim(x, len(decs)), make([]int, len(decs)*len(a.heads))
+	dim, heads := a.dim(x, len(decs)), len(a.heads)
+	a.decActs = slices.Grow(a.decActs[:0], len(decs)*heads)[:len(decs)*heads]
+	acts := a.decActs
 	for lo := 0; lo < len(decs); lo += chunkRows {
 		n := min(chunkRows, len(decs)-lo)
 		xT := a.x[:n*dim]
@@ -203,8 +217,8 @@ func (a *Agent) ActBatch(decs []Decision, x []float64) {
 		a.forwardActor(xT, n)
 		v := a.critic.ForwardBatch(xT, n) // one output: n×1 either way round
 		for r := 0; r < n; r++ {
-			d := Decision{Acts: acts[:len(a.heads):len(a.heads)], Value: v[r]}
-			acts = acts[len(a.heads):]
+			d := Decision{Acts: acts[:heads:heads], Value: v[r]}
+			acts = acts[heads:]
 			for k := range a.heads {
 				p := a.headProbs(k, r)
 				d.Acts[k] = nn.SampleCategorical(p, a.rng)
@@ -237,22 +251,22 @@ func (a *Agent) ValueBatch(vals, x []float64) {
 // Value returns the critic's estimate V(s).
 func (a *Agent) Value(state []float64) float64 { return a.critic.ForwardBatch(state, 1)[0] }
 
-// Observe records a transition into the replay buffer.
+// Observe copies a transition into the replay ring.
 func (a *Agent) Observe(t Transition) {
-	a.dim(t.State, 1)
-	if len(a.buf) < a.Cfg.BufferCap {
-		a.buf = append(a.buf, t)
-		return
+	dim, heads, i := a.dim(t.State, 1), len(a.heads), a.pos
+	a.pos, a.rows = (i+1)%a.Cfg.BufferCap, min(a.rows+1, a.Cfg.BufferCap)
+	copy(a.states[i*dim:(i+1)*dim], t.State)
+	for k := range heads {
+		a.acts[i*heads+k] = int32(t.Acts[k])
 	}
-	a.buf[a.bufPos] = t
-	a.bufPos = (a.bufPos + 1) % a.Cfg.BufferCap
+	a.outcomes[i] = outcome{t.OldLogP, t.Reward, t.Value, t.NextValue}
 }
 
 // Tick advances the environment-step counter and trains when the paper's
 // training interval T_rl elapses. It reports whether an update happened.
 func (a *Agent) Tick() bool {
 	a.steps++
-	if a.steps%a.Cfg.TrainInterval != 0 || len(a.buf) < 8 {
+	if a.steps%a.Cfg.TrainInterval != 0 || a.rows < 8 {
 		return false
 	}
 	a.Train()
@@ -260,14 +274,14 @@ func (a *Agent) Tick() bool {
 }
 
 // Train performs one PPO update: Cfg.Epochs passes over minibatches sampled
-// from the replay buffer, with the clipped surrogate objective for the actor
+// from the replay ring, with the clipped surrogate objective for the actor
 // (Eq. 5), MSE-to-TD-target for the critic and an entropy bonus. Every
 // epoch's minibatch is drawn up front (nothing else draws from the RNG in
 // between), then the critic trains on a second goroutine while this one
 // trains the actor; the one join is at the end. Gradients are zero on entry:
 // every nn.Step clears what it consumed.
 func (a *Agent) Train() {
-	n := len(a.buf)
+	n := a.rows
 	if n == 0 {
 		return
 	}
@@ -283,7 +297,7 @@ func (a *Agent) Train() {
 		// standard PPO variance-reduction step.
 		mean, sq, picks := 0.0, 0.0, a.picks[ep*batch:(ep+1)*batch]
 		for _, i := range picks {
-			adv := a.buf[i].Advantage(a.Cfg.Gamma)
+			adv := a.outcomes[i].advantage(a.Cfg.Gamma)
 			mean += adv
 			sq += adv * adv
 		}
@@ -305,7 +319,7 @@ func (a *Agent) Train() {
 // epoch's Adam step.
 func (a *Agent) trainCritic() {
 	defer a.criticDone.Done()
-	batch, dim := min(a.Cfg.MiniBatch, len(a.buf)), a.trunk.Layers[0].In
+	batch, dim := min(a.Cfg.MiniBatch, a.rows), a.trunk.Layers[0].In
 	for ep := 0; ep < a.Cfg.Epochs; ep++ {
 		epoch := a.picks[ep*batch : (ep+1)*batch]
 		for lo := 0; lo < batch; lo += chunkRows {
@@ -313,13 +327,13 @@ func (a *Agent) trainCritic() {
 			n := len(picks)
 			x, xT, dv := a.critX[:n*dim], a.critXT[:n*dim], a.critDv[:n]
 			for r, i := range picks {
-				copy(x[r*dim:], a.buf[i].State)
+				copy(x[r*dim:], a.states[i*dim:(i+1)*dim])
 			}
 			nn.Transpose(xT, x, n, dim)
 			v := a.critic.ForwardBatch(xT, n)
 			for r, i := range picks {
-				t := &a.buf[i]
-				dv[r] = 2 * a.Cfg.WMSE * (v[r] - (t.Reward + a.Cfg.Gamma*t.NextValue))
+				o := &a.outcomes[i]
+				dv[r] = 2 * a.Cfg.WMSE * (v[r] - (o.reward + a.Cfg.Gamma*o.nextValue))
 			}
 			a.critic.BackwardBatch(x, dv, n)
 		}
@@ -328,29 +342,29 @@ func (a *Agent) trainCritic() {
 }
 
 // accumulate adds the actor's gradient contribution of one block of the
-// minibatch — the buffered transitions picks, in order — normalizing their
+// minibatch — the ring rows picks, in order — normalizing their
 // advantages with the minibatch mean and std for the policy term: the
 // clipped surrogate plus the entropy bonus.
 func (a *Agent) accumulate(picks []int, mean, std float64) {
-	n, dim := len(picks), a.trunk.Layers[0].In
+	n, dim, heads := len(picks), a.trunk.Layers[0].In, len(a.heads)
 	x, xT := a.x[:n*dim], a.tmp[:n*dim]
 	for r, i := range picks {
-		copy(x[r*dim:], a.buf[i].State)
+		copy(x[r*dim:], a.states[i*dim:(i+1)*dim])
 	}
 	nn.Transpose(xT, x, n, dim)
 	hT, gradMul := a.forwardActor(xT, n), a.perRow
 	h := a.h[:len(hT)] // sample-major, as the heads' weight gradients read it
 	nn.Transpose(h, hT, len(hT)/n, n)
 	for r, i := range picks {
-		t := &a.buf[i]
+		o := &a.outcomes[i]
 		newLogP := 0.0
 		for k := range a.heads {
-			newLogP += nn.LogProb(a.headProbs(k, r), t.Acts[k])
+			newLogP += nn.LogProb(a.headProbs(k, r), int(a.acts[i*heads+k]))
 		}
-		ratio := math.Exp(min(max(newLogP-t.OldLogP, -20), 20))
+		ratio := math.Exp(min(max(newLogP-o.oldLogP, -20), 20))
 		// d(-min(r·A, clip(r)·A))/dlogπ = -A·r when the unclipped branch is
 		// active, 0 when the clip saturates against improvement.
-		adv := (t.Advantage(a.Cfg.Gamma) - mean) / std
+		adv := (o.advantage(a.Cfg.Gamma) - mean) / std
 		gradMul[r] = 0
 		if (adv >= 0 && ratio < 1+a.Cfg.ClipEps) || (adv < 0 && ratio > 1-a.Cfg.ClipEps) {
 			gradMul[r] = -adv * ratio
@@ -365,7 +379,7 @@ func (a *Agent) accumulate(picks []int, mean, std float64) {
 		nn.EntropyGrad(ent, a.probs[k][:n*head.Out], head.Out)
 		for r, i := range picks {
 			row := a.headProbs(k, r)
-			nn.LogProbGrad(row, row, a.buf[i].Acts[k])
+			nn.LogProbGrad(row, row, int(a.acts[i*heads+k]))
 			nn.Axmby(row, gradMul[r], ent[r*head.Out:], a.Cfg.WEntropy)
 		}
 		head.BackwardBatch(headDx, h, a.probs[k][:n*head.Out], n)

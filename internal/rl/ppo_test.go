@@ -38,23 +38,37 @@ func TestActShapes(t *testing.T) {
 }
 
 func TestAdvantageFormula(t *testing.T) {
-	tr := Transition{Reward: 1, Value: 2, NextValue: 3}
+	o := outcome{reward: 1, value: 2, nextValue: 3}
 	// Eq. 6: A = r + γ·V(s') − V(s).
-	if got := tr.Advantage(0.9); math.Abs(got-(1+0.9*3-2)) > 1e-12 {
+	if got := o.advantage(0.9); math.Abs(got-(1+0.9*3-2)) > 1e-12 {
 		t.Fatalf("advantage %f", got)
 	}
 }
 
+// TestBufferRing observes 20 transitions into a ring of 8: row r must hold the
+// last transition i with i mod 8 = r, state, sub-actions and scalars.
 func TestBufferRing(t *testing.T) {
 	rng := xrand.New(2)
 	cfg := DefaultConfig()
 	cfg.BufferCap = 8
-	a := NewAgent(2, []int{3}, cfg, rng)
+	a := NewAgent(2, []int{3, 5}, cfg, rng)
 	for i := 0; i < 20; i++ {
-		a.Observe(Transition{State: []float64{0, 0}, Acts: []int{0}})
+		f := float64(i)
+		a.Observe(Transition{State: []float64{f, -f}, Acts: []int{i % 3, i % 5}, OldLogP: -f, Reward: 2 * f, Value: 3 * f, NextValue: 4 * f})
 	}
-	if len(a.buf) != 8 {
-		t.Fatalf("buffer len %d want cap 8", len(a.buf))
+	if a.rows != 8 {
+		t.Fatalf("ring holds %d rows want cap 8", a.rows)
+	}
+	for r := 0; r < 8; r++ {
+		i := 16 + r
+		if r >= 4 {
+			i = 8 + r
+		}
+		f := float64(i)
+		if a.states[2*r] != f || a.states[2*r+1] != -f || a.acts[2*r] != int32(i%3) || a.acts[2*r+1] != int32(i%5) ||
+			a.outcomes[r] != (outcome{-f, 2 * f, 3 * f, 4 * f}) {
+			t.Fatalf("row %d = %v %v %+v, want transition %d", r, a.states[2*r:2*r+2], a.acts[2*r:2*r+2], a.outcomes[r], i)
+		}
 	}
 }
 
@@ -186,8 +200,8 @@ func TestTrainAllocsNearZero(t *testing.T) {
 
 // TestWindowStepAllocs pins one HARL window step — every live track acts in
 // one ActBatch, is valued in one ValueBatch and observed, then the agent ticks
-// (training on every other tick) — to one allocation: the block every
-// Decision.Acts of the ActBatch is carved from, which the replay buffer keeps.
+// (training on every other tick) — to no allocation: Decision.Acts are agent
+// scratch and Observe copies into the ring allocated with the agent.
 func TestWindowStepAllocs(t *testing.T) {
 	const tracks = 32
 	a := NewAgent(23, []int{101, 3, 3, 3}, DefaultConfig(), xrand.New(12))
@@ -208,12 +222,57 @@ func TestWindowStepAllocs(t *testing.T) {
 	}
 	step()
 	step() // the second tick trains: scratch is warm
-	if n := totalAllocs(10, step); n != 10 {
-		t.Fatalf("10 warm window steps allocate %d objects, want 10", n)
+	if n := totalAllocs(10, step); n != 0 {
+		t.Fatalf("10 warm window steps allocate %d objects, want 0", n)
 	}
-	if n := totalAllocs(10, func() { a.Act(states[0]); a.Value(states[0]) }); n != 10 {
-		t.Fatalf("10 Act+Value pairs allocate %d objects, want 10", n)
+	if n := totalAllocs(10, func() { a.Act(states[0]); a.Value(states[0]) }); n != 0 {
+		t.Fatalf("10 Act+Value pairs allocate %d objects, want 0", n)
 	}
+}
+
+// TestObserveAllocs pins Observe to the ring allocated with the agent: a fresh
+// agent fills it and wraps around without allocating.
+func TestObserveAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	a := NewAgent(23, []int{101, 3, 3, 3}, cfg, xrand.New(14))
+	tr := Transition{State: make([]float64, 23), Acts: make([]int, 4), Reward: 0.01}
+	if n := totalAllocs(cfg.BufferCap+10, func() { a.Observe(tr) }); n != 0 {
+		t.Fatalf("%d Observes allocate %d objects, want 0", cfg.BufferCap+10, n)
+	}
+}
+
+// TestObserveCopies feeds one agent every transition through a single state
+// and sub-action buffer that the test overwrites after each Observe, and an
+// identically seeded agent fresh slices: their updates must agree bit for bit,
+// which they cannot if the ring keeps the caller's slices.
+func TestObserveCopies(t *testing.T) {
+	const dim = 23
+	heads := []int{101, 3, 3, 3}
+	reused := NewAgent(dim, heads, DefaultConfig(), xrand.New(15))
+	fresh := NewAgent(dim, heads, DefaultConfig(), xrand.New(15))
+	env := xrand.New(16)
+	state, acts := make([]float64, dim), make([]int, len(heads))
+	for _, s := range randStates(env, 100, dim) {
+		tr := Transition{State: s, Acts: make([]int, len(heads)), OldLogP: -env.Float64(),
+			Reward: env.Float64() - 0.5, Value: env.Float64(), NextValue: env.Float64()}
+		for k, size := range heads {
+			tr.Acts[k] = env.Intn(size)
+		}
+		fresh.Observe(tr)
+		copy(state, tr.State)
+		copy(acts, tr.Acts)
+		tr.State, tr.Acts = state, acts
+		reused.Observe(tr)
+		for i := range state {
+			state[i] = -1
+		}
+		clear(acts)
+	}
+	for range 20 {
+		reused.Train()
+		fresh.Train()
+	}
+	requireSameTensors(t, reused, fresh)
 }
 
 // totalAllocs counts the allocations of runs calls of f, as
