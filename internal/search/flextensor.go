@@ -78,12 +78,7 @@ func (f *Flextensor) RunRound(t *Task, measureK int) int {
 		for step := 1; step <= f.Cfg.TrackLength; step++ {
 			stateVec := cur.Features()
 			dec := agent.Act(stateVec)
-			next := cur.Apply(schedule.Action{
-				Tiling:    dec.Acts[0],
-				ComputeAt: dec.Acts[1],
-				Parallel:  dec.Acts[2],
-				Unroll:    dec.Acts[3],
-			})
+			next := cur.Apply(schedule.Action{Tiling: dec.Acts[0], ComputeAt: dec.Acts[1], Parallel: dec.Acts[2], Unroll: dec.Acts[3]})
 			nextExecs := t.MeasureBatch([]*schedule.Schedule{next})
 			nextExec := nextExecs[0]
 			if math.IsNaN(nextExec) {
@@ -93,14 +88,8 @@ func (f *Flextensor) RunRound(t *Task, measureK int) int {
 			}
 			reward := (1/nextExec - 1/curExec) / (1 / curExec)
 			nextVal := agent.Value(next.Features())
-			agent.Observe(rl.Transition{
-				State:     stateVec,
-				Acts:      dec.Acts,
-				OldLogP:   dec.LogProb,
-				Reward:    reward,
-				Value:     dec.Value,
-				NextValue: nextVal,
-			})
+			agent.Observe(rl.Transition{State: stateVec, Acts: dec.Acts, OldLogP: dec.LogProb,
+				Reward: reward, Value: dec.Value, NextValue: nextVal})
 			if agent.Tick() {
 				t.Meas.AddSearchCost(hardware.RLTrainSec)
 			}

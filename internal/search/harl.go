@@ -71,7 +71,7 @@ type harlState struct {
 	bestPerfEver float64
 
 	// Scratch of one window step (stepTracks), one entry or row per live track.
-	x     []float64 // row-major block of the tracks' states, then of the successors'
+	x     []float64 // row-major block of the tracks' states, then one of their successors'
 	decs  []rl.Decision
 	vals  []float64            // critic values of the successors
 	nexts []*schedule.Schedule // the successors
@@ -107,9 +107,7 @@ func (h *HARL) state(t *Task) *harlState {
 // schedule, Section 2.2).
 type track struct {
 	sched     *schedule.Schedule
-	feats     []float64 // cached Features() of sched
-	prev      []float64 // feats before the step in flight (stepTracks)
-	score     float64   // cost-model score of the current schedule
+	score     float64 // cost-model score of the current schedule
 	bestScore float64
 	bestStep  int
 	steps     int
@@ -144,7 +142,7 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 	tracks := make([]*track, h.Cfg.Tracks)
 	for i, s := range inits {
 		sc := initScores[i]
-		tracks[i] = &track{sched: s, feats: s.Features(), score: sc, bestScore: sc, alive: true}
+		tracks[i] = &track{sched: s, score: sc, bestScore: sc, alive: true}
 		pool.record(s, sc)
 	}
 
@@ -242,12 +240,12 @@ func (h *HARL) RunRound(t *Task, measureK int) int {
 func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, pool candPool) {
 	n, dim := len(live), t.FeatureDim()
 	if len(st.decs) < n {
-		st.x, st.decs, st.vals = make([]float64, n*dim), make([]rl.Decision, n), make([]float64, n)
+		st.x, st.decs, st.vals = make([]float64, 2*n*dim), make([]rl.Decision, n), make([]float64, n)
 		st.nexts = make([]*schedule.Schedule, n)
 	}
-	x, decs, vals, nexts := st.x[:n*dim], st.decs[:n], st.vals[:n], st.nexts[:n]
+	x, y, decs, vals, nexts := st.x[:n*dim], st.x[n*dim:2*n*dim], st.decs[:n], st.vals[:n], st.nexts[:n]
 	for i, tr := range live {
-		copy(x[i*dim:], tr.feats)
+		copy(x[i*dim:], tr.sched.Features())
 	}
 	st.agent.ActBatch(decs, x)
 	for i, tr := range live {
@@ -262,8 +260,7 @@ func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, pool candPool) 
 			tr.reward = (nextScore - tr.score) / tr.score
 		}
 		tr.sched, tr.score = next, nextScore
-		tr.prev, tr.feats = tr.feats, next.Features()
-		copy(x[i*dim:], tr.feats)
+		copy(y[i*dim:], next.Features())
 		tr.steps++
 		if nextScore > tr.bestScore {
 			tr.bestScore = nextScore
@@ -272,10 +269,10 @@ func (h *HARL) stepTracks(t *Task, st *harlState, live []*track, pool candPool) 
 		pool.record(next, nextScore)
 		t.Meas.AddSearchCost(hardware.RLStepSec)
 	}
-	st.agent.ValueBatch(vals, x)
+	st.agent.ValueBatch(vals, y)
 	for i, tr := range live {
 		dec := &decs[i]
-		st.agent.Observe(rl.Transition{State: tr.prev, Acts: dec.Acts, OldLogP: dec.LogProb,
+		st.agent.Observe(rl.Transition{State: x[i*dim : (i+1)*dim], Acts: dec.Acts, OldLogP: dec.LogProb,
 			Reward: tr.reward, Value: dec.Value, NextValue: vals[i]})
 		tr.advSum += tr.reward + h.Cfg.RL.Gamma*vals[i] - dec.Value
 		tr.advN++
