@@ -241,6 +241,7 @@ type Model struct {
 	resid      []float64
 	idx        []int
 	idxScratch []int
+	nodes      []node            // the tree buildTree grows
 	featVals   []float64         // per-feature sort scratch, dim×n
 	colBins    []uint8           // every feature's bins, column-major, dim×n
 	gainBuf    []float64         // per column: its best gain at the node
@@ -426,15 +427,18 @@ func (m *Model) buildBins() {
 }
 
 // buildTree grows one regression tree over m.idx (reset to identity by the
-// caller). The node slice is pre-sized to the tree's bound — min(full tree of
-// MaxDepth, one node per sample pair) — so growing never reallocates it.
+// caller) in m.nodes, sized to the tree's bound — min(full tree of MaxDepth,
+// one node per sample pair) — so growing never reallocates it, and returns the
+// tree copied at its length: the model keeps every tree for the checkpoint
+// codec, and a tree of a small training set fills a fraction of its bound.
 func (m *Model) buildTree(resid []float64) *tree {
-	maxNodes := 2*len(m.idx) - 1
-	if full := 1<<(m.P.MaxDepth+1) - 1; full < maxNodes {
-		maxNodes = full
+	maxNodes := min(2*len(m.idx)-1, 1<<(m.P.MaxDepth+1)-1)
+	if cap(m.nodes) < maxNodes {
+		m.nodes = make([]node, 0, maxNodes)
 	}
-	tr := &tree{nodes: make([]node, 0, maxNodes)}
+	tr := &tree{nodes: m.nodes[:0]}
 	m.grow(tr, 0, len(m.idx), resid, 0)
+	tr.nodes = append(make([]node, 0, len(tr.nodes)), tr.nodes...)
 	return tr
 }
 

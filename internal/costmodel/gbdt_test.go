@@ -389,6 +389,31 @@ func TestRefitCheckpointPinned(t *testing.T) {
 	}
 }
 
+// TestFittedTreesAtTheirSize pins what a Refit keeps: every tree at its node
+// count, not at the bound buildTree grows it in (127 nodes at the default
+// depth, while a tree over 80 samples holds about a third of that), over two
+// Refits of a training set at the size of one BERT task's and a larger one.
+func TestFittedTreesAtTheirSize(t *testing.T) {
+	for _, n := range []int{80, 600} {
+		xs, ys := realRows("GEMM-S", n, 66)
+		m := New(DefaultParams())
+		for i := range xs {
+			m.Add(xs[i], ys[i])
+		}
+		for range 2 {
+			m.Refit()
+			if len(m.trees) != m.P.NumTrees {
+				t.Fatalf("n=%d: %d trees, want %d", n, len(m.trees), m.P.NumTrees)
+			}
+			for i, tr := range m.trees {
+				if len(tr.nodes) != cap(tr.nodes) {
+					t.Fatalf("n=%d: tree %d keeps %d nodes in a slice of %d", n, i, len(tr.nodes), cap(tr.nodes))
+				}
+			}
+		}
+	}
+}
+
 // pearson returns the Pearson correlation coefficient of the paired samples.
 func pearson(xs, ys []float64) float64 {
 	mean := func(xs []float64) float64 {
