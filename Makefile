@@ -13,7 +13,8 @@
 #                    for anything touching the concurrent tuning engine)
 #   make bench     — one pass over every experiment benchmark
 #   make bench-hot — the search hot-path microbenchmarks (features, schedule
-#                    key, evolutionary mutation, batch scoring, refit with the histogram fill and
+#                    key, evolutionary mutation, the schedule's text form,
+#                    batch scoring, refit with the histogram fill and
 #                    boundary scans on their lanes and on their Go loops,
 #                    single-row and batch
 #                    prediction, PPO window step and update, the update
@@ -42,8 +43,9 @@
 GO ?= go
 
 # The search hot path: schedule featurization and identity hash (each cold and
-# memoized), an evolutionary child (Mutate, then its Key and Features), batch
-# candidate scoring, cost model refit (synthetic rows and real schedule
+# memoized), an evolutionary child (Mutate, then its Key and Features), the
+# schedule's text form every journal record and fleet trial carries
+# (MarshalSteps), batch candidate scoring, cost model refit (synthetic rows and real schedule
 # features, the real ones also with the cost model's lanes off), single-row prediction and batch
 # prediction, the PPO window step (32 tracks' ActBatch, ValueBatch, Observe
 # and Tick at the GEMM-1024³ agent's dims) and update that are most of a HARL
@@ -53,7 +55,7 @@ GO ?= go
 # BenchmarkGemm and BenchmarkLanes, both implementations). CI's perf-smoke job
 # runs exactly this set on the base and head commits and fails on significant
 # regressions.
-HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScheduleMutate|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOWindowStep|BenchmarkPPOTrain|BenchmarkPPOTrainOneProc|BenchmarkGemm|BenchmarkLanes)$$
+HOT_BENCH ?= ^(BenchmarkScheduleFeatures|BenchmarkScheduleKey|BenchmarkScheduleMutate|BenchmarkMarshalSteps|BenchmarkScoreBatch|BenchmarkRefit|BenchmarkCostModelPredict|BenchmarkPredictBatch|BenchmarkPPOWindowStep|BenchmarkPPOTrain|BenchmarkPPOTrainOneProc|BenchmarkGemm|BenchmarkLanes)$$
 BENCH_COUNT ?= 10
 
 # The make loc ratchet. This is the one place the number lives: CI, README and

@@ -234,6 +234,18 @@ func BenchmarkScheduleMutate(b *testing.B) {
 
 var benchKeySink uint64
 
+// BenchmarkMarshalSteps measures the text form of a Conv2D schedule that every
+// journal record and fleet trial carries (schedule.MarshalSteps).
+func BenchmarkMarshalSteps(b *testing.B) {
+	s := schedule.NewRandom(sketch.Generate(workload.SuiteFor("C2D", 1)[0])[0], 4, xrand.New(1))
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += len(s.MarshalSteps())
+	}
+	benchKeySink = uint64(n)
+}
+
 // BenchmarkPredictBatch measures the batched prediction path (one hot tree
 // at a time over the whole feature matrix) against the sequential
 // per-sample loop it replaced.

@@ -17,24 +17,20 @@ import (
 //
 //	sk=1 s0=8,4,2,16 s1=64,1,4,4 r0=16,64 ca=1 pf=2 ur=3/4
 func (s *Schedule) MarshalSteps() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "sk=%d", s.Sk.ID)
-	for a, row := range s.SpatialTiles {
-		fmt.Fprintf(&b, " s%d=%s", a, joinInts(row))
+	var buf [128]byte // on the stack: most renderings fit, a longer one grows onto the heap
+	b := strconv.AppendInt(append(buf[:0], "sk="...), int64(s.Sk.ID), 10)
+	for k, rows := range [2][][]int{s.SpatialTiles, s.ReduceTiles} {
+		for a, row := range rows {
+			b = append(strconv.AppendInt(append(b, [2]string{" s", " r"}[k]...), int64(a), 10), '=')
+			for j, x := range row {
+				b = strconv.AppendInt(append(b, ","[:min(j, 1)]...), int64(x), 10) // a comma before all but the first
+			}
+		}
 	}
-	for r, row := range s.ReduceTiles {
-		fmt.Fprintf(&b, " r%d=%s", r, joinInts(row))
+	for k, x := range [4]int{s.ComputeAt, s.ParallelFuse, s.UnrollIdx, s.NumUnroll} {
+		b = strconv.AppendInt(append(b, [4]string{" ca=", " pf=", " ur=", "/"}[k]...), int64(x), 10)
 	}
-	fmt.Fprintf(&b, " ca=%d pf=%d ur=%d/%d", s.ComputeAt, s.ParallelFuse, s.UnrollIdx, s.NumUnroll)
-	return b.String()
-}
-
-func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // UnmarshalSteps reconstructs a schedule from its MarshalSteps form against

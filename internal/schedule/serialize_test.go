@@ -1,10 +1,13 @@
 package schedule
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"harl/internal/sketch"
+	"harl/internal/texpr"
 	"harl/internal/workload"
 	"harl/internal/xrand"
 )
@@ -39,6 +42,65 @@ func TestMarshalStepsRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+		}
+	}
+}
+
+// marshalStepsFmt is the fmt renderer MarshalSteps replaced, kept as the
+// reference its bytes are held to.
+func marshalStepsFmt(s *Schedule) string {
+	join := func(xs []int) string {
+		parts := make([]string, len(xs))
+		for i, x := range xs {
+			parts[i] = strconv.Itoa(x)
+		}
+		return strings.Join(parts, ",")
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "sk=%d", s.Sk.ID)
+	for a, row := range s.SpatialTiles {
+		fmt.Fprintf(&b, " s%d=%s", a, join(row))
+	}
+	for r, row := range s.ReduceTiles {
+		fmt.Fprintf(&b, " r%d=%s", r, join(row))
+	}
+	fmt.Fprintf(&b, " ca=%d pf=%d ur=%d/%d", s.ComputeAt, s.ParallelFuse, s.UnrollIdx, s.NumUnroll)
+	return b.String()
+}
+
+// TestMarshalStepsMatchesFmtRenderer holds MarshalSteps to the fmt renderer
+// byte for byte: over random schedules of every sketch of the Table-6
+// operators and of BERT's subgraphs, and over hand-built ones with an empty
+// tile row, negative knobs and a rendering longer than MarshalSteps' stack
+// buffer.
+func TestMarshalStepsMatchesFmtRenderer(t *testing.T) {
+	var sgs []*texpr.Subgraph
+	for _, cat := range workload.OperatorCategories() {
+		sgs = append(sgs, workload.SuiteFor(cat, 1)...)
+	}
+	sgs = append(sgs, workload.BERT(1).Subgraphs...)
+	rng := xrand.New(21)
+	var scheds []*Schedule
+	for _, sg := range sgs {
+		for _, sk := range sketch.Generate(sg) {
+			for i := 0; i < 16; i++ {
+				scheds = append(scheds, NewRandom(sk, 4, rng))
+			}
+		}
+	}
+	sk := scheds[0].Sk
+	long := make([]int, 40)
+	for i := range long {
+		long[i] = 1 << 40 * (i - 20)
+	}
+	scheds = append(scheds,
+		&Schedule{Sk: sk, SpatialTiles: [][]int{{}, {7}}, ReduceTiles: [][]int{{}}, ComputeAt: -1, ParallelFuse: -22, UnrollIdx: 333, NumUnroll: -4444},
+		&Schedule{Sk: sk, SpatialTiles: [][]int{long, {1, 2}}, ReduceTiles: [][]int{long}},
+		&Schedule{Sk: sk},
+	)
+	for i, s := range scheds {
+		if got, want := s.MarshalSteps(), marshalStepsFmt(s); got != want {
+			t.Fatalf("schedule %d of %d: MarshalSteps %q, fmt renderer %q", i, len(scheds), got, want)
 		}
 	}
 }
